@@ -2,7 +2,7 @@
 //! adjacent `// SAFETY:` comment.
 //!
 //! The simulation substrate keeps a small, deliberate set of `unsafe`
-//! blocks (the coroutine context switch, the baton-protocol cells, the
+//! blocks (the coroutine context switch and protocol cells, the
 //! stack allocator). The discipline that makes them reviewable is that
 //! each one states its obligation in a `// SAFETY:` comment *at the
 //! site*: what invariant holds, and who maintains it. This binary

@@ -2,7 +2,7 @@
 // paper's host-code-execution speed argument along the axes the
 // phase-structured scheduler optimizes:
 //
-// * raw event throughput for thread processes (baton handoff) vs
+// * raw event throughput for thread processes (coroutine handoff) vs
 //   method processes (lock-free fast-path callbacks);
 // * the timed-notification path through the hierarchical timing wheel,
 //   including the periodic-clock re-arm that used to be a heap push
@@ -15,10 +15,10 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sysc::{Runtime, SimTime, Simulation, SpawnMode, TimingWheel};
+use sysc::{SimTime, Simulation, SpawnMode, TimingWheel};
 
-fn thread_pingpong(rt: Runtime, events: u64) {
-    let mut sim = Simulation::with_runtime(rt);
+fn thread_pingpong(events: u64) {
+    let mut sim = Simulation::new();
     let h = sim.handle();
     let ping = h.create_event("ping");
     let pong = h.create_event("pong");
@@ -55,8 +55,8 @@ fn method_cascade(events: u64) {
 
 /// One solitary process consuming `n` back-to-back time slices: the
 /// RTOS layer's quantum-consume shape. Served by the fast-forward run
-/// budget (grant batching) — time advances in place with no baton
-/// handoff and no wheel traffic.
+/// budget (grant batching) — time advances in place with no context
+/// switch and no wheel traffic.
 fn solo_timeslices(n: u64) {
     let mut sim = Simulation::new();
     let h = sim.handle();
@@ -156,15 +156,9 @@ fn notify_batched(rounds: u64) {
 fn bench_engine(c: &mut Criterion) {
     let mut group = c.benchmark_group("sim_engine");
     group.sample_size(10);
-    // The default (coroutine) runtime: a handoff is a userspace context
-    // switch on one host thread.
+    // A handoff is a userspace context switch on one host thread.
     group.bench_function("thread_handoff_x10k", |b| {
-        b.iter(|| thread_pingpong(Runtime::Coro, std::hint::black_box(10_000)))
-    });
-    // The pooled-OS-thread runtime the coroutines replaced: a handoff
-    // is a baton flip plus an unpark through the host scheduler.
-    group.bench_function("thread_handoff_threaded_x10k", |b| {
-        b.iter(|| thread_pingpong(Runtime::Threaded, std::hint::black_box(10_000)))
+        b.iter(|| thread_pingpong(std::hint::black_box(10_000)))
     });
     group.bench_function("method_events_x10k", |b| {
         b.iter(|| method_cascade(std::hint::black_box(10_000)))

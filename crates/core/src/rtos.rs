@@ -70,41 +70,13 @@ impl Rtos {
         )
     }
 
-    /// Like [`Rtos::new`], but on an explicit sysc process runtime
-    /// (coroutine vs pooled OS threads; see [`sysc::Runtime`]).
-    pub fn new_with_runtime<F>(runtime: sysc::Runtime, cfg: KernelConfig, main: F) -> Self
-    where
-        F: FnMut(&mut Sys<'_>, i32) + Send + 'static,
-    {
-        Self::with_scheduler_runtime(
-            runtime,
-            cfg.clone(),
-            Box::new(PriorityScheduler::new(cfg.max_priority)),
-            main,
-        )
-    }
-
     /// Builds a kernel with an explicit scheduler plug-in (the paper's
     /// "external schedulers"; used by RTK-Spec I/II).
     pub fn with_scheduler<F>(cfg: KernelConfig, scheduler: Box<dyn Scheduler>, main: F) -> Self
     where
         F: FnMut(&mut Sys<'_>, i32) + Send + 'static,
     {
-        Self::with_scheduler_runtime(sysc::Runtime::default(), cfg, scheduler, main)
-    }
-
-    /// Full-control constructor: explicit scheduler *and* process
-    /// runtime.
-    pub fn with_scheduler_runtime<F>(
-        runtime: sysc::Runtime,
-        cfg: KernelConfig,
-        scheduler: Box<dyn Scheduler>,
-        main: F,
-    ) -> Self
-    where
-        F: FnMut(&mut Sys<'_>, i32) + Send + 'static,
-    {
-        let sim = Simulation::with_runtime(runtime);
+        let sim = Simulation::new();
         let h = sim.handle();
         let shared = Arc::new(Shared {
             st: parking_lot::Mutex::new(KernelState::new(cfg, scheduler)),

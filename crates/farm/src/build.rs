@@ -15,8 +15,8 @@ use std::sync::{Arc, Mutex};
 use rtk_analysis::static_verify::Conformance;
 use rtk_analysis::trace_codec::{TraceHeader, TraceTuning, TraceWriter};
 use rtk_core::{
-    CollectSink, FlagWaitMode, IntNo, KernelConfig, MsgPacket, MtxPolicy, ObsStream, QueueOrder,
-    Rtos, RunStats, StampedEvent, StreamClose, StreamSink, Timeout,
+    CollectSink, FlagWaitMode, IntNo, KernelConfig, MsgPacket, MtxPolicy, ObsEvent, ObsStream,
+    QueueOrder, Rtos, RunStats, StampedEvent, StreamClose, StreamSink, Timeout,
 };
 use sysc::{RunOutcome, SimTime, SpawnMode};
 
@@ -227,22 +227,21 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
 /// model; the first divergence is reported in the outcome (and makes
 /// it unhealthy).
 pub fn run_scenario_checked(spec: &ScenarioSpec, oracle: bool) -> ScenarioOutcome {
-    run_scenario_checked_on(spec, oracle, sysc::Runtime::default())
+    run_scenario_recorded(spec, oracle, None, false, false).0
 }
 
-/// Like [`run_scenario_checked`], but on an explicit sysc process
-/// runtime. The runtime never influences the simulated-domain outcome
-/// (see the cross-runtime determinism tests); it only changes how the
-/// host executes the processes.
+/// [`run_scenario_checked`] with a `runtime` argument that is ignored:
+/// coroutines are sysc's only process runtime. The parameter is kept
+/// because the `farmbench/` benchmark calls this signature.
 pub fn run_scenario_checked_on(
     spec: &ScenarioSpec,
     oracle: bool,
-    runtime: sysc::Runtime,
+    _runtime: sysc::Runtime,
 ) -> ScenarioOutcome {
-    run_scenario_recorded(spec, oracle, runtime, None, false, false).0
+    run_scenario_checked(spec, oracle)
 }
 
-/// Like [`run_scenario_checked_on`], additionally feeding the
+/// Like [`run_scenario_checked`], additionally feeding the
 /// observation stream through the static-model conformance checker and
 /// collecting the warmup-filtered measurements the static/dynamic
 /// cross-validation consumes ([`crate::verify`]): per-task worst
@@ -253,76 +252,66 @@ pub fn run_scenario_checked_on(
 pub fn run_scenario_analyzed(
     spec: &ScenarioSpec,
     oracle: bool,
-    runtime: sysc::Runtime,
     trace: Option<&TraceConfig>,
 ) -> ScenarioOutcome {
-    run_scenario_recorded(spec, oracle, runtime, trace, false, true).0
+    run_scenario_recorded(spec, oracle, trace, false, true).0
 }
 
-/// Like [`run_scenario_checked_on`], additionally capturing the
+/// Like [`run_scenario_checked`], additionally capturing the
 /// observation stream into a binary `.rtkt` trace file (see
 /// [`TraceConfig`] and `docs/TRACE_FORMAT.md`). A trace-file I/O
 /// failure never fails the run: the scenario outcome is computed as
 /// usual and the failure surfaces in [`ScenarioOutcome::obs_dropped`]
 /// plus a diagnostic on stderr.
+///
+/// `runtime` is ignored, as in [`run_scenario_checked_on`].
 pub fn run_scenario_traced(
     spec: &ScenarioSpec,
     oracle: bool,
-    runtime: sysc::Runtime,
+    _runtime: sysc::Runtime,
     trace: &TraceConfig,
 ) -> ScenarioOutcome {
-    run_scenario_recorded(spec, oracle, runtime, Some(trace), false, false).0
+    run_scenario_recorded(spec, oracle, Some(trace), false, false).0
 }
 
-/// Like [`run_scenario_checked_on`] with the oracle enabled, but also
-/// returns the recorded kernel-decision stream. The cross-runtime
-/// determinism tests compare these streams event-for-event: the
-/// process runtime must not change a single kernel decision (nor the
-/// tick it is stamped with).
+/// Like [`run_scenario_checked`] with the oracle enabled, but also
+/// returns the recorded kernel-decision stream (every event with the
+/// tick it is stamped with). The determinism goldens pin these streams.
+///
+/// `runtime` is ignored, as in [`run_scenario_checked_on`].
 pub fn run_scenario_observed(
     spec: &ScenarioSpec,
-    runtime: sysc::Runtime,
+    _runtime: sysc::Runtime,
 ) -> (ScenarioOutcome, Vec<StampedEvent>) {
-    run_scenario_recorded(spec, true, runtime, None, true, false)
+    run_scenario_recorded(spec, true, None, true, false)
 }
 
-/// An [`ObsStream`] backend feeding the incremental differential
-/// oracle while the simulation runs ("the oracle is just another
-/// sink").
-struct SpecSink {
-    checker: Arc<Mutex<oracle::Checker>>,
+/// An [`ObsStream`] backend feeding every event to a checker the run
+/// reads afterwards: the incremental differential oracle ("the oracle
+/// is just another sink") or the static-model conformance checker.
+struct CheckerSink<T, F> {
+    checker: Arc<Mutex<T>>,
+    push: F,
 }
 
-impl StreamSink for SpecSink {
+impl<T: Send, F: FnMut(&mut T, &ObsEvent) + Send> StreamSink for CheckerSink<T, F> {
     fn batch(&mut self, events: &[StampedEvent]) -> usize {
         let mut checker = self.checker.lock().unwrap();
         for se in events {
-            checker.push(&se.ev);
+            (self.push)(&mut checker, &se.ev);
         }
         events.len()
     }
 }
 
-/// An [`ObsStream`] backend feeding the static-model conformance
-/// checker while the simulation runs.
-struct ConformanceSink {
-    checker: Arc<Mutex<Conformance>>,
-}
-
-impl StreamSink for ConformanceSink {
-    fn batch(&mut self, events: &[StampedEvent]) -> usize {
-        let mut checker = self.checker.lock().unwrap();
-        for se in events {
-            checker.push(&se.ev);
-        }
-        events.len()
-    }
-}
-
-fn run_scenario_recorded(
+/// The one scenario runner behind every `run_scenario*` entry point
+/// (and the campaign runner): `oracle` attaches the differential
+/// checker, `trace` the `.rtkt` writer, `collect_events` an in-memory
+/// copy of the stream, and `analyze` the conformance checker plus the
+/// post-warmup measurements.
+pub(crate) fn run_scenario_recorded(
     spec: &ScenarioSpec,
     oracle: bool,
-    runtime: sysc::Runtime,
     trace: Option<&TraceConfig>,
     collect_events: bool,
     analyze: bool,
@@ -344,8 +333,9 @@ fn run_scenario_recorded(
     let mut checker = None;
     if oracle {
         let shared = Arc::new(Mutex::new(oracle::Checker::new()));
-        stream = stream.attach(Box::new(SpecSink {
+        stream = stream.attach(Box::new(CheckerSink {
             checker: Arc::clone(&shared),
+            push: oracle::Checker::push,
         }));
         any_sink = true;
         checker = Some(shared);
@@ -360,8 +350,9 @@ fn run_scenario_recorded(
     let mut conformance = None;
     if analyze {
         let shared = Arc::new(Mutex::new(Conformance::from_model(&static_model(spec))));
-        stream = stream.attach(Box::new(ConformanceSink {
+        stream = stream.attach(Box::new(CheckerSink {
             checker: Arc::clone(&shared),
+            push: Conformance::push,
         }));
         any_sink = true;
         conformance = Some(shared);
@@ -372,7 +363,7 @@ fn run_scenario_recorded(
             seed: spec.seed,
             tick_us: KernelConfig::paper().tick.as_us() as u32,
             topology: spec.topology.label().to_string(),
-            runtime: runtime.resolve().as_str().to_string(),
+            runtime: sysc::Runtime::default().as_str().to_string(),
             tuning: tc.tuning,
         };
         let path = tc.dir.join(format!("seed-{:010}.rtkt", spec.seed));
@@ -390,9 +381,7 @@ fn run_scenario_recorded(
         let collect = Arc::clone(&collect);
         let obs = obs.clone();
         let spec = spec.clone();
-        catch_unwind(AssertUnwindSafe(move || {
-            execute(&spec, &collect, obs, runtime)
-        }))
+        catch_unwind(AssertUnwindSafe(move || execute(&spec, &collect, obs)))
     };
     // A panic truncates the observation stream mid-operation; closing
     // as `Aborted` stamps the trace trailer accordingly so a replay
@@ -498,7 +487,6 @@ fn execute(
     spec: &ScenarioSpec,
     collect: &Arc<Collect>,
     obs: Option<Arc<ObsStream>>,
-    runtime: sysc::Runtime,
 ) -> (&'static str, RunStats) {
     let order = if spec.priority_queues {
         QueueOrder::Priority
@@ -515,7 +503,7 @@ fn execute(
     let mut rtos = {
         let collect = Arc::clone(collect);
         let spec = spec.clone();
-        Rtos::new_with_runtime(runtime, KernelConfig::paper(), move |sys, _| {
+        Rtos::new(KernelConfig::paper(), move |sys, _| {
             // Shared objects of the topology.
             let chain_sem = match spec.topology {
                 Topology::SemChain => Some(sys.tk_cre_sem("chain", 1, 1, order).unwrap()),

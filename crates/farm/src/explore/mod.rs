@@ -37,7 +37,7 @@ use std::path::{Path, PathBuf};
 use rtk_analysis::trace_codec::{encode_trace, TraceHeader, TraceTrailer};
 use rtk_core::{CycId, MtxId, ObsEvent, SemId, StampedEvent, TaskId, WaitObj};
 
-use crate::build::run_scenario_checked_on;
+use crate::build::run_scenario_checked;
 use crate::oracle::{Choice, SpecMutation, SpecState};
 use crate::scenario::Fnv;
 use crate::verify::explore_certificate_contradiction;
@@ -159,7 +159,7 @@ pub struct ExploreReport {
     pub spec_errors: u64,
     /// FNV-1a digest folded over visited state hashes in visit order —
     /// the determinism anchor (byte-identical across thread counts and
-    /// process runtimes).
+    /// hosts).
     pub state_hash: u64,
     /// `rtk-verify` deadlock certificate of the kernel-executable twin
     /// (`certified`/`refuted`/`unknown`), or `none` without a twin.
@@ -228,12 +228,14 @@ pub fn write_counterexamples(
 /// Runs one bounded exhaustive exploration: walks the family's
 /// schedule tree, then anchors the result with the `rtk-verify`
 /// certificate cross-check and (when the family has a twin) one
-/// cross-execution on the real kernel under `runtime`.
+/// cross-execution on the real kernel.
 ///
 /// Exploration itself is single-threaded and a pure function of `cfg`;
 /// the report is byte-identical across worker-thread settings and
-/// process runtimes.
-pub fn run_exploration(cfg: &ExploreConfig, runtime: sysc::Runtime) -> ExploreOutcome {
+/// hosts. `runtime` is ignored: coroutines are sysc's only process
+/// runtime, and the parameter stays because the `farmbench/` benchmark
+/// calls this signature.
+pub fn run_exploration(cfg: &ExploreConfig, _runtime: sysc::Runtime) -> ExploreOutcome {
     let model = cfg.family.model(cfg.faults);
     let mut walker = Walker::new(cfg, &model);
     walker.run();
@@ -249,7 +251,7 @@ pub fn run_exploration(cfg: &ExploreConfig, runtime: sysc::Runtime) -> ExploreOu
         .to_string();
         report.certificate_contradiction =
             explore_certificate_contradiction(cross, report.deadlocks);
-        let out = run_scenario_checked_on(cross, true, runtime);
+        let out = run_scenario_checked(cross, true);
         report.cross_execution = match (&out.divergence, out.healthy()) {
             (Some((idx, detail)), _) => format!("diverged: event {idx}: {detail}"),
             (None, false) => "unhealthy".to_string(),

@@ -4,8 +4,7 @@
 //! ```text
 //! rtk-farm [--seeds N] [--base-seed S] [--threads T] [--quick]
 //!          [--no-faults] [--oracle] [--topology NAME]
-//!          [--runtime threaded|coro] [--trace-dir DIR] [--trace-cap N]
-//!          [--out PATH]
+//!          [--trace-dir DIR] [--trace-cap N] [--out PATH]
 //! rtk-farm --replay PATH [--export-vcd DIR] [--export-chrome DIR]
 //!          [--out PATH]
 //! rtk-farm --explore FAMILY [--depth N] [--max-states N] [--no-por]
@@ -51,9 +50,6 @@ campaign options:
                   mtx_inherit mtx_ceiling mbf_pipeline mpf_pool
                   lifecycle_churn disp_window cpu_lock_window
                   mpl_pressure alm_cyc_storm
-  --runtime R     sysc process runtime, threaded or coro (default coro;
-                  coro falls back to threaded on unsupported targets).
-                  Never changes results, only host execution cost
   --trace-dir DIR capture one binary .rtkt trace per scenario into DIR
                   (created if missing; see docs/TRACE_FORMAT.md)
   --trace-cap N   cap each trace at N events (excess counted as
@@ -85,7 +81,7 @@ explore options (bounded model checking, see docs/EXPLORATION.md):
                   mtx irq chain deadlock
                   Report goes to --out (default EXPLORE_farm.json).
                   Excludes every campaign/replay option except
-                  --threads, --runtime, --quick and --no-faults
+                  --threads, --quick and --no-faults
   --depth N       DFS depth bound, at least 1        (default 2000)
   --max-states N  distinct-state bound, at least 1   (default 200000)
   --no-por        disable partial-order reduction (explore every
@@ -175,11 +171,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
                     ));
                 }
                 cli.cfg.topology = Some(name);
-            }
-            "--runtime" => {
-                cli.cfg.runtime = value("--runtime")?
-                    .parse()
-                    .map_err(|e| format!("--runtime: {e}"))?
             }
             "--trace-dir" => {
                 campaign_only.push("--trace-dir");
@@ -409,7 +400,7 @@ fn run_explore(cli: &Cli, cfg: &ExploreConfig) -> ExitCode {
          adversarial {}, faults {})",
         cfg.family, cfg.depth, cfg.max_states, cfg.por, cfg.adversarial, cfg.faults,
     );
-    let outcome = run_exploration(cfg, cli.cfg.runtime);
+    let outcome = run_exploration(cfg, sysc::Runtime::default());
     let mut written: Vec<PathBuf> = Vec::new();
     if let Some(dir) = &cli.explore_dir {
         match write_counterexamples(&outcome, dir) {
@@ -524,11 +515,10 @@ fn main() -> ExitCode {
         format!("{}..{}", cfg.base_seed, cfg.base_seed + cfg.seeds - 1)
     };
     eprintln!(
-        "rtk-farm: {} scenarios (seeds {}), {} worker thread(s), {} runtime, {} horizon, faults {}, oracle {}{}{}{}",
+        "rtk-farm: {} scenarios (seeds {}), {} worker thread(s), {} horizon, faults {}, oracle {}{}{}{}",
         cfg.seeds,
         seed_range,
         workers,
-        cfg.runtime.resolve(),
         if cfg.tuning.quick { "quick" } else { "full" },
         if cfg.tuning.faults { "on" } else { "off" },
         if cfg.oracle { "on" } else { "off" },
@@ -623,27 +613,8 @@ mod tests {
         assert_eq!(cli.cfg.threads, 0); // auto: all cores
         assert!(!cli.cfg.oracle);
         assert!(cli.cfg.trace.is_none());
-        assert_eq!(cli.cfg.runtime, sysc::Runtime::Coro);
         assert!(cli.out.is_none()); // resolved per mode in main()
         assert!(cli.replay.is_none());
-    }
-
-    #[test]
-    fn runtime_flag_selects_the_backend() {
-        let cli = parse(&["--runtime", "threaded"]).unwrap();
-        assert_eq!(cli.cfg.runtime, sysc::Runtime::Threaded);
-        let cli = parse(&["--runtime", "coro"]).unwrap();
-        assert_eq!(cli.cfg.runtime, sysc::Runtime::Coro);
-    }
-
-    #[test]
-    fn unknown_runtime_is_a_usage_error() {
-        // The CLI maps usage errors to exit code 2 in `main`.
-        let err = parse(&["--runtime", "green-threads"]).unwrap_err();
-        assert!(err.contains("--runtime"), "{err}");
-        assert!(err.contains("green-threads"), "{err}");
-        let err = parse(&["--runtime"]).unwrap_err();
-        assert!(err.contains("expects a value"), "{err}");
     }
 
     #[test]

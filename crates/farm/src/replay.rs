@@ -297,7 +297,7 @@ pub fn replay_report_json_analyzed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build::{run_scenario_checked_on, run_scenario_traced, TraceConfig};
+    use crate::build::{run_scenario_checked, run_scenario_traced, TraceConfig};
     use crate::scenario::{ScenarioSpec, Tuning};
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -352,7 +352,7 @@ mod tests {
             faults: true,
         };
         let spec = ScenarioSpec::generate(42, &tuning);
-        let plain = run_scenario_checked_on(&spec, true, sysc::Runtime::default());
+        let plain = run_scenario_checked(&spec, true);
         let traced = run_scenario_traced(
             &spec,
             true,

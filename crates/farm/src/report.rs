@@ -225,12 +225,10 @@ impl CampaignReport {
         let _ = writeln!(j, "  \"oracle\": {},", self.cfg.oracle);
         let _ = writeln!(j, "  \"campaign_digest\": \"{:016x}\",", self.digest());
         if let Some(ms) = wall_ms {
-            // Host-execution metadata: informational, digest-excluded
-            // (the process runtime affects wall clock but never the
-            // simulated domain, and the plain rendering the determinism
-            // tests compare across runtimes omits it).
+            // Host-execution metadata: informational, digest-excluded,
+            // and omitted from the plain rendering the determinism
+            // tests compare.
             let per_sec = self.outcomes.len() as u64 * 1000 / ms.max(1);
-            let _ = writeln!(j, "  \"runtime\": \"{}\",", self.cfg.runtime.resolve());
             let _ = writeln!(j, "  \"wall_clock_ms\": {ms},");
             let _ = writeln!(j, "  \"scenarios_per_sec\": {per_sec},");
             // Sink drop accounting is host-side too (whether a trace
@@ -319,8 +317,8 @@ impl CampaignReport {
 /// Renders the deterministic `rtk-farm-explore-v1` JSON document for
 /// one exploration run (see `docs/EXPLORATION.md`). Same discipline as
 /// the bench report: fixed field order, integer/quoted-hex values
-/// only, no host quantities — byte-identical across thread counts,
-/// runtimes and hosts.
+/// only, no host quantities — byte-identical across thread counts and
+/// hosts.
 pub(crate) fn render_explore_json(r: &crate::explore::ExploreReport) -> String {
     let mut j = String::with_capacity(2048);
     j.push_str("{\n");
@@ -414,7 +412,6 @@ mod tests {
             },
             oracle: true,
             topology: None,
-            runtime: sysc::Runtime::default(),
             trace: None,
             analyze: false,
         };
@@ -435,7 +432,6 @@ mod tests {
                 },
                 oracle: false,
                 topology: None,
-                runtime: sysc::Runtime::default(),
                 trace: None,
                 analyze,
             };
@@ -507,13 +503,8 @@ mod tests {
         let timed = r.to_json_timed(2500);
         assert!(timed.contains("\"wall_clock_ms\": 2500"));
         assert!(timed.contains("\"scenarios_per_sec\": 2")); // 5 * 1000 / 2500
-        let expected_runtime = format!("\"runtime\": \"{}\"", sysc::Runtime::default().resolve());
-        assert!(timed.contains(&expected_runtime), "{timed}");
         let plain = r.to_json();
         assert!(!plain.contains("wall_clock_ms"));
-        // The runtime is host metadata: timed rendering only, so plain
-        // reports stay byte-comparable across runtimes.
-        assert!(!plain.contains("\"runtime\""));
         // Identical digest line in both renderings.
         let digest_line = |j: &str| {
             j.lines()

@@ -17,10 +17,7 @@
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
-use crate::build::{
-    run_scenario_analyzed, run_scenario_checked_on, run_scenario_traced, ScenarioOutcome,
-    TraceConfig,
-};
+use crate::build::{run_scenario_recorded, ScenarioOutcome, TraceConfig};
 use crate::scenario::{ScenarioSpec, Tuning};
 
 /// Campaign parameters (the CLI surface).
@@ -41,10 +38,6 @@ pub struct CampaignConfig {
     /// label (see `Topology::ALL_LABELS`) — one-command divergence
     /// repro for a single scenario family.
     pub topology: Option<String>,
-    /// The sysc process runtime every scenario kernel runs on. Never
-    /// changes the simulated-domain outcomes (hence the campaign
-    /// digest); only host execution cost.
-    pub runtime: sysc::Runtime,
     /// When set, every scenario's observation stream is captured into
     /// a binary `.rtkt` trace file in the given directory
     /// (`--trace-dir`) — replayable offline with `rtk-farm --replay`.
@@ -69,7 +62,6 @@ impl Default for CampaignConfig {
             tuning: Tuning::default(),
             oracle: false,
             topology: None,
-            runtime: sysc::Runtime::default(),
             trace: None,
             analyze: false,
         }
@@ -150,19 +142,12 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Vec<ScenarioOutcome> {
     }
     let workers = cfg.effective_threads().min(n);
 
-    // Scenario kernels lease their T-THREAD contexts from a global
-    // pool — OS threads (threaded runtime) or heap stacks (coroutine
-    // runtime); across a campaign the same contexts serve thousands of
+    // Scenario kernels lease their T-THREAD coroutine stacks from a
+    // global pool; across a campaign the same stacks serve thousands of
     // scenarios. Pre-warm one wave's worth (a quick scenario runs
     // roughly 4–10 thread processes: tasks, boot, timer, storm) so the
-    // first scenarios don't pay creation latency either.
-    match cfg.runtime.resolve() {
-        sysc::Runtime::Threaded => sysc::pool::prewarm(workers.saturating_mul(8)),
-        sysc::Runtime::Coro => {
-            #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
-            sysc::runtime::prewarm_stacks(workers.saturating_mul(8));
-        }
-    }
+    // first scenarios don't pay allocation latency either.
+    sysc::runtime::prewarm_stacks(workers.saturating_mul(8));
 
     // Static pre-split into contiguous slices, then dynamic stealing.
     let queues: Vec<WorkerQueue> = (0..workers)
@@ -186,14 +171,13 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Vec<ScenarioOutcome> {
                 while let Some(idx) = next_job(w, queues) {
                     let seed = cfg.base_seed + selected[idx];
                     let spec = ScenarioSpec::generate(seed, &cfg.tuning);
-                    let outcome = if cfg.analyze {
-                        run_scenario_analyzed(&spec, cfg.oracle, cfg.runtime, cfg.trace.as_ref())
-                    } else {
-                        match &cfg.trace {
-                            Some(tc) => run_scenario_traced(&spec, cfg.oracle, cfg.runtime, tc),
-                            None => run_scenario_checked_on(&spec, cfg.oracle, cfg.runtime),
-                        }
-                    };
+                    let (outcome, _) = run_scenario_recorded(
+                        &spec,
+                        cfg.oracle,
+                        cfg.trace.as_ref(),
+                        false,
+                        cfg.analyze,
+                    );
                     *slots[idx].lock().unwrap() = Some(outcome);
                 }
             });
@@ -225,7 +209,6 @@ mod tests {
             },
             oracle: false,
             topology: None,
-            runtime: sysc::Runtime::default(),
             trace: None,
             analyze: false,
         }

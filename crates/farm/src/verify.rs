@@ -178,7 +178,7 @@ mod tests {
         for seed in 0..24 {
             let spec = ScenarioSpec::generate(seed, &quick(true));
             let analysis = analyze_spec(&spec, &AnalysisOptions::default());
-            let out = run_scenario_analyzed(&spec, false, sysc::Runtime::default(), None);
+            let out = run_scenario_analyzed(&spec, false, None);
             let rec = verify_outcome(&spec, &analysis, &out);
             assert!(
                 rec.consistent(),

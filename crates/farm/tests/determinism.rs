@@ -3,6 +3,7 @@
 //! independent of worker-thread count and scheduling.
 
 use proptest::prelude::*;
+use rtk_analysis::trace_codec::{encode_trace, TraceHeader};
 use rtk_farm::{
     run_campaign, run_exploration, run_scenario, run_scenario_observed, CampaignConfig,
     CampaignReport, ExploreConfig, Family, ScenarioSpec, Tuning,
@@ -67,7 +68,6 @@ proptest! {
             tuning: quick(true),
             oracle: true,
             topology: None,
-            runtime: Runtime::default(),
             trace: None,
             analyze: false,
         };
@@ -91,7 +91,6 @@ fn campaign_json_is_stable_across_repeated_runs() {
         tuning: quick(true),
         oracle: true,
         topology: None,
-        runtime: Runtime::default(),
         trace: None,
         analyze: false,
     };
@@ -100,82 +99,85 @@ fn campaign_json_is_stable_across_repeated_runs() {
     assert_eq!(a, b);
 }
 
-/// The process runtime (pooled OS threads vs stackful coroutines) is
-/// pure host mechanics: the same seed window must yield a byte-identical
-/// report under both.
+// ---------------------------------------------------------------------
+// Goldens. Taken while a pooled-OS-thread process runtime still ran
+// beside the coroutine one and both produced every value below, so they
+// pin what the cross-runtime comparisons used to check.
+// ---------------------------------------------------------------------
+
+/// FNV-1a (64-bit) over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Per seed (quick tuning, faults on): the number of kernel decisions
+/// `run_scenario_observed` records and the FNV-1a digest of their
+/// `.rtkt` encoding, which covers every event and its tick.
+const OBS_GOLDENS: [(u64, usize, u64); 5] = [
+    (3, 434, 0x6ed0_9628_a05a_ac9a),
+    (17, 194, 0x9d7d_4114_91d8_d35d),
+    (42, 326, 0xc27c_f8b7_e8d2_653d),
+    (100, 81, 0xc7a7_6218_2ec8_fadb),
+    (257, 565, 0x234f_d452_abee_752d),
+];
+
 #[test]
-fn campaign_report_is_runtime_invariant() {
-    let cfg = |runtime| CampaignConfig {
+fn obs_streams_match_goldens() {
+    for (seed, events, digest) in OBS_GOLDENS {
+        let spec = ScenarioSpec::generate(seed, &quick(true));
+        let (out, obs) = run_scenario_observed(&spec, Runtime::default());
+        assert!(out.healthy(), "seed {seed}: {out:?}");
+        let header = TraceHeader::new(seed, spec.topology.label(), "golden");
+        let got = (obs.len(), fnv1a(&encode_trace(&header, &obs, None)));
+        assert_eq!(
+            got,
+            (events, digest),
+            "seed {seed}: got ({}, {:#018x})",
+            got.0,
+            got.1
+        );
+    }
+}
+
+/// The 12-seed oracle campaign at base seed 500.
+#[test]
+fn oracle_campaign_digest_matches_golden() {
+    let cfg = CampaignConfig {
         base_seed: 500,
         seeds: 12,
         threads: 2,
         tuning: quick(true),
         oracle: true,
-        topology: None,
-        runtime,
-        trace: None,
-        analyze: false,
+        ..CampaignConfig::default()
     };
-    let threaded = cfg(Runtime::Threaded);
-    let coro = cfg(Runtime::Coro);
-    let rt = CampaignReport::new(threaded.clone(), run_campaign(&threaded));
-    let rc = CampaignReport::new(coro.clone(), run_campaign(&coro));
-    assert_eq!(rt.digest(), rc.digest());
-    assert_eq!(rt.to_json(), rc.to_json());
+    let report = CampaignReport::new(cfg.clone(), run_campaign(&cfg));
+    assert!(report.all_healthy(), "{:?}", report.failures());
+    assert_eq!(format!("{:016x}", report.digest()), "4844bf1d25a82a45");
 }
 
-/// The `--explore` walk is a pure function of its config: the
-/// canonical state hash and the *entire report* (JSON bytes) must not
-/// depend on the host runtime backing the cross-execution, nor on any
-/// thread-count setting (exploration is single-walker by construction;
-/// this pins that `--threads` can never leak into the report).
+/// States, transitions and state hash of every explore family with
+/// partial-order reduction on (the default config).
 #[test]
-fn explore_report_is_runtime_and_thread_invariant() {
-    for family in [Family::Mtx, Family::Irq, Family::Chain, Family::Deadlock] {
+fn explore_reports_match_goldens() {
+    let goldens = [
+        (Family::Mtx, 339, 368, 0x8ce0_4cab_dd0c_1150),
+        (Family::Irq, 1032, 1450, 0xbaa8_38d9_bcbe_a5cf),
+        (Family::Chain, 44, 43, 0xb2e0_83bd_88ca_d553),
+        (Family::Deadlock, 8, 7, 0xd906_bf62_a104_bc2c),
+    ];
+    for (family, states, transitions, hash) in goldens {
         let cfg = ExploreConfig {
             family,
             ..ExploreConfig::default()
         };
-        let threaded = run_exploration(&cfg, Runtime::Threaded);
-        let coro = run_exploration(&cfg, Runtime::Coro);
+        let r = run_exploration(&cfg, Runtime::default()).report;
+        assert!(r.por && !r.truncated, "{family}");
         assert_eq!(
-            threaded.report.state_hash, coro.report.state_hash,
-            "{family}: canonical state hash must be runtime-invariant"
-        );
-        assert_eq!(
-            threaded.report.to_json(),
-            coro.report.to_json(),
-            "{family}: explore report must be byte-identical across runtimes"
-        );
-        // Counterexample distillation is part of the determinism
-        // contract too: same violations, same events, same order.
-        assert_eq!(
-            threaded.counterexamples.len(),
-            coro.counterexamples.len(),
+            (r.states, r.transitions, r.state_hash),
+            (states, transitions, hash),
             "{family}"
         );
-        for (a, b) in threaded.counterexamples.iter().zip(&coro.counterexamples) {
-            assert_eq!(a.name, b.name, "{family}");
-            assert_eq!(a.events, b.events, "{family}: {} diverged", a.name);
-        }
-    }
-}
-
-/// Stronger than digest equality: under both runtimes the kernel makes
-/// the *same decisions in the same order* — the per-seed observation
-/// streams (every dispatch, wakeup and sync operation) are identical
-/// event for event.
-#[test]
-fn obs_streams_are_identical_across_runtimes() {
-    for seed in [3u64, 17, 42, 100, 257] {
-        let spec = ScenarioSpec::generate(seed, &quick(true));
-        let (out_t, obs_t) = run_scenario_observed(&spec, Runtime::Threaded);
-        let (out_c, obs_c) = run_scenario_observed(&spec, Runtime::Coro);
-        assert_eq!(out_t.digest(), out_c.digest(), "seed {seed}");
-        assert!(!obs_t.is_empty(), "seed {seed} recorded no events");
-        assert_eq!(obs_t.len(), obs_c.len(), "seed {seed}");
-        for (i, (a, b)) in obs_t.iter().zip(&obs_c).enumerate() {
-            assert_eq!(a, b, "seed {seed}, event {i}");
-        }
     }
 }

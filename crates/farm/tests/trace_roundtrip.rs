@@ -16,7 +16,8 @@ use rtk_analysis::trace_codec::{
 };
 use rtk_core::{ObsEvent, SemId, StampedEvent, TaskId, WaitObj, WakeCode};
 use rtk_farm::{
-    check, replay_trace, run_campaign, CampaignConfig, CampaignReport, TraceConfig, Tuning,
+    check, replay_trace, run_campaign, run_scenario_traced, CampaignConfig, CampaignReport,
+    ScenarioSpec, TraceConfig, Tuning,
 };
 
 fn t(n: u32) -> TaskId {
@@ -167,7 +168,6 @@ fn bounded_capture_drop_accounting_is_deterministic() {
             },
             oracle: false,
             topology: None,
-            runtime: sysc::Runtime::default(),
             trace: Some(TraceConfig {
                 dir: dir.to_path_buf(),
                 cap: 40,
@@ -230,7 +230,6 @@ fn trace_bytes_are_thread_count_invariant() {
             },
             oracle: true,
             topology: None,
-            runtime: sysc::Runtime::default(),
             trace: Some(TraceConfig {
                 dir: dir.to_path_buf(),
                 cap: 0,
@@ -259,4 +258,44 @@ fn trace_bytes_are_thread_count_invariant() {
     }
     std::fs::remove_dir_all(&d1).ok();
     std::fs::remove_dir_all(&dn).ok();
+}
+
+/// Traces captured while sysc still had a pooled-OS-thread runtime
+/// record `threaded` in their header. The field is provenance only:
+/// such a trace replays exactly like the `coro` trace of the same run.
+#[test]
+fn threaded_header_traces_still_replay() {
+    let dir = tmp_dir("threaded_header");
+    let tuning = Tuning {
+        quick: true,
+        faults: true,
+    };
+    let tc = TraceConfig {
+        dir: dir.clone(),
+        cap: 0,
+        tuning: None,
+    };
+    let live = run_scenario_traced(
+        &ScenarioSpec::generate(42, &tuning),
+        true,
+        sysc::Runtime::default(),
+        &tc,
+    );
+    let mut trace = read_trace(&dir.join("seed-0000000042.rtkt")).unwrap();
+    assert_eq!(trace.header.runtime, "coro");
+    trace.header.runtime = "threaded".into();
+    let old = dir.join("threaded.rtkt");
+    std::fs::write(
+        &old,
+        encode_trace(&trace.header, &trace.events, trace.trailer),
+    )
+    .unwrap();
+
+    let replayed = replay_trace(&old).unwrap();
+    assert_eq!(replayed.header.runtime, "threaded");
+    assert!(replayed.complete && replayed.clean);
+    assert_eq!(replayed.verdict.events_checked, live.oracle_events);
+    assert!(live.oracle_events > 0);
+    assert!(replayed.verdict.divergence.is_none());
+    std::fs::remove_dir_all(&dir).ok();
 }

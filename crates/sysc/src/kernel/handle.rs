@@ -7,7 +7,8 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use crate::ids::{EventId, ProcId};
-use crate::runtime::{reply_from_panic, Cmd, Reply, RtShared};
+use crate::runtime::coro::{CoroShared, Terminal};
+use crate::runtime::{reply_from_panic, Cmd, Reply};
 use crate::signal::UpdateTarget;
 use crate::time::SimTime;
 use crate::trace::KernelStats;
@@ -154,23 +155,22 @@ impl SimHandle {
         self.k.st.lock().procs.get(p).state == ProcState::Finished
     }
 
-    /// Spawns a thread process. The body runs on a context leased from
-    /// the active runtime — a pooled OS thread under the baton protocol
-    /// ([`crate::pool`]), or a stackful coroutine on a recycled heap
-    /// stack ([`crate::runtime`]) — and may suspend anywhere via
-    /// [`ProcCtx`]. Either way the backing context is recycled when the
-    /// body finishes, so campaigns of many short simulations stop
-    /// paying a spawn/join (or stack allocation) per process.
+    /// Spawns a thread process. The body runs as a stackful coroutine
+    /// on a heap stack leased from the global pool ([`crate::runtime`])
+    /// and may suspend anywhere via [`ProcCtx`]. The stack is recycled
+    /// when the body finishes, so campaigns of many short simulations
+    /// stop paying a stack allocation per process.
     pub fn spawn_thread<F>(&self, name: &str, mode: SpawnMode, body: F) -> ProcId
     where
         F: FnOnce(&mut ProcCtx) + Send + 'static,
     {
-        let shared = self.k.rt.new_proc_shared();
+        let shared = CoroShared::new(Arc::clone(&self.k.rt));
         let id = {
             let mut st = self.k.st.lock();
-            st.procs.push(ProcEntry::new_thread(name, shared.clone()))
+            st.procs
+                .push(ProcEntry::new_thread(name, Arc::clone(&shared)))
         };
-        launch(shared, self.clone(), id, body);
+        launch(&shared, self.clone(), id, body);
         let mut st = self.k.st.lock();
         match mode {
             SpawnMode::Immediate => st.dq.runnable.push_back(id),
@@ -229,7 +229,7 @@ impl SimHandle {
             "a process cannot kill itself; use ProcCtx::exit"
         );
         enum Victim {
-            Thread(RtShared),
+            Thread(Arc<CoroShared>),
             Method(Arc<MethodSlot>),
         }
         let victim = {
@@ -239,7 +239,7 @@ impl SimHandle {
             }
             st.procs.get_mut(p).finish();
             match &st.procs.get(p).body {
-                ProcBody::Thread { shared, .. } => Victim::Thread(shared.clone()),
+                ProcBody::Thread { shared } => Victim::Thread(Arc::clone(shared)),
                 ProcBody::Method { slot, .. } => Victim::Method(Arc::clone(slot)),
             }
         };
@@ -263,92 +263,51 @@ impl SimHandle {
     }
 }
 
-/// Hands a spawned process body to its runtime backend.
+/// Parks a spawned process body in its coroutine until first dispatch.
 ///
-/// Both wrappers are the same lifetime: first command → body under
-/// `catch_unwind` → finish path (reply through the terminate handshake
-/// when a kill/teardown is waiting, chained finish bookkeeping
-/// otherwise). They differ only in *when* the transfer happens: the
-/// threaded wrapper performs it (it runs on its own OS thread), while
-/// the coro wrapper **returns** it as a [`Terminal`] so the final
-/// context switch executes after the wrapper frame — and every `Arc`
-/// it held — is gone (see [`crate::runtime::coro`] on leak-free
-/// teardown).
-fn launch<F>(shared: RtShared, handle: SimHandle, id: ProcId, body: F)
+/// The wrapper's lifetime: first command → body under `catch_unwind` →
+/// finish path (reply through the terminate handshake when a
+/// kill/teardown is waiting, chained finish bookkeeping otherwise). It
+/// **returns** the final transfer as a [`Terminal`] instead of
+/// performing it, so the last context switch executes after the wrapper
+/// frame — and every `Arc` it held — is gone (see
+/// [`crate::runtime::coro`] on leak-free teardown).
+fn launch<F>(shared: &Arc<CoroShared>, handle: SimHandle, id: ProcId, body: F)
 where
     F: FnOnce(&mut ProcCtx) + Send + 'static,
 {
-    match shared {
-        RtShared::Threaded(_) => {
-            let shared2 = shared;
-            crate::pool::execute(Box::new(move || match shared2.await_cmd() {
-                // Terminated before first activation: reply through the
-                // baton (the terminator is waiting on it).
-                Cmd::Terminate => shared2.finish(Reply::Finished),
-                Cmd::Run(reason) => {
-                    let k = Arc::clone(&handle.k);
-                    let mut ctx = ProcCtx {
-                        handle,
-                        shared: shared2.clone(),
-                        id,
-                        last_reason: reason,
-                    };
-                    let result = panic::catch_unwind(panic::AssertUnwindSafe(|| body(&mut ctx)));
-                    drop(ctx);
-                    let reply = match result {
-                        Ok(()) => Reply::Finished,
-                        Err(p) => reply_from_panic(p),
-                    };
-                    if shared2.is_terminating() {
-                        // kill()/teardown wait on the baton for this reply.
-                        shared2.finish(reply);
-                    } else {
-                        // Normal completion (including ProcCtx::exit): do
-                        // the finish bookkeeping and continue the chain.
-                        super::sched::finish_from_process(&k, id, &shared2, reply);
-                    }
-                }
-            }));
+    let shared2 = Arc::clone(shared);
+    shared.set_entry(Box::new(move || -> Terminal {
+        let reason = match shared2.await_cmd() {
+            // Unreachable in practice (a terminate before first
+            // activation short-circuits in `resume` without starting
+            // the coroutine); answered all the same.
+            Cmd::Terminate => return Terminal::Link(Reply::Finished),
+            Cmd::Run(reason) => reason,
+        };
+        let k = Arc::clone(&handle.k);
+        let mut ctx = ProcCtx {
+            handle,
+            shared: Arc::clone(&shared2),
+            id,
+            last_reason: reason,
+        };
+        let result = panic::catch_unwind(panic::AssertUnwindSafe(|| body(&mut ctx)));
+        drop(ctx);
+        let reply = match result {
+            Ok(()) => Reply::Finished,
+            Err(p) => reply_from_panic(p),
+        };
+        if shared2.is_terminating() {
+            // kill()/teardown regain control through the link.
+            Terminal::Link(reply)
+        } else {
+            match super::sched::finish_step(&k, id, reply) {
+                Some((next, reason)) => Terminal::Post(next, reason),
+                None => Terminal::Gate,
+            }
         }
-        #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
-        RtShared::Coro(ref coro) => {
-            use crate::runtime::coro::Terminal;
-            let shared2 = shared.clone();
-            coro.set_entry(Box::new(move || -> Terminal {
-                let reason = match shared2.await_cmd() {
-                    // Unreachable in practice (a terminate before first
-                    // activation short-circuits in `resume` without
-                    // starting the coroutine); kept for parity.
-                    Cmd::Terminate => return Terminal::Link(Reply::Finished),
-                    Cmd::Run(reason) => reason,
-                };
-                let k = Arc::clone(&handle.k);
-                let mut ctx = ProcCtx {
-                    handle,
-                    shared: shared2.clone(),
-                    id,
-                    last_reason: reason,
-                };
-                let result = panic::catch_unwind(panic::AssertUnwindSafe(|| body(&mut ctx)));
-                drop(ctx);
-                let reply = match result {
-                    Ok(()) => Reply::Finished,
-                    Err(p) => reply_from_panic(p),
-                };
-                if shared2.is_terminating() {
-                    // kill()/teardown regain control through the link.
-                    Terminal::Link(reply)
-                } else {
-                    match super::sched::finish_step(&k, id, &shared2, reply) {
-                        #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
-                        Some((RtShared::Coro(next), reason)) => Terminal::Post(next, reason),
-                        Some(_) => unreachable!("coro kernel produced a non-coro successor"),
-                        None => Terminal::Gate,
-                    }
-                }
-            }));
-        }
-    }
+    }));
 }
 
 /// A deferred notification buffer: records notifications locally and

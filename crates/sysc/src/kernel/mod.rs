@@ -24,7 +24,8 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::ids::{EventId, ProcId};
-use crate::runtime::{raise_terminate, Cmd, RtKernel, RtShared, Runtime, WaitSpec, WakeReason};
+use crate::runtime::coro::{CoroRt, CoroShared};
+use crate::runtime::{raise_terminate, Cmd, WaitSpec, WakeReason};
 use crate::time::SimTime;
 use crate::trace::{KernelStats, Tracer};
 
@@ -76,19 +77,18 @@ pub(crate) struct Kernel {
     /// Mirrors `st.tracer.is_some()` so hot paths can skip tracing
     /// without taking the lock.
     pub(crate) tracing: AtomicBool,
-    /// The process-runtime backend: the kernel's chained-dispatch gate
-    /// plus the factory for per-process transfer handles (pooled OS
-    /// threads or stackful coroutines; see [`crate::runtime`]).
-    pub(crate) rt: RtKernel,
+    /// The coroutine runtime: the root context, which holds the
+    /// kernel's chained-dispatch gate (see [`crate::runtime`]).
+    pub(crate) rt: Arc<CoroRt>,
 }
 
 impl Kernel {
-    fn new(runtime: Runtime) -> Self {
+    fn new() -> Self {
         Kernel {
             st: Mutex::new(KState::new()),
             current: AtomicU32::new(CURRENT_NONE),
             tracing: AtomicBool::new(false),
-            rt: RtKernel::new(runtime),
+            rt: CoroRt::new(),
         }
     }
 }
@@ -131,29 +131,12 @@ impl Default for Simulation {
 }
 
 impl Simulation {
-    /// Creates an empty simulation at time zero on the default process
-    /// runtime ([`Runtime::Coro`] where supported).
+    /// Creates an empty simulation at time zero. Its thread processes
+    /// run as stackful coroutines on the thread that drives it.
     pub fn new() -> Self {
-        Self::with_runtime(Runtime::default())
-    }
-
-    /// Creates an empty simulation on an explicit process runtime.
-    ///
-    /// [`Runtime::Threaded`] runs each thread process on a pooled OS
-    /// thread (the differential reference); [`Runtime::Coro`] runs the
-    /// whole simulation on the driving thread with stackful coroutines.
-    /// Both produce byte-identical schedules. On targets without a
-    /// context-switch implementation, `Coro` degrades to `Threaded`.
-    pub fn with_runtime(runtime: Runtime) -> Self {
         Simulation {
-            k: Arc::new(Kernel::new(runtime)),
+            k: Arc::new(Kernel::new()),
         }
-    }
-
-    /// The process runtime this simulation actually uses (after any
-    /// target fallback).
-    pub fn runtime(&self) -> Runtime {
-        self.k.rt.runtime()
     }
 
     /// A cloneable handle for creating events/processes and notifying.
@@ -226,9 +209,8 @@ impl Drop for Simulation {
     fn drop(&mut self) {
         // Terminate every live thread process. The terminate handshake
         // is synchronous (the reply arrives only after the body has
-        // unwound); the backing pool workers re-enlist in the ProcPool
-        // (threaded) or the stacks return to the stack pool (coro) on
-        // their own — there is nothing to join.
+        // unwound), and the stacks return to the stack pool on their
+        // own — there is nothing to join.
         let mut shareds = Vec::new();
         {
             let mut st = self.k.st.lock();
@@ -236,7 +218,7 @@ impl Drop for Simulation {
                 if let ProcBody::Thread { shared } = &mut p.body {
                     if p.state != ProcState::Finished {
                         p.state = ProcState::Finished;
-                        shareds.push(shared.clone());
+                        shareds.push(Arc::clone(shared));
                     }
                 }
             }
@@ -254,7 +236,7 @@ impl Drop for Simulation {
 /// primitives (the only way a process may consume simulated time).
 pub struct ProcCtx {
     handle: SimHandle,
-    shared: RtShared,
+    shared: Arc<CoroShared>,
     id: ProcId,
     last_reason: WakeReason,
 }
@@ -292,10 +274,9 @@ impl ProcCtx {
     fn suspend(&mut self, spec: WaitSpec) -> WakeReason {
         // Register the wait and chain-dispatch the next runnable under
         // one kernel-lock round — or get the wait served in place from
-        // the fast-forward run budget — then park for (or immediately
-        // take) our next turn.
-        if let Some(reason) = sched::yield_from_process(&self.handle.k, self.id, &self.shared, spec)
-        {
+        // the fast-forward run budget. Control comes back here when
+        // this process is next dispatched, with its command stored.
+        if let Some(reason) = sched::yield_from_process(&self.handle.k, self.id, spec) {
             self.last_reason = reason;
             return reason;
         }

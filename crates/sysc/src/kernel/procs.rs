@@ -1,20 +1,19 @@
 //! The process table: thread- and method-process bookkeeping.
 //!
-//! Thread processes run on OS threads under the baton protocol of
-//! [`crate::process`]; method processes are plain callbacks. For the
-//! method fast path, the callback box lives *outside* the kernel state
-//! in a per-process [`MethodSlot`], so the scheduler can pop a method
-//! from the runnable queue in one kernel-lock acquisition and then run
-//! the callback without re-locking the process table (the old design
-//! re-acquired the global lock after every callback just to put the
-//! box back).
+//! Thread processes are stackful coroutines ([`crate::runtime`]);
+//! method processes are plain callbacks. For the method fast path, the
+//! callback box lives *outside* the kernel state in a per-process
+//! [`MethodSlot`], so the scheduler can pop a method from the runnable
+//! queue in one kernel-lock acquisition and then run the callback
+//! without re-locking the process table to put the box back.
 
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use crate::ids::{EventId, ProcId};
-use crate::runtime::{RtShared, WakeReason};
+use crate::runtime::coro::CoroShared;
+use crate::runtime::WakeReason;
 
 use super::MethodCtx;
 
@@ -49,12 +48,10 @@ impl MethodSlot {
 
 pub(crate) enum ProcBody {
     Thread {
-        /// The runtime transfer handle: the baton rendezvous of a
-        /// pooled OS thread, or a coroutine context on a leased heap
-        /// stack ([`crate::runtime`]). There is no join handle either
-        /// way; teardown is the terminate handshake, after which the
-        /// worker (or stack) is recycled.
-        shared: RtShared,
+        /// The coroutine context, on a stack leased at first dispatch
+        /// ([`crate::runtime`]). There is no join handle; teardown is
+        /// the terminate handshake, after which the stack is recycled.
+        shared: Arc<CoroShared>,
     },
     Method {
         slot: Arc<MethodSlot>,
@@ -83,7 +80,7 @@ pub(crate) struct ProcEntry {
 }
 
 impl ProcEntry {
-    pub(crate) fn new_thread(name: &str, shared: RtShared) -> Self {
+    pub(crate) fn new_thread(name: &str, shared: Arc<CoroShared>) -> Self {
         ProcEntry {
             name: name.to_string(),
             body: ProcBody::Thread { shared },

@@ -6,8 +6,8 @@
 //!
 //! All kernel state lives behind one mutex ([`Kernel::st`]). The lock
 //! is **never** held while a process body runs: it is released before
-//! the baton is handed to a thread process and before a method
-//! callback is invoked, so process bodies are free to call any
+//! control switches into a thread process and before a method callback
+//! is invoked, so process bodies are free to call any
 //! [`super::SimHandle`] API.
 //!
 //! # Chained dispatch
@@ -15,21 +15,22 @@
 //! The phase loop is one pure state-transition function, [`next_step`],
 //! shared by two drivers:
 //!
-//! * the **kernel thread** ([`run_kernel`]) — runs method callbacks and
-//!   signal updates, and returns the [`RunOutcome`];
-//! * the **yielding process thread** ([`yield_from_process`]) — after
+//! * the **kernel root context** ([`run_kernel`]) — runs method
+//!   callbacks and signal updates, and returns the [`RunOutcome`];
+//! * the **yielding process** ([`yield_from_process`]) — after
 //!   registering its own wait it calls [`next_step`] under the kernel
-//!   lock and, when the next runnable is another thread process, hands
-//!   the baton *directly* to it. In thread-to-thread steady state
+//!   lock and, when the next runnable is another thread process,
+//!   switches *directly* into it. In thread-to-thread steady state
 //!   (exactly the paper's co-simulation shape: T-THREADs exchanging
-//!   the CPU through kernel objects) the kernel thread never wakes:
-//!   every handoff is one unpark instead of the
-//!   process→kernel→process double wake.
+//!   the CPU through kernel objects) the root never runs: every
+//!   handoff is one context switch instead of the
+//!   process→root→process pair.
 //!
-//! The kernel thread parks on [`Kernel::gate`] while a chain runs and
-//! is signalled when the chain needs it: a method process is due, the
-//! update phase has work, the run reached an outcome, or a process
-//! panicked ([`KState::pending_panic`] ferries the payload).
+//! The root stays suspended while a chain runs and regains control,
+//! with the gate token of [`Kernel::rt`] set, when the chain needs it:
+//! a method process is due, the update phase has work, the run reached
+//! an outcome, or a process panicked ([`KState::pending_panic`] ferries
+//! the payload).
 //!
 //! # The fast-forward run budget (grant batching)
 //!
@@ -40,14 +41,16 @@
 //! advances simulated time itself under one lock acquisition
 //! ([`KState::try_fast_forward`]) and keeps running. Consecutive
 //! time-consume slices of one thread (the RTOS layer's quantum loop)
-//! then cost one mutex acquisition each instead of a baton round trip.
+//! then cost one mutex acquisition each instead of a round trip through
+//! the engine.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use crate::ids::{EventId, ProcId};
-use crate::runtime::{Cmd, Reply, RtShared, WaitSpec, WakeReason};
+use crate::runtime::coro::CoroShared;
+use crate::runtime::{Cmd, Reply, WaitSpec, WakeReason};
 use crate::time::SimTime;
 use crate::trace::{KernelStats, Tracer};
 
@@ -116,8 +119,8 @@ pub(crate) struct KState {
     /// Delta cycles at the current timestep (shared between the kernel
     /// loop and chained dispatch; reset on every time advance).
     pub(crate) deltas_this_step: u64,
-    /// A process-body panic caught on a process thread, to be re-raised
-    /// by the kernel thread when the gate hands control back.
+    /// A process-body panic caught inside a coroutine, to be re-raised
+    /// by the kernel root when the gate hands control back.
     pub(crate) pending_panic: Option<Box<dyn std::any::Any + Send>>,
     /// Reused buffer of due wheel entries (advance-time phase).
     due: Vec<TimedEntry<TimedAction>>,
@@ -343,8 +346,8 @@ impl KState {
 
     /// The fast-forward run budget: if the calling (running) process is
     /// provably the only activity before `now + d`, advance simulated
-    /// time in place and return `true` — the process keeps the baton
-    /// and no engine round trip happens. See the module docs.
+    /// time in place and return `true` — the process keeps control and
+    /// no engine round trip happens. See the module docs.
     pub(crate) fn try_fast_forward(&mut self, d: SimTime) -> bool {
         if !self.in_run || self.tracer.is_some() {
             return false;
@@ -378,12 +381,12 @@ impl KState {
 /// What the phase loop decided must happen next.
 pub(crate) enum NextStep {
     /// Hand control to this thread process.
-    Thread(ProcId, RtShared, WakeReason),
-    /// Run this method callback (kernel thread only).
+    Thread(ProcId, Arc<CoroShared>, WakeReason),
+    /// Run this method callback (kernel root only).
     Method(ProcId, Arc<MethodSlot>, Option<EventId>),
-    /// The update phase has work (kernel thread only).
+    /// The update phase has work (kernel root only).
     Updates,
-    /// Chained dispatch cannot continue; the kernel thread must decide.
+    /// Chained dispatch cannot continue; the kernel root must decide.
     WakeKernel,
     /// The run is over.
     Outcome(RunOutcome),
@@ -404,9 +407,9 @@ fn dispatch_bookkeeping(st: &mut KState, current: &AtomicU32, pid: ProcId) {
 /// advance-time bookkeeping until something must execute (or the run is
 /// over). Caller holds the kernel lock.
 ///
-/// With `from_process` the caller is a yielding process thread chaining
-/// the dispatch: anything only the kernel thread may do (method
-/// callbacks, signal updates, returning an outcome) yields
+/// With `from_process` the caller is a yielding process chaining the
+/// dispatch: anything only the kernel root may do (method callbacks,
+/// signal updates, returning an outcome) yields
 /// [`NextStep::WakeKernel`] instead, leaving the state for the kernel
 /// to re-derive — all such exits are idempotent.
 pub(crate) fn next_step(st: &mut KState, current: &AtomicU32, from_process: bool) -> NextStep {
@@ -422,7 +425,7 @@ pub(crate) fn next_step(st: &mut KState, current: &AtomicU32, from_process: bool
         // ---- Evaluate phase: pop the next runnable process ------------
         while let Some(pid) = st.dq.runnable.pop_front() {
             enum Picked {
-                Thread(RtShared, WakeReason),
+                Thread(Arc<CoroShared>, WakeReason),
                 Method(Arc<MethodSlot>, Option<EventId>),
                 Defer,
                 Skip,
@@ -434,9 +437,9 @@ pub(crate) fn next_step(st: &mut KState, current: &AtomicU32, from_process: bool
                     (ProcBody::Thread { shared }, ProcState::Ready) => {
                         entry.state = ProcState::Running;
                         let reason = entry.pending_reason;
-                        Picked::Thread(shared.clone(), reason)
+                        Picked::Thread(Arc::clone(shared), reason)
                     }
-                    // Methods run on the kernel thread only.
+                    // Methods run on the kernel root only.
                     (ProcBody::Method { .. }, _) if from_process => Picked::Defer,
                     (
                         ProcBody::Method {
@@ -549,9 +552,9 @@ pub(crate) fn next_step(st: &mut KState, current: &AtomicU32, from_process: bool
     }
 }
 
-/// Process-side yield: the scheduler bookkeeping the kernel used to do
-/// on reply receipt, then chained dispatch — hand the baton straight to
-/// the next runnable thread process, or signal the kernel gate.
+/// Process-side yield: the scheduler bookkeeping for the suspending
+/// process, then chained dispatch — switch straight into the next
+/// runnable thread process, or signal the kernel gate.
 ///
 /// Time-bounded waits first try the fast-forward run budget under the
 /// same (single) lock acquisition: on success the process never
@@ -559,7 +562,6 @@ pub(crate) fn next_step(st: &mut KState, current: &AtomicU32, from_process: bool
 pub(crate) fn yield_from_process(
     k: &Arc<Kernel>,
     pid: ProcId,
-    shared: &RtShared,
     spec: WaitSpec,
 ) -> Option<WakeReason> {
     let next = {
@@ -588,9 +590,6 @@ pub(crate) fn yield_from_process(
         if st.procs.get(pid).state == ProcState::Running {
             st.register_wait(pid, spec);
         }
-        // Give the baton back before the lock drops: a later kill()
-        // must find the turn on the kernel side.
-        shared.release();
         match next_step(&mut st, &k.current, true) {
             NextStep::Thread(_, nshared, reason) => Some((nshared, reason)),
             _ => None,
@@ -598,14 +597,14 @@ pub(crate) fn yield_from_process(
     };
     match next {
         // Direct process-to-process handoff (possibly to ourselves, in
-        // which case the pending command is picked up without parking).
+        // which case the pending command is picked up without a switch).
         Some((nshared, reason)) => nshared.post(Cmd::Run(reason)),
         None => k.rt.signal(),
     }
     None
 }
 
-/// The finish bookkeeping shared by both runtimes: marks the process
+/// The finish bookkeeping of a process body: marks the process
 /// finished under the kernel lock and decides where control goes next —
 /// `Some` names the next thread process to chain to, `None` means the
 /// kernel root must take over (including the panic case, whose payload
@@ -613,16 +612,14 @@ pub(crate) fn yield_from_process(
 pub(crate) fn finish_step(
     k: &Arc<Kernel>,
     pid: ProcId,
-    shared: &RtShared,
     reply: Reply,
-) -> Option<(RtShared, WakeReason)> {
+) -> Option<(Arc<CoroShared>, WakeReason)> {
     let mut st = k.st.lock();
     k.current.store(CURRENT_NONE, Ordering::Relaxed);
     if let Some(t) = &st.tracer {
         t.process_suspended(st.now, pid);
     }
     st.procs.get_mut(pid).finish();
-    shared.release();
     match reply {
         Reply::Panicked(payload) => {
             st.pending_panic = Some(payload);
@@ -632,17 +629,6 @@ pub(crate) fn finish_step(
             NextStep::Thread(_, nshared, reason) => Some((nshared, reason)),
             _ => None,
         },
-    }
-}
-
-/// Process-side finish for the threaded runtime: bookkeeping, then the
-/// transfer (the coro wrapper instead returns the transfer as its
-/// [`crate::runtime::coro::Terminal`] so its stack is clean when the
-/// final switch happens).
-pub(crate) fn finish_from_process(k: &Arc<Kernel>, pid: ProcId, shared: &RtShared, reply: Reply) {
-    match finish_step(k, pid, shared, reply) {
-        Some((nshared, reason)) => nshared.post(Cmd::Run(reason)),
-        None => k.rt.signal(),
     }
 }
 
@@ -674,10 +660,9 @@ fn run_kernel_inner(k: &Arc<Kernel>) -> Result<RunOutcome, Box<dyn std::any::Any
         };
         match step {
             NextStep::Thread(_pid, shared, reason) => {
-                // Threaded: hand over the baton, then park until the
-                // chain signals the gate. Coro: `post` switches into
-                // the chain and returns when control comes back here,
-                // with the gate token already set; `wait` consumes it.
+                // `post` switches into the chain and returns when
+                // control comes back here, with the gate token already
+                // set; `wait` consumes it.
                 shared.post(Cmd::Run(reason));
                 k.rt.wait();
             }

@@ -5,10 +5,11 @@
 //! on SystemC 2.0; since no SystemC exists for Rust, `sysc` reimplements
 //! the subset the paper depends on:
 //!
-//! * **Thread processes** (`SC_THREAD`): coroutine-style bodies that can
-//!   suspend anywhere via [`ProcCtx::wait_time`], [`ProcCtx::wait_event`]
-//!   and friends. Implemented as OS threads under a strict baton
-//!   protocol — exactly one process executes at any instant, so the
+//! * **Thread processes** (`SC_THREAD`): bodies that can suspend
+//!   anywhere via [`ProcCtx::wait_time`], [`ProcCtx::wait_event`] and
+//!   friends. Each one is a stackful coroutine on a pooled heap stack
+//!   ([`runtime`]), and the whole simulation runs on the thread that
+//!   drives it: exactly one process executes at any instant, so the
 //!   simulation is deterministic like SystemC's evaluator.
 //! * **Method processes** (`SC_METHOD`): non-blocking callbacks with
 //!   static sensitivity, run on the kernel thread (no stack switch) —
@@ -59,10 +60,13 @@
 // `unsafe fn` bodies.
 #![deny(unsafe_op_in_unsafe_fn)]
 
+// The coroutine context switch is hand-written assembly for these two
+// architectures; there is no other process runtime to fall back on.
+#[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+compile_error!("sysc needs a coroutine context switch, which exists for x86_64 and aarch64 only");
+
 mod ids;
 mod kernel;
-pub mod pool;
-mod process;
 pub mod runtime;
 mod signal;
 mod time;

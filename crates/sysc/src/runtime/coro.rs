@@ -4,14 +4,14 @@
 //! driving `run_until`, or whichever thread performs a terminate
 //! handshake) and tracks which context currently executes. Each thread
 //! process owns a [`CoroShared`]: a leased heap stack plus the saved
-//! stack pointer of its suspended context, and the same command/reply
-//! slots the threaded baton uses.
+//! stack pointer of its suspended context, and the command/reply slots
+//! of the call protocol (see the [`super`] docs).
 //!
 //! # Exclusive-control discipline
 //!
-//! The kernel's baton invariant — at any instant exactly one party (the
-//! kernel or one process) executes — carries over unchanged, and is
-//! what justifies the `unsafe impl Send/Sync` here: every slot is only
+//! At any instant exactly one party (the kernel root or one process)
+//! executes. That invariant is what justifies the `unsafe impl
+//! Send/Sync` here: every slot is only
 //! ever touched by the context that currently has control, and control
 //! transfer is a synchronous function call on one OS thread. Cross-
 //! thread use (moving a `Simulation` between runs, or a terminate
@@ -82,9 +82,9 @@ pub(crate) struct CoroRt {
     /// retargets this *before* switching, so a context that regains
     /// control finds itself named here.
     current: Cell<*mut *mut u8>,
-    /// The evaluate-phase gate token (see [`crate::process::Gate`]):
-    /// set by the switch that hands control to the root, consumed by
-    /// the kernel loop's `wait`.
+    /// The evaluate-phase gate token: set by the switch that hands
+    /// control to the root, consumed by the kernel loop's `wait`. A
+    /// root that regains control without it is a protocol bug.
     token: Cell<bool>,
     /// Stack of the most recently finished coroutine, deposited by its
     /// final switch and reaped by the next context to gain control.
@@ -137,9 +137,9 @@ impl CoroRt {
         }
     }
 
-    /// Process side: hands control to the kernel's root context
-    /// (the coro analogue of the gate signal). Returns when this
-    /// process is next dispatched.
+    /// Process side: hands control to the kernel's root context with
+    /// the gate token set. Returns when this process is next
+    /// dispatched.
     pub(crate) fn signal(&self) {
         debug_assert!(!self.token.get(), "gate signalled twice without a wait");
         self.token.set(true);
@@ -207,8 +207,7 @@ impl CoroShared {
         })
     }
 
-    /// Parks the wrapper job until first activation (the coro analogue
-    /// of handing a job to the thread pool).
+    /// Parks the wrapper job until first activation.
     pub(crate) fn set_entry(&self, job: CoroJob) {
         // SAFETY: called once at spawn, before any transfer can reach
         // this context.
@@ -295,7 +294,7 @@ impl CoroShared {
     }
 
     /// Process side: takes the command that scheduled this activation.
-    /// Non-blocking — under coro, *having control* is the rendezvous.
+    /// Non-blocking: *having control* is the rendezvous.
     pub(crate) fn await_cmd(&self) -> Cmd {
         // SAFETY: this context holds control; the poster stored the
         // command before switching to us.

@@ -42,13 +42,12 @@
 //! are generous ([`STACK_SIZE`]) compared to the shallow simulation
 //! bodies, and a canary word at the low end is verified every time a
 //! stack is recycled or dropped — an overflow deep enough to matter
-//! trips it. The threaded runtime remains available for workloads that
-//! need guard-paged, gigabyte-deep stacks.
+//! trips it.
 //!
-//! The [`StackPool`] plays the role [`crate::pool::ProcPool`] plays for
-//! the threaded runtime: farm campaigns build thousands of short-lived
-//! simulations, and recycling a finished coroutine's stack skips both
-//! the allocation and the page faults of first touch.
+//! The [`StackPool`] recycles stacks across simulations: farm campaigns
+//! build thousands of short-lived simulations, and recycling a finished
+//! coroutine's stack skips both the allocation and the page faults of
+//! first touch.
 
 use std::alloc::{alloc, dealloc, Layout};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -61,9 +60,8 @@ use parking_lot::Mutex;
 /// primitives); 512 KiB leaves two orders of magnitude of headroom.
 pub(crate) const STACK_SIZE: usize = 512 * 1024;
 
-/// Idle stacks kept by the global pool after a burst (matches the
-/// spirit of `pool::MAX_IDLE`; a stack is much cheaper than a thread,
-/// so the cap is mostly about peak-RSS hygiene after huge campaigns).
+/// Idle stacks kept by the global pool after a burst (the cap is about
+/// peak-RSS hygiene after huge campaigns).
 const MAX_IDLE: usize = 1024;
 
 /// Written at the lowest addresses of every stack; checked on recycle
@@ -262,8 +260,7 @@ pub struct StackPoolStats {
     pub idle_now: usize,
 }
 
-/// A recycling pool of coroutine stacks — the coroutine runtime's
-/// analogue of the threaded runtime's [`crate::pool::ProcPool`].
+/// A recycling pool of coroutine stacks.
 pub(crate) struct StackPool {
     idle: Mutex<Vec<CoroStack>>,
     allocated: AtomicU64,
@@ -346,8 +343,9 @@ pub(crate) fn give_back(stack: CoroStack) {
     global().give_back(stack)
 }
 
-/// Pre-allocates up to `n` idle stacks on the global pool (the
-/// coroutine analogue of [`crate::pool::prewarm`]).
+/// Pre-allocates up to `n` idle stacks on the global pool, so the
+/// first wave of simulations does not pay allocation and first-touch
+/// latency. Idempotent: existing idle stacks count toward `n`.
 pub fn prewarm(n: usize) {
     global().prewarm(n)
 }

@@ -1,113 +1,64 @@
-//! Process runtimes: how thread-process bodies get a suspendable stack.
+//! The process runtime: how thread-process bodies get a suspendable
+//! stack.
 //!
-//! The kernel schedules *contexts*; it does not care what a context is
-//! made of. Two backends implement the same transfer protocol:
+//! Each thread process runs on a heap-allocated stack as a hand-rolled
+//! stackful coroutine (`coro`, `ctx`). The whole simulation executes on
+//! **one** host thread, and a handoff is a userspace register swap: no
+//! system call, no parking.
 //!
-//! * **Threaded** (`crate::process`, [`crate::pool`]) — each process
-//!   body runs on a pooled OS thread under the lock-free baton
-//!   protocol. Handoffs cost an unpark/park pair in the worst case.
-//! * **Coro** (`coro`, `ctx`) — each process body runs on a
-//!   heap-allocated stack as a hand-rolled stackful coroutine; the
-//!   whole simulation executes on **one** host thread and a handoff is
-//!   a userspace register swap (no syscalls, no parking).
+//! The kernel (`crate::kernel`) and the coroutines talk through a small
+//! call protocol:
 //!
-//! Both backends speak the identical call protocol, so the scheduler
-//! (`crate::kernel`) is runtime-agnostic:
+//! | op          | what it does                                      |
+//! |-------------|---------------------------------------------------|
+//! | `post`      | store a command in the target, switch into it     |
+//! | `await_cmd` | take the command (having control *is* the turn)   |
+//! | `resume`    | terminate handshake: switch in, reply via a link  |
+//! | `signal`    | set the gate token, switch to the kernel's root   |
+//! | `wait`      | root side: assert and consume the gate token      |
 //!
-//! | op          | threaded                       | coro                          |
-//! |-------------|--------------------------------|-------------------------------|
-//! | `post`      | store cmd, flip baton, unpark  | store cmd, switch into target |
-//! | `await_cmd` | park until our turn, take cmd  | take cmd (control is here)    |
-//! | `release`   | flip baton back                | no-op (transfer does it)      |
-//! | `resume`    | post + wait for reply          | switch in, reply via link     |
-//! | gate signal | set token, unpark kernel       | set token, switch to root     |
-//! | gate wait   | park until token               | assert + consume token        |
-//!
-//! The protocol vocabulary (`Cmd`, `Reply`, [`WakeReason`],
-//! `WaitSpec`, the terminate unwind) lives here; the backends only
-//! implement the transfer mechanics.
+//! The protocol vocabulary (`Cmd`, `Reply`, [`WakeReason`], `WaitSpec`,
+//! the terminate unwind) lives here; `coro` implements the transfers
+//! and `ctx` the raw switch plus the stack pool.
 
 use std::any::Any;
 use std::panic;
-use std::sync::Arc;
 
 use crate::ids::EventId;
-use crate::process::{Gate, ProcShared};
 use crate::time::SimTime;
 
-#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
 pub(crate) mod coro;
-#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
 mod ctx;
 
-#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
 pub use ctx::{prewarm as prewarm_stacks, stack_stats, StackPoolStats};
 
-/// Which process runtime a [`crate::Simulation`] uses.
-///
-/// Both runtimes produce byte-identical schedules: every scheduling
-/// decision flows through the same kernel state machine; only the
-/// control-transfer mechanics differ. `Threaded` is kept as the
-/// differential reference (and for targets without a hand-rolled
-/// context switch).
+/// The process runtime of a [`crate::Simulation`]. Stackful coroutines
+/// are the only one; the type remains so that code which names a
+/// runtime, and trace headers that record one, keep working.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Runtime {
-    /// One pooled OS thread per process, lock-free baton handoff.
-    Threaded,
     /// Stackful coroutines on heap stacks; the whole simulation runs on
-    /// the driving thread. Falls back to `Threaded` on targets without
-    /// a context-switch implementation (see [`coro_supported`]).
+    /// the driving thread.
     #[default]
     Coro,
 }
 
 impl Runtime {
-    /// Maps `Coro` to `Threaded` on targets without a switch routine.
+    /// The runtime a simulation actually runs on: always `self`.
     pub fn resolve(self) -> Runtime {
-        match self {
-            Runtime::Coro if !coro_supported() => Runtime::Threaded,
-            r => r,
-        }
+        self
     }
 
-    /// Stable lowercase name (CLI / report metadata).
+    /// Stable lowercase name, as recorded in trace headers.
     pub fn as_str(self) -> &'static str {
         match self {
-            Runtime::Threaded => "threaded",
             Runtime::Coro => "coro",
         }
     }
 }
 
-impl std::str::FromStr for Runtime {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "threaded" => Ok(Runtime::Threaded),
-            "coro" => Ok(Runtime::Coro),
-            other => Err(format!(
-                "unknown runtime {other:?} (expected \"threaded\" or \"coro\")"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for Runtime {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// `true` when this target has a coroutine context switch (x86_64,
-/// aarch64). Elsewhere [`Runtime::Coro`] silently degrades to the
-/// threaded backend.
-pub fn coro_supported() -> bool {
-    cfg!(any(target_arch = "x86_64", target_arch = "aarch64"))
-}
-
 // ---------------------------------------------------------------------
-// Protocol vocabulary (shared by both backends and the kernel).
+// Protocol vocabulary (shared by the coroutines and the kernel).
 // ---------------------------------------------------------------------
 
 /// Why a suspended process was resumed; returned by the wait primitives.
@@ -182,162 +133,15 @@ pub(crate) fn raise_terminate() -> ! {
     panic::resume_unwind(Box::new(TerminateSignal))
 }
 
-// ---------------------------------------------------------------------
-// Runtime-dispatched handles used by the kernel.
-// ---------------------------------------------------------------------
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-/// The per-process transfer handle: the baton rendezvous (threaded) or
-/// the coroutine context (coro), behind one protocol.
-#[derive(Clone)]
-pub(crate) enum RtShared {
-    Threaded(Arc<ProcShared>),
-    #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
-    Coro(Arc<coro::CoroShared>),
-}
-
-impl RtShared {
-    /// Hands control to this process with `cmd`, without waiting for
-    /// anything back (chained dispatch). Under coro this *switches* into
-    /// the process and returns when control next comes back to the
-    /// calling context.
-    pub(crate) fn post(&self, cmd: Cmd) {
-        match self {
-            RtShared::Threaded(s) => s.post(cmd),
-            #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
-            RtShared::Coro(s) => s.post(cmd),
-        }
-    }
-
-    /// The synchronous terminate handshake: delivers `cmd` (must be
-    /// [`Cmd::Terminate`]) and blocks until the body has unwound,
-    /// returning its reply.
-    pub(crate) fn resume(&self, cmd: Cmd) -> Reply {
-        match self {
-            RtShared::Threaded(s) => s.resume(cmd),
-            #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
-            RtShared::Coro(s) => s.resume(cmd),
-        }
-    }
-
-    /// Process side: obtains the next command (parking under threaded;
-    /// a plain slot take under coro, where having control *is* the
-    /// rendezvous).
-    pub(crate) fn await_cmd(&self) -> Cmd {
-        match self {
-            RtShared::Threaded(s) => s.await_cmd(),
-            #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
-            RtShared::Coro(s) => s.await_cmd(),
-        }
-    }
-
-    /// Process side: gives the baton back before the kernel lock drops
-    /// (threaded bookkeeping; a no-op under coro, where the subsequent
-    /// transfer hands control over).
-    pub(crate) fn release(&self) {
-        match self {
-            RtShared::Threaded(s) => s.release(),
-            #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
-            RtShared::Coro(_) => {}
-        }
-    }
-
-    /// Process side: final reply of the terminate handshake (threaded
-    /// wrapper only; the coro wrapper ends by returning a
-    /// [`coro::Terminal`] instead).
-    pub(crate) fn finish(&self, reply: Reply) {
-        match self {
-            RtShared::Threaded(s) => s.finish(reply),
-            #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
-            RtShared::Coro(_) => {
-                unreachable!("coro wrapper finishes via Terminal, not RtShared::finish")
-            }
-        }
-    }
-
-    /// `true` once a terminate handshake is in flight for this process.
-    pub(crate) fn is_terminating(&self) -> bool {
-        match self {
-            RtShared::Threaded(s) => s.is_terminating(),
-            #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
-            RtShared::Coro(s) => s.is_terminating(),
-        }
-    }
-}
-
-impl std::fmt::Debug for RtShared {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RtShared::Threaded(_) => f.write_str("RtShared::Threaded"),
-            #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
-            RtShared::Coro(_) => f.write_str("RtShared::Coro"),
-        }
-    }
-}
-
-/// The kernel-side runtime handle: the evaluate-phase gate plus the
-/// factory for per-process transfer handles.
-pub(crate) enum RtKernel {
-    Threaded {
-        /// The kernel thread's park/unpark rendezvous.
-        gate: Gate,
-    },
-    #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
-    Coro {
-        /// The shared coroutine-runtime state (root context + token).
-        rt: Arc<coro::CoroRt>,
-    },
-}
-
-impl RtKernel {
-    pub(crate) fn new(runtime: Runtime) -> Self {
-        match runtime.resolve() {
-            Runtime::Threaded => RtKernel::Threaded { gate: Gate::new() },
-            #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
-            Runtime::Coro => RtKernel::Coro {
-                rt: coro::CoroRt::new(),
-            },
-            #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-            Runtime::Coro => unreachable!("Runtime::resolve maps Coro away on this target"),
-        }
-    }
-
-    /// Which runtime this kernel ended up with (after target fallback).
-    pub(crate) fn runtime(&self) -> Runtime {
-        match self {
-            RtKernel::Threaded { .. } => Runtime::Threaded,
-            #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
-            RtKernel::Coro { .. } => Runtime::Coro,
-        }
-    }
-
-    /// Creates the transfer handle for a newly spawned thread process.
-    pub(crate) fn new_proc_shared(&self) -> RtShared {
-        match self {
-            RtKernel::Threaded { .. } => RtShared::Threaded(Arc::new(ProcShared::new())),
-            #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
-            RtKernel::Coro { rt } => RtShared::Coro(coro::CoroShared::new(Arc::clone(rt))),
-        }
-    }
-
-    /// Process side: hands control to the kernel (chain exit). Under
-    /// coro this switches to the root context and returns when the
-    /// calling process is next dispatched.
-    pub(crate) fn signal(&self) {
-        match self {
-            RtKernel::Threaded { gate } => gate.signal(),
-            #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
-            RtKernel::Coro { rt } => rt.signal(),
-        }
-    }
-
-    /// Kernel side: blocks until the chain hands control back (threaded)
-    /// or consumes the token set by the switch that brought control here
-    /// (coro).
-    pub(crate) fn wait(&self) {
-        match self {
-            RtKernel::Threaded { gate } => gate.wait(),
-            #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
-            RtKernel::Coro { rt } => rt.wait(),
-        }
+    #[test]
+    fn terminate_payload_is_recognised() {
+        let r = reply_from_panic(Box::new(TerminateSignal));
+        assert!(matches!(r, Reply::Finished));
+        let r = reply_from_panic(Box::new("boom"));
+        assert!(matches!(r, Reply::Panicked(_)));
     }
 }

@@ -53,7 +53,7 @@ pub struct KernelStats {
     /// Number of signal value changes applied in update phases.
     pub signal_updates: u64,
     /// Number of waits served from the fast-forward run budget (the
-    /// waiting process advanced time in place, no baton handoff).
+    /// waiting process advanced time in place, no context switch).
     pub fast_forwards: u64,
 }
 

@@ -1,35 +1,53 @@
-//! Coroutine-runtime-specific lifecycle tests: stack recycling across
-//! the panic and terminate paths, never-started processes, kill from
-//! inside another process body, nested simulations on one OS thread,
-//! and `Runtime` selection/parsing.
+//! Coroutine-runtime lifecycle tests: stack recycling across the panic
+//! and terminate paths, never-started processes, kill from inside
+//! another process body, and nested simulations on one OS thread.
 //!
-//! (Runtime-agnostic stress coverage lives in `handoff_stress.rs`;
-//! these tests pin behavior that only exists under `Runtime::Coro`.)
-
-#![cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+//! (Handoff stress coverage lives in `handoff_stress.rs`.)
+//!
+//! The stack pool and its counters are process-wide, so every test that
+//! leases stacks holds [`POOL`] for its whole body: the counter deltas
+//! it asserts are then its own, whatever the test harness runs beside
+//! it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use sysc::{RunOutcome, Runtime, SimTime, Simulation, SpawnMode};
 
-#[test]
-fn runtime_parsing_and_default() {
-    assert_eq!("coro".parse::<Runtime>().unwrap(), Runtime::Coro);
-    assert_eq!("threaded".parse::<Runtime>().unwrap(), Runtime::Threaded);
-    let err = "fibers".parse::<Runtime>().unwrap_err();
-    assert!(
-        err.contains("fibers"),
-        "error should name the bad value: {err}"
-    );
-    assert_eq!(Runtime::default(), Runtime::Coro);
-    assert!(sysc::runtime::coro_supported());
-    assert_eq!(Runtime::Coro.resolve(), Runtime::Coro);
+/// Serializes the tests that lease coroutine stacks (see module docs).
+static POOL: Mutex<()> = Mutex::new(());
 
-    let sim = Simulation::new();
-    assert_eq!(sim.runtime(), Runtime::Coro);
-    let sim = Simulation::with_runtime(Runtime::Threaded);
-    assert_eq!(sim.runtime(), Runtime::Threaded);
+fn lock_pool() -> MutexGuard<'static, ()> {
+    // A failed test poisons the lock; the others must still run.
+    POOL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// A two-process ping-pong with `rounds` handoffs per side.
+fn pingpong(rounds: u64) -> Simulation {
+    let mut sim = Simulation::new();
+    let h = sim.handle();
+    let ping = h.create_event("ping");
+    let pong = h.create_event("pong");
+    h.spawn_thread("a", SpawnMode::Immediate, move |ctx| {
+        for _ in 0..rounds {
+            ctx.handle().notify_after(ping, SimTime::from_ns(10));
+            ctx.wait_event(pong);
+        }
+    });
+    h.spawn_thread("b", SpawnMode::WaitEvent(ping), move |ctx| loop {
+        ctx.handle().notify(pong);
+        ctx.wait_event(ping);
+    });
+    assert_eq!(sim.run_to_completion(), RunOutcome::Starved);
+    sim
+}
+
+#[test]
+fn coro_is_the_only_runtime() {
+    assert_eq!(Runtime::default(), Runtime::Coro);
+    assert_eq!(Runtime::Coro.resolve(), Runtime::Coro);
+    // Trace headers record this name.
+    assert_eq!(Runtime::Coro.as_str(), "coro");
 }
 
 /// A panic mid-scenario must give the panicked process's stack back to
@@ -37,10 +55,11 @@ fn runtime_parsing_and_default() {
 /// here leaks 512 KiB per poisoned seed).
 #[test]
 fn panicked_process_stack_is_recycled() {
+    let _pool = lock_pool();
     let before = sysc::runtime::stack_stats();
     for _ in 0..10 {
         let result = std::panic::catch_unwind(|| {
-            let mut sim = Simulation::with_runtime(Runtime::Coro);
+            let mut sim = Simulation::new();
             let h = sim.handle();
             h.spawn_thread("bystander", SpawnMode::Immediate, |ctx| {
                 ctx.wait_time(SimTime::from_ms(10));
@@ -54,15 +73,13 @@ fn panicked_process_stack_is_recycled() {
         assert!(result.is_err());
     }
     let after = sysc::runtime::stack_stats();
-    let leased = after.leases - before.leases;
-    let recycled = after.recycled - before.recycled;
-    // Every lease this loop took must have been returned: the bomb's
-    // stack through the panic reply path, the bystander's through
-    // terminate-on-drop. Concurrent tests can only add recycles.
-    assert!(
-        recycled >= leased,
-        "leaked stacks: {leased} leased, {recycled} recycled"
-    );
+    assert_eq!(after.leases - before.leases, 20, "two stacks per run");
+    // When both stacks come back (the bomb's through the panic reply
+    // path, the bystander's through terminate-on-drop), the first run's
+    // stacks serve all the later ones. A leaked stack forces a fresh
+    // allocation in every run after it.
+    let fresh = after.stacks_allocated - before.stacks_allocated;
+    assert!(fresh <= 2, "leaked stacks: {fresh} fresh allocations");
 }
 
 /// Terminating a process that was spawned but never dispatched must not
@@ -76,10 +93,11 @@ fn never_started_process_is_terminated_without_a_stack() {
             self.0.fetch_add(1, Ordering::SeqCst);
         }
     }
+    let _pool = lock_pool();
     let drops = Arc::new(AtomicU64::new(0));
     let before = sysc::runtime::stack_stats();
     {
-        let mut sim = Simulation::with_runtime(Runtime::Coro);
+        let mut sim = Simulation::new();
         let h = sim.handle();
         let never = h.create_event("never");
         let d = CountDrop(Arc::clone(&drops));
@@ -107,8 +125,9 @@ fn never_started_process_is_terminated_without_a_stack() {
 /// resumer) and control must return to the killer afterwards.
 #[test]
 fn kill_from_inside_another_process() {
-    let log = Arc::new(std::sync::Mutex::new(Vec::new()));
-    let mut sim = Simulation::with_runtime(Runtime::Coro);
+    let _pool = lock_pool();
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let mut sim = Simulation::new();
     let h = sim.handle();
     let log2 = Arc::clone(&log);
     let victim = h.spawn_thread("victim", SpawnMode::Immediate, move |ctx| {
@@ -139,13 +158,14 @@ fn kill_from_inside_another_process() {
 /// of the current context.
 #[test]
 fn nested_simulation_inside_a_coroutine() {
-    let mut outer = Simulation::with_runtime(Runtime::Coro);
+    let _pool = lock_pool();
+    let mut outer = Simulation::new();
     let h = outer.handle();
     let result = Arc::new(AtomicU64::new(0));
     let result2 = Arc::clone(&result);
     h.spawn_thread("outer", SpawnMode::Immediate, move |ctx| {
         ctx.wait_time(SimTime::from_us(1));
-        let mut inner = Simulation::with_runtime(Runtime::Coro);
+        let mut inner = Simulation::new();
         let ih = inner.handle();
         let r = Arc::clone(&result2);
         ih.spawn_thread("inner", SpawnMode::Immediate, move |ictx| {
@@ -167,8 +187,9 @@ fn nested_simulation_inside_a_coroutine() {
 /// must plateau at a small number of distinct stacks.
 #[test]
 fn sequential_process_churn_reuses_stacks() {
+    let _pool = lock_pool();
     let before = sysc::runtime::stack_stats();
-    let mut sim = Simulation::with_runtime(Runtime::Coro);
+    let mut sim = Simulation::new();
     let h = sim.handle();
     let total = Arc::new(AtomicU64::new(0));
     for i in 0..200 {
@@ -187,4 +208,21 @@ fn sequential_process_churn_reuses_stacks() {
         "churn should reuse stacks, allocated {} fresh ones",
         after.stacks_allocated - before.stacks_allocated
     );
+}
+
+/// Consecutive simulations reuse the stacks earlier ones gave back.
+#[test]
+fn coro_runtime_recycles_stacks() {
+    let _pool = lock_pool();
+    let before = sysc::runtime::stack_stats();
+    for _ in 0..50 {
+        let sim = pingpong(20);
+        assert_eq!(sim.now(), SimTime::from_ns(200));
+    }
+    let after = sysc::runtime::stack_stats();
+    assert_eq!(after.leases - before.leases, 100, "two stacks per sim");
+    // Only the first simulation can find the pool short of stacks.
+    let fresh = after.stacks_allocated - before.stacks_allocated;
+    assert!(fresh <= 2, "stack pool recycled too little: {fresh} fresh");
+    assert!(after.recycled - before.recycled >= 98);
 }

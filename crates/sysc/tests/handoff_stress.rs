@@ -1,25 +1,20 @@
-//! Stress and lifecycle tests of the handoff machinery, exercised
-//! through the public `Simulation` API and parametrized over **both**
-//! process runtimes (pooled OS threads with the lock-free baton, and
-//! single-thread stackful coroutines): panic-in-process, terminate-
-//! then-reuse, chained dispatch under many-process churn, drop with
-//! parked processes, and the fast-forward run budget.
+//! Stress and lifecycle tests of the coroutine handoff machinery,
+//! exercised through the public `Simulation` API: panic-in-process,
+//! terminate-then-reuse, chained dispatch under many-process churn,
+//! drop with suspended processes, and the fast-forward run budget.
 //!
-//! (Protocol-level tests — spurious-unpark injection, the double-resume
-//! assertion — live next to the baton implementation in
-//! `sysc::process`; coroutine stack-pool mechanics live in
-//! `sysc::runtime`.)
+//! (Stack-pool accounting lives in `coro_runtime.rs`, which serializes
+//! the tests that lease stacks; the pool mechanics themselves are unit
+//! tested in `sysc::runtime`.)
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use sysc::{RunOutcome, Runtime, SimTime, Simulation, SpawnMode};
+use sysc::{RunOutcome, SimTime, Simulation, SpawnMode};
 
-const BOTH: [Runtime; 2] = [Runtime::Threaded, Runtime::Coro];
-
-/// A two-process ping-pong with `rounds` baton handoffs per side.
-fn pingpong(rt: Runtime, rounds: u64) -> Simulation {
-    let mut sim = Simulation::with_runtime(rt);
+/// A two-process ping-pong with `rounds` handoffs per side.
+fn pingpong(rounds: u64) -> Simulation {
+    let mut sim = Simulation::new();
     let h = sim.handle();
     let ping = h.create_event("ping");
     let pong = h.create_event("pong");
@@ -40,82 +35,46 @@ fn pingpong(rt: Runtime, rounds: u64) -> Simulation {
 
 #[test]
 fn chained_handoff_is_deterministic_over_many_rounds() {
-    for rt in BOTH {
-        let sim = pingpong(rt, 20_000);
-        assert_eq!(sim.now(), SimTime::from_ns(10 * 20_000), "runtime {rt}");
-    }
+    let sim = pingpong(20_000);
+    assert_eq!(sim.now(), SimTime::from_ns(10 * 20_000));
 }
 
 /// A panicking process body must surface through `run_until`, and the
-/// backing context (pool worker or coroutine stack) must serve later
-/// simulations cleanly.
+/// recycled coroutine stacks must serve later simulations cleanly.
 #[test]
 fn panic_in_process_propagates_and_runtime_recovers() {
-    for rt in BOTH {
-        for round in 0..20 {
-            let result = std::panic::catch_unwind(|| {
-                let mut sim = Simulation::with_runtime(rt);
-                let h = sim.handle();
-                h.spawn_thread("bomb", SpawnMode::Immediate, move |ctx| {
-                    ctx.wait_time(SimTime::from_us(3));
-                    panic!("deliberate process panic");
-                });
-                sim.run_to_completion();
+    for round in 0..20 {
+        let result = std::panic::catch_unwind(|| {
+            let mut sim = Simulation::new();
+            let h = sim.handle();
+            h.spawn_thread("bomb", SpawnMode::Immediate, move |ctx| {
+                ctx.wait_time(SimTime::from_us(3));
+                panic!("deliberate process panic");
             });
-            let payload = result.expect_err("process panic must propagate");
-            let msg = payload
-                .downcast_ref::<&str>()
-                .copied()
-                .unwrap_or_default()
-                .to_string();
-            assert!(
-                msg.contains("deliberate"),
-                "{rt} round {round}: got {msg:?}"
-            );
+            sim.run_to_completion();
+        });
+        let payload = result.expect_err("process panic must propagate");
+        let msg = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .unwrap_or_default()
+            .to_string();
+        assert!(msg.contains("deliberate"), "round {round}: got {msg:?}");
 
-            // The same runtime serves the follow-up simulation; a
-            // poisoned worker/stack or leaked protocol state would
-            // break it.
-            let sim = pingpong(rt, 50);
-            assert_eq!(sim.now(), SimTime::from_ns(500));
-        }
+        // A poisoned stack or leaked protocol state would break the
+        // follow-up simulation.
+        let sim = pingpong(50);
+        assert_eq!(sim.now(), SimTime::from_ns(500));
     }
 }
 
 /// Kill (cooperative terminate) followed by fresh simulations reusing
-/// the recycled contexts: a recycled context must never observe the
+/// the recycled stacks: a recycled stack must never observe the
 /// previous occupant's protocol state.
 #[test]
 fn terminate_then_reuse_of_recycled_contexts() {
-    for rt in BOTH {
-        for _ in 0..50 {
-            let mut sim = Simulation::with_runtime(rt);
-            let h = sim.handle();
-            let tick = h.create_event("tick");
-            h.make_periodic(tick, SimTime::from_us(1), SimTime::from_us(1));
-            let victim = h.spawn_thread("victim", SpawnMode::Immediate, move |ctx| loop {
-                ctx.wait_event(tick);
-            });
-            sim.run_until(SimTime::from_us(5));
-            h.kill(victim);
-            assert!(h.is_finished(victim));
-            // Dropping the simulation terminates the remaining
-            // machinery; workers/stacks are recycled.
-            drop(sim);
-
-            let sim = pingpong(rt, 20);
-            assert_eq!(sim.now(), SimTime::from_ns(200));
-        }
-    }
-}
-
-/// The threaded runtime must recycle pool workers across simulations
-/// instead of spawning a thread per process.
-#[test]
-fn threaded_runtime_recycles_pool_workers() {
-    let spawned_before = sysc::pool::stats().threads_spawned;
     for _ in 0..50 {
-        let mut sim = Simulation::with_runtime(Runtime::Threaded);
+        let mut sim = Simulation::new();
         let h = sim.handle();
         let tick = h.create_event("tick");
         h.make_periodic(tick, SimTime::from_us(1), SimTime::from_us(1));
@@ -124,41 +83,14 @@ fn threaded_runtime_recycles_pool_workers() {
         });
         sim.run_until(SimTime::from_us(5));
         h.kill(victim);
+        assert!(h.is_finished(victim));
+        // Dropping the simulation terminates the remaining processes;
+        // their stacks are recycled.
         drop(sim);
-        let sim = pingpong(Runtime::Threaded, 20);
-        assert_eq!(sim.now(), SimTime::from_ns(200));
-    }
-    let s = sysc::pool::stats();
-    // 50 iterations x 3 processes: without recycling this would have
-    // spawned ~150 threads. Other tests share the global pool, so only
-    // assert substantial reuse, not exact counts.
-    assert!(
-        s.threads_spawned - spawned_before < 50,
-        "pool recycled too little: {} new threads",
-        s.threads_spawned - spawned_before
-    );
-    assert!(s.jobs_recycled > 0);
-}
 
-/// The coroutine runtime must recycle heap stacks the same way the
-/// threaded runtime recycles workers.
-#[test]
-fn coro_runtime_recycles_stacks() {
-    let before = sysc::runtime::stack_stats();
-    for _ in 0..50 {
-        let sim = pingpong(Runtime::Coro, 20);
+        let sim = pingpong(20);
         assert_eq!(sim.now(), SimTime::from_ns(200));
     }
-    let after = sysc::runtime::stack_stats();
-    assert_eq!(after.leases - before.leases, 100, "two stacks per sim");
-    // Other tests share the global stack pool, so only assert
-    // substantial reuse, not exact counts.
-    assert!(
-        after.stacks_allocated - before.stacks_allocated < 50,
-        "stack pool recycled too little: {} fresh allocations",
-        after.stacks_allocated - before.stacks_allocated
-    );
-    assert!(after.recycled > before.recycled);
 }
 
 /// Drop with processes parked mid-wait (never terminated explicitly):
@@ -172,46 +104,41 @@ fn drop_midwait_releases_contexts() {
         }
     }
 
-    for rt in BOTH {
-        let drops = Arc::new(AtomicU64::new(0));
-        for _ in 0..25 {
-            let mut sim = Simulation::with_runtime(rt);
-            let h = sim.handle();
-            let d = CountDrop(Arc::clone(&drops));
-            h.spawn_thread("parked", SpawnMode::Immediate, move |ctx| {
-                let _guard = d;
-                loop {
-                    ctx.wait_time(SimTime::from_ms(1));
-                }
-            });
-            sim.run_until(SimTime::from_us(100));
-            // Drop without terminating: the Drop impl inside the body
-            // must still run (cooperative unwind through the runtime).
-        }
-        assert_eq!(drops.load(Ordering::SeqCst), 25, "runtime {rt}");
+    let drops = Arc::new(AtomicU64::new(0));
+    for _ in 0..25 {
+        let mut sim = Simulation::new();
+        let h = sim.handle();
+        let d = CountDrop(Arc::clone(&drops));
+        h.spawn_thread("parked", SpawnMode::Immediate, move |ctx| {
+            let _guard = d;
+            loop {
+                ctx.wait_time(SimTime::from_ms(1));
+            }
+        });
+        sim.run_until(SimTime::from_us(100));
+        // Drop without terminating: the Drop impl inside the body must
+        // still run (cooperative unwind through the coroutine).
     }
+    assert_eq!(drops.load(Ordering::SeqCst), 25);
 }
 
 /// Many concurrent simulations on separate OS threads, all leasing
-/// from the same global pools: exercises cross-simulation context churn
-/// (and, for threaded, the spin-then-park slow path under
-/// oversubscription).
+/// from the same global stack pool: exercises cross-simulation stack
+/// churn.
 #[test]
 fn concurrent_simulations_share_the_global_pools() {
-    for rt in BOTH {
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                std::thread::spawn(move || {
-                    for _ in 0..10 {
-                        let sim = pingpong(rt, 200);
-                        assert_eq!(sim.now(), SimTime::from_ns(2_000));
-                    }
-                })
+    let handles: Vec<_> = (0..4)
+        .map(|_| {
+            std::thread::spawn(move || {
+                for _ in 0..10 {
+                    let sim = pingpong(200);
+                    assert_eq!(sim.now(), SimTime::from_ns(2_000));
+                }
             })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
+        })
+        .collect();
+    for h in handles {
+        h.join().unwrap();
     }
 }
 
@@ -221,8 +148,8 @@ fn concurrent_simulations_share_the_global_pools() {
 /// fast path, so both paths are exercised against each other).
 #[test]
 fn fast_forward_matches_engine_path() {
-    fn run(rt: Runtime, traced: bool) -> (SimTime, u64, u64) {
-        let mut sim = Simulation::with_runtime(rt);
+    fn run(traced: bool) -> (SimTime, u64, u64) {
+        let mut sim = Simulation::new();
         if traced {
             struct Null;
             impl sysc::Tracer for Null {}
@@ -244,15 +171,7 @@ fn fast_forward_matches_engine_path() {
         let fires = sim.handle().event_fire_count(tick);
         (sim.now(), hits.load(Ordering::Relaxed), fires)
     }
-    let mut observed = Vec::new();
-    for rt in BOTH {
-        let fast = run(rt, false);
-        let slow = run(rt, true);
-        assert_eq!(fast, slow, "runtime {rt}");
-        observed.push(fast);
-    }
-    // And across runtimes.
-    assert_eq!(observed[0], observed[1]);
+    assert_eq!(run(false), run(true));
 }
 
 /// wait_event_timeout with no possible firing source must fast-forward
@@ -260,35 +179,32 @@ fn fast_forward_matches_engine_path() {
 /// must take the engine path and report the firing.
 #[test]
 fn event_timeout_fast_path_respects_pending_notifications() {
-    for rt in BOTH {
-        let mut sim = Simulation::with_runtime(rt);
-        let h = sim.handle();
-        let e = h.create_event("e");
-        let log = Arc::new(std::sync::Mutex::new(Vec::new()));
-        let log2 = Arc::clone(&log);
-        h.spawn_thread("w", SpawnMode::Immediate, move |ctx| {
-            // Nothing can fire `e`: fast-forwarded timeout.
-            let r1 = ctx.wait_event_timeout(e, SimTime::from_us(5));
-            log2.lock().unwrap().push((format!("{r1:?}"), ctx.now()));
-            // A pending notification lands inside the window: must fire.
-            ctx.handle().notify_after(e, SimTime::from_us(2));
-            let r2 = ctx.wait_event_timeout(e, SimTime::from_us(10));
-            log2.lock().unwrap().push((format!("{r2:?}"), ctx.now()));
-            // And one landing after the window: times out at the deadline.
-            ctx.handle().notify_after(e, SimTime::from_us(50));
-            let r3 = ctx.wait_event_timeout(e, SimTime::from_us(10));
-            log2.lock().unwrap().push((format!("{r3:?}"), ctx.now()));
-        });
-        sim.run_to_completion();
-        let log = log.lock().unwrap().clone();
-        assert_eq!(
-            log,
-            vec![
-                ("TimedOut".to_string(), SimTime::from_us(5)),
-                ("Fired".to_string(), SimTime::from_us(7)),
-                ("TimedOut".to_string(), SimTime::from_us(17)),
-            ],
-            "runtime {rt}"
-        );
-    }
+    let mut sim = Simulation::new();
+    let h = sim.handle();
+    let e = h.create_event("e");
+    let log = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let log2 = Arc::clone(&log);
+    h.spawn_thread("w", SpawnMode::Immediate, move |ctx| {
+        // Nothing can fire `e`: fast-forwarded timeout.
+        let r1 = ctx.wait_event_timeout(e, SimTime::from_us(5));
+        log2.lock().unwrap().push((format!("{r1:?}"), ctx.now()));
+        // A pending notification lands inside the window: must fire.
+        ctx.handle().notify_after(e, SimTime::from_us(2));
+        let r2 = ctx.wait_event_timeout(e, SimTime::from_us(10));
+        log2.lock().unwrap().push((format!("{r2:?}"), ctx.now()));
+        // And one landing after the window: times out at the deadline.
+        ctx.handle().notify_after(e, SimTime::from_us(50));
+        let r3 = ctx.wait_event_timeout(e, SimTime::from_us(10));
+        log2.lock().unwrap().push((format!("{r3:?}"), ctx.now()));
+    });
+    sim.run_to_completion();
+    let log = log.lock().unwrap().clone();
+    assert_eq!(
+        log,
+        vec![
+            ("TimedOut".to_string(), SimTime::from_us(5)),
+            ("Fired".to_string(), SimTime::from_us(7)),
+            ("TimedOut".to_string(), SimTime::from_us(17)),
+        ]
+    );
 }

@@ -19,7 +19,6 @@ fn main() {
         // Check every kernel decision against the ITRON reference model.
         oracle: true,
         topology: None,
-        runtime: sysc::Runtime::default(),
         // No .rtkt capture here; see `rtk-farm --trace-dir`.
         trace: None,
         // No static-analysis cross-check here; see `rtk-farm --analyze`.
