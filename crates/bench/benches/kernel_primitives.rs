@@ -2,6 +2,9 @@
 //! time one simulated service interaction costs (the SIM_API overhead
 //! the paper's speed argument rests on).
 
+use std::cell::Cell;
+use std::rc::Rc;
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use rtk_core::{KernelConfig, QueueOrder, Rtos, Timeout};
 use sysc::SimTime;
@@ -21,15 +24,21 @@ fn sem_pairs(n: u64) -> Rtos {
 }
 
 /// Two tasks ping-ponging through sleep/wakeup: `n` full context-switch
-/// round trips.
+/// round trips. Each round trip also consumes 1 µs of `b`'s execution,
+/// so the run stops at `2n` µs: after the last round trip and before
+/// the first 1 ms system tick, so no idle ticks are timed.
 fn switch_pairs(n: u64) -> Rtos {
+    let woken = Rc::new(Cell::new(0u64));
+    let counter = Rc::clone(&woken);
     let mut rtos = Rtos::new(KernelConfig::zero_cost(), move |sys, _| {
+        let counter = Rc::clone(&counter);
         let a = sys
             .tk_cre_tsk("a", 10, move |sys, _| {
                 for _ in 0..n {
                     if sys.tk_slp_tsk(Timeout::Forever).is_err() {
                         return;
                     }
+                    counter.set(counter.get() + 1);
                 }
             })
             .unwrap();
@@ -46,7 +55,9 @@ fn switch_pairs(n: u64) -> Rtos {
             .unwrap();
         sys.tk_sta_tsk(b, 0).unwrap();
     });
-    rtos.run_until(SimTime::from_secs(5));
+    rtos.run_until(SimTime::from_us(2 * n));
+    assert_eq!(woken.get(), n, "every round trip completed");
+    assert_eq!(rtos.run_stats().ticks, 0, "no system tick was timed");
     rtos
 }
 

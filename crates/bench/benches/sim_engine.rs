@@ -131,7 +131,7 @@ fn wheel_insert_pop(n: u64) -> u64 {
     acc
 }
 
-/// `rounds` bursts of 16 notifications, one kernel lock per event.
+/// `rounds` bursts of 16 notifications, one state borrow per event.
 fn notify_singles(rounds: u64) {
     let sim = Simulation::new();
     let h = sim.handle();
@@ -143,7 +143,7 @@ fn notify_singles(rounds: u64) {
     }
 }
 
-/// The same bursts through `notify_many`: one kernel lock per burst.
+/// The same bursts through `notify_many`: one state borrow per burst.
 fn notify_batched(rounds: u64) {
     let sim = Simulation::new();
     let h = sim.handle();

@@ -2,9 +2,9 @@
 //! levels (IP), per-source and global enables (IE), with pending latches
 //! for requests raised while a source is disabled.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
-use parking_lot::Mutex;
 use rtk_core::{IntNo, IntPort};
 
 /// The five interrupt sources of the classic 8051, in vector order.
@@ -68,7 +68,7 @@ struct IntcInner {
 /// The interrupt controller; cloneable handle.
 #[derive(Clone)]
 pub struct IntController {
-    inner: Arc<Mutex<IntcInner>>,
+    inner: Rc<RefCell<IntcInner>>,
 }
 
 impl std::fmt::Debug for IntController {
@@ -87,7 +87,7 @@ impl IntController {
     /// Creates a controller with everything disabled (reset state).
     pub fn new() -> Self {
         IntController {
-            inner: Arc::new(Mutex::new(IntcInner {
+            inner: Rc::new(RefCell::new(IntcInner {
                 global_enable: false,
                 sources: [SourceState {
                     enabled: false,
@@ -102,27 +102,20 @@ impl IntController {
 
     /// Connects the controller to the kernel's Interrupt Dispatch.
     pub fn connect(&self, port: IntPort) {
-        self.inner.lock().port = Some(port);
+        self.inner.borrow_mut().port = Some(port);
     }
 
     /// Sets the global interrupt enable (IE.EA).
     pub fn set_global_enable(&self, on: bool) {
-        let deliver = {
-            let mut inner = self.inner.lock();
-            inner.global_enable = on;
-            on
-        };
-        if deliver {
+        self.inner.borrow_mut().global_enable = on;
+        if on {
             self.flush_pending();
         }
     }
 
     /// Enables/disables one source (IE bit).
     pub fn set_enabled(&self, src: IntSource, on: bool) {
-        {
-            let mut inner = self.inner.lock();
-            inner.sources[src.index()].enabled = on;
-        }
+        self.inner.borrow_mut().sources[src.index()].enabled = on;
         if on {
             self.flush_pending();
         }
@@ -130,14 +123,14 @@ impl IntController {
 
     /// Sets one source's priority level (IP bit): `true` = high.
     pub fn set_high_priority(&self, src: IntSource, high: bool) {
-        self.inner.lock().sources[src.index()].high_priority = high;
+        self.inner.borrow_mut().sources[src.index()].high_priority = high;
     }
 
     /// Raises an interrupt request from a peripheral. Disabled requests
     /// are latched and delivered on enable.
     pub fn raise(&self, src: IntSource) {
         let deliver = {
-            let mut inner = self.inner.lock();
+            let mut inner = self.inner.borrow_mut();
             let s = &mut inner.sources[src.index()];
             s.raised += 1;
             if inner.global_enable && inner.sources[src.index()].enabled {
@@ -157,11 +150,11 @@ impl IntController {
     }
 
     /// Delivers latched requests that have become deliverable, as one
-    /// batch: a single kernel-lock acquisition and a single Interrupt
-    /// Dispatch wake-up however many sources flush.
+    /// batch: a single Interrupt Dispatch wake-up however many sources
+    /// flush.
     fn flush_pending(&self) {
         let (port, to_send) = {
-            let mut inner = self.inner.lock();
+            let mut inner = self.inner.borrow_mut();
             if !inner.global_enable {
                 return;
             }
@@ -185,12 +178,12 @@ impl IntController {
 
     /// Number of times a source has been raised (diagnostics).
     pub fn raised_count(&self, src: IntSource) -> u64 {
-        self.inner.lock().sources[src.index()].raised
+        self.inner.borrow().sources[src.index()].raised
     }
 
     /// Whether a source currently has a latched (undelivered) request.
     pub fn is_pending(&self, src: IntSource) -> bool {
-        self.inner.lock().sources[src.index()].pending
+        self.inner.borrow().sources[src.index()].pending
     }
 }
 

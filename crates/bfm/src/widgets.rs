@@ -8,17 +8,16 @@
 //! co-simulation-speed experiment can measure GUI overhead exactly as
 //! the paper did.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 
-use parking_lot::Mutex;
 use sysc::{SimHandle, SimTime};
 
 use crate::peripherals::{Keypad, Lcd, Ssd, SSD_DIGITS};
 use crate::serial::Serial;
 
 /// Something that can render itself into a text frame.
-pub trait Widget: Send + Sync {
+pub trait Widget {
     /// Widget name (frame title).
     fn name(&self) -> &str;
     /// Renders the current device state.
@@ -190,15 +189,15 @@ struct ManagerInner {
 /// time (Table 2's GUI overhead).
 #[derive(Clone)]
 pub struct WidgetManager {
-    inner: Arc<Mutex<ManagerInner>>,
-    frames: Arc<AtomicU64>,
+    inner: Rc<RefCell<ManagerInner>>,
+    frames: Rc<Cell<u64>>,
     cost: GuiCost,
 }
 
 impl std::fmt::Debug for WidgetManager {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WidgetManager")
-            .field("frames", &self.frames.load(Ordering::Relaxed))
+            .field("frames", &self.frames.get())
             .finish_non_exhaustive()
     }
 }
@@ -207,18 +206,18 @@ impl WidgetManager {
     /// Creates an empty manager.
     pub fn new(cost: GuiCost) -> Self {
         WidgetManager {
-            inner: Arc::new(Mutex::new(ManagerInner {
+            inner: Rc::new(RefCell::new(ManagerInner {
                 widgets: Vec::new(),
                 last_frames: Vec::new(),
             })),
-            frames: Arc::new(AtomicU64::new(0)),
+            frames: Rc::new(Cell::new(0)),
             cost,
         }
     }
 
     /// Registers a widget.
     pub fn add(&self, w: Box<dyn Widget>) {
-        self.inner.lock().widgets.push(w);
+        self.inner.borrow_mut().widgets.push(w);
     }
 
     /// Starts periodic refreshing driven by the simulation clock
@@ -235,7 +234,7 @@ impl WidgetManager {
 
     /// Renders all widgets once (step mode does this explicitly).
     pub fn refresh(&self) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         let mut frames = Vec::with_capacity(inner.widgets.len());
         for w in &inner.widgets {
             let frame = w.render();
@@ -248,17 +247,17 @@ impl WidgetManager {
             frames.push((w.name().to_string(), frame));
         }
         inner.last_frames = frames;
-        self.frames.fetch_add(1, Ordering::Relaxed);
+        self.frames.set(self.frames.get() + 1);
     }
 
     /// Number of refreshes performed.
     pub fn frame_count(&self) -> u64 {
-        self.frames.load(Ordering::Relaxed)
+        self.frames.get()
     }
 
     /// The most recent frames, concatenated (what a screen would show).
     pub fn screen(&self) -> String {
-        let inner = self.inner.lock();
+        let inner = self.inner.borrow();
         let mut out = String::new();
         for (name, frame) in &inner.last_frames {
             out.push_str(&format!("== {name} ==\n{frame}"));

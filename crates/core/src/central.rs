@@ -17,7 +17,7 @@
 //!   (dispatch requests raised inside handlers take effect only when the
 //!   outermost handler returns).
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use sysc::{EventId, ProcCtx, SpawnMode};
 
@@ -26,27 +26,22 @@ use crate::ids::ThreadRef;
 use crate::state::{Delivered, IntRequest, KernelState, Shared, TaskBody, TimerAction};
 use crate::tthread::{ExecContext, TThreadEvent, TThreadKind};
 
-/// The interrupt-request event, if the central module is installed.
-pub(crate) fn int_request_event(st: &KernelState) -> Option<EventId> {
-    st.int_req_ev
-}
-
 /// Installs the central module processes into the simulation and
 /// schedules the boot sequence.
-pub(crate) fn install(shared: &Arc<Shared>, main: Box<TaskBody>) {
+pub(crate) fn install(shared: &Rc<Shared>, main: Box<TaskBody>) {
     let h = shared.h.clone();
     shared.register_thread(ThreadRef::Timer, "timer", TThreadKind::TimerHandler);
 
     let tick_ev = h.create_event("systick");
     let int_req_ev = h.create_event("int_req");
     {
-        let mut st = shared.st.lock();
+        let mut st = shared.st.borrow_mut();
         st.tick_ev = Some(tick_ev);
         st.int_req_ev = Some(int_req_ev);
     }
 
     // Thread Dispatch: sensitive to the system tick.
-    let sh = Arc::clone(shared);
+    let sh = Rc::clone(shared);
     h.spawn_thread(
         "thread_dispatch",
         SpawnMode::WaitEvent(tick_ev),
@@ -57,7 +52,7 @@ pub(crate) fn install(shared: &Arc<Shared>, main: Box<TaskBody>) {
     );
 
     // Interrupt Dispatch: sensitive to external interrupt requests.
-    let sh = Arc::clone(shared);
+    let sh = Rc::clone(shared);
     h.spawn_thread(
         "interrupt_dispatch",
         SpawnMode::WaitEvent(int_req_ev),
@@ -68,7 +63,7 @@ pub(crate) fn install(shared: &Arc<Shared>, main: Box<TaskBody>) {
     );
 
     // Boot: sensitive to reset (modeled as immediate activation at t=0).
-    let sh = Arc::clone(shared);
+    let sh = Rc::clone(shared);
     h.spawn_thread("boot", SpawnMode::Immediate, move |proc| {
         sh.boot(proc, main);
     });
@@ -76,9 +71,9 @@ pub(crate) fn install(shared: &Arc<Shared>, main: Box<TaskBody>) {
 
 impl Shared {
     /// The kernel startup sequence (Boot module).
-    fn boot(self: &Arc<Shared>, proc: &mut ProcCtx, main: Box<TaskBody>) {
+    fn boot(self: &Rc<Shared>, proc: &mut ProcCtx, main: Box<TaskBody>) {
         let (boot_cost, tick, init_pri, tick_ev) = {
-            let st = self.st.lock();
+            let st = self.st.borrow();
             (
                 st.cfg.boot_cost,
                 st.cfg.tick,
@@ -95,7 +90,7 @@ impl Shared {
         self.start_task(tid, 0, proc.now())
             .expect("init task start cannot fail");
         {
-            let mut st = self.st.lock();
+            let mut st = self.st.borrow_mut();
             st.booted = true;
         }
         // Start the real-time clock driving the kernel central module
@@ -106,9 +101,9 @@ impl Shared {
 
     /// One system tick (Thread Dispatch body): timer handler activation,
     /// timer-queue expiry, handler activations, then delayed dispatch.
-    fn on_tick(self: &Arc<Shared>, proc: &mut ProcCtx) {
+    fn on_tick(self: &Rc<Shared>, proc: &mut ProcCtx) {
         {
-            let mut st = self.st.lock();
+            let mut st = self.st.borrow_mut();
             if !st.booted {
                 return;
             }
@@ -126,8 +121,8 @@ impl Shared {
             st.cpu_transfer = true;
         }
         self.freeze_occupant(proc);
-        let (tick_cost, tick_ms) = {
-            let mut st = self.st.lock();
+        let tick_cost = {
+            let mut st = self.st.borrow_mut();
             st.int_stack.push(ThreadRef::Timer);
             // The timer frame sits above both 8051 interrupt levels
             // (`tick_int_level` only governs whether the tick may
@@ -141,16 +136,14 @@ impl Shared {
             st.int_levels.push(u8::MAX);
             st.cpu_transfer = false;
             st.ticks += 1;
-            let tick_ms = st.cfg.tick.as_ms().max(1);
-            st.systim_ms += tick_ms;
+            st.systim_ms += st.cfg.tick.as_ms().max(1);
             let rec = st.thread_mut(ThreadRef::Timer);
             rec.parked = false;
             rec.marking = ExecContext::Handler;
             rec.stats.sigma.fire(TThreadEvent::Es);
             Shared::update_idle(&mut st, proc.now());
-            (st.cfg.cost.timer_tick, tick_ms)
+            st.cfg.cost.timer_tick
         };
-        let _ = tick_ms;
         if !tick_cost.is_zero() {
             self.sim_wait_atomic(
                 proc,
@@ -163,7 +156,7 @@ impl Shared {
         // Round-robin style schedulers may request a time-slice
         // preemption of the running task.
         {
-            let mut st = self.st.lock();
+            let mut st = self.st.borrow_mut();
             let running = st.running;
             // Time-slice preemption respects dispatch-disable windows
             // just like every other dispatch decision. The guard comes
@@ -196,12 +189,12 @@ impl Shared {
         // timing wheel one action at a time: handler activations below
         // can block on their completion events in between).
         loop {
-            let action = self.st.lock().pop_due_timer();
+            let action = self.st.borrow_mut().pop_due_timer();
             let Some(action) = action else { break };
             match action {
                 TimerAction::TaskTimeout { tid, wait_gen }
                 | TimerAction::DelayEnd { tid, wait_gen } => {
-                    let mut st = self.st.lock();
+                    let mut st = self.st.borrow_mut();
                     let valid = st
                         .tcb(tid)
                         .map(|t| {
@@ -236,7 +229,7 @@ impl Shared {
         }
         // Pop the timer frame and perform the delayed dispatch.
         {
-            let mut st = self.st.lock();
+            let mut st = self.st.borrow_mut();
             let top = st.int_stack.pop();
             st.int_levels.pop();
             debug_assert_eq!(top, Some(ThreadRef::Timer));
@@ -251,10 +244,10 @@ impl Shared {
     /// Interrupt Dispatch body: deliver every deliverable pending
     /// request (new requests arriving while we work are caught by the
     /// loop in `install`).
-    fn drain_interrupts(self: &Arc<Shared>, proc: &mut ProcCtx) {
+    fn drain_interrupts(self: &Rc<Shared>, proc: &mut ProcCtx) {
         loop {
             let req = {
-                let mut st = self.st.lock();
+                let mut st = self.st.borrow_mut();
                 if st.cpu_transfer {
                     // Another dispatcher is mid-handshake; the stack
                     // unwind will replay pending requests.
@@ -266,12 +259,12 @@ impl Shared {
             let Some(req) = req else { return };
             // Take the CPU.
             {
-                let mut st = self.st.lock();
+                let mut st = self.st.borrow_mut();
                 st.cpu_transfer = true;
             }
             self.freeze_occupant(proc);
             let activate = {
-                let mut st = self.st.lock();
+                let mut st = self.st.borrow_mut();
                 st.cpu_transfer = false;
                 Self::mount_isr_frame(&mut st, req, proc.now())
             };
@@ -325,7 +318,7 @@ impl Shared {
     /// chain into the next pending interrupt, resume the interrupted
     /// frame below, replay a pended tick, or perform the delayed
     /// dispatch.
-    pub(crate) fn after_frame_pop(self: &Arc<Shared>, proc: &mut ProcCtx) {
+    pub(crate) fn after_frame_pop(self: &Rc<Shared>, proc: &mut ProcCtx) {
         let now = proc.now();
         enum Next {
             Activate(EventId),
@@ -334,7 +327,7 @@ impl Shared {
             Dispatch,
         }
         let next = {
-            let mut st = self.st.lock();
+            let mut st = self.st.borrow_mut();
             if let Some(req) = Self::next_deliverable(&mut st) {
                 // Everything below is parked; mount without a handshake.
                 match Self::mount_isr_frame(&mut st, req, now) {

@@ -7,7 +7,7 @@
 //! Fig. 8-style output listing.
 
 use std::fmt::Write as _;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use crate::error::{ErCode, KResult};
 use crate::ids::*;
@@ -25,7 +25,7 @@ use crate::state::{Shared, TaskState};
 
 /// The debugger-support interface handle.
 pub struct Ds {
-    shared: Arc<Shared>,
+    shared: Rc<Shared>,
 }
 
 impl std::fmt::Debug for Ds {
@@ -35,13 +35,13 @@ impl std::fmt::Debug for Ds {
 }
 
 impl Ds {
-    pub(crate) fn new(shared: Arc<Shared>) -> Self {
+    pub(crate) fn new(shared: Rc<Shared>) -> Self {
         Ds { shared }
     }
 
     /// `td_lst_tsk` — lists every existing task ID.
     pub fn td_lst_tsk(&self) -> Vec<TaskId> {
-        let st = self.shared.st.lock();
+        let st = self.shared.st.borrow();
         st.tasks
             .iter()
             .filter_map(|t| t.as_ref().map(|t| t.id))
@@ -50,7 +50,7 @@ impl Ds {
 
     /// `td_ref_tsk` — task state snapshot.
     pub fn td_ref_tsk(&self, tid: TaskId) -> KResult<RefTsk> {
-        let st = self.shared.st.lock();
+        let st = self.shared.st.borrow();
         st.tcb(tid).map(|tcb| RefTsk {
             name: tcb.name.clone(),
             state: tcb.state,
@@ -65,7 +65,7 @@ impl Ds {
 
     /// `td_ref_sem` — semaphore snapshot.
     pub fn td_ref_sem(&self, id: SemId) -> KResult<RefSem> {
-        let st = self.shared.st.lock();
+        let st = self.shared.st.borrow();
         crate::kernel::table_get(&st.sems, id.0).map(|s| RefSem {
             name: s.name.clone(),
             count: s.count,
@@ -77,7 +77,7 @@ impl Ds {
 
     /// `td_ref_flg` — event-flag snapshot.
     pub fn td_ref_flg(&self, id: FlgId) -> KResult<RefFlg> {
-        let st = self.shared.st.lock();
+        let st = self.shared.st.borrow();
         crate::kernel::table_get(&st.flags, id.0).map(|f| RefFlg {
             name: f.name.clone(),
             pattern: f.pattern,
@@ -88,7 +88,7 @@ impl Ds {
 
     /// `td_ref_mbx` — mailbox snapshot.
     pub fn td_ref_mbx(&self, id: MbxId) -> KResult<RefMbx> {
-        let st = self.shared.st.lock();
+        let st = self.shared.st.borrow();
         crate::kernel::table_get(&st.mbxs, id.0).map(|m| RefMbx {
             name: m.name.clone(),
             msg_count: m.msgs.len(),
@@ -99,7 +99,7 @@ impl Ds {
 
     /// `td_ref_mbf` — message-buffer snapshot.
     pub fn td_ref_mbf(&self, id: MbfId) -> KResult<RefMbf> {
-        let st = self.shared.st.lock();
+        let st = self.shared.st.borrow();
         crate::kernel::table_get(&st.mbfs, id.0).map(|m| RefMbf {
             name: m.name.clone(),
             free: m.bufsz - m.used,
@@ -111,7 +111,7 @@ impl Ds {
 
     /// `td_ref_mtx` — mutex snapshot.
     pub fn td_ref_mtx(&self, id: MtxId) -> KResult<RefMtx> {
-        let st = self.shared.st.lock();
+        let st = self.shared.st.borrow();
         crate::kernel::table_get(&st.mtxs, id.0).map(|m| RefMtx {
             name: m.name.clone(),
             owner: m.owner,
@@ -122,7 +122,7 @@ impl Ds {
 
     /// `td_ref_mpf` — fixed-pool snapshot.
     pub fn td_ref_mpf(&self, id: MpfId) -> KResult<RefMpf> {
-        let st = self.shared.st.lock();
+        let st = self.shared.st.borrow();
         crate::kernel::table_get(&st.mpfs, id.0).map(|p| RefMpf {
             name: p.name.clone(),
             free_blocks: p.free_list.len(),
@@ -134,7 +134,7 @@ impl Ds {
 
     /// `td_ref_mpl` — variable-pool snapshot.
     pub fn td_ref_mpl(&self, id: MplId) -> KResult<RefMpl> {
-        let st = self.shared.st.lock();
+        let st = self.shared.st.borrow();
         crate::kernel::table_get(&st.mpls, id.0).map(|p| RefMpl {
             name: p.name.clone(),
             free: p.free.values().sum(),
@@ -145,7 +145,7 @@ impl Ds {
 
     /// `td_ref_cyc` — cyclic-handler snapshot.
     pub fn td_ref_cyc(&self, id: CycId) -> KResult<RefCyc> {
-        let st = self.shared.st.lock();
+        let st = self.shared.st.borrow();
         crate::kernel::table_get(&st.cycs, id.0).map(|c| RefCyc {
             name: c.name.clone(),
             active: c.active,
@@ -156,7 +156,7 @@ impl Ds {
 
     /// `td_ref_alm` — alarm-handler snapshot.
     pub fn td_ref_alm(&self, id: AlmId) -> KResult<RefAlm> {
-        let st = self.shared.st.lock();
+        let st = self.shared.st.borrow();
         crate::kernel::table_get(&st.alms, id.0).map(|a| RefAlm {
             name: a.name.clone(),
             active: a.active,
@@ -166,7 +166,7 @@ impl Ds {
 
     /// `td_ref_int` — interrupt-handler snapshot.
     pub fn td_ref_int(&self, no: IntNo) -> KResult<RefInt> {
-        let st = self.shared.st.lock();
+        let st = self.shared.st.borrow();
         st.isrs
             .get(&no)
             .map(|i| RefInt {
@@ -180,20 +180,20 @@ impl Ds {
     /// `td_ref_sys` — system snapshot: (running task, ready count,
     /// interrupt nesting depth, ticks).
     pub fn td_ref_sys(&self) -> (Option<TaskId>, usize, usize, u64) {
-        let st = self.shared.st.lock();
+        let st = self.shared.st.borrow();
         (st.running, st.scheduler.len(), st.int_stack.len(), st.ticks)
     }
 
     /// `td_ref_tim` — system time in milliseconds.
     pub fn td_ref_tim(&self) -> u64 {
-        self.shared.st.lock().systim_ms
+        self.shared.st.borrow_mut().systim_ms
     }
 
     /// Renders a Fig. 8-style kernel state listing: tasks with state /
     /// priority / wait object, then every kernel object with its vital
     /// statistics.
     pub fn dump_listing(&self) -> String {
-        let st = self.shared.st.lock();
+        let st = self.shared.st.borrow();
         let mut out = String::new();
         let _ = writeln!(out, "=== T-Kernel/DS: kernel state listing ===");
         let _ = writeln!(

@@ -65,7 +65,7 @@ impl<'a> Sys<'a> {
     ) -> KResult<FlgId> {
         self.service_cost(ServiceClass::EventFlag, "tk_cre_flg");
         let r = {
-            let mut st = self.shared.st.lock();
+            let mut st = self.shared.st.borrow_mut();
             let raw = super::table_insert(
                 &mut st.flags,
                 Flag {
@@ -91,7 +91,7 @@ impl<'a> Sys<'a> {
     pub fn tk_del_flg(&mut self, id: FlgId) -> KResult<()> {
         self.service_cost(ServiceClass::EventFlag, "tk_del_flg");
         let r = {
-            let mut st = self.shared.st.lock();
+            let mut st = self.shared.st.borrow_mut();
             let now = self.proc.now();
             match super::table_get_mut(&mut st.flags, id.0) {
                 Err(e) => Err(e),
@@ -115,7 +115,7 @@ impl<'a> Sys<'a> {
     pub fn tk_set_flg(&mut self, id: FlgId, setptn: u32) -> KResult<()> {
         self.service_cost(ServiceClass::EventFlag, "tk_set_flg");
         let r = {
-            let mut st = self.shared.st.lock();
+            let mut st = self.shared.st.borrow_mut();
             let now = self.proc.now();
             match super::table_get_mut(&mut st.flags, id.0) {
                 Err(e) => Err(e),
@@ -155,7 +155,7 @@ impl<'a> Sys<'a> {
     pub fn tk_clr_flg(&mut self, id: FlgId, clrptn: u32) -> KResult<()> {
         self.service_cost(ServiceClass::EventFlag, "tk_clr_flg");
         let r = {
-            let mut st = self.shared.st.lock();
+            let mut st = self.shared.st.borrow_mut();
             let r = super::table_get_mut(&mut st.flags, id.0).map(|f| {
                 f.pattern &= clrptn;
             });
@@ -186,7 +186,7 @@ impl<'a> Sys<'a> {
         let r = (|| {
             let tid = self.check_blockable()?;
             let decision = {
-                let mut st = self.shared.st.lock();
+                let mut st = self.shared.st.borrow_mut();
                 let pri = st.tcb(tid)?.cur_pri;
                 let flag = super::table_get_mut(&mut st.flags, id.0)?;
                 if waiptn == 0 {
@@ -214,7 +214,7 @@ impl<'a> Sys<'a> {
             match decision {
                 Ok(p) => Ok(p),
                 Err(ErCode::Sys) => {
-                    let shared = std::sync::Arc::clone(&self.shared);
+                    let shared = &self.shared;
                     let (res, delivered) =
                         shared.block_current(self.proc, tid, WaitObj::Flag(id, waiptn, mode), tmo);
                     res.map(|()| match delivered {
@@ -233,7 +233,7 @@ impl<'a> Sys<'a> {
     pub fn tk_ref_flg(&mut self, id: FlgId) -> KResult<RefFlg> {
         self.service_cost(ServiceClass::EventFlag, "tk_ref_flg");
         let r = {
-            let st = self.shared.st.lock();
+            let st = self.shared.st.borrow();
             super::table_get(&st.flags, id.0).map(|f| RefFlg {
                 name: f.name.clone(),
                 pattern: f.pattern,

@@ -7,9 +7,8 @@
 //! as a T-THREAD, with two-level 8051-style nesting (a level-1 request
 //! preempts a level-0 handler; equal levels queue).
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use crate::cost::ServiceClass;
 use crate::error::{ErCode, KResult};
@@ -23,7 +22,7 @@ pub struct IsrRec {
     pub(crate) name: String,
     pub(crate) level: u8,
     pub(crate) count: u64,
-    pub(crate) body: Arc<Mutex<Box<HandlerBody>>>,
+    pub(crate) body: Rc<RefCell<Box<HandlerBody>>>,
 }
 
 impl std::fmt::Debug for IsrRec {
@@ -56,17 +55,17 @@ impl<'a> Sys<'a> {
     /// `E_OBJ` if a handler is already defined for `intno`.
     pub fn tk_def_int<F>(&mut self, intno: IntNo, level: u8, name: &str, body: F) -> KResult<()>
     where
-        F: FnMut(&mut Sys<'_>) + Send + 'static,
+        F: FnMut(&mut Sys<'_>) + 'static,
     {
         self.service_cost(ServiceClass::Interrupt, "tk_def_int");
         let r = {
-            let mut st = self.shared.st.lock();
+            let mut st = self.shared.st.borrow_mut();
             if let std::collections::btree_map::Entry::Vacant(e) = st.isrs.entry(intno) {
                 e.insert(IsrRec {
                     name: name.to_string(),
                     level,
                     count: 0,
-                    body: Arc::new(Mutex::new(Box::new(body) as Box<HandlerBody>)),
+                    body: Rc::new(RefCell::new(Box::new(body) as Box<HandlerBody>)),
                 });
                 drop(st);
                 self.shared.register_thread(
@@ -89,7 +88,7 @@ impl<'a> Sys<'a> {
     pub fn tk_ref_int(&mut self, intno: IntNo) -> KResult<RefInt> {
         self.service_cost(ServiceClass::Interrupt, "tk_ref_int");
         let r = {
-            let st = self.shared.st.lock();
+            let st = self.shared.st.borrow();
             st.isrs
                 .get(&intno)
                 .map(|i| RefInt {

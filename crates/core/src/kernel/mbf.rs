@@ -99,7 +99,7 @@ impl<'a> Sys<'a> {
             if maxmsz == 0 {
                 Err(ErCode::Par)
             } else {
-                let mut st = self.shared.st.lock();
+                let mut st = self.shared.st.borrow_mut();
                 let raw = super::table_insert(
                     &mut st.mbfs,
                     Mbf {
@@ -131,7 +131,7 @@ impl<'a> Sys<'a> {
     pub fn tk_del_mbf(&mut self, id: MbfId) -> KResult<()> {
         self.service_cost(ServiceClass::MessageBuffer, "tk_del_mbf");
         let r = {
-            let mut st = self.shared.st.lock();
+            let mut st = self.shared.st.borrow_mut();
             let now = self.proc.now();
             match super::table_get_mut(&mut st.mbfs, id.0) {
                 Err(e) => Err(e),
@@ -162,7 +162,7 @@ impl<'a> Sys<'a> {
         let r = (|| {
             let tid = self.check_blockable()?;
             let decision = {
-                let mut st = self.shared.st.lock();
+                let mut st = self.shared.st.borrow_mut();
                 let now = self.proc.now();
                 let pri = st.tcb(tid)?.cur_pri;
                 enum Act {
@@ -219,7 +219,7 @@ impl<'a> Sys<'a> {
             match decision {
                 Ok(()) => Ok(()),
                 Err(ErCode::Sys) => {
-                    let shared = std::sync::Arc::clone(&self.shared);
+                    let shared = &self.shared;
                     let (res, _) =
                         shared.block_current(self.proc, tid, WaitObj::MbfSend(id, msg.len()), tmo);
                     res
@@ -238,7 +238,7 @@ impl<'a> Sys<'a> {
         let r = (|| {
             let tid = self.check_blockable()?;
             let decision = {
-                let mut st = self.shared.st.lock();
+                let mut st = self.shared.st.borrow_mut();
                 let now = self.proc.now();
                 let pri = st.tcb(tid)?.cur_pri;
                 enum Act {
@@ -282,7 +282,7 @@ impl<'a> Sys<'a> {
             match decision {
                 Ok(m) => Ok(m),
                 Err(ErCode::Sys) => {
-                    let shared = std::sync::Arc::clone(&self.shared);
+                    let shared = &self.shared;
                     let (res, delivered) =
                         shared.block_current(self.proc, tid, WaitObj::MbfRecv(id), tmo);
                     res.and(match delivered {
@@ -301,7 +301,7 @@ impl<'a> Sys<'a> {
     pub fn tk_ref_mbf(&mut self, id: MbfId) -> KResult<RefMbf> {
         self.service_cost(ServiceClass::MessageBuffer, "tk_ref_mbf");
         let r = {
-            let st = self.shared.st.lock();
+            let st = self.shared.st.borrow();
             super::table_get(&st.mbfs, id.0).map(|m| RefMbf {
                 name: m.name.clone(),
                 free: m.bufsz - m.used,

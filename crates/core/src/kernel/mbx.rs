@@ -70,7 +70,7 @@ impl<'a> Sys<'a> {
     pub fn tk_cre_mbx(&mut self, name: &str, msg_pri: bool, order: QueueOrder) -> KResult<MbxId> {
         self.service_cost(ServiceClass::Mailbox, "tk_cre_mbx");
         let r = {
-            let mut st = self.shared.st.lock();
+            let mut st = self.shared.st.borrow_mut();
             let raw = super::table_insert(
                 &mut st.mbxs,
                 Mbx {
@@ -95,7 +95,7 @@ impl<'a> Sys<'a> {
     pub fn tk_del_mbx(&mut self, id: MbxId) -> KResult<()> {
         self.service_cost(ServiceClass::Mailbox, "tk_del_mbx");
         let r = {
-            let mut st = self.shared.st.lock();
+            let mut st = self.shared.st.borrow_mut();
             let now = self.proc.now();
             match super::table_get_mut(&mut st.mbxs, id.0) {
                 Err(e) => Err(e),
@@ -118,7 +118,7 @@ impl<'a> Sys<'a> {
     pub fn tk_snd_mbx(&mut self, id: MbxId, msg: MsgPacket) -> KResult<()> {
         self.service_cost(ServiceClass::Mailbox, "tk_snd_mbx");
         let r = {
-            let mut st = self.shared.st.lock();
+            let mut st = self.shared.st.borrow_mut();
             let now = self.proc.now();
             match super::table_get_mut(&mut st.mbxs, id.0) {
                 Err(e) => Err(e),
@@ -154,7 +154,7 @@ impl<'a> Sys<'a> {
         let r = (|| {
             let tid = self.check_blockable()?;
             let decision = {
-                let mut st = self.shared.st.lock();
+                let mut st = self.shared.st.borrow_mut();
                 let pri = st.tcb(tid)?.cur_pri;
                 let mbx = super::table_get_mut(&mut st.mbxs, id.0)?;
                 if !mbx.msgs.is_empty() {
@@ -171,7 +171,7 @@ impl<'a> Sys<'a> {
             match decision {
                 Ok(m) => Ok(m),
                 Err(ErCode::Sys) => {
-                    let shared = std::sync::Arc::clone(&self.shared);
+                    let shared = &self.shared;
                     let (res, delivered) =
                         shared.block_current(self.proc, tid, WaitObj::Mbx(id), tmo);
                     res.and(match delivered {
@@ -190,7 +190,7 @@ impl<'a> Sys<'a> {
     pub fn tk_ref_mbx(&mut self, id: MbxId) -> KResult<RefMbx> {
         self.service_cost(ServiceClass::Mailbox, "tk_ref_mbx");
         let r = {
-            let st = self.shared.st.lock();
+            let st = self.shared.st.borrow();
             super::table_get(&st.mbxs, id.0).map(|m| RefMbx {
                 name: m.name.clone(),
                 msg_count: m.msgs.len(),

@@ -57,7 +57,7 @@ impl<'a> Sys<'a> {
             if blkcnt == 0 || blksz == 0 {
                 Err(ErCode::Par)
             } else {
-                let mut st = self.shared.st.lock();
+                let mut st = self.shared.st.borrow_mut();
                 let raw = super::table_insert(
                     &mut st.mpfs,
                     Mpf {
@@ -85,7 +85,7 @@ impl<'a> Sys<'a> {
     pub fn tk_del_mpf(&mut self, id: MpfId) -> KResult<()> {
         self.service_cost(ServiceClass::MemoryPool, "tk_del_mpf");
         let r = {
-            let mut st = self.shared.st.lock();
+            let mut st = self.shared.st.borrow_mut();
             let now = self.proc.now();
             match super::table_get_mut(&mut st.mpfs, id.0) {
                 Err(e) => Err(e),
@@ -110,7 +110,7 @@ impl<'a> Sys<'a> {
         let r = (|| {
             let tid = self.check_blockable()?;
             let decision = {
-                let mut st = self.shared.st.lock();
+                let mut st = self.shared.st.borrow_mut();
                 let pri = st.tcb(tid)?.cur_pri;
                 let pool = super::table_get_mut(&mut st.mpfs, id.0)?;
                 if pool.waitq.is_empty() {
@@ -130,7 +130,7 @@ impl<'a> Sys<'a> {
             match decision {
                 Ok(blk) => Ok(blk),
                 Err(ErCode::Sys) => {
-                    let shared = std::sync::Arc::clone(&self.shared);
+                    let shared = &self.shared;
                     let (res, delivered) =
                         shared.block_current(self.proc, tid, WaitObj::Mpf(id), tmo);
                     res.and(match delivered {
@@ -154,7 +154,7 @@ impl<'a> Sys<'a> {
     pub fn tk_rel_mpf(&mut self, id: MpfId, blk: usize) -> KResult<()> {
         self.service_cost(ServiceClass::MemoryPool, "tk_rel_mpf");
         let r = {
-            let mut st = self.shared.st.lock();
+            let mut st = self.shared.st.borrow_mut();
             let now = self.proc.now();
             match super::table_get_mut(&mut st.mpfs, id.0) {
                 Err(e) => Err(e),
@@ -183,7 +183,7 @@ impl<'a> Sys<'a> {
     pub fn tk_ref_mpf(&mut self, id: MpfId) -> KResult<RefMpf> {
         self.service_cost(ServiceClass::MemoryPool, "tk_ref_mpf");
         let r = {
-            let st = self.shared.st.lock();
+            let st = self.shared.st.borrow();
             super::table_get(&st.mpfs, id.0).map(|p| RefMpf {
                 name: p.name.clone(),
                 free_blocks: p.free_list.len(),

@@ -140,7 +140,7 @@ impl<'a> Sys<'a> {
                 Err(ErCode::Par)
             } else {
                 let size = align_up(size);
-                let mut st = self.shared.st.lock();
+                let mut st = self.shared.st.borrow_mut();
                 let mut free = BTreeMap::new();
                 free.insert(0, size);
                 let raw = super::table_insert(
@@ -169,7 +169,7 @@ impl<'a> Sys<'a> {
     pub fn tk_del_mpl(&mut self, id: MplId) -> KResult<()> {
         self.service_cost(ServiceClass::MemoryPool, "tk_del_mpl");
         let r = {
-            let mut st = self.shared.st.lock();
+            let mut st = self.shared.st.borrow_mut();
             let now = self.proc.now();
             match super::table_get_mut(&mut st.mpls, id.0) {
                 Err(e) => Err(e),
@@ -198,7 +198,7 @@ impl<'a> Sys<'a> {
         let r = (|| {
             let tid = self.check_blockable()?;
             let decision = {
-                let mut st = self.shared.st.lock();
+                let mut st = self.shared.st.borrow_mut();
                 let pri = st.tcb(tid)?.cur_pri;
                 let pool = super::table_get_mut(&mut st.mpls, id.0)?;
                 if sz == 0 || align_up(sz) > pool.size {
@@ -229,7 +229,7 @@ impl<'a> Sys<'a> {
             match decision {
                 Ok(off) => Ok(off),
                 Err(ErCode::Sys) => {
-                    let shared = std::sync::Arc::clone(&self.shared);
+                    let shared = &self.shared;
                     let (res, delivered) =
                         shared.block_current(self.proc, tid, WaitObj::Mpl(id, sz), tmo);
                     res.and(match delivered {
@@ -252,7 +252,7 @@ impl<'a> Sys<'a> {
     pub fn tk_rel_mpl(&mut self, id: MplId, off: usize) -> KResult<()> {
         self.service_cost(ServiceClass::MemoryPool, "tk_rel_mpl");
         let r = {
-            let mut st = self.shared.st.lock();
+            let mut st = self.shared.st.borrow_mut();
             let now = self.proc.now();
             let released = match super::table_get_mut(&mut st.mpls, id.0) {
                 Err(e) => Err(e),
@@ -275,7 +275,7 @@ impl<'a> Sys<'a> {
     pub fn tk_ref_mpl(&mut self, id: MplId) -> KResult<RefMpl> {
         self.service_cost(ServiceClass::MemoryPool, "tk_ref_mpl");
         let r = {
-            let st = self.shared.st.lock();
+            let st = self.shared.st.borrow();
             super::table_get(&st.mpls, id.0).map(|p| RefMpl {
                 name: p.name.clone(),
                 free: p.free_total(),

@@ -217,7 +217,7 @@ impl<'a> Sys<'a> {
     pub fn tk_cre_mtx(&mut self, name: &str, policy: MtxPolicy) -> KResult<MtxId> {
         self.service_cost(ServiceClass::Mutex, "tk_cre_mtx");
         let r = {
-            let mut st = self.shared.st.lock();
+            let mut st = self.shared.st.borrow_mut();
             if let MtxPolicy::Ceiling(c) = policy {
                 if c < 1 || c > st.cfg.max_priority {
                     drop(st);
@@ -253,7 +253,7 @@ impl<'a> Sys<'a> {
     pub fn tk_del_mtx(&mut self, id: MtxId) -> KResult<()> {
         self.service_cost(ServiceClass::Mutex, "tk_del_mtx");
         let r = {
-            let mut st = self.shared.st.lock();
+            let mut st = self.shared.st.borrow_mut();
             let now = self.proc.now();
             match super::table_get_mut(&mut st.mtxs, id.0) {
                 Err(e) => Err(e),
@@ -289,7 +289,7 @@ impl<'a> Sys<'a> {
         let r = (|| {
             let tid = self.check_blockable()?;
             let decision = {
-                let mut st = self.shared.st.lock();
+                let mut st = self.shared.st.borrow_mut();
                 let (pri, base) = {
                     let t = st.tcb(tid)?;
                     (t.cur_pri, t.base_pri)
@@ -330,7 +330,7 @@ impl<'a> Sys<'a> {
             match decision {
                 Ok(()) => Ok(()),
                 Err(ErCode::Sys) => {
-                    let shared = std::sync::Arc::clone(&self.shared);
+                    let shared = &self.shared;
                     let (res, _) = shared.block_current(self.proc, tid, WaitObj::Mtx(id), tmo);
                     res
                 }
@@ -351,7 +351,7 @@ impl<'a> Sys<'a> {
         self.service_cost(ServiceClass::Mutex, "tk_unl_mtx");
         let r = {
             let tid = self.require_task()?;
-            let mut st = self.shared.st.lock();
+            let mut st = self.shared.st.borrow_mut();
             let now = self.proc.now();
             match super::table_get(&st.mtxs, id.0) {
                 Err(e) => Err(e),
@@ -375,7 +375,7 @@ impl<'a> Sys<'a> {
     pub fn tk_ref_mtx(&mut self, id: MtxId) -> KResult<RefMtx> {
         self.service_cost(ServiceClass::Mutex, "tk_ref_mtx");
         let r = {
-            let st = self.shared.st.lock();
+            let st = self.shared.st.borrow();
             super::table_get(&st.mtxs, id.0).map(|m| RefMtx {
                 name: m.name.clone(),
                 owner: m.owner,

@@ -92,7 +92,7 @@ impl<'a> Sys<'a> {
             if max == 0 || init > max {
                 Err(ErCode::Par)
             } else {
-                let mut st = self.shared.st.lock();
+                let mut st = self.shared.st.borrow_mut();
                 let raw = super::table_insert(
                     &mut st.sems,
                     Sem {
@@ -120,7 +120,7 @@ impl<'a> Sys<'a> {
     pub fn tk_del_sem(&mut self, id: SemId) -> KResult<()> {
         self.service_cost(ServiceClass::Semaphore, "tk_del_sem");
         let r = {
-            let mut st = self.shared.st.lock();
+            let mut st = self.shared.st.borrow_mut();
             let now = self.proc.now();
             match super::table_get_mut(&mut st.sems, id.0) {
                 Err(e) => Err(e),
@@ -148,7 +148,7 @@ impl<'a> Sys<'a> {
     pub fn tk_sig_sem(&mut self, id: SemId, cnt: u32) -> KResult<()> {
         self.service_cost(ServiceClass::Semaphore, "tk_sig_sem");
         let r = {
-            let mut st = self.shared.st.lock();
+            let mut st = self.shared.st.borrow_mut();
             let now = self.proc.now();
             if cnt == 0 {
                 Err(ErCode::Par)
@@ -183,7 +183,7 @@ impl<'a> Sys<'a> {
         let r = (|| {
             let tid = self.check_blockable()?;
             let decision = {
-                let mut st = self.shared.st.lock();
+                let mut st = self.shared.st.borrow_mut();
                 let pri = st.tcb(tid)?.cur_pri;
                 let sem = super::table_get_mut(&mut st.sems, id.0)?;
                 if cnt == 0 || cnt > sem.max {
@@ -203,7 +203,7 @@ impl<'a> Sys<'a> {
             match decision {
                 Ok(()) => Ok(()),
                 Err(ErCode::Sys) => {
-                    let shared = std::sync::Arc::clone(&self.shared);
+                    let shared = &self.shared;
                     let (res, _) = shared.block_current(self.proc, tid, WaitObj::Sem(id, cnt), tmo);
                     res
                 }
@@ -218,7 +218,7 @@ impl<'a> Sys<'a> {
     pub fn tk_ref_sem(&mut self, id: SemId) -> KResult<RefSem> {
         self.service_cost(ServiceClass::Semaphore, "tk_ref_sem");
         let r = {
-            let st = self.shared.st.lock();
+            let st = self.shared.st.borrow();
             super::table_get(&st.sems, id.0).map(|s| RefSem {
                 name: s.name.clone(),
                 count: s.count,

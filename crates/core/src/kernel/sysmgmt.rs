@@ -76,7 +76,7 @@ impl<'a> Sys<'a> {
     pub fn tk_ref_sys(&mut self) -> KResult<RefSys> {
         self.service_cost(ServiceClass::System, "tk_ref_sys");
         let r = {
-            let st = self.shared.st.lock();
+            let st = self.shared.st.borrow();
             let sysstat = if !st.int_stack.is_empty() {
                 SysState::TaskIndependent
             } else if st.cpu_locked {
@@ -111,7 +111,7 @@ impl<'a> Sys<'a> {
             match tid {
                 Err(e) => Err(e),
                 Ok(_) => {
-                    let mut st = self.shared.st.lock();
+                    let mut st = self.shared.st.borrow_mut();
                     if st.cpu_locked {
                         Err(ErCode::Ctx)
                     } else {
@@ -139,7 +139,7 @@ impl<'a> Sys<'a> {
             match tid {
                 Err(e) => Err(e),
                 Ok(_) => {
-                    let mut st = self.shared.st.lock();
+                    let mut st = self.shared.st.borrow_mut();
                     if st.cpu_locked {
                         Err(ErCode::Ctx)
                     } else {
@@ -168,7 +168,7 @@ impl<'a> Sys<'a> {
             match self.require_task() {
                 Err(e) => Err(e),
                 Ok(_) => {
-                    let mut st = self.shared.st.lock();
+                    let mut st = self.shared.st.borrow_mut();
                     st.cpu_locked = true;
                     st.observe(crate::obs::ObsEvent::DispCtl { disabled: true });
                     Ok(())
@@ -190,7 +190,7 @@ impl<'a> Sys<'a> {
             Err(e) => Err(e),
             Ok(_) => {
                 let kick = {
-                    let mut st = self.shared.st.lock();
+                    let mut st = self.shared.st.borrow_mut();
                     st.cpu_locked = false;
                     let disabled = st.dispatch_masked();
                     st.observe(crate::obs::ObsEvent::DispCtl { disabled });
@@ -214,7 +214,7 @@ impl<'a> Sys<'a> {
     /// dispatch disabled, or CPU locked). Used by all waiting services.
     pub(crate) fn check_blockable(&self) -> KResult<TaskId> {
         let tid = self.require_task()?;
-        let st = self.shared.st.lock();
+        let st = self.shared.st.borrow();
         if st.dispatch_disabled || st.cpu_locked {
             Err(ErCode::Ctx)
         } else {

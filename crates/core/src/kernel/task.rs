@@ -2,9 +2,9 @@
 //! (`tk_cre_tsk` … `tk_ref_tsk`, `tk_slp_tsk`/`tk_wup_tsk`,
 //! suspend/resume, delay, forced wait release).
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
-use parking_lot::Mutex;
 use sysc::{ProcCtx, SpawnMode};
 
 use crate::config::Priority;
@@ -45,7 +45,7 @@ impl<'a> Sys<'a> {
     /// `E_PAR` if the priority is out of range.
     pub fn tk_cre_tsk<F>(&mut self, name: &str, pri: Priority, body: F) -> KResult<TaskId>
     where
-        F: FnMut(&mut Sys<'_>, i32) + Send + 'static,
+        F: FnMut(&mut Sys<'_>, i32) + 'static,
     {
         self.service_cost(ServiceClass::Task, "tk_cre_tsk");
         let r = self.shared.create_task_raw(name, pri, Box::new(body));
@@ -62,7 +62,7 @@ impl<'a> Sys<'a> {
     pub fn tk_del_tsk(&mut self, tid: TaskId) -> KResult<()> {
         self.service_cost(ServiceClass::Task, "tk_del_tsk");
         let r = {
-            let mut st = self.shared.st.lock();
+            let mut st = self.shared.st.borrow_mut();
             match st.tcb(tid) {
                 Err(e) => Err(e),
                 Ok(tcb) if tcb.state != TaskState::Dormant => Err(ErCode::Obj),
@@ -102,7 +102,7 @@ impl<'a> Sys<'a> {
         let tid = self
             .require_task()
             .expect("tk_ext_tsk must be called from task context");
-        let shared = Arc::clone(&self.shared);
+        let shared = &self.shared;
         shared.task_exit_bookkeeping(tid, self.proc.now(), false);
         self.proc.exit()
     }
@@ -116,7 +116,7 @@ impl<'a> Sys<'a> {
         let tid = self
             .require_task()
             .expect("tk_exd_tsk must be called from task context");
-        let shared = Arc::clone(&self.shared);
+        let shared = &self.shared;
         shared.task_exit_bookkeeping(tid, self.proc.now(), true);
         self.proc.exit()
     }
@@ -150,7 +150,7 @@ impl<'a> Sys<'a> {
     pub fn tk_chg_pri(&mut self, tid: TaskId, pri: Priority) -> KResult<()> {
         self.service_cost(ServiceClass::Task, "tk_chg_pri");
         let r = {
-            let mut st = self.shared.st.lock();
+            let mut st = self.shared.st.borrow_mut();
             let max = st.cfg.max_priority;
             match st.tcb(tid) {
                 Err(e) => Err(e),
@@ -183,7 +183,7 @@ impl<'a> Sys<'a> {
     pub fn tk_rot_rdq(&mut self, pri: Priority) -> KResult<()> {
         self.service_cost(ServiceClass::Task, "tk_rot_rdq");
         let r = {
-            let mut st = self.shared.st.lock();
+            let mut st = self.shared.st.borrow_mut();
             let pri = if pri == 0 {
                 match self.who {
                     ThreadRef::Task(tid) => st.tcb(tid)?.cur_pri,
@@ -219,7 +219,7 @@ impl<'a> Sys<'a> {
     pub fn tk_ref_tsk(&mut self, tid: TaskId) -> KResult<RefTsk> {
         self.service_cost(ServiceClass::Task, "tk_ref_tsk");
         let r = {
-            let st = self.shared.st.lock();
+            let st = self.shared.st.borrow();
             st.tcb(tid).map(|tcb| RefTsk {
                 name: tcb.name.clone(),
                 state: tcb.state,
@@ -250,7 +250,7 @@ impl<'a> Sys<'a> {
         self.service_cost(ServiceClass::TaskSync, "tk_slp_tsk");
         let tid = self.require_task()?;
         let r = {
-            let mut st = self.shared.st.lock();
+            let mut st = self.shared.st.borrow_mut();
             if st.dispatch_disabled || st.cpu_locked {
                 drop(st);
                 Err(ErCode::Ctx)
@@ -266,7 +266,7 @@ impl<'a> Sys<'a> {
                     Err(ErCode::Tmout)
                 } else {
                     drop(st);
-                    let shared = Arc::clone(&self.shared);
+                    let shared = &self.shared;
                     let (res, _) = shared.block_current(self.proc, tid, WaitObj::Sleep, tmo);
                     res
                 }
@@ -285,7 +285,7 @@ impl<'a> Sys<'a> {
     pub fn tk_wup_tsk(&mut self, tid: TaskId) -> KResult<()> {
         self.service_cost(ServiceClass::TaskSync, "tk_wup_tsk");
         let r = {
-            let mut st = self.shared.st.lock();
+            let mut st = self.shared.st.borrow_mut();
             let now = self.proc.now();
             if self.who == ThreadRef::Task(tid) {
                 Err(ErCode::Obj)
@@ -328,7 +328,7 @@ impl<'a> Sys<'a> {
     pub fn tk_can_wup(&mut self, tid: TaskId) -> KResult<u32> {
         self.service_cost(ServiceClass::TaskSync, "tk_can_wup");
         let r = {
-            let mut st = self.shared.st.lock();
+            let mut st = self.shared.st.borrow_mut();
             match st.tcb_mut(tid) {
                 Err(e) => Err(e),
                 Ok(tcb) if tcb.state == TaskState::Dormant => Err(ErCode::Obj),
@@ -353,14 +353,14 @@ impl<'a> Sys<'a> {
         self.service_cost(ServiceClass::TaskSync, "tk_dly_tsk");
         let tid = self.require_task()?;
         let r = {
-            let st = self.shared.st.lock();
+            let st = self.shared.st.borrow();
             if st.dispatch_disabled || st.cpu_locked {
                 Err(ErCode::Ctx)
             } else if d.is_zero() {
                 Ok(())
             } else {
                 drop(st);
-                let shared = Arc::clone(&self.shared);
+                let shared = &self.shared;
                 let (res, _) =
                     shared.block_current(self.proc, tid, WaitObj::Delay, Timeout::Finite(d));
                 // Normal delay completion is reported as success.
@@ -383,7 +383,7 @@ impl<'a> Sys<'a> {
     pub fn tk_rel_wai(&mut self, tid: TaskId) -> KResult<()> {
         self.service_cost(ServiceClass::TaskSync, "tk_rel_wai");
         let r = {
-            let mut st = self.shared.st.lock();
+            let mut st = self.shared.st.borrow_mut();
             let now = self.proc.now();
             match st.tcb(tid) {
                 Err(e) => Err(e),
@@ -417,7 +417,7 @@ impl<'a> Sys<'a> {
     pub fn tk_sus_tsk(&mut self, tid: TaskId) -> KResult<()> {
         self.service_cost(ServiceClass::TaskSync, "tk_sus_tsk");
         let r = {
-            let mut st = self.shared.st.lock();
+            let mut st = self.shared.st.borrow_mut();
             if self.who == ThreadRef::Task(tid) {
                 Err(ErCode::Obj)
             } else {
@@ -474,7 +474,7 @@ impl<'a> Sys<'a> {
     fn resume_task_inner(&mut self, tid: TaskId, force: bool) -> KResult<()> {
         self.service_cost(ServiceClass::TaskSync, "tk_rsm_tsk");
         let r = {
-            let mut st = self.shared.st.lock();
+            let mut st = self.shared.st.borrow_mut();
             match st.tcb(tid) {
                 Err(e) => Err(e),
                 Ok(tcb) if !matches!(tcb.state, TaskState::Suspend | TaskState::WaitSuspend) => {
@@ -515,7 +515,7 @@ impl Shared {
         body: Box<TaskBody>,
     ) -> KResult<TaskId> {
         let tid = {
-            let mut st = self.st.lock();
+            let mut st = self.st.borrow_mut();
             if pri < 1 || pri > st.cfg.max_priority {
                 return Err(ErCode::Par);
             }
@@ -542,7 +542,7 @@ impl Shared {
                 wait_gen: 0,
                 wait_result: None,
                 held_mutexes: Vec::new(),
-                body: Arc::new(Mutex::new(body)),
+                body: Rc::new(RefCell::new(body)),
                 stacd: 0,
                 preempted: false,
                 activations: 0,
@@ -555,8 +555,13 @@ impl Shared {
 
     /// Implements `tk_sta_tsk`: DORMANT → READY plus spawning the
     /// activation process.
-    pub(crate) fn start_task(&self, tid: TaskId, stacd: i32, now: sysc::SimTime) -> KResult<()> {
-        let mut st = self.st.lock();
+    pub(crate) fn start_task(
+        self: &Rc<Self>,
+        tid: TaskId,
+        stacd: i32,
+        now: sysc::SimTime,
+    ) -> KResult<()> {
+        let mut st = self.st.borrow_mut();
         match st.tcb(tid) {
             Err(e) => return Err(e),
             Ok(tcb) if tcb.state != TaskState::Dormant => return Err(ErCode::Obj),
@@ -581,7 +586,7 @@ impl Shared {
         };
         Shared::trace_point(&st, now, who, TraceKind::Startup);
         // Spawn the per-activation process, parked until dispatched.
-        let shared = self.owner_arc();
+        let shared = Rc::clone(self);
         let pid = self
             .h
             .spawn_thread(&name, SpawnMode::WaitEvent(resume_ev), move |proc| {
@@ -592,14 +597,14 @@ impl Shared {
     }
 
     /// The body wrapper of one task activation.
-    fn run_task_activation(self: Arc<Shared>, proc: &mut ProcCtx, tid: TaskId) {
+    fn run_task_activation(self: Rc<Shared>, proc: &mut ProcCtx, tid: TaskId) {
         let who = ThreadRef::Task(tid);
         // The spawn wait was satisfied by a dispatch notification, but the
         // grant may have been revoked by a same-delta interrupt; wait for
         // an actual CPU grant.
         self.park_until_granted(proc, who);
         let (body, stacd) = {
-            let mut st = self.st.lock();
+            let mut st = self.st.borrow_mut();
             let now = proc.now();
             let rec = st.thread_mut(who);
             rec.stats.sigma.fire(TThreadEvent::Es);
@@ -607,12 +612,12 @@ impl Shared {
             rec.prev_marking = ExecContext::TaskBody;
             let tcb = st.tcb(tid).expect("started task exists");
             let _ = now;
-            (Arc::clone(&tcb.body), tcb.stacd)
+            (Rc::clone(&tcb.body), tcb.stacd)
         };
         {
-            let mut body = body.lock();
+            let mut body = body.borrow_mut();
             let mut sys = Sys {
-                shared: Arc::clone(&self),
+                shared: Rc::clone(&self),
                 proc,
                 who,
             };
@@ -628,7 +633,7 @@ impl Shared {
     pub(crate) fn task_exit_bookkeeping(&self, tid: TaskId, now: sysc::SimTime, delete: bool) {
         let who = ThreadRef::Task(tid);
         let (frozen_ev, next_resume, int_kick) = {
-            let mut st = self.st.lock();
+            let mut st = self.st.borrow_mut();
             // Observation order: the exit is the stimulus, the mutex
             // ownership-transfer wakeups below are its consequences.
             st.observe(crate::obs::ObsEvent::TaskExit { tid });
@@ -694,7 +699,7 @@ impl Shared {
     pub(crate) fn terminate_task(&self, tid: TaskId, now: sysc::SimTime) -> KResult<()> {
         let who = ThreadRef::Task(tid);
         let (proc, int_kick) = {
-            let mut st = self.st.lock();
+            let mut st = self.st.borrow_mut();
             match st.tcb(tid) {
                 Err(e) => return Err(e),
                 Ok(tcb) if tcb.state == TaskState::Dormant => return Err(ErCode::Obj),

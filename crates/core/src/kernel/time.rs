@@ -6,9 +6,9 @@
 //! "the timer handler updates the system clock, checks for cyclic,
 //! alarm events, or task resuming events in the timer queue").
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
-use parking_lot::Mutex;
 use sysc::{ProcCtx, SimTime, SpawnMode};
 
 use crate::cost::ServiceClass;
@@ -30,7 +30,7 @@ pub struct Cyc {
     pub(crate) gen: u64,
     /// Completed activations.
     pub(crate) count: u64,
-    pub(crate) body: Arc<Mutex<Box<HandlerBody>>>,
+    pub(crate) body: Rc<RefCell<Box<HandlerBody>>>,
 }
 
 impl std::fmt::Debug for Cyc {
@@ -50,7 +50,7 @@ pub struct Alm {
     pub(crate) active: bool,
     pub(crate) gen: u64,
     pub(crate) count: u64,
-    pub(crate) body: Arc<Mutex<Box<HandlerBody>>>,
+    pub(crate) body: Rc<RefCell<Box<HandlerBody>>>,
 }
 
 impl std::fmt::Debug for Alm {
@@ -92,7 +92,7 @@ impl<'a> Sys<'a> {
     /// arbitrary epoch).
     pub fn tk_set_tim(&mut self, ms: u64) -> KResult<()> {
         self.service_cost(ServiceClass::Time, "tk_set_tim");
-        self.shared.st.lock().systim_ms = ms;
+        self.shared.st.borrow_mut().systim_ms = ms;
         self.service_exit();
         Ok(())
     }
@@ -100,7 +100,7 @@ impl<'a> Sys<'a> {
     /// `tk_get_tim` — reads the system time in milliseconds.
     pub fn tk_get_tim(&mut self) -> KResult<u64> {
         self.service_cost(ServiceClass::Time, "tk_get_tim");
-        let v = self.shared.st.lock().systim_ms;
+        let v = self.shared.st.borrow_mut().systim_ms;
         self.service_exit();
         Ok(v)
     }
@@ -128,11 +128,11 @@ impl<'a> Sys<'a> {
         body: F,
     ) -> KResult<CycId>
     where
-        F: FnMut(&mut Sys<'_>) + Send + 'static,
+        F: FnMut(&mut Sys<'_>) + 'static,
     {
         self.service_cost(ServiceClass::Time, "tk_cre_cyc");
         let r = {
-            let mut st = self.shared.st.lock();
+            let mut st = self.shared.st.borrow_mut();
             if cyctim.is_zero() {
                 Err(ErCode::Par)
             } else {
@@ -145,7 +145,7 @@ impl<'a> Sys<'a> {
                     active: auto_start,
                     gen: 0,
                     count: 0,
-                    body: Arc::new(Mutex::new(Box::new(body) as Box<HandlerBody>)),
+                    body: Rc::new(RefCell::new(Box::new(body) as Box<HandlerBody>)),
                 };
                 let period_ticks = cyc.cyctim_ticks;
                 let raw = super::table_insert(&mut st.cycs, cyc);
@@ -187,7 +187,7 @@ impl<'a> Sys<'a> {
     pub fn tk_sta_cyc(&mut self, id: CycId) -> KResult<()> {
         self.service_cost(ServiceClass::Time, "tk_sta_cyc");
         let r = {
-            let mut st = self.shared.st.lock();
+            let mut st = self.shared.st.borrow_mut();
             let ticks = st.ticks;
             match super::table_get_mut(&mut st.cycs, id.0) {
                 Err(e) => Err(e),
@@ -210,7 +210,7 @@ impl<'a> Sys<'a> {
     pub fn tk_stp_cyc(&mut self, id: CycId) -> KResult<()> {
         self.service_cost(ServiceClass::Time, "tk_stp_cyc");
         let r = {
-            let mut st = self.shared.st.lock();
+            let mut st = self.shared.st.borrow_mut();
             let r = super::table_get_mut(&mut st.cycs, id.0).map(|c| {
                 c.active = false;
                 c.gen += 1;
@@ -228,7 +228,7 @@ impl<'a> Sys<'a> {
     pub fn tk_ref_cyc(&mut self, id: CycId) -> KResult<RefCyc> {
         self.service_cost(ServiceClass::Time, "tk_ref_cyc");
         let r = {
-            let st = self.shared.st.lock();
+            let st = self.shared.st.borrow();
             super::table_get(&st.cycs, id.0).map(|c| RefCyc {
                 name: c.name.clone(),
                 active: c.active,
@@ -243,17 +243,17 @@ impl<'a> Sys<'a> {
     /// `tk_cre_alm` — creates an (unarmed) alarm handler.
     pub fn tk_cre_alm<F>(&mut self, name: &str, body: F) -> KResult<AlmId>
     where
-        F: FnMut(&mut Sys<'_>) + Send + 'static,
+        F: FnMut(&mut Sys<'_>) + 'static,
     {
         self.service_cost(ServiceClass::Time, "tk_cre_alm");
         let r = {
-            let mut st = self.shared.st.lock();
+            let mut st = self.shared.st.borrow_mut();
             let alm = Alm {
                 name: name.to_string(),
                 active: false,
                 gen: 0,
                 count: 0,
-                body: Arc::new(Mutex::new(Box::new(body) as Box<HandlerBody>)),
+                body: Rc::new(RefCell::new(Box::new(body) as Box<HandlerBody>)),
             };
             let raw = super::table_insert(&mut st.alms, alm);
             drop(st);
@@ -271,7 +271,7 @@ impl<'a> Sys<'a> {
     pub fn tk_sta_alm(&mut self, id: AlmId, almtim: SimTime) -> KResult<()> {
         self.service_cost(ServiceClass::Time, "tk_sta_alm");
         let r = {
-            let mut st = self.shared.st.lock();
+            let mut st = self.shared.st.borrow_mut();
             let deadline = st.deadline_ticks(almtim);
             match super::table_get_mut(&mut st.alms, id.0) {
                 Err(e) => Err(e),
@@ -296,7 +296,7 @@ impl<'a> Sys<'a> {
     pub fn tk_stp_alm(&mut self, id: AlmId) -> KResult<()> {
         self.service_cost(ServiceClass::Time, "tk_stp_alm");
         let r = {
-            let mut st = self.shared.st.lock();
+            let mut st = self.shared.st.borrow_mut();
             let r = super::table_get_mut(&mut st.alms, id.0).map(|a| {
                 a.active = false;
                 a.gen += 1;
@@ -314,7 +314,7 @@ impl<'a> Sys<'a> {
     pub fn tk_ref_alm(&mut self, id: AlmId) -> KResult<RefAlm> {
         self.service_cost(ServiceClass::Time, "tk_ref_alm");
         let r = {
-            let st = self.shared.st.lock();
+            let st = self.shared.st.borrow();
             super::table_get(&st.alms, id.0).map(|a| RefAlm {
                 name: a.name.clone(),
                 active: a.active,
@@ -330,13 +330,13 @@ impl Shared {
     /// Spawns the persistent handler thread for a cyclic/alarm/ISR
     /// T-THREAD: it loops forever, running the body once per activation
     /// and signalling completion.
-    pub(crate) fn spawn_handler_thread(&self, who: ThreadRef) {
+    pub(crate) fn spawn_handler_thread(self: &Rc<Self>, who: ThreadRef) {
         let (activate_ev, name) = {
-            let st = self.st.lock();
+            let st = self.st.borrow();
             let rec = st.thread(who);
             (rec.activate_ev, rec.name.clone())
         };
-        let shared = self.owner_arc();
+        let shared = Rc::clone(self);
         let pid = self
             .h
             .spawn_thread(&name, SpawnMode::WaitEvent(activate_ev), move |proc| loop {
@@ -348,25 +348,25 @@ impl Shared {
                 while shared.run_handler_activation(proc, who) {}
                 proc.wait_event(activate_ev);
             });
-        self.st.lock().thread_mut(who).proc = Some(pid);
+        self.st.borrow_mut().thread_mut(who).proc = Some(pid);
     }
 
     /// One handler activation: entry cost, body, exit cost, completion.
     /// Returns `true` when the next activation of the same handler was
     /// chained directly (its frame is mounted; run again immediately).
-    fn run_handler_activation(self: &Arc<Shared>, proc: &mut ProcCtx, who: ThreadRef) -> bool {
+    fn run_handler_activation(self: &Rc<Shared>, proc: &mut ProcCtx, who: ThreadRef) -> bool {
         let (entry_cost, exit_cost, body, done_ev, is_isr) = {
-            let st = self.st.lock();
+            let st = self.st.borrow();
             let body = match who {
-                ThreadRef::Cyclic(id) => Arc::clone(
+                ThreadRef::Cyclic(id) => Rc::clone(
                     &super::table_get(&st.cycs, id.0)
                         .expect("cyclic exists")
                         .body,
                 ),
                 ThreadRef::Alarm(id) => {
-                    Arc::clone(&super::table_get(&st.alms, id.0).expect("alarm exists").body)
+                    Rc::clone(&super::table_get(&st.alms, id.0).expect("alarm exists").body)
                 }
-                ThreadRef::Isr(no) => Arc::clone(&st.isrs.get(&no).expect("isr defined").body),
+                ThreadRef::Isr(no) => Rc::clone(&st.isrs.get(&no).expect("isr defined").body),
                 _ => unreachable!("only handlers run here"),
             };
             let rec = st.thread(who);
@@ -382,9 +382,9 @@ impl Shared {
             self.sim_wait_atomic(proc, who, ExecContext::Handler, "int_entry", entry_cost);
         }
         {
-            let mut body = body.lock();
+            let mut body = body.borrow_mut();
             let mut sys = Sys {
-                shared: Arc::clone(self),
+                shared: Rc::clone(self),
                 proc,
                 who,
             };
@@ -394,7 +394,7 @@ impl Shared {
             self.sim_wait_atomic(proc, who, ExecContext::Handler, "int_exit", exit_cost);
         }
         {
-            let mut st = self.st.lock();
+            let mut st = self.st.borrow_mut();
             let rec = st.thread_mut(who);
             rec.marking = ExecContext::Dormant;
             rec.stats.cycles += 1;
@@ -403,7 +403,7 @@ impl Shared {
             // ISRs pop their own frame and continue the delivery chain
             // (implicit tk_ret_int).
             let rerun = {
-                let mut st = self.st.lock();
+                let mut st = self.st.borrow_mut();
                 let top = st.int_stack.pop();
                 st.int_levels.pop();
                 debug_assert_eq!(top, Some(who), "ISR must be top of the SIM_Stack");
@@ -446,22 +446,14 @@ impl Shared {
         }
         false
     }
-
-    /// Recovers the owning `Arc<Shared>` from a `&self` receiver.
-    pub(crate) fn owner_arc(&self) -> Arc<Shared> {
-        self.self_arc
-            .lock()
-            .upgrade()
-            .expect("Shared self-pointer must be initialised")
-    }
 }
 
 /// Timer-handler side of a cyclic activation (runs on the Thread
 /// Dispatch thread inside the tick sequence).
-pub(crate) fn fire_cyclic(shared: &Arc<Shared>, proc: &mut ProcCtx, id: CycId, gen: u64) {
+pub(crate) fn fire_cyclic(shared: &Rc<Shared>, proc: &mut ProcCtx, id: CycId, gen: u64) {
     let who = ThreadRef::Cyclic(id);
     let evs = {
-        let mut st = shared.st.lock();
+        let mut st = shared.st.borrow_mut();
         let ticks = st.ticks;
         let valid = match super::table_get_mut(&mut st.cycs, id.0) {
             Ok(c) if c.active && c.gen == gen => {
@@ -492,7 +484,7 @@ pub(crate) fn fire_cyclic(shared: &Arc<Shared>, proc: &mut ProcCtx, id: CycId, g
     if let Some((activate, done)) = evs {
         shared.h.notify(activate);
         proc.wait_event(done);
-        let mut st = shared.st.lock();
+        let mut st = shared.st.borrow_mut();
         let top = st.int_stack.pop();
         st.int_levels.pop();
         debug_assert_eq!(top, Some(who));
@@ -501,10 +493,10 @@ pub(crate) fn fire_cyclic(shared: &Arc<Shared>, proc: &mut ProcCtx, id: CycId, g
 }
 
 /// Timer-handler side of an alarm activation.
-pub(crate) fn fire_alarm(shared: &Arc<Shared>, proc: &mut ProcCtx, id: AlmId, gen: u64) {
+pub(crate) fn fire_alarm(shared: &Rc<Shared>, proc: &mut ProcCtx, id: AlmId, gen: u64) {
     let who = ThreadRef::Alarm(id);
     let evs = {
-        let mut st = shared.st.lock();
+        let mut st = shared.st.borrow_mut();
         let ticks = st.ticks;
         let valid = match super::table_get_mut(&mut st.alms, id.0) {
             Ok(a) if a.active && a.gen == gen => {
@@ -533,7 +525,7 @@ pub(crate) fn fire_alarm(shared: &Arc<Shared>, proc: &mut ProcCtx, id: AlmId, ge
     if let Some((activate, done)) = evs {
         shared.h.notify(activate);
         proc.wait_event(done);
-        let mut st = shared.st.lock();
+        let mut st = shared.st.borrow_mut();
         let top = st.int_stack.pop();
         st.int_levels.pop();
         debug_assert_eq!(top, Some(who));

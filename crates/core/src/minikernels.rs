@@ -42,7 +42,7 @@ use crate::sim_api::scheduler::{PriorityScheduler, RoundRobinScheduler};
 /// ```
 pub fn rtk_spec_i<F>(slice_ticks: u64, main: F) -> Rtos
 where
-    F: FnMut(&mut Sys<'_>, i32) + Send + 'static,
+    F: FnMut(&mut Sys<'_>, i32) + 'static,
 {
     let cfg = KernelConfig {
         cost: CostModel::mcu_8051(),
@@ -56,7 +56,7 @@ where
 pub fn rtk_spec_i_with(
     cfg: KernelConfig,
     slice_ticks: u64,
-    main: impl FnMut(&mut Sys<'_>, i32) + Send + 'static,
+    main: impl FnMut(&mut Sys<'_>, i32) + 'static,
 ) -> Rtos {
     Rtos::with_scheduler(cfg, Box::new(RoundRobinScheduler::new(slice_ticks)), main)
 }
@@ -66,7 +66,7 @@ pub fn rtk_spec_i_with(
 /// the smaller µ-ITRON-style configuration (16 priority levels).
 pub fn rtk_spec_ii<F>(main: F) -> Rtos
 where
-    F: FnMut(&mut Sys<'_>, i32) + Send + 'static,
+    F: FnMut(&mut Sys<'_>, i32) + 'static,
 {
     let cfg = KernelConfig {
         max_priority: 16,
@@ -81,10 +81,7 @@ where
 }
 
 /// RTK-Spec II with an explicit configuration.
-pub fn rtk_spec_ii_with(
-    cfg: KernelConfig,
-    main: impl FnMut(&mut Sys<'_>, i32) + Send + 'static,
-) -> Rtos {
+pub fn rtk_spec_ii_with(cfg: KernelConfig, main: impl FnMut(&mut Sys<'_>, i32) + 'static) -> Rtos {
     let max = cfg.max_priority;
     Rtos::with_scheduler(cfg, Box::new(PriorityScheduler::new(max)), main)
 }
@@ -100,32 +97,32 @@ pub const TICK: SimTime = SimTime::from_ms(1);
 mod tests {
     use super::*;
     use crate::state::Timeout;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::{Arc, Mutex};
+    use std::cell::{Cell, RefCell};
+    use std::rc::Rc;
 
     #[test]
     fn rtk_spec_i_time_slices_round_robin() {
         // Two CPU-bound tasks; with a 2-tick slice both make progress
         // interleaved, ignoring priorities.
-        let progress: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
-        let p1 = Arc::clone(&progress);
-        let p2 = Arc::clone(&progress);
+        let progress = Rc::new(RefCell::new(Vec::new()));
+        let p1 = Rc::clone(&progress);
+        let p2 = Rc::clone(&progress);
         let mut k = rtk_spec_i_with(KernelConfig::zero_cost(), 2, move |sys, _| {
-            let p1 = Arc::clone(&p1);
+            let p1 = Rc::clone(&p1);
             let a = sys
                 .tk_cre_tsk("a", 10, move |sys, _| {
                     for _ in 0..4 {
                         sys.exec(SimTime::from_ms(1));
-                        p1.lock().unwrap().push("a");
+                        p1.borrow_mut().push("a");
                     }
                 })
                 .unwrap();
-            let p2 = Arc::clone(&p2);
+            let p2 = Rc::clone(&p2);
             let b = sys
                 .tk_cre_tsk("b", 1, move |sys, _| {
                     for _ in 0..4 {
                         sys.exec(SimTime::from_ms(1));
-                        p2.lock().unwrap().push("b");
+                        p2.borrow_mut().push("b");
                     }
                 })
                 .unwrap();
@@ -133,7 +130,7 @@ mod tests {
             sys.tk_sta_tsk(b, 0).unwrap();
         });
         k.run_for(SimTime::from_ms(30));
-        let log = progress.lock().unwrap().clone();
+        let log = progress.take();
         assert_eq!(log.len(), 8);
         // Interleaving: both tasks appear within the first half of the
         // log (with strict priority scheduling one task would fully
@@ -144,21 +141,21 @@ mod tests {
 
     #[test]
     fn rtk_spec_ii_is_strictly_priority_preemptive() {
-        let order: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
-        let o = Arc::clone(&order);
+        let order = Rc::new(RefCell::new(Vec::new()));
+        let o = Rc::clone(&order);
         let mut k = rtk_spec_ii_with(KernelConfig::zero_cost(), move |sys, _| {
-            let o_lo = Arc::clone(&o);
+            let o_lo = Rc::clone(&o);
             let lo = sys
                 .tk_cre_tsk("lo", 12, move |sys, _| {
                     sys.exec(SimTime::from_us(100));
-                    o_lo.lock().unwrap().push("lo");
+                    o_lo.borrow_mut().push("lo");
                 })
                 .unwrap();
-            let o_hi = Arc::clone(&o);
+            let o_hi = Rc::clone(&o);
             let hi = sys
                 .tk_cre_tsk("hi", 3, move |sys, _| {
                     sys.exec(SimTime::from_us(100));
-                    o_hi.lock().unwrap().push("hi");
+                    o_hi.borrow_mut().push("hi");
                 })
                 .unwrap();
             // Started in "wrong" order; priority decides.
@@ -166,21 +163,21 @@ mod tests {
             sys.tk_sta_tsk(hi, 0).unwrap();
         });
         k.run_for(SimTime::from_ms(10));
-        assert_eq!(*order.lock().unwrap(), vec!["hi", "lo"]);
+        assert_eq!(order.take(), vec!["hi", "lo"]);
     }
 
     #[test]
     fn rtk_spec_i_supports_sleep_wakeup() {
         // The mini-kernel exposes the same task-sync services through
         // the shared SIM_API plumbing.
-        let woke = Arc::new(AtomicU64::new(0));
-        let w = Arc::clone(&woke);
+        let woke = Rc::new(Cell::new(0));
+        let w = Rc::clone(&woke);
         let mut k = rtk_spec_i_with(KernelConfig::zero_cost(), 1, move |sys, _| {
-            let w2 = Arc::clone(&w);
+            let w2 = Rc::clone(&w);
             let sleeper = sys
                 .tk_cre_tsk("sleeper", 1, move |sys, _| {
                     sys.tk_slp_tsk(Timeout::Forever).unwrap();
-                    w2.store(sys.now().as_ms(), Ordering::SeqCst);
+                    w2.set(sys.now().as_ms());
                 })
                 .unwrap();
             sys.tk_sta_tsk(sleeper, 0).unwrap();
@@ -188,7 +185,7 @@ mod tests {
             sys.tk_wup_tsk(sleeper).unwrap();
         });
         k.run_for(SimTime::from_ms(10));
-        assert_eq!(woke.load(Ordering::SeqCst), 3);
+        assert_eq!(woke.get(), 3);
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //! `rtk_analysis::trace_codec`). [`GRAMMAR_VERSION`] names the
 //! revision both documents describe.
 //!
-//! Events are emitted under the kernel state lock, at the same program
-//! point as the state mutation they describe, so the stream is a linear
+//! Events are emitted inside the kernel state borrow, at the same
+//! program point as the state mutation they describe, so the stream is a linear
 //! history: the wakeups mandated by a stimulus (`tk_sig_sem`,
 //! `tk_set_flg`, a mutex unlock, ...) appear contiguously right after
 //! it, which is what lets the oracle check wakeup *order*, not just
@@ -27,7 +27,7 @@
 //! # Consuming the stream
 //!
 //! The kernel-facing hook is [`ObsSink`]: one virtual call per event,
-//! under the state lock. Two consumption styles exist:
+//! inside the state borrow. Two consumption styles exist:
 //!
 //! * [`VecObsSink`] buffers the whole run — right for unit tests and
 //!   for handing a short history to `rtk_farm::check`.
@@ -306,7 +306,7 @@ pub struct StampedEvent {
 }
 
 /// Consumer of observation events. Implementations must be cheap and
-/// must not call back into the kernel (the state lock is held).
+/// must not call back into the kernel (its state is borrowed).
 pub trait ObsSink: Send + Sync {
     /// Receives one event.
     fn event(&self, ev: ObsEvent);
@@ -365,8 +365,8 @@ pub struct StreamStats {
 /// Bounded-ring fan-out from the kernel's [`ObsSink`] hook to
 /// pluggable [`StreamSink`] backends.
 ///
-/// The producer side ([`ObsSink::event_at`], called under the kernel
-/// state lock) appends into a fixed-capacity ring; when the ring is
+/// The producer side ([`ObsSink::event_at`], called inside the kernel
+/// state borrow) appends into a fixed-capacity ring; when the ring is
 /// full it is flushed as one batch to every backend, and a final flush
 /// happens at [`ObsStream::close`]. Memory is bounded by the ring
 /// capacity regardless of run length, replacing the grow-forever

@@ -12,6 +12,8 @@
 //! T-Kernel service calls (`tk_*`), annotated execution
 //! ([`Sys::exec`]), and BFM access hooks.
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use sysc::{ProcCtx, RunOutcome, SimHandle, SimTime, Simulation};
@@ -26,6 +28,16 @@ use crate::trace::TraceSink;
 use crate::tthread::{ExecContext, TThreadInfo};
 
 /// A fully assembled RTK-Spec TRON kernel simulation.
+///
+/// An `Rtos` lives on the thread that built it (its kernel state and the
+/// sysc engine underneath are single-threaded), so it is not `Send`. A
+/// parallel campaign sends the scenario to a worker and builds the
+/// kernel there.
+///
+/// ```compile_fail
+/// fn assert_send<T: Send>() {}
+/// assert_send::<rtk_core::Rtos>();
+/// ```
 ///
 /// # Examples
 ///
@@ -45,7 +57,7 @@ use crate::tthread::{ExecContext, TThreadInfo};
 /// ```
 pub struct Rtos {
     sim: Simulation,
-    shared: Arc<Shared>,
+    shared: Rc<Shared>,
 }
 
 impl std::fmt::Debug for Rtos {
@@ -61,7 +73,7 @@ impl Rtos {
     /// (the T-Kernel policy) and the given user main entry.
     pub fn new<F>(cfg: KernelConfig, main: F) -> Self
     where
-        F: FnMut(&mut Sys<'_>, i32) + Send + 'static,
+        F: FnMut(&mut Sys<'_>, i32) + 'static,
     {
         Self::with_scheduler(
             cfg.clone(),
@@ -74,30 +86,27 @@ impl Rtos {
     /// "external schedulers"; used by RTK-Spec I/II).
     pub fn with_scheduler<F>(cfg: KernelConfig, scheduler: Box<dyn Scheduler>, main: F) -> Self
     where
-        F: FnMut(&mut Sys<'_>, i32) + Send + 'static,
+        F: FnMut(&mut Sys<'_>, i32) + 'static,
     {
         let sim = Simulation::new();
-        let h = sim.handle();
-        let shared = Arc::new(Shared {
-            st: parking_lot::Mutex::new(KernelState::new(cfg, scheduler)),
-            h,
-            self_arc: parking_lot::Mutex::new(std::sync::Weak::new()),
+        let shared = Rc::new(Shared {
+            st: RefCell::new(KernelState::new(cfg, scheduler)),
+            h: sim.handle(),
         });
-        *shared.self_arc.lock() = Arc::downgrade(&shared);
         crate::central::install(&shared, Box::new(main));
         Rtos { sim, shared }
     }
 
     /// Attaches a trace sink (Gantt / energy analysis).
     pub fn set_trace_sink(&self, sink: Arc<dyn TraceSink>) {
-        self.shared.st.lock().sink = sink;
+        self.shared.st.borrow_mut().sink = sink;
     }
 
     /// Attaches an observation sink recording kernel decisions
     /// (dispatches, wakeups, sync-object operations) for differential
     /// checking against a reference model. See [`crate::obs`].
     pub fn set_obs_sink(&self, sink: Arc<dyn crate::obs::ObsSink>) {
-        self.shared.st.lock().obs = Some(sink);
+        self.shared.st.borrow_mut().obs = Some(sink);
     }
 
     /// The underlying sysc simulation handle.
@@ -127,7 +136,7 @@ impl Rtos {
 
     /// Advances one system tick (the paper's *step mode*).
     pub fn step(&mut self) -> RunOutcome {
-        let tick = self.shared.st.lock().cfg.tick;
+        let tick = self.shared.st.borrow_mut().cfg.tick;
         self.sim.run_for(tick)
     }
 
@@ -135,13 +144,13 @@ impl Rtos {
     /// interrupt controller) raise interrupts.
     pub fn int_port(&self) -> IntPort {
         IntPort {
-            shared: Arc::clone(&self.shared),
+            shared: Rc::clone(&self.shared),
         }
     }
 
     /// Snapshot of every registered T-THREAD (SIM_HashTB contents).
     pub fn threads(&self) -> Vec<TThreadInfo> {
-        let st = self.shared.st.lock();
+        let st = self.shared.st.borrow();
         st.threads
             .values()
             .map(|rec| TThreadInfo {
@@ -156,7 +165,7 @@ impl Rtos {
 
     /// Accumulated CPU idle time and idle energy.
     pub fn idle_stats(&self) -> (SimTime, Energy) {
-        let mut st = self.shared.st.lock();
+        let mut st = self.shared.st.borrow_mut();
         // Close any open idle span up to "now" for accurate reporting.
         let now = self.sim.now();
         if st.idle_since.is_some() {
@@ -168,7 +177,7 @@ impl Rtos {
 
     /// The debugger-support interface (T-Kernel/DS).
     pub fn ds(&self) -> crate::ds::Ds {
-        crate::ds::Ds::new(Arc::clone(&self.shared))
+        crate::ds::Ds::new(Rc::clone(&self.shared))
     }
 
     /// sysc kernel statistics (event counts etc.).
@@ -177,13 +186,13 @@ impl Rtos {
     }
 
     /// A cheap aggregate snapshot of the whole run: one kernel-state
-    /// lock, one pass over the (small) SIM_HashTB. This is the
+    /// borrow, one pass over the (small) SIM_HashTB. This is the
     /// per-scenario measurement surface of the simulation farm —
     /// everything here is derived from *simulated* quantities, so a
     /// given workload produces an identical snapshot on every host.
     pub fn run_stats(&self) -> RunStats {
         let now = self.sim.now();
-        let mut st = self.shared.st.lock();
+        let mut st = self.shared.st.borrow_mut();
         // Close any open idle span up to "now" for accurate reporting.
         if st.idle_since.is_some() {
             st.leave_idle(now);
@@ -250,7 +259,7 @@ impl RunStats {
 /// kernel's Interrupt Dispatch module.
 #[derive(Clone)]
 pub struct IntPort {
-    shared: Arc<Shared>,
+    shared: Rc<Shared>,
 }
 
 impl std::fmt::Debug for IntPort {
@@ -266,8 +275,8 @@ impl IntPort {
         self.raise_many(&[(intno, level)]);
     }
 
-    /// Queues a burst of interrupt requests under a single kernel-state
-    /// lock and a single Interrupt Dispatch wake-up — the fast path for
+    /// Queues a burst of interrupt requests with a single Interrupt
+    /// Dispatch wake-up — the fast path for
     /// hardware models that deliver several latched requests at once
     /// (e.g. the interrupt controller flushing on a global enable).
     pub fn raise_many(&self, requests: &[(IntNo, u8)]) {
@@ -275,13 +284,13 @@ impl IntPort {
             return;
         }
         let ev = {
-            let mut st = self.shared.st.lock();
+            let mut st = self.shared.st.borrow_mut();
             st.pending_ints.extend(
                 requests
                     .iter()
                     .map(|&(intno, level)| IntRequest { intno, level }),
             );
-            crate::central::int_request_event(&st)
+            st.int_req_ev
         };
         if let Some(ev) = ev {
             self.shared.h.notify(ev);
@@ -293,7 +302,7 @@ impl IntPort {
 /// user main entry. All T-Kernel services (`tk_*`) are methods on this
 /// type, implemented across the `kernel` submodules.
 pub struct Sys<'a> {
-    pub(crate) shared: Arc<Shared>,
+    pub(crate) shared: Rc<Shared>,
     pub(crate) proc: &'a mut ProcCtx,
     pub(crate) who: ThreadRef,
 }
@@ -334,11 +343,11 @@ impl<'a> Sys<'a> {
     /// atomicity: the cost is uninterruptible).
     pub(crate) fn service_cost(&mut self, class: ServiceClass, name: &'static str) {
         let cost = {
-            let st = self.shared.st.lock();
+            let st = self.shared.st.borrow();
             st.cfg.cost.service(class)
         };
         if !cost.is_zero() {
-            let shared = Arc::clone(&self.shared);
+            let shared = &self.shared;
             shared.sim_wait_atomic(self.proc, self.who, ExecContext::ServiceCall, name, cost);
         }
     }
@@ -347,8 +356,7 @@ impl<'a> Sys<'a> {
     /// request raised during the (atomic) service takes effect.
     pub(crate) fn service_exit(&mut self) {
         if let ThreadRef::Task(tid) = self.who {
-            let shared = Arc::clone(&self.shared);
-            shared.preemption_point(self.proc, tid);
+            self.shared.preemption_point(self.proc, tid);
         }
     }
 
@@ -369,8 +377,7 @@ impl<'a> Sys<'a> {
             ThreadRef::Task(_) => ExecContext::TaskBody,
             _ => ExecContext::Handler,
         };
-        let shared = Arc::clone(&self.shared);
-        shared.sim_wait(self.proc, self.who, ctx, label, cost);
+        self.shared.sim_wait(self.proc, self.who, ctx, label, cost);
     }
 
     /// Performs a BFM access: an uninterruptible bus transaction with a
@@ -378,7 +385,7 @@ impl<'a> Sys<'a> {
     /// will be associated with a cycle budget ... and an estimation on
     /// the energy consumed during that BFM access").
     pub fn bfm_access(&mut self, label: &str, cost: Cost) {
-        let shared = Arc::clone(&self.shared);
+        let shared = &self.shared;
         shared.sim_wait_atomic(self.proc, self.who, ExecContext::BfmAccess, label, cost);
     }
 }
@@ -389,16 +396,15 @@ mod tests {
 
     #[test]
     fn boot_runs_main_entry() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let ran = Arc::new(AtomicBool::new(false));
-        let r2 = Arc::clone(&ran);
+        let ran = Rc::new(std::cell::Cell::new(false));
+        let r2 = Rc::clone(&ran);
         let mut rtos = Rtos::new(KernelConfig::zero_cost(), move |sys, stacd| {
             assert_eq!(stacd, 0);
             assert!(sys.in_task_context());
-            r2.store(true, Ordering::SeqCst);
+            r2.set(true);
         });
         rtos.run_for(SimTime::from_ms(5));
-        assert!(ran.load(Ordering::SeqCst));
+        assert!(ran.get());
     }
 
     #[test]
@@ -446,14 +452,13 @@ mod tests {
 
     #[test]
     fn exec_consumes_simulated_time() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let at = Arc::new(AtomicU64::new(0));
-        let a2 = Arc::clone(&at);
+        let at = Rc::new(std::cell::Cell::new(SimTime::ZERO));
+        let a2 = Rc::clone(&at);
         let mut rtos = Rtos::new(KernelConfig::zero_cost(), move |sys, _| {
             sys.exec(SimTime::from_us(250));
-            a2.store(sys.now().as_ps(), Ordering::SeqCst);
+            a2.set(sys.now());
         });
         rtos.run_for(SimTime::from_ms(5));
-        assert_eq!(at.load(Ordering::SeqCst), SimTime::from_us(250).as_ps());
+        assert_eq!(at.get(), SimTime::from_us(250));
     }
 }

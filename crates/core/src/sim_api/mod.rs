@@ -64,7 +64,7 @@ impl Shared {
     /// Registers a T-THREAD in the SIM_HashTB (paper: every T-THREAD is
     /// recorded at creation and its entry is updated on state changes).
     pub(crate) fn register_thread(&self, who: ThreadRef, name: &str, kind: TThreadKind) {
-        let mut st = self.st.lock();
+        let mut st = self.st.borrow_mut();
         let rec = TThreadRec::new(&self.h, who, name, kind);
         st.threads.insert(who, rec);
     }
@@ -127,9 +127,9 @@ impl Shared {
         cost: Cost,
         preemptible: bool,
     ) {
-        /// What one state-lock acquisition decided about the next slice
-        /// (grant batching: the freeze check and the slice preparation
-        /// share a single lock round instead of one each).
+        /// What one state borrow decided about the next slice (grant
+        /// batching: the freeze check and the slice preparation share a
+        /// single borrow instead of one each).
         enum Prep {
             /// A freeze is pending: acknowledge via this event and park.
             Frozen(EventId),
@@ -142,7 +142,7 @@ impl Shared {
         let mut explicit_pending = cost.energy;
         loop {
             let prep = {
-                let mut st = self.st.lock();
+                let mut st = self.st.borrow_mut();
                 let now = proc.now();
                 let active = st.cfg.cost.active_power;
                 let rec = st.thread_mut(who);
@@ -179,7 +179,7 @@ impl Shared {
             };
             remaining -= consumed;
             let end = proc.now();
-            let mut st = self.st.lock();
+            let mut st = self.st.borrow_mut();
             let mut energy = power.energy_over(consumed);
             if remaining.is_zero() {
                 // Attribute the explicit EEM annotation to the final slice.
@@ -207,7 +207,7 @@ impl Shared {
         // Zero-time annotations still record their explicit energy.
         if !explicit_pending.is_zero() {
             let now = proc.now();
-            let mut st = self.st.lock();
+            let mut st = self.st.borrow_mut();
             let rec = st.thread_mut(who);
             rec.stats.consume(ctx, SimTime::ZERO, explicit_pending);
             rec.stats.sigma.fire(TThreadEvent::Ec);
@@ -232,11 +232,11 @@ impl Shared {
 
     /// Parks the calling thread until a dispatcher grants it the CPU,
     /// then records the resume transition (`Ei`/`Ex`). The caller must
-    /// already have marked the thread parked (under the state lock).
+    /// already have marked the thread parked (in the state borrow).
     pub(crate) fn park_until_granted(&self, proc: &mut ProcCtx, who: ThreadRef) {
         loop {
             let (granted, resume_ev) = {
-                let mut st = self.st.lock();
+                let mut st = self.st.borrow_mut();
                 let rec = st.thread_mut(who);
                 if rec.cpu_granted {
                     rec.parked = false;
@@ -254,11 +254,11 @@ impl Shared {
     }
 
     /// The freeze-acknowledge state transition (caller holds the state
-    /// lock and has already consumed `ctrl_pending`): marks `who`
+    /// borrow and has already consumed `ctrl_pending`): marks `who`
     /// interrupted and off-CPU, revokes its grant, records the trace
     /// point. Returns the `frozen_ev` the caller must notify before
     /// parking. Shared between [`Shared::check_ctrl_and_park`] and the
-    /// single-lock slice path of [`Shared::sim_wait`].
+    /// single-borrow slice path of [`Shared::sim_wait`].
     fn freeze_ack(st: &mut KernelState, now: SimTime, who: ThreadRef) -> EventId {
         let rec = st.thread_mut(who);
         rec.prev_marking = rec.marking;
@@ -278,7 +278,7 @@ impl Shared {
     pub(crate) fn check_ctrl_and_park(&self, proc: &mut ProcCtx, who: ThreadRef) {
         loop {
             let frozen_ev = {
-                let mut st = self.st.lock();
+                let mut st = self.st.borrow_mut();
                 let now = proc.now();
                 let rec = st.thread_mut(who);
                 if rec.ctrl_pending.take().is_some() {
@@ -298,7 +298,7 @@ impl Shared {
     /// Records the Petri-net transition for a thread that was just handed
     /// the CPU back, based on why it had lost it.
     pub(crate) fn record_resume(&self, now: SimTime, who: ThreadRef) {
-        let mut st = self.st.lock();
+        let mut st = self.st.borrow_mut();
         let rec = st.thread_mut(who);
         rec.marking = rec.prev_marking;
         let kind = match rec.resume_as {
@@ -327,7 +327,7 @@ impl Shared {
     /// the `cpu_transfer` token.
     pub(crate) fn freeze_occupant(&self, proc: &mut ProcCtx) -> Option<ThreadRef> {
         let (who, handshake) = {
-            let mut st = self.st.lock();
+            let mut st = self.st.borrow_mut();
             let occ = st.occupant()?;
             let rec = st.thread_mut(occ);
             if rec.parked {
@@ -361,7 +361,7 @@ impl Shared {
     /// unwinds to empty and by the boot sequence.
     pub(crate) fn dispatch_from_scheduler(&self, now: SimTime) {
         let resume = {
-            let mut st = self.st.lock();
+            let mut st = self.st.borrow_mut();
             let resume = Self::pick_and_switch(&mut st, now);
             Self::update_idle(&mut st, now);
             resume
@@ -463,7 +463,7 @@ impl Shared {
         // section; honour it first (its return will re-dispatch us).
         self.check_ctrl_and_park(proc, who);
         let next_resume = {
-            let mut st = self.st.lock();
+            let mut st = self.st.borrow_mut();
             let now = proc.now();
             if st.dispatch_masked() || !st.int_stack.is_empty() || st.running != Some(tid) {
                 None
@@ -505,7 +505,7 @@ impl Shared {
     ) -> (Result<(), ErCode>, Delivered) {
         let who = ThreadRef::Task(tid);
         let (frozen_ev, next_resume) = {
-            let mut st = self.st.lock();
+            let mut st = self.st.borrow_mut();
             let now = proc.now();
             debug_assert_eq!(st.running, Some(tid), "only the running task can block");
             let tcb = st.tcb_mut(tid).expect("current task exists");
@@ -551,7 +551,7 @@ impl Shared {
             (frozen_ev, next_resume)
         };
         // Publish the handshake/dispatch notifications as one batch
-        // (single engine-lock acquisition however many fire).
+        // (one engine-state borrow however many fire).
         match (frozen_ev, next_resume) {
             (Some(a), Some(b)) => self.h.notify_many(&[a, b]),
             (Some(ev), None) | (None, Some(ev)) => self.h.notify(ev),
@@ -559,7 +559,7 @@ impl Shared {
         }
         self.park_until_granted(proc, who);
         self.check_ctrl_and_park(proc, who);
-        let mut st = self.st.lock();
+        let mut st = self.st.borrow_mut();
         let tcb = st.tcb_mut(tid).expect("current task exists");
         tcb.wait_result
             .take()

@@ -1,15 +1,18 @@
 //! Shared kernel state: the SIM_HashTB thread table, the task/object
 //! tables, the ready queue, the interrupt stack and the timer queue.
 //!
-//! Everything lives behind one mutex ([`Shared`]); the sysc kernel's
-//! one-process-at-a-time guarantee means the lock is uncontended and
-//! purely a Rust-safety device. Methods on [`Shared`] are spread across
-//! the `sim_api` and `kernel` modules by concern.
+//! Everything lives in one `RefCell` inside [`Shared`]. The sysc engine
+//! runs one process at a time on one host thread, so the state needs no
+//! lock; it needs only the borrow rule: no borrow may be held across a
+//! context switch (any sysc wait) or a user task/handler body. Methods
+//! on [`Shared`] are spread across the `sim_api` and `kernel` modules by
+//! concern.
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
+use std::rc::Rc;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use sysc::{EventId, ProcId, SimHandle, SimTime, TimingWheel};
 
 use crate::config::{KernelConfig, Priority};
@@ -255,10 +258,10 @@ impl TThreadRec {
 
 /// Task body signature: the task receives its service-call context and
 /// the start code passed to `tk_sta_tsk`.
-pub type TaskBody = dyn FnMut(&mut crate::rtos::Sys<'_>, i32) + Send;
+pub type TaskBody = dyn FnMut(&mut crate::rtos::Sys<'_>, i32);
 
 /// Handler body signature (cyclic, alarm and interrupt handlers).
-pub type HandlerBody = dyn FnMut(&mut crate::rtos::Sys<'_>) + Send;
+pub type HandlerBody = dyn FnMut(&mut crate::rtos::Sys<'_>);
 
 /// Task control block.
 pub(crate) struct Tcb {
@@ -278,7 +281,7 @@ pub(crate) struct Tcb {
     pub wait_gen: u64,
     pub wait_result: Option<(Result<(), ErCode>, Delivered)>,
     pub held_mutexes: Vec<MtxId>,
-    pub body: Arc<Mutex<Box<TaskBody>>>,
+    pub body: Rc<RefCell<Box<TaskBody>>>,
     /// Start code of the current activation.
     pub stacd: i32,
     /// `true` if the task is in the ready queue because it was preempted
@@ -374,8 +377,8 @@ pub(crate) struct KernelState {
     pub idle_energy: Energy,
     /// When the CPU last became idle, if it is idle now.
     pub idle_since: Option<SimTime>,
-    /// Wall-clock start of the simulation run (set by the facade; used by
-    /// the Table 2 speed harness).
+    /// Set by the Boot module once the init task is started; ticks and
+    /// interrupt deliveries before that are ignored.
     pub booted: bool,
 }
 
@@ -522,11 +525,8 @@ impl KernelState {
 /// The shared kernel: state plus the sysc handle. All SIM_API and
 /// T-Kernel service implementations are methods on this type.
 pub struct Shared {
-    pub(crate) st: Mutex<KernelState>,
+    pub(crate) st: RefCell<KernelState>,
     pub(crate) h: SimHandle,
-    /// Weak self-pointer so `&self` methods can hand owning clones to
-    /// spawned process closures.
-    pub(crate) self_arc: Mutex<std::sync::Weak<Shared>>,
 }
 
 impl std::fmt::Debug for Shared {

@@ -6,10 +6,11 @@
 //! [`ScenarioOutcome`] (and its digest) is identical no matter which
 //! worker thread — or host — executed the job.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
 use rtk_analysis::static_verify::Conformance;
@@ -178,38 +179,36 @@ impl ScenarioOutcome {
     }
 }
 
-/// Per-run measurement shared between the workload closures. All
-/// access happens from inside one sysc simulation (one process at a
-/// time), so the mutexes are uncontended Rust-safety devices.
+/// Per-run measurement shared between the workload closures, which
+/// all run inside one single-threaded sysc simulation. A closure
+/// borrows it between two service calls, never across one.
+#[derive(Default)]
 struct Collect {
     /// Release timestamps (µs) not yet consumed, per task.
-    pending: Vec<Mutex<VecDeque<u64>>>,
+    pending: Vec<VecDeque<u64>>,
     /// Releases issued, per task.
-    releases: Vec<AtomicU64>,
+    releases: Vec<u64>,
     /// Jobs completed, per task.
-    completions: Vec<AtomicU64>,
-    latencies_us: Mutex<Vec<u64>>,
-    misses: AtomicU64,
+    completions: Vec<u64>,
+    latencies_us: Vec<u64>,
+    misses: u64,
     /// Simulated time (µs) of the most recent completion, any task.
-    last_completion_us: AtomicU64,
+    last_completion_us: u64,
     /// Worst response latency per task among jobs released at or
     /// after [`WARMUP_US`] (static-bound cross-check input).
-    max_latency_us: Vec<AtomicU64>,
+    max_latency_us: Vec<u64>,
     /// Deadline misses among jobs released at or after [`WARMUP_US`].
-    post_warmup_misses: AtomicU64,
+    post_warmup_misses: u64,
 }
 
 impl Collect {
     fn new(ntasks: usize) -> Self {
         Collect {
-            pending: (0..ntasks).map(|_| Mutex::new(VecDeque::new())).collect(),
-            releases: (0..ntasks).map(|_| AtomicU64::new(0)).collect(),
-            completions: (0..ntasks).map(|_| AtomicU64::new(0)).collect(),
-            latencies_us: Mutex::new(Vec::new()),
-            misses: AtomicU64::new(0),
-            last_completion_us: AtomicU64::new(0),
-            max_latency_us: (0..ntasks).map(|_| AtomicU64::new(0)).collect(),
-            post_warmup_misses: AtomicU64::new(0),
+            pending: vec![VecDeque::new(); ntasks],
+            releases: vec![0; ntasks],
+            completions: vec![0; ntasks],
+            max_latency_us: vec![0; ntasks],
+            ..Collect::default()
         }
     }
 }
@@ -323,7 +322,7 @@ pub(crate) fn run_scenario_recorded(
         ..ScenarioOutcome::default()
     };
 
-    let collect = Arc::new(Collect::new(spec.tasks.len()));
+    let collect = Rc::new(RefCell::new(Collect::new(spec.tasks.len())));
 
     // Assemble the observation pipeline: every consumer is a sink on
     // one shared stream, so the kernel pays for instrumentation once
@@ -378,7 +377,7 @@ pub(crate) fn run_scenario_recorded(
     let obs = any_sink.then(|| Arc::new(stream));
 
     let result = {
-        let collect = Arc::clone(&collect);
+        let collect = Rc::clone(&collect);
         let obs = obs.clone();
         let spec = spec.clone();
         catch_unwind(AssertUnwindSafe(move || execute(&spec, &collect, obs)))
@@ -426,19 +425,16 @@ pub(crate) fn run_scenario_recorded(
         Ok((engine_outcome, stats)) => {
             out.engine_outcome = engine_outcome;
             out.stats = stats;
-            out.latencies_us = collect.latencies_us.lock().unwrap().clone();
-            out.deadline_misses = collect.misses.load(Ordering::Relaxed);
+            let mut collect = collect.borrow_mut();
+            out.latencies_us = std::mem::take(&mut collect.latencies_us);
+            out.deadline_misses = collect.misses;
             if analyze {
-                out.max_latency_by_task = collect
-                    .max_latency_us
-                    .iter()
-                    .map(|m| m.load(Ordering::Relaxed))
-                    .collect();
-                out.post_warmup_misses = collect.post_warmup_misses.load(Ordering::Relaxed);
+                out.max_latency_by_task = std::mem::take(&mut collect.max_latency_us);
+                out.post_warmup_misses = collect.post_warmup_misses;
             }
             for i in 0..spec.tasks.len() {
-                let rel = collect.releases[i].load(Ordering::Relaxed);
-                let cmp = collect.completions[i].load(Ordering::Relaxed);
+                let rel = collect.releases[i];
+                let cmp = collect.completions[i];
                 out.releases += rel;
                 out.completions += cmp;
                 if rel >= 4 && cmp == 0 {
@@ -471,7 +467,7 @@ pub(crate) fn run_scenario_recorded(
                     .map(|t| u64::from(t.period_ms) * 1000)
                     .max()
                     .unwrap_or(0);
-                let last_us = collect.last_completion_us.load(Ordering::Relaxed);
+                let last_us = collect.last_completion_us;
                 let backlog = out.releases - out.completions;
                 out.stalled |= out.completions == 0
                     || (backlog > 0 && last_us + 2 * max_period_us < horizon_us);
@@ -485,7 +481,7 @@ pub(crate) fn run_scenario_recorded(
 /// the final stats snapshot.
 fn execute(
     spec: &ScenarioSpec,
-    collect: &Arc<Collect>,
+    collect: &Rc<RefCell<Collect>>,
     obs: Option<Arc<ObsStream>>,
 ) -> (&'static str, RunStats) {
     let order = if spec.priority_queues {
@@ -501,7 +497,7 @@ fn execute(
     let top_pri = spec.tasks.iter().map(|t| t.priority).min().unwrap_or(1);
 
     let mut rtos = {
-        let collect = Arc::clone(collect);
+        let collect = Rc::clone(collect);
         let spec = spec.clone();
         Rtos::new(KernelConfig::paper(), move |sys, _| {
             // Shared objects of the topology.
@@ -733,7 +729,7 @@ fn execute(
                 // cycle, so the latency of the deferred job includes
                 // the full extra period.
                 {
-                    let collect = Arc::clone(&collect);
+                    let collect = Rc::clone(&collect);
                     let delay_nth = spec.faults.delay_every_nth_release;
                     let mut deferred: u32 = 0;
                     sys.tk_cre_cyc(
@@ -743,8 +739,12 @@ fn execute(
                         true,
                         move |sys| {
                             let now_us = sys.now().as_us();
-                            collect.pending[i].lock().unwrap().push_back(now_us);
-                            let n = collect.releases[i].fetch_add(1, Ordering::Relaxed) + 1;
+                            let n = {
+                                let mut c = collect.borrow_mut();
+                                c.pending[i].push_back(now_us);
+                                c.releases[i] += 1;
+                                c.releases[i]
+                            };
                             let defer =
                                 delay_nth.is_some_and(|nth| n.is_multiple_of(u64::from(nth)));
                             if defer {
@@ -759,7 +759,7 @@ fn execute(
                 }
 
                 // Consumer side: the periodic task.
-                let collect = Arc::clone(&collect);
+                let collect = Rc::clone(&collect);
                 let topology = spec.topology;
                 let exec_us = u64::from(task.exec_us);
                 let deadline_us = u64::from(task.period_ms) * 1000;
@@ -770,9 +770,7 @@ fn execute(
                             break;
                         }
                         jobs += 1;
-                        let release_us = collect.pending[i]
-                            .lock()
-                            .unwrap()
+                        let release_us = collect.borrow_mut().pending[i]
                             .pop_front()
                             .expect("every gate signal has a release stamp");
                         match topology {
@@ -912,21 +910,20 @@ fn execute(
                         }
                         let now_us = sys.now().as_us();
                         let latency = now_us - release_us;
-                        collect.latencies_us.lock().unwrap().push(latency);
-                        collect.completions[i].fetch_add(1, Ordering::Relaxed);
-                        collect
-                            .last_completion_us
-                            .fetch_max(now_us, Ordering::Relaxed);
+                        let mut c = collect.borrow_mut();
+                        c.latencies_us.push(latency);
+                        c.completions[i] += 1;
+                        c.last_completion_us = c.last_completion_us.max(now_us);
                         if latency > deadline_us {
-                            collect.misses.fetch_add(1, Ordering::Relaxed);
+                            c.misses += 1;
                         }
                         // Steady-state view for the static analyzer:
                         // jobs released during the boot/creation
                         // transient are exempt (docs/STATIC_ANALYSIS.md).
                         if release_us >= WARMUP_US {
-                            collect.max_latency_us[i].fetch_max(latency, Ordering::Relaxed);
+                            c.max_latency_us[i] = c.max_latency_us[i].max(latency);
                             if latency > deadline_us {
-                                collect.post_warmup_misses.fetch_add(1, Ordering::Relaxed);
+                                c.post_warmup_misses += 1;
                             }
                         }
                     }

@@ -1,7 +1,7 @@
 //! Trace platform end-to-end properties: golden-fixture stability of
 //! the binary format, replay verdict fidelity for a pinned divergent
-//! stream, bounded-capture drop accounting, and thread-count
-//! invariance of captured trace bytes.
+//! stream, decoder robustness on damaged input, bounded-capture drop
+//! accounting, and thread-count invariance of captured trace bytes.
 //!
 //! The golden fixture (`tests/fixtures/golden_divergent.rtkt`) pins the
 //! wire format: if an encoder change alters the bytes, the fixture test
@@ -12,7 +12,7 @@
 use std::path::{Path, PathBuf};
 
 use rtk_analysis::trace_codec::{
-    decode_trace, encode_trace, read_trace, TraceHeader, TraceTrailer,
+    decode_trace, encode_header, encode_trace, read_trace, CodecError, TraceHeader, TraceTrailer,
 };
 use rtk_core::{ObsEvent, SemId, StampedEvent, TaskId, WaitObj, WakeCode};
 use rtk_farm::{
@@ -150,6 +150,46 @@ fn golden_fixture_round_trips_and_replays_with_pinned_verdict() {
     assert_eq!(div.detail, live_div.detail);
     assert_eq!(replayed.verdict.events_checked, live.events_checked);
     assert_eq!(replayed.verdict.events_checked, PINNED_DIVERGENCE_INDEX);
+}
+
+/// Hostile input: every truncation and every single-bit flip of the
+/// fixture decodes to `Ok` or a `CodecError`, never a panic.
+#[test]
+fn damaged_fixture_decodes_or_errs_without_panicking() {
+    let golden = std::fs::read(fixture_path()).unwrap();
+    let survives = |bytes: &[u8], what: String| {
+        std::panic::catch_unwind(|| decode_trace(bytes).is_ok())
+            .unwrap_or_else(|_| panic!("decoder panicked on {what}"))
+    };
+    let decodable = (0..=golden.len())
+        .filter(|&n| survives(&golden[..n], format!("a {n}-byte prefix")))
+        .count();
+    // The intact file and prefixes that end on a record boundary.
+    assert!((1..golden.len()).contains(&decodable));
+    let mut flipped = golden.clone();
+    for bit in 0..golden.len() * 8 {
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        survives(&flipped, format!("bit {bit} flipped"));
+        flipped[bit / 8] ^= 1 << (bit % 8);
+    }
+}
+
+/// A record length of 2^56 or more (a 9-byte varint) is refused as
+/// truncated. Allocating that much would abort the test process, so
+/// the typed error also shows that nothing was sized from it.
+#[test]
+fn nine_byte_record_length_is_refused() {
+    // LEB128 of 2^56 and 2^63 - 1: the smallest and largest 9-byte values.
+    for (fill, last) in [(0x80, 0x01), (0xff, 0x7f)] {
+        let mut bytes = encode_header(&golden_header());
+        bytes.extend([fill; 8]);
+        bytes.extend([last, 1, 2, 3]);
+        let result = decode_trace(&bytes);
+        assert!(
+            matches!(result, Err(CodecError::Truncated(_))),
+            "{result:?}"
+        );
+    }
 }
 
 /// A campaign with a bounded per-trace cap: the excess is dropped

@@ -6,7 +6,7 @@
 //! request-update targets of the signal infrastructure.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use crate::ids::{EventId, ProcId};
 use crate::signal::UpdateTarget;
@@ -20,11 +20,5 @@ pub(crate) struct DeltaQueues {
     /// Events with a pending delta notification.
     pub(crate) delta_notified: Vec<EventId>,
     /// Signal update requests for the next update phase.
-    pub(crate) updates: Vec<Arc<dyn UpdateTarget>>,
-}
-
-impl DeltaQueues {
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
+    pub(crate) updates: Vec<Rc<dyn UpdateTarget>>,
 }

@@ -3,8 +3,7 @@
 //! [`NotifyBatch`]).
 
 use std::panic;
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use crate::ids::{EventId, ProcId};
 use crate::runtime::coro::{CoroShared, Terminal};
@@ -13,16 +12,22 @@ use crate::signal::UpdateTarget;
 use crate::time::SimTime;
 use crate::trace::KernelStats;
 
-use super::procs::{MethodSlot, ProcBody, ProcEntry, ProcState, WaitKind};
+use super::procs::{MethodCallback, ProcBody, ProcEntry, ProcState, WaitKind};
 use super::sched::{EventEntry, Pending};
 use super::{Kernel, MethodCtx, ProcCtx, SpawnMode};
 
 /// Cloneable handle to a simulation: event/process creation and
 /// notification. Usable from the embedding code and from inside process
-/// bodies.
+/// bodies, on the simulation's own thread: like [`crate::Simulation`],
+/// a handle is not `Send`.
+///
+/// ```compile_fail
+/// fn assert_send<T: Send>() {}
+/// assert_send::<sysc::SimHandle>();
+/// ```
 #[derive(Clone)]
 pub struct SimHandle {
-    pub(crate) k: Arc<Kernel>,
+    pub(crate) k: Rc<Kernel>,
 }
 
 impl std::fmt::Debug for SimHandle {
@@ -34,17 +39,17 @@ impl std::fmt::Debug for SimHandle {
 impl SimHandle {
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        self.k.st.lock().now
+        self.k.st.borrow().now
     }
 
     /// Kernel activity counters.
     pub fn stats(&self) -> KernelStats {
-        self.k.st.lock().stats
+        self.k.st.borrow().stats
     }
 
     /// Creates a named event.
     pub fn create_event(&self, name: &str) -> EventId {
-        let mut st = self.k.st.lock();
+        let mut st = self.k.st.borrow_mut();
         let id = EventId(st.events.len() as u32);
         st.events.push(EventEntry::new(name));
         id
@@ -53,27 +58,26 @@ impl SimHandle {
     /// Immediate notification: fires now, waking waiters into the current
     /// evaluation phase. Overrides (cancels) any pending notification.
     pub fn notify(&self, e: EventId) {
-        self.k.st.lock().notify_now_locked(e);
+        self.k.st.borrow_mut().notify_now(e);
     }
 
-    /// Immediately notifies several events under a single kernel-lock
-    /// acquisition, in order. Equivalent to calling
-    /// [`SimHandle::notify`] for each, minus the per-event locking —
-    /// the dispatch fast path for models that fan one hardware action
-    /// out to several events.
+    /// Immediately notifies several events, in order, in one borrow of
+    /// the kernel state. Equivalent to calling [`SimHandle::notify`] for
+    /// each; for models that fan one hardware action out to several
+    /// events.
     pub fn notify_many(&self, events: &[EventId]) {
         if events.is_empty() {
             return;
         }
-        let mut st = self.k.st.lock();
+        let mut st = self.k.st.borrow_mut();
         for &e in events {
-            st.notify_now_locked(e);
+            st.notify_now(e);
         }
     }
 
     /// Starts a deferred notification batch: notifications recorded on
     /// the batch are published by [`NotifyBatch::commit`] (or drop)
-    /// under one kernel-lock acquisition.
+    /// in one borrow of the kernel state.
     ///
     /// # Examples
     ///
@@ -100,19 +104,19 @@ impl SimHandle {
     /// Delta notification: fires in the next delta cycle. Overrides a
     /// pending timed notification; keeps an existing delta notification.
     pub fn notify_delta(&self, e: EventId) {
-        self.k.st.lock().notify_delta_locked(e);
+        self.k.st.borrow_mut().notify_delta(e);
     }
 
     /// Timed notification after `delay`. Follows the `sc_event` override
     /// rule: an earlier pending notification wins; a later one is
     /// replaced. A zero delay degenerates to a delta notification.
     pub fn notify_after(&self, e: EventId, delay: SimTime) {
-        self.k.st.lock().notify_after_locked(e, delay);
+        self.k.st.borrow_mut().notify_after(e, delay);
     }
 
     /// Cancels any pending (delta or timed) notification.
     pub fn cancel(&self, e: EventId) {
-        let mut st = self.k.st.lock();
+        let mut st = self.k.st.borrow_mut();
         let ev = &mut st.events[e.index()];
         ev.gen += 1;
         ev.pending = Pending::None;
@@ -124,35 +128,35 @@ impl SimHandle {
     /// insert, not a heap push.
     pub fn make_periodic(&self, e: EventId, period: SimTime, first_after: SimTime) {
         assert!(!period.is_zero(), "periodic event needs a non-zero period");
-        let mut st = self.k.st.lock();
+        let mut st = self.k.st.borrow_mut();
         st.events[e.index()].auto_renotify = Some(period);
-        st.notify_after_locked(e, first_after);
+        st.notify_after(e, first_after);
     }
 
     /// Stops the periodic re-notification of an event (the currently
     /// pending firing, if any, still happens unless cancelled).
     pub fn stop_periodic(&self, e: EventId) {
-        self.k.st.lock().events[e.index()].auto_renotify = None;
+        self.k.st.borrow_mut().events[e.index()].auto_renotify = None;
     }
 
     /// Number of times the event has fired.
     pub fn event_fire_count(&self, e: EventId) -> u64 {
-        self.k.st.lock().events[e.index()].fire_count
+        self.k.st.borrow().events[e.index()].fire_count
     }
 
     /// The event's name.
     pub fn event_name(&self, e: EventId) -> String {
-        self.k.st.lock().events[e.index()].name.clone()
+        self.k.st.borrow().events[e.index()].name.clone()
     }
 
     /// The process's name.
     pub fn proc_name(&self, p: ProcId) -> String {
-        self.k.st.lock().procs.get(p).name.clone()
+        self.k.st.borrow().procs.get(p).name.clone()
     }
 
     /// Whether the process has finished (returned or been killed).
     pub fn is_finished(&self, p: ProcId) -> bool {
-        self.k.st.lock().procs.get(p).state == ProcState::Finished
+        self.k.st.borrow().procs.get(p).state == ProcState::Finished
     }
 
     /// Spawns a thread process. The body runs as a stackful coroutine
@@ -162,16 +166,16 @@ impl SimHandle {
     /// stop paying a stack allocation per process.
     pub fn spawn_thread<F>(&self, name: &str, mode: SpawnMode, body: F) -> ProcId
     where
-        F: FnOnce(&mut ProcCtx) + Send + 'static,
+        F: FnOnce(&mut ProcCtx) + 'static,
     {
-        let shared = CoroShared::new(Arc::clone(&self.k.rt));
+        let shared = CoroShared::new(Rc::clone(&self.k.rt));
         let id = {
-            let mut st = self.k.st.lock();
+            let mut st = self.k.st.borrow_mut();
             st.procs
-                .push(ProcEntry::new_thread(name, Arc::clone(&shared)))
+                .push(ProcEntry::new_thread(name, Rc::clone(&shared)))
         };
         launch(&shared, self.clone(), id, body);
-        let mut st = self.k.st.lock();
+        let mut st = self.k.st.borrow_mut();
         match mode {
             SpawnMode::Immediate => st.dq.runnable.push_back(id),
             SpawnMode::WaitEvent(e) => {
@@ -199,13 +203,14 @@ impl SimHandle {
         callback: F,
     ) -> ProcId
     where
-        F: FnMut(&mut MethodCtx) + Send + 'static,
+        F: FnMut(&mut MethodCtx) + 'static,
     {
-        let slot = MethodSlot::new(Box::new(callback));
-        let mut st = self.k.st.lock();
-        let id = st
-            .procs
-            .push(ProcEntry::new_method(name, slot, run_at_start));
+        let mut st = self.k.st.borrow_mut();
+        let id = st.procs.push(ProcEntry::new_method(
+            name,
+            Box::new(callback),
+            run_at_start,
+        ));
         for e in sensitivity {
             st.events[e.index()].method_subs.push(id);
         }
@@ -224,23 +229,24 @@ impl SimHandle {
     /// Panics if `p` is the currently running process — a process exits
     /// itself with [`ProcCtx::exit`] instead.
     pub fn kill(&self, p: ProcId) {
-        assert!(
-            self.k.current.load(Ordering::Relaxed) != p.index() as u32,
-            "a process cannot kill itself; use ProcCtx::exit"
-        );
         enum Victim {
-            Thread(Arc<CoroShared>),
-            Method(Arc<MethodSlot>),
+            Thread(Rc<CoroShared>),
+            Method(Option<MethodCallback>),
         }
         let victim = {
-            let mut st = self.k.st.lock();
+            let mut st = self.k.st.borrow_mut();
+            assert!(
+                st.current != p.index() as u32,
+                "a process cannot kill itself; use ProcCtx::exit"
+            );
             if st.procs.get(p).state == ProcState::Finished {
                 return;
             }
-            st.procs.get_mut(p).finish();
-            match &st.procs.get(p).body {
-                ProcBody::Thread { shared } => Victim::Thread(Arc::clone(shared)),
-                ProcBody::Method { slot, .. } => Victim::Method(Arc::clone(slot)),
+            let entry = st.procs.get_mut(p);
+            entry.finish();
+            match &mut entry.body {
+                ProcBody::Thread { shared } => Victim::Thread(Rc::clone(shared)),
+                ProcBody::Method { cb, .. } => Victim::Method(cb.take()),
             }
         };
         match victim {
@@ -251,15 +257,16 @@ impl SimHandle {
                     panic::resume_unwind(payload)
                 }
             }
-            // Drop the callback so a queued activation is a no-op.
-            Victim::Method(slot) => drop(slot.cb.lock().take()),
+            // Dropped outside the state borrow: the `Drop` of a captured
+            // value may use the simulation.
+            Victim::Method(cb) => drop(cb),
         }
     }
 
     /// Queues an update target for the next update phase (signal
     /// infrastructure; see [`crate::Signal`]).
-    pub(crate) fn request_update(&self, target: Arc<dyn UpdateTarget>) {
-        self.k.st.lock().dq.updates.push(target);
+    pub(crate) fn request_update(&self, target: Rc<dyn UpdateTarget>) {
+        self.k.st.borrow_mut().dq.updates.push(target);
     }
 }
 
@@ -270,13 +277,13 @@ impl SimHandle {
 /// kill/teardown is waiting, chained finish bookkeeping otherwise). It
 /// **returns** the final transfer as a [`Terminal`] instead of
 /// performing it, so the last context switch executes after the wrapper
-/// frame — and every `Arc` it held — is gone (see
+/// frame — and every `Rc` it held — is gone (see
 /// [`crate::runtime::coro`] on leak-free teardown).
-fn launch<F>(shared: &Arc<CoroShared>, handle: SimHandle, id: ProcId, body: F)
+fn launch<F>(shared: &Rc<CoroShared>, handle: SimHandle, id: ProcId, body: F)
 where
-    F: FnOnce(&mut ProcCtx) + Send + 'static,
+    F: FnOnce(&mut ProcCtx) + 'static,
 {
-    let shared2 = Arc::clone(shared);
+    let shared2 = Rc::clone(shared);
     shared.set_entry(Box::new(move || -> Terminal {
         let reason = match shared2.await_cmd() {
             // Unreachable in practice (a terminate before first
@@ -285,10 +292,10 @@ where
             Cmd::Terminate => return Terminal::Link(Reply::Finished),
             Cmd::Run(reason) => reason,
         };
-        let k = Arc::clone(&handle.k);
+        let k = Rc::clone(&handle.k);
         let mut ctx = ProcCtx {
             handle,
-            shared: Arc::clone(&shared2),
+            shared: Rc::clone(&shared2),
             id,
             last_reason: reason,
         };
@@ -311,7 +318,7 @@ where
 }
 
 /// A deferred notification buffer: records notifications locally and
-/// publishes them all under a single kernel-lock acquisition on
+/// publishes them all in one borrow of the kernel state on
 /// [`NotifyBatch::commit`] (or when dropped). Built by
 /// [`SimHandle::batch`]; used by peripheral models that emit several
 /// notifications per hardware action.
@@ -355,18 +362,18 @@ impl NotifyBatch {
         self.ops.is_empty()
     }
 
-    /// Publishes all recorded notifications, in recording order, under
-    /// one kernel-lock acquisition. The batch can be reused afterwards.
+    /// Publishes all recorded notifications, in recording order, in one
+    /// borrow of the kernel state. The batch can be reused afterwards.
     pub fn commit(&mut self) {
         if self.ops.is_empty() {
             return;
         }
-        let mut st = self.h.k.st.lock();
+        let mut st = self.h.k.st.borrow_mut();
         for (e, op) in self.ops.drain(..) {
             match op {
-                BatchedNotify::Now => st.notify_now_locked(e),
-                BatchedNotify::Delta => st.notify_delta_locked(e),
-                BatchedNotify::After(d) => st.notify_after_locked(e, d),
+                BatchedNotify::Now => st.notify_now(e),
+                BatchedNotify::Delta => st.notify_delta(e),
+                BatchedNotify::After(d) => st.notify_after(e, d),
             }
         }
     }

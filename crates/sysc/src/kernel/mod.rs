@@ -6,7 +6,7 @@
 //!   periodic notifications (O(1) insert on the clock-tick hot path);
 //! * [`delta`] — the per-delta queues (runnable, yields, delta
 //!   notifications, signal updates);
-//! * [`procs`] — the process table and the method-process fast path.
+//! * [`procs`] — the process table (thread and method processes).
 //!
 //! This module keeps the public surface: [`Simulation`], [`SimHandle`]
 //! (including the batched [`SimHandle::notify_many`] /
@@ -18,10 +18,9 @@ mod procs;
 mod sched;
 pub(crate) mod wheel;
 
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use crate::ids::{EventId, ProcId};
 use crate::runtime::coro::{CoroRt, CoroShared};
@@ -69,25 +68,18 @@ pub enum SpawnMode {
 }
 
 pub(crate) struct Kernel {
-    pub(crate) st: Mutex<KState>,
-    /// Index of the currently executing process (`CURRENT_NONE` when
-    /// the scheduler itself runs); outside the lock so the method fast
-    /// path never re-locks just for bookkeeping.
-    pub(crate) current: AtomicU32,
-    /// Mirrors `st.tracer.is_some()` so hot paths can skip tracing
-    /// without taking the lock.
-    pub(crate) tracing: AtomicBool,
+    /// All mutable kernel state. Borrowed briefly, never across a
+    /// context switch or a process/method body (see the `sched` docs).
+    pub(crate) st: RefCell<KState>,
     /// The coroutine runtime: the root context, which holds the
     /// kernel's chained-dispatch gate (see [`crate::runtime`]).
-    pub(crate) rt: Arc<CoroRt>,
+    pub(crate) rt: Rc<CoroRt>,
 }
 
 impl Kernel {
     fn new() -> Self {
         Kernel {
-            st: Mutex::new(KState::new()),
-            current: AtomicU32::new(CURRENT_NONE),
-            tracing: AtomicBool::new(false),
+            st: RefCell::new(KState::new()),
             rt: CoroRt::new(),
         }
     }
@@ -95,6 +87,16 @@ impl Kernel {
 
 /// The simulation owner: spawns processes, runs the scheduler, and tears
 /// everything down on drop.
+///
+/// A simulation and its [`SimHandle`]s live on the thread that built
+/// them: the kernel state is single-threaded (`Rc`/`RefCell`), so
+/// neither type is `Send`. Parallel campaigns move the *inputs* of a
+/// run to a worker and build the simulation there.
+///
+/// ```compile_fail
+/// fn assert_send<T: Send>() {}
+/// assert_send::<sysc::Simulation>();
+/// ```
 ///
 /// # Examples
 ///
@@ -113,7 +115,7 @@ impl Kernel {
 /// assert_eq!(sim.handle().event_fire_count(done), 1);
 /// ```
 pub struct Simulation {
-    k: Arc<Kernel>,
+    k: Rc<Kernel>,
 }
 
 impl std::fmt::Debug for Simulation {
@@ -135,42 +137,40 @@ impl Simulation {
     /// run as stackful coroutines on the thread that drives it.
     pub fn new() -> Self {
         Simulation {
-            k: Arc::new(Kernel::new()),
+            k: Rc::new(Kernel::new()),
         }
     }
 
     /// A cloneable handle for creating events/processes and notifying.
     pub fn handle(&self) -> SimHandle {
         SimHandle {
-            k: Arc::clone(&self.k),
+            k: Rc::clone(&self.k),
         }
     }
 
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        self.k.st.lock().now
+        self.k.st.borrow().now
     }
 
     /// Kernel activity counters.
     pub fn stats(&self) -> KernelStats {
-        self.k.st.lock().stats
+        self.k.st.borrow().stats
     }
 
     /// Attaches a tracer (replacing any previous one).
     pub fn set_tracer(&self, tracer: Arc<dyn Tracer>) {
-        self.k.st.lock().tracer = Some(tracer);
-        self.k.tracing.store(true, Ordering::Relaxed);
+        self.k.st.borrow_mut().tracer = Some(tracer);
     }
 
     /// Removes the tracer.
     pub fn clear_tracer(&self) {
-        self.k.st.lock().tracer = None;
-        self.k.tracing.store(false, Ordering::Relaxed);
+        self.k.st.borrow_mut().tracer = None;
     }
 
     /// Sets the delta-cycle limit per timestep (oscillation guard).
     pub fn set_max_deltas_per_timestep(&self, limit: u64) {
-        self.k.st.lock().max_deltas_per_timestep = limit;
+        self.k.st.borrow_mut().max_deltas_per_timestep = limit;
     }
 
     /// Runs until simulated time reaches `limit` (inclusive of activity
@@ -201,7 +201,7 @@ impl Simulation {
     /// Earliest pending timed activity, if any (may include cancelled
     /// entries; intended for step-mode heuristics only).
     pub fn next_activity_at(&self) -> Option<SimTime> {
-        self.k.st.lock().wheel.next_at().map(SimTime::from_ps)
+        self.k.st.borrow().wheel.next_at().map(SimTime::from_ps)
     }
 }
 
@@ -213,12 +213,12 @@ impl Drop for Simulation {
         // own — there is nothing to join.
         let mut shareds = Vec::new();
         {
-            let mut st = self.k.st.lock();
+            let mut st = self.k.st.borrow_mut();
             for p in st.procs.iter_mut() {
                 if let ProcBody::Thread { shared } = &mut p.body {
                     if p.state != ProcState::Finished {
                         p.state = ProcState::Finished;
-                        shareds.push(Arc::clone(shared));
+                        shareds.push(Rc::clone(shared));
                     }
                 }
             }
@@ -236,7 +236,7 @@ impl Drop for Simulation {
 /// primitives (the only way a process may consume simulated time).
 pub struct ProcCtx {
     handle: SimHandle,
-    shared: Arc<CoroShared>,
+    shared: Rc<CoroShared>,
     id: ProcId,
     last_reason: WakeReason,
 }
@@ -273,7 +273,7 @@ impl ProcCtx {
 
     fn suspend(&mut self, spec: WaitSpec) -> WakeReason {
         // Register the wait and chain-dispatch the next runnable under
-        // one kernel-lock round — or get the wait served in place from
+        // one kernel-state borrow — or get the wait served in place from
         // the fast-forward run budget. Control comes back here when
         // this process is next dispatched, with its command stored.
         if let Some(reason) = sched::yield_from_process(&self.handle.k, self.id, spec) {

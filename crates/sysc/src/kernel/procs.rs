@@ -1,15 +1,11 @@
 //! The process table: thread- and method-process bookkeeping.
 //!
 //! Thread processes are stackful coroutines ([`crate::runtime`]);
-//! method processes are plain callbacks. For the method fast path, the
-//! callback box lives *outside* the kernel state in a per-process
-//! [`MethodSlot`], so the scheduler can pop a method from the runnable
-//! queue in one kernel-lock acquisition and then run the callback
-//! without re-locking the process table to put the box back.
+//! method processes are plain callbacks, which the scheduler moves out
+//! of the table for the call, so that the callback may use any
+//! `SimHandle` API while the kernel state is unborrowed.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::rc::Rc;
 
 use crate::ids::{EventId, ProcId};
 use crate::runtime::coro::CoroShared;
@@ -30,31 +26,18 @@ pub(crate) enum WaitKind {
 }
 
 /// A boxed method-process callback.
-pub(crate) type MethodCallback = Box<dyn FnMut(&mut MethodCtx) + Send>;
-
-/// The boxed method callback, outside the kernel lock. Empty while the
-/// callback is running and after the process is killed.
-pub(crate) struct MethodSlot {
-    pub(crate) cb: Mutex<Option<MethodCallback>>,
-}
-
-impl MethodSlot {
-    pub(crate) fn new(cb: MethodCallback) -> Arc<Self> {
-        Arc::new(MethodSlot {
-            cb: Mutex::new(Some(cb)),
-        })
-    }
-}
+pub(crate) type MethodCallback = Box<dyn FnMut(&mut MethodCtx)>;
 
 pub(crate) enum ProcBody {
     Thread {
         /// The coroutine context, on a stack leased at first dispatch
         /// ([`crate::runtime`]). There is no join handle; teardown is
         /// the terminate handshake, after which the stack is recycled.
-        shared: Arc<CoroShared>,
+        shared: Rc<CoroShared>,
     },
     Method {
-        slot: Arc<MethodSlot>,
+        /// `None` while the callback runs and after a kill.
+        cb: Option<MethodCallback>,
         queued: bool,
         trigger: Option<EventId>,
     },
@@ -80,7 +63,7 @@ pub(crate) struct ProcEntry {
 }
 
 impl ProcEntry {
-    pub(crate) fn new_thread(name: &str, shared: Arc<CoroShared>) -> Self {
+    pub(crate) fn new_thread(name: &str, shared: Rc<CoroShared>) -> Self {
         ProcEntry {
             name: name.to_string(),
             body: ProcBody::Thread { shared },
@@ -91,11 +74,11 @@ impl ProcEntry {
         }
     }
 
-    pub(crate) fn new_method(name: &str, slot: Arc<MethodSlot>, queued: bool) -> Self {
+    pub(crate) fn new_method(name: &str, cb: MethodCallback, queued: bool) -> Self {
         ProcEntry {
             name: name.to_string(),
             body: ProcBody::Method {
-                slot,
+                cb: Some(cb),
                 queued,
                 trigger: None,
             },

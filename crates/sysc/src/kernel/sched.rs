@@ -2,13 +2,15 @@
 //! evaluate → update → delta-notify → advance-time, exactly mirroring
 //! the SystemC 2.0 simulation cycle the reproduced paper builds on.
 //!
-//! # Lock discipline
+//! # Borrow discipline
 //!
-//! All kernel state lives behind one mutex ([`Kernel::st`]). The lock
-//! is **never** held while a process body runs: it is released before
+//! All kernel state lives in one `RefCell` ([`Kernel::st`]); the whole
+//! simulation runs on one host thread, so there is nothing to lock. A
+//! borrow is **never** held while a process body runs: it ends before
 //! control switches into a thread process and before a method callback
 //! is invoked, so process bodies are free to call any
-//! [`super::SimHandle`] API.
+//! [`super::SimHandle`] API. Breaking the rule panics with a
+//! `BorrowMutError` at the offending call.
 //!
 //! # Chained dispatch
 //!
@@ -18,8 +20,8 @@
 //! * the **kernel root context** ([`run_kernel`]) — runs method
 //!   callbacks and signal updates, and returns the [`RunOutcome`];
 //! * the **yielding process** ([`yield_from_process`]) — after
-//!   registering its own wait it calls [`next_step`] under the kernel
-//!   lock and, when the next runnable is another thread process,
+//!   registering its own wait it calls [`next_step`] in the same state
+//!   borrow and, when the next runnable is another thread process,
 //!   switches *directly* into it. In thread-to-thread steady state
 //!   (exactly the paper's co-simulation shape: T-THREADs exchanging
 //!   the CPU through kernel objects) the root never runs: every
@@ -38,14 +40,14 @@
 //! its own wake deadline — no runnable process, no pending delta
 //! activity or updates, no timed action at or before the deadline, the
 //! deadline within the run limit — does not need the engine at all: it
-//! advances simulated time itself under one lock acquisition
+//! advances simulated time itself in one state borrow
 //! ([`KState::try_fast_forward`]) and keeps running. Consecutive
 //! time-consume slices of one thread (the RTOS layer's quantum loop)
-//! then cost one mutex acquisition each instead of a round trip through
-//! the engine.
+//! then cost one borrow each instead of a round trip through the
+//! engine.
 
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::rc::Rc;
 use std::sync::Arc;
 
 use crate::ids::{EventId, ProcId};
@@ -54,7 +56,7 @@ use crate::runtime::{Cmd, Reply, WaitSpec, WakeReason};
 use crate::time::SimTime;
 use crate::trace::{KernelStats, Tracer};
 
-use super::procs::{MethodSlot, ProcBody, ProcState, ProcTable, WaitKind};
+use super::procs::{MethodCallback, ProcBody, ProcState, ProcTable, WaitKind};
 use super::wheel::{TimedEntry, TimingWheel};
 use super::{DeltaQueues, Kernel, MethodCtx, RunOutcome, SimHandle, CURRENT_NONE};
 
@@ -105,6 +107,9 @@ impl EventEntry {
 /// The whole mutable kernel state (behind [`Kernel::st`]).
 pub(crate) struct KState {
     pub(crate) now: SimTime,
+    /// Index of the currently executing process (`CURRENT_NONE` when
+    /// the scheduler itself runs).
+    pub(crate) current: u32,
     pub(crate) procs: ProcTable,
     pub(crate) events: Vec<EventEntry>,
     pub(crate) dq: DeltaQueues,
@@ -130,9 +135,10 @@ impl KState {
     pub(crate) fn new() -> Self {
         KState {
             now: SimTime::ZERO,
+            current: CURRENT_NONE,
             procs: ProcTable::default(),
             events: Vec::new(),
-            dq: DeltaQueues::new(),
+            dq: DeltaQueues::default(),
             wheel: TimingWheel::new(),
             tracer: None,
             stats: KernelStats::default(),
@@ -282,13 +288,13 @@ impl KState {
     }
 
     // ------------------------------------------------------------------
-    // Notification primitives (callers hold the kernel lock; the batch
-    // API and `notify_many` amortize one lock over several of these).
+    // Notification primitives (callers hold the state borrow; the batch
+    // API and `notify_many` share one borrow among several of these).
     // ------------------------------------------------------------------
 
     /// Immediate notification: fires now, waking waiters into the
     /// current evaluation phase. Overrides any pending notification.
-    pub(crate) fn notify_now_locked(&mut self, e: EventId) {
+    pub(crate) fn notify_now(&mut self, e: EventId) {
         let ev = &mut self.events[e.index()];
         ev.gen += 1; // invalidate any pending wheel entry
         ev.pending = Pending::None;
@@ -297,7 +303,7 @@ impl KState {
 
     /// Delta notification: fires in the next delta cycle. Overrides a
     /// pending timed notification; keeps an existing delta one.
-    pub(crate) fn notify_delta_locked(&mut self, e: EventId) {
+    pub(crate) fn notify_delta(&mut self, e: EventId) {
         let ev = &mut self.events[e.index()];
         match ev.pending {
             Pending::Delta => {}
@@ -312,9 +318,9 @@ impl KState {
     /// Timed notification after `delay` (`sc_event` override rule: an
     /// earlier pending notification wins; a later one is replaced).
     /// Zero delay degenerates to a delta notification.
-    pub(crate) fn notify_after_locked(&mut self, e: EventId, delay: SimTime) {
+    pub(crate) fn notify_after(&mut self, e: EventId, delay: SimTime) {
         if delay.is_zero() {
-            return self.notify_delta_locked(e);
+            return self.notify_delta(e);
         }
         let at = self.now.saturating_add(delay);
         let ev = &mut self.events[e.index()];
@@ -381,9 +387,10 @@ impl KState {
 /// What the phase loop decided must happen next.
 pub(crate) enum NextStep {
     /// Hand control to this thread process.
-    Thread(ProcId, Arc<CoroShared>, WakeReason),
-    /// Run this method callback (kernel root only).
-    Method(ProcId, Arc<MethodSlot>, Option<EventId>),
+    Thread(ProcId, Rc<CoroShared>, WakeReason),
+    /// Run this method callback, moved out of the process table until
+    /// it returns (kernel root only).
+    Method(ProcId, MethodCallback, Option<EventId>),
     /// The update phase has work (kernel root only).
     Updates,
     /// Chained dispatch cannot continue; the kernel root must decide.
@@ -394,8 +401,8 @@ pub(crate) enum NextStep {
 
 /// Dispatch bookkeeping shared by both drivers: the `current` marker,
 /// activation counter and tracer hook.
-fn dispatch_bookkeeping(st: &mut KState, current: &AtomicU32, pid: ProcId) {
-    current.store(pid.index() as u32, Ordering::Relaxed);
+fn dispatch_bookkeeping(st: &mut KState, pid: ProcId) {
+    st.current = pid.index() as u32;
     st.stats.process_runs += 1;
     if let Some(t) = &st.tracer {
         let name = st.procs.get(pid).name.clone();
@@ -405,14 +412,14 @@ fn dispatch_bookkeeping(st: &mut KState, current: &AtomicU32, pid: ProcId) {
 
 /// One turn of the phase engine: runs evaluate/update/delta-notify/
 /// advance-time bookkeeping until something must execute (or the run is
-/// over). Caller holds the kernel lock.
+/// over). Caller holds the state borrow.
 ///
 /// With `from_process` the caller is a yielding process chaining the
 /// dispatch: anything only the kernel root may do (method callbacks,
 /// signal updates, returning an outcome) yields
 /// [`NextStep::WakeKernel`] instead, leaving the state for the kernel
 /// to re-derive — all such exits are idempotent.
-pub(crate) fn next_step(st: &mut KState, current: &AtomicU32, from_process: bool) -> NextStep {
+pub(crate) fn next_step(st: &mut KState, from_process: bool) -> NextStep {
     loop {
         if st.deltas_this_step > st.max_deltas_per_timestep {
             return if from_process {
@@ -425,8 +432,8 @@ pub(crate) fn next_step(st: &mut KState, current: &AtomicU32, from_process: bool
         // ---- Evaluate phase: pop the next runnable process ------------
         while let Some(pid) = st.dq.runnable.pop_front() {
             enum Picked {
-                Thread(Arc<CoroShared>, WakeReason),
-                Method(Arc<MethodSlot>, Option<EventId>),
+                Thread(Rc<CoroShared>, WakeReason),
+                Method(MethodCallback, Option<EventId>),
                 Defer,
                 Skip,
             }
@@ -437,13 +444,13 @@ pub(crate) fn next_step(st: &mut KState, current: &AtomicU32, from_process: bool
                     (ProcBody::Thread { shared }, ProcState::Ready) => {
                         entry.state = ProcState::Running;
                         let reason = entry.pending_reason;
-                        Picked::Thread(Arc::clone(shared), reason)
+                        Picked::Thread(Rc::clone(shared), reason)
                     }
                     // Methods run on the kernel root only.
                     (ProcBody::Method { .. }, _) if from_process => Picked::Defer,
                     (
                         ProcBody::Method {
-                            slot,
+                            cb,
                             queued,
                             trigger,
                         },
@@ -451,7 +458,10 @@ pub(crate) fn next_step(st: &mut KState, current: &AtomicU32, from_process: bool
                     ) => {
                         *queued = false;
                         let trig = trigger.take();
-                        Picked::Method(Arc::clone(slot), trig)
+                        match cb.take() {
+                            Some(cb) => Picked::Method(cb, trig),
+                            None => Picked::Skip,
+                        }
                     }
                     _ => Picked::Skip,
                 }
@@ -463,17 +473,17 @@ pub(crate) fn next_step(st: &mut KState, current: &AtomicU32, from_process: bool
                     return NextStep::WakeKernel;
                 }
                 Picked::Thread(shared, reason) => {
-                    dispatch_bookkeeping(st, current, pid);
+                    dispatch_bookkeeping(st, pid);
                     return NextStep::Thread(pid, shared, reason);
                 }
-                Picked::Method(slot, trig) => {
-                    dispatch_bookkeeping(st, current, pid);
-                    return NextStep::Method(pid, slot, trig);
+                Picked::Method(cb, trig) => {
+                    dispatch_bookkeeping(st, pid);
+                    return NextStep::Method(pid, cb, trig);
                 }
             }
         }
 
-        // ---- Update phase (callbacks run outside the lock) ------------
+        // ---- Update phase (callbacks run outside the borrow) ----------
         if !st.dq.updates.is_empty() {
             return if from_process {
                 NextStep::WakeKernel
@@ -556,16 +566,16 @@ pub(crate) fn next_step(st: &mut KState, current: &AtomicU32, from_process: bool
 /// process, then chained dispatch — switch straight into the next
 /// runnable thread process, or signal the kernel gate.
 ///
-/// Time-bounded waits first try the fast-forward run budget under the
-/// same (single) lock acquisition: on success the process never
-/// suspends and the served [`WakeReason`] is returned instead.
+/// Time-bounded waits first try the fast-forward run budget in the
+/// same (single) state borrow: on success the process never suspends
+/// and the served [`WakeReason`] is returned instead.
 pub(crate) fn yield_from_process(
-    k: &Arc<Kernel>,
+    k: &Rc<Kernel>,
     pid: ProcId,
     spec: WaitSpec,
 ) -> Option<WakeReason> {
     let next = {
-        let mut st = k.st.lock();
+        let mut st = k.st.borrow_mut();
         let fast = match &spec {
             WaitSpec::Time(d) if !d.is_zero() => {
                 st.try_fast_forward(*d).then_some(WakeReason::TimeElapsed)
@@ -581,7 +591,7 @@ pub(crate) fn yield_from_process(
         if fast.is_some() {
             return fast;
         }
-        k.current.store(CURRENT_NONE, Ordering::Relaxed);
+        st.current = CURRENT_NONE;
         if let Some(t) = &st.tracer {
             t.process_suspended(st.now, pid);
         }
@@ -590,7 +600,7 @@ pub(crate) fn yield_from_process(
         if st.procs.get(pid).state == ProcState::Running {
             st.register_wait(pid, spec);
         }
-        match next_step(&mut st, &k.current, true) {
+        match next_step(&mut st, true) {
             NextStep::Thread(_, nshared, reason) => Some((nshared, reason)),
             _ => None,
         }
@@ -605,17 +615,17 @@ pub(crate) fn yield_from_process(
 }
 
 /// The finish bookkeeping of a process body: marks the process
-/// finished under the kernel lock and decides where control goes next —
+/// finished in one state borrow and decides where control goes next —
 /// `Some` names the next thread process to chain to, `None` means the
 /// kernel root must take over (including the panic case, whose payload
 /// is parked in the kernel state for the root to re-raise).
 pub(crate) fn finish_step(
-    k: &Arc<Kernel>,
+    k: &Rc<Kernel>,
     pid: ProcId,
     reply: Reply,
-) -> Option<(Arc<CoroShared>, WakeReason)> {
-    let mut st = k.st.lock();
-    k.current.store(CURRENT_NONE, Ordering::Relaxed);
+) -> Option<(Rc<CoroShared>, WakeReason)> {
+    let mut st = k.st.borrow_mut();
+    st.current = CURRENT_NONE;
     if let Some(t) = &st.tracer {
         t.process_suspended(st.now, pid);
     }
@@ -625,7 +635,7 @@ pub(crate) fn finish_step(
             st.pending_panic = Some(payload);
             None
         }
-        Reply::Finished => match next_step(&mut st, &k.current, true) {
+        Reply::Finished => match next_step(&mut st, true) {
             NextStep::Thread(_, nshared, reason) => Some((nshared, reason)),
             _ => None,
         },
@@ -633,30 +643,30 @@ pub(crate) fn finish_step(
 }
 
 /// The scheduler entry point (used by `Simulation::run_until`).
-pub(crate) fn run_kernel(k: &Arc<Kernel>, limit: SimTime) -> RunOutcome {
+pub(crate) fn run_kernel(k: &Rc<Kernel>, limit: SimTime) -> RunOutcome {
     {
-        let mut st = k.st.lock();
+        let mut st = k.st.borrow_mut();
         assert!(!st.in_run, "Simulation::run_* is not reentrant");
         st.in_run = true;
         st.run_limit = limit;
         st.deltas_this_step = 0;
     }
     let outcome = run_kernel_inner(k);
-    k.st.lock().in_run = false;
+    k.st.borrow_mut().in_run = false;
     match outcome {
         Ok(o) => o,
         Err(payload) => panic::resume_unwind(payload),
     }
 }
 
-fn run_kernel_inner(k: &Arc<Kernel>) -> Result<RunOutcome, Box<dyn std::any::Any + Send>> {
+fn run_kernel_inner(k: &Rc<Kernel>) -> Result<RunOutcome, Box<dyn std::any::Any + Send>> {
     loop {
         let step = {
-            let mut st = k.st.lock();
+            let mut st = k.st.borrow_mut();
             if let Some(payload) = st.pending_panic.take() {
                 return Err(payload);
             }
-            next_step(&mut st, &k.current, false)
+            next_step(&mut st, false)
         };
         match step {
             NextStep::Thread(_pid, shared, reason) => {
@@ -666,43 +676,34 @@ fn run_kernel_inner(k: &Arc<Kernel>) -> Result<RunOutcome, Box<dyn std::any::Any
                 shared.post(Cmd::Run(reason));
                 k.rt.wait();
             }
-            NextStep::Method(pid, slot, trig) => {
-                // Fast path: the kernel lock is NOT held and NOT
-                // re-acquired around the callback; the box stays in
-                // its slot. `slot.cb` is empty if the method was
-                // killed after being queued.
-                let result = {
-                    let mut cb_guard = slot.cb.lock();
-                    match cb_guard.as_mut() {
-                        None => Ok(()),
-                        Some(cb) => {
-                            let mut ctx = MethodCtx {
-                                handle: SimHandle { k: Arc::clone(k) },
-                                id: pid,
-                                triggered_by: trig,
-                            };
-                            panic::catch_unwind(AssertUnwindSafe(|| cb(&mut ctx)))
-                        }
-                    }
+            NextStep::Method(pid, mut cb, trig) => {
+                // The state is NOT borrowed around the callback; the box
+                // goes back into the table afterwards.
+                let mut ctx = MethodCtx {
+                    handle: SimHandle { k: Rc::clone(k) },
+                    id: pid,
+                    triggered_by: trig,
                 };
-                k.current.store(CURRENT_NONE, Ordering::Relaxed);
-                // Slow path only for observability or failure.
-                if k.tracing.load(Ordering::Relaxed) {
-                    let st = k.st.lock();
-                    if let Some(t) = &st.tracer {
-                        t.process_suspended(st.now, pid);
-                    }
+                let result = panic::catch_unwind(AssertUnwindSafe(|| cb(&mut ctx)));
+                let mut st = k.st.borrow_mut();
+                st.current = CURRENT_NONE;
+                if let Some(t) = &st.tracer {
+                    t.process_suspended(st.now, pid);
                 }
+                let entry = st.procs.get_mut(pid);
                 if let Err(payload) = result {
-                    k.st.lock().procs.get_mut(pid).finish();
+                    entry.finish();
                     return Err(payload);
+                }
+                if let ProcBody::Method { cb: slot, .. } = &mut entry.body {
+                    *slot = Some(cb);
                 }
             }
             NextStep::Updates => {
-                let updates = std::mem::take(&mut k.st.lock().dq.updates);
+                let updates = std::mem::take(&mut k.st.borrow_mut().dq.updates);
                 for u in &updates {
                     if let Some(changed) = u.apply_update() {
-                        let mut st = k.st.lock();
+                        let mut st = k.st.borrow_mut();
                         st.stats.signal_updates += 1;
                         if let Some(t) = &st.tracer {
                             let (name, value) = u.describe();
@@ -711,7 +712,7 @@ fn run_kernel_inner(k: &Arc<Kernel>) -> Result<RunOutcome, Box<dyn std::any::Any
                         // Schedule the value-changed event for the
                         // delta-notify phase (SystemC: signal updates
                         // notify the next delta).
-                        st.notify_delta_locked(changed);
+                        st.notify_delta(changed);
                     }
                 }
             }

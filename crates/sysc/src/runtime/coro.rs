@@ -1,23 +1,13 @@
 //! The stackful-coroutine process runtime.
 //!
-//! One [`CoroRt`] per simulation holds the *root context* (the thread
-//! driving `run_until`, or whichever thread performs a terminate
-//! handshake) and tracks which context currently executes. Each thread
-//! process owns a [`CoroShared`]: a leased heap stack plus the saved
-//! stack pointer of its suspended context, and the command/reply slots
-//! of the call protocol (see the [`super`] docs).
-//!
-//! # Exclusive-control discipline
-//!
-//! At any instant exactly one party (the kernel root or one process)
-//! executes. That invariant is what justifies the `unsafe impl
-//! Send/Sync` here: every slot is only
-//! ever touched by the context that currently has control, and control
-//! transfer is a synchronous function call on one OS thread. Cross-
-//! thread use (moving a `Simulation` between runs, or a terminate
-//! handshake from another thread while the simulation is quiescent) is
-//! sound because a suspended context is plain memory; the embedding
-//! `&mut Simulation` receiver serialises the drivers.
+//! One [`CoroRt`] per simulation holds the *root context* (the code
+//! driving `run_until`, or performing a terminate handshake) and tracks
+//! which context currently executes. Each thread process owns a
+//! [`CoroShared`]: a leased heap stack plus the saved stack pointer of
+//! its suspended context, and the command/reply slots of the call
+//! protocol (see the [`super`] docs). Both are `Rc`-shared and never
+//! leave the simulation's thread; every slot is only touched by the
+//! context that currently has control.
 //!
 //! # Leak-free teardown
 //!
@@ -26,9 +16,9 @@
 //! across the last switch. The wrapper job therefore *returns* its
 //! [`Terminal`] action instead of performing it: by the time
 //! [`coro_entry`] applies the terminal transfer, the job frame — and
-//! every `Arc` the process ever held — has been popped. The terminal
+//! every `Rc` the process ever held — has been popped. The terminal
 //! transfer itself only moves values into slots owned by others and
-//! drops its own `Arc` before switching.
+//! drops its own `Rc` before switching.
 //!
 //! Stack recycling: a context cannot free the stack it is executing
 //! on, so a dying coroutine deposits its stack into the runtime's
@@ -41,14 +31,14 @@
 
 use std::cell::{Cell, UnsafeCell};
 use std::ptr;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use super::ctx;
 use super::{Cmd, Reply, WakeReason};
 
 /// A boxed coroutine job: the whole lifetime of one process body,
 /// ending with the terminal transfer it wants performed.
-pub(crate) type CoroJob = Box<dyn FnOnce() -> Terminal + Send>;
+pub(crate) type CoroJob = Box<dyn FnOnce() -> Terminal>;
 
 /// What a finished coroutine does with control, applied by
 /// [`coro_entry`] *after* the job frame (and all its owned state) is
@@ -56,7 +46,7 @@ pub(crate) type CoroJob = Box<dyn FnOnce() -> Terminal + Send>;
 pub(crate) enum Terminal {
     /// Chained dispatch: hand control to this process with a wake
     /// reason (normal finish with a runnable successor).
-    Post(Arc<CoroShared>, WakeReason),
+    Post(Rc<CoroShared>, WakeReason),
     /// Hand control to the kernel's root context (normal finish, no
     /// successor the chain may run — or a pending panic to re-raise).
     Gate,
@@ -91,22 +81,16 @@ pub(crate) struct CoroRt {
     graveyard: UnsafeCell<Option<ctx::CoroStack>>,
 }
 
-// SAFETY: see the module docs — all fields are only touched by the
-// single context holding control; the embedding `&mut Simulation`
-// serialises drivers across threads.
-unsafe impl Send for CoroRt {}
-unsafe impl Sync for CoroRt {}
-
 impl CoroRt {
-    pub(crate) fn new() -> Arc<CoroRt> {
-        let rt = Arc::new(CoroRt {
+    pub(crate) fn new() -> Rc<CoroRt> {
+        let rt = Rc::new(CoroRt {
             root_slot: UnsafeCell::new(ptr::null_mut()),
             current: Cell::new(ptr::null_mut()),
             token: Cell::new(false),
             graveyard: UnsafeCell::new(None),
         });
         // The root executes first; its slot address is stable inside
-        // the Arc allocation.
+        // the Rc allocation.
         rt.current.set(rt.root_slot.get());
         rt
     }
@@ -168,7 +152,7 @@ enum CoroState {
 
 /// One process's coroutine context plus its protocol slots.
 pub(crate) struct CoroShared {
-    rt: Arc<CoroRt>,
+    rt: Rc<CoroRt>,
     /// Saved stack pointer while this context is suspended.
     slot: UnsafeCell<*mut u8>,
     cmd: UnsafeCell<Option<Cmd>>,
@@ -179,22 +163,16 @@ pub(crate) struct CoroShared {
     terminating: Cell<bool>,
     state: Cell<CoroState>,
     /// The wrapper job, parked here until first activation. Holds an
-    /// `Arc` back to this `CoroShared` (for the `ProcCtx`); the cycle
+    /// `Rc` back to this `CoroShared` (for the `ProcCtx`); the cycle
     /// breaks when the job is taken at start — or dropped by the
     /// never-started terminate short-circuit.
     entry: UnsafeCell<Option<CoroJob>>,
     stack: UnsafeCell<Option<ctx::CoroStack>>,
 }
 
-// SAFETY: exclusive-control discipline (module docs) — every cell is
-// only accessed by the context holding control, on one thread at a
-// time, serialised by the embedding simulation.
-unsafe impl Send for CoroShared {}
-unsafe impl Sync for CoroShared {}
-
 impl CoroShared {
-    pub(crate) fn new(rt: Arc<CoroRt>) -> Arc<CoroShared> {
-        Arc::new(CoroShared {
+    pub(crate) fn new(rt: Rc<CoroRt>) -> Rc<CoroShared> {
+        Rc::new(CoroShared {
             rt,
             slot: UnsafeCell::new(ptr::null_mut()),
             cmd: UnsafeCell::new(None),
@@ -325,7 +303,7 @@ impl CoroShared {
                 }
                 let t = next.slot.get();
                 // The process table keeps `next` alive; dropping our
-                // Arc *before* the switch keeps this dead stack free of
+                // Rc *before* the switch keeps this dead stack free of
                 // owned handles.
                 drop(next);
                 t

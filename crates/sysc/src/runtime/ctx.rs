@@ -21,7 +21,7 @@
 //! # Safety argument
 //!
 //! * The save slot written by the switch lives in a heap allocation
-//!   (`Arc`-pinned) that outlives every switch through it.
+//!   (`Rc`-pinned) that outlives every switch through it.
 //! * Exactly one context per OS thread executes at any instant; the
 //!   switch is only ever called by the single-threaded coroutine
 //!   runtime ([`super::coro`]), which tracks the current context — so

@@ -7,10 +7,9 @@
 //! request-update/update protocol, which the paper's BFM relies on for
 //! race-free hardware modeling.
 
+use std::cell::RefCell;
 use std::fmt::Debug;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::rc::Rc;
 
 use crate::ids::EventId;
 use crate::kernel::SimHandle;
@@ -20,7 +19,7 @@ use crate::time::SimTime;
 ///
 /// The `vcd_value` rendering is used by waveform tracers (Fig. 4 of the
 /// paper); the default renders via `Debug`.
-pub trait SignalValue: Clone + PartialEq + Debug + Send + 'static {
+pub trait SignalValue: Clone + PartialEq + Debug + 'static {
     /// VCD-style value rendering (e.g. `1`/`0` for bool, `b1010` for
     /// integers).
     fn vcd_value(&self) -> String {
@@ -50,7 +49,7 @@ impl SignalValue for char {}
 impl SignalValue for String {}
 
 /// Type-erased hook the kernel calls during the update phase.
-pub(crate) trait UpdateTarget: Send + Sync {
+pub(crate) trait UpdateTarget {
     /// Applies the pending write; returns the value-changed event if the
     /// value actually changed.
     fn apply_update(&self) -> Option<EventId>;
@@ -60,16 +59,16 @@ pub(crate) trait UpdateTarget: Send + Sync {
 
 struct SignalInner<T: SignalValue> {
     name: String,
-    current: Mutex<T>,
-    next: Mutex<Option<T>>,
+    current: RefCell<T>,
+    next: RefCell<Option<T>>,
     changed_event: EventId,
 }
 
 impl<T: SignalValue> UpdateTarget for SignalInner<T> {
     fn apply_update(&self) -> Option<EventId> {
-        let next = self.next.lock().take();
+        let next = self.next.borrow_mut().take();
         if let Some(v) = next {
-            let mut cur = self.current.lock();
+            let mut cur = self.current.borrow_mut();
             if *cur != v {
                 *cur = v;
                 return Some(self.changed_event);
@@ -79,7 +78,7 @@ impl<T: SignalValue> UpdateTarget for SignalInner<T> {
     }
 
     fn describe(&self) -> (String, String) {
-        (self.name.clone(), self.current.lock().vcd_value())
+        (self.name.clone(), self.current.borrow().vcd_value())
     }
 }
 
@@ -110,14 +109,14 @@ impl<T: SignalValue> UpdateTarget for SignalInner<T> {
 /// assert_eq!(sim.handle().event_fire_count(watcher_saw), 1);
 /// ```
 pub struct Signal<T: SignalValue> {
-    inner: Arc<SignalInner<T>>,
+    inner: Rc<SignalInner<T>>,
     handle: SimHandle,
 }
 
 impl<T: SignalValue> Clone for Signal<T> {
     fn clone(&self) -> Self {
         Signal {
-            inner: Arc::clone(&self.inner),
+            inner: Rc::clone(&self.inner),
             handle: self.handle.clone(),
         }
     }
@@ -127,7 +126,7 @@ impl<T: SignalValue> Debug for Signal<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Signal")
             .field("name", &self.inner.name)
-            .field("value", &*self.inner.current.lock())
+            .field("value", &*self.inner.current.borrow())
             .finish()
     }
 }
@@ -137,10 +136,10 @@ impl<T: SignalValue> Signal<T> {
     pub fn new(handle: &SimHandle, name: &str, init: T) -> Self {
         let changed_event = handle.create_event(&format!("{name}.changed"));
         Signal {
-            inner: Arc::new(SignalInner {
+            inner: Rc::new(SignalInner {
                 name: name.to_string(),
-                current: Mutex::new(init),
-                next: Mutex::new(None),
+                current: RefCell::new(init),
+                next: RefCell::new(None),
                 changed_event,
             }),
             handle: handle.clone(),
@@ -154,18 +153,15 @@ impl<T: SignalValue> Signal<T> {
 
     /// Current value (as of the last completed update phase).
     pub fn read(&self) -> T {
-        self.inner.current.lock().clone()
+        self.inner.current.borrow().clone()
     }
 
     /// Schedules a write for the next update phase.
     pub fn write(&self, value: T) {
-        let mut next = self.inner.next.lock();
-        let first_request = next.is_none();
-        *next = Some(value);
-        drop(next);
+        let first_request = self.inner.next.replace(Some(value)).is_none();
         if first_request {
             self.handle
-                .request_update(Arc::clone(&self.inner) as Arc<dyn UpdateTarget>);
+                .request_update(Rc::clone(&self.inner) as Rc<dyn UpdateTarget>);
         }
     }
 

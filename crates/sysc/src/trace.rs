@@ -5,11 +5,12 @@
 //! advances. The `rtk-analysis` crate builds Gantt charts, VCD waveform
 //! dumps and speed reports on top of these hooks.
 //!
-//! Tracer methods are invoked while the kernel lock is held; tracer
-//! implementations must record and return — they must **not** call back
-//! into the simulation. With chained dispatch the hooks may fire from
-//! any simulation thread (the scheduler migrates to whichever process
-//! thread is yielding), always serialized by the kernel lock.
+//! Tracer methods are invoked while the kernel state is borrowed;
+//! tracer implementations must record and return — they must **not**
+//! call back into the simulation (that would panic with a
+//! `BorrowMutError`). With chained dispatch the hooks may fire on any
+//! process's coroutine stack (the scheduler runs in whichever process
+//! is yielding), always on the simulation's one host thread.
 
 use crate::ids::{EventId, ProcId};
 use crate::time::SimTime;
