@@ -4,11 +4,13 @@
 //! reproduction, corresponding to the paper's GUI widgets and evaluation
 //! artifacts:
 //!
-//! * [`TraceRecorder`] — captures the kernel's execution trace.
-//! * [`GanttChart`] — the execution time/energy trace widget (Fig. 6).
+//! * [`GanttChart`] — the execution time/energy trace widget (Fig. 6),
+//!   rendered from the records the kernel keeps once
+//!   `rtk_core::Rtos::record_trace` has started recording.
 //! * [`EnergyReport`] / [`Battery`] — the consumed time/energy
 //!   distribution widget with the 10 Wh battery status bar (Fig. 7).
-//! * [`WaveProbe`] — signal probing into VCD / ASCII waveforms (Fig. 4).
+//! * [`WaveProbe`] — signal probing into VCD / ASCII waveforms (Fig. 4),
+//!   attached to the sysc engine as its `sysc::Tracer`.
 //! * [`SpeedTable`] — the co-simulation speed measure (Table 2).
 //!
 //! On top of the per-simulation instruments sit the farm-facing
@@ -37,7 +39,6 @@ pub mod oracle_report;
 pub mod percentile;
 pub mod speed;
 pub mod static_verify;
-pub mod trace;
 pub mod trace_codec;
 pub mod vcd;
 
@@ -49,7 +50,6 @@ pub use oracle_report::{divergences_json, DivergenceRecord};
 pub use percentile::Summary;
 pub use speed::{measure, SpeedRow, SpeedTable};
 pub use static_verify::{analyze, AnalysisOptions, AnalysisResult, Conformance, Verdict};
-pub use trace::TraceRecorder;
 pub use trace_codec::{
     decode_trace, encode_trace, read_trace, CodecError, DecodedTrace, TraceHeader, TraceTrailer,
     TraceTuning, TraceWriter, TraceWriterHandle,

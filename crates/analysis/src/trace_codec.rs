@@ -42,11 +42,12 @@
 //! assert_eq!(decoded.trailer.unwrap().close, StreamClose::Clean);
 //! ```
 
+use std::cell::RefCell;
 use std::fmt;
 use std::fs::File;
 use std::io::{self, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 use rtk_core::{
     AlmId, CycId, FlagWaitMode, FlgId, MbfId, MbxId, MpfId, MplId, MtxId, MtxPolicy, ObsEvent,
@@ -1217,7 +1218,7 @@ pub struct TraceWriter {
     written: u64,
     dropped: u64,
     cap: u64,
-    shared: Arc<Mutex<Option<WriteSummary>>>,
+    shared: Rc<RefCell<Option<WriteSummary>>>,
     path: PathBuf,
     error: Option<String>,
 }
@@ -1226,13 +1227,13 @@ pub struct TraceWriter {
 /// the owning stream has closed.
 #[derive(Debug, Clone)]
 pub struct TraceWriterHandle {
-    shared: Arc<Mutex<Option<WriteSummary>>>,
+    shared: Rc<RefCell<Option<WriteSummary>>>,
 }
 
 impl TraceWriterHandle {
     /// The summary, once [`StreamSink::close`] has run.
     pub fn summary(&self) -> Option<WriteSummary> {
-        self.shared.lock().unwrap().clone()
+        self.shared.borrow().clone()
     }
 }
 
@@ -1247,7 +1248,7 @@ impl TraceWriter {
         let file = File::create(path)?;
         let mut out = BufWriter::new(file);
         out.write_all(&encode_header(header))?;
-        let shared = Arc::new(Mutex::new(None));
+        let shared = Rc::new(RefCell::new(None));
         Ok((
             TraceWriter {
                 out,
@@ -1256,7 +1257,7 @@ impl TraceWriter {
                 written: 0,
                 dropped: 0,
                 cap: if cap == 0 { u64::MAX } else { cap },
-                shared: Arc::clone(&shared),
+                shared: Rc::clone(&shared),
                 path: path.to_path_buf(),
                 error: None,
             },
@@ -1315,7 +1316,7 @@ impl StreamSink for TraceWriter {
                 self.error = Some(e.to_string());
             }
         }
-        *self.shared.lock().unwrap() = Some(WriteSummary {
+        *self.shared.borrow_mut() = Some(WriteSummary {
             path: self.path.clone(),
             written: self.written,
             dropped: self.dropped,
@@ -1631,5 +1632,28 @@ mod tests {
             })
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A write that fails after the file was created (here ENOSPC from
+    /// `/dev/full`, once the `BufWriter` spills) lands in the summary,
+    /// and every offered event is accounted as written or dropped.
+    #[test]
+    #[cfg(target_os = "linux")]
+    #[cfg_attr(miri, ignore)]
+    fn write_error_mid_run_is_reported() {
+        let header = TraceHeader::new(6, "independent", "coro");
+        let (mut w, handle) = TraceWriter::create(Path::new("/dev/full"), &header, 0).unwrap();
+        let events = sample_events();
+        // Far more than one 8 KiB `BufWriter` worth of records.
+        let mut offered = 0u64;
+        for _ in 0..2_000 {
+            w.batch(&events);
+            offered += events.len() as u64;
+        }
+        w.close(StreamClose::Clean);
+        let summary = handle.summary().unwrap();
+        assert!(summary.error.is_some(), "{summary:?}");
+        assert!(summary.dropped > 0, "{summary:?}");
+        assert_eq!(summary.written + summary.dropped, offered);
     }
 }

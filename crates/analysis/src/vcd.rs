@@ -3,43 +3,43 @@
 //! signal changes and writes an IEEE-1364 VCD dump plus an ASCII
 //! waveform listing.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use parking_lot::Mutex;
 use sysc::{SimTime, Tracer};
 
 /// Captures every signal change seen by the sysc kernel.
 #[derive(Debug, Default)]
 pub struct WaveProbe {
-    changes: Mutex<Vec<(SimTime, String, String)>>,
+    changes: RefCell<Vec<(SimTime, String, String)>>,
 }
 
 impl WaveProbe {
     /// Creates an empty probe. Attach with
-    /// [`sysc::Simulation::set_tracer`].
+    /// [`sysc::Simulation::set_tracer`] or `rtk_core::Rtos::set_sim_tracer`.
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Number of captured value changes.
     pub fn len(&self) -> usize {
-        self.changes.lock().len()
+        self.changes.borrow().len()
     }
 
     /// `true` if nothing was captured.
     pub fn is_empty(&self) -> bool {
-        self.changes.lock().is_empty()
+        self.changes.borrow().is_empty()
     }
 
     /// The captured changes `(time, signal, value)`.
     pub fn snapshot(&self) -> Vec<(SimTime, String, String)> {
-        self.changes.lock().clone()
+        self.changes.borrow().clone()
     }
 
     /// Writes an IEEE-1364 VCD dump of every captured signal.
     pub fn to_vcd(&self) -> String {
-        let changes = self.changes.lock();
+        let changes = self.changes.borrow();
         // Assign short identifiers in name order.
         let mut ids: BTreeMap<&str, char> = BTreeMap::new();
         for (_, name, _) in changes.iter() {
@@ -76,7 +76,7 @@ impl WaveProbe {
     /// transitions marked along a time axis of `width` columns).
     pub fn render_ascii(&self, from: SimTime, to: SimTime, width: usize) -> String {
         assert!(to > from, "empty waveform window");
-        let changes = self.changes.lock();
+        let changes = self.changes.borrow();
         let span = (to - from).as_ps() as f64;
         let col_of = |t: SimTime| -> usize {
             let rel = t.saturating_sub(from).as_ps() as f64 / span;
@@ -115,7 +115,7 @@ impl WaveProbe {
 impl Tracer for WaveProbe {
     fn signal_changed(&self, now: SimTime, name: &str, value: &str) {
         self.changes
-            .lock()
+            .borrow_mut()
             .push((now, name.to_string(), value.to_string()));
     }
 }

@@ -4,9 +4,6 @@
 //! wakeup, and delayed dispatching — the exact flow of the paper's
 //! central-module diagram.
 
-use std::sync::Arc;
-
-use rtk_analysis::TraceRecorder;
 use rtk_bench::paper_scenario;
 use rtk_core::TraceKind;
 use rtk_videogame::Gui;
@@ -14,14 +11,13 @@ use sysc::SimTime;
 
 fn main() {
     let mut cosim = paper_scenario(Gui::Off);
-    let recorder = Arc::new(TraceRecorder::new());
-    cosim.rtos.set_trace_sink(recorder.clone());
+    cosim.rtos.record_trace();
     cosim.rtos.run_until(SimTime::from_ms(120));
 
     println!("Kernel dynamics trace (first 120 ms of the case study)");
     println!("{}", "-".repeat(84));
     let mut shown = 0;
-    for r in recorder.snapshot() {
+    for r in cosim.rtos.trace_records() {
         let line = match &r.kind {
             TraceKind::Dispatch => format!("dispatch        -> {}", r.name),
             TraceKind::Preempt => format!("preempt            {}", r.name),

@@ -3,7 +3,7 @@
 //! external-bus transactions) and prints the probed signal waveforms as
 //! both an ASCII listing and an IEEE-1364 VCD dump.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use rtk_analysis::WaveProbe;
 use rtk_bfm::Bfm;
@@ -33,7 +33,7 @@ fn main() {
     let bfm = Bfm::new(&rtos);
     tx.send(bfm).unwrap();
 
-    let probe = Arc::new(WaveProbe::new());
+    let probe = Rc::new(WaveProbe::new());
     rtos.set_sim_tracer(probe.clone());
     rtos.run_until(SimTime::from_ms(5));
 

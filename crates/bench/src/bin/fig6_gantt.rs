@@ -3,17 +3,14 @@
 //! dispatching, interrupt handling and preemption, with per-context
 //! patterns (task body, OS service, BFM access, handler).
 
-use std::sync::Arc;
-
-use rtk_analysis::{GanttChart, GanttConfig, TraceRecorder};
+use rtk_analysis::{GanttChart, GanttConfig};
 use rtk_bench::paper_scenario;
 use rtk_videogame::Gui;
 use sysc::SimTime;
 
 fn main() {
     let mut cosim = paper_scenario(Gui::Off);
-    let recorder = Arc::new(TraceRecorder::new());
-    cosim.rtos.set_trace_sink(recorder.clone());
+    cosim.rtos.record_trace();
 
     // Step mode: advance tick by tick (the paper's display mode for the
     // trace widget) up to 160 ms.
@@ -21,7 +18,7 @@ fn main() {
         cosim.rtos.step();
     }
 
-    let records = recorder.snapshot();
+    let records = cosim.rtos.trace_records();
     println!("{} trace records captured", records.len());
     let chart = GanttChart::new(GanttConfig {
         width: 110,

@@ -178,7 +178,7 @@ impl Shared {
                 rec.cpu_granted = false;
                 rec.stats.preemptions += 1;
                 Shared::trace_point(
-                    &st,
+                    &mut st,
                     now,
                     ThreadRef::Task(r),
                     crate::trace::TraceKind::Preempt,

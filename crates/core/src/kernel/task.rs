@@ -584,7 +584,7 @@ impl Shared {
             rec.marking = ExecContext::Startup;
             (rec.resume_ev, ())
         };
-        Shared::trace_point(&st, now, who, TraceKind::Startup);
+        Shared::trace_point(&mut st, now, who, TraceKind::Startup);
         // Spawn the per-activation process, parked until dispatched.
         let shared = Rc::clone(self);
         let pid = self
@@ -663,7 +663,7 @@ impl Shared {
             rec.parked = true;
             rec.cpu_granted = false;
             let frozen_ev = rec.ctrl_pending.take().map(|_| rec.frozen_ev);
-            Shared::trace_point(&st, now, who, TraceKind::Exit);
+            Shared::trace_point(&mut st, now, who, TraceKind::Exit);
             if delete {
                 st.observe(crate::obs::ObsEvent::TaskDelete { tid });
                 st.tasks[tid.0 as usize - 1] = None;
@@ -752,7 +752,7 @@ impl Shared {
             if window_torn_down {
                 st.observe(crate::obs::ObsEvent::DispCtl { disabled: false });
             }
-            Shared::trace_point(&st, now, who, TraceKind::Exit);
+            Shared::trace_point(&mut st, now, who, TraceKind::Exit);
             Shared::update_idle(&mut st, now);
             (proc, int_kick)
         };

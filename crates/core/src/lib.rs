@@ -88,12 +88,12 @@ pub use kernel::task::RefTsk;
 pub use kernel::time::{RefAlm, RefCyc};
 pub use model::{InterferenceModel, LockPolicy, ResourceModel, SectionModel, SysModel, TaskModel};
 pub use obs::{
-    CollectHandle, CollectSink, ObsEvent, ObsSink, ObsStream, StampedEvent, StreamClose,
-    StreamSink, StreamStats, VecObsSink, WakeCode, GRAMMAR_VERSION,
+    CollectHandle, CollectSink, ObsEvent, ObsStream, StampedEvent, StreamClose, StreamSink,
+    StreamStats, WakeCode, GRAMMAR_VERSION,
 };
 pub use rtos::{IntPort, Rtos, RunStats, Sys};
 pub use state::{Delivered, FlagWaitMode, IntRequest, QueueOrder, TaskState, Timeout, WaitObj};
-pub use trace::{NullSink, TraceKind, TraceRecord, TraceSink};
+pub use trace::{TraceKind, TraceRecord};
 pub use tthread::{
     CharacteristicVector, ExecContext, TThreadEvent, TThreadInfo, TThreadKind, TThreadStats,
 };

@@ -26,18 +26,14 @@
 //!
 //! # Consuming the stream
 //!
-//! The kernel-facing hook is [`ObsSink`]: one virtual call per event,
-//! inside the state borrow. Two consumption styles exist:
-//!
-//! * [`VecObsSink`] buffers the whole run — right for unit tests and
-//!   for handing a short history to `rtk_farm::check`.
-//! * [`ObsStream`] is the streaming pipeline: a bounded ring that
-//!   batches events and fans them out to pluggable [`StreamSink`]
-//!   backends (the online oracle checker, the binary trace-file writer,
-//!   a bounded collector, ...). Memory stays `O(ring)` no matter how
-//!   long the run is, and a backend that stops accepting events
-//!   (bounded capture) produces *deterministic* drop accounting instead
-//!   of unbounded growth.
+//! The kernel-facing hook is one concrete [`ObsStream`], attached with
+//! [`crate::Rtos::set_obs_sink`]: a bounded ring that batches events and fans
+//! them out to pluggable [`StreamSink`] backends (the online oracle
+//! checker, the binary trace-file writer, a [`CollectSink`] for tests
+//! and for handing a short history to `rtk_farm::check`, ...). Memory
+//! stays `O(ring)` no matter how long the run is, and a backend that
+//! stops accepting events (bounded capture) produces *deterministic*
+//! drop accounting instead of unbounded growth.
 //!
 //! # Checker scope
 //!
@@ -54,7 +50,8 @@
 //! modeled subset and are reported as divergences by the checker, not
 //! validated.
 
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use crate::config::Priority;
 use crate::error::ErCode;
@@ -305,20 +302,6 @@ pub struct StampedEvent {
     pub ev: ObsEvent,
 }
 
-/// Consumer of observation events. Implementations must be cheap and
-/// must not call back into the kernel (its state is borrowed).
-pub trait ObsSink: Send + Sync {
-    /// Receives one event.
-    fn event(&self, ev: ObsEvent);
-
-    /// Receives one event together with the kernel tick at emission.
-    /// The kernel always calls this entry point; the default forwards
-    /// to [`ObsSink::event`] for sinks that do not care about time.
-    fn event_at(&self, _tick: u64, ev: ObsEvent) {
-        self.event(ev);
-    }
-}
-
 /// How a stream ended, passed to [`StreamSink::close`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StreamClose {
@@ -334,6 +317,9 @@ pub enum StreamClose {
 
 /// A streaming consumer of stamped observation events, fed in batches
 /// by [`ObsStream`] whenever its ring fills and once more at close.
+/// A ring flush runs inside the kernel state borrow, so a sink must be
+/// cheap and must not call back into the kernel (that would panic with
+/// `BorrowMutError`).
 ///
 /// Backpressure is modelled by the return value of
 /// [`StreamSink::batch`]: a sink accepts a *prefix* of the offered
@@ -342,7 +328,7 @@ pub enum StreamClose {
 /// so far (never of wall-clock or thread timing), which is what keeps
 /// drop accounting deterministic and byte-identical across hosts and
 /// worker-thread counts.
-pub trait StreamSink: Send {
+pub trait StreamSink {
     /// Consumes a batch, returning how many of the offered events were
     /// accepted (`<= events.len()`). Unaccepted events are dropped —
     /// they are *not* offered again.
@@ -362,20 +348,19 @@ pub struct StreamStats {
     pub dropped: u64,
 }
 
-/// Bounded-ring fan-out from the kernel's [`ObsSink`] hook to
+/// Bounded-ring fan-out from the kernel's observation hook to
 /// pluggable [`StreamSink`] backends.
 ///
-/// The producer side ([`ObsSink::event_at`], called inside the kernel
+/// The producer side ([`ObsStream::event_at`], called inside the kernel
 /// state borrow) appends into a fixed-capacity ring; when the ring is
 /// full it is flushed as one batch to every backend, and a final flush
 /// happens at [`ObsStream::close`]. Memory is bounded by the ring
-/// capacity regardless of run length, replacing the grow-forever
-/// [`VecObsSink`] pattern for long campaigns.
+/// capacity regardless of run length.
 ///
 /// # Example
 ///
 /// ```
-/// use rtk_core::{CollectSink, ObsEvent, ObsSink, ObsStream, StreamClose, TaskId};
+/// use rtk_core::{CollectSink, ObsEvent, ObsStream, StreamClose, TaskId};
 ///
 /// let (collect, taken) = CollectSink::with_capacity(2);
 /// let stream = ObsStream::with_ring_capacity(4).attach(Box::new(collect));
@@ -389,7 +374,7 @@ pub struct StreamStats {
 /// assert_eq!(taken.take().len(), 2);
 /// ```
 pub struct ObsStream {
-    inner: Mutex<StreamInner>,
+    inner: RefCell<StreamInner>,
 }
 
 struct StreamInner {
@@ -415,7 +400,7 @@ impl ObsStream {
     /// flushes.
     pub fn with_ring_capacity(capacity: usize) -> Self {
         ObsStream {
-            inner: Mutex::new(StreamInner {
+            inner: RefCell::new(StreamInner {
                 ring: Vec::with_capacity(capacity.max(1)),
                 capacity: capacity.max(1),
                 sinks: Vec::new(),
@@ -428,8 +413,8 @@ impl ObsStream {
     /// Adds a backend (builder style, before the stream is attached to
     /// the kernel).
     #[must_use]
-    pub fn attach(self, sink: Box<dyn StreamSink>) -> Self {
-        self.inner.lock().unwrap().sinks.push(sink);
+    pub fn attach(mut self, sink: Box<dyn StreamSink>) -> Self {
+        self.inner.get_mut().sinks.push(sink);
         self
     }
 
@@ -437,7 +422,7 @@ impl ObsStream {
     /// calls return the same totals without re-closing the backends.
     /// Events arriving after close are counted as dropped per backend.
     pub fn close(&self, how: StreamClose) -> StreamStats {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.inner.borrow_mut();
         if !inner.closed {
             inner.flush();
             inner.closed = true;
@@ -448,9 +433,26 @@ impl ObsStream {
         inner.stats
     }
 
+    /// Receives one event stamped with the kernel tick at emission (the
+    /// kernel calls this inside its state borrow). Flushes the ring to
+    /// every backend when it is full.
+    pub fn event_at(&self, tick: u64, ev: ObsEvent) {
+        let mut inner = self.inner.borrow_mut();
+        inner.stats.events += 1;
+        if inner.closed {
+            let n = inner.sinks.len().max(1) as u64;
+            inner.stats.dropped += n;
+            return;
+        }
+        inner.ring.push(StampedEvent { tick, ev });
+        if inner.ring.len() >= inner.capacity {
+            inner.flush();
+        }
+    }
+
     /// Totals so far (without flushing).
     pub fn stats(&self) -> StreamStats {
-        self.inner.lock().unwrap().stats
+        self.inner.borrow().stats
     }
 }
 
@@ -462,7 +464,7 @@ impl Default for ObsStream {
 
 impl std::fmt::Debug for ObsStream {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.inner.borrow();
         f.debug_struct("ObsStream")
             .field("capacity", &inner.capacity)
             .field("sinks", &inner.sinks.len())
@@ -490,51 +492,30 @@ impl StreamInner {
     }
 }
 
-impl ObsSink for ObsStream {
-    fn event(&self, ev: ObsEvent) {
-        // Un-stamped entry point (hand-fed streams): stamp tick 0.
-        self.event_at(0, ev);
-    }
-
-    fn event_at(&self, tick: u64, ev: ObsEvent) {
-        let mut inner = self.inner.lock().unwrap();
-        inner.stats.events += 1;
-        if inner.closed {
-            let n = inner.sinks.len().max(1) as u64;
-            inner.stats.dropped += n;
-            return;
-        }
-        inner.ring.push(StampedEvent { tick, ev });
-        if inner.ring.len() >= inner.capacity {
-            inner.flush();
-        }
-    }
-}
-
 /// A bounded [`StreamSink`] that retains the first `capacity` events
 /// and declines the rest (deterministic drop accounting in the owning
 /// [`ObsStream`]). The retained prefix is read through the paired
 /// [`CollectHandle`] after the stream closes.
 #[derive(Debug)]
 pub struct CollectSink {
-    shared: Arc<Mutex<Vec<StampedEvent>>>,
+    shared: Rc<RefCell<Vec<StampedEvent>>>,
     capacity: usize,
 }
 
 /// Reader side of a [`CollectSink`].
 #[derive(Debug, Clone)]
 pub struct CollectHandle {
-    shared: Arc<Mutex<Vec<StampedEvent>>>,
+    shared: Rc<RefCell<Vec<StampedEvent>>>,
 }
 
 impl CollectSink {
     /// A collector keeping at most `capacity` events, plus the handle
     /// that reads them back.
     pub fn with_capacity(capacity: usize) -> (CollectSink, CollectHandle) {
-        let shared = Arc::new(Mutex::new(Vec::new()));
+        let shared = Rc::new(RefCell::new(Vec::new()));
         (
             CollectSink {
-                shared: Arc::clone(&shared),
+                shared: Rc::clone(&shared),
                 capacity,
             },
             CollectHandle { shared },
@@ -550,52 +531,17 @@ impl CollectSink {
 impl CollectHandle {
     /// Takes the retained events (the buffer is left empty).
     pub fn take(&self) -> Vec<StampedEvent> {
-        std::mem::take(&mut self.shared.lock().unwrap())
+        self.shared.take()
     }
 }
 
 impl StreamSink for CollectSink {
     fn batch(&mut self, events: &[StampedEvent]) -> usize {
-        let mut buf = self.shared.lock().unwrap();
+        let mut buf = self.shared.borrow_mut();
         let room = self.capacity.saturating_sub(buf.len());
         let n = room.min(events.len());
         buf.extend_from_slice(&events[..n]);
         n
-    }
-}
-
-/// An [`ObsSink`] that records every event in order, for post-run
-/// replay through the oracle.
-#[derive(Debug, Default)]
-pub struct VecObsSink {
-    events: Mutex<Vec<ObsEvent>>,
-}
-
-impl VecObsSink {
-    /// An empty recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Takes the recorded history (the sink is left empty).
-    pub fn take(&self) -> Vec<ObsEvent> {
-        std::mem::take(&mut self.events.lock().unwrap())
-    }
-
-    /// Number of events recorded so far.
-    pub fn len(&self) -> usize {
-        self.events.lock().unwrap().len()
-    }
-
-    /// `true` when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl ObsSink for VecObsSink {
-    fn event(&self, ev: ObsEvent) {
-        self.events.lock().unwrap().push(ev);
     }
 }
 
@@ -616,20 +562,19 @@ mod tests {
     }
 
     /// A sink that records batch sizes and accepts everything.
-    struct BatchSpy(Arc<Mutex<Vec<usize>>>);
+    struct BatchSpy(Rc<RefCell<Vec<usize>>>);
 
     impl StreamSink for BatchSpy {
         fn batch(&mut self, events: &[StampedEvent]) -> usize {
-            self.0.lock().unwrap().push(events.len());
+            self.0.borrow_mut().push(events.len());
             events.len()
         }
     }
 
     #[test]
     fn ring_flushes_in_capacity_batches() {
-        let sizes = Arc::new(Mutex::new(Vec::new()));
-        let stream =
-            ObsStream::with_ring_capacity(3).attach(Box::new(BatchSpy(Arc::clone(&sizes))));
+        let sizes = Rc::new(RefCell::new(Vec::new()));
+        let stream = ObsStream::with_ring_capacity(3).attach(Box::new(BatchSpy(Rc::clone(&sizes))));
         for i in 0..7 {
             stream.event_at(i, ev(1));
         }
@@ -641,7 +586,7 @@ mod tests {
                 dropped: 0
             }
         );
-        assert_eq!(*sizes.lock().unwrap(), vec![3, 3, 1]);
+        assert_eq!(*sizes.borrow(), vec![3, 3, 1]);
     }
 
     #[test]
@@ -706,20 +651,5 @@ mod tests {
         let stats = stream.close(StreamClose::Aborted);
         assert_eq!(stats.events, 10);
         assert_eq!(stats.dropped, 10);
-    }
-
-    #[test]
-    fn vec_sink_records_in_order() {
-        let s = VecObsSink::new();
-        assert!(s.is_empty());
-        s.event(ObsEvent::TaskStart { tid: TaskId(1) });
-        s.event(ObsEvent::Dispatch {
-            tid: TaskId(1),
-            pri: 10,
-        });
-        assert_eq!(s.len(), 2);
-        let evs = s.take();
-        assert_eq!(evs[0], ObsEvent::TaskStart { tid: TaskId(1) });
-        assert!(s.is_empty());
     }
 }

@@ -14,7 +14,6 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::Arc;
 
 use sysc::{ProcCtx, RunOutcome, SimHandle, SimTime, Simulation};
 
@@ -22,9 +21,10 @@ use crate::config::KernelConfig;
 use crate::cost::{Cost, Energy, ServiceClass};
 use crate::error::{ErCode, KResult};
 use crate::ids::{IntNo, TaskId, ThreadRef};
+use crate::obs::ObsStream;
 use crate::sim_api::scheduler::{PriorityScheduler, Scheduler};
 use crate::state::{IntRequest, KernelState, Shared};
-use crate::trace::TraceSink;
+use crate::trace::TraceRecord;
 use crate::tthread::{ExecContext, TThreadInfo};
 
 /// A fully assembled RTK-Spec TRON kernel simulation.
@@ -97,16 +97,30 @@ impl Rtos {
         Rtos { sim, shared }
     }
 
-    /// Attaches a trace sink (Gantt / energy analysis).
-    pub fn set_trace_sink(&self, sink: Arc<dyn TraceSink>) {
-        self.shared.st.borrow_mut().sink = sink;
+    /// Starts recording the execution trace (Gantt slices and
+    /// dispatch, preemption and interrupt points; see [`crate::trace`]).
+    /// Until this is called the kernel builds no trace record. Calling
+    /// it again keeps the records already taken.
+    pub fn record_trace(&self) {
+        self.shared
+            .st
+            .borrow_mut()
+            .trace
+            .get_or_insert_with(Vec::new);
     }
 
-    /// Attaches an observation sink recording kernel decisions
+    /// The execution trace recorded so far, in emission order (empty
+    /// unless [`Rtos::record_trace`] was called).
+    pub fn trace_records(&self) -> Vec<TraceRecord> {
+        self.shared.st.borrow().trace.clone().unwrap_or_default()
+    }
+
+    /// Attaches an observation stream recording kernel decisions
     /// (dispatches, wakeups, sync-object operations) for differential
-    /// checking against a reference model. See [`crate::obs`].
-    pub fn set_obs_sink(&self, sink: Arc<dyn crate::obs::ObsSink>) {
-        self.shared.st.borrow_mut().obs = Some(sink);
+    /// checking against a reference model and for trace capture. See
+    /// [`crate::obs`].
+    pub fn set_obs_sink(&self, stream: Rc<ObsStream>) {
+        self.shared.st.borrow_mut().obs = Some(stream);
     }
 
     /// The underlying sysc simulation handle.
@@ -115,7 +129,7 @@ impl Rtos {
     }
 
     /// Attaches a sysc engine tracer (signal/waveform probing).
-    pub fn set_sim_tracer(&self, tracer: Arc<dyn sysc::Tracer>) {
+    pub fn set_sim_tracer(&self, tracer: Rc<dyn sysc::Tracer>) {
         self.sim.set_tracer(tracer);
     }
 
@@ -448,6 +462,52 @@ mod tests {
         });
         let stats = handle.join().expect("worker thread panicked");
         assert_eq!(stats.busy_time, SimTime::from_us(50));
+    }
+
+    #[test]
+    fn trace_is_recorded_only_when_started() {
+        let run = |record: bool| {
+            let mut rtos = Rtos::new(KernelConfig::zero_cost(), |sys, _| {
+                let t = sys
+                    .tk_cre_tsk("w", 10, |sys, _| {
+                        sys.exec(SimTime::from_us(100));
+                    })
+                    .unwrap();
+                sys.tk_sta_tsk(t, 0).unwrap();
+            });
+            if record {
+                rtos.record_trace();
+            }
+            rtos.run_for(SimTime::from_ms(2));
+            (rtos.run_stats(), rtos.trace_records())
+        };
+        let (off_stats, off_trace) = run(false);
+        assert!(off_trace.is_empty());
+        let (on_stats, on_trace) = run(true);
+        assert_eq!(on_stats, off_stats, "recording changed the run");
+        // Emission order: the worker starts, is dispatched, runs its
+        // body slice and exits.
+        assert!(on_trace.windows(2).all(|w| w[0].start <= w[1].start));
+        let worker: Vec<_> = on_trace
+            .iter()
+            .filter(|r| r.name == "w")
+            .map(|r| (r.kind.clone(), r.duration()))
+            .collect();
+        assert_eq!(
+            worker,
+            [
+                (crate::TraceKind::Startup, SimTime::ZERO),
+                (crate::TraceKind::Dispatch, SimTime::ZERO),
+                (
+                    crate::TraceKind::Slice {
+                        context: ExecContext::TaskBody,
+                        label: "block".into()
+                    },
+                    SimTime::from_us(100)
+                ),
+                (crate::TraceKind::Exit, SimTime::ZERO),
+            ]
+        );
     }
 
     #[test]

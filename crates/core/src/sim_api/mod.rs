@@ -46,7 +46,7 @@ pub mod scheduler;
 
 use sysc::{EventId, ProcCtx, SimTime, WaitOutcome};
 
-use crate::cost::Cost;
+use crate::cost::{Cost, Energy};
 use crate::error::ErCode;
 use crate::ids::{TaskId, ThreadRef};
 use crate::state::{
@@ -69,17 +69,34 @@ impl Shared {
         st.threads.insert(who, rec);
     }
 
-    /// Emits a zero-width trace record for `who`.
-    pub(crate) fn trace_point(st: &KernelState, now: SimTime, who: ThreadRef, kind: TraceKind) {
-        let name = st.thread(who).name.clone();
-        st.sink.record(TraceRecord {
-            start: now,
-            end: now,
+    /// Appends one execution-trace record for `who` while the trace is
+    /// being recorded. `kind` is built only then, so an unrecorded run
+    /// clones no thread name and no label.
+    pub(crate) fn trace_record(
+        st: &mut KernelState,
+        who: ThreadRef,
+        start: SimTime,
+        end: SimTime,
+        kind: impl FnOnce() -> TraceKind,
+        energy: Energy,
+    ) {
+        let Some(trace) = &mut st.trace else {
+            return;
+        };
+        let name = st.threads[&who].name.clone();
+        trace.push(TraceRecord {
+            start,
+            end,
             who,
             name,
-            kind,
-            energy: crate::cost::Energy::ZERO,
+            kind: kind(),
+            energy,
         });
+    }
+
+    /// Records a zero-width trace point for `who`.
+    pub(crate) fn trace_point(st: &mut KernelState, now: SimTime, who: ThreadRef, kind: TraceKind) {
+        Self::trace_record(st, who, now, now, || kind, Energy::ZERO);
     }
 
     // ------------------------------------------------------------------
@@ -138,6 +155,10 @@ impl Shared {
             /// Run the next slice.
             Slice(EventId, crate::cost::Power),
         }
+        let slice = || TraceKind::Slice {
+            context: ctx,
+            label: label.to_string(),
+        };
         let mut remaining = cost.time;
         let mut explicit_pending = cost.energy;
         loop {
@@ -184,25 +205,14 @@ impl Shared {
             if remaining.is_zero() {
                 // Attribute the explicit EEM annotation to the final slice.
                 energy += explicit_pending;
-                explicit_pending = crate::cost::Energy::ZERO;
+                explicit_pending = Energy::ZERO;
             }
             let rec = st.thread_mut(who);
             rec.stats.consume(ctx, consumed, energy);
             if remaining.is_zero() {
                 rec.stats.sigma.fire(TThreadEvent::Ec);
             }
-            let name = rec.name.clone();
-            st.sink.record(TraceRecord {
-                start,
-                end,
-                who,
-                name,
-                kind: TraceKind::Slice {
-                    context: ctx,
-                    label: label.to_string(),
-                },
-                energy,
-            });
+            Self::trace_record(&mut st, who, start, end, slice, energy);
         }
         // Zero-time annotations still record their explicit energy.
         if !explicit_pending.is_zero() {
@@ -211,18 +221,7 @@ impl Shared {
             let rec = st.thread_mut(who);
             rec.stats.consume(ctx, SimTime::ZERO, explicit_pending);
             rec.stats.sigma.fire(TThreadEvent::Ec);
-            let name = rec.name.clone();
-            st.sink.record(TraceRecord {
-                start: now,
-                end: now,
-                who,
-                name,
-                kind: TraceKind::Slice {
-                    context: ctx,
-                    label: label.to_string(),
-                },
-                energy: explicit_pending,
-            });
+            Self::trace_record(&mut st, who, now, now, slice, explicit_pending);
         }
     }
 
@@ -313,7 +312,7 @@ impl Shared {
             ResumeKind::Wakeup | ResumeKind::Start => None,
         };
         if let Some(kind) = kind {
-            Shared::trace_point(&st, now, who, kind);
+            Shared::trace_point(&mut st, now, who, kind);
         }
     }
 
@@ -535,7 +534,7 @@ impl Shared {
             rec.resume_as = ResumeKind::Wakeup;
             rec.parked = true;
             rec.cpu_granted = false;
-            Shared::trace_point(&st, now, who, TraceKind::Sleep);
+            Shared::trace_point(&mut st, now, who, TraceKind::Sleep);
             st.running = None;
             // Delayed dispatching: if an interrupt freeze is pending
             // against us, the interrupt machinery owns the next dispatch

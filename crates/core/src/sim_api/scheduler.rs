@@ -15,7 +15,7 @@ use crate::ids::TaskId;
 /// A ready-queue policy. The kernel tells the scheduler which tasks are
 /// ready (with their current priority); the scheduler decides who runs
 /// next and whether the running task should be preempted.
-pub trait Scheduler: Send {
+pub trait Scheduler {
     /// Adds a task to the ready set. `at_head` requeues a preempted task
     /// before its priority peers (µ-ITRON preemption rule).
     fn enqueue(&mut self, tid: TaskId, pri: Priority, at_head: bool);

@@ -11,7 +11,6 @@
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
-use std::sync::Arc;
 
 use sysc::{EventId, ProcId, SimHandle, SimTime, TimingWheel};
 
@@ -19,8 +18,9 @@ use crate::config::{KernelConfig, Priority};
 use crate::cost::Energy;
 use crate::error::ErCode;
 use crate::ids::*;
+use crate::obs::ObsStream;
 use crate::sim_api::scheduler::Scheduler;
-use crate::trace::{NullSink, TraceSink};
+use crate::trace::TraceRecord;
 use crate::tthread::{ExecContext, TThreadKind, TThreadStats};
 
 /// Timeout of a blocking service call (µ-ITRON `TMO`).
@@ -366,10 +366,12 @@ pub(crate) struct KernelState {
     due_timers: VecDeque<TimerAction>,
     /// Reused scratch buffer for wheel drains (per-tick hot path).
     due_scratch: Vec<sysc::TimedEntry<TimerAction>>,
-    pub sink: Arc<dyn TraceSink>,
-    /// Observation hook for differential (oracle) checking; `None`
-    /// costs one branch per decision point.
-    pub obs: Option<Arc<dyn crate::obs::ObsSink>>,
+    /// The Gantt execution trace, kept once recording has started
+    /// (`Rtos::record_trace`); `None` builds no record at all.
+    pub trace: Option<Vec<TraceRecord>>,
+    /// Observation stream for differential (oracle) checking and trace
+    /// capture; `None` costs one branch per decision point.
+    pub obs: Option<Rc<ObsStream>>,
     /// Total number of task dispatches (context switches onto the CPU).
     pub dispatches: u64,
     /// Accumulated CPU idle time and its energy (idle power draw).
@@ -415,7 +417,7 @@ impl KernelState {
             timeq: TimingWheel::new(),
             due_timers: VecDeque::new(),
             due_scratch: Vec::new(),
-            sink: Arc::new(NullSink),
+            trace: None,
             obs: None,
             dispatches: 0,
             idle_time: SimTime::ZERO,
@@ -469,7 +471,7 @@ impl KernelState {
         self.threads.get_mut(&who).expect("unregistered T-THREAD")
     }
 
-    /// Reports one observation event to the attached sink, if any.
+    /// Reports one observation event to the attached stream, if any.
     #[inline]
     pub(crate) fn observe(&self, ev: crate::obs::ObsEvent) {
         if let Some(obs) = &self.obs {

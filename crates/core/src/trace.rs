@@ -1,9 +1,11 @@
 //! RTOS-level execution trace.
 //!
-//! Every slice of consumed execution time/energy, every dispatch,
-//! preemption and interrupt transition is reported as a [`TraceRecord`]
-//! to an attached [`TraceSink`]. The `rtk-analysis` crate renders these
-//! into the paper's Fig. 6 Gantt chart and Fig. 7 energy distribution.
+//! Once [`crate::Rtos::record_trace`] has started recording, the kernel
+//! keeps every slice of consumed execution time/energy and every
+//! dispatch, preemption and interrupt transition as a [`TraceRecord`];
+//! [`crate::Rtos::trace_records`] reads them back. Without recording,
+//! no record is built. The `rtk-analysis` crate renders the records
+//! into the paper's Fig. 6 Gantt chart.
 
 use sysc::SimTime;
 
@@ -65,21 +67,6 @@ impl TraceRecord {
     }
 }
 
-/// Consumer of trace records. Implementations must be cheap and must not
-/// call back into the kernel.
-pub trait TraceSink: Send + Sync {
-    /// Receives one record.
-    fn record(&self, rec: TraceRecord);
-}
-
-/// A sink that discards everything (the default).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn record(&self, _rec: TraceRecord) {}
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,19 +95,6 @@ mod tests {
             energy: Energy::ZERO,
         };
         assert_eq!(point.duration(), SimTime::ZERO);
-    }
-
-    #[test]
-    fn null_sink_accepts_records() {
-        let s = NullSink;
-        s.record(TraceRecord {
-            start: SimTime::ZERO,
-            end: SimTime::ZERO,
-            who: ThreadRef::Timer,
-            name: "timer".into(),
-            kind: TraceKind::Startup,
-            energy: Energy::ZERO,
-        });
     }
 
     #[test]

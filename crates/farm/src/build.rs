@@ -11,7 +11,6 @@ use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::rc::Rc;
-use std::sync::{Arc, Mutex};
 
 use rtk_analysis::static_verify::Conformance;
 use rtk_analysis::trace_codec::{TraceHeader, TraceTuning, TraceWriter};
@@ -289,13 +288,13 @@ pub fn run_scenario_observed(
 /// reads afterwards: the incremental differential oracle ("the oracle
 /// is just another sink") or the static-model conformance checker.
 struct CheckerSink<T, F> {
-    checker: Arc<Mutex<T>>,
+    checker: Rc<RefCell<T>>,
     push: F,
 }
 
-impl<T: Send, F: FnMut(&mut T, &ObsEvent) + Send> StreamSink for CheckerSink<T, F> {
+impl<T, F: FnMut(&mut T, &ObsEvent)> StreamSink for CheckerSink<T, F> {
     fn batch(&mut self, events: &[StampedEvent]) -> usize {
-        let mut checker = self.checker.lock().unwrap();
+        let mut checker = self.checker.borrow_mut();
         for se in events {
             (self.push)(&mut checker, &se.ev);
         }
@@ -331,9 +330,9 @@ pub(crate) fn run_scenario_recorded(
     let mut any_sink = false;
     let mut checker = None;
     if oracle {
-        let shared = Arc::new(Mutex::new(oracle::Checker::new()));
+        let shared = Rc::new(RefCell::new(oracle::Checker::new()));
         stream = stream.attach(Box::new(CheckerSink {
-            checker: Arc::clone(&shared),
+            checker: Rc::clone(&shared),
             push: oracle::Checker::push,
         }));
         any_sink = true;
@@ -348,14 +347,15 @@ pub(crate) fn run_scenario_recorded(
     }
     let mut conformance = None;
     if analyze {
-        let shared = Arc::new(Mutex::new(Conformance::from_model(&static_model(spec))));
+        let shared = Rc::new(RefCell::new(Conformance::from_model(&static_model(spec))));
         stream = stream.attach(Box::new(CheckerSink {
-            checker: Arc::clone(&shared),
+            checker: Rc::clone(&shared),
             push: Conformance::push,
         }));
         any_sink = true;
         conformance = Some(shared);
     }
+    let mut writer_handle = None;
     if let Some(tc) = trace {
         let header = TraceHeader {
             grammar_version: rtk_core::GRAMMAR_VERSION,
@@ -367,14 +367,15 @@ pub(crate) fn run_scenario_recorded(
         };
         let path = tc.dir.join(format!("seed-{:010}.rtkt", spec.seed));
         match TraceWriter::create(&path, &header, tc.cap) {
-            Ok((writer, _handle)) => {
+            Ok((writer, handle)) => {
                 stream = std::mem::take(&mut stream).attach(Box::new(writer));
                 any_sink = true;
+                writer_handle = Some(handle);
             }
             Err(e) => eprintln!("rtk-farm: cannot create trace {}: {e}", path.display()),
         }
     }
-    let obs = any_sink.then(|| Arc::new(stream));
+    let obs = any_sink.then(|| Rc::new(stream));
 
     let result = {
         let collect = Rc::clone(&collect);
@@ -393,13 +394,23 @@ pub(crate) fn run_scenario_recorded(
         });
         out.obs_dropped = stats.dropped;
     }
+    // A write that failed after the file was created (e.g. ENOSPC) is
+    // reported like a failed create; the run itself is unaffected.
+    if let Some(summary) = writer_handle.and_then(|h| h.summary()) {
+        if let Some(e) = summary.error {
+            eprintln!(
+                "rtk-farm: cannot write trace {}: {e}",
+                summary.path.display()
+            );
+        }
+    }
     // On a panicked run the panic itself is the finding — a truncated
     // stream would report a bogus "mandated wakeup never observed", so
     // the oracle verdict is taken from clean runs only.
     let mut events = Vec::new();
     if result.is_ok() {
         if let Some(checker) = &checker {
-            let verdict = checker.lock().unwrap().verdict(true);
+            let verdict = checker.borrow().verdict(true);
             out.oracle_events = verdict.events_checked;
             out.divergence = verdict.divergence.map(|d| (d.index as u64, d.to_string()));
         }
@@ -408,7 +419,7 @@ pub(crate) fn run_scenario_recorded(
         events = handle.take();
     }
     if let Some(conformance) = &conformance {
-        let c = conformance.lock().unwrap();
+        let c = conformance.borrow();
         out.conformance_violations = c.violation_count();
         out.conformance_details = c.violations().to_vec();
     }
@@ -482,7 +493,7 @@ pub(crate) fn run_scenario_recorded(
 fn execute(
     spec: &ScenarioSpec,
     collect: &Rc<RefCell<Collect>>,
-    obs: Option<Arc<ObsStream>>,
+    obs: Option<Rc<ObsStream>>,
 ) -> (&'static str, RunStats) {
     let order = if spec.priority_queues {
         QueueOrder::Priority

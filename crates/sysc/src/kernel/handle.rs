@@ -1,6 +1,4 @@
-//! [`SimHandle`] — the cloneable notification/creation handle — and
-//! the batched-notification APIs ([`SimHandle::notify_many`],
-//! [`NotifyBatch`]).
+//! [`SimHandle`] — the cloneable notification/creation handle.
 
 use std::panic;
 use std::rc::Rc;
@@ -72,32 +70,6 @@ impl SimHandle {
         let mut st = self.k.st.borrow_mut();
         for &e in events {
             st.notify_now(e);
-        }
-    }
-
-    /// Starts a deferred notification batch: notifications recorded on
-    /// the batch are published by [`NotifyBatch::commit`] (or drop)
-    /// in one borrow of the kernel state.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use sysc::{Simulation, SimTime};
-    ///
-    /// let sim = Simulation::new();
-    /// let h = sim.handle();
-    /// let a = h.create_event("a");
-    /// let b = h.create_event("b");
-    /// let mut batch = h.batch();
-    /// batch.notify(a);
-    /// batch.notify_after(b, SimTime::from_us(10));
-    /// batch.commit();
-    /// assert_eq!(h.event_fire_count(a), 1);
-    /// ```
-    pub fn batch(&self) -> NotifyBatch {
-        NotifyBatch {
-            h: self.clone(),
-            ops: Vec::new(),
         }
     }
 
@@ -315,72 +287,4 @@ where
             }
         }
     }));
-}
-
-/// A deferred notification buffer: records notifications locally and
-/// publishes them all in one borrow of the kernel state on
-/// [`NotifyBatch::commit`] (or when dropped). Built by
-/// [`SimHandle::batch`]; used by peripheral models that emit several
-/// notifications per hardware action.
-#[derive(Debug)]
-pub struct NotifyBatch {
-    h: SimHandle,
-    ops: Vec<(EventId, BatchedNotify)>,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum BatchedNotify {
-    Now,
-    Delta,
-    After(SimTime),
-}
-
-impl NotifyBatch {
-    /// Records an immediate notification.
-    pub fn notify(&mut self, e: EventId) {
-        self.ops.push((e, BatchedNotify::Now));
-    }
-
-    /// Records a delta notification.
-    pub fn notify_delta(&mut self, e: EventId) {
-        self.ops.push((e, BatchedNotify::Delta));
-    }
-
-    /// Records a timed notification (`sc_event` override rule applies
-    /// at commit time).
-    pub fn notify_after(&mut self, e: EventId, delay: SimTime) {
-        self.ops.push((e, BatchedNotify::After(delay)));
-    }
-
-    /// Number of recorded, uncommitted notifications.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// `true` if nothing is recorded.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
-    /// Publishes all recorded notifications, in recording order, in one
-    /// borrow of the kernel state. The batch can be reused afterwards.
-    pub fn commit(&mut self) {
-        if self.ops.is_empty() {
-            return;
-        }
-        let mut st = self.h.k.st.borrow_mut();
-        for (e, op) in self.ops.drain(..) {
-            match op {
-                BatchedNotify::Now => st.notify_now(e),
-                BatchedNotify::Delta => st.notify_delta(e),
-                BatchedNotify::After(d) => st.notify_after(e, d),
-            }
-        }
-    }
-}
-
-impl Drop for NotifyBatch {
-    fn drop(&mut self) {
-        self.commit();
-    }
 }

@@ -8,9 +8,8 @@
 //!   notifications, signal updates);
 //! * [`procs`] — the process table (thread and method processes).
 //!
-//! This module keeps the public surface: [`Simulation`], [`SimHandle`]
-//! (including the batched [`SimHandle::notify_many`] /
-//! [`NotifyBatch`] APIs), [`ProcCtx`] and [`MethodCtx`].
+//! This module keeps the public surface: [`Simulation`], [`SimHandle`],
+//! [`ProcCtx`] and [`MethodCtx`].
 
 mod delta;
 mod handle;
@@ -20,7 +19,6 @@ pub(crate) mod wheel;
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::Arc;
 
 use crate::ids::{EventId, ProcId};
 use crate::runtime::coro::{CoroRt, CoroShared};
@@ -29,7 +27,7 @@ use crate::time::SimTime;
 use crate::trace::{KernelStats, Tracer};
 
 pub(crate) use delta::DeltaQueues;
-pub use handle::{NotifyBatch, SimHandle};
+pub use handle::SimHandle;
 use procs::{ProcBody, ProcState};
 use sched::KState;
 
@@ -159,7 +157,7 @@ impl Simulation {
     }
 
     /// Attaches a tracer (replacing any previous one).
-    pub fn set_tracer(&self, tracer: Arc<dyn Tracer>) {
+    pub fn set_tracer(&self, tracer: Rc<dyn Tracer>) {
         self.k.st.borrow_mut().tracer = Some(tracer);
     }
 

@@ -48,7 +48,6 @@
 
 use std::panic::{self, AssertUnwindSafe};
 use std::rc::Rc;
-use std::sync::Arc;
 
 use crate::ids::{EventId, ProcId};
 use crate::runtime::coro::CoroShared;
@@ -114,7 +113,7 @@ pub(crate) struct KState {
     pub(crate) events: Vec<EventEntry>,
     pub(crate) dq: DeltaQueues,
     pub(crate) wheel: TimingWheel<TimedAction>,
-    pub(crate) tracer: Option<Arc<dyn Tracer>>,
+    pub(crate) tracer: Option<Rc<dyn Tracer>>,
     pub(crate) stats: KernelStats,
     pub(crate) in_run: bool,
     pub(crate) max_deltas_per_timestep: u64,
@@ -288,8 +287,8 @@ impl KState {
     }
 
     // ------------------------------------------------------------------
-    // Notification primitives (callers hold the state borrow; the batch
-    // API and `notify_many` share one borrow among several of these).
+    // Notification primitives (callers hold the state borrow;
+    // `notify_many` shares one borrow among several of these).
     // ------------------------------------------------------------------
 
     /// Immediate notification: fires now, waking waiters into the

@@ -74,9 +74,7 @@ mod trace;
 
 pub use ids::{EventId, ProcId};
 pub use kernel::wheel::{TimedEntry, TimingWheel};
-pub use kernel::{
-    MethodCtx, NotifyBatch, ProcCtx, RunOutcome, SimHandle, Simulation, SpawnMode, WaitOutcome,
-};
+pub use kernel::{MethodCtx, ProcCtx, RunOutcome, SimHandle, Simulation, SpawnMode, WaitOutcome};
 pub use runtime::{Runtime, WakeReason};
 pub use signal::{Clock, Signal, SignalValue};
 pub use time::SimTime;

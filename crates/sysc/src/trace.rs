@@ -2,8 +2,8 @@
 //!
 //! A [`Tracer`] can be attached to a simulation to observe scheduler
 //! activity: process dispatches, event firings, signal updates and time
-//! advances. The `rtk-analysis` crate builds Gantt charts, VCD waveform
-//! dumps and speed reports on top of these hooks.
+//! advances. The `rtk-analysis` crate's `WaveProbe` builds VCD waveform
+//! dumps on this hook; the speed reports read [`KernelStats`].
 //!
 //! Tracer methods are invoked while the kernel state is borrowed;
 //! tracer implementations must record and return — they must **not**
@@ -18,7 +18,7 @@ use crate::time::SimTime;
 /// Observer of kernel activity. All methods have empty default bodies so
 /// implementers only override what they need.
 #[allow(unused_variables)]
-pub trait Tracer: Send + Sync {
+pub trait Tracer {
     /// A process was handed the processor in the evaluate phase.
     fn process_dispatched(&self, now: SimTime, proc: ProcId, name: &str) {}
 

@@ -153,7 +153,7 @@ fn fast_forward_matches_engine_path() {
         if traced {
             struct Null;
             impl sysc::Tracer for Null {}
-            sim.set_tracer(Arc::new(Null));
+            sim.set_tracer(std::rc::Rc::new(Null));
         }
         let h = sim.handle();
         let tick = h.create_event("tick");

@@ -1,6 +1,7 @@
 //! Semantic tests for the sysc discrete-event kernel: scheduling order,
 //! notification rules, delta cycles, waits, kills and panics.
 
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -497,8 +498,8 @@ fn tracer_sees_dispatches_and_time() {
         }
     }
     let mut sim = Simulation::new();
-    let tracer = Arc::new(T::default());
-    sim.set_tracer(Arc::clone(&tracer) as Arc<dyn Tracer>);
+    let tracer = Rc::new(T::default());
+    sim.set_tracer(Rc::clone(&tracer) as Rc<dyn Tracer>);
     let h = sim.handle();
     let e = h.create_event("e");
     h.spawn_thread("p", SpawnMode::Immediate, move |ctx| {

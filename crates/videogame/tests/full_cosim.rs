@@ -176,7 +176,7 @@ fn determinism_same_build_same_outcome() {
 
 #[test]
 fn single_cpu_invariant_holds_over_full_run() {
-    // Attach a recorder and verify no two execution slices of different
+    // Record the trace and verify no two execution slices of different
     // T-THREADs overlap in time (single-CPU invariant).
     use rtk_core::TraceKind;
     let mut cosim = build_cosim(
@@ -185,11 +185,11 @@ fn single_cpu_invariant_holds_over_full_run() {
         PlayerSkill::Perfect,
         Gui::Off,
     );
-    let recorder = std::sync::Arc::new(rtk_analysis::TraceRecorder::new());
-    cosim.rtos.set_trace_sink(recorder.clone());
+    cosim.rtos.record_trace();
     cosim.rtos.run_until(SimTime::from_ms(300));
-    let mut slices: Vec<(u64, u64, String)> = recorder
-        .snapshot()
+    let mut slices: Vec<(u64, u64, String)> = cosim
+        .rtos
+        .trace_records()
         .into_iter()
         .filter(|r| matches!(r.kind, TraceKind::Slice { .. }) && r.duration() > SimTime::ZERO)
         .map(|r| (r.start.as_ps(), r.end.as_ps(), r.name))

@@ -3,9 +3,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use std::sync::Arc;
-
-use rtk_spec_tron::analysis::{GanttChart, GanttConfig, TraceRecorder};
+use rtk_spec_tron::analysis::{GanttChart, GanttConfig};
 use rtk_spec_tron::core::{KernelConfig, QueueOrder, Rtos, Timeout};
 use rtk_spec_tron::sysc::SimTime;
 
@@ -39,8 +37,7 @@ fn main() {
         sys.tk_sta_tsk(producer, 0).unwrap();
     });
 
-    let recorder = Arc::new(TraceRecorder::new());
-    rtos.set_trace_sink(recorder.clone());
+    rtos.record_trace();
 
     rtos.run_for(SimTime::from_ms(15));
 
@@ -51,7 +48,7 @@ fn main() {
     });
     println!(
         "{}",
-        chart.render(&recorder.snapshot(), SimTime::ZERO, SimTime::from_ms(15))
+        chart.render(&rtos.trace_records(), SimTime::ZERO, SimTime::from_ms(15))
     );
     println!("{}", rtos.ds().dump_listing());
 }

@@ -7,9 +7,7 @@
 //!
 //! Run with: `cargo run --example videogame --release`
 
-use std::sync::Arc;
-
-use rtk_spec_tron::analysis::{Battery, EnergyReport, GanttChart, GanttConfig, TraceRecorder};
+use rtk_spec_tron::analysis::{Battery, EnergyReport, GanttChart, GanttConfig};
 use rtk_spec_tron::bfm::GuiCost;
 use rtk_spec_tron::core::KernelConfig;
 use rtk_spec_tron::sysc::SimTime;
@@ -25,8 +23,7 @@ fn main() {
             cost: GuiCost::LIGHT,
         },
     );
-    let recorder = Arc::new(TraceRecorder::new());
-    cosim.rtos.set_trace_sink(recorder.clone());
+    cosim.rtos.record_trace();
 
     let horizon = SimTime::from_secs(1);
     cosim.rtos.run_until(horizon);
@@ -49,7 +46,7 @@ fn main() {
     println!(
         "{}",
         chart.render(
-            &recorder.window(SimTime::from_ms(95), SimTime::from_ms(160)),
+            &cosim.rtos.trace_records(),
             SimTime::from_ms(95),
             SimTime::from_ms(160)
         )

@@ -2,17 +2,16 @@
 //! the paper cost model's timing behaviour, and the full
 //! trace → Gantt → energy → VCD analysis pipeline across crates.
 
+use std::rc::Rc;
 use std::sync::Arc;
 
-use rtk_spec_tron::analysis::{
-    Battery, EnergyReport, GanttChart, GanttConfig, TraceRecorder, WaveProbe,
-};
+use rtk_spec_tron::analysis::{Battery, EnergyReport, GanttChart, GanttConfig, WaveProbe};
 use rtk_spec_tron::bfm::Bfm;
 use rtk_spec_tron::core::{
     CostModel, ExecContext, KernelConfig, QueueOrder, Rtos, ServiceClass, Timeout,
 };
 use rtk_spec_tron::sysc::SimTime;
-use rtk_spec_tron::videogame::{build_cosim, GameConfig, Gui, PlayerSkill};
+use rtk_spec_tron::videogame::{build_cosim, Cosim, GameConfig, Gui, PlayerSkill};
 
 fn ms(v: u64) -> SimTime {
     SimTime::from_ms(v)
@@ -84,15 +83,17 @@ fn zero_cost_model_makes_services_free() {
 
 #[test]
 fn full_analysis_pipeline_over_the_case_study() {
-    let mut cosim = build_cosim(
-        KernelConfig::paper(),
-        GameConfig::default(),
-        PlayerSkill::Perfect,
-        Gui::Off,
-    );
-    let recorder = Arc::new(TraceRecorder::new());
-    cosim.rtos.set_trace_sink(recorder.clone());
-    let probe = Arc::new(WaveProbe::new());
+    let case_study = || {
+        build_cosim(
+            KernelConfig::paper(),
+            GameConfig::default(),
+            PlayerSkill::Perfect,
+            Gui::Off,
+        )
+    };
+    let mut cosim = case_study();
+    cosim.rtos.record_trace();
+    let probe = Rc::new(WaveProbe::new());
     cosim.rtos.set_sim_tracer(probe.clone());
 
     cosim.rtos.run_until(ms(400));
@@ -102,7 +103,7 @@ fn full_analysis_pipeline_over_the_case_study() {
         width: 80,
         show_markers: true,
     });
-    let gantt = chart.render(&recorder.snapshot(), SimTime::ZERO, ms(400));
+    let gantt = chart.render(&cosim.rtos.trace_records(), SimTime::ZERO, ms(400));
     assert!(gantt.contains('#'), "handler pattern missing:\n{gantt}");
     assert!(gantt.contains('B'), "bfm pattern missing:\n{gantt}");
     assert!(gantt.contains('$'), "service pattern missing:\n{gantt}");
@@ -133,6 +134,23 @@ fn full_analysis_pipeline_over_the_case_study() {
     // but the VCD must be syntactically valid.)
     let vcd = probe.to_vcd();
     assert!(vcd.contains("$enddefinitions"));
+
+    // Probe neutrality: the same co-simulation with no trace recording
+    // and no engine tracer makes the same kernel decisions and charges
+    // every T-THREAD the same CET/CEE per place.
+    let mut bare = case_study();
+    bare.rtos.run_until(ms(400));
+    assert_eq!(bare.rtos.run_stats(), cosim.rtos.run_stats());
+    let per_place = |cosim: &Cosim| -> Vec<_> {
+        cosim
+            .rtos
+            .threads()
+            .into_iter()
+            .map(|t| (t.name, t.stats.iter().collect::<Vec<_>>()))
+            .collect()
+    };
+    assert_eq!(per_place(&bare), per_place(&cosim));
+    assert!(bare.rtos.trace_records().is_empty());
 }
 
 #[test]
