@@ -1395,11 +1395,20 @@ mod tests {
         assert_eq!(bytes, again);
     }
 
-    #[test]
-    fn every_variant_round_trips() {
-        // One of each tag, exercising every field codec path.
+    /// The every-form fixture: [`every_form`] as encoded when it was
+    /// captured. Regenerate with `cargo test -p rtk-analysis --lib --
+    /// --ignored regenerate_every_form_fixture`.
+    const EVERY_FORM: &[u8] = include_bytes!("../tests/fixtures/every_form.rtkt");
+
+    /// A trace that uses every wire form: all 47 tags, all ten
+    /// `WaitObj` sub-tags, four `FlagWaitMode` bit patterns, every
+    /// `MtxPolicy` and `WakeCode`, both `Option` forms, both `bool`
+    /// values, the maxima of every field type, a 10-byte tick delta,
+    /// header tuning flags and an aborted trailer with drops.
+    fn every_form() -> (TraceHeader, Vec<StampedEvent>, TraceTrailer) {
+        // One of each tag.
         let tid = TaskId::from_raw(3);
-        let evs = vec![
+        let mut evs = vec![
             ObsEvent::TaskCreate { tid, pri: 1 },
             ObsEvent::TaskStart { tid },
             ObsEvent::TaskExit { tid },
@@ -1552,16 +1561,145 @@ mod tests {
                 tick: 9,
             },
         ];
-        let stamped: Vec<StampedEvent> = evs
+        // Sub-forms and maxima.
+        let max_tid = TaskId::from_raw(u32::MAX);
+        let flag = |ptn, mode| WaitObj::Flag(FlgId::from_raw(2), ptn, mode);
+        let objs = [
+            WaitObj::Sleep,
+            WaitObj::Delay,
+            WaitObj::Sem(SemId::from_raw(u32::MAX), u32::MAX),
+            flag(0b101, FlagWaitMode::OR),
+            flag(u32::MAX, FlagWaitMode::AND.with_clear()),
+            flag(1, FlagWaitMode::OR.with_bitclear()),
+            WaitObj::Mbx(MbxId::from_raw(u32::MAX)),
+            WaitObj::MbfSend(MbfId::from_raw(u32::MAX), usize::MAX),
+            WaitObj::MbfRecv(MbfId::from_raw(u32::MAX)),
+            WaitObj::Mtx(MtxId::from_raw(u32::MAX)),
+            WaitObj::Mpf(MpfId::from_raw(u32::MAX)),
+            WaitObj::Mpl(MplId::from_raw(u32::MAX), usize::MAX),
+        ];
+        let codes = [
+            WakeCode::Ok,
+            WakeCode::Timeout,
+            WakeCode::Released,
+            WakeCode::Deleted,
+        ];
+        for (i, obj) in objs.into_iter().enumerate() {
+            let deadline_tick = [None, Some(u64::MAX)][i % 2];
+            evs.push(ObsEvent::Block {
+                tid: max_tid,
+                obj,
+                deadline_tick,
+            });
+            evs.push(ObsEvent::Wakeup {
+                tid: max_tid,
+                obj,
+                code: codes[i % 4],
+            });
+        }
+        for policy in [MtxPolicy::Pri, MtxPolicy::Inherit, MtxPolicy::Ceiling(255)] {
+            evs.push(ObsEvent::MtxCreate {
+                id: MtxId::from_raw(u32::MAX),
+                policy,
+            });
+        }
+        evs.extend([
+            ObsEvent::TaskCreate {
+                tid: max_tid,
+                pri: 255,
+            },
+            ObsEvent::Resume {
+                tid: max_tid,
+                force: false,
+            },
+            ObsEvent::DispCtl { disabled: false },
+            ObsEvent::RotRdq { pri: 255 },
+            ObsEvent::TimerFire {
+                tid: max_tid,
+                tick: u64::MAX,
+            },
+            ObsEvent::SemTake {
+                id: SemId::from_raw(u32::MAX),
+                tid: max_tid,
+                cnt: u32::MAX,
+            },
+            ObsEvent::FlagTake {
+                id: FlgId::from_raw(u32::MAX),
+                tid: max_tid,
+                ptn: u32::MAX,
+                mode: FlagWaitMode::AND.with_clear().with_bitclear(),
+            },
+            ObsEvent::MbfCreate {
+                id: MbfId::from_raw(u32::MAX),
+                bufsz: usize::MAX,
+                maxmsz: usize::MAX,
+                pri_order: true,
+            },
+            ObsEvent::MplTake {
+                id: MplId::from_raw(u32::MAX),
+                tid: max_tid,
+                size: usize::MAX,
+                off: usize::MAX,
+            },
+            ObsEvent::CycCreate {
+                id: CycId::from_raw(u32::MAX),
+                period_ticks: u64::MAX,
+                first_tick: None,
+            },
+            ObsEvent::AlmFire {
+                id: AlmId::from_raw(u32::MAX),
+                tick: u64::MAX,
+            },
+        ]);
+        let last = evs.len() - 1;
+        let events: Vec<StampedEvent> = evs
             .into_iter()
             .enumerate()
-            .map(|(i, ev)| StampedEvent { tick: i as u64, ev })
+            .map(|(i, ev)| StampedEvent {
+                tick: if i == last { u64::MAX } else { i as u64 },
+                ev,
+            })
             .collect();
-        let header = TraceHeader::new(1, "independent", "threaded");
-        let n = stamped.len() as u64;
-        let bytes = encode_trace(&header, &stamped, Some(TraceTrailer::clean(n)));
-        let decoded = decode_trace(&bytes).unwrap();
-        assert_eq!(decoded.events, stamped);
+        let mut header = TraceHeader::new(1, "independent", "threaded");
+        header.tuning = Some(TraceTuning {
+            quick: true,
+            faults: true,
+        });
+        let trailer = TraceTrailer {
+            close: StreamClose::Aborted,
+            events: events.len() as u64 + 2,
+            dropped: 2,
+        };
+        (header, events, trailer)
+    }
+
+    #[test]
+    fn every_variant_round_trips() {
+        let (header, events, trailer) = every_form();
+        assert_eq!(
+            encode_trace(&header, &events, Some(trailer)),
+            EVERY_FORM,
+            "encoder output drifted from the every-form fixture"
+        );
+        let decoded = decode_trace(EVERY_FORM).unwrap();
+        assert_eq!(
+            decoded,
+            DecodedTrace {
+                header,
+                events,
+                skipped: 0,
+                trailer: Some(trailer),
+            }
+        );
+    }
+
+    #[test]
+    #[ignore = "writes the every-form fixture; run once after a deliberate format change"]
+    fn regenerate_every_form_fixture() {
+        let (header, events, trailer) = every_form();
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/every_form.rtkt");
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(path, encode_trace(&header, &events, Some(trailer))).unwrap();
     }
 
     #[test]
