@@ -194,12 +194,17 @@ fn get_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, CodecError> {
     for shift in (0..64).step_by(7) {
         let byte = *bytes.get(*pos).ok_or(CodecError::Truncated("varint"))?;
         *pos += 1;
+        if shift == 63 && byte > 1 {
+            // The tenth byte holds bit 63 alone: more is a value wider
+            // than 64 bits, or an eleventh byte.
+            break;
+        }
         v |= u64::from(byte & 0x7f) << shift;
         if byte & 0x80 == 0 {
             return Ok(v);
         }
     }
-    Err(CodecError::Malformed("overlong varint".into()))
+    Err(CodecError::Malformed("varint wider than 64 bits".into()))
 }
 
 fn put_str8(buf: &mut Vec<u8>, s: &str) {
@@ -293,791 +298,288 @@ pub fn decode_header(bytes: &[u8]) -> Result<(TraceHeader, usize), CodecError> {
 }
 
 // ---------------------------------------------------------------------------
-// event payloads
+// fields: one `Wire` impl per row of the "Field encodings" table
 // ---------------------------------------------------------------------------
 
-fn put_wait_obj(buf: &mut Vec<u8>, obj: &WaitObj) {
-    match obj {
-        WaitObj::Sleep => buf.push(0),
-        WaitObj::Delay => buf.push(1),
-        WaitObj::Sem(id, n) => {
-            buf.push(2);
-            put_varint(buf, u64::from(id.raw()));
-            put_varint(buf, u64::from(*n));
-        }
-        WaitObj::Flag(id, ptn, mode) => {
-            buf.push(3);
-            put_varint(buf, u64::from(id.raw()));
-            put_varint(buf, u64::from(*ptn));
-            buf.push(flag_mode_bits(*mode));
-        }
-        WaitObj::Mbx(id) => {
-            buf.push(4);
-            put_varint(buf, u64::from(id.raw()));
-        }
-        WaitObj::MbfSend(id, len) => {
-            buf.push(5);
-            put_varint(buf, u64::from(id.raw()));
-            put_varint(buf, *len as u64);
-        }
-        WaitObj::MbfRecv(id) => {
-            buf.push(6);
-            put_varint(buf, u64::from(id.raw()));
-        }
-        WaitObj::Mtx(id) => {
-            buf.push(7);
-            put_varint(buf, u64::from(id.raw()));
-        }
-        WaitObj::Mpf(id) => {
-            buf.push(8);
-            put_varint(buf, u64::from(id.raw()));
-        }
-        WaitObj::Mpl(id, size) => {
-            buf.push(9);
-            put_varint(buf, u64::from(id.raw()));
-            put_varint(buf, *size as u64);
-        }
-    }
+/// The wire form of one field type. The impls below are the rows of
+/// the "Field encodings" table in `docs/TRACE_FORMAT.md`. `get` refuses
+/// a value its type cannot hold, so no field is narrowed silently.
+trait Wire: Sized {
+    fn put(&self, buf: &mut Vec<u8>);
+    fn get(bytes: &[u8], pos: &mut usize) -> Result<Self, CodecError>;
 }
 
-fn get_wait_obj(bytes: &[u8], pos: &mut usize) -> Result<WaitObj, CodecError> {
-    let tag = *bytes.get(*pos).ok_or(CodecError::Truncated("wait-obj"))?;
+fn get_byte(bytes: &[u8], pos: &mut usize, what: &'static str) -> Result<u8, CodecError> {
+    let byte = *bytes.get(*pos).ok_or(CodecError::Truncated(what))?;
     *pos += 1;
-    let id = |pos: &mut usize| -> Result<u32, CodecError> { Ok(get_varint(bytes, pos)? as u32) };
-    Ok(match tag {
-        0 => WaitObj::Sleep,
-        1 => WaitObj::Delay,
-        2 => {
-            let i = id(pos)?;
-            WaitObj::Sem(SemId::from_raw(i), get_varint(bytes, pos)? as u32)
-        }
-        3 => {
-            let i = id(pos)?;
-            let ptn = get_varint(bytes, pos)? as u32;
-            let bits = *bytes.get(*pos).ok_or(CodecError::Truncated("flag mode"))?;
-            *pos += 1;
-            WaitObj::Flag(FlgId::from_raw(i), ptn, flag_mode_from_bits(bits))
-        }
-        4 => WaitObj::Mbx(MbxId::from_raw(id(pos)?)),
-        5 => {
-            let i = id(pos)?;
-            WaitObj::MbfSend(MbfId::from_raw(i), get_varint(bytes, pos)? as usize)
-        }
-        6 => WaitObj::MbfRecv(MbfId::from_raw(id(pos)?)),
-        7 => WaitObj::Mtx(MtxId::from_raw(id(pos)?)),
-        8 => WaitObj::Mpf(MpfId::from_raw(id(pos)?)),
-        9 => {
-            let i = id(pos)?;
-            WaitObj::Mpl(MplId::from_raw(i), get_varint(bytes, pos)? as usize)
-        }
-        other => return Err(CodecError::Malformed(format!("wait-obj tag {other}"))),
-    })
+    Ok(byte)
 }
 
-fn flag_mode_bits(m: FlagWaitMode) -> u8 {
-    u8::from(m.and) | (u8::from(m.clear_all) << 1) | (u8::from(m.clear_bits) << 2)
-}
-
-fn flag_mode_from_bits(bits: u8) -> FlagWaitMode {
-    let mut m = if bits & 1 != 0 {
-        FlagWaitMode::AND
-    } else {
-        FlagWaitMode::OR
-    };
-    if bits & 2 != 0 {
-        m = m.with_clear();
+impl Wire for u64 {
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_varint(buf, *self);
     }
-    if bits & 4 != 0 {
-        m = m.with_bitclear();
-    }
-    m
-}
-
-fn put_opt_u64(buf: &mut Vec<u8>, v: Option<u64>) {
-    match v {
-        None => buf.push(0),
-        Some(v) => {
-            buf.push(1);
-            put_varint(buf, v);
-        }
+    fn get(bytes: &[u8], pos: &mut usize) -> Result<Self, CodecError> {
+        get_varint(bytes, pos)
     }
 }
 
-fn get_opt_u64(bytes: &[u8], pos: &mut usize) -> Result<Option<u64>, CodecError> {
-    let flag = *bytes.get(*pos).ok_or(CodecError::Truncated("option"))?;
-    *pos += 1;
-    match flag {
-        0 => Ok(None),
-        1 => Ok(Some(get_varint(bytes, pos)?)),
-        other => Err(CodecError::Malformed(format!("option flag {other}"))),
+#[cold]
+fn out_of_range(v: u64, int: &str) -> CodecError {
+    CodecError::Malformed(format!("{v} exceeds {int}::MAX"))
+}
+
+/// Priorities (`u8`), counts and patterns (`u32`), sizes and offsets
+/// (`usize`): a varint that must fit the field's type.
+macro_rules! narrow_varint {
+    ($($int:ty),+) => {$(
+        impl Wire for $int {
+            fn put(&self, buf: &mut Vec<u8>) {
+                put_varint(buf, *self as u64);
+            }
+            fn get(bytes: &[u8], pos: &mut usize) -> Result<Self, CodecError> {
+                let v = get_varint(bytes, pos)?;
+                <$int>::try_from(v).map_err(|_| out_of_range(v, stringify!($int)))
+            }
+        }
+    )+};
+}
+narrow_varint!(u8, u32, usize);
+
+/// Object ids: the raw `u32`.
+macro_rules! object_id {
+    ($($id:ident),+) => {$(
+        impl Wire for $id {
+            fn put(&self, buf: &mut Vec<u8>) {
+                self.raw().put(buf);
+            }
+            fn get(bytes: &[u8], pos: &mut usize) -> Result<Self, CodecError> {
+                u32::get(bytes, pos).map($id::from_raw)
+            }
+        }
+    )+};
+}
+object_id!(TaskId, SemId, FlgId, MbxId, MbfId, MtxId, MpfId, MplId, CycId, AlmId);
+
+impl Wire for bool {
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.push(u8::from(*self));
+    }
+    fn get(bytes: &[u8], pos: &mut usize) -> Result<Self, CodecError> {
+        match get_byte(bytes, pos, "bool")? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(CodecError::Malformed(format!("bool byte {other}"))),
+        }
     }
 }
 
-/// Stable wire tags of the event grammar (documented, with payload
-/// layouts, in `docs/TRACE_FORMAT.md`). Tags are append-only: a
-/// retired variant's tag is never reused.
-#[rustfmt::skip]
-mod tag {
-    pub const TASK_CREATE: u8 = 1;   pub const TASK_START: u8 = 2;
-    pub const TASK_EXIT: u8 = 3;     pub const TASK_TERMINATE: u8 = 4;
-    pub const TASK_DELETE: u8 = 5;   pub const SUSPEND: u8 = 6;
-    pub const RESUME: u8 = 7;        pub const REL_WAI: u8 = 8;
-    pub const ROT_RDQ: u8 = 9;       pub const WUP_TSK: u8 = 10;
-    pub const WUP_CONSUME: u8 = 11;  pub const DISP_CTL: u8 = 12;
-    pub const PRI_CHANGE: u8 = 13;   pub const DISPATCH: u8 = 14;
-    pub const PREEMPT: u8 = 15;      pub const BLOCK: u8 = 16;
-    pub const WAKEUP: u8 = 17;       pub const TIMER_FIRE: u8 = 18;
-    pub const SEM_CREATE: u8 = 19;   pub const SEM_SIGNAL: u8 = 20;
-    pub const SEM_TAKE: u8 = 21;     pub const FLAG_CREATE: u8 = 22;
-    pub const FLAG_SET: u8 = 23;     pub const FLAG_CLEAR: u8 = 24;
-    pub const FLAG_TAKE: u8 = 25;    pub const MBX_CREATE: u8 = 26;
-    pub const MBX_SEND: u8 = 27;     pub const MBX_TAKE: u8 = 28;
-    pub const MBF_CREATE: u8 = 29;   pub const MBF_SEND: u8 = 30;
-    pub const MBF_RECV: u8 = 31;     pub const MTX_CREATE: u8 = 32;
-    pub const MTX_LOCK: u8 = 33;     pub const MTX_UNLOCK: u8 = 34;
-    pub const MPF_CREATE: u8 = 35;   pub const MPF_TAKE: u8 = 36;
-    pub const MPF_REL: u8 = 37;      pub const MPL_CREATE: u8 = 38;
-    pub const MPL_TAKE: u8 = 39;     pub const MPL_REL: u8 = 40;
-    pub const CYC_CREATE: u8 = 41;   pub const CYC_START: u8 = 42;
-    pub const CYC_STOP: u8 = 43;     pub const CYC_FIRE: u8 = 44;
-    pub const ALM_ARM: u8 = 45;      pub const ALM_STOP: u8 = 46;
-    pub const ALM_FIRE: u8 = 47;
+impl Wire for Option<u64> {
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.is_some().put(buf);
+        if let Some(v) = self {
+            v.put(buf);
+        }
+    }
+    fn get(bytes: &[u8], pos: &mut usize) -> Result<Self, CodecError> {
+        if bool::get(bytes, pos)? {
+            u64::get(bytes, pos).map(Some)
+        } else {
+            Ok(None)
+        }
+    }
 }
 
-fn encode_payload(buf: &mut Vec<u8>, tick_delta: u64, ev: &ObsEvent) {
-    use tag::*;
-    let t = |buf: &mut Vec<u8>, tag: u8| {
-        buf.push(tag);
-        put_varint(buf, tick_delta);
-    };
-    match *ev {
-        ObsEvent::TaskCreate { tid, pri } => {
-            t(buf, TASK_CREATE);
-            put_varint(buf, u64::from(tid.raw()));
-            put_varint(buf, u64::from(pri));
-        }
-        ObsEvent::TaskStart { tid } => {
-            t(buf, TASK_START);
-            put_varint(buf, u64::from(tid.raw()));
-        }
-        ObsEvent::TaskExit { tid } => {
-            t(buf, TASK_EXIT);
-            put_varint(buf, u64::from(tid.raw()));
-        }
-        ObsEvent::TaskTerminate { tid } => {
-            t(buf, TASK_TERMINATE);
-            put_varint(buf, u64::from(tid.raw()));
-        }
-        ObsEvent::TaskDelete { tid } => {
-            t(buf, TASK_DELETE);
-            put_varint(buf, u64::from(tid.raw()));
-        }
-        ObsEvent::Suspend { tid } => {
-            t(buf, SUSPEND);
-            put_varint(buf, u64::from(tid.raw()));
-        }
-        ObsEvent::Resume { tid, force } => {
-            t(buf, RESUME);
-            put_varint(buf, u64::from(tid.raw()));
-            buf.push(u8::from(force));
-        }
-        ObsEvent::RelWai { tid } => {
-            t(buf, REL_WAI);
-            put_varint(buf, u64::from(tid.raw()));
-        }
-        ObsEvent::RotRdq { pri } => {
-            t(buf, ROT_RDQ);
-            put_varint(buf, u64::from(pri));
-        }
-        ObsEvent::WupTsk { tid } => {
-            t(buf, WUP_TSK);
-            put_varint(buf, u64::from(tid.raw()));
-        }
-        ObsEvent::WupConsume { tid } => {
-            t(buf, WUP_CONSUME);
-            put_varint(buf, u64::from(tid.raw()));
-        }
-        ObsEvent::DispCtl { disabled } => {
-            t(buf, DISP_CTL);
-            buf.push(u8::from(disabled));
-        }
-        ObsEvent::PriChange { tid, base } => {
-            t(buf, PRI_CHANGE);
-            put_varint(buf, u64::from(tid.raw()));
-            put_varint(buf, u64::from(base));
-        }
-        ObsEvent::Dispatch { tid, pri } => {
-            t(buf, DISPATCH);
-            put_varint(buf, u64::from(tid.raw()));
-            put_varint(buf, u64::from(pri));
-        }
-        ObsEvent::Preempt { tid } => {
-            t(buf, PREEMPT);
-            put_varint(buf, u64::from(tid.raw()));
-        }
-        ObsEvent::Block {
-            tid,
-            obj,
-            deadline_tick,
-        } => {
-            t(buf, BLOCK);
-            put_varint(buf, u64::from(tid.raw()));
-            put_wait_obj(buf, &obj);
-            put_opt_u64(buf, deadline_tick);
-        }
-        ObsEvent::Wakeup { tid, obj, code } => {
-            t(buf, WAKEUP);
-            put_varint(buf, u64::from(tid.raw()));
-            put_wait_obj(buf, &obj);
-            buf.push(wake_code_bits(code));
-        }
-        ObsEvent::TimerFire { tid, tick } => {
-            t(buf, TIMER_FIRE);
-            put_varint(buf, u64::from(tid.raw()));
-            put_varint(buf, tick);
-        }
-        ObsEvent::SemCreate {
-            id,
-            init,
-            max,
-            pri_order,
-        } => {
-            t(buf, SEM_CREATE);
-            put_varint(buf, u64::from(id.raw()));
-            put_varint(buf, u64::from(init));
-            put_varint(buf, u64::from(max));
-            buf.push(u8::from(pri_order));
-        }
-        ObsEvent::SemSignal { id, cnt } => {
-            t(buf, SEM_SIGNAL);
-            put_varint(buf, u64::from(id.raw()));
-            put_varint(buf, u64::from(cnt));
-        }
-        ObsEvent::SemTake { id, tid, cnt } => {
-            t(buf, SEM_TAKE);
-            put_varint(buf, u64::from(id.raw()));
-            put_varint(buf, u64::from(tid.raw()));
-            put_varint(buf, u64::from(cnt));
-        }
-        ObsEvent::FlagCreate {
-            id,
-            init,
-            pri_order,
-        } => {
-            t(buf, FLAG_CREATE);
-            put_varint(buf, u64::from(id.raw()));
-            put_varint(buf, u64::from(init));
-            buf.push(u8::from(pri_order));
-        }
-        ObsEvent::FlagSet { id, ptn } => {
-            t(buf, FLAG_SET);
-            put_varint(buf, u64::from(id.raw()));
-            put_varint(buf, u64::from(ptn));
-        }
-        ObsEvent::FlagClear { id, mask } => {
-            t(buf, FLAG_CLEAR);
-            put_varint(buf, u64::from(id.raw()));
-            put_varint(buf, u64::from(mask));
-        }
-        ObsEvent::FlagTake { id, tid, ptn, mode } => {
-            t(buf, FLAG_TAKE);
-            put_varint(buf, u64::from(id.raw()));
-            put_varint(buf, u64::from(tid.raw()));
-            put_varint(buf, u64::from(ptn));
-            buf.push(flag_mode_bits(mode));
-        }
-        ObsEvent::MbxCreate { id, pri_order } => {
-            t(buf, MBX_CREATE);
-            put_varint(buf, u64::from(id.raw()));
-            buf.push(u8::from(pri_order));
-        }
-        ObsEvent::MbxSend { id } => {
-            t(buf, MBX_SEND);
-            put_varint(buf, u64::from(id.raw()));
-        }
-        ObsEvent::MbxTake { id, tid } => {
-            t(buf, MBX_TAKE);
-            put_varint(buf, u64::from(id.raw()));
-            put_varint(buf, u64::from(tid.raw()));
-        }
-        ObsEvent::MbfCreate {
-            id,
-            bufsz,
-            maxmsz,
-            pri_order,
-        } => {
-            t(buf, MBF_CREATE);
-            put_varint(buf, u64::from(id.raw()));
-            put_varint(buf, bufsz as u64);
-            put_varint(buf, maxmsz as u64);
-            buf.push(u8::from(pri_order));
-        }
-        ObsEvent::MbfSend { id, len } => {
-            t(buf, MBF_SEND);
-            put_varint(buf, u64::from(id.raw()));
-            put_varint(buf, len as u64);
-        }
-        ObsEvent::MbfRecv { id, tid } => {
-            t(buf, MBF_RECV);
-            put_varint(buf, u64::from(id.raw()));
-            put_varint(buf, u64::from(tid.raw()));
-        }
-        ObsEvent::MtxCreate { id, policy } => {
-            t(buf, MTX_CREATE);
-            put_varint(buf, u64::from(id.raw()));
-            match policy {
-                MtxPolicy::Fifo => buf.push(0),
-                MtxPolicy::Pri => buf.push(1),
-                MtxPolicy::Inherit => buf.push(2),
-                MtxPolicy::Ceiling(pri) => {
-                    buf.push(3);
-                    put_varint(buf, u64::from(pri));
+impl Wire for FlagWaitMode {
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.push(
+            u8::from(self.and) | (u8::from(self.clear_all) << 1) | (u8::from(self.clear_bits) << 2),
+        );
+    }
+    fn get(bytes: &[u8], pos: &mut usize) -> Result<Self, CodecError> {
+        let bits = get_byte(bytes, pos, "flag mode")?;
+        Ok(FlagWaitMode {
+            and: bits & 1 != 0,
+            clear_all: bits & 2 != 0,
+            clear_bits: bits & 4 != 0,
+        })
+    }
+}
+
+/// Sub-tagged enums: one tag byte, then the variant's fields in order.
+/// An unknown tag is malformed.
+macro_rules! sub_tagged {
+    ($ty:ident, $what:literal: $($tag:literal => $var:ident $(($($f:ident),+))?,)+) => {
+        impl Wire for $ty {
+            fn put(&self, buf: &mut Vec<u8>) {
+                match *self {
+                    $($ty::$var $(($($f),+))? => {
+                        buf.push($tag);
+                        $($($f.put(buf);)+)?
+                    })+
                 }
             }
+            fn get(bytes: &[u8], pos: &mut usize) -> Result<Self, CodecError> {
+                Ok(match get_byte(bytes, pos, $what)? {
+                    $($tag => $ty::$var $(($({
+                        let $f = Wire::get(bytes, pos)?;
+                        $f
+                    }),+))?,)+
+                    other => {
+                        return Err(CodecError::Malformed(format!(concat!($what, " {}"), other)))
+                    }
+                })
+            }
         }
-        ObsEvent::MtxLock { id, tid } => {
-            t(buf, MTX_LOCK);
-            put_varint(buf, u64::from(id.raw()));
-            put_varint(buf, u64::from(tid.raw()));
-        }
-        ObsEvent::MtxUnlock { id, tid } => {
-            t(buf, MTX_UNLOCK);
-            put_varint(buf, u64::from(id.raw()));
-            put_varint(buf, u64::from(tid.raw()));
-        }
-        ObsEvent::MpfCreate {
-            id,
-            blocks,
-            pri_order,
-        } => {
-            t(buf, MPF_CREATE);
-            put_varint(buf, u64::from(id.raw()));
-            put_varint(buf, blocks as u64);
-            buf.push(u8::from(pri_order));
-        }
-        ObsEvent::MpfTake { id, tid } => {
-            t(buf, MPF_TAKE);
-            put_varint(buf, u64::from(id.raw()));
-            put_varint(buf, u64::from(tid.raw()));
-        }
-        ObsEvent::MpfRel { id } => {
-            t(buf, MPF_REL);
-            put_varint(buf, u64::from(id.raw()));
-        }
-        ObsEvent::MplCreate {
-            id,
-            size,
-            pri_order,
-        } => {
-            t(buf, MPL_CREATE);
-            put_varint(buf, u64::from(id.raw()));
-            put_varint(buf, size as u64);
-            buf.push(u8::from(pri_order));
-        }
-        ObsEvent::MplTake { id, tid, size, off } => {
-            t(buf, MPL_TAKE);
-            put_varint(buf, u64::from(id.raw()));
-            put_varint(buf, u64::from(tid.raw()));
-            put_varint(buf, size as u64);
-            put_varint(buf, off as u64);
-        }
-        ObsEvent::MplRel { id, off } => {
-            t(buf, MPL_REL);
-            put_varint(buf, u64::from(id.raw()));
-            put_varint(buf, off as u64);
-        }
-        ObsEvent::CycCreate {
-            id,
-            period_ticks,
-            first_tick,
-        } => {
-            t(buf, CYC_CREATE);
-            put_varint(buf, u64::from(id.raw()));
-            put_varint(buf, period_ticks);
-            put_opt_u64(buf, first_tick);
-        }
-        ObsEvent::CycStart { id, at_tick } => {
-            t(buf, CYC_START);
-            put_varint(buf, u64::from(id.raw()));
-            put_varint(buf, at_tick);
-        }
-        ObsEvent::CycStop { id } => {
-            t(buf, CYC_STOP);
-            put_varint(buf, u64::from(id.raw()));
-        }
-        ObsEvent::CycFire { id, tick } => {
-            t(buf, CYC_FIRE);
-            put_varint(buf, u64::from(id.raw()));
-            put_varint(buf, tick);
-        }
-        ObsEvent::AlmArm { id, at_tick } => {
-            t(buf, ALM_ARM);
-            put_varint(buf, u64::from(id.raw()));
-            put_varint(buf, at_tick);
-        }
-        ObsEvent::AlmStop { id } => {
-            t(buf, ALM_STOP);
-            put_varint(buf, u64::from(id.raw()));
-        }
-        ObsEvent::AlmFire { id, tick } => {
-            t(buf, ALM_FIRE);
-            put_varint(buf, u64::from(id.raw()));
-            put_varint(buf, tick);
-        }
+    };
+}
+
+sub_tagged! { WaitObj, "wait-obj tag":
+    0 => Sleep,
+    1 => Delay,
+    2 => Sem(id, count),
+    3 => Flag(id, pattern, mode),
+    4 => Mbx(id),
+    5 => MbfSend(id, len),
+    6 => MbfRecv(id),
+    7 => Mtx(id),
+    8 => Mpf(id),
+    9 => Mpl(id, size),
+}
+sub_tagged! { MtxPolicy, "mutex policy tag": 0 => Fifo, 1 => Pri, 2 => Inherit, 3 => Ceiling(pri), }
+sub_tagged! { WakeCode, "wake code": 0 => Ok, 1 => Timeout, 2 => Released, 3 => Deleted, }
+sub_tagged! { StreamClose, "close flag": 0 => Clean, 1 => Aborted, }
+
+impl Wire for TraceTrailer {
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.close.put(buf);
+        self.events.put(buf);
+        self.dropped.put(buf);
+    }
+    fn get(bytes: &[u8], pos: &mut usize) -> Result<Self, CodecError> {
+        Ok(TraceTrailer {
+            close: Wire::get(bytes, pos)?,
+            events: Wire::get(bytes, pos)?,
+            dropped: Wire::get(bytes, pos)?,
+        })
     }
 }
 
-/// Decodes one payload. `Ok(None)` means the tag is unknown to this
-/// reader (written by a newer grammar) — the caller skips the record,
-/// which is the documented forward-compatibility behaviour.
-fn decode_payload(payload: &[u8]) -> Result<Option<(u64, ObsEvent)>, CodecError> {
-    use tag::*;
-    let mut pos = 0usize;
-    let tag = *payload.first().ok_or(CodecError::Truncated("record tag"))?;
-    pos += 1;
-    let tick_delta = get_varint(payload, &mut pos)?;
-    let vu = |pos: &mut usize| get_varint(payload, pos);
-    let byte = |pos: &mut usize| -> Result<u8, CodecError> {
-        let b = *payload
-            .get(*pos)
-            .ok_or(CodecError::Truncated("record byte"))?;
-        *pos += 1;
-        Ok(b)
-    };
-    let ev = match tag {
-        TASK_CREATE => {
-            let tid = TaskId::from_raw(vu(&mut pos)? as u32);
-            ObsEvent::TaskCreate {
-                tid,
-                pri: vu(&mut pos)? as u8,
+// ---------------------------------------------------------------------------
+// event payloads: the "Event tags" table
+// ---------------------------------------------------------------------------
+
+/// Expands the event table into `encode_payload` and `decode_payload`.
+/// The encoder's `match` is exhaustive, so an `ObsEvent` variant
+/// without a row, or a row missing a field, does not compile.
+macro_rules! event_table {
+    ($($tag:literal => $var:ident { $($field:ident),+ },)+) => {
+        fn encode_payload(buf: &mut Vec<u8>, tick_delta: u64, ev: &ObsEvent) {
+            match *ev {
+                $(ObsEvent::$var { $($field),+ } => {
+                    buf.push($tag);
+                    tick_delta.put(buf);
+                    $($field.put(buf);)+
+                })+
             }
         }
-        TASK_START => ObsEvent::TaskStart {
-            tid: TaskId::from_raw(vu(&mut pos)? as u32),
-        },
-        TASK_EXIT => ObsEvent::TaskExit {
-            tid: TaskId::from_raw(vu(&mut pos)? as u32),
-        },
-        TASK_TERMINATE => ObsEvent::TaskTerminate {
-            tid: TaskId::from_raw(vu(&mut pos)? as u32),
-        },
-        TASK_DELETE => ObsEvent::TaskDelete {
-            tid: TaskId::from_raw(vu(&mut pos)? as u32),
-        },
-        SUSPEND => ObsEvent::Suspend {
-            tid: TaskId::from_raw(vu(&mut pos)? as u32),
-        },
-        RESUME => {
-            let tid = TaskId::from_raw(vu(&mut pos)? as u32);
-            ObsEvent::Resume {
-                tid,
-                force: byte(&mut pos)? != 0,
-            }
-        }
-        REL_WAI => ObsEvent::RelWai {
-            tid: TaskId::from_raw(vu(&mut pos)? as u32),
-        },
-        ROT_RDQ => ObsEvent::RotRdq {
-            pri: vu(&mut pos)? as u8,
-        },
-        WUP_TSK => ObsEvent::WupTsk {
-            tid: TaskId::from_raw(vu(&mut pos)? as u32),
-        },
-        WUP_CONSUME => ObsEvent::WupConsume {
-            tid: TaskId::from_raw(vu(&mut pos)? as u32),
-        },
-        DISP_CTL => ObsEvent::DispCtl {
-            disabled: byte(&mut pos)? != 0,
-        },
-        PRI_CHANGE => {
-            let tid = TaskId::from_raw(vu(&mut pos)? as u32);
-            ObsEvent::PriChange {
-                tid,
-                base: vu(&mut pos)? as u8,
-            }
-        }
-        DISPATCH => {
-            let tid = TaskId::from_raw(vu(&mut pos)? as u32);
-            ObsEvent::Dispatch {
-                tid,
-                pri: vu(&mut pos)? as u8,
-            }
-        }
-        PREEMPT => ObsEvent::Preempt {
-            tid: TaskId::from_raw(vu(&mut pos)? as u32),
-        },
-        BLOCK => {
-            let tid = TaskId::from_raw(vu(&mut pos)? as u32);
-            let obj = get_wait_obj(payload, &mut pos)?;
-            ObsEvent::Block {
-                tid,
-                obj,
-                deadline_tick: get_opt_u64(payload, &mut pos)?,
-            }
-        }
-        WAKEUP => {
-            let tid = TaskId::from_raw(vu(&mut pos)? as u32);
-            let obj = get_wait_obj(payload, &mut pos)?;
-            ObsEvent::Wakeup {
-                tid,
-                obj,
-                code: wake_code_from_bits(byte(&mut pos)?)?,
-            }
-        }
-        TIMER_FIRE => {
-            let tid = TaskId::from_raw(vu(&mut pos)? as u32);
-            ObsEvent::TimerFire {
-                tid,
-                tick: vu(&mut pos)?,
-            }
-        }
-        SEM_CREATE => {
-            let id = SemId::from_raw(vu(&mut pos)? as u32);
-            let init = vu(&mut pos)? as u32;
-            let max = vu(&mut pos)? as u32;
-            ObsEvent::SemCreate {
-                id,
-                init,
-                max,
-                pri_order: byte(&mut pos)? != 0,
-            }
-        }
-        SEM_SIGNAL => {
-            let id = SemId::from_raw(vu(&mut pos)? as u32);
-            ObsEvent::SemSignal {
-                id,
-                cnt: vu(&mut pos)? as u32,
-            }
-        }
-        SEM_TAKE => {
-            let id = SemId::from_raw(vu(&mut pos)? as u32);
-            let tid = TaskId::from_raw(vu(&mut pos)? as u32);
-            ObsEvent::SemTake {
-                id,
-                tid,
-                cnt: vu(&mut pos)? as u32,
-            }
-        }
-        FLAG_CREATE => {
-            let id = FlgId::from_raw(vu(&mut pos)? as u32);
-            let init = vu(&mut pos)? as u32;
-            ObsEvent::FlagCreate {
-                id,
-                init,
-                pri_order: byte(&mut pos)? != 0,
-            }
-        }
-        FLAG_SET => {
-            let id = FlgId::from_raw(vu(&mut pos)? as u32);
-            ObsEvent::FlagSet {
-                id,
-                ptn: vu(&mut pos)? as u32,
-            }
-        }
-        FLAG_CLEAR => {
-            let id = FlgId::from_raw(vu(&mut pos)? as u32);
-            ObsEvent::FlagClear {
-                id,
-                mask: vu(&mut pos)? as u32,
-            }
-        }
-        FLAG_TAKE => {
-            let id = FlgId::from_raw(vu(&mut pos)? as u32);
-            let tid = TaskId::from_raw(vu(&mut pos)? as u32);
-            let ptn = vu(&mut pos)? as u32;
-            ObsEvent::FlagTake {
-                id,
-                tid,
-                ptn,
-                mode: flag_mode_from_bits(byte(&mut pos)?),
-            }
-        }
-        MBX_CREATE => {
-            let id = MbxId::from_raw(vu(&mut pos)? as u32);
-            ObsEvent::MbxCreate {
-                id,
-                pri_order: byte(&mut pos)? != 0,
-            }
-        }
-        MBX_SEND => ObsEvent::MbxSend {
-            id: MbxId::from_raw(vu(&mut pos)? as u32),
-        },
-        MBX_TAKE => {
-            let id = MbxId::from_raw(vu(&mut pos)? as u32);
-            ObsEvent::MbxTake {
-                id,
-                tid: TaskId::from_raw(vu(&mut pos)? as u32),
-            }
-        }
-        MBF_CREATE => {
-            let id = MbfId::from_raw(vu(&mut pos)? as u32);
-            let bufsz = vu(&mut pos)? as usize;
-            let maxmsz = vu(&mut pos)? as usize;
-            ObsEvent::MbfCreate {
-                id,
-                bufsz,
-                maxmsz,
-                pri_order: byte(&mut pos)? != 0,
-            }
-        }
-        MBF_SEND => {
-            let id = MbfId::from_raw(vu(&mut pos)? as u32);
-            ObsEvent::MbfSend {
-                id,
-                len: vu(&mut pos)? as usize,
-            }
-        }
-        MBF_RECV => {
-            let id = MbfId::from_raw(vu(&mut pos)? as u32);
-            ObsEvent::MbfRecv {
-                id,
-                tid: TaskId::from_raw(vu(&mut pos)? as u32),
-            }
-        }
-        MTX_CREATE => {
-            let id = MtxId::from_raw(vu(&mut pos)? as u32);
-            let policy = match byte(&mut pos)? {
-                0 => MtxPolicy::Fifo,
-                1 => MtxPolicy::Pri,
-                2 => MtxPolicy::Inherit,
-                3 => MtxPolicy::Ceiling(vu(&mut pos)? as u8),
-                other => return Err(CodecError::Malformed(format!("mutex policy tag {other}"))),
+
+        /// Decodes one payload. `Ok(None)` means the tag is unknown to
+        /// this reader (written by a newer grammar): the caller skips
+        /// the record, the documented forward-compatibility behaviour.
+        /// Trailing payload bytes are tolerated, since a future grammar
+        /// may append fields to an existing variant.
+        fn decode_payload(payload: &[u8]) -> Result<Option<(u64, ObsEvent)>, CodecError> {
+            let mut pos = 0;
+            let tag = get_byte(payload, &mut pos, "record tag")?;
+            let tick_delta = get_varint(payload, &mut pos)?;
+            let ev = match tag {
+                $($tag => ObsEvent::$var { $($field: Wire::get(payload, &mut pos)?),+ },)+
+                _ => return Ok(None),
             };
-            ObsEvent::MtxCreate { id, policy }
+            Ok(Some((tick_delta, ev)))
         }
-        MTX_LOCK => {
-            let id = MtxId::from_raw(vu(&mut pos)? as u32);
-            ObsEvent::MtxLock {
-                id,
-                tid: TaskId::from_raw(vu(&mut pos)? as u32),
-            }
-        }
-        MTX_UNLOCK => {
-            let id = MtxId::from_raw(vu(&mut pos)? as u32);
-            ObsEvent::MtxUnlock {
-                id,
-                tid: TaskId::from_raw(vu(&mut pos)? as u32),
-            }
-        }
-        MPF_CREATE => {
-            let id = MpfId::from_raw(vu(&mut pos)? as u32);
-            let blocks = vu(&mut pos)? as usize;
-            ObsEvent::MpfCreate {
-                id,
-                blocks,
-                pri_order: byte(&mut pos)? != 0,
-            }
-        }
-        MPF_TAKE => {
-            let id = MpfId::from_raw(vu(&mut pos)? as u32);
-            ObsEvent::MpfTake {
-                id,
-                tid: TaskId::from_raw(vu(&mut pos)? as u32),
-            }
-        }
-        MPF_REL => ObsEvent::MpfRel {
-            id: MpfId::from_raw(vu(&mut pos)? as u32),
-        },
-        MPL_CREATE => {
-            let id = MplId::from_raw(vu(&mut pos)? as u32);
-            let size = vu(&mut pos)? as usize;
-            ObsEvent::MplCreate {
-                id,
-                size,
-                pri_order: byte(&mut pos)? != 0,
-            }
-        }
-        MPL_TAKE => {
-            let id = MplId::from_raw(vu(&mut pos)? as u32);
-            let tid = TaskId::from_raw(vu(&mut pos)? as u32);
-            let size = vu(&mut pos)? as usize;
-            ObsEvent::MplTake {
-                id,
-                tid,
-                size,
-                off: vu(&mut pos)? as usize,
-            }
-        }
-        MPL_REL => {
-            let id = MplId::from_raw(vu(&mut pos)? as u32);
-            ObsEvent::MplRel {
-                id,
-                off: vu(&mut pos)? as usize,
-            }
-        }
-        CYC_CREATE => {
-            let id = CycId::from_raw(vu(&mut pos)? as u32);
-            let period_ticks = vu(&mut pos)?;
-            ObsEvent::CycCreate {
-                id,
-                period_ticks,
-                first_tick: get_opt_u64(payload, &mut pos)?,
-            }
-        }
-        CYC_START => {
-            let id = CycId::from_raw(vu(&mut pos)? as u32);
-            ObsEvent::CycStart {
-                id,
-                at_tick: vu(&mut pos)?,
-            }
-        }
-        CYC_STOP => ObsEvent::CycStop {
-            id: CycId::from_raw(vu(&mut pos)? as u32),
-        },
-        CYC_FIRE => {
-            let id = CycId::from_raw(vu(&mut pos)? as u32);
-            ObsEvent::CycFire {
-                id,
-                tick: vu(&mut pos)?,
-            }
-        }
-        ALM_ARM => {
-            let id = AlmId::from_raw(vu(&mut pos)? as u32);
-            ObsEvent::AlmArm {
-                id,
-                at_tick: vu(&mut pos)?,
-            }
-        }
-        ALM_STOP => ObsEvent::AlmStop {
-            id: AlmId::from_raw(vu(&mut pos)? as u32),
-        },
-        ALM_FIRE => {
-            let id = AlmId::from_raw(vu(&mut pos)? as u32);
-            ObsEvent::AlmFire {
-                id,
-                tick: vu(&mut pos)?,
-            }
-        }
-        _ => return Ok(None), // future grammar: skip by record length
     };
-    // Trailing payload bytes are tolerated: a future grammar may append
-    // fields to an existing variant (docs/TRACE_FORMAT.md, "Evolving
-    // the format").
-    Ok(Some((tick_delta, ev)))
 }
 
-fn wake_code_bits(c: WakeCode) -> u8 {
-    match c {
-        WakeCode::Ok => 0,
-        WakeCode::Timeout => 1,
-        WakeCode::Released => 2,
-        WakeCode::Deleted => 3,
-    }
-}
-
-fn wake_code_from_bits(b: u8) -> Result<WakeCode, CodecError> {
-    Ok(match b {
-        0 => WakeCode::Ok,
-        1 => WakeCode::Timeout,
-        2 => WakeCode::Released,
-        3 => WakeCode::Deleted,
-        other => return Err(CodecError::Malformed(format!("wake code {other}"))),
-    })
+// One row per tag of the "Event tags" table in `docs/TRACE_FORMAT.md`,
+// fields in wire order. Tags are append-only: a retired variant's tag
+// is never reused.
+event_table! {
+    1 => TaskCreate { tid, pri },
+    2 => TaskStart { tid },
+    3 => TaskExit { tid },
+    4 => TaskTerminate { tid },
+    5 => TaskDelete { tid },
+    6 => Suspend { tid },
+    7 => Resume { tid, force },
+    8 => RelWai { tid },
+    9 => RotRdq { pri },
+    10 => WupTsk { tid },
+    11 => WupConsume { tid },
+    12 => DispCtl { disabled },
+    13 => PriChange { tid, base },
+    14 => Dispatch { tid, pri },
+    15 => Preempt { tid },
+    16 => Block { tid, obj, deadline_tick },
+    17 => Wakeup { tid, obj, code },
+    18 => TimerFire { tid, tick },
+    19 => SemCreate { id, init, max, pri_order },
+    20 => SemSignal { id, cnt },
+    21 => SemTake { id, tid, cnt },
+    22 => FlagCreate { id, init, pri_order },
+    23 => FlagSet { id, ptn },
+    24 => FlagClear { id, mask },
+    25 => FlagTake { id, tid, ptn, mode },
+    26 => MbxCreate { id, pri_order },
+    27 => MbxSend { id },
+    28 => MbxTake { id, tid },
+    29 => MbfCreate { id, bufsz, maxmsz, pri_order },
+    30 => MbfSend { id, len },
+    31 => MbfRecv { id, tid },
+    32 => MtxCreate { id, policy },
+    33 => MtxLock { id, tid },
+    34 => MtxUnlock { id, tid },
+    35 => MpfCreate { id, blocks, pri_order },
+    36 => MpfTake { id, tid },
+    37 => MpfRel { id },
+    38 => MplCreate { id, size, pri_order },
+    39 => MplTake { id, tid, size, off },
+    40 => MplRel { id, off },
+    41 => CycCreate { id, period_ticks, first_tick },
+    42 => CycStart { id, at_tick },
+    43 => CycStop { id },
+    44 => CycFire { id, tick },
+    45 => AlmArm { id, at_tick },
+    46 => AlmStop { id },
+    47 => AlmFire { id, tick },
 }
 
 // ---------------------------------------------------------------------------
 // whole-trace encode / decode
 // ---------------------------------------------------------------------------
+
+/// Appends `se` as one record, its tick delta-encoded against
+/// `*last_tick`. [`encode_trace`] and [`TraceWriter`] both frame here.
+fn put_record(out: &mut Vec<u8>, last_tick: &mut u64, se: &StampedEvent) {
+    let at = out.len();
+    out.push(0); // the payload length, set below
+    encode_payload(out, se.tick.saturating_sub(*last_tick), &se.ev);
+    *last_tick = se.tick;
+    // Every payload fits a one-byte length varint: the widest, a
+    // `Block` on an `Mpl` wait with a deadline, is 43 bytes.
+    let len = out.len() - at - 1;
+    out[at] = u8::try_from(len)
+        .ok()
+        .filter(|&len| len < 0x80)
+        .expect("a payload is at most 43 bytes");
+}
+
+/// Appends the trailer: a zero record length, then the trailer fields.
+fn put_trailer(out: &mut Vec<u8>, trailer: &TraceTrailer) {
+    out.push(0);
+    trailer.put(out);
+}
 
 /// Encodes a complete trace into one byte vector (used by tests and to
 /// pin adversarial streams as golden fixtures; the streaming path is
@@ -1088,23 +590,12 @@ pub fn encode_trace(
     trailer: Option<TraceTrailer>,
 ) -> Vec<u8> {
     let mut out = encode_header(header);
-    let mut payload = Vec::with_capacity(32);
     let mut last_tick = 0u64;
     for se in events {
-        payload.clear();
-        encode_payload(&mut payload, se.tick.saturating_sub(last_tick), &se.ev);
-        last_tick = se.tick;
-        put_varint(&mut out, payload.len() as u64);
-        out.extend_from_slice(&payload);
+        put_record(&mut out, &mut last_tick, se);
     }
     if let Some(t) = trailer {
-        out.push(0);
-        out.push(match t.close {
-            StreamClose::Clean => 0,
-            StreamClose::Aborted => 1,
-        });
-        put_varint(&mut out, t.events);
-        put_varint(&mut out, t.dropped);
+        put_trailer(&mut out, &t);
     }
     out
 }
@@ -1138,31 +629,22 @@ pub fn decode_trace(bytes: &[u8]) -> Result<DecodedTrace, CodecError> {
     let mut last_tick = 0u64;
     let mut trailer = None;
     while pos < bytes.len() {
-        let len = get_varint(bytes, &mut pos)? as usize;
+        let len = get_varint(bytes, &mut pos)?;
         if len == 0 {
-            let close = match bytes.get(pos).copied() {
-                Some(0) => StreamClose::Clean,
-                Some(1) => StreamClose::Aborted,
-                Some(other) => return Err(CodecError::Malformed(format!("close flag {other}"))),
-                None => return Err(CodecError::Truncated("trailer")),
-            };
-            pos += 1;
-            let total = get_varint(bytes, &mut pos)?;
-            let dropped = get_varint(bytes, &mut pos)?;
-            trailer = Some(TraceTrailer {
-                close,
-                events: total,
-                dropped,
-            });
+            trailer = Some(TraceTrailer::get(bytes, &mut pos)?);
             break;
         }
-        let payload = bytes
-            .get(pos..pos + len)
+        // Sliced without `pos + len`, which a hostile length overflows.
+        let payload = usize::try_from(len)
+            .ok()
+            .and_then(|len| bytes.get(pos..)?.get(..len))
             .ok_or(CodecError::Truncated("record"))?;
-        pos += len;
+        pos += payload.len();
         match decode_payload(payload)? {
             Some((delta, ev)) => {
-                last_tick += delta;
+                last_tick = last_tick
+                    .checked_add(delta)
+                    .ok_or_else(|| CodecError::Malformed("tick stamp past u64::MAX".into()))?;
                 events.push(StampedEvent {
                     tick: last_tick,
                     ev,
@@ -1267,17 +749,8 @@ impl TraceWriter {
 
     fn write_event(&mut self, se: &StampedEvent) -> io::Result<()> {
         self.buf.clear();
-        encode_payload(
-            &mut self.buf,
-            se.tick.saturating_sub(self.last_tick),
-            &se.ev,
-        );
-        let mut len = Vec::with_capacity(2);
-        put_varint(&mut len, self.buf.len() as u64);
-        self.out.write_all(&len)?;
-        self.out.write_all(&self.buf)?;
-        self.last_tick = se.tick;
-        Ok(())
+        put_record(&mut self.buf, &mut self.last_tick, se);
+        self.out.write_all(&self.buf)
     }
 }
 
@@ -1303,16 +776,18 @@ impl StreamSink for TraceWriter {
 
     fn close(&mut self, how: StreamClose) {
         if self.error.is_none() {
-            let mut tail = vec![
-                0u8,
-                match how {
-                    StreamClose::Clean => 0,
-                    StreamClose::Aborted => 1,
-                },
-            ];
-            put_varint(&mut tail, self.written + self.dropped);
-            put_varint(&mut tail, self.dropped);
-            if let Err(e) = self.out.write_all(&tail).and_then(|()| self.out.flush()) {
+            self.buf.clear();
+            let trailer = TraceTrailer {
+                close: how,
+                events: self.written + self.dropped,
+                dropped: self.dropped,
+            };
+            put_trailer(&mut self.buf, &trailer);
+            if let Err(e) = self
+                .out
+                .write_all(&self.buf)
+                .and_then(|()| self.out.flush())
+            {
                 self.error = Some(e.to_string());
             }
         }

@@ -1,7 +1,9 @@
 //! Trace platform end-to-end properties: golden-fixture stability of
 //! the binary format, replay verdict fidelity for a pinned divergent
-//! stream, decoder robustness on damaged input, bounded-capture drop
-//! accounting, and thread-count invariance of captured trace bytes.
+//! stream, decoder robustness on damaged and out-of-range input,
+//! random-stream round trips through both encoders, bounded-capture
+//! drop accounting, and thread-count invariance of captured trace
+//! bytes.
 //!
 //! The golden fixture (`tests/fixtures/golden_divergent.rtkt`) pins the
 //! wire format: if an encoder change alters the bytes, the fixture test
@@ -11,10 +13,15 @@
 
 use std::path::{Path, PathBuf};
 
+use proptest::prelude::*;
 use rtk_analysis::trace_codec::{
     decode_trace, encode_header, encode_trace, read_trace, CodecError, TraceHeader, TraceTrailer,
+    TraceWriter,
 };
-use rtk_core::{ObsEvent, SemId, StampedEvent, TaskId, WaitObj, WakeCode};
+use rtk_core::{
+    AlmId, CycId, FlagWaitMode, FlgId, MbfId, MbxId, MpfId, MplId, MtxId, MtxPolicy, ObsEvent,
+    SemId, StampedEvent, StreamClose, StreamSink, TaskId, WaitObj, WakeCode,
+};
 use rtk_farm::{
     check, replay_trace, run_campaign, run_scenario_traced, CampaignConfig, CampaignReport,
     ScenarioSpec, TraceConfig, Tuning,
@@ -174,21 +181,293 @@ fn damaged_fixture_decodes_or_errs_without_panicking() {
     }
 }
 
-/// A record length of 2^56 or more (a 9-byte varint) is refused as
-/// truncated. Allocating that much would abort the test process, so
-/// the typed error also shows that nothing was sized from it.
+/// Unsigned LEB128, the varint of `docs/TRACE_FORMAT.md`.
+fn varint(mut v: u64) -> Vec<u8> {
+    let mut out = Vec::new();
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+    out
+}
+
+/// A record length of 2^56 or more (a 9- or 10-byte varint) is refused
+/// as truncated. Allocating that much would abort the test process and
+/// adding it to the read position would overflow, so the typed error
+/// also shows that nothing was sized or summed from it.
 #[test]
-fn nine_byte_record_length_is_refused() {
-    // LEB128 of 2^56 and 2^63 - 1: the smallest and largest 9-byte values.
-    for (fill, last) in [(0x80, 0x01), (0xff, 0x7f)] {
+fn nine_and_ten_byte_record_lengths_are_refused() {
+    // The smallest and largest 9-byte values, then two 10-byte ones.
+    for len in [1 << 56, (1 << 63) - 1, u64::MAX - 5, u64::MAX] {
         let mut bytes = encode_header(&golden_header());
-        bytes.extend([fill; 8]);
-        bytes.extend([last, 1, 2, 3]);
+        bytes.extend(varint(len));
+        bytes.extend([1, 2, 3]);
         let result = decode_trace(&bytes);
         assert!(
             matches!(result, Err(CodecError::Truncated(_))),
-            "{result:?}"
+            "length {len}: {result:?}"
         );
+    }
+}
+
+/// A field the decoder would have to narrow or guess is malformed: an
+/// id or `u32` count above `u32::MAX`, a priority above 255, a `bool`
+/// byte other than 0 or 1, a 10-byte varint wider than 64 bits, and
+/// tick deltas that sum past `u64::MAX`.
+#[test]
+fn out_of_range_fields_are_malformed() {
+    let wide = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02];
+    let past_max = [&[2][..], &varint(1 << 63), &[1]].concat();
+    let cases: [(&str, Vec<Vec<u8>>); 7] = [
+        (
+            "TaskCreate tid 2^32+7",
+            vec![[&[1, 0][..], &varint((1 << 32) + 7), &varint(300)].concat()],
+        ),
+        (
+            "TaskCreate pri 300",
+            vec![[&[1, 0, 7][..], &varint(300)].concat()],
+        ),
+        (
+            "MtxCreate ceiling 256",
+            vec![[&[32, 0, 1, 3][..], &varint(256)].concat()],
+        ),
+        (
+            "SemSignal cnt 2^32",
+            vec![[&[20, 0, 1][..], &varint(1 << 32)].concat()],
+        ),
+        ("Resume force byte 2", vec![vec![7, 0, 1, 2]]),
+        (
+            "TimerFire tick 2^64+2^63-1",
+            vec![[&[18, 0, 1][..], &wide].concat()],
+        ),
+        ("tick stamp 2^64", vec![past_max.clone(), past_max]),
+    ];
+    for (what, payloads) in cases {
+        let mut bytes = encode_header(&golden_header());
+        for payload in payloads {
+            bytes.extend(varint(payload.len() as u64));
+            bytes.extend(payload);
+        }
+        let result = decode_trace(&bytes);
+        assert!(
+            matches!(result, Err(CodecError::Malformed(_))),
+            "{what}: {result:?}"
+        );
+    }
+}
+
+/// A random `u64` whose magnitude is spread over all 64 bit widths, so
+/// every varint length from 1 to 10 bytes is drawn.
+fn wide() -> impl Strategy<Value = u64> {
+    (any::<u64>(), 0u32..64).prop_map(|(v, shift)| v >> shift)
+}
+
+/// An event of tag `tag + 1` with its fields cut from `a`, `b` and `c`,
+/// across each field type's full range.
+fn random_event(tag: u8, a: u64, b: u64, c: u64) -> ObsEvent {
+    let tid = TaskId::from_raw(a as u32);
+    let (pri, flag, size) = (b as u8, c & 1 == 1, b as usize);
+    let opt = flag.then_some(b);
+    let mode = FlagWaitMode {
+        and: c & 2 != 0,
+        clear_all: c & 4 != 0,
+        clear_bits: c & 8 != 0,
+    };
+    let obj = match c % 10 {
+        0 => WaitObj::Sleep,
+        1 => WaitObj::Delay,
+        2 => WaitObj::Sem(sem(b as u32), c as u32),
+        3 => WaitObj::Flag(FlgId::from_raw(b as u32), c as u32, mode),
+        4 => WaitObj::Mbx(MbxId::from_raw(b as u32)),
+        5 => WaitObj::MbfSend(MbfId::from_raw(b as u32), c as usize),
+        6 => WaitObj::MbfRecv(MbfId::from_raw(b as u32)),
+        7 => WaitObj::Mtx(MtxId::from_raw(b as u32)),
+        8 => WaitObj::Mpf(MpfId::from_raw(b as u32)),
+        _ => WaitObj::Mpl(MplId::from_raw(b as u32), c as usize),
+    };
+    let code = [
+        WakeCode::Ok,
+        WakeCode::Timeout,
+        WakeCode::Released,
+        WakeCode::Deleted,
+    ][(c >> 4) as usize % 4];
+    let policy = [
+        MtxPolicy::Fifo,
+        MtxPolicy::Pri,
+        MtxPolicy::Inherit,
+        MtxPolicy::Ceiling(pri),
+    ][(c >> 6) as usize % 4];
+    let (id, n, m) = (b as u32, c as u32, (c >> 32) as u32);
+    let (sem, flg, mbx, mbf) = (
+        sem(id),
+        FlgId::from_raw(id),
+        MbxId::from_raw(id),
+        MbfId::from_raw(id),
+    );
+    let (mtx, mpf, mpl) = (
+        MtxId::from_raw(id),
+        MpfId::from_raw(id),
+        MplId::from_raw(id),
+    );
+    let (cyc, alm) = (CycId::from_raw(id), AlmId::from_raw(id));
+    match tag + 1 {
+        1 => ObsEvent::TaskCreate { tid, pri },
+        2 => ObsEvent::TaskStart { tid },
+        3 => ObsEvent::TaskExit { tid },
+        4 => ObsEvent::TaskTerminate { tid },
+        5 => ObsEvent::TaskDelete { tid },
+        6 => ObsEvent::Suspend { tid },
+        7 => ObsEvent::Resume { tid, force: flag },
+        8 => ObsEvent::RelWai { tid },
+        9 => ObsEvent::RotRdq { pri },
+        10 => ObsEvent::WupTsk { tid },
+        11 => ObsEvent::WupConsume { tid },
+        12 => ObsEvent::DispCtl { disabled: flag },
+        13 => ObsEvent::PriChange { tid, base: pri },
+        14 => ObsEvent::Dispatch { tid, pri },
+        15 => ObsEvent::Preempt { tid },
+        16 => ObsEvent::Block {
+            tid,
+            obj,
+            deadline_tick: opt,
+        },
+        17 => ObsEvent::Wakeup { tid, obj, code },
+        18 => ObsEvent::TimerFire { tid, tick: b },
+        19 => ObsEvent::SemCreate {
+            id: sem,
+            init: n,
+            max: m,
+            pri_order: flag,
+        },
+        20 => ObsEvent::SemSignal { id: sem, cnt: n },
+        21 => ObsEvent::SemTake {
+            id: sem,
+            tid,
+            cnt: n,
+        },
+        22 => ObsEvent::FlagCreate {
+            id: flg,
+            init: n,
+            pri_order: flag,
+        },
+        23 => ObsEvent::FlagSet { id: flg, ptn: n },
+        24 => ObsEvent::FlagClear { id: flg, mask: n },
+        25 => ObsEvent::FlagTake {
+            id: flg,
+            tid,
+            ptn: n,
+            mode,
+        },
+        26 => ObsEvent::MbxCreate {
+            id: mbx,
+            pri_order: flag,
+        },
+        27 => ObsEvent::MbxSend { id: mbx },
+        28 => ObsEvent::MbxTake { id: mbx, tid },
+        29 => ObsEvent::MbfCreate {
+            id: mbf,
+            bufsz: size,
+            maxmsz: c as usize,
+            pri_order: flag,
+        },
+        30 => ObsEvent::MbfSend { id: mbf, len: size },
+        31 => ObsEvent::MbfRecv { id: mbf, tid },
+        32 => ObsEvent::MtxCreate { id: mtx, policy },
+        33 => ObsEvent::MtxLock { id: mtx, tid },
+        34 => ObsEvent::MtxUnlock { id: mtx, tid },
+        35 => ObsEvent::MpfCreate {
+            id: mpf,
+            blocks: size,
+            pri_order: flag,
+        },
+        36 => ObsEvent::MpfTake { id: mpf, tid },
+        37 => ObsEvent::MpfRel { id: mpf },
+        38 => ObsEvent::MplCreate {
+            id: mpl,
+            size,
+            pri_order: flag,
+        },
+        39 => ObsEvent::MplTake {
+            id: mpl,
+            tid,
+            size,
+            off: c as usize,
+        },
+        40 => ObsEvent::MplRel {
+            id: mpl,
+            off: c as usize,
+        },
+        41 => ObsEvent::CycCreate {
+            id: cyc,
+            period_ticks: c,
+            first_tick: opt,
+        },
+        42 => ObsEvent::CycStart {
+            id: cyc,
+            at_tick: c,
+        },
+        43 => ObsEvent::CycStop { id: cyc },
+        44 => ObsEvent::CycFire { id: cyc, tick: c },
+        45 => ObsEvent::AlmArm {
+            id: alm,
+            at_tick: c,
+        },
+        46 => ObsEvent::AlmStop { id: alm },
+        _ => ObsEvent::AlmFire { id: alm, tick: c },
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Random streams over all 47 tags with monotone ticks: decoding
+    /// the encoding gives the stream back, a `TraceWriter` fed the
+    /// same stream writes exactly the `encode_trace` bytes, and
+    /// truncating or overwriting bytes of the encoding decodes to `Ok`
+    /// or a `CodecError`, never a panic.
+    #[test]
+    fn random_streams_round_trip(
+        draws in collection::vec(((0u8..47, wide()), (wide(), wide(), wide())), 0..40),
+        cut in any::<usize>(),
+        hits in collection::vec((any::<usize>(), any::<u8>()), 1..4),
+    ) {
+        let mut tick = 0u64;
+        let stream: Vec<StampedEvent> = draws
+            .into_iter()
+            .map(|((tag, gap), (a, b, c))| {
+                tick = tick.saturating_add(gap);
+                StampedEvent {
+                    tick,
+                    ev: random_event(tag, a, b, c),
+                }
+            })
+            .collect();
+        let header = golden_header();
+        let trailer = TraceTrailer::clean(stream.len() as u64);
+        let bytes = encode_trace(&header, &stream, Some(trailer));
+        let decoded = decode_trace(&bytes).unwrap();
+        prop_assert_eq!(&decoded.events, &stream);
+        prop_assert_eq!(decoded.trailer, Some(trailer));
+
+        let dir = tmp_dir("random_stream");
+        let path = dir.join("stream.rtkt");
+        let (mut writer, _) = TraceWriter::create(&path, &header, 0).unwrap();
+        let (first, rest) = stream.split_at(stream.len() / 2);
+        writer.batch(first);
+        writer.batch(rest);
+        writer.close(StreamClose::Clean);
+        drop(writer);
+        prop_assert_eq!(&std::fs::read(&path).unwrap(), &bytes);
+        std::fs::remove_dir_all(&dir).ok();
+
+        let _ = decode_trace(&bytes[..cut % (bytes.len() + 1)]);
+        let mut damaged = bytes;
+        for (at, byte) in hits {
+            let at = at % damaged.len();
+            damaged[at] = byte;
+            let _ = decode_trace(&damaged);
+        }
     }
 }
 
