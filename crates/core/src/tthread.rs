@@ -298,6 +298,9 @@ mod tests {
         s.consume(ExecContext::Sleeping, SimTime::from_us(1), Energy::ZERO);
         s.consume(ExecContext::Startup, SimTime::from_us(2), Energy::ZERO);
         s.consume(ExecContext::TaskBody, SimTime::from_us(3), Energy::ZERO);
+        // A zero-length slice (a freeze landing at a slice's first
+        // instant) still marks its place as visited.
+        s.consume(ExecContext::Preempted, SimTime::ZERO, Energy::ZERO);
         let order: Vec<ExecContext> = s.iter().map(|(c, _, _)| c).collect();
         // BTreeMap ordering follows the enum declaration order.
         assert_eq!(
@@ -305,7 +308,8 @@ mod tests {
             vec![
                 ExecContext::Startup,
                 ExecContext::TaskBody,
-                ExecContext::Sleeping
+                ExecContext::Sleeping,
+                ExecContext::Preempted
             ]
         );
     }

@@ -6,8 +6,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use rtk_core::{
-    calibrate, ErCode, KernelConfig, MtxPolicy, QueueOrder, ReferenceProfile, Rtos, ServiceClass,
-    TaskState, Timeout,
+    calibrate, AlmId, CycId, ErCode, ExecContext, IntNo, KernelConfig, MtxPolicy, QueueOrder,
+    ReferenceProfile, Rtos, ServiceClass, TaskId, TaskState, ThreadRef, Timeout,
 };
 use sysc::SimTime;
 
@@ -305,4 +305,94 @@ fn exd_tsk_deletes_self() {
         assert_eq!(sys.tk_ref_tsk(t).unwrap_err(), ErCode::NoExs);
     });
     rtos.run_for(ms(10));
+}
+
+/// The SIM_HashTB contract seen through `Rtos::threads()` and
+/// `run_stats().threads`: T-THREADs are listed in `ThreadRef` order
+/// (tasks, cyclics, alarms, ISRs by number, the timer); a task removed
+/// by `tk_exd_tsk` or `tk_del_tsk` leaves the table; and a task created
+/// on the freed ID starts with fresh statistics.
+#[test]
+fn deleted_tasks_leave_the_thread_table_and_reused_ids_start_fresh() {
+    let tsk = |n| ThreadRef::Task(TaskId::from_raw(n));
+    let mut rtos = Rtos::new(KernelConfig::zero_cost(), move |sys, _| {
+        // Defined out of order; listed by interrupt number. A large
+        // caller-chosen number is a valid key like any other.
+        sys.tk_def_int(IntNo(1_000_000), 1, "late_irq", |_| {})
+            .unwrap();
+        sys.tk_cre_alm("alarm", |_| {}).unwrap();
+        sys.tk_def_int(IntNo(3), 0, "early_irq", |_| {}).unwrap();
+        sys.tk_cre_cyc("cyclic", ms(50), ms(50), false, |_| {})
+            .unwrap();
+        // Until 2 ms: a task that runs and deletes itself.
+        let t = sys
+            .tk_cre_tsk("ephemeral", 10, |sys, _| {
+                sys.exec(us(10));
+                sys.tk_exd_tsk();
+            })
+            .unwrap();
+        assert_eq!(t, TaskId::from_raw(2));
+        sys.tk_sta_tsk(t, 0).unwrap();
+        sys.tk_dly_tsk(ms(2)).unwrap();
+        // Until 4 ms: the freed ID is reused by a task that runs once.
+        let again = sys
+            .tk_cre_tsk("again", 10, |sys, _| sys.exec(us(20)))
+            .unwrap();
+        assert_eq!(again, t);
+        sys.tk_sta_tsk(again, 0).unwrap();
+        sys.tk_dly_tsk(ms(2)).unwrap();
+        // Until 6 ms: the dormant task is deleted by another task.
+        sys.tk_del_tsk(again).unwrap();
+        sys.tk_dly_tsk(ms(2)).unwrap();
+        // From 6 ms: the ID is reused once more.
+        assert_eq!(sys.tk_cre_tsk("fresh", 10, |_, _| {}).unwrap(), t);
+        sys.tk_slp_tsk(Timeout::Forever).unwrap();
+    });
+    let handlers = [
+        ThreadRef::Cyclic(CycId::from_raw(1)),
+        ThreadRef::Alarm(AlmId::from_raw(1)),
+        ThreadRef::Isr(IntNo(3)),
+        ThreadRef::Isr(IntNo(1_000_000)),
+        ThreadRef::Timer,
+    ];
+    let listed = |rtos: &Rtos| -> Vec<ThreadRef> {
+        let who: Vec<ThreadRef> = rtos.threads().iter().map(|t| t.who).collect();
+        assert_eq!(rtos.run_stats().threads as usize, who.len());
+        who
+    };
+    let with_task = |tasks: &[ThreadRef]| -> Vec<ThreadRef> {
+        tasks.iter().chain(handlers.iter()).copied().collect()
+    };
+
+    rtos.run_for(ms(1));
+    assert_eq!(listed(&rtos), with_task(&[tsk(1)]), "after tk_exd_tsk");
+
+    rtos.run_for(ms(2));
+    assert_eq!(listed(&rtos), with_task(&[tsk(1), tsk(2)]));
+    let again = rtos
+        .threads()
+        .into_iter()
+        .find(|t| t.who == tsk(2))
+        .unwrap();
+    assert_eq!(again.name, "again");
+    assert_eq!(again.stats.cycles, 1);
+    assert_eq!(again.stats.total_cet(), us(20), "only its own slice");
+    assert_eq!(again.stats.cet(ExecContext::TaskBody), us(20));
+
+    rtos.run_for(ms(2));
+    assert_eq!(listed(&rtos), with_task(&[tsk(1)]), "after tk_del_tsk");
+
+    rtos.run_for(ms(2));
+    assert_eq!(listed(&rtos), with_task(&[tsk(1), tsk(2)]));
+    let fresh = rtos
+        .threads()
+        .into_iter()
+        .find(|t| t.who == tsk(2))
+        .unwrap();
+    assert_eq!(fresh.name, "fresh");
+    assert_eq!(fresh.marking, ExecContext::Dormant);
+    assert_eq!(fresh.stats.cycles, 0);
+    assert_eq!(fresh.stats.sigma.total(), 0);
+    assert_eq!(fresh.stats.total_cet(), SimTime::ZERO);
+    assert_eq!(fresh.stats.iter().count(), 0);
 }
