@@ -2,10 +2,12 @@
 //! models under random operation sequences, and the simulation is
 //! checked for determinism and conservation invariants.
 
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
-use rtk_spec_tron::core::{ErCode, KernelConfig, QueueOrder, Rtos, Timeout};
+use rtk_spec_tron::core::sim_api::scheduler::{PriorityScheduler, Scheduler};
+use rtk_spec_tron::core::{ErCode, KernelConfig, QueueOrder, Rtos, TaskId, Timeout};
 use rtk_spec_tron::sysc::SimTime;
 
 /// Runs `ops` inside a fresh kernel's init task and returns collected
@@ -39,6 +41,54 @@ fn sem_op() -> impl Strategy<Value = SemOp> {
     prop_oneof![
         (1u32..4).prop_map(SemOp::Sig),
         (1u32..4).prop_map(SemOp::WaiPoll),
+    ]
+}
+
+#[derive(Debug, Clone)]
+enum SchedOp {
+    Enqueue { tid: u32, pri: u8, at_head: bool },
+    Remove(u32),
+    Pop,
+    Reprioritize(u32, u8),
+    Rotate(u8),
+}
+
+/// Priorities on both sides of the 64-level bitmap word boundaries, at
+/// the default top level (140) and the widest one (255), plus uniform
+/// draws. Applied clamped to the scheduler's range.
+fn sched_pri() -> impl Strategy<Value = u8> {
+    prop_oneof![
+        prop_oneof![
+            Just(1u8),
+            Just(63),
+            Just(64),
+            Just(65),
+            Just(127),
+            Just(128),
+            Just(129),
+            Just(140),
+            Just(141),
+            Just(255),
+        ],
+        1u8..255,
+    ]
+}
+
+/// Task IDs 1..12 can be enqueued; removals and priority changes also
+/// name IDs that never are.
+fn sched_op() -> impl Strategy<Value = SchedOp> {
+    let enqueue =
+        || {
+            (1u32..12, sched_pri(), any::<bool>())
+                .prop_map(|(tid, pri, at_head)| SchedOp::Enqueue { tid, pri, at_head })
+        };
+    prop_oneof![
+        enqueue(),
+        enqueue(),
+        (1u32..16).prop_map(SchedOp::Remove),
+        Just(SchedOp::Pop),
+        (1u32..16, sched_pri()).prop_map(|(tid, pri)| SchedOp::Reprioritize(tid, pri)),
+        sched_pri().prop_map(SchedOp::Rotate),
     ]
 }
 
@@ -88,6 +138,89 @@ proptest! {
             }
         });
         prop_assert!(violations.is_empty(), "{violations:?}");
+    }
+
+    /// `PriorityScheduler` matches a linear-scan model (one FIFO per
+    /// level, the first non-empty level wins) after every step, with
+    /// 140 and with 255 levels, so ready tasks sit in every word of its
+    /// non-empty-level bitmap. The kernel never enqueues a task that is
+    /// already ready, so neither does the test.
+    #[test]
+    fn priority_scheduler_matches_linear_scan_model(
+        ops in proptest::collection::vec(sched_op(), 1..120),
+    ) {
+        for max in [140u8, 255] {
+            let mut s = PriorityScheduler::new(max);
+            let mut model: Vec<VecDeque<TaskId>> = vec![VecDeque::new(); max as usize];
+            let level = |pri: u8| pri.min(max) as usize - 1;
+            let find = |model: &[VecDeque<TaskId>], tid: TaskId| {
+                model.iter().enumerate().find_map(|(l, q)| {
+                    q.iter().position(|t| *t == tid).map(|i| (l, i))
+                })
+            };
+            for (step, op) in ops.iter().enumerate() {
+                let at = format!("max {max}, step {step}: {op:?}");
+                match *op {
+                    SchedOp::Enqueue { tid, pri, at_head } => {
+                        let tid = TaskId::from_raw(tid);
+                        if find(&model, tid).is_none() {
+                            s.enqueue(tid, pri.min(max), at_head);
+                            let q = &mut model[level(pri)];
+                            if at_head {
+                                q.push_front(tid);
+                            } else {
+                                q.push_back(tid);
+                            }
+                        }
+                    }
+                    SchedOp::Remove(tid) => {
+                        let tid = TaskId::from_raw(tid);
+                        s.remove(tid);
+                        if let Some((l, i)) = find(&model, tid) {
+                            model[l].remove(i);
+                        }
+                    }
+                    SchedOp::Pop => {
+                        let want = model.iter_mut().find_map(|q| q.pop_front());
+                        let got = s.pop();
+                        prop_assert_eq!(got, want, "{at}: pop {got:?}, model {want:?}");
+                    }
+                    SchedOp::Reprioritize(tid, pri) => {
+                        let tid = TaskId::from_raw(tid);
+                        s.reprioritize(tid, pri.min(max));
+                        if let Some((l, i)) = find(&model, tid) {
+                            model[l].remove(i);
+                            model[level(pri)].push_back(tid);
+                        }
+                    }
+                    SchedOp::Rotate(pri) => {
+                        s.rotate(pri.min(max));
+                        let q = &mut model[level(pri)];
+                        if let Some(front) = q.pop_front() {
+                            q.push_back(front);
+                        }
+                    }
+                }
+                let head = model.iter().find_map(|q| q.front().copied());
+                prop_assert_eq!(s.peek(), head, "{at}: peek {:?}, model {head:?}", s.peek());
+                let len: usize = model.iter().map(VecDeque::len).sum();
+                prop_assert_eq!(s.len(), len, "{at}: len {}, model {len}", s.len());
+                let top = model.iter().position(|q| !q.is_empty());
+                for running in 1..=max {
+                    let want = top.is_some_and(|l| l + 1 < running as usize);
+                    prop_assert_eq!(
+                        s.should_preempt(running),
+                        want,
+                        "{at}: should_preempt({running}) model {want}"
+                    );
+                }
+            }
+            // Draining pops the model's linear-scan order.
+            while let Some(want) = model.iter_mut().find_map(|q| q.pop_front()) {
+                prop_assert_eq!(s.pop(), Some(want), "max {max}: drain, model {want:?}");
+            }
+            prop_assert!(s.is_empty() && s.pop().is_none(), "max {max}: not drained");
+        }
     }
 
     /// Event-flag set/clear/poll-wait matches a bit-pattern model,
