@@ -300,7 +300,7 @@ impl Shared {
         now: sysc::SimTime,
     ) -> Option<EventId> {
         let who = ThreadRef::Isr(req.intno);
-        if !st.threads.contains_key(&who) {
+        if !st.threads.contains(who) {
             return None;
         }
         st.int_stack.push(who);

@@ -69,7 +69,7 @@ impl<'a> Sys<'a> {
                 Ok(_) => {
                     st.observe(crate::obs::ObsEvent::TaskDelete { tid });
                     st.tasks[tid.0 as usize - 1] = None;
-                    st.threads.remove(&ThreadRef::Task(tid));
+                    st.threads.remove_task(tid);
                     Ok(())
                 }
             }
@@ -667,7 +667,7 @@ impl Shared {
             if delete {
                 st.observe(crate::obs::ObsEvent::TaskDelete { tid });
                 st.tasks[tid.0 as usize - 1] = None;
-                st.threads.remove(&who);
+                st.threads.remove_task(tid);
             }
             let next_resume = if frozen_ev.is_none() {
                 Shared::pick_and_switch(&mut st, now)

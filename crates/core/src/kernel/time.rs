@@ -468,7 +468,7 @@ pub(crate) fn fire_cyclic(shared: &Rc<Shared>, proc: &mut ProcCtx, id: CycId, ge
             }
             _ => false,
         };
-        if valid && st.threads.contains_key(&who) {
+        if valid && st.threads.contains(who) {
             let lvl = *st.int_levels.last().expect("inside the timer frame");
             st.int_stack.push(who);
             st.int_levels.push(lvl);
@@ -509,7 +509,7 @@ pub(crate) fn fire_alarm(shared: &Rc<Shared>, proc: &mut ProcCtx, id: AlmId, gen
         if valid {
             st.observe(crate::obs::ObsEvent::AlmFire { id, tick: ticks });
         }
-        if valid && st.threads.contains_key(&who) {
+        if valid && st.threads.contains(who) {
             let lvl = *st.int_levels.last().expect("inside the timer frame");
             st.int_stack.push(who);
             st.int_levels.push(lvl);

@@ -166,7 +166,7 @@ impl Rtos {
     pub fn threads(&self) -> Vec<TThreadInfo> {
         let st = self.shared.st.borrow();
         st.threads
-            .values()
+            .iter()
             .map(|rec| TThreadInfo {
                 who: rec.who,
                 name: rec.name.clone(),
@@ -221,7 +221,7 @@ impl Rtos {
             threads: st.threads.len() as u32,
             ..RunStats::default()
         };
-        for rec in st.threads.values() {
+        for rec in st.threads.iter() {
             out.preemptions += rec.stats.preemptions;
             out.interruptions += rec.stats.interruptions;
             out.activations += rec.stats.cycles;

@@ -66,7 +66,7 @@ impl Shared {
     pub(crate) fn register_thread(&self, who: ThreadRef, name: &str, kind: TThreadKind) {
         let mut st = self.st.borrow_mut();
         let rec = TThreadRec::new(&self.h, who, name, kind);
-        st.threads.insert(who, rec);
+        st.threads.insert(rec);
     }
 
     /// Appends one execution-trace record for `who` while the trace is
@@ -83,7 +83,12 @@ impl Shared {
         let Some(trace) = &mut st.trace else {
             return;
         };
-        let name = st.threads[&who].name.clone();
+        let name = st
+            .threads
+            .get(who)
+            .expect("unregistered T-THREAD")
+            .name
+            .clone();
         trace.push(TraceRecord {
             start,
             end,

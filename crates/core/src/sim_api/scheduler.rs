@@ -60,10 +60,18 @@ pub trait Scheduler {
 /// Priority-preemptive scheduler: a bitmap of non-empty levels plus one
 /// FIFO per level. Lower numeric priority runs first. This is the
 /// T-Kernel (and RTK-Spec II) policy.
+///
+/// Bit `l` of the bitmap is set exactly while level `l` (priority
+/// `l + 1`) holds a ready task; 256 bits cover every [`Priority`]. The
+/// highest ready level is the lowest set bit, so `peek`, `pop` and
+/// `should_preempt` read at most four words instead of every level.
 #[derive(Debug)]
 pub struct PriorityScheduler {
+    /// One FIFO per level; `pri -> level index` is `pri - 1`
+    /// (priorities are 1-based).
     levels: Vec<VecDeque<TaskId>>,
-    /// `pri -> level index` is `pri - 1`; priorities are 1-based.
+    /// Non-empty levels: bit `l % 64` of word `l / 64`.
+    ready: [u64; 4],
     count: usize,
     /// Cached priority of each enqueued task (index = raw id - 1).
     pris: Vec<Option<Priority>>,
@@ -76,6 +84,7 @@ impl PriorityScheduler {
             levels: (0..max_priority as usize)
                 .map(|_| VecDeque::new())
                 .collect(),
+            ready: [0; 4],
             count: 0,
             pris: Vec::new(),
         }
@@ -90,7 +99,18 @@ impl PriorityScheduler {
     }
 
     fn highest_level(&self) -> Option<usize> {
-        self.levels.iter().position(|q| !q.is_empty())
+        let (w, bits) = self.ready.iter().enumerate().find(|(_, b)| **b != 0)?;
+        Some(w * 64 + bits.trailing_zeros() as usize)
+    }
+
+    /// Re-derives level `l`'s bit after its FIFO changed.
+    fn sync_level(&mut self, l: usize) {
+        let bit = 1u64 << (l % 64);
+        if self.levels[l].is_empty() {
+            self.ready[l / 64] &= !bit;
+        } else {
+            self.ready[l / 64] |= bit;
+        }
     }
 }
 
@@ -98,12 +118,14 @@ impl Scheduler for PriorityScheduler {
     fn enqueue(&mut self, tid: TaskId, pri: Priority, at_head: bool) {
         debug_assert!(pri >= 1 && (pri as usize) <= self.levels.len());
         *self.slot(tid) = Some(pri);
-        let q = &mut self.levels[pri as usize - 1];
+        let l = pri as usize - 1;
+        let q = &mut self.levels[l];
         if at_head {
             q.push_front(tid);
         } else {
             q.push_back(tid);
         }
+        self.sync_level(l);
         self.count += 1;
     }
 
@@ -111,9 +133,11 @@ impl Scheduler for PriorityScheduler {
         let Some(pri) = self.slot(tid).take() else {
             return;
         };
-        let q = &mut self.levels[pri as usize - 1];
+        let l = pri as usize - 1;
+        let q = &mut self.levels[l];
         if let Some(pos) = q.iter().position(|t| *t == tid) {
             q.remove(pos);
+            self.sync_level(l);
             self.count -= 1;
         }
     }
@@ -126,6 +150,7 @@ impl Scheduler for PriorityScheduler {
     fn pop(&mut self) -> Option<TaskId> {
         let l = self.highest_level()?;
         let tid = self.levels[l].pop_front()?;
+        self.sync_level(l);
         *self.slot(tid) = None;
         self.count -= 1;
         Some(tid)

@@ -1,6 +1,10 @@
 //! Shared kernel state: the SIM_HashTB thread table, the task/object
 //! tables, the ready queue, the interrupt stack and the timer queue.
 //!
+//! The tables every kernel decision touches are dense: tasks, objects
+//! and the SIM_HashTB ([`ThreadTable`]) are slot vectors indexed by the
+//! 1-based raw ID, so a lookup is an index, not a search.
+//!
 //! Everything lives in one `RefCell` inside [`Shared`]. The sysc engine
 //! runs one process at a time on one host thread, so the state needs no
 //! lock; it needs only the borrow rule: no borrow may be held across a
@@ -18,6 +22,7 @@ use crate::config::{KernelConfig, Priority};
 use crate::cost::Energy;
 use crate::error::ErCode;
 use crate::ids::*;
+use crate::kernel::{table_get, table_get_mut};
 use crate::obs::ObsStream;
 use crate::sim_api::scheduler::Scheduler;
 use crate::trace::TraceRecord;
@@ -233,6 +238,100 @@ pub(crate) struct TThreadRec {
     pub proc: Option<ProcId>,
 }
 
+/// SIM_HashTB: the control record of every registered T-THREAD, found
+/// in constant time.
+///
+/// Tasks, cyclics and alarms each have a slot vector indexed by the
+/// 1-based raw ID, like the object tables (the kernel hands those IDs
+/// out densely). ISRs are keyed by their `IntNo`, which the caller
+/// chooses and which therefore never sizes a vector; the timer has one
+/// slot. Iteration follows `ThreadRef` order: tasks, cyclics, alarms,
+/// ISRs, timer.
+#[derive(Default)]
+pub(crate) struct ThreadTable {
+    tasks: Vec<Option<TThreadRec>>,
+    cycs: Vec<Option<TThreadRec>>,
+    alms: Vec<Option<TThreadRec>>,
+    isrs: BTreeMap<IntNo, TThreadRec>,
+    timer: Option<TThreadRec>,
+    /// Number of registered records.
+    len: usize,
+}
+
+impl ThreadTable {
+    pub(crate) fn get(&self, who: ThreadRef) -> Option<&TThreadRec> {
+        match who {
+            ThreadRef::Task(id) => table_get(&self.tasks, id.raw()).ok(),
+            ThreadRef::Cyclic(id) => table_get(&self.cycs, id.raw()).ok(),
+            ThreadRef::Alarm(id) => table_get(&self.alms, id.raw()).ok(),
+            ThreadRef::Isr(no) => self.isrs.get(&no),
+            ThreadRef::Timer => self.timer.as_ref(),
+        }
+    }
+
+    pub(crate) fn get_mut(&mut self, who: ThreadRef) -> Option<&mut TThreadRec> {
+        match who {
+            ThreadRef::Task(id) => table_get_mut(&mut self.tasks, id.raw()).ok(),
+            ThreadRef::Cyclic(id) => table_get_mut(&mut self.cycs, id.raw()).ok(),
+            ThreadRef::Alarm(id) => table_get_mut(&mut self.alms, id.raw()).ok(),
+            ThreadRef::Isr(no) => self.isrs.get_mut(&no),
+            ThreadRef::Timer => self.timer.as_mut(),
+        }
+    }
+
+    /// Registers `rec` under `rec.who`, replacing any record there.
+    pub(crate) fn insert(&mut self, rec: TThreadRec) {
+        let (table, raw) = match rec.who {
+            ThreadRef::Task(id) => (&mut self.tasks, id.raw()),
+            ThreadRef::Cyclic(id) => (&mut self.cycs, id.raw()),
+            ThreadRef::Alarm(id) => (&mut self.alms, id.raw()),
+            ThreadRef::Isr(no) => {
+                let old = self.isrs.insert(no, rec);
+                self.len += usize::from(old.is_none());
+                return;
+            }
+            ThreadRef::Timer => {
+                let old = self.timer.replace(rec);
+                self.len += usize::from(old.is_none());
+                return;
+            }
+        };
+        let idx = raw as usize - 1;
+        if table.len() <= idx {
+            table.resize_with(idx + 1, || None);
+        }
+        let old = table[idx].replace(rec);
+        self.len += usize::from(old.is_none());
+    }
+
+    /// Drops a deleted task's record; a task created on the freed ID
+    /// registers afresh.
+    pub(crate) fn remove_task(&mut self, tid: TaskId) {
+        if let Some(slot) = self.tasks.get_mut(tid.raw() as usize - 1) {
+            self.len -= usize::from(slot.take().is_some());
+        }
+    }
+
+    pub(crate) fn contains(&self, who: ThreadRef) -> bool {
+        self.get(who).is_some()
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Every record, in `ThreadRef` order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &TThreadRec> {
+        self.tasks
+            .iter()
+            .flatten()
+            .chain(self.cycs.iter().flatten())
+            .chain(self.alms.iter().flatten())
+            .chain(self.isrs.values())
+            .chain(&self.timer)
+    }
+}
+
 impl TThreadRec {
     pub(crate) fn new(h: &SimHandle, who: ThreadRef, name: &str, kind: TThreadKind) -> Self {
         TThreadRec {
@@ -322,7 +421,7 @@ pub(crate) struct KernelState {
     /// Ticks since boot.
     pub ticks: u64,
     /// SIM_HashTB: every registered T-THREAD.
-    pub threads: BTreeMap<ThreadRef, TThreadRec>,
+    pub threads: ThreadTable,
     pub tasks: Vec<Option<Tcb>>,
     pub scheduler: Box<dyn Scheduler>,
     pub running: Option<TaskId>,
@@ -390,7 +489,7 @@ impl KernelState {
             cfg,
             systim_ms: 0,
             ticks: 0,
-            threads: BTreeMap::new(),
+            threads: ThreadTable::default(),
             tasks: Vec::new(),
             scheduler,
             running: None,
@@ -464,11 +563,11 @@ impl KernelState {
     }
 
     pub(crate) fn thread(&self, who: ThreadRef) -> &TThreadRec {
-        self.threads.get(&who).expect("unregistered T-THREAD")
+        self.threads.get(who).expect("unregistered T-THREAD")
     }
 
     pub(crate) fn thread_mut(&mut self, who: ThreadRef) -> &mut TThreadRec {
-        self.threads.get_mut(&who).expect("unregistered T-THREAD")
+        self.threads.get_mut(who).expect("unregistered T-THREAD")
     }
 
     /// Reports one observation event to the attached stream, if any.

@@ -18,8 +18,6 @@
 //! This module is pure bookkeeping — the *enforcement* of the execution
 //! semantics (who may consume time when) lives in [`crate::sim_api`].
 
-use std::collections::BTreeMap;
-
 use sysc::SimTime;
 
 use crate::cost::Energy;
@@ -52,6 +50,19 @@ pub enum ExecContext {
 }
 
 impl ExecContext {
+    /// Every place, in declaration order.
+    const ALL: [ExecContext; 9] = [
+        ExecContext::Startup,
+        ExecContext::TaskBody,
+        ExecContext::ServiceCall,
+        ExecContext::Handler,
+        ExecContext::BfmAccess,
+        ExecContext::Sleeping,
+        ExecContext::Preempted,
+        ExecContext::Interrupted,
+        ExecContext::Dormant,
+    ];
+
     /// Short label used by the trace/Gantt renderers.
     pub const fn label(self) -> &'static str {
         match self {
@@ -145,8 +156,11 @@ impl CharacteristicVector {
 /// characteristic vector, and activation counts.
 #[derive(Debug, Clone, Default)]
 pub struct TThreadStats {
-    /// Per-place `(CET, CEE)` accumulators.
-    per_context: BTreeMap<ExecContext, (SimTime, Energy)>,
+    /// Per-place `(CET, CEE)` accumulators, indexed by place.
+    per_context: [(SimTime, Energy); ExecContext::ALL.len()],
+    /// Bit `place as usize` is set once the place consumed a slice,
+    /// even a zero-length one.
+    visited: u16,
     /// Transition firing counts.
     pub sigma: CharacteristicVector,
     /// Number of completed activation cycles (task activations or handler
@@ -161,43 +175,39 @@ pub struct TThreadStats {
 impl TThreadStats {
     /// Adds a consumed execution slice to a place.
     pub fn consume(&mut self, ctx: ExecContext, time: SimTime, energy: Energy) {
-        let entry = self
-            .per_context
-            .entry(ctx)
-            .or_insert((SimTime::ZERO, Energy::ZERO));
+        let entry = &mut self.per_context[ctx as usize];
         entry.0 += time;
         entry.1 += energy;
+        self.visited |= 1 << ctx as usize;
     }
 
     /// Consumed execution time in one place.
     pub fn cet(&self, ctx: ExecContext) -> SimTime {
-        self.per_context
-            .get(&ctx)
-            .map(|(t, _)| *t)
-            .unwrap_or(SimTime::ZERO)
+        self.per_context[ctx as usize].0
     }
 
     /// Consumed execution energy in one place.
     pub fn cee(&self, ctx: ExecContext) -> Energy {
-        self.per_context
-            .get(&ctx)
-            .map(|(_, e)| *e)
-            .unwrap_or(Energy::ZERO)
+        self.per_context[ctx as usize].1
     }
 
     /// Total consumed execution time over all places.
     pub fn total_cet(&self) -> SimTime {
-        self.per_context.values().map(|(t, _)| *t).sum()
+        self.per_context.iter().map(|(t, _)| *t).sum()
     }
 
     /// Total consumed execution energy over all places.
     pub fn total_cee(&self) -> Energy {
-        self.per_context.values().map(|(_, e)| *e).sum()
+        self.per_context.iter().map(|(_, e)| *e).sum()
     }
 
-    /// Iterates `(place, CET, CEE)` in stable order.
+    /// Iterates `(place, CET, CEE)` over the places that consumed any
+    /// slice, in declaration order.
     pub fn iter(&self) -> impl Iterator<Item = (ExecContext, SimTime, Energy)> + '_ {
-        self.per_context.iter().map(|(c, (t, e))| (*c, *t, *e))
+        ExecContext::ALL
+            .into_iter()
+            .filter(|c| self.visited & (1 << *c as usize) != 0)
+            .map(|c| (c, self.cet(c), self.cee(c)))
     }
 }
 
@@ -302,7 +312,7 @@ mod tests {
         // instant) still marks its place as visited.
         s.consume(ExecContext::Preempted, SimTime::ZERO, Energy::ZERO);
         let order: Vec<ExecContext> = s.iter().map(|(c, _, _)| c).collect();
-        // BTreeMap ordering follows the enum declaration order.
+        // Places are listed in enum declaration order.
         assert_eq!(
             order,
             vec![
