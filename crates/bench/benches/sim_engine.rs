@@ -9,7 +9,7 @@
 //   per tick;
 // * the timing wheel vs a reference `BinaryHeap` as a bare data
 //   structure (insert + pop-in-order);
-// * batched (`notify_many`) vs one-lock-per-event notification.
+// * immediate notification of a burst of events.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -143,16 +143,6 @@ fn notify_singles(rounds: u64) {
     }
 }
 
-/// The same bursts through `notify_many`: one state borrow per burst.
-fn notify_batched(rounds: u64) {
-    let sim = Simulation::new();
-    let h = sim.handle();
-    let events: Vec<_> = (0..16).map(|i| h.create_event(&format!("e{i}"))).collect();
-    for _ in 0..rounds {
-        h.notify_many(&events);
-    }
-}
-
 fn bench_engine(c: &mut Criterion) {
     let mut group = c.benchmark_group("sim_engine");
     group.sample_size(10);
@@ -192,9 +182,6 @@ fn bench_notify(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("notify_single_16x10k", |b| {
         b.iter(|| notify_singles(std::hint::black_box(10_000)))
-    });
-    group.bench_function("notify_many_16x10k", |b| {
-        b.iter(|| notify_batched(std::hint::black_box(10_000)))
     });
     group.finish();
 }

@@ -508,7 +508,7 @@ impl Shared {
         timeout: Timeout,
     ) -> (Result<(), ErCode>, Delivered) {
         let who = ThreadRef::Task(tid);
-        let (frozen_ev, next_resume) = {
+        let wake = {
             let mut st = self.st.borrow_mut();
             let now = proc.now();
             debug_assert_eq!(st.running, Some(tid), "only the running task can block");
@@ -543,23 +543,18 @@ impl Shared {
             st.running = None;
             // Delayed dispatching: if an interrupt freeze is pending
             // against us, the interrupt machinery owns the next dispatch
-            // decision — we only acknowledge and park.
+            // decision — we only acknowledge (notify `frozen_ev`) and
+            // park. Otherwise hand the CPU to the next ready task.
             let rec = st.thread_mut(who);
-            let frozen_ev = rec.ctrl_pending.take().map(|_| rec.frozen_ev);
-            let next_resume = if frozen_ev.is_none() {
-                Self::pick_and_switch(&mut st, now)
-            } else {
-                None
+            let wake = match rec.ctrl_pending.take() {
+                Some(CtrlRequest) => Some(rec.frozen_ev),
+                None => Self::pick_and_switch(&mut st, now),
             };
             Self::update_idle(&mut st, now);
-            (frozen_ev, next_resume)
+            wake
         };
-        // Publish the handshake/dispatch notifications as one batch
-        // (one engine-state borrow however many fire).
-        match (frozen_ev, next_resume) {
-            (Some(a), Some(b)) => self.h.notify_many(&[a, b]),
-            (Some(ev), None) | (None, Some(ev)) => self.h.notify(ev),
-            (None, None) => {}
+        if let Some(ev) = wake {
+            self.h.notify(ev);
         }
         self.park_until_granted(proc, who);
         self.check_ctrl_and_park(proc, who);

@@ -59,20 +59,6 @@ impl SimHandle {
         self.k.st.borrow_mut().notify_now(e);
     }
 
-    /// Immediately notifies several events, in order, in one borrow of
-    /// the kernel state. Equivalent to calling [`SimHandle::notify`] for
-    /// each; for models that fan one hardware action out to several
-    /// events.
-    pub fn notify_many(&self, events: &[EventId]) {
-        if events.is_empty() {
-            return;
-        }
-        let mut st = self.k.st.borrow_mut();
-        for &e in events {
-            st.notify_now(e);
-        }
-    }
-
     /// Delta notification: fires in the next delta cycle. Overrides a
     /// pending timed notification; keeps an existing delta notification.
     pub fn notify_delta(&self, e: EventId) {

@@ -287,8 +287,7 @@ impl KState {
     }
 
     // ------------------------------------------------------------------
-    // Notification primitives (callers hold the state borrow;
-    // `notify_many` shares one borrow among several of these).
+    // Notification primitives (callers hold the state borrow).
     // ------------------------------------------------------------------
 
     /// Immediate notification: fires now, waking waiters into the
