@@ -4,7 +4,12 @@
 //! The paper's SIM_API keeps a thread hash table (`SIM_HashTB`, here
 //! `KernelState::threads`), a stack for nested interrupts (`SIM_Stack`,
 //! here `KernelState::int_stack`), and provides the programming
-//! constructs used by kernel simulation models:
+//! constructs used by kernel simulation models. The paper's table is a
+//! hash so that `SIM_Wait`, `SIM_Dispatch` and the freeze handshake
+//! find their thread in constant time; here it is dense instead: one
+//! slot vector per T-THREAD class indexed by the raw ID (ISRs keyed by
+//! interrupt number), so a lookup is an index and iteration follows
+//! `ThreadRef` order. The constructs:
 //!
 //! | Paper construct            | Here |
 //! |----------------------------|------|

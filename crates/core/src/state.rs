@@ -1,9 +1,11 @@
 //! Shared kernel state: the SIM_HashTB thread table, the task/object
 //! tables, the ready queue, the interrupt stack and the timer queue.
 //!
-//! The tables every kernel decision touches are dense: tasks, objects
-//! and the SIM_HashTB ([`ThreadTable`]) are slot vectors indexed by the
-//! 1-based raw ID, so a lookup is an index, not a search.
+//! The tables every kernel decision touches are dense: the task and
+//! object tables and the SIM_HashTB ([`ThreadTable`]) are slot vectors
+//! indexed by the 1-based raw ID, so a lookup is an index, not a
+//! search. Only interrupt handlers, whose numbers the caller chooses,
+//! are kept in ordered maps.
 //!
 //! Everything lives in one `RefCell` inside [`Shared`]. The sysc engine
 //! runs one process at a time on one host thread, so the state needs no
@@ -279,29 +281,25 @@ impl ThreadTable {
         }
     }
 
-    /// Registers `rec` under `rec.who`, replacing any record there.
+    /// Registers `rec` under `rec.who`, which must be vacant.
     pub(crate) fn insert(&mut self, rec: TThreadRec) {
-        let (table, raw) = match rec.who {
-            ThreadRef::Task(id) => (&mut self.tasks, id.raw()),
-            ThreadRef::Cyclic(id) => (&mut self.cycs, id.raw()),
-            ThreadRef::Alarm(id) => (&mut self.alms, id.raw()),
-            ThreadRef::Isr(no) => {
-                let old = self.isrs.insert(no, rec);
-                self.len += usize::from(old.is_none());
-                return;
+        /// The slot of 1-based `raw`, growing the table to reach it.
+        fn slot(table: &mut Vec<Option<TThreadRec>>, raw: u32) -> &mut Option<TThreadRec> {
+            let idx = raw as usize - 1;
+            if table.len() <= idx {
+                table.resize_with(idx + 1, || None);
             }
-            ThreadRef::Timer => {
-                let old = self.timer.replace(rec);
-                self.len += usize::from(old.is_none());
-                return;
-            }
-        };
-        let idx = raw as usize - 1;
-        if table.len() <= idx {
-            table.resize_with(idx + 1, || None);
+            &mut table[idx]
         }
-        let old = table[idx].replace(rec);
-        self.len += usize::from(old.is_none());
+        let old = match rec.who {
+            ThreadRef::Task(id) => slot(&mut self.tasks, id.raw()).replace(rec),
+            ThreadRef::Cyclic(id) => slot(&mut self.cycs, id.raw()).replace(rec),
+            ThreadRef::Alarm(id) => slot(&mut self.alms, id.raw()).replace(rec),
+            ThreadRef::Isr(no) => self.isrs.insert(no, rec),
+            ThreadRef::Timer => self.timer.replace(rec),
+        };
+        debug_assert!(old.is_none(), "T-THREAD registered twice");
+        self.len += 1;
     }
 
     /// Drops a deleted task's record; a task created on the freed ID
