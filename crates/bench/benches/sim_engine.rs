@@ -9,6 +9,8 @@
 //   per tick;
 // * the timing wheel vs a reference `BinaryHeap` as a bare data
 //   structure (insert + pop-in-order);
+// * the timed queue under the engine's own traffic: a few pending
+//   deadlines, one delivered and one filed per advance;
 // * immediate notification of a burst of events.
 
 use std::cmp::Reverse;
@@ -131,6 +133,35 @@ fn wheel_insert_pop(n: u64) -> u64 {
     acc
 }
 
+/// The engine's real timed-queue traffic: a handful of deadlines
+/// pending (4.8 on average, at most 55, over a 1000-seed quick
+/// campaign), each advance delivering the earliest one and filing its
+/// successor 1–2 ms of picoseconds ahead. `advances` steps with 8
+/// entries pending throughout.
+fn steady_pending(advances: u64) -> u64 {
+    const PENDING: u64 = 8;
+    const MS_PS: u64 = 1_000_000_000;
+    let ahead = |i: u64| MS_PS + (i * 2_654_435_761) % MS_PS;
+    let mut wheel: TimingWheel<u64> = TimingWheel::new();
+    for i in 0..PENDING {
+        wheel.insert(ahead(i), i);
+    }
+    let mut acc = 0u64;
+    let mut filed = PENDING;
+    let mut due = Vec::new();
+    for _ in 0..advances {
+        let at = wheel.next_at().expect("entries stay pending");
+        due.clear();
+        wheel.advance_to(at, &mut due);
+        for e in &due {
+            acc = acc.wrapping_add(e.action);
+            wheel.insert(at + ahead(filed), filed);
+            filed += 1;
+        }
+    }
+    acc
+}
+
 /// `rounds` bursts of 16 notifications, one state borrow per event.
 fn notify_singles(rounds: u64) {
     let sim = Simulation::new();
@@ -173,6 +204,9 @@ fn bench_timed_queue(c: &mut Criterion) {
     });
     group.bench_function("wheel_insert_pop_x100k", |b| {
         b.iter(|| wheel_insert_pop(std::hint::black_box(100_000)))
+    });
+    group.bench_function("steady_8_pending_x100k", |b| {
+        b.iter(|| steady_pending(std::hint::black_box(100_000)))
     });
     group.finish();
 }
