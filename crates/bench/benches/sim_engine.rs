@@ -4,11 +4,10 @@
 //
 // * raw event throughput for thread processes (coroutine handoff) vs
 //   method processes (lock-free fast-path callbacks);
-// * the timed-notification path through the hierarchical timing wheel,
-//   including the periodic-clock re-arm that used to be a heap push
-//   per tick;
-// * the timing wheel vs a reference `BinaryHeap` as a bare data
-//   structure (insert + pop-in-order);
+// * the timed-notification path through the timed queue, including
+//   the periodic-clock re-arm on every tick;
+// * the timed queue vs a bare `BinaryHeap` on a 100k-entry bulk load
+//   (insert + pop-in-order), a shape the engine never produces;
 // * the timed queue under the engine's own traffic: a few pending
 //   deadlines, one delivered and one filed per advance;
 // * immediate notification of a burst of events.
@@ -17,7 +16,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sysc::{SimTime, Simulation, SpawnMode, TimingWheel};
+use sysc::{SimTime, Simulation, SpawnMode, TimedQueue};
 
 fn thread_pingpong(events: u64) {
     let mut sim = Simulation::new();
@@ -58,7 +57,7 @@ fn method_cascade(events: u64) {
 /// One solitary process consuming `n` back-to-back time slices: the
 /// RTOS layer's quantum-consume shape. Served by the fast-forward run
 /// budget (grant batching) — time advances in place with no context
-/// switch and no wheel traffic.
+/// switch and no timed-queue traffic.
 fn solo_timeslices(n: u64) {
     let mut sim = Simulation::new();
     let h = sim.handle();
@@ -71,8 +70,8 @@ fn solo_timeslices(n: u64) {
     assert_eq!(sim.now(), SimTime::from_us(n));
 }
 
-/// `n` one-shot timed notifications at spread-out delays: exercises
-/// wheel insert + advance across several levels.
+/// `n` one-shot timed notifications at spread-out delays: `n` entries
+/// pending at once, then delivered in deadline order.
 fn timed_spread(n: u64) {
     let mut sim = Simulation::new();
     let h = sim.handle();
@@ -89,8 +88,8 @@ fn timed_spread(n: u64) {
     assert!(events.iter().all(|e| h.event_fire_count(*e) == 1));
 }
 
-/// One periodic clock over `ticks` periods: the re-arm hot path that
-/// used to re-insert into a global heap on every tick.
+/// One periodic clock over `ticks` periods: one delivery and one
+/// re-arm per tick.
 fn periodic_clock(ticks: u64) {
     let mut sim = Simulation::new();
     let h = sim.handle();
@@ -100,7 +99,7 @@ fn periodic_clock(ticks: u64) {
     assert_eq!(h.event_fire_count(clk), ticks);
 }
 
-/// Reference model of the old timed queue: `(at, seq)`-ordered heap.
+/// Reference model of the timed queue: a bare `(at, seq)`-ordered heap.
 fn heap_insert_pop(n: u64) -> u64 {
     let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
     let mut acc = 0u64;
@@ -114,18 +113,19 @@ fn heap_insert_pop(n: u64) -> u64 {
     acc
 }
 
-/// The same workload through the hierarchical timing wheel.
+/// The same workload through the timed queue (the row keeps the name
+/// of the timing wheel it once measured).
 fn wheel_insert_pop(n: u64) -> u64 {
-    let mut wheel: TimingWheel<()> = TimingWheel::new();
+    let mut queue: TimedQueue<()> = TimedQueue::new();
     let mut acc = 0u64;
     for i in 0..n {
         let at = 1 + (i * 2_654_435_761) % 500_000_000;
-        wheel.insert(at, ());
+        queue.insert(at, ());
     }
     let mut due = Vec::new();
-    while let Some(at) = wheel.next_at() {
+    while let Some(at) = queue.next_at() {
         due.clear();
-        wheel.advance_to(at, &mut due);
+        queue.advance_to(at, &mut due);
         for e in &due {
             acc = acc.wrapping_add(e.at);
         }
@@ -142,20 +142,20 @@ fn steady_pending(advances: u64) -> u64 {
     const PENDING: u64 = 8;
     const MS_PS: u64 = 1_000_000_000;
     let ahead = |i: u64| MS_PS + (i * 2_654_435_761) % MS_PS;
-    let mut wheel: TimingWheel<u64> = TimingWheel::new();
+    let mut queue: TimedQueue<u64> = TimedQueue::new();
     for i in 0..PENDING {
-        wheel.insert(ahead(i), i);
+        queue.insert(ahead(i), i);
     }
     let mut acc = 0u64;
     let mut filed = PENDING;
     let mut due = Vec::new();
     for _ in 0..advances {
-        let at = wheel.next_at().expect("entries stay pending");
+        let at = queue.next_at().expect("entries stay pending");
         due.clear();
-        wheel.advance_to(at, &mut due);
+        queue.advance_to(at, &mut due);
         for e in &due {
             acc = acc.wrapping_add(e.action);
-            wheel.insert(at + ahead(filed), filed);
+            queue.insert(at + ahead(filed), filed);
             filed += 1;
         }
     }

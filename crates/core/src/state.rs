@@ -18,7 +18,7 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
-use sysc::{EventId, ProcId, SimHandle, SimTime, TimingWheel};
+use sysc::{EventId, ProcId, SimHandle, SimTime, TimedQueue};
 
 use crate::config::{KernelConfig, Priority};
 use crate::cost::Energy;
@@ -454,14 +454,14 @@ pub(crate) struct KernelState {
     pub cycs: Vec<Option<crate::kernel::time::Cyc>>,
     pub alms: Vec<Option<crate::kernel::time::Alm>>,
     pub isrs: BTreeMap<IntNo, crate::kernel::int::IsrRec>,
-    /// Tick-granular timer queue, on the same hierarchical timing wheel
-    /// the sysc event core uses (deadline unit: ticks since boot), so
-    /// arming a cyclic/alarm/timeout is O(1) instead of a heap push.
-    pub timeq: TimingWheel<TimerAction>,
+    /// Tick-granular timer queue, on the same `(at, seq)`-ordered
+    /// [`TimedQueue`] the sysc event core uses (deadline unit: ticks
+    /// since boot): due actions come out in deadline-then-arming order.
+    pub timeq: TimedQueue<TimerAction>,
     /// Timer actions already due at the current tick, drained one at a
     /// time by the Thread Dispatch tick sequence.
     due_timers: VecDeque<TimerAction>,
-    /// Reused scratch buffer for wheel drains (per-tick hot path).
+    /// Reused scratch buffer for timer-queue drains (per-tick hot path).
     due_scratch: Vec<sysc::TimedEntry<TimerAction>>,
     /// The Gantt execution trace, kept once recording has started
     /// (`Rtos::record_trace`); `None` builds no record at all.
@@ -511,7 +511,7 @@ impl KernelState {
             cycs: Vec::new(),
             alms: Vec::new(),
             isrs: BTreeMap::new(),
-            timeq: TimingWheel::new(),
+            timeq: TimedQueue::new(),
             due_timers: VecDeque::new(),
             due_scratch: Vec::new(),
             trace: None,
@@ -579,14 +579,14 @@ impl KernelState {
         }
     }
 
-    /// Files a timer-queue entry expiring at `at_tick` (O(1)).
+    /// Files a timer-queue entry expiring at `at_tick`.
     pub(crate) fn push_timer(&mut self, at_tick: u64, action: TimerAction) {
         self.timeq.insert(at_tick, action);
     }
 
     /// Takes the next timer action due at or before the current tick,
     /// in deadline-then-arming order. Refills the due buffer from the
-    /// wheel when it runs dry.
+    /// timer queue when it runs dry.
     pub(crate) fn pop_due_timer(&mut self) -> Option<TimerAction> {
         if self.due_timers.is_empty() && self.timeq.next_at().is_some_and(|at| at <= self.ticks) {
             self.timeq.advance_to(self.ticks, &mut self.due_scratch);

@@ -326,33 +326,29 @@ pub(crate) fn run_scenario_recorded(
     // Assemble the observation pipeline: every consumer is a sink on
     // one shared stream, so the kernel pays for instrumentation once
     // no matter how many consumers are attached.
-    let mut stream = ObsStream::new();
-    let mut any_sink = false;
+    let mut sinks: Vec<Box<dyn StreamSink>> = Vec::new();
     let mut checker = None;
     if oracle {
         let shared = Rc::new(RefCell::new(oracle::Checker::new()));
-        stream = stream.attach(Box::new(CheckerSink {
+        sinks.push(Box::new(CheckerSink {
             checker: Rc::clone(&shared),
             push: oracle::Checker::push,
         }));
-        any_sink = true;
         checker = Some(shared);
     }
     let mut collected = None;
     if collect_events {
         let (sink, handle) = CollectSink::unbounded();
-        stream = stream.attach(Box::new(sink));
-        any_sink = true;
+        sinks.push(Box::new(sink));
         collected = Some(handle);
     }
     let mut conformance = None;
     if analyze {
         let shared = Rc::new(RefCell::new(Conformance::from_model(&static_model(spec))));
-        stream = stream.attach(Box::new(CheckerSink {
+        sinks.push(Box::new(CheckerSink {
             checker: Rc::clone(&shared),
             push: Conformance::push,
         }));
-        any_sink = true;
         conformance = Some(shared);
     }
     let mut writer_handle = None;
@@ -368,14 +364,16 @@ pub(crate) fn run_scenario_recorded(
         let path = tc.dir.join(format!("seed-{:010}.rtkt", spec.seed));
         match TraceWriter::create(&path, &header, tc.cap) {
             Ok((writer, handle)) => {
-                stream = std::mem::take(&mut stream).attach(Box::new(writer));
-                any_sink = true;
+                sinks.push(Box::new(writer));
                 writer_handle = Some(handle);
             }
             Err(e) => eprintln!("rtk-farm: cannot create trace {}: {e}", path.display()),
         }
     }
-    let obs = any_sink.then(|| Rc::new(stream));
+    // No sink, no stream: its ring is the largest allocation a run
+    // would make, and nothing would read it.
+    let obs = (!sinks.is_empty())
+        .then(|| Rc::new(sinks.into_iter().fold(ObsStream::new(), ObsStream::attach)));
 
     let result = {
         let collect = Rc::clone(&collect);

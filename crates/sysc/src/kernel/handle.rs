@@ -82,8 +82,8 @@ impl SimHandle {
 
     /// Turns the event into a periodic clock: after each firing it
     /// re-notifies itself `period` later. The first firing is scheduled
-    /// `first_after` from now. Re-arming is an O(1) timing-wheel
-    /// insert, not a heap push.
+    /// `first_after` from now. Each firing re-arms the event with one
+    /// timed-queue insert.
     pub fn make_periodic(&self, e: EventId, period: SimTime, first_after: SimTime) {
         assert!(!period.is_zero(), "periodic event needs a non-zero period");
         let mut st = self.k.st.borrow_mut();

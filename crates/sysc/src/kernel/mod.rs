@@ -2,8 +2,8 @@
 //!
 //! * [`sched`] — the event core and the evaluate → update →
 //!   delta-notify → advance-time scheduler loop;
-//! * [`wheel`] — the hierarchical timing wheel holding timed and
-//!   periodic notifications (O(1) insert on the clock-tick hot path);
+//! * [`timed_queue`] — the `(at, seq)`-ordered heap holding timed and
+//!   periodic notifications and process timeouts;
 //! * [`delta`] — the per-delta queues (runnable, yields, delta
 //!   notifications, signal updates);
 //! * [`procs`] — the process table (thread and method processes).
@@ -15,7 +15,7 @@ mod delta;
 mod handle;
 mod procs;
 mod sched;
-pub(crate) mod wheel;
+pub(crate) mod timed_queue;
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -199,7 +199,7 @@ impl Simulation {
     /// Earliest pending timed activity, if any (may include cancelled
     /// entries; intended for step-mode heuristics only).
     pub fn next_activity_at(&self) -> Option<SimTime> {
-        self.k.st.borrow().wheel.next_at().map(SimTime::from_ps)
+        self.k.st.borrow().timed.next_at().map(SimTime::from_ps)
     }
 }
 

@@ -56,7 +56,7 @@ use crate::time::SimTime;
 use crate::trace::{KernelStats, Tracer};
 
 use super::procs::{MethodCallback, ProcBody, ProcState, ProcTable, WaitKind};
-use super::wheel::{TimedEntry, TimingWheel};
+use super::timed_queue::{TimedEntry, TimedQueue};
 use super::{DeltaQueues, Kernel, MethodCtx, RunOutcome, SimHandle, CURRENT_NONE};
 
 /// What a pending notification of an event currently is.
@@ -67,7 +67,7 @@ pub(crate) enum Pending {
     At(SimTime),
 }
 
-/// Payload of a timing-wheel entry.
+/// Payload of a timed-queue entry.
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) enum TimedAction {
     FireEvent { event: EventId, gen: u64 },
@@ -81,10 +81,11 @@ pub(crate) struct EventEntry {
     /// Method processes statically sensitive to this event.
     pub(crate) method_subs: Vec<ProcId>,
     pub(crate) pending: Pending,
-    /// Bumped on fire/cancel/renotify; stale wheel entries are ignored.
+    /// Bumped on fire/cancel/renotify; stale timed-queue entries are
+    /// ignored.
     pub(crate) gen: u64,
     /// If set, the event re-notifies itself this long after each firing
-    /// (periodic clock support; O(1) re-arm through the wheel).
+    /// (periodic clock support; re-armed through the timed queue).
     pub(crate) auto_renotify: Option<SimTime>,
     pub(crate) fire_count: u64,
 }
@@ -112,7 +113,7 @@ pub(crate) struct KState {
     pub(crate) procs: ProcTable,
     pub(crate) events: Vec<EventEntry>,
     pub(crate) dq: DeltaQueues,
-    pub(crate) wheel: TimingWheel<TimedAction>,
+    pub(crate) timed: TimedQueue<TimedAction>,
     pub(crate) tracer: Option<Rc<dyn Tracer>>,
     pub(crate) stats: KernelStats,
     pub(crate) in_run: bool,
@@ -126,7 +127,7 @@ pub(crate) struct KState {
     /// A process-body panic caught inside a coroutine, to be re-raised
     /// by the kernel root when the gate hands control back.
     pub(crate) pending_panic: Option<Box<dyn std::any::Any + Send>>,
-    /// Reused buffer of due wheel entries (advance-time phase).
+    /// Reused buffer of due timed-queue entries (advance-time phase).
     due: Vec<TimedEntry<TimedAction>>,
 }
 
@@ -138,7 +139,7 @@ impl KState {
             procs: ProcTable::default(),
             events: Vec::new(),
             dq: DeltaQueues::default(),
-            wheel: TimingWheel::new(),
+            timed: TimedQueue::new(),
             tracer: None,
             stats: KernelStats::default(),
             in_run: false,
@@ -163,16 +164,16 @@ impl KState {
     }
 
     /// Delivers one event firing: wakes dynamic waiters, queues sensitive
-    /// methods, and re-arms auto-renotify clocks (O(1) wheel insert).
+    /// methods, and re-arms auto-renotify clocks.
     pub(crate) fn fire_event(&mut self, id: EventId) {
         let now = self.now;
         self.stats.events_fired += 1;
-        let (waiters, renotify) = {
+        let renotify = {
             let ev = &mut self.events[id.index()];
             ev.pending = Pending::None;
             ev.gen += 1;
             ev.fire_count += 1;
-            (std::mem::take(&mut ev.waiters), ev.auto_renotify)
+            ev.auto_renotify
         };
         if let Some(t) = &self.tracer {
             let name = self.events[id.index()].name.clone();
@@ -184,10 +185,14 @@ impl KState {
             let at = now.saturating_add(period);
             let gen = self.events[id.index()].gen;
             self.events[id.index()].pending = Pending::At(at);
-            self.wheel
+            self.timed
                 .insert(at.as_ps(), TimedAction::FireEvent { event: id, gen });
         }
-        for (p, gen) in waiters {
+        // Walk the waiters by index and clear the list afterwards, so the
+        // next wait reuses its capacity. Waking registers no waiter, so
+        // the list cannot change under the walk.
+        for i in 0..self.events[id.index()].waiters.len() {
+            let (p, gen) = self.events[id.index()].waiters[i];
             let entry = self.procs.get_mut(p);
             if entry.wait_gen != gen || entry.state != ProcState::Waiting {
                 continue;
@@ -206,6 +211,7 @@ impl KState {
                 self.wake(p, WakeReason::AllFired);
             }
         }
+        self.events[id.index()].waiters.clear();
         // Queue statically-sensitive methods without cloning the
         // subscription list (hot path: once per clock tick).
         for i in 0..self.events[id.index()].method_subs.len() {
@@ -243,7 +249,7 @@ impl KState {
             }
             WaitSpec::Time(d) => {
                 self.procs.get_mut(p).wait_kind = WaitKind::Time;
-                self.wheel.insert(
+                self.timed.insert(
                     now.saturating_add(d).as_ps(),
                     TimedAction::WakeProc { proc: p, gen },
                 );
@@ -255,7 +261,7 @@ impl KState {
             WaitSpec::EventTimeout(e, d) => {
                 self.procs.get_mut(p).wait_kind = WaitKind::EventTimeout;
                 self.events[e.index()].waiters.push((p, gen));
-                self.wheel.insert(
+                self.timed.insert(
                     now.saturating_add(d).as_ps(),
                     TimedAction::WakeProc { proc: p, gen },
                 );
@@ -294,7 +300,7 @@ impl KState {
     /// current evaluation phase. Overrides any pending notification.
     pub(crate) fn notify_now(&mut self, e: EventId) {
         let ev = &mut self.events[e.index()];
-        ev.gen += 1; // invalidate any pending wheel entry
+        ev.gen += 1; // invalidate any pending timed entry
         ev.pending = Pending::None;
         self.fire_event(e);
     }
@@ -330,7 +336,7 @@ impl KState {
         ev.gen += 1;
         let gen = ev.gen;
         ev.pending = Pending::At(at);
-        self.wheel
+        self.timed
             .insert(at.as_ps(), TimedAction::FireEvent { event: e, gen });
     }
 
@@ -370,7 +376,7 @@ impl KState {
         // Any timed action at or before the deadline — including one
         // scheduled for the exact same instant, whose delivery order
         // matters — forces the ordinary engine path.
-        if let Some(next) = self.wheel.next_at() {
+        if let Some(next) = self.timed.next_at() {
             if next <= deadline.as_ps() {
                 return false;
             }
@@ -512,7 +518,7 @@ pub(crate) fn next_step(st: &mut KState, from_process: bool) -> NextStep {
         }
 
         // ---- Advance-time phase ---------------------------------------
-        let at = match st.wheel.next_at().map(SimTime::from_ps) {
+        let at = match st.timed.next_at().map(SimTime::from_ps) {
             None => {
                 return if from_process {
                     NextStep::WakeKernel
@@ -534,9 +540,9 @@ pub(crate) fn next_step(st: &mut KState, from_process: bool) -> NextStep {
         st.deltas_this_step = 0;
         st.advance_now_to(at);
         // Deliver every action scheduled at-or-before this timestamp
-        // (in `(at, seq)` order: the wheel sorts).
+        // (in `(at, seq)` order).
         let mut due = std::mem::take(&mut st.due);
-        st.wheel.advance_to(at.as_ps(), &mut due);
+        st.timed.advance_to(at.as_ps(), &mut due);
         for entry in due.drain(..) {
             match entry.action {
                 TimedAction::FireEvent { event, gen } => {

@@ -73,7 +73,7 @@ mod time;
 mod trace;
 
 pub use ids::{EventId, ProcId};
-pub use kernel::wheel::{TimedEntry, TimingWheel};
+pub use kernel::timed_queue::{TimedEntry, TimedQueue};
 pub use kernel::{MethodCtx, ProcCtx, RunOutcome, SimHandle, Simulation, SpawnMode, WaitOutcome};
 pub use runtime::{Runtime, WakeReason};
 pub use signal::{Clock, Signal, SignalValue};

@@ -111,14 +111,14 @@ proptest! {
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
 
-        let mut wheel: sysc::TimingWheel<u64> = sysc::TimingWheel::new();
+        let mut wheel: sysc::TimedQueue<u64> = sysc::TimedQueue::new();
         let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
         let mut now = 0u64;
         let mut seq = 0u64;
         let mut due = Vec::new();
 
         let mut drain_to = |target: u64,
-                            wheel: &mut sysc::TimingWheel<u64>,
+                            wheel: &mut sysc::TimedQueue<u64>,
                             heap: &mut BinaryHeap<Reverse<(u64, u64)>>|
          -> Result<(), TestCaseError> {
             let mut expect = Vec::new();
@@ -221,7 +221,7 @@ proptest! {
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
 
-        let mut wheel: sysc::TimingWheel<u64> = sysc::TimingWheel::new();
+        let mut wheel: sysc::TimedQueue<u64> = sysc::TimedQueue::new();
         let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
         let mut now = 0u64;
         let mut seq = 0u64;
