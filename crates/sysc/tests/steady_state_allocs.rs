@@ -1,7 +1,7 @@
 //! The engine's steady state makes no heap allocation: once a periodic
-//! clock and a two-process ping-pong have run for a while, every event
-//! waiter list, timed-queue slot and scratch buffer they use has the
-//! capacity it needs, so running on costs no allocator call.
+//! clock and a two-process ping-pong have run for a while, the event
+//! waiter lists, the timed queue and the scratch buffers they use have
+//! the capacity they need, so running on costs no allocator call.
 //!
 //! A test binary of its own, because it installs a counting global
 //! allocator. The count is per thread: the whole simulation, coroutine
