@@ -61,6 +61,31 @@ fn switch_pairs(n: u64) -> Rtos {
     rtos
 }
 
+/// Builds a zero-cost kernel with `handlers` cyclic handlers on the
+/// 1 ms tick and one task sleeping in 1 ms steps, runs it past five
+/// ticks and drops it. Teardown ends every handler loop, both
+/// dispatchers and the task, as each campaign scenario does.
+fn teardown_kernel(handlers: u32) -> SimTime {
+    let mut rtos = Rtos::new(KernelConfig::zero_cost(), move |sys, _| {
+        for i in 0..handlers {
+            let period = SimTime::from_ms(1);
+            let cyc = sys
+                .tk_cre_cyc(&format!("cyc{i}"), period, period, true, |_| {})
+                .unwrap();
+            sys.tk_sta_cyc(cyc).unwrap();
+        }
+        let t = sys
+            .tk_cre_tsk("sleeper", 10, |sys, _| {
+                while sys.tk_dly_tsk(SimTime::from_ms(1)).is_ok() {}
+            })
+            .unwrap();
+        sys.tk_sta_tsk(t, 0).unwrap();
+    });
+    rtos.run_until(SimTime::from_us(5_500));
+    assert_eq!(rtos.run_stats().ticks, 5, "the kernel ran past five ticks");
+    rtos.now()
+}
+
 fn bench_primitives(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernel_primitives");
     group.sample_size(10);
@@ -69,6 +94,9 @@ fn bench_primitives(c: &mut Criterion) {
     });
     group.bench_function("context_switch_x200", |b| {
         b.iter(|| std::hint::black_box(switch_pairs(200).now()))
+    });
+    group.bench_function("teardown_cyc6", |b| {
+        b.iter(|| std::hint::black_box(teardown_kernel(6)))
     });
     group.finish();
 }
