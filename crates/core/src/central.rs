@@ -42,25 +42,13 @@ pub(crate) fn install(shared: &Rc<Shared>, main: Box<TaskBody>) {
 
     // Thread Dispatch: sensitive to the system tick.
     let sh = Rc::clone(shared);
-    h.spawn_thread(
-        "thread_dispatch",
-        SpawnMode::WaitEvent(tick_ev),
-        move |proc| loop {
-            sh.on_tick(proc);
-            proc.wait_event(tick_ev);
-        },
-    );
+    h.spawn_loop("thread_dispatch", tick_ev, move |proc| sh.on_tick(proc));
 
     // Interrupt Dispatch: sensitive to external interrupt requests.
     let sh = Rc::clone(shared);
-    h.spawn_thread(
-        "interrupt_dispatch",
-        SpawnMode::WaitEvent(int_req_ev),
-        move |proc| loop {
-            sh.drain_interrupts(proc);
-            proc.wait_event(int_req_ev);
-        },
-    );
+    h.spawn_loop("interrupt_dispatch", int_req_ev, move |proc| {
+        sh.drain_interrupts(proc)
+    });
 
     // Boot: sensitive to reset (modeled as immediate activation at t=0).
     let sh = Rc::clone(shared);

@@ -175,11 +175,19 @@ impl Power {
     }
 
     /// Energy consumed by dissipating this power for `d`:
-    /// `E[pJ] = P[µW] × t[ps] / 10⁶` (computed in 128-bit to avoid
-    /// overflow for long simulations).
+    /// `E[pJ] = P[µW] × t[ps] / 10⁶`, saturating at the largest
+    /// [`Energy`]. The product is computed in 64-bit when it fits and
+    /// in 128-bit otherwise (long simulations at high power), so the
+    /// common slice pays no 128-bit division.
     pub fn energy_over(self, d: SimTime) -> Energy {
-        let pj = (self.0 as u128 * d.as_ps() as u128) / 1_000_000;
-        Energy(u64::try_from(pj).unwrap_or(u64::MAX))
+        let ps = d.as_ps();
+        match self.0.checked_mul(ps) {
+            Some(product) => Energy(product / 1_000_000),
+            None => {
+                let pj = (u128::from(self.0) * u128::from(ps)) / 1_000_000;
+                Energy(u64::try_from(pj).unwrap_or(u64::MAX))
+            }
+        }
     }
 }
 

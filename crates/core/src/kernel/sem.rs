@@ -44,14 +44,13 @@ pub struct RefSem {
 /// waiter-detach paths (timeout / `tk_rel_wai` / `tk_ter_tsk` of a
 /// queued waiter can make the next waiters satisfiable).
 pub(crate) fn serve_waiters(st: &mut crate::state::KernelState, id: SemId, now: sysc::SimTime) {
-    let mut to_wake = Vec::new();
     loop {
         let front = {
             let Ok(sem) = super::table_get(&st.sems, id.0) else {
-                break;
+                return;
             };
             let Some(front) = sem.waitq.front() else {
-                break;
+                return;
             };
             front
         };
@@ -60,16 +59,14 @@ pub(crate) fn serve_waiters(st: &mut crate::state::KernelState, id: SemId, now: 
             _ => 1,
         };
         let sem = super::table_get_mut(&mut st.sems, id.0).expect("still exists");
-        if sem.count >= req {
-            sem.count -= req;
-            sem.waitq.pop();
-            to_wake.push(front);
-        } else {
-            break;
+        if sem.count < req {
+            return;
         }
-    }
-    for tid in to_wake {
-        Shared::make_ready(st, now, tid, Ok(()), Delivered::None);
+        sem.count -= req;
+        sem.waitq.pop();
+        // Waking touches neither the count nor the queue, so the next
+        // waiter is judged exactly as if every wake came afterwards.
+        Shared::make_ready(st, now, front, Ok(()), Delivered::None);
     }
 }
 

@@ -9,7 +9,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use sysc::{ProcCtx, SimTime, SpawnMode};
+use sysc::{ProcCtx, SimTime};
 
 use crate::cost::ServiceClass;
 use crate::error::{ErCode, KResult};
@@ -328,8 +328,8 @@ impl<'a> Sys<'a> {
 
 impl Shared {
     /// Spawns the persistent handler thread for a cyclic/alarm/ISR
-    /// T-THREAD: it loops forever, running the body once per activation
-    /// and signalling completion.
+    /// T-THREAD: an activation loop ([`sysc::SimHandle::spawn_loop`])
+    /// that runs the body once per activation and signals completion.
     pub(crate) fn spawn_handler_thread(self: &Rc<Self>, who: ThreadRef) {
         let (activate_ev, name) = {
             let st = self.st.borrow();
@@ -337,17 +337,14 @@ impl Shared {
             (rec.activate_ev, rec.name.clone())
         };
         let shared = Rc::clone(self);
-        let pid = self
-            .h
-            .spawn_thread(&name, SpawnMode::WaitEvent(activate_ev), move |proc| loop {
-                // `run_handler_activation` returns `true` when it
-                // chained straight into another activation of this same
-                // handler (back-to-back ISR requests) — in that case the
-                // frame is already mounted and waiting for the event
-                // would lose the turn.
-                while shared.run_handler_activation(proc, who) {}
-                proc.wait_event(activate_ev);
-            });
+        let pid = self.h.spawn_loop(&name, activate_ev, move |proc| {
+            // `run_handler_activation` returns `true` when it chained
+            // straight into another activation of this same handler
+            // (back-to-back ISR requests) — in that case the frame is
+            // already mounted and waiting for the event would lose the
+            // turn.
+            while shared.run_handler_activation(proc, who) {}
+        });
         self.st.borrow_mut().thread_mut(who).proc = Some(pid);
     }
 

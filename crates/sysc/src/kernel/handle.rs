@@ -5,7 +5,7 @@ use std::rc::Rc;
 
 use crate::ids::{EventId, ProcId};
 use crate::runtime::coro::{CoroShared, Terminal};
-use crate::runtime::{reply_from_panic, Cmd, Reply};
+use crate::runtime::{reply_from_panic, Cmd, Reply, WaitSpec};
 use crate::signal::UpdateTarget;
 use crate::time::SimTime;
 use crate::trace::KernelStats;
@@ -150,6 +150,27 @@ impl SimHandle {
         id
     }
 
+    /// Spawns an activation loop: a thread process that parks on
+    /// `activation`, runs `body` once per firing, and parks again — the
+    /// shape of every SystemC process sensitive to one event.
+    ///
+    /// A kill or teardown that finds the loop parked on `activation`
+    /// ends it by return, with no unwind: nothing of `body` is live
+    /// there. One that arrives while `body` runs (inside one of its own
+    /// waits) unwinds it like any thread process, running `Drop` impls
+    /// on the way out.
+    pub fn spawn_loop<F>(&self, name: &str, activation: EventId, mut body: F) -> ProcId
+    where
+        F: FnMut(&mut ProcCtx) + 'static,
+    {
+        self.spawn_thread(name, SpawnMode::WaitEvent(activation), move |ctx| loop {
+            body(ctx);
+            if ctx.wait(WaitSpec::Event(activation)).is_none() {
+                return;
+            }
+        })
+    }
+
     /// Spawns a method process statically sensitive to `sensitivity`.
     /// The callback runs on the kernel thread (no stack switch); it must
     /// not block. If `run_at_start`, it is also queued once immediately.
@@ -179,8 +200,9 @@ impl SimHandle {
     }
 
     /// Terminates another process: its stack unwinds (running `Drop`
-    /// impls) and it never runs again. Method processes are simply
-    /// descheduled (their callback is dropped).
+    /// impls) and it never runs again. An activation loop parked on its
+    /// activation returns instead ([`SimHandle::spawn_loop`]). Method
+    /// processes are simply descheduled (their callback is dropped).
     ///
     /// # Panics
     ///
@@ -209,8 +231,8 @@ impl SimHandle {
         };
         match victim {
             Victim::Thread(s) => {
-                // Cooperative unwind; reply is Finished (or Panicked from
-                // a misbehaving Drop, which we surface).
+                // Return or cooperative unwind; reply is Finished (or
+                // Panicked from a misbehaving Drop, which we surface).
                 if let Reply::Panicked(payload) = s.resume(Cmd::Terminate) {
                     panic::resume_unwind(payload)
                 }

@@ -10,6 +10,18 @@
 //!
 //! This module keeps the public surface: [`Simulation`], [`SimHandle`],
 //! [`ProcCtx`] and [`MethodCtx`].
+//!
+//! # Ending a thread process
+//!
+//! A kill ([`SimHandle::kill`]) or teardown (dropping the
+//! [`Simulation`]) sends the process a terminate command, which its
+//! pending wait receives. An activation loop
+//! ([`SimHandle::spawn_loop`]) parked on its activation holds nothing
+//! of its body, so it ends by return. Every other wait unwinds the
+//! body, so that the `Drop` of whatever it owns across the wait runs: a
+//! body may keep an owned value alive across a wait, and only an unwind
+//! reaches it. A return is much the cheaper of the two (DESIGN.md,
+//! "Ending processes").
 
 mod delta;
 mod handle;
@@ -207,8 +219,9 @@ impl Drop for Simulation {
     fn drop(&mut self) {
         // Terminate every live thread process. The terminate handshake
         // is synchronous (the reply arrives only after the body has
-        // unwound), and the stacks return to the stack pool on their
-        // own — there is nothing to join.
+        // returned or unwound, see the module docs), and the stacks
+        // return to the stack pool on their own — there is nothing to
+        // join.
         let mut shareds = Vec::new();
         {
             let mut st = self.k.st.borrow_mut();
@@ -222,9 +235,9 @@ impl Drop for Simulation {
             }
         }
         for s in shareds {
-            // The reply is Finished (cooperative unwind) or Panicked if a
-            // Drop impl inside the process misbehaved; either way we are
-            // tearing down and must not panic here.
+            // The reply is Finished (return or cooperative unwind) or
+            // Panicked if a Drop impl inside the process misbehaved;
+            // either way we are tearing down and must not panic here.
             let _ = s.resume(Cmd::Terminate);
         }
     }
@@ -269,22 +282,27 @@ impl ProcCtx {
         self.last_reason
     }
 
-    fn suspend(&mut self, spec: WaitSpec) -> WakeReason {
+    /// Waits for `spec`; `None` means a kill or teardown ended the wait.
+    fn wait(&mut self, spec: WaitSpec) -> Option<WakeReason> {
         // Register the wait and chain-dispatch the next runnable under
         // one kernel-state borrow — or get the wait served in place from
         // the fast-forward run budget. Control comes back here when
         // this process is next dispatched, with its command stored.
-        if let Some(reason) = sched::yield_from_process(&self.handle.k, self.id, spec) {
-            self.last_reason = reason;
-            return reason;
-        }
-        match self.shared.await_cmd() {
-            Cmd::Run(reason) => {
-                self.last_reason = reason;
-                reason
-            }
-            Cmd::Terminate => raise_terminate(),
-        }
+        let reason = match sched::yield_from_process(&self.handle.k, self.id, spec) {
+            Some(reason) => reason,
+            None => match self.shared.await_cmd() {
+                Cmd::Run(reason) => reason,
+                Cmd::Terminate => return None,
+            },
+        };
+        self.last_reason = reason;
+        Some(reason)
+    }
+
+    /// Waits for `spec`, unwinding the body if a kill or teardown ends
+    /// the wait.
+    fn suspend(&mut self, spec: WaitSpec) -> WakeReason {
+        self.wait(spec).unwrap_or_else(|| raise_terminate())
     }
 
     /// Suspends for a duration of simulated time. A zero duration waits

@@ -38,13 +38,15 @@
 //!
 //! A suspending process that can prove it is the *only* activity before
 //! its own wake deadline — no runnable process, no pending delta
-//! activity or updates, no timed action at or before the deadline, the
-//! deadline within the run limit — does not need the engine at all: it
-//! advances simulated time itself in one state borrow
-//! ([`KState::try_fast_forward`]) and keeps running. Consecutive
-//! time-consume slices of one thread (the RTOS layer's quantum loop)
-//! then cost one borrow each instead of a round trip through the
-//! engine.
+//! activity or updates, no live timed action at or before the deadline,
+//! the deadline within the run limit — does not need the engine at all:
+//! it advances simulated time itself in one state borrow
+//! ([`KState::try_fast_forward`]) and keeps running. Cancelled entries
+//! at the front of the timed queue (a timeout whose event fired first,
+//! a re-armed or cancelled notification) are purged before the check,
+//! so they do not veto the budget. Consecutive time-consume slices of
+//! one thread (the RTOS layer's quantum loop) then cost one borrow each
+//! instead of a round trip through the engine.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::rc::Rc;
@@ -72,6 +74,20 @@ pub(crate) enum Pending {
 pub(crate) enum TimedAction {
     FireEvent { event: EventId, gen: u64 },
     WakeProc { proc: ProcId, gen: u64 },
+}
+
+impl TimedAction {
+    /// Whether delivery acts on this entry: neither its event's nor its
+    /// process's generation has moved on since it was filed.
+    fn is_live(&self, events: &[EventEntry], procs: &ProcTable) -> bool {
+        match *self {
+            TimedAction::FireEvent { event, gen } => events[event.index()].gen == gen,
+            TimedAction::WakeProc { proc, gen } => {
+                let pe = procs.get(proc);
+                pe.wait_gen == gen && pe.state == ProcState::Waiting
+            }
+        }
+    }
 }
 
 pub(crate) struct EventEntry {
@@ -373,9 +389,15 @@ impl KState {
         if deadline <= self.now || deadline > self.run_limit {
             return false;
         }
-        // Any timed action at or before the deadline — including one
-        // scheduled for the exact same instant, whose delivery order
-        // matters — forces the ordinary engine path.
+        // Cancelled entries at the front would veto the budget although
+        // delivery ignores them; drop them first. (After the tracer
+        // check: on the engine path each one costs a time advance, and
+        // traced runs keep reporting those.)
+        let (events, procs) = (&self.events, &self.procs);
+        self.timed.pop_while(|e| !e.action.is_live(events, procs));
+        // Any live timed action at or before the deadline — including
+        // one scheduled for the exact same instant, whose delivery
+        // order matters — forces the ordinary engine path.
         if let Some(next) = self.timed.next_at() {
             if next <= deadline.as_ps() {
                 return false;
@@ -544,21 +566,17 @@ pub(crate) fn next_step(st: &mut KState, from_process: bool) -> NextStep {
         let mut due = std::mem::take(&mut st.due);
         st.timed.advance_to(at.as_ps(), &mut due);
         for entry in due.drain(..) {
+            if !entry.action.is_live(&st.events, &st.procs) {
+                continue;
+            }
             match entry.action {
-                TimedAction::FireEvent { event, gen } => {
-                    if st.events[event.index()].gen == gen {
-                        st.fire_event(event);
-                    }
-                }
-                TimedAction::WakeProc { proc, gen } => {
-                    let pe = st.procs.get(proc);
-                    if pe.wait_gen == gen && pe.state == ProcState::Waiting {
-                        let reason = match pe.wait_kind {
-                            WaitKind::EventTimeout => WakeReason::TimedOut,
-                            _ => WakeReason::TimeElapsed,
-                        };
-                        st.wake(proc, reason);
-                    }
+                TimedAction::FireEvent { event, .. } => st.fire_event(event),
+                TimedAction::WakeProc { proc, .. } => {
+                    let reason = match st.procs.get(proc).wait_kind {
+                        WaitKind::EventTimeout => WakeReason::TimedOut,
+                        _ => WakeReason::TimeElapsed,
+                    };
+                    st.wake(proc, reason);
                 }
             }
         }

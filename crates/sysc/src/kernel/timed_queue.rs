@@ -17,7 +17,10 @@
 //! * entries carry a monotonic sequence number so same-instant actions
 //!   fire in insertion order (the determinism guarantee);
 //! * cancellation stays O(1) and external: stale entries are filtered
-//!   by generation counters at delivery.
+//!   by generation counters at delivery, and a caller may purge them
+//!   from the front with [`TimedQueue::pop_while`] (the event core does
+//!   so before a fast-forward check, so that a cancelled deadline does
+//!   not veto the budget).
 
 use std::cmp::Ordering;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
@@ -129,6 +132,19 @@ impl<T> TimedQueue<T> {
         self.heap.peek().map(|e| e.0.at)
     }
 
+    /// Pops entries from the front, in `(at, seq)` order, while `stale`
+    /// holds for the earliest one; the popped entries are dropped. A
+    /// caller that cancels entries by generation purges them here, so
+    /// that [`TimedQueue::next_at`] names a live deadline.
+    pub(crate) fn pop_while(&mut self, mut stale: impl FnMut(&TimedEntry<T>) -> bool) {
+        while let Some(top) = self.heap.peek_mut() {
+            if !stale(&top.0) {
+                break;
+            }
+            PeekMut::pop(top);
+        }
+    }
+
     /// Advances the queue to `t`, appending every entry due at or
     /// before `t` to `due` in `(at, seq)` order.
     pub fn advance_to(&mut self, t: u64, due: &mut Vec<TimedEntry<T>>) {
@@ -226,6 +242,21 @@ mod tests {
         assert_eq!(w.len(), 1);
         assert_eq!(w.next_at(), Some(120));
         assert_eq!(drain_until(&mut w, 200), vec![(120, "late")]);
+    }
+
+    #[test]
+    fn pop_while_stops_at_the_first_kept_entry() {
+        let mut w = TimedQueue::new();
+        w.insert(300, 3);
+        w.insert(100, -1);
+        w.insert(200, -2);
+        w.insert(400, -4);
+        w.pop_while(|e| e.action < 0);
+        assert_eq!(w.next_at(), Some(300));
+        assert_eq!(w.len(), 2);
+        assert_eq!(drain_until(&mut w, 400), vec![(300, 3), (400, -4)]);
+        w.pop_while(|_| true);
+        assert!(w.is_empty());
     }
 
     #[test]

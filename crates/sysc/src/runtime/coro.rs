@@ -11,6 +11,12 @@
 //!
 //! # Leak-free teardown
 //!
+//! A terminate handshake ([`CoroShared::resume`]) ends a suspended
+//! process through its pending wait: an activation loop parked on its
+//! activation returns from its body, any other wait unwinds it (see the
+//! `crate::kernel` docs). Both finish through the same wrapper and the
+//! same [`Terminal::Link`] transfer below.
+//!
 //! A finished coroutine can never unwind its own final frames (control
 //! leaves them forever), so nothing owning heap memory may be live
 //! across the last switch. The wrapper job therefore *returns* its
@@ -232,8 +238,9 @@ impl CoroShared {
     }
 
     /// The synchronous terminate handshake (kill / teardown): switches
-    /// into the victim so it unwinds, and returns its reply. The
-    /// victim's stack is recycled here — control has provably left it.
+    /// into the victim so it returns or unwinds, and returns its reply.
+    /// The victim's stack is recycled here — control has provably left
+    /// it.
     pub(crate) fn resume(&self, cmd: Cmd) -> Reply {
         debug_assert!(
             matches!(cmd, Cmd::Terminate),

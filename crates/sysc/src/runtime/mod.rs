@@ -99,14 +99,16 @@ pub(crate) enum WaitSpec {
 pub(crate) enum Cmd {
     /// Continue execution; carries the reason the wait completed.
     Run(WakeReason),
-    /// Unwind and exit (process kill / simulation teardown).
+    /// End the process (kill / simulation teardown): an activation loop
+    /// parked on its activation returns, any other wait unwinds the
+    /// body (see the `crate::kernel` docs).
     Terminate,
 }
 
 /// Process-to-kernel reply on the terminate handshake (normal yields
 /// do their own scheduler bookkeeping and never construct a reply).
 pub(crate) enum Reply {
-    /// The process body returned (or was terminated cooperatively).
+    /// The process body returned (or unwound on termination).
     Finished,
     /// The process body panicked; payload to be re-thrown by the kernel.
     Panicked(Box<dyn Any + Send>),

@@ -1,6 +1,7 @@
 //! Semantic tests for the sysc discrete-event kernel: scheduling order,
 //! notification rules, delta cycles, waits, kills and panics.
 
+use std::cell::Cell;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -204,7 +205,8 @@ fn wait_event_timeout_fires_and_times_out() {
 #[test]
 fn timeout_cancellation_does_not_wake_later() {
     // After the event fires first, the stale timeout must not wake the
-    // process out of its next wait.
+    // process out of its next wait — nor keep that wait off the
+    // fast-forward budget: delivery would ignore the stale entry.
     let mut sim = Simulation::new();
     let h = sim.handle();
     let e = h.create_event("e");
@@ -215,11 +217,14 @@ fn timeout_cancellation_does_not_wake_later() {
         let r = ctx.wait_event_timeout(e, us(1000));
         assert_eq!(r, WaitOutcome::Fired);
         // Now sleep over the stale timeout's expiry (t=1000us).
+        let before = ctx.handle().stats().fast_forwards;
         ctx.wait_time(us(5000));
-        l.push(format!("woke@{}", ctx.now()));
+        let served = ctx.handle().stats().fast_forwards - before;
+        l.push(format!("woke@{} fast_forwards+{served}", ctx.now()));
     });
     sim.run_to_completion();
-    assert_eq!(log.take(), vec!["woke@5010 us"]);
+    assert_eq!(log.take(), vec!["woke@5010 us fast_forwards+1"]);
+    assert_eq!(sim.now(), us(5010));
 }
 
 #[test]
@@ -331,6 +336,84 @@ fn kill_unwinds_target_and_runs_drops() {
     sim.run_to_completion();
     assert_eq!(log.take(), vec!["dropped", "killed"]);
     assert!(sim.handle().is_finished(victim));
+}
+
+/// Records, when dropped, whether the drop ran during an unwind.
+struct UnwindProbe(Rc<Cell<Option<bool>>>);
+
+impl Drop for UnwindProbe {
+    fn drop(&mut self) {
+        self.0.set(Some(std::thread::panicking()));
+    }
+}
+
+/// A simulation running one activation loop whose body owns an
+/// [`UnwindProbe`].
+struct ProbedLoop {
+    sim: Simulation,
+    pid: ProcId,
+    /// `Some(panicking)` once the body, and with it the probe, is gone.
+    dropped: Rc<Cell<Option<bool>>>,
+    runs: Rc<Cell<u32>>,
+}
+
+/// Spawns the loop: its body counts its runs, then waits `inner` if
+/// non-zero. Fires the activation every 10 µs from t = 10 µs and runs
+/// to `until`.
+fn probed_loop(inner: SimTime, until: SimTime) -> ProbedLoop {
+    let mut sim = Simulation::new();
+    let h = sim.handle();
+    let act = h.create_event("act");
+    let dropped = Rc::new(Cell::new(None));
+    let probe = UnwindProbe(Rc::clone(&dropped));
+    let runs = Rc::new(Cell::new(0));
+    let r = Rc::clone(&runs);
+    let pid = h.spawn_loop("loop", act, move |ctx| {
+        let _owned = &probe;
+        r.set(r.get() + 1);
+        if !inner.is_zero() {
+            ctx.wait_time(inner);
+        }
+    });
+    h.make_periodic(act, us(10), us(10));
+    sim.run_until(until);
+    ProbedLoop {
+        sim,
+        pid,
+        dropped,
+        runs,
+    }
+}
+
+#[test]
+fn spawn_loop_runs_body_once_per_firing() {
+    let l = probed_loop(SimTime::ZERO, us(55));
+    assert_eq!(l.runs.get(), 5);
+    assert_eq!(l.sim.stats().process_runs, 5);
+}
+
+#[test]
+fn spawn_loop_parked_on_its_activation_ends_by_return() {
+    // Teardown.
+    let l = probed_loop(SimTime::ZERO, us(35));
+    assert_eq!(l.runs.get(), 3);
+    assert_eq!(l.dropped.get(), None);
+    drop(l.sim);
+    assert_eq!(l.dropped.get(), Some(false));
+
+    // Kill.
+    let l = probed_loop(SimTime::ZERO, us(35));
+    l.sim.handle().kill(l.pid);
+    assert_eq!(l.dropped.get(), Some(false));
+    assert!(l.sim.handle().is_finished(l.pid));
+}
+
+#[test]
+fn spawn_loop_torn_down_inside_body_unwinds() {
+    let l = probed_loop(ms(1), us(35));
+    assert_eq!(l.runs.get(), 1);
+    drop(l.sim);
+    assert_eq!(l.dropped.get(), Some(true));
 }
 
 #[test]

@@ -7,7 +7,7 @@ use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 use rtk_spec_tron::core::sim_api::scheduler::{PriorityScheduler, Scheduler};
-use rtk_spec_tron::core::{ErCode, KernelConfig, QueueOrder, Rtos, TaskId, Timeout};
+use rtk_spec_tron::core::{ErCode, KernelConfig, Power, QueueOrder, Rtos, TaskId, Timeout};
 use rtk_spec_tron::sysc::SimTime;
 
 /// Runs `ops` inside a fresh kernel's init task and returns collected
@@ -90,6 +90,37 @@ fn sched_op() -> impl Strategy<Value = SchedOp> {
         (1u32..16, sched_pri()).prop_map(|(tid, pri)| SchedOp::Reprioritize(tid, pri)),
         sched_pri().prop_map(SchedOp::Rotate),
     ]
+}
+
+/// A value of exactly `bits` significant bits (`1..=64`): the top bit
+/// set, the rest taken from `noise`.
+fn with_width(bits: u32, noise: u64) -> u64 {
+    (noise >> (64 - bits)) | (1 << (bits - 1))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `Power::energy_over` matches the 128-bit formula
+    /// `P[µW] × t[ps] / 10⁶`, saturated to `u64`, whether the product
+    /// fits in 64 bits or not: widths summing to at most 64 bits give a
+    /// product below 2^64, widths summing to 66 one at or above it.
+    #[test]
+    fn energy_over_matches_the_128_bit_formula(
+        above in any::<bool>(),
+        power_bits in 2u32..64,
+        power_noise in any::<u64>(),
+        time_noise in any::<u64>(),
+    ) {
+        let time_bits = if above { 66 - power_bits } else { 64 - power_bits };
+        let uw = with_width(power_bits, power_noise);
+        let ps = with_width(time_bits, time_noise);
+        let product = u128::from(uw) * u128::from(ps);
+        prop_assert_eq!(product >= 1 << 64, above);
+        let reference = u64::try_from(product / 1_000_000).unwrap_or(u64::MAX);
+        let got = Power::from_uw(uw).energy_over(SimTime::from_ps(ps)).as_pj();
+        prop_assert_eq!(got, reference);
+    }
 }
 
 proptest! {
