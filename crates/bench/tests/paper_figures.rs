@@ -41,6 +41,11 @@ fn assert_matches_golden(name: &str, exe: &str) {
 }
 
 #[test]
+fn fig2_tthread_matches_golden() {
+    assert_matches_golden("fig2_tthread", env!("CARGO_BIN_EXE_fig2_tthread"));
+}
+
+#[test]
 fn fig3_dynamics_matches_golden() {
     assert_matches_golden("fig3_dynamics", env!("CARGO_BIN_EXE_fig3_dynamics"));
 }
@@ -58,4 +63,9 @@ fn fig6_gantt_matches_golden() {
 #[test]
 fn fig7_energy_matches_golden() {
     assert_matches_golden("fig7_energy", env!("CARGO_BIN_EXE_fig7_energy"));
+}
+
+#[test]
+fn fig8_ds_listing_matches_golden() {
+    assert_matches_golden("fig8_ds_listing", env!("CARGO_BIN_EXE_fig8_ds_listing"));
 }
