@@ -114,19 +114,7 @@ pub fn calibrate(base: &CostModel, profile: &ReferenceProfile) -> CostModel {
         out = out.with_service(*class, Cost::new(*observed, energy));
     }
     // Unobserved classes + kernel-path costs: average factor.
-    for class in [
-        ServiceClass::Task,
-        ServiceClass::TaskSync,
-        ServiceClass::Semaphore,
-        ServiceClass::EventFlag,
-        ServiceClass::Mailbox,
-        ServiceClass::MessageBuffer,
-        ServiceClass::Mutex,
-        ServiceClass::MemoryPool,
-        ServiceClass::Time,
-        ServiceClass::Interrupt,
-        ServiceClass::System,
-    ] {
+    for class in ServiceClass::ALL {
         if !means.contains_key(&class) {
             let old = base.service(class);
             out = out.with_service(class, Cost::new(scale(old.time), old.energy));

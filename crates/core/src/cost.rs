@@ -281,6 +281,24 @@ pub enum ServiceClass {
     System,
 }
 
+impl ServiceClass {
+    /// Every class in declaration order: `ALL[c as usize] == c`, the
+    /// index of the model's cost array.
+    pub(crate) const ALL: [ServiceClass; 11] = [
+        ServiceClass::Task,
+        ServiceClass::TaskSync,
+        ServiceClass::Semaphore,
+        ServiceClass::EventFlag,
+        ServiceClass::Mailbox,
+        ServiceClass::MessageBuffer,
+        ServiceClass::Mutex,
+        ServiceClass::MemoryPool,
+        ServiceClass::Time,
+        ServiceClass::Interrupt,
+        ServiceClass::System,
+    ];
+}
+
 /// The execution-time / energy model: per-service-class costs, context
 /// switch cost, timer-tick cost, and the core's active/idle power.
 ///
@@ -292,7 +310,8 @@ pub enum ServiceClass {
 /// stated future work).
 #[derive(Debug, Clone)]
 pub struct CostModel {
-    service_costs: std::collections::HashMap<ServiceClass, Cost>,
+    /// Cost of one service call, indexed by `ServiceClass as usize`.
+    service_costs: [Cost; ServiceClass::ALL.len()],
     /// Cost of a task dispatch (context switch).
     pub dispatch: Cost,
     /// Cost of the per-tick timer handler work.
@@ -311,26 +330,22 @@ impl CostModel {
     /// The 8051-class default model described above.
     pub fn mcu_8051() -> Self {
         let us = SimTime::from_us;
-        let mut service_costs = std::collections::HashMap::new();
         // One machine cycle = 1 µs at 12 MHz; entries are in cycles.
-        let entries = [
-            (ServiceClass::Task, 80),
-            (ServiceClass::TaskSync, 30),
-            (ServiceClass::Semaphore, 25),
-            (ServiceClass::EventFlag, 28),
-            (ServiceClass::Mailbox, 35),
-            (ServiceClass::MessageBuffer, 45),
-            (ServiceClass::Mutex, 30),
-            (ServiceClass::MemoryPool, 50),
-            (ServiceClass::Time, 20),
-            (ServiceClass::Interrupt, 15),
-            (ServiceClass::System, 10),
-        ];
-        for (class, cycles) in entries {
-            service_costs.insert(class, Cost::time(us(cycles)));
-        }
+        let cycles = |class| match class {
+            ServiceClass::Task => 80,
+            ServiceClass::TaskSync => 30,
+            ServiceClass::Semaphore => 25,
+            ServiceClass::EventFlag => 28,
+            ServiceClass::Mailbox => 35,
+            ServiceClass::MessageBuffer => 45,
+            ServiceClass::Mutex => 30,
+            ServiceClass::MemoryPool => 50,
+            ServiceClass::Time => 20,
+            ServiceClass::Interrupt => 15,
+            ServiceClass::System => 10,
+        };
         CostModel {
-            service_costs,
+            service_costs: ServiceClass::ALL.map(|class| Cost::time(us(cycles(class)))),
             dispatch: Cost::time(us(60)),
             timer_tick: Cost::time(us(40)),
             int_entry: Cost::time(us(12)),
@@ -344,7 +359,7 @@ impl CostModel {
     /// Useful for pure-semantics unit tests.
     pub fn zero() -> Self {
         CostModel {
-            service_costs: std::collections::HashMap::new(),
+            service_costs: [Cost::ZERO; ServiceClass::ALL.len()],
             dispatch: Cost::ZERO,
             timer_tick: Cost::ZERO,
             int_entry: Cost::ZERO,
@@ -356,15 +371,12 @@ impl CostModel {
 
     /// Cost of one service call in `class` (zero if unset).
     pub fn service(&self, class: ServiceClass) -> Cost {
-        self.service_costs
-            .get(&class)
-            .copied()
-            .unwrap_or(Cost::ZERO)
+        self.service_costs[class as usize]
     }
 
     /// Overrides the cost of a service class (builder style).
     pub fn with_service(mut self, class: ServiceClass, cost: Cost) -> Self {
-        self.service_costs.insert(class, cost);
+        self.service_costs[class as usize] = cost;
         self
     }
 
@@ -448,6 +460,13 @@ mod tests {
         assert!(m.service(ServiceClass::Task).is_zero());
         assert!(m.dispatch.is_zero());
         assert_eq!(m.active_power, Power::ZERO);
+    }
+
+    #[test]
+    fn class_list_indexes_the_cost_array() {
+        for (i, class) in ServiceClass::ALL.into_iter().enumerate() {
+            assert_eq!(class as usize, i);
+        }
     }
 
     #[test]
