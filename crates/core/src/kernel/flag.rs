@@ -13,6 +13,7 @@ use crate::rtos::Sys;
 use crate::state::{Delivered, FlagWaitMode, QueueOrder, Shared, Timeout, WaitObj};
 
 use super::waitq::WaitQueue;
+use super::WaitDecision;
 
 /// Event-flag control block.
 #[derive(Debug)]
@@ -63,109 +64,73 @@ impl<'a> Sys<'a> {
         single_wait: bool,
         order: QueueOrder,
     ) -> KResult<FlgId> {
-        self.service_cost(ServiceClass::EventFlag, "tk_cre_flg");
-        let r = {
-            let mut st = self.shared.st.borrow_mut();
-            let raw = super::table_insert(
-                &mut st.flags,
-                Flag {
-                    name: name.to_string(),
-                    pattern: iflgptn,
-                    single_wait,
-                    waitq: WaitQueue::new(order),
-                },
-            );
+        self.service(ServiceClass::EventFlag, "tk_cre_flg", |sys| {
+            let mut st = sys.shared.st.borrow_mut();
+            let id = FlgId(st.flags.insert(Flag {
+                name: name.to_string(),
+                pattern: iflgptn,
+                single_wait,
+                waitq: WaitQueue::new(order),
+            }));
             st.observe(crate::obs::ObsEvent::FlagCreate {
-                id: FlgId(raw),
+                id,
                 init: iflgptn,
                 pri_order: order == QueueOrder::Priority,
             });
-            Ok(FlgId(raw))
-        };
-        self.service_exit();
-        r
+            Ok(id)
+        })
     }
 
     /// `tk_del_flg` — deletes an event flag; waiters are released with
     /// `E_DLT`.
     pub fn tk_del_flg(&mut self, id: FlgId) -> KResult<()> {
-        self.service_cost(ServiceClass::EventFlag, "tk_del_flg");
-        let r = {
-            let mut st = self.shared.st.borrow_mut();
-            let now = self.proc.now();
-            match super::table_get_mut(&mut st.flags, id.0) {
-                Err(e) => Err(e),
-                Ok(flag) => {
-                    let waiters = flag.waitq.drain();
-                    st.flags[id.0 as usize - 1] = None;
-                    for tid in waiters {
-                        Shared::make_ready(&mut st, now, tid, Err(ErCode::Dlt), Delivered::None);
-                    }
-                    Ok(())
-                }
-            }
-        };
-        self.service_exit();
-        r
+        self.service(ServiceClass::EventFlag, "tk_del_flg", |sys| {
+            let now = sys.now();
+            let mut st = sys.shared.st.borrow_mut();
+            let mut flag = st.flags.remove(id.0)?;
+            super::release_deleted(&mut st, now, flag.waitq.drain());
+            Ok(())
+        })
     }
 
     /// `tk_set_flg` — ORs `setptn` into the pattern and releases every
     /// waiter whose condition becomes true (in queue order, re-checking
     /// after each clear-on-release).
     pub fn tk_set_flg(&mut self, id: FlgId, setptn: u32) -> KResult<()> {
-        self.service_cost(ServiceClass::EventFlag, "tk_set_flg");
-        let r = {
-            let mut st = self.shared.st.borrow_mut();
-            let now = self.proc.now();
-            match super::table_get_mut(&mut st.flags, id.0) {
-                Err(e) => Err(e),
-                Ok(flag) => {
-                    flag.pattern |= setptn;
-                    let snapshot: Vec<TaskId> = flag.waitq.iter().collect();
-                    st.observe(crate::obs::ObsEvent::FlagSet { id, ptn: setptn });
-                    for tid in snapshot {
-                        let (waiptn, mode) = match st.tcb(tid).ok().and_then(|t| t.wait) {
-                            Some(WaitObj::Flag(_, p, m)) => (p, m),
-                            _ => continue,
-                        };
-                        let flag = super::table_get_mut(&mut st.flags, id.0).expect("still exists");
-                        if satisfied(flag.pattern, waiptn, mode) {
-                            let released = flag.pattern;
-                            apply_clear(&mut flag.pattern, waiptn, mode);
-                            flag.waitq.remove(tid);
-                            Shared::make_ready(
-                                &mut st,
-                                now,
-                                tid,
-                                Ok(()),
-                                Delivered::FlagPattern(released),
-                            );
-                        }
-                    }
-                    Ok(())
+        self.service(ServiceClass::EventFlag, "tk_set_flg", |sys| {
+            let now = sys.now();
+            let mut st = sys.shared.st.borrow_mut();
+            let flag = st.flags.get_mut(id.0)?;
+            flag.pattern |= setptn;
+            let snapshot: Vec<TaskId> = flag.waitq.iter().collect();
+            st.observe(crate::obs::ObsEvent::FlagSet { id, ptn: setptn });
+            for tid in snapshot {
+                let (waiptn, mode) = match st.tcb(tid).ok().and_then(|t| t.wait) {
+                    Some(WaitObj::Flag(_, p, m)) => (p, m),
+                    _ => continue,
+                };
+                let flag = st.flags.get_mut(id.0).expect("still exists");
+                if satisfied(flag.pattern, waiptn, mode) {
+                    let released = flag.pattern;
+                    apply_clear(&mut flag.pattern, waiptn, mode);
+                    flag.waitq.remove(tid);
+                    let delivered = Delivered::FlagPattern(released);
+                    Shared::make_ready(&mut st, now, tid, Ok(()), delivered);
                 }
             }
-        };
-        self.service_exit();
-        r
+            Ok(())
+        })
     }
 
     /// `tk_clr_flg` — ANDs the pattern with `clrptn` (the specification's
     /// mask semantics: bits *not* in `clrptn` are cleared).
     pub fn tk_clr_flg(&mut self, id: FlgId, clrptn: u32) -> KResult<()> {
-        self.service_cost(ServiceClass::EventFlag, "tk_clr_flg");
-        let r = {
-            let mut st = self.shared.st.borrow_mut();
-            let r = super::table_get_mut(&mut st.flags, id.0).map(|f| {
-                f.pattern &= clrptn;
-            });
-            if r.is_ok() {
-                st.observe(crate::obs::ObsEvent::FlagClear { id, mask: clrptn });
-            }
-            r
-        };
-        self.service_exit();
-        r
+        self.service(ServiceClass::EventFlag, "tk_clr_flg", |sys| {
+            let mut st = sys.shared.st.borrow_mut();
+            st.flags.get_mut(id.0)?.pattern &= clrptn;
+            st.observe(crate::obs::ObsEvent::FlagClear { id, mask: clrptn });
+            Ok(())
+        })
     }
 
     /// `tk_wai_flg` — waits until the flag pattern satisfies
@@ -182,67 +147,59 @@ impl<'a> Sys<'a> {
         mode: FlagWaitMode,
         tmo: Timeout,
     ) -> KResult<u32> {
-        self.service_cost(ServiceClass::EventFlag, "tk_wai_flg");
-        let r = (|| {
-            let tid = self.check_blockable()?;
-            let decision = {
-                let mut st = self.shared.st.borrow_mut();
-                let pri = st.tcb(tid)?.cur_pri;
-                let flag = super::table_get_mut(&mut st.flags, id.0)?;
-                if waiptn == 0 {
-                    return Err(ErCode::Par);
-                }
-                if satisfied(flag.pattern, waiptn, mode) {
-                    let released = flag.pattern;
-                    apply_clear(&mut flag.pattern, waiptn, mode);
-                    st.observe(crate::obs::ObsEvent::FlagTake {
-                        id,
-                        tid,
-                        ptn: waiptn,
-                        mode,
-                    });
-                    Ok(released)
-                } else if flag.single_wait && !flag.waitq.is_empty() {
-                    Err(ErCode::Obj)
-                } else if tmo == Timeout::Poll {
-                    Err(ErCode::Tmout)
-                } else {
-                    flag.waitq.enqueue(tid, pri);
-                    Err(ErCode::Sys) // sentinel: must block
-                }
-            };
-            match decision {
-                Ok(p) => Ok(p),
-                Err(ErCode::Sys) => {
-                    let shared = &self.shared;
-                    let (res, delivered) =
-                        shared.block_current(self.proc, tid, WaitObj::Flag(id, waiptn, mode), tmo);
-                    res.map(|()| match delivered {
-                        Delivered::FlagPattern(p) => p,
-                        _ => 0,
-                    })
-                }
-                Err(e) => Err(e),
-            }
-        })();
-        self.service_exit();
-        r
+        self.service(ServiceClass::EventFlag, "tk_wai_flg", |sys| {
+            sys.wait(
+                tmo,
+                |st, tid| {
+                    let pri = st.tcb(tid)?.cur_pri;
+                    let flag = st.flags.get_mut(id.0)?;
+                    if waiptn == 0 {
+                        return Err(ErCode::Par);
+                    }
+                    if satisfied(flag.pattern, waiptn, mode) {
+                        let released = flag.pattern;
+                        apply_clear(&mut flag.pattern, waiptn, mode);
+                        st.observe(crate::obs::ObsEvent::FlagTake {
+                            id,
+                            tid,
+                            ptn: waiptn,
+                            mode,
+                        });
+                        Ok(WaitDecision::Served(released))
+                    } else if flag.single_wait && !flag.waitq.is_empty() {
+                        Err(ErCode::Obj)
+                    } else if tmo == Timeout::Poll {
+                        Err(ErCode::Tmout)
+                    } else {
+                        flag.waitq.enqueue(tid, pri);
+                        Ok(WaitDecision::Block(WaitObj::Flag(id, waiptn, mode)))
+                    }
+                },
+                |d| match d {
+                    Delivered::FlagPattern(p) => Some(p),
+                    _ => None,
+                },
+            )
+        })
     }
 
     /// `tk_ref_flg` — reference event-flag state.
     pub fn tk_ref_flg(&mut self, id: FlgId) -> KResult<RefFlg> {
-        self.service_cost(ServiceClass::EventFlag, "tk_ref_flg");
-        let r = {
-            let st = self.shared.st.borrow();
-            super::table_get(&st.flags, id.0).map(|f| RefFlg {
-                name: f.name.clone(),
-                pattern: f.pattern,
-                waiting: f.waitq.len(),
-                first_waiter: f.waitq.front(),
-            })
-        };
-        self.service_exit();
-        r
+        self.service(ServiceClass::EventFlag, "tk_ref_flg", |sys| {
+            sys.shared.st.borrow().flags.get(id.0).map(RefFlg::of)
+        })
+    }
+}
+
+impl RefFlg {
+    /// The snapshot of `f` (`tk_ref_flg`, `td_ref_flg`).
+    pub(crate) fn of(f: &Flag) -> Self {
+        RefFlg {
+            name: f.name.clone(),
+            pattern: f.pattern,
+            waiting: f.waitq.len(),
+            first_waiter: f.waitq.front(),
+        }
     }
 }
 

@@ -8,6 +8,7 @@
 //! preempts a level-0 handler; equal levels queue).
 
 use std::cell::RefCell;
+use std::collections::btree_map::Entry;
 use std::rc::Rc;
 
 use crate::cost::ServiceClass;
@@ -57,48 +58,43 @@ impl<'a> Sys<'a> {
     where
         F: FnMut(&mut Sys<'_>) + 'static,
     {
-        self.service_cost(ServiceClass::Interrupt, "tk_def_int");
-        let r = {
-            let mut st = self.shared.st.borrow_mut();
-            if let std::collections::btree_map::Entry::Vacant(e) = st.isrs.entry(intno) {
-                e.insert(IsrRec {
-                    name: name.to_string(),
-                    level,
-                    count: 0,
-                    body: Rc::new(RefCell::new(Box::new(body) as Box<HandlerBody>)),
-                });
-                drop(st);
-                self.shared.register_thread(
-                    ThreadRef::Isr(intno),
-                    name,
-                    TThreadKind::InterruptHandler,
-                );
-                self.shared.spawn_handler_thread(ThreadRef::Isr(intno));
-                Ok(())
-            } else {
-                Err(ErCode::Obj)
-            }
-        };
-        self.service_exit();
-        r
+        self.service(ServiceClass::Interrupt, "tk_def_int", |sys| {
+            let mut st = sys.shared.st.borrow_mut();
+            let Entry::Vacant(e) = st.isrs.entry(intno) else {
+                return Err(ErCode::Obj);
+            };
+            e.insert(IsrRec {
+                name: name.to_string(),
+                level,
+                count: 0,
+                body: Rc::new(RefCell::new(Box::new(body) as Box<HandlerBody>)),
+            });
+            drop(st);
+            let who = ThreadRef::Isr(intno);
+            sys.shared
+                .register_thread(who, name, TThreadKind::InterruptHandler);
+            sys.shared.spawn_handler_thread(who);
+            Ok(())
+        })
     }
 
     /// `tk_ref_int` (extension) — reference an interrupt handler
     /// definition.
     pub fn tk_ref_int(&mut self, intno: IntNo) -> KResult<RefInt> {
-        self.service_cost(ServiceClass::Interrupt, "tk_ref_int");
-        let r = {
-            let st = self.shared.st.borrow();
-            st.isrs
-                .get(&intno)
-                .map(|i| RefInt {
-                    name: i.name.clone(),
-                    level: i.level,
-                    count: i.count,
-                })
-                .ok_or(ErCode::NoExs)
-        };
-        self.service_exit();
-        r
+        self.service(ServiceClass::Interrupt, "tk_ref_int", |sys| {
+            let st = sys.shared.st.borrow();
+            st.isrs.get(&intno).map(RefInt::of).ok_or(ErCode::NoExs)
+        })
+    }
+}
+
+impl RefInt {
+    /// The snapshot of `i` (`tk_ref_int`, `td_ref_int`).
+    pub(crate) fn of(i: &IsrRec) -> Self {
+        RefInt {
+            name: i.name.clone(),
+            level: i.level,
+            count: i.count,
+        }
     }
 }

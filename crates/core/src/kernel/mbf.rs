@@ -16,6 +16,7 @@ use crate::rtos::Sys;
 use crate::state::{Delivered, KernelState, QueueOrder, Shared, Timeout, WaitObj};
 
 use super::waitq::WaitQueue;
+use super::WaitDecision;
 
 /// Message-buffer control block.
 #[derive(Debug)]
@@ -55,28 +56,21 @@ pub struct RefMbf {
 /// sender can make room-wise smaller messages behind it fit).
 pub(crate) fn drain_senders(st: &mut KernelState, id: MbfId, now: sysc::SimTime) {
     loop {
-        let action = {
-            let Ok(mbf) = super::table_get_mut(&mut st.mbfs, id.0) else {
-                return;
-            };
-            let Some(front) = mbf.send_q.front() else {
-                return;
-            };
-            let len = mbf.send_data.get(&front).map(|d| d.len()).unwrap_or(0);
-            if mbf.used + len <= mbf.bufsz {
-                let data = mbf.send_data.remove(&front).unwrap_or_default();
-                mbf.used += data.len();
-                mbf.msgs.push_back(data);
-                mbf.send_q.pop();
-                Some(front)
-            } else {
-                None
-            }
+        let Ok(mbf) = st.mbfs.get_mut(id.0) else {
+            return;
         };
-        match action {
-            Some(tid) => Shared::make_ready(st, now, tid, Ok(()), Delivered::None),
-            None => return,
+        let Some(front) = mbf.send_q.front() else {
+            return;
+        };
+        let len = mbf.send_data.get(&front).map(|d| d.len()).unwrap_or(0);
+        if mbf.used + len > mbf.bufsz {
+            return;
         }
+        let data = mbf.send_data.remove(&front).unwrap_or_default();
+        mbf.used += data.len();
+        mbf.msgs.push_back(data);
+        mbf.send_q.pop();
+        Shared::make_ready(st, now, front, Ok(()), Delivered::None);
     }
 }
 
@@ -94,60 +88,43 @@ impl<'a> Sys<'a> {
         maxmsz: usize,
         order: QueueOrder,
     ) -> KResult<MbfId> {
-        self.service_cost(ServiceClass::MessageBuffer, "tk_cre_mbf");
-        let r = {
+        self.service(ServiceClass::MessageBuffer, "tk_cre_mbf", |sys| {
             if maxmsz == 0 {
-                Err(ErCode::Par)
-            } else {
-                let mut st = self.shared.st.borrow_mut();
-                let raw = super::table_insert(
-                    &mut st.mbfs,
-                    Mbf {
-                        name: name.to_string(),
-                        bufsz,
-                        maxmsz,
-                        used: 0,
-                        msgs: VecDeque::new(),
-                        send_q: WaitQueue::new(order),
-                        recv_q: WaitQueue::new(order),
-                        send_data: HashMap::new(),
-                    },
-                );
-                st.observe(crate::obs::ObsEvent::MbfCreate {
-                    id: MbfId(raw),
-                    bufsz,
-                    maxmsz,
-                    pri_order: order == QueueOrder::Priority,
-                });
-                Ok(MbfId(raw))
+                return Err(ErCode::Par);
             }
-        };
-        self.service_exit();
-        r
+            let mut st = sys.shared.st.borrow_mut();
+            let id = MbfId(st.mbfs.insert(Mbf {
+                name: name.to_string(),
+                bufsz,
+                maxmsz,
+                used: 0,
+                msgs: VecDeque::new(),
+                send_q: WaitQueue::new(order),
+                recv_q: WaitQueue::new(order),
+                send_data: HashMap::new(),
+            }));
+            st.observe(crate::obs::ObsEvent::MbfCreate {
+                id,
+                bufsz,
+                maxmsz,
+                pri_order: order == QueueOrder::Priority,
+            });
+            Ok(id)
+        })
     }
 
     /// `tk_del_mbf` — deletes a message buffer; all waiters are released
     /// with `E_DLT`.
     pub fn tk_del_mbf(&mut self, id: MbfId) -> KResult<()> {
-        self.service_cost(ServiceClass::MessageBuffer, "tk_del_mbf");
-        let r = {
-            let mut st = self.shared.st.borrow_mut();
-            let now = self.proc.now();
-            match super::table_get_mut(&mut st.mbfs, id.0) {
-                Err(e) => Err(e),
-                Ok(mbf) => {
-                    let mut waiters = mbf.send_q.drain();
-                    waiters.extend(mbf.recv_q.drain());
-                    st.mbfs[id.0 as usize - 1] = None;
-                    for tid in waiters {
-                        Shared::make_ready(&mut st, now, tid, Err(ErCode::Dlt), Delivered::None);
-                    }
-                    Ok(())
-                }
-            }
-        };
-        self.service_exit();
-        r
+        self.service(ServiceClass::MessageBuffer, "tk_del_mbf", |sys| {
+            let now = sys.now();
+            let mut st = sys.shared.st.borrow_mut();
+            let mut mbf = st.mbfs.remove(id.0)?;
+            let mut waiters = mbf.send_q.drain();
+            waiters.extend(mbf.recv_q.drain());
+            super::release_deleted(&mut st, now, waiters);
+            Ok(())
+        })
     }
 
     /// `tk_snd_mbf` — sends a message, waiting for buffer space if
@@ -158,24 +135,17 @@ impl<'a> Sys<'a> {
     /// `E_PAR` for empty or oversized messages, plus the usual wait
     /// errors.
     pub fn tk_snd_mbf(&mut self, id: MbfId, msg: &[u8], tmo: Timeout) -> KResult<()> {
-        self.service_cost(ServiceClass::MessageBuffer, "tk_snd_mbf");
-        let r = (|| {
-            let tid = self.check_blockable()?;
-            let decision = {
-                let mut st = self.shared.st.borrow_mut();
-                let now = self.proc.now();
-                let pri = st.tcb(tid)?.cur_pri;
-                enum Act {
-                    Direct(TaskId),
-                    Stored,
-                    Poll,
-                    Block,
-                }
-                let act = {
-                    let mbf = super::table_get_mut(&mut st.mbfs, id.0)?;
+        self.service(ServiceClass::MessageBuffer, "tk_snd_mbf", |sys| {
+            let now = sys.now();
+            sys.wait(
+                tmo,
+                |st, tid| {
+                    let pri = st.tcb(tid)?.cur_pri;
+                    let mbf = st.mbfs.get_mut(id.0)?;
                     if msg.is_empty() || msg.len() > mbf.maxmsz {
                         return Err(ErCode::Par);
                     }
+                    let sent = crate::obs::ObsEvent::MbfSend { id, len: msg.len() };
                     // Direct handoff only when no older message waits.
                     let direct = if mbf.msgs.is_empty() && mbf.send_q.is_empty() {
                         mbf.recv_q.pop()
@@ -183,134 +153,81 @@ impl<'a> Sys<'a> {
                         None
                     };
                     if let Some(receiver) = direct {
-                        Act::Direct(receiver)
+                        st.observe(sent);
+                        let delivered = Delivered::MbfMsg(msg.to_vec());
+                        Shared::make_ready(st, now, receiver, Ok(()), delivered);
                     } else if mbf.send_q.is_empty() && mbf.used + msg.len() <= mbf.bufsz {
                         mbf.used += msg.len();
                         mbf.msgs.push_back(msg.to_vec());
-                        Act::Stored
+                        st.observe(sent);
                     } else if tmo == Timeout::Poll {
-                        Act::Poll
+                        return Err(ErCode::Tmout);
                     } else {
                         mbf.send_data.insert(tid, msg.to_vec());
                         mbf.send_q.enqueue(tid, pri);
-                        Act::Block
+                        return Ok(WaitDecision::Block(WaitObj::MbfSend(id, msg.len())));
                     }
-                };
-                match act {
-                    Act::Direct(receiver) => {
-                        st.observe(crate::obs::ObsEvent::MbfSend { id, len: msg.len() });
-                        Shared::make_ready(
-                            &mut st,
-                            now,
-                            receiver,
-                            Ok(()),
-                            Delivered::MbfMsg(msg.to_vec()),
-                        );
-                        Ok(())
-                    }
-                    Act::Stored => {
-                        st.observe(crate::obs::ObsEvent::MbfSend { id, len: msg.len() });
-                        Ok(())
-                    }
-                    Act::Poll => Err(ErCode::Tmout),
-                    Act::Block => Err(ErCode::Sys), // sentinel: must block
-                }
-            };
-            match decision {
-                Ok(()) => Ok(()),
-                Err(ErCode::Sys) => {
-                    let shared = &self.shared;
-                    let (res, _) =
-                        shared.block_current(self.proc, tid, WaitObj::MbfSend(id, msg.len()), tmo);
-                    res
-                }
-                Err(e) => Err(e),
-            }
-        })();
-        self.service_exit();
-        r
+                    Ok(WaitDecision::Served(()))
+                },
+                Delivered::nothing,
+            )
+        })
     }
 
     /// `tk_rcv_mbf` — receives the next message, waiting if the buffer
     /// is empty.
     pub fn tk_rcv_mbf(&mut self, id: MbfId, tmo: Timeout) -> KResult<Vec<u8>> {
-        self.service_cost(ServiceClass::MessageBuffer, "tk_rcv_mbf");
-        let r = (|| {
-            let tid = self.check_blockable()?;
-            let decision = {
-                let mut st = self.shared.st.borrow_mut();
-                let now = self.proc.now();
-                let pri = st.tcb(tid)?.cur_pri;
-                enum Act {
-                    Got(Vec<u8>),
-                    Rendezvous(TaskId, Vec<u8>),
-                    Poll,
-                    Block,
-                }
-                let act = {
-                    let mbf = super::table_get_mut(&mut st.mbfs, id.0)?;
+        self.service(ServiceClass::MessageBuffer, "tk_rcv_mbf", |sys| {
+            let now = sys.now();
+            sys.wait(
+                tmo,
+                |st, tid| {
+                    let pri = st.tcb(tid)?.cur_pri;
+                    let mbf = st.mbfs.get_mut(id.0)?;
                     if let Some(data) = mbf.msgs.pop_front() {
                         mbf.used -= data.len();
-                        Act::Got(data)
+                        st.observe(crate::obs::ObsEvent::MbfRecv { id, tid });
+                        drain_senders(st, id, now);
+                        Ok(WaitDecision::Served(data))
                     } else if let Some(sender) = mbf.send_q.pop() {
                         // Synchronous rendezvous (bufsz == 0, or
                         // everything buffered was consumed).
                         let data = mbf.send_data.remove(&sender).unwrap_or_default();
-                        Act::Rendezvous(sender, data)
+                        st.observe(crate::obs::ObsEvent::MbfRecv { id, tid });
+                        Shared::make_ready(st, now, sender, Ok(()), Delivered::None);
+                        Ok(WaitDecision::Served(data))
                     } else if tmo == Timeout::Poll {
-                        Act::Poll
+                        Err(ErCode::Tmout)
                     } else {
                         mbf.recv_q.enqueue(tid, pri);
-                        Act::Block
+                        Ok(WaitDecision::Block(WaitObj::MbfRecv(id)))
                     }
-                };
-                match act {
-                    Act::Got(data) => {
-                        st.observe(crate::obs::ObsEvent::MbfRecv { id, tid });
-                        drain_senders(&mut st, id, now);
-                        Ok(data)
-                    }
-                    Act::Rendezvous(sender, data) => {
-                        st.observe(crate::obs::ObsEvent::MbfRecv { id, tid });
-                        Shared::make_ready(&mut st, now, sender, Ok(()), Delivered::None);
-                        Ok(data)
-                    }
-                    Act::Poll => Err(ErCode::Tmout),
-                    Act::Block => Err(ErCode::Sys), // sentinel: must block
-                }
-            };
-            match decision {
-                Ok(m) => Ok(m),
-                Err(ErCode::Sys) => {
-                    let shared = &self.shared;
-                    let (res, delivered) =
-                        shared.block_current(self.proc, tid, WaitObj::MbfRecv(id), tmo);
-                    res.and(match delivered {
-                        Delivered::MbfMsg(m) => Ok(m),
-                        _ => Err(ErCode::Sys),
-                    })
-                }
-                Err(e) => Err(e),
-            }
-        })();
-        self.service_exit();
-        r
+                },
+                |d| match d {
+                    Delivered::MbfMsg(m) => Some(m),
+                    _ => None,
+                },
+            )
+        })
     }
 
     /// `tk_ref_mbf` — reference message-buffer state.
     pub fn tk_ref_mbf(&mut self, id: MbfId) -> KResult<RefMbf> {
-        self.service_cost(ServiceClass::MessageBuffer, "tk_ref_mbf");
-        let r = {
-            let st = self.shared.st.borrow();
-            super::table_get(&st.mbfs, id.0).map(|m| RefMbf {
-                name: m.name.clone(),
-                free: m.bufsz - m.used,
-                msg_count: m.msgs.len(),
-                senders_waiting: m.send_q.len(),
-                receivers_waiting: m.recv_q.len(),
-            })
-        };
-        self.service_exit();
-        r
+        self.service(ServiceClass::MessageBuffer, "tk_ref_mbf", |sys| {
+            sys.shared.st.borrow().mbfs.get(id.0).map(RefMbf::of)
+        })
+    }
+}
+
+impl RefMbf {
+    /// The snapshot of `m` (`tk_ref_mbf`, `td_ref_mbf`).
+    pub(crate) fn of(m: &Mbf) -> Self {
+        RefMbf {
+            name: m.name.clone(),
+            free: m.bufsz - m.used,
+            msg_count: m.msgs.len(),
+            senders_waiting: m.send_q.len(),
+            receivers_waiting: m.recv_q.len(),
+        }
     }
 }

@@ -13,6 +13,7 @@ use crate::rtos::Sys;
 use crate::state::{Delivered, QueueOrder, Shared, Timeout, WaitObj};
 
 use super::waitq::WaitQueue;
+use super::WaitDecision;
 
 /// A mailbox message: a priority header plus a payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,137 +69,105 @@ impl<'a> Sys<'a> {
     /// `tk_cre_mbx` — creates a mailbox. `msg_pri` is `TA_MPRI`
     /// (priority-ordered messages); `order` orders the task wait queue.
     pub fn tk_cre_mbx(&mut self, name: &str, msg_pri: bool, order: QueueOrder) -> KResult<MbxId> {
-        self.service_cost(ServiceClass::Mailbox, "tk_cre_mbx");
-        let r = {
-            let mut st = self.shared.st.borrow_mut();
-            let raw = super::table_insert(
-                &mut st.mbxs,
-                Mbx {
-                    name: name.to_string(),
-                    msgs: Vec::new(),
-                    msg_pri,
-                    waitq: WaitQueue::new(order),
-                },
-            );
+        self.service(ServiceClass::Mailbox, "tk_cre_mbx", |sys| {
+            let mut st = sys.shared.st.borrow_mut();
+            let id = MbxId(st.mbxs.insert(Mbx {
+                name: name.to_string(),
+                msgs: Vec::new(),
+                msg_pri,
+                waitq: WaitQueue::new(order),
+            }));
             st.observe(crate::obs::ObsEvent::MbxCreate {
-                id: MbxId(raw),
+                id,
                 pri_order: order == QueueOrder::Priority,
             });
-            Ok(MbxId(raw))
-        };
-        self.service_exit();
-        r
+            Ok(id)
+        })
     }
 
     /// `tk_del_mbx` — deletes a mailbox; waiters are released with
     /// `E_DLT`.
     pub fn tk_del_mbx(&mut self, id: MbxId) -> KResult<()> {
-        self.service_cost(ServiceClass::Mailbox, "tk_del_mbx");
-        let r = {
-            let mut st = self.shared.st.borrow_mut();
-            let now = self.proc.now();
-            match super::table_get_mut(&mut st.mbxs, id.0) {
-                Err(e) => Err(e),
-                Ok(mbx) => {
-                    let waiters = mbx.waitq.drain();
-                    st.mbxs[id.0 as usize - 1] = None;
-                    for tid in waiters {
-                        Shared::make_ready(&mut st, now, tid, Err(ErCode::Dlt), Delivered::None);
-                    }
-                    Ok(())
-                }
-            }
-        };
-        self.service_exit();
-        r
+        self.service(ServiceClass::Mailbox, "tk_del_mbx", |sys| {
+            let now = sys.now();
+            let mut st = sys.shared.st.borrow_mut();
+            let mut mbx = st.mbxs.remove(id.0)?;
+            super::release_deleted(&mut st, now, mbx.waitq.drain());
+            Ok(())
+        })
     }
 
     /// `tk_snd_mbx` — sends a message (never blocks; a waiting receiver
     /// gets it directly).
     pub fn tk_snd_mbx(&mut self, id: MbxId, msg: MsgPacket) -> KResult<()> {
-        self.service_cost(ServiceClass::Mailbox, "tk_snd_mbx");
-        let r = {
-            let mut st = self.shared.st.borrow_mut();
-            let now = self.proc.now();
-            match super::table_get_mut(&mut st.mbxs, id.0) {
-                Err(e) => Err(e),
-                Ok(mbx) => {
-                    if let Some(receiver) = mbx.waitq.pop() {
-                        st.observe(crate::obs::ObsEvent::MbxSend { id });
-                        Shared::make_ready(&mut st, now, receiver, Ok(()), Delivered::Msg(msg));
-                    } else {
-                        if mbx.msg_pri {
-                            let pos = mbx
-                                .msgs
-                                .iter()
-                                .position(|m| m.pri > msg.pri)
-                                .unwrap_or(mbx.msgs.len());
-                            mbx.msgs.insert(pos, msg);
-                        } else {
-                            mbx.msgs.push(msg);
-                        }
-                        st.observe(crate::obs::ObsEvent::MbxSend { id });
-                    }
-                    Ok(())
+        self.service(ServiceClass::Mailbox, "tk_snd_mbx", |sys| {
+            let now = sys.now();
+            let mut st = sys.shared.st.borrow_mut();
+            let mbx = st.mbxs.get_mut(id.0)?;
+            if let Some(receiver) = mbx.waitq.pop() {
+                st.observe(crate::obs::ObsEvent::MbxSend { id });
+                Shared::make_ready(&mut st, now, receiver, Ok(()), Delivered::Msg(msg));
+            } else {
+                if mbx.msg_pri {
+                    let pos = mbx
+                        .msgs
+                        .iter()
+                        .position(|m| m.pri > msg.pri)
+                        .unwrap_or(mbx.msgs.len());
+                    mbx.msgs.insert(pos, msg);
+                } else {
+                    mbx.msgs.push(msg);
                 }
+                st.observe(crate::obs::ObsEvent::MbxSend { id });
             }
-        };
-        self.service_exit();
-        r
+            Ok(())
+        })
     }
 
     /// `tk_rcv_mbx` — receives the next message, waiting if the mailbox
     /// is empty.
     pub fn tk_rcv_mbx(&mut self, id: MbxId, tmo: Timeout) -> KResult<MsgPacket> {
-        self.service_cost(ServiceClass::Mailbox, "tk_rcv_mbx");
-        let r = (|| {
-            let tid = self.check_blockable()?;
-            let decision = {
-                let mut st = self.shared.st.borrow_mut();
-                let pri = st.tcb(tid)?.cur_pri;
-                let mbx = super::table_get_mut(&mut st.mbxs, id.0)?;
-                if !mbx.msgs.is_empty() {
-                    let msg = mbx.msgs.remove(0);
-                    st.observe(crate::obs::ObsEvent::MbxTake { id, tid });
-                    Ok(msg)
-                } else if tmo == Timeout::Poll {
-                    Err(ErCode::Tmout)
-                } else {
-                    mbx.waitq.enqueue(tid, pri);
-                    Err(ErCode::Sys) // sentinel: must block
-                }
-            };
-            match decision {
-                Ok(m) => Ok(m),
-                Err(ErCode::Sys) => {
-                    let shared = &self.shared;
-                    let (res, delivered) =
-                        shared.block_current(self.proc, tid, WaitObj::Mbx(id), tmo);
-                    res.and(match delivered {
-                        Delivered::Msg(m) => Ok(m),
-                        _ => Err(ErCode::Sys),
-                    })
-                }
-                Err(e) => Err(e),
-            }
-        })();
-        self.service_exit();
-        r
+        self.service(ServiceClass::Mailbox, "tk_rcv_mbx", |sys| {
+            sys.wait(
+                tmo,
+                |st, tid| {
+                    let pri = st.tcb(tid)?.cur_pri;
+                    let mbx = st.mbxs.get_mut(id.0)?;
+                    if !mbx.msgs.is_empty() {
+                        let msg = mbx.msgs.remove(0);
+                        st.observe(crate::obs::ObsEvent::MbxTake { id, tid });
+                        Ok(WaitDecision::Served(msg))
+                    } else if tmo == Timeout::Poll {
+                        Err(ErCode::Tmout)
+                    } else {
+                        mbx.waitq.enqueue(tid, pri);
+                        Ok(WaitDecision::Block(WaitObj::Mbx(id)))
+                    }
+                },
+                |d| match d {
+                    Delivered::Msg(m) => Some(m),
+                    _ => None,
+                },
+            )
+        })
     }
 
     /// `tk_ref_mbx` — reference mailbox state.
     pub fn tk_ref_mbx(&mut self, id: MbxId) -> KResult<RefMbx> {
-        self.service_cost(ServiceClass::Mailbox, "tk_ref_mbx");
-        let r = {
-            let st = self.shared.st.borrow();
-            super::table_get(&st.mbxs, id.0).map(|m| RefMbx {
-                name: m.name.clone(),
-                msg_count: m.msgs.len(),
-                waiting: m.waitq.len(),
-                first_waiter: m.waitq.front(),
-            })
-        };
-        self.service_exit();
-        r
+        self.service(ServiceClass::Mailbox, "tk_ref_mbx", |sys| {
+            sys.shared.st.borrow().mbxs.get(id.0).map(RefMbx::of)
+        })
+    }
+}
+
+impl RefMbx {
+    /// The snapshot of `m` (`tk_ref_mbx`, `td_ref_mbx`).
+    pub(crate) fn of(m: &Mbx) -> Self {
+        RefMbx {
+            name: m.name.clone(),
+            msg_count: m.msgs.len(),
+            waiting: m.waitq.len(),
+            first_waiter: m.waitq.front(),
+        }
     }
 }

@@ -11,6 +11,7 @@ use crate::rtos::Sys;
 use crate::state::{Delivered, QueueOrder, Shared, Timeout, WaitObj};
 
 use super::waitq::WaitQueue;
+use super::WaitDecision;
 
 /// Fixed-size pool control block.
 #[derive(Debug)]
@@ -52,97 +53,67 @@ impl<'a> Sys<'a> {
         blksz: usize,
         order: QueueOrder,
     ) -> KResult<MpfId> {
-        self.service_cost(ServiceClass::MemoryPool, "tk_cre_mpf");
-        let r = {
+        self.service(ServiceClass::MemoryPool, "tk_cre_mpf", |sys| {
             if blkcnt == 0 || blksz == 0 {
-                Err(ErCode::Par)
-            } else {
-                let mut st = self.shared.st.borrow_mut();
-                let raw = super::table_insert(
-                    &mut st.mpfs,
-                    Mpf {
-                        name: name.to_string(),
-                        blksz,
-                        total: blkcnt,
-                        free_list: (0..blkcnt).rev().collect(),
-                        in_use: vec![false; blkcnt],
-                        waitq: WaitQueue::new(order),
-                    },
-                );
-                st.observe(crate::obs::ObsEvent::MpfCreate {
-                    id: MpfId(raw),
-                    blocks: blkcnt,
-                    pri_order: order == QueueOrder::Priority,
-                });
-                Ok(MpfId(raw))
+                return Err(ErCode::Par);
             }
-        };
-        self.service_exit();
-        r
+            let mut st = sys.shared.st.borrow_mut();
+            let id = MpfId(st.mpfs.insert(Mpf {
+                name: name.to_string(),
+                blksz,
+                total: blkcnt,
+                free_list: (0..blkcnt).rev().collect(),
+                in_use: vec![false; blkcnt],
+                waitq: WaitQueue::new(order),
+            }));
+            st.observe(crate::obs::ObsEvent::MpfCreate {
+                id,
+                blocks: blkcnt,
+                pri_order: order == QueueOrder::Priority,
+            });
+            Ok(id)
+        })
     }
 
     /// `tk_del_mpf` — deletes a pool; waiters released with `E_DLT`.
     pub fn tk_del_mpf(&mut self, id: MpfId) -> KResult<()> {
-        self.service_cost(ServiceClass::MemoryPool, "tk_del_mpf");
-        let r = {
-            let mut st = self.shared.st.borrow_mut();
-            let now = self.proc.now();
-            match super::table_get_mut(&mut st.mpfs, id.0) {
-                Err(e) => Err(e),
-                Ok(pool) => {
-                    let waiters = pool.waitq.drain();
-                    st.mpfs[id.0 as usize - 1] = None;
-                    for tid in waiters {
-                        Shared::make_ready(&mut st, now, tid, Err(ErCode::Dlt), Delivered::None);
-                    }
-                    Ok(())
-                }
-            }
-        };
-        self.service_exit();
-        r
+        self.service(ServiceClass::MemoryPool, "tk_del_mpf", |sys| {
+            let now = sys.now();
+            let mut st = sys.shared.st.borrow_mut();
+            let mut pool = st.mpfs.remove(id.0)?;
+            super::release_deleted(&mut st, now, pool.waitq.drain());
+            Ok(())
+        })
     }
 
     /// `tk_get_mpf` — acquires one block, waiting if none is free.
     /// Returns the block index.
     pub fn tk_get_mpf(&mut self, id: MpfId, tmo: Timeout) -> KResult<usize> {
-        self.service_cost(ServiceClass::MemoryPool, "tk_get_mpf");
-        let r = (|| {
-            let tid = self.check_blockable()?;
-            let decision = {
-                let mut st = self.shared.st.borrow_mut();
-                let pri = st.tcb(tid)?.cur_pri;
-                let pool = super::table_get_mut(&mut st.mpfs, id.0)?;
-                if pool.waitq.is_empty() {
-                    if let Some(blk) = pool.free_list.pop() {
-                        pool.in_use[blk] = true;
-                        st.observe(crate::obs::ObsEvent::MpfTake { id, tid });
-                        return Ok(blk);
+        self.service(ServiceClass::MemoryPool, "tk_get_mpf", |sys| {
+            sys.wait(
+                tmo,
+                |st, tid| {
+                    let pri = st.tcb(tid)?.cur_pri;
+                    let pool = st.mpfs.get_mut(id.0)?;
+                    if pool.waitq.is_empty() {
+                        if let Some(blk) = pool.free_list.pop() {
+                            pool.in_use[blk] = true;
+                            st.observe(crate::obs::ObsEvent::MpfTake { id, tid });
+                            return Ok(WaitDecision::Served(blk));
+                        }
                     }
-                }
-                if tmo == Timeout::Poll {
-                    Err(ErCode::Tmout)
-                } else {
+                    if tmo == Timeout::Poll {
+                        return Err(ErCode::Tmout);
+                    }
                     pool.waitq.enqueue(tid, pri);
-                    Err(ErCode::Sys) // sentinel: must block
-                }
-            };
-            match decision {
-                Ok(blk) => Ok(blk),
-                Err(ErCode::Sys) => {
-                    let shared = &self.shared;
-                    let (res, delivered) =
-                        shared.block_current(self.proc, tid, WaitObj::Mpf(id), tmo);
-                    res.and(match delivered {
-                        Delivered::MpfBlock(b) => Ok(b),
-                        _ => Err(ErCode::Sys),
-                    })
-                }
-                Err(e) => Err(e),
-            }
-        })();
-        self.service_exit();
-        r
+                    Ok(WaitDecision::Block(WaitObj::Mpf(id)))
+                },
+                |d| match d {
+                    Delivered::MpfBlock(b) => Some(b),
+                    _ => None,
+                },
+            )
+        })
     }
 
     /// `tk_rel_mpf` — releases a block (handed to the first waiter if
@@ -152,47 +123,43 @@ impl<'a> Sys<'a> {
     ///
     /// `E_PAR` for an invalid or already-free block index.
     pub fn tk_rel_mpf(&mut self, id: MpfId, blk: usize) -> KResult<()> {
-        self.service_cost(ServiceClass::MemoryPool, "tk_rel_mpf");
-        let r = {
-            let mut st = self.shared.st.borrow_mut();
-            let now = self.proc.now();
-            match super::table_get_mut(&mut st.mpfs, id.0) {
-                Err(e) => Err(e),
-                Ok(pool) => {
-                    if blk >= pool.total || !pool.in_use[blk] {
-                        Err(ErCode::Par)
-                    } else if let Some(waiter) = pool.waitq.pop() {
-                        // Hand the block over directly (stays in_use).
-                        st.observe(crate::obs::ObsEvent::MpfRel { id });
-                        Shared::make_ready(&mut st, now, waiter, Ok(()), Delivered::MpfBlock(blk));
-                        Ok(())
-                    } else {
-                        pool.in_use[blk] = false;
-                        pool.free_list.push(blk);
-                        st.observe(crate::obs::ObsEvent::MpfRel { id });
-                        Ok(())
-                    }
-                }
+        self.service(ServiceClass::MemoryPool, "tk_rel_mpf", |sys| {
+            let now = sys.now();
+            let mut st = sys.shared.st.borrow_mut();
+            let pool = st.mpfs.get_mut(id.0)?;
+            if blk >= pool.total || !pool.in_use[blk] {
+                return Err(ErCode::Par);
             }
-        };
-        self.service_exit();
-        r
+            if let Some(waiter) = pool.waitq.pop() {
+                // Hand the block over directly (stays in_use).
+                st.observe(crate::obs::ObsEvent::MpfRel { id });
+                Shared::make_ready(&mut st, now, waiter, Ok(()), Delivered::MpfBlock(blk));
+            } else {
+                pool.in_use[blk] = false;
+                pool.free_list.push(blk);
+                st.observe(crate::obs::ObsEvent::MpfRel { id });
+            }
+            Ok(())
+        })
     }
 
     /// `tk_ref_mpf` — reference pool state.
     pub fn tk_ref_mpf(&mut self, id: MpfId) -> KResult<RefMpf> {
-        self.service_cost(ServiceClass::MemoryPool, "tk_ref_mpf");
-        let r = {
-            let st = self.shared.st.borrow();
-            super::table_get(&st.mpfs, id.0).map(|p| RefMpf {
-                name: p.name.clone(),
-                free_blocks: p.free_list.len(),
-                total_blocks: p.total,
-                block_size: p.blksz,
-                waiting: p.waitq.len(),
-            })
-        };
-        self.service_exit();
-        r
+        self.service(ServiceClass::MemoryPool, "tk_ref_mpf", |sys| {
+            sys.shared.st.borrow().mpfs.get(id.0).map(RefMpf::of)
+        })
+    }
+}
+
+impl RefMpf {
+    /// The snapshot of `p` (`tk_ref_mpf`, `td_ref_mpf`).
+    pub(crate) fn of(p: &Mpf) -> Self {
+        RefMpf {
+            name: p.name.clone(),
+            free_blocks: p.free_list.len(),
+            total_blocks: p.total,
+            block_size: p.blksz,
+            waiting: p.waitq.len(),
+        }
     }
 }

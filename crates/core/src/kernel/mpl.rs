@@ -15,6 +15,7 @@ use crate::rtos::Sys;
 use crate::state::{Delivered, KernelState, QueueOrder, Shared, Timeout, WaitObj};
 
 use super::waitq::WaitQueue;
+use super::WaitDecision;
 
 /// Allocation alignment (T-Kernel aligns to the machine word).
 const ALIGN: usize = 4;
@@ -36,7 +37,8 @@ pub struct Mpl {
 }
 
 impl Mpl {
-    fn free_total(&self) -> usize {
+    /// Total free bytes.
+    pub(crate) fn free_total(&self) -> usize {
         self.free.values().sum()
     }
 
@@ -98,32 +100,18 @@ pub struct RefMpl {
 /// smaller requests fit.
 pub(crate) fn serve_waiters(st: &mut KernelState, id: MplId, now: sysc::SimTime) {
     loop {
-        let action = {
-            let Ok(pool) = super::table_get_mut(&mut st.mpls, id.0) else {
-                return;
-            };
-            let Some(front) = pool.waitq.front() else {
-                return;
-            };
-            let req = match st.tcb(front).ok().and_then(|t| t.wait) {
-                Some(WaitObj::Mpl(_, sz)) => sz,
-                _ => return,
-            };
-            let pool = super::table_get_mut(&mut st.mpls, id.0).expect("exists");
-            match pool.try_alloc(req) {
-                Some(off) => {
-                    pool.waitq.pop();
-                    Some((front, off))
-                }
-                None => None,
-            }
+        let Some(front) = st.mpls.get(id.0).ok().and_then(|p| p.waitq.front()) else {
+            return;
         };
-        match action {
-            Some((tid, off)) => {
-                Shared::make_ready(st, now, tid, Ok(()), Delivered::MplBlock(off));
-            }
-            None => return,
-        }
+        let Some(WaitObj::Mpl(_, req)) = st.tcb(front).ok().and_then(|t| t.wait) else {
+            return;
+        };
+        let pool = st.mpls.get_mut(id.0).expect("exists");
+        let Some(off) = pool.try_alloc(req) else {
+            return;
+        };
+        pool.waitq.pop();
+        Shared::make_ready(st, now, front, Ok(()), Delivered::MplBlock(off));
     }
 }
 
@@ -134,57 +122,37 @@ impl<'a> Sys<'a> {
     ///
     /// `E_PAR` if `size` is zero.
     pub fn tk_cre_mpl(&mut self, name: &str, size: usize, order: QueueOrder) -> KResult<MplId> {
-        self.service_cost(ServiceClass::MemoryPool, "tk_cre_mpl");
-        let r = {
+        self.service(ServiceClass::MemoryPool, "tk_cre_mpl", |sys| {
             if size == 0 {
-                Err(ErCode::Par)
-            } else {
-                let size = align_up(size);
-                let mut st = self.shared.st.borrow_mut();
-                let mut free = BTreeMap::new();
-                free.insert(0, size);
-                let raw = super::table_insert(
-                    &mut st.mpls,
-                    Mpl {
-                        name: name.to_string(),
-                        size,
-                        free,
-                        allocs: BTreeMap::new(),
-                        waitq: WaitQueue::new(order),
-                    },
-                );
-                st.observe(crate::obs::ObsEvent::MplCreate {
-                    id: MplId(raw),
-                    size,
-                    pri_order: order == QueueOrder::Priority,
-                });
-                Ok(MplId(raw))
+                return Err(ErCode::Par);
             }
-        };
-        self.service_exit();
-        r
+            let size = align_up(size);
+            let mut st = sys.shared.st.borrow_mut();
+            let id = MplId(st.mpls.insert(Mpl {
+                name: name.to_string(),
+                size,
+                free: BTreeMap::from([(0, size)]),
+                allocs: BTreeMap::new(),
+                waitq: WaitQueue::new(order),
+            }));
+            st.observe(crate::obs::ObsEvent::MplCreate {
+                id,
+                size,
+                pri_order: order == QueueOrder::Priority,
+            });
+            Ok(id)
+        })
     }
 
     /// `tk_del_mpl` — deletes a pool; waiters released with `E_DLT`.
     pub fn tk_del_mpl(&mut self, id: MplId) -> KResult<()> {
-        self.service_cost(ServiceClass::MemoryPool, "tk_del_mpl");
-        let r = {
-            let mut st = self.shared.st.borrow_mut();
-            let now = self.proc.now();
-            match super::table_get_mut(&mut st.mpls, id.0) {
-                Err(e) => Err(e),
-                Ok(pool) => {
-                    let waiters = pool.waitq.drain();
-                    st.mpls[id.0 as usize - 1] = None;
-                    for tid in waiters {
-                        Shared::make_ready(&mut st, now, tid, Err(ErCode::Dlt), Delivered::None);
-                    }
-                    Ok(())
-                }
-            }
-        };
-        self.service_exit();
-        r
+        self.service(ServiceClass::MemoryPool, "tk_del_mpl", |sys| {
+            let now = sys.now();
+            let mut st = sys.shared.st.borrow_mut();
+            let mut pool = st.mpls.remove(id.0)?;
+            super::release_deleted(&mut st, now, pool.waitq.drain());
+            Ok(())
+        })
     }
 
     /// `tk_get_mpl` — allocates `sz` bytes, waiting for space if
@@ -194,54 +162,41 @@ impl<'a> Sys<'a> {
     ///
     /// `E_PAR` if `sz` is zero or exceeds the pool size.
     pub fn tk_get_mpl(&mut self, id: MplId, sz: usize, tmo: Timeout) -> KResult<usize> {
-        self.service_cost(ServiceClass::MemoryPool, "tk_get_mpl");
-        let r = (|| {
-            let tid = self.check_blockable()?;
-            let decision = {
-                let mut st = self.shared.st.borrow_mut();
-                let pri = st.tcb(tid)?.cur_pri;
-                let pool = super::table_get_mut(&mut st.mpls, id.0)?;
-                if sz == 0 || align_up(sz) > pool.size {
-                    return Err(ErCode::Par);
-                }
-                let immediate = if pool.waitq.is_empty() {
-                    pool.try_alloc(sz)
-                } else {
-                    None
-                };
-                if let Some(off) = immediate {
-                    st.observe(crate::obs::ObsEvent::MplTake {
-                        id,
-                        tid,
-                        size: sz,
-                        off,
-                    });
-                    return Ok(off);
-                }
-                if tmo == Timeout::Poll {
-                    Err(ErCode::Tmout)
-                } else {
-                    let pool = super::table_get_mut(&mut st.mpls, id.0).expect("checked above");
+        self.service(ServiceClass::MemoryPool, "tk_get_mpl", |sys| {
+            sys.wait(
+                tmo,
+                |st, tid| {
+                    let pri = st.tcb(tid)?.cur_pri;
+                    let pool = st.mpls.get_mut(id.0)?;
+                    if sz == 0 || align_up(sz) > pool.size {
+                        return Err(ErCode::Par);
+                    }
+                    let immediate = if pool.waitq.is_empty() {
+                        pool.try_alloc(sz)
+                    } else {
+                        None
+                    };
+                    if let Some(off) = immediate {
+                        st.observe(crate::obs::ObsEvent::MplTake {
+                            id,
+                            tid,
+                            size: sz,
+                            off,
+                        });
+                        return Ok(WaitDecision::Served(off));
+                    }
+                    if tmo == Timeout::Poll {
+                        return Err(ErCode::Tmout);
+                    }
                     pool.waitq.enqueue(tid, pri);
-                    Err(ErCode::Sys) // sentinel: must block
-                }
-            };
-            match decision {
-                Ok(off) => Ok(off),
-                Err(ErCode::Sys) => {
-                    let shared = &self.shared;
-                    let (res, delivered) =
-                        shared.block_current(self.proc, tid, WaitObj::Mpl(id, sz), tmo);
-                    res.and(match delivered {
-                        Delivered::MplBlock(off) => Ok(off),
-                        _ => Err(ErCode::Sys),
-                    })
-                }
-                Err(e) => Err(e),
-            }
-        })();
-        self.service_exit();
-        r
+                    Ok(WaitDecision::Block(WaitObj::Mpl(id, sz)))
+                },
+                |d| match d {
+                    Delivered::MplBlock(off) => Some(off),
+                    _ => None,
+                },
+            )
+        })
     }
 
     /// `tk_rel_mpl` — releases an allocation at `off`.
@@ -250,41 +205,33 @@ impl<'a> Sys<'a> {
     ///
     /// `E_PAR` if `off` is not a live allocation.
     pub fn tk_rel_mpl(&mut self, id: MplId, off: usize) -> KResult<()> {
-        self.service_cost(ServiceClass::MemoryPool, "tk_rel_mpl");
-        let r = {
-            let mut st = self.shared.st.borrow_mut();
-            let now = self.proc.now();
-            let released = match super::table_get_mut(&mut st.mpls, id.0) {
-                Err(e) => Err(e),
-                Ok(pool) => pool.release(off),
-            };
-            match released {
-                Ok(()) => {
-                    st.observe(crate::obs::ObsEvent::MplRel { id, off });
-                    serve_waiters(&mut st, id, now);
-                    Ok(())
-                }
-                Err(e) => Err(e),
-            }
-        };
-        self.service_exit();
-        r
+        self.service(ServiceClass::MemoryPool, "tk_rel_mpl", |sys| {
+            let now = sys.now();
+            let mut st = sys.shared.st.borrow_mut();
+            st.mpls.get_mut(id.0)?.release(off)?;
+            st.observe(crate::obs::ObsEvent::MplRel { id, off });
+            serve_waiters(&mut st, id, now);
+            Ok(())
+        })
     }
 
     /// `tk_ref_mpl` — reference pool state.
     pub fn tk_ref_mpl(&mut self, id: MplId) -> KResult<RefMpl> {
-        self.service_cost(ServiceClass::MemoryPool, "tk_ref_mpl");
-        let r = {
-            let st = self.shared.st.borrow();
-            super::table_get(&st.mpls, id.0).map(|p| RefMpl {
-                name: p.name.clone(),
-                free: p.free_total(),
-                max_block: p.free.values().copied().max().unwrap_or(0),
-                waiting: p.waitq.len(),
-            })
-        };
-        self.service_exit();
-        r
+        self.service(ServiceClass::MemoryPool, "tk_ref_mpl", |sys| {
+            sys.shared.st.borrow().mpls.get(id.0).map(RefMpl::of)
+        })
+    }
+}
+
+impl RefMpl {
+    /// The snapshot of `p` (`tk_ref_mpl`, `td_ref_mpl`).
+    pub(crate) fn of(p: &Mpl) -> Self {
+        RefMpl {
+            name: p.name.clone(),
+            free: p.free_total(),
+            max_block: p.free.values().copied().max().unwrap_or(0),
+            waiting: p.waitq.len(),
+        }
     }
 }
 

@@ -10,6 +10,7 @@ use crate::rtos::Sys;
 use crate::state::{Delivered, KernelState, QueueOrder, Shared, TaskState, Timeout, WaitObj};
 
 use super::waitq::WaitQueue;
+use super::WaitDecision;
 
 /// Mutex locking protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,7 +51,7 @@ pub struct RefMtx {
 /// effects of held ceiling/inheritance mutexes, then propagates along
 /// the wait chain (a task waiting on a mutex boosts its owner).
 pub(crate) fn recompute_priority(st: &mut KernelState, tid: TaskId, depth: u32) {
-    if depth as usize > st.tasks.len() {
+    if depth > st.tasks.max_id() {
         // Cycle guard. A cycle-free waiter→owner chain visits each task
         // at most once, so a legitimate chain can never exceed the live
         // task count — a fixed cutoff here (formerly 32) silently left
@@ -59,9 +60,8 @@ pub(crate) fn recompute_priority(st: &mut KernelState, tid: TaskId, depth: u32) 
     }
     let Ok(tcb) = st.tcb(tid) else { return };
     let mut pri = tcb.base_pri;
-    let held = tcb.held_mutexes.clone();
-    for mid in held {
-        let Ok(m) = super::table_get(&st.mtxs, mid.0) else {
+    for mid in &tcb.held_mutexes {
+        let Ok(m) = st.mtxs.get(mid.0) else {
             continue;
         };
         match m.policy {
@@ -81,73 +81,27 @@ pub(crate) fn recompute_priority(st: &mut KernelState, tid: TaskId, depth: u32) 
     tcb.cur_pri = pri;
     let state = tcb.state;
     let wait = tcb.wait;
-    match state {
-        TaskState::Ready => st.scheduler.reprioritize(tid, pri),
-        TaskState::Wait | TaskState::WaitSuspend => {
+    match (state, wait) {
+        (TaskState::Ready, _) => st.scheduler.reprioritize(tid, pri),
+        (TaskState::Wait | TaskState::WaitSuspend, Some(w)) => {
             // Re-sort the wait queue the task sits in, then propagate to
             // the owner if it waits on an inheritance mutex.
-            if let Some(WaitObj::Mtx(mid)) = wait {
-                let owner = match super::table_get_mut(&mut st.mtxs, mid.0) {
-                    Ok(m) => {
-                        m.waitq.reprioritize(tid, pri);
-                        if m.policy == MtxPolicy::Inherit {
-                            m.owner
-                        } else {
-                            None
-                        }
-                    }
-                    Err(_) => None,
-                };
+            if let Some(q) = super::wait_queue_mut(st, w) {
+                q.reprioritize(tid, pri);
+            }
+            if let WaitObj::Mtx(mid) = w {
+                let owner = st
+                    .mtxs
+                    .get(mid.0)
+                    .ok()
+                    .filter(|m| m.policy == MtxPolicy::Inherit)
+                    .and_then(|m| m.owner);
                 if let Some(owner) = owner {
                     recompute_priority(st, owner, depth + 1);
                 }
-            } else if let Some(w) = wait {
-                resort_wait_queue(st, tid, pri, w);
             }
         }
         _ => {}
-    }
-}
-
-/// Re-sorts `tid` inside whatever priority-ordered wait queue it is in.
-fn resort_wait_queue(st: &mut KernelState, tid: TaskId, pri: Priority, w: WaitObj) {
-    match w {
-        WaitObj::Sem(id, _) => {
-            if let Ok(s) = super::table_get_mut(&mut st.sems, id.0) {
-                s.waitq.reprioritize(tid, pri);
-            }
-        }
-        WaitObj::Flag(id, _, _) => {
-            if let Ok(f) = super::table_get_mut(&mut st.flags, id.0) {
-                f.waitq.reprioritize(tid, pri);
-            }
-        }
-        WaitObj::Mbx(id) => {
-            if let Ok(m) = super::table_get_mut(&mut st.mbxs, id.0) {
-                m.waitq.reprioritize(tid, pri);
-            }
-        }
-        WaitObj::MbfSend(id, _) => {
-            if let Ok(m) = super::table_get_mut(&mut st.mbfs, id.0) {
-                m.send_q.reprioritize(tid, pri);
-            }
-        }
-        WaitObj::MbfRecv(id) => {
-            if let Ok(m) = super::table_get_mut(&mut st.mbfs, id.0) {
-                m.recv_q.reprioritize(tid, pri);
-            }
-        }
-        WaitObj::Mpf(id) => {
-            if let Ok(p) = super::table_get_mut(&mut st.mpfs, id.0) {
-                p.waitq.reprioritize(tid, pri);
-            }
-        }
-        WaitObj::Mpl(id, _) => {
-            if let Ok(p) = super::table_get_mut(&mut st.mpls, id.0) {
-                p.waitq.reprioritize(tid, pri);
-            }
-        }
-        WaitObj::Mtx(_) | WaitObj::Sleep | WaitObj::Delay => {}
     }
 }
 
@@ -156,7 +110,7 @@ fn resort_wait_queue(st: &mut KernelState, tid: TaskId, pri: Priority, w: WaitOb
 pub(crate) fn violates_ceiling(st: &KernelState, tid: TaskId, new_base: Priority) -> bool {
     let Ok(tcb) = st.tcb(tid) else { return false };
     for mid in &tcb.held_mutexes {
-        if let Ok(m) = super::table_get(&st.mtxs, mid.0) {
+        if let Ok(m) = st.mtxs.get(mid.0) {
             if let MtxPolicy::Ceiling(c) = m.policy {
                 if new_base < c {
                     return true;
@@ -165,7 +119,7 @@ pub(crate) fn violates_ceiling(st: &KernelState, tid: TaskId, new_base: Priority
         }
     }
     if let Some(WaitObj::Mtx(mid)) = tcb.wait {
-        if let Ok(m) = super::table_get(&st.mtxs, mid.0) {
+        if let Ok(m) = st.mtxs.get(mid.0) {
             if let MtxPolicy::Ceiling(c) = m.policy {
                 if new_base < c {
                     return true;
@@ -191,15 +145,11 @@ pub(crate) fn release_all_held(st: &mut KernelState, tid: TaskId, now: sysc::Sim
 
 /// Hands a mutex to its first waiter (waking it) or frees it.
 fn transfer_or_free(st: &mut KernelState, mid: MtxId, now: sysc::SimTime) {
-    let next = match super::table_get_mut(&mut st.mtxs, mid.0) {
-        Ok(m) => {
-            let next = m.waitq.pop();
-            m.owner = next;
-            next
-        }
-        Err(_) => return,
+    let Ok(m) = st.mtxs.get_mut(mid.0) else {
+        return;
     };
-    if let Some(next) = next {
+    m.owner = m.waitq.pop();
+    if let Some(next) = m.owner {
         if let Ok(tcb) = st.tcb_mut(next) {
             tcb.held_mutexes.push(mid);
         }
@@ -215,13 +165,10 @@ impl<'a> Sys<'a> {
     ///
     /// `E_PAR` if a ceiling priority is out of range.
     pub fn tk_cre_mtx(&mut self, name: &str, policy: MtxPolicy) -> KResult<MtxId> {
-        self.service_cost(ServiceClass::Mutex, "tk_cre_mtx");
-        let r = {
-            let mut st = self.shared.st.borrow_mut();
+        self.service(ServiceClass::Mutex, "tk_cre_mtx", |sys| {
+            let mut st = sys.shared.st.borrow_mut();
             if let MtxPolicy::Ceiling(c) = policy {
                 if c < 1 || c > st.cfg.max_priority {
-                    drop(st);
-                    self.service_exit();
                     return Err(ErCode::Par);
                 }
             }
@@ -229,53 +176,33 @@ impl<'a> Sys<'a> {
                 MtxPolicy::Fifo => QueueOrder::Fifo,
                 _ => QueueOrder::Priority,
             };
-            let raw = super::table_insert(
-                &mut st.mtxs,
-                Mtx {
-                    name: name.to_string(),
-                    policy,
-                    owner: None,
-                    waitq: WaitQueue::new(order),
-                },
-            );
-            st.observe(crate::obs::ObsEvent::MtxCreate {
-                id: MtxId(raw),
+            let id = MtxId(st.mtxs.insert(Mtx {
+                name: name.to_string(),
                 policy,
-            });
-            Ok(MtxId(raw))
-        };
-        self.service_exit();
-        r
+                owner: None,
+                waitq: WaitQueue::new(order),
+            }));
+            st.observe(crate::obs::ObsEvent::MtxCreate { id, policy });
+            Ok(id)
+        })
     }
 
     /// `tk_del_mtx` — deletes a mutex; waiters released with `E_DLT`,
     /// the owner simply loses it.
     pub fn tk_del_mtx(&mut self, id: MtxId) -> KResult<()> {
-        self.service_cost(ServiceClass::Mutex, "tk_del_mtx");
-        let r = {
-            let mut st = self.shared.st.borrow_mut();
-            let now = self.proc.now();
-            match super::table_get_mut(&mut st.mtxs, id.0) {
-                Err(e) => Err(e),
-                Ok(mtx) => {
-                    let waiters = mtx.waitq.drain();
-                    let owner = mtx.owner;
-                    st.mtxs[id.0 as usize - 1] = None;
-                    if let Some(owner) = owner {
-                        if let Ok(tcb) = st.tcb_mut(owner) {
-                            tcb.held_mutexes.retain(|m| *m != id);
-                        }
-                        recompute_priority(&mut st, owner, 0);
-                    }
-                    for tid in waiters {
-                        Shared::make_ready(&mut st, now, tid, Err(ErCode::Dlt), Delivered::None);
-                    }
-                    Ok(())
+        self.service(ServiceClass::Mutex, "tk_del_mtx", |sys| {
+            let now = sys.now();
+            let mut st = sys.shared.st.borrow_mut();
+            let mut mtx = st.mtxs.remove(id.0)?;
+            if let Some(owner) = mtx.owner {
+                if let Ok(tcb) = st.tcb_mut(owner) {
+                    tcb.held_mutexes.retain(|m| *m != id);
                 }
+                recompute_priority(&mut st, owner, 0);
             }
-        };
-        self.service_exit();
-        r
+            super::release_deleted(&mut st, now, mtx.waitq.drain());
+            Ok(())
+        })
     }
 
     /// `tk_loc_mtx` — locks the mutex, waiting if it is owned.
@@ -285,60 +212,43 @@ impl<'a> Sys<'a> {
     /// `E_ILUSE` for recursive locking or a ceiling violation; the usual
     /// wait errors otherwise.
     pub fn tk_loc_mtx(&mut self, id: MtxId, tmo: Timeout) -> KResult<()> {
-        self.service_cost(ServiceClass::Mutex, "tk_loc_mtx");
-        let r = (|| {
-            let tid = self.check_blockable()?;
-            let decision = {
-                let mut st = self.shared.st.borrow_mut();
-                let (pri, base) = {
+        self.service(ServiceClass::Mutex, "tk_loc_mtx", |sys| {
+            sys.wait(
+                tmo,
+                |st, tid| {
                     let t = st.tcb(tid)?;
-                    (t.cur_pri, t.base_pri)
-                };
-                let mtx = super::table_get_mut(&mut st.mtxs, id.0)?;
-                if let MtxPolicy::Ceiling(c) = mtx.policy {
-                    if base < c {
-                        return Err(ErCode::IlUse);
-                    }
-                }
-                match mtx.owner {
-                    None => {
-                        mtx.owner = Some(tid);
-                        st.observe(crate::obs::ObsEvent::MtxLock { id, tid });
-                        st.tcb_mut(tid)
-                            .expect("caller exists")
-                            .held_mutexes
-                            .push(id);
-                        recompute_priority(&mut st, tid, 0);
-                        Ok(())
-                    }
-                    Some(owner) if owner == tid => Err(ErCode::IlUse),
-                    Some(owner) => {
-                        if tmo == Timeout::Poll {
-                            Err(ErCode::Tmout)
-                        } else {
-                            mtx.waitq.enqueue(tid, pri);
-                            if super::table_get(&st.mtxs, id.0).expect("exists").policy
-                                == MtxPolicy::Inherit
-                            {
-                                recompute_priority(&mut st, owner, 0);
-                            }
-                            Err(ErCode::Sys) // sentinel: must block
+                    let (pri, base) = (t.cur_pri, t.base_pri);
+                    let mtx = st.mtxs.get_mut(id.0)?;
+                    if let MtxPolicy::Ceiling(c) = mtx.policy {
+                        if base < c {
+                            return Err(ErCode::IlUse);
                         }
                     }
-                }
-            };
-            match decision {
-                Ok(()) => Ok(()),
-                Err(ErCode::Sys) => {
-                    let shared = &self.shared;
-                    let (res, _) = shared.block_current(self.proc, tid, WaitObj::Mtx(id), tmo);
-                    res
-                }
-                Err(e) => Err(e),
-            }
-        })();
-        self.service_exit();
-        r
+                    match mtx.owner {
+                        None => {
+                            mtx.owner = Some(tid);
+                            st.observe(crate::obs::ObsEvent::MtxLock { id, tid });
+                            let tcb = st.tcb_mut(tid).expect("caller exists");
+                            tcb.held_mutexes.push(id);
+                            recompute_priority(st, tid, 0);
+                            Ok(WaitDecision::Served(()))
+                        }
+                        Some(owner) if owner == tid => Err(ErCode::IlUse),
+                        Some(_) if tmo == Timeout::Poll => Err(ErCode::Tmout),
+                        Some(owner) => {
+                            mtx.waitq.enqueue(tid, pri);
+                            // The new waiter may raise an inheriting
+                            // owner's priority.
+                            if mtx.policy == MtxPolicy::Inherit {
+                                recompute_priority(st, owner, 0);
+                            }
+                            Ok(WaitDecision::Block(WaitObj::Mtx(id)))
+                        }
+                    }
+                },
+                Delivered::nothing,
+            )
+        })
     }
 
     /// `tk_unl_mtx` — unlocks the mutex; ownership passes to the first
@@ -348,42 +258,39 @@ impl<'a> Sys<'a> {
     ///
     /// `E_ILUSE` if the caller does not own the mutex.
     pub fn tk_unl_mtx(&mut self, id: MtxId) -> KResult<()> {
-        self.service_cost(ServiceClass::Mutex, "tk_unl_mtx");
-        let r = {
-            let tid = self.require_task()?;
-            let mut st = self.shared.st.borrow_mut();
-            let now = self.proc.now();
-            match super::table_get(&st.mtxs, id.0) {
-                Err(e) => Err(e),
-                Ok(mtx) if mtx.owner != Some(tid) => Err(ErCode::IlUse),
-                Ok(_) => {
-                    if let Ok(tcb) = st.tcb_mut(tid) {
-                        tcb.held_mutexes.retain(|m| *m != id);
-                    }
-                    st.observe(crate::obs::ObsEvent::MtxUnlock { id, tid });
-                    transfer_or_free(&mut st, id, now);
-                    recompute_priority(&mut st, tid, 0);
-                    Ok(())
-                }
+        self.service(ServiceClass::Mutex, "tk_unl_mtx", |sys| {
+            let tid = sys.require_task()?;
+            let now = sys.now();
+            let mut st = sys.shared.st.borrow_mut();
+            if st.mtxs.get(id.0)?.owner != Some(tid) {
+                return Err(ErCode::IlUse);
             }
-        };
-        self.service_exit();
-        r
+            if let Ok(tcb) = st.tcb_mut(tid) {
+                tcb.held_mutexes.retain(|m| *m != id);
+            }
+            st.observe(crate::obs::ObsEvent::MtxUnlock { id, tid });
+            transfer_or_free(&mut st, id, now);
+            recompute_priority(&mut st, tid, 0);
+            Ok(())
+        })
     }
 
     /// `tk_ref_mtx` — reference mutex state.
     pub fn tk_ref_mtx(&mut self, id: MtxId) -> KResult<RefMtx> {
-        self.service_cost(ServiceClass::Mutex, "tk_ref_mtx");
-        let r = {
-            let st = self.shared.st.borrow();
-            super::table_get(&st.mtxs, id.0).map(|m| RefMtx {
-                name: m.name.clone(),
-                owner: m.owner,
-                waiting: m.waitq.len(),
-                policy: m.policy,
-            })
-        };
-        self.service_exit();
-        r
+        self.service(ServiceClass::Mutex, "tk_ref_mtx", |sys| {
+            sys.shared.st.borrow().mtxs.get(id.0).map(RefMtx::of)
+        })
+    }
+}
+
+impl RefMtx {
+    /// The snapshot of `m` (`tk_ref_mtx`, `td_ref_mtx`).
+    pub(crate) fn of(m: &Mtx) -> Self {
+        RefMtx {
+            name: m.name.clone(),
+            owner: m.owner,
+            waiting: m.waitq.len(),
+            policy: m.policy,
+        }
     }
 }

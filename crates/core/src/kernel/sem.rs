@@ -10,9 +10,10 @@ use crate::cost::ServiceClass;
 use crate::error::{ErCode, KResult};
 use crate::ids::{SemId, TaskId};
 use crate::rtos::Sys;
-use crate::state::{Delivered, QueueOrder, Shared, Timeout, WaitObj};
+use crate::state::{Delivered, KernelState, QueueOrder, Shared, Timeout, WaitObj};
 
 use super::waitq::WaitQueue;
+use super::WaitDecision;
 
 /// Semaphore control block.
 #[derive(Debug)]
@@ -43,22 +44,16 @@ pub struct RefSem {
 /// cannot cover (no barging). Shared by `tk_sig_sem` and the
 /// waiter-detach paths (timeout / `tk_rel_wai` / `tk_ter_tsk` of a
 /// queued waiter can make the next waiters satisfiable).
-pub(crate) fn serve_waiters(st: &mut crate::state::KernelState, id: SemId, now: sysc::SimTime) {
+pub(crate) fn serve_waiters(st: &mut KernelState, id: SemId, now: sysc::SimTime) {
     loop {
-        let front = {
-            let Ok(sem) = super::table_get(&st.sems, id.0) else {
-                return;
-            };
-            let Some(front) = sem.waitq.front() else {
-                return;
-            };
-            front
+        let Some(front) = st.sems.get(id.0).ok().and_then(|s| s.waitq.front()) else {
+            return;
         };
         let req = match st.tcb(front).ok().and_then(|t| t.wait) {
             Some(WaitObj::Sem(_, req)) => req,
             _ => 1,
         };
-        let sem = super::table_get_mut(&mut st.sems, id.0).expect("still exists");
+        let sem = st.sems.get_mut(id.0).expect("still exists");
         if sem.count < req {
             return;
         }
@@ -84,55 +79,37 @@ impl<'a> Sys<'a> {
         max: u32,
         order: QueueOrder,
     ) -> KResult<SemId> {
-        self.service_cost(ServiceClass::Semaphore, "tk_cre_sem");
-        let r = {
+        self.service(ServiceClass::Semaphore, "tk_cre_sem", |sys| {
             if max == 0 || init > max {
-                Err(ErCode::Par)
-            } else {
-                let mut st = self.shared.st.borrow_mut();
-                let raw = super::table_insert(
-                    &mut st.sems,
-                    Sem {
-                        name: name.to_string(),
-                        count: init,
-                        max,
-                        waitq: WaitQueue::new(order),
-                    },
-                );
-                st.observe(crate::obs::ObsEvent::SemCreate {
-                    id: SemId(raw),
-                    init,
-                    max,
-                    pri_order: order == QueueOrder::Priority,
-                });
-                Ok(SemId(raw))
+                return Err(ErCode::Par);
             }
-        };
-        self.service_exit();
-        r
+            let mut st = sys.shared.st.borrow_mut();
+            let id = SemId(st.sems.insert(Sem {
+                name: name.to_string(),
+                count: init,
+                max,
+                waitq: WaitQueue::new(order),
+            }));
+            st.observe(crate::obs::ObsEvent::SemCreate {
+                id,
+                init,
+                max,
+                pri_order: order == QueueOrder::Priority,
+            });
+            Ok(id)
+        })
     }
 
     /// `tk_del_sem` — deletes a semaphore; waiters are released with
     /// `E_DLT`.
     pub fn tk_del_sem(&mut self, id: SemId) -> KResult<()> {
-        self.service_cost(ServiceClass::Semaphore, "tk_del_sem");
-        let r = {
-            let mut st = self.shared.st.borrow_mut();
-            let now = self.proc.now();
-            match super::table_get_mut(&mut st.sems, id.0) {
-                Err(e) => Err(e),
-                Ok(sem) => {
-                    let waiters = sem.waitq.drain();
-                    st.sems[id.0 as usize - 1] = None;
-                    for tid in waiters {
-                        Shared::make_ready(&mut st, now, tid, Err(ErCode::Dlt), Delivered::None);
-                    }
-                    Ok(())
-                }
-            }
-        };
-        self.service_exit();
-        r
+        self.service(ServiceClass::Semaphore, "tk_del_sem", |sys| {
+            let now = sys.now();
+            let mut st = sys.shared.st.borrow_mut();
+            let mut sem = st.sems.remove(id.0)?;
+            super::release_deleted(&mut st, now, sem.waitq.drain());
+            Ok(())
+        })
     }
 
     /// `tk_sig_sem` — returns `cnt` counts to the semaphore, waking
@@ -143,30 +120,21 @@ impl<'a> Sys<'a> {
     /// `E_PAR` if `cnt == 0`; `E_QOVR` if the count would exceed the
     /// maximum.
     pub fn tk_sig_sem(&mut self, id: SemId, cnt: u32) -> KResult<()> {
-        self.service_cost(ServiceClass::Semaphore, "tk_sig_sem");
-        let r = {
-            let mut st = self.shared.st.borrow_mut();
-            let now = self.proc.now();
+        self.service(ServiceClass::Semaphore, "tk_sig_sem", |sys| {
+            let now = sys.now();
+            let mut st = sys.shared.st.borrow_mut();
             if cnt == 0 {
-                Err(ErCode::Par)
-            } else {
-                match super::table_get_mut(&mut st.sems, id.0) {
-                    Err(e) => Err(e),
-                    Ok(sem) => {
-                        if sem.count.checked_add(cnt).is_none_or(|v| v > sem.max) {
-                            Err(ErCode::QOvr)
-                        } else {
-                            sem.count += cnt;
-                            st.observe(crate::obs::ObsEvent::SemSignal { id, cnt });
-                            serve_waiters(&mut st, id, now);
-                            Ok(())
-                        }
-                    }
-                }
+                return Err(ErCode::Par);
             }
-        };
-        self.service_exit();
-        r
+            let sem = st.sems.get_mut(id.0)?;
+            if sem.count.checked_add(cnt).is_none_or(|v| v > sem.max) {
+                return Err(ErCode::QOvr);
+            }
+            sem.count += cnt;
+            st.observe(crate::obs::ObsEvent::SemSignal { id, cnt });
+            serve_waiters(&mut st, id, now);
+            Ok(())
+        })
     }
 
     /// `tk_wai_sem` — acquires `cnt` counts, waiting if necessary.
@@ -176,55 +144,48 @@ impl<'a> Sys<'a> {
     /// `E_PAR` for a zero or unsatisfiable request, `E_CTX` from
     /// non-blockable contexts, `E_TMOUT`, `E_RLWAI`, `E_DLT`.
     pub fn tk_wai_sem(&mut self, id: SemId, cnt: u32, tmo: Timeout) -> KResult<()> {
-        self.service_cost(ServiceClass::Semaphore, "tk_wai_sem");
-        let r = (|| {
-            let tid = self.check_blockable()?;
-            let decision = {
-                let mut st = self.shared.st.borrow_mut();
-                let pri = st.tcb(tid)?.cur_pri;
-                let sem = super::table_get_mut(&mut st.sems, id.0)?;
-                if cnt == 0 || cnt > sem.max {
-                    return Err(ErCode::Par);
-                }
-                if sem.waitq.is_empty() && sem.count >= cnt {
-                    sem.count -= cnt;
-                    st.observe(crate::obs::ObsEvent::SemTake { id, tid, cnt });
-                    Ok(())
-                } else if tmo == Timeout::Poll {
-                    Err(ErCode::Tmout)
-                } else {
-                    sem.waitq.enqueue(tid, pri);
-                    Err(ErCode::Sys) // sentinel: must block
-                }
-            };
-            match decision {
-                Ok(()) => Ok(()),
-                Err(ErCode::Sys) => {
-                    let shared = &self.shared;
-                    let (res, _) = shared.block_current(self.proc, tid, WaitObj::Sem(id, cnt), tmo);
-                    res
-                }
-                Err(e) => Err(e),
-            }
-        })();
-        self.service_exit();
-        r
+        self.service(ServiceClass::Semaphore, "tk_wai_sem", |sys| {
+            sys.wait(
+                tmo,
+                |st, tid| {
+                    let pri = st.tcb(tid)?.cur_pri;
+                    let sem = st.sems.get_mut(id.0)?;
+                    if cnt == 0 || cnt > sem.max {
+                        return Err(ErCode::Par);
+                    }
+                    if sem.waitq.is_empty() && sem.count >= cnt {
+                        sem.count -= cnt;
+                        st.observe(crate::obs::ObsEvent::SemTake { id, tid, cnt });
+                        Ok(WaitDecision::Served(()))
+                    } else if tmo == Timeout::Poll {
+                        Err(ErCode::Tmout)
+                    } else {
+                        sem.waitq.enqueue(tid, pri);
+                        Ok(WaitDecision::Block(WaitObj::Sem(id, cnt)))
+                    }
+                },
+                Delivered::nothing,
+            )
+        })
     }
 
     /// `tk_ref_sem` — reference semaphore state.
     pub fn tk_ref_sem(&mut self, id: SemId) -> KResult<RefSem> {
-        self.service_cost(ServiceClass::Semaphore, "tk_ref_sem");
-        let r = {
-            let st = self.shared.st.borrow();
-            super::table_get(&st.sems, id.0).map(|s| RefSem {
-                name: s.name.clone(),
-                count: s.count,
-                max: s.max,
-                waiting: s.waitq.len(),
-                first_waiter: s.waitq.front(),
-            })
-        };
-        self.service_exit();
-        r
+        self.service(ServiceClass::Semaphore, "tk_ref_sem", |sys| {
+            sys.shared.st.borrow().sems.get(id.0).map(RefSem::of)
+        })
+    }
+}
+
+impl RefSem {
+    /// The snapshot of `s` (`tk_ref_sem`, `td_ref_sem`).
+    pub(crate) fn of(s: &Sem) -> Self {
+        RefSem {
+            name: s.name.clone(),
+            count: s.count,
+            max: s.max,
+            waiting: s.waitq.len(),
+            first_waiter: s.waitq.front(),
+        }
     }
 }

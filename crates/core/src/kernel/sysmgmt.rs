@@ -62,21 +62,20 @@ pub struct RefVer {
 impl<'a> Sys<'a> {
     /// `tk_ref_ver` — kernel version information.
     pub fn tk_ref_ver(&mut self) -> KResult<RefVer> {
-        self.service_cost(ServiceClass::System, "tk_ref_ver");
-        self.service_exit();
-        Ok(RefVer {
-            maker: "rtk-spec-tron (reproduction)",
-            prid: "RTK-Spec TRON",
-            spver: "uITRON 4.0 / T-Kernel 1.0 (subset)",
-            prver: env!("CARGO_PKG_VERSION"),
+        self.service(ServiceClass::System, "tk_ref_ver", |_| {
+            Ok(RefVer {
+                maker: "rtk-spec-tron (reproduction)",
+                prid: "RTK-Spec TRON",
+                spver: "uITRON 4.0 / T-Kernel 1.0 (subset)",
+                prver: env!("CARGO_PKG_VERSION"),
+            })
         })
     }
 
     /// `tk_ref_sys` — reference system status.
     pub fn tk_ref_sys(&mut self) -> KResult<RefSys> {
-        self.service_cost(ServiceClass::System, "tk_ref_sys");
-        let r = {
-            let st = self.shared.st.borrow();
+        self.service(ServiceClass::System, "tk_ref_sys", |sys| {
+            let st = sys.shared.st.borrow();
             let sysstat = if !st.int_stack.is_empty() {
                 SysState::TaskIndependent
             } else if st.cpu_locked {
@@ -86,16 +85,14 @@ impl<'a> Sys<'a> {
             } else {
                 SysState::Task
             };
-            RefSys {
+            Ok(RefSys {
                 sysstat,
                 runtskid: st.running,
                 schedtskid: st.scheduler.peek(),
                 int_nest: st.int_stack.len(),
                 ticks: st.ticks,
-            }
-        };
-        self.service_exit();
-        Ok(r)
+            })
+        })
     }
 
     /// `tk_dis_dsp` — disables task dispatching.
@@ -105,25 +102,17 @@ impl<'a> Sys<'a> {
     /// `E_CTX` from handler context or while the CPU is locked
     /// (µ-ITRON forbids dispatch control inside a `tk_loc_cpu` window).
     pub fn tk_dis_dsp(&mut self) -> KResult<()> {
+        // Outside the bracket: dispatching is masked when this returns,
+        // so there is no preemption point to end at.
         self.service_cost(ServiceClass::System, "tk_dis_dsp");
-        let r = {
-            let tid = self.require_task();
-            match tid {
-                Err(e) => Err(e),
-                Ok(_) => {
-                    let mut st = self.shared.st.borrow_mut();
-                    if st.cpu_locked {
-                        Err(ErCode::Ctx)
-                    } else {
-                        st.dispatch_disabled = true;
-                        st.observe(crate::obs::ObsEvent::DispCtl { disabled: true });
-                        Ok(())
-                    }
-                }
-            }
-        };
-        // Note: no preemption point — dispatching is disabled.
-        r
+        self.require_task()?;
+        let mut st = self.shared.st.borrow_mut();
+        if st.cpu_locked {
+            return Err(ErCode::Ctx);
+        }
+        st.dispatch_disabled = true;
+        st.observe(crate::obs::ObsEvent::DispCtl { disabled: true });
+        Ok(())
     }
 
     /// `tk_ena_dsp` — re-enables task dispatching; a deferred dispatch
@@ -133,25 +122,16 @@ impl<'a> Sys<'a> {
     ///
     /// `E_CTX` from handler context or while the CPU is locked.
     pub fn tk_ena_dsp(&mut self) -> KResult<()> {
-        self.service_cost(ServiceClass::System, "tk_ena_dsp");
-        let r = {
-            let tid = self.require_task();
-            match tid {
-                Err(e) => Err(e),
-                Ok(_) => {
-                    let mut st = self.shared.st.borrow_mut();
-                    if st.cpu_locked {
-                        Err(ErCode::Ctx)
-                    } else {
-                        st.dispatch_disabled = false;
-                        st.observe(crate::obs::ObsEvent::DispCtl { disabled: false });
-                        Ok(())
-                    }
-                }
+        self.service(ServiceClass::System, "tk_ena_dsp", |sys| {
+            sys.require_task()?;
+            let mut st = sys.shared.st.borrow_mut();
+            if st.cpu_locked {
+                return Err(ErCode::Ctx);
             }
-        };
-        self.service_exit();
-        r
+            st.dispatch_disabled = false;
+            st.observe(crate::obs::ObsEvent::DispCtl { disabled: false });
+            Ok(())
+        })
     }
 
     /// `tk_loc_cpu` — locks the CPU: interrupts are not delivered and
@@ -163,19 +143,14 @@ impl<'a> Sys<'a> {
     ///
     /// `E_CTX` from handler context.
     pub fn tk_loc_cpu(&mut self) -> KResult<()> {
+        // Outside the bracket: dispatching is masked when this returns,
+        // so there is no preemption point to end at.
         self.service_cost(ServiceClass::System, "tk_loc_cpu");
-        let r = {
-            match self.require_task() {
-                Err(e) => Err(e),
-                Ok(_) => {
-                    let mut st = self.shared.st.borrow_mut();
-                    st.cpu_locked = true;
-                    st.observe(crate::obs::ObsEvent::DispCtl { disabled: true });
-                    Ok(())
-                }
-            }
-        };
-        r
+        self.require_task()?;
+        let mut st = self.shared.st.borrow_mut();
+        st.cpu_locked = true;
+        st.observe(crate::obs::ObsEvent::DispCtl { disabled: true });
+        Ok(())
     }
 
     /// `tk_unl_cpu` — unlocks the CPU; pended interrupts are delivered.
@@ -185,40 +160,23 @@ impl<'a> Sys<'a> {
     ///
     /// `E_CTX` from handler context.
     pub fn tk_unl_cpu(&mut self) -> KResult<()> {
-        self.service_cost(ServiceClass::System, "tk_unl_cpu");
-        let r = match self.require_task() {
-            Err(e) => Err(e),
-            Ok(_) => {
-                let kick = {
-                    let mut st = self.shared.st.borrow_mut();
-                    st.cpu_locked = false;
-                    let disabled = st.dispatch_masked();
-                    st.observe(crate::obs::ObsEvent::DispCtl { disabled });
-                    if st.pending_ints.is_empty() {
-                        None
-                    } else {
-                        st.int_req_ev
-                    }
-                };
-                if let Some(ev) = kick {
-                    self.shared.h.notify(ev);
+        self.service(ServiceClass::System, "tk_unl_cpu", |sys| {
+            sys.require_task()?;
+            let kick = {
+                let mut st = sys.shared.st.borrow_mut();
+                st.cpu_locked = false;
+                let disabled = st.dispatch_masked();
+                st.observe(crate::obs::ObsEvent::DispCtl { disabled });
+                if st.pending_ints.is_empty() {
+                    None
+                } else {
+                    st.int_req_ev
                 }
-                Ok(())
+            };
+            if let Some(ev) = kick {
+                sys.shared.h.notify(ev);
             }
-        };
-        self.service_exit();
-        r
-    }
-
-    /// Returns `E_CTX` if the caller may not block (handler context,
-    /// dispatch disabled, or CPU locked). Used by all waiting services.
-    pub(crate) fn check_blockable(&self) -> KResult<TaskId> {
-        let tid = self.require_task()?;
-        let st = self.shared.st.borrow();
-        if st.dispatch_disabled || st.cpu_locked {
-            Err(ErCode::Ctx)
-        } else {
-            Ok(tid)
-        }
+            Ok(())
+        })
     }
 }

@@ -16,6 +16,8 @@ use crate::state::{Delivered, ResumeKind, Shared, TaskBody, TaskState, Tcb, Time
 use crate::trace::TraceKind;
 use crate::tthread::{ExecContext, TThreadEvent, TThreadKind};
 
+use super::WaitDecision;
+
 /// Snapshot returned by `tk_ref_tsk`.
 #[derive(Debug, Clone)]
 pub struct RefTsk {
@@ -47,10 +49,9 @@ impl<'a> Sys<'a> {
     where
         F: FnMut(&mut Sys<'_>, i32) + 'static,
     {
-        self.service_cost(ServiceClass::Task, "tk_cre_tsk");
-        let r = self.shared.create_task_raw(name, pri, Box::new(body));
-        self.service_exit();
-        r
+        self.service(ServiceClass::Task, "tk_cre_tsk", |sys| {
+            sys.shared.create_task_raw(name, pri, Box::new(body))
+        })
     }
 
     /// `tk_del_tsk` — deletes a DORMANT task.
@@ -60,22 +61,16 @@ impl<'a> Sys<'a> {
     /// `E_NOEXS` if the task does not exist; `E_OBJ` if it is not
     /// DORMANT.
     pub fn tk_del_tsk(&mut self, tid: TaskId) -> KResult<()> {
-        self.service_cost(ServiceClass::Task, "tk_del_tsk");
-        let r = {
-            let mut st = self.shared.st.borrow_mut();
-            match st.tcb(tid) {
-                Err(e) => Err(e),
-                Ok(tcb) if tcb.state != TaskState::Dormant => Err(ErCode::Obj),
-                Ok(_) => {
-                    st.observe(crate::obs::ObsEvent::TaskDelete { tid });
-                    st.tasks[tid.0 as usize - 1] = None;
-                    st.threads.remove_task(tid);
-                    Ok(())
-                }
+        self.service(ServiceClass::Task, "tk_del_tsk", |sys| {
+            let mut st = sys.shared.st.borrow_mut();
+            if st.tcb(tid)?.state != TaskState::Dormant {
+                return Err(ErCode::Obj);
             }
-        };
-        self.service_exit();
-        r
+            st.observe(crate::obs::ObsEvent::TaskDelete { tid });
+            st.tasks.remove(tid.0)?;
+            st.threads.remove_task(tid);
+            Ok(())
+        })
     }
 
     /// `tk_sta_tsk` — starts a DORMANT task with start code `stacd`.
@@ -84,10 +79,9 @@ impl<'a> Sys<'a> {
     ///
     /// `E_NOEXS` / `E_OBJ` as per the specification.
     pub fn tk_sta_tsk(&mut self, tid: TaskId, stacd: i32) -> KResult<()> {
-        self.service_cost(ServiceClass::Task, "tk_sta_tsk");
-        let r = self.shared.start_task(tid, stacd, self.proc.now());
-        self.service_exit();
-        r
+        self.service(ServiceClass::Task, "tk_sta_tsk", |sys| {
+            sys.shared.start_task(tid, stacd, sys.proc.now())
+        })
     }
 
     /// `tk_ext_tsk` — ends the calling task (returns it to DORMANT).
@@ -127,16 +121,12 @@ impl<'a> Sys<'a> {
     ///
     /// `E_OBJ` if the target is DORMANT or is the caller itself.
     pub fn tk_ter_tsk(&mut self, tid: TaskId) -> KResult<()> {
-        self.service_cost(ServiceClass::Task, "tk_ter_tsk");
-        let r = {
-            if self.who == ThreadRef::Task(tid) {
-                Err(ErCode::Obj)
-            } else {
-                self.shared.terminate_task(tid, self.proc.now())
+        self.service(ServiceClass::Task, "tk_ter_tsk", |sys| {
+            if sys.who == ThreadRef::Task(tid) {
+                return Err(ErCode::Obj);
             }
-        };
-        self.service_exit();
-        r
+            sys.shared.terminate_task(tid, sys.proc.now())
+        })
     }
 
     /// `tk_chg_pri` — changes a task's base priority (`pri == 0` resets
@@ -148,47 +138,36 @@ impl<'a> Sys<'a> {
     /// targets, `E_ILUSE` if the new priority violates a held ceiling
     /// mutex.
     pub fn tk_chg_pri(&mut self, tid: TaskId, pri: Priority) -> KResult<()> {
-        self.service_cost(ServiceClass::Task, "tk_chg_pri");
-        let r = {
-            let mut st = self.shared.st.borrow_mut();
-            let max = st.cfg.max_priority;
-            match st.tcb(tid) {
-                Err(e) => Err(e),
-                Ok(tcb) if tcb.state == TaskState::Dormant => Err(ErCode::Obj),
-                Ok(tcb) => {
-                    let new_base = if pri == 0 { tcb.ini_pri } else { pri };
-                    if pri > max {
-                        Err(ErCode::Par)
-                    } else if super::mtx::violates_ceiling(&st, tid, new_base) {
-                        Err(ErCode::IlUse)
-                    } else {
-                        let tcb = st.tcb_mut(tid).expect("checked above");
-                        tcb.base_pri = new_base;
-                        st.observe(crate::obs::ObsEvent::PriChange {
-                            tid,
-                            base: new_base,
-                        });
-                        super::mtx::recompute_priority(&mut st, tid, 0);
-                        Ok(())
-                    }
-                }
+        self.service(ServiceClass::Task, "tk_chg_pri", |sys| {
+            let mut st = sys.shared.st.borrow_mut();
+            let tcb = st.tcb(tid)?;
+            if tcb.state == TaskState::Dormant {
+                return Err(ErCode::Obj);
             }
-        };
-        self.service_exit();
-        r
+            let new_base = if pri == 0 { tcb.ini_pri } else { pri };
+            if pri > st.cfg.max_priority {
+                return Err(ErCode::Par);
+            }
+            if super::mtx::violates_ceiling(&st, tid, new_base) {
+                return Err(ErCode::IlUse);
+            }
+            st.tcb_mut(tid).expect("checked above").base_pri = new_base;
+            st.observe(crate::obs::ObsEvent::PriChange {
+                tid,
+                base: new_base,
+            });
+            super::mtx::recompute_priority(&mut st, tid, 0);
+            Ok(())
+        })
     }
 
     /// `tk_rot_rdq` — rotates the ready queue of priority `pri`
     /// (`pri == 0`: the caller's current priority).
     pub fn tk_rot_rdq(&mut self, pri: Priority) -> KResult<()> {
-        self.service_cost(ServiceClass::Task, "tk_rot_rdq");
-        let r = {
-            let mut st = self.shared.st.borrow_mut();
+        self.service(ServiceClass::Task, "tk_rot_rdq", |sys| {
+            let mut st = sys.shared.st.borrow_mut();
             let pri = if pri == 0 {
-                match self.who {
-                    ThreadRef::Task(tid) => st.tcb(tid)?.cur_pri,
-                    _ => return Err(ErCode::Ctx),
-                }
+                st.tcb(sys.require_task()?)?.cur_pri
             } else if pri > st.cfg.max_priority {
                 return Err(ErCode::Par);
             } else {
@@ -197,9 +176,7 @@ impl<'a> Sys<'a> {
             st.scheduler.rotate(pri);
             st.observe(crate::obs::ObsEvent::RotRdq { pri });
             Ok(())
-        };
-        self.service_exit();
-        r
+        })
     }
 
     /// `tk_get_tid` — the calling task's ID (`None` from handler
@@ -217,22 +194,9 @@ impl<'a> Sys<'a> {
     ///
     /// `E_NOEXS` if the task does not exist.
     pub fn tk_ref_tsk(&mut self, tid: TaskId) -> KResult<RefTsk> {
-        self.service_cost(ServiceClass::Task, "tk_ref_tsk");
-        let r = {
-            let st = self.shared.st.borrow();
-            st.tcb(tid).map(|tcb| RefTsk {
-                name: tcb.name.clone(),
-                state: tcb.state,
-                base_pri: tcb.base_pri,
-                cur_pri: tcb.cur_pri,
-                wupcnt: tcb.wupcnt,
-                suscnt: tcb.suscnt,
-                wait: tcb.wait,
-                activations: tcb.activations,
-            })
-        };
-        self.service_exit();
-        r
+        self.service(ServiceClass::Task, "tk_ref_tsk", |sys| {
+            sys.shared.st.borrow().tcb(tid).map(RefTsk::of)
+        })
     }
 
     // ------------------------------------------------------------------
@@ -247,33 +211,24 @@ impl<'a> Sys<'a> {
     /// `E_CTX` from handler context or while dispatching is disabled;
     /// `E_TMOUT` / `E_RLWAI` per the specification.
     pub fn tk_slp_tsk(&mut self, tmo: Timeout) -> KResult<()> {
-        self.service_cost(ServiceClass::TaskSync, "tk_slp_tsk");
-        let tid = self.require_task()?;
-        let r = {
-            let mut st = self.shared.st.borrow_mut();
-            if st.dispatch_disabled || st.cpu_locked {
-                drop(st);
-                Err(ErCode::Ctx)
-            } else {
-                let tcb = st.tcb_mut(tid).expect("caller exists");
-                if tcb.wupcnt > 0 {
-                    tcb.wupcnt -= 1;
-                    st.observe(crate::obs::ObsEvent::WupConsume { tid });
-                    drop(st);
-                    Ok(())
-                } else if tmo == Timeout::Poll {
-                    drop(st);
-                    Err(ErCode::Tmout)
-                } else {
-                    drop(st);
-                    let shared = &self.shared;
-                    let (res, _) = shared.block_current(self.proc, tid, WaitObj::Sleep, tmo);
-                    res
-                }
-            }
-        };
-        self.service_exit();
-        r
+        self.service(ServiceClass::TaskSync, "tk_slp_tsk", |sys| {
+            sys.wait(
+                tmo,
+                |st, tid| {
+                    let tcb = st.tcb_mut(tid).expect("caller exists");
+                    if tcb.wupcnt > 0 {
+                        tcb.wupcnt -= 1;
+                        st.observe(crate::obs::ObsEvent::WupConsume { tid });
+                        Ok(WaitDecision::Served(()))
+                    } else if tmo == Timeout::Poll {
+                        Err(ErCode::Tmout)
+                    } else {
+                        Ok(WaitDecision::Block(WaitObj::Sleep))
+                    }
+                },
+                Delivered::nothing,
+            )
+        })
     }
 
     /// `tk_wup_tsk` — wakes a sleeping task or queues the wakeup.
@@ -283,64 +238,49 @@ impl<'a> Sys<'a> {
     /// `E_OBJ` for DORMANT targets or self, `E_QOVR` if the wakeup queue
     /// overflows.
     pub fn tk_wup_tsk(&mut self, tid: TaskId) -> KResult<()> {
-        self.service_cost(ServiceClass::TaskSync, "tk_wup_tsk");
-        let r = {
-            let mut st = self.shared.st.borrow_mut();
-            let now = self.proc.now();
-            if self.who == ThreadRef::Task(tid) {
-                Err(ErCode::Obj)
-            } else {
-                match st.tcb(tid) {
-                    Err(e) => Err(e),
-                    Ok(tcb) if tcb.state == TaskState::Dormant => Err(ErCode::Obj),
-                    Ok(tcb) => {
-                        let sleeping = matches!(
-                            (tcb.state, tcb.wait),
-                            (
-                                TaskState::Wait | TaskState::WaitSuspend,
-                                Some(WaitObj::Sleep)
-                            )
-                        );
-                        if sleeping {
-                            st.observe(crate::obs::ObsEvent::WupTsk { tid });
-                            Shared::make_ready(&mut st, now, tid, Ok(()), Delivered::None);
-                            Ok(())
-                        } else {
-                            let max = st.cfg.max_wakeup_count;
-                            let tcb = st.tcb_mut(tid).expect("checked above");
-                            if tcb.wupcnt >= max {
-                                Err(ErCode::QOvr)
-                            } else {
-                                tcb.wupcnt += 1;
-                                st.observe(crate::obs::ObsEvent::WupTsk { tid });
-                                Ok(())
-                            }
-                        }
-                    }
-                }
+        self.service(ServiceClass::TaskSync, "tk_wup_tsk", |sys| {
+            let now = sys.now();
+            let mut st = sys.shared.st.borrow_mut();
+            if sys.who == ThreadRef::Task(tid) {
+                return Err(ErCode::Obj);
             }
-        };
-        self.service_exit();
-        r
+            let tcb = st.tcb(tid)?;
+            if tcb.state == TaskState::Dormant {
+                return Err(ErCode::Obj);
+            }
+            let sleeping = matches!(
+                (tcb.state, tcb.wait),
+                (
+                    TaskState::Wait | TaskState::WaitSuspend,
+                    Some(WaitObj::Sleep)
+                )
+            );
+            if sleeping {
+                st.observe(crate::obs::ObsEvent::WupTsk { tid });
+                Shared::make_ready(&mut st, now, tid, Ok(()), Delivered::None);
+                return Ok(());
+            }
+            let max = st.cfg.max_wakeup_count;
+            let tcb = st.tcb_mut(tid).expect("checked above");
+            if tcb.wupcnt >= max {
+                return Err(ErCode::QOvr);
+            }
+            tcb.wupcnt += 1;
+            st.observe(crate::obs::ObsEvent::WupTsk { tid });
+            Ok(())
+        })
     }
 
     /// `tk_can_wup` — returns and clears the queued wakeup count.
     pub fn tk_can_wup(&mut self, tid: TaskId) -> KResult<u32> {
-        self.service_cost(ServiceClass::TaskSync, "tk_can_wup");
-        let r = {
-            let mut st = self.shared.st.borrow_mut();
-            match st.tcb_mut(tid) {
-                Err(e) => Err(e),
-                Ok(tcb) if tcb.state == TaskState::Dormant => Err(ErCode::Obj),
-                Ok(tcb) => {
-                    let n = tcb.wupcnt;
-                    tcb.wupcnt = 0;
-                    Ok(n)
-                }
+        self.service(ServiceClass::TaskSync, "tk_can_wup", |sys| {
+            let mut st = sys.shared.st.borrow_mut();
+            let tcb = st.tcb_mut(tid)?;
+            if tcb.state == TaskState::Dormant {
+                return Err(ErCode::Obj);
             }
-        };
-        self.service_exit();
-        r
+            Ok(std::mem::take(&mut tcb.wupcnt))
+        })
     }
 
     /// `tk_dly_tsk` — delays the calling task for at least `d`
@@ -350,28 +290,24 @@ impl<'a> Sys<'a> {
     ///
     /// `E_CTX` from handler context; `E_RLWAI` on forced release.
     pub fn tk_dly_tsk(&mut self, d: sysc::SimTime) -> KResult<()> {
-        self.service_cost(ServiceClass::TaskSync, "tk_dly_tsk");
-        let tid = self.require_task()?;
-        let r = {
-            let st = self.shared.st.borrow();
-            if st.dispatch_disabled || st.cpu_locked {
-                Err(ErCode::Ctx)
-            } else if d.is_zero() {
-                Ok(())
-            } else {
-                drop(st);
-                let shared = &self.shared;
-                let (res, _) =
-                    shared.block_current(self.proc, tid, WaitObj::Delay, Timeout::Finite(d));
-                // Normal delay completion is reported as success.
-                match res {
-                    Err(ErCode::Tmout) | Ok(()) => Ok(()),
-                    Err(e) => Err(e),
-                }
+        self.service(ServiceClass::TaskSync, "tk_dly_tsk", |sys| {
+            let delay = sys.wait(
+                Timeout::Finite(d),
+                |_, _| {
+                    Ok(if d.is_zero() {
+                        WaitDecision::Served(())
+                    } else {
+                        WaitDecision::Block(WaitObj::Delay)
+                    })
+                },
+                Delivered::nothing,
+            );
+            // Normal delay completion is reported as success.
+            match delay {
+                Err(ErCode::Tmout) => Ok(()),
+                r => r,
             }
-        };
-        self.service_exit();
-        r
+        })
     }
 
     /// `tk_rel_wai` — forcibly releases another task from waiting (it
@@ -381,31 +317,23 @@ impl<'a> Sys<'a> {
     ///
     /// `E_OBJ` if the target is not waiting.
     pub fn tk_rel_wai(&mut self, tid: TaskId) -> KResult<()> {
-        self.service_cost(ServiceClass::TaskSync, "tk_rel_wai");
-        let r = {
-            let mut st = self.shared.st.borrow_mut();
-            let now = self.proc.now();
-            match st.tcb(tid) {
-                Err(e) => Err(e),
-                Ok(tcb) if !matches!(tcb.state, TaskState::Wait | TaskState::WaitSuspend) => {
-                    Err(ErCode::Obj)
-                }
-                Ok(_) => {
-                    st.observe(crate::obs::ObsEvent::RelWai { tid });
-                    let detached = super::detach_waiter(&mut st, tid);
-                    Shared::make_ready(&mut st, now, tid, Err(ErCode::RlWai), Delivered::None);
-                    // Removing the waiter can make the ones behind it
-                    // satisfiable (semaphore counts, mbf buffer space,
-                    // mpl arena space): serve them now.
-                    if let Some(obj) = detached {
-                        super::reserve_after_detach(&mut st, obj, now);
-                    }
-                    Ok(())
-                }
+        self.service(ServiceClass::TaskSync, "tk_rel_wai", |sys| {
+            let now = sys.now();
+            let mut st = sys.shared.st.borrow_mut();
+            if !matches!(st.tcb(tid)?.state, TaskState::Wait | TaskState::WaitSuspend) {
+                return Err(ErCode::Obj);
             }
-        };
-        self.service_exit();
-        r
+            st.observe(crate::obs::ObsEvent::RelWai { tid });
+            let detached = super::detach_waiter(&mut st, tid);
+            Shared::make_ready(&mut st, now, tid, Err(ErCode::RlWai), Delivered::None);
+            // Removing the waiter can make the ones behind it
+            // satisfiable (semaphore counts, mbf buffer space, mpl
+            // arena space): serve them now.
+            if let Some(obj) = detached {
+                super::reserve_after_detach(&mut st, obj, now);
+            }
+            Ok(())
+        })
     }
 
     /// `tk_sus_tsk` — suspends another task (nested).
@@ -415,50 +343,43 @@ impl<'a> Sys<'a> {
     /// `E_OBJ` for DORMANT targets or self; `E_QOVR` on suspend-count
     /// overflow.
     pub fn tk_sus_tsk(&mut self, tid: TaskId) -> KResult<()> {
-        self.service_cost(ServiceClass::TaskSync, "tk_sus_tsk");
-        let r = {
-            let mut st = self.shared.st.borrow_mut();
-            if self.who == ThreadRef::Task(tid) {
-                Err(ErCode::Obj)
-            } else {
-                match st.tcb(tid) {
-                    Err(e) => Err(e),
-                    Ok(tcb) if tcb.state == TaskState::Dormant => Err(ErCode::Obj),
-                    Ok(tcb) if tcb.suscnt >= st.cfg.max_suspend_count => {
-                        let _ = tcb;
-                        Err(ErCode::QOvr)
-                    }
-                    Ok(_) => {
-                        st.observe(crate::obs::ObsEvent::Suspend { tid });
-                        let tcb = st.tcb_mut(tid).expect("checked above");
-                        tcb.suscnt += 1;
-                        match tcb.state {
-                            TaskState::Ready => {
-                                tcb.state = TaskState::Suspend;
-                                st.scheduler.remove(tid);
-                            }
-                            TaskState::Wait => tcb.state = TaskState::WaitSuspend,
-                            TaskState::Running => {
-                                // Only reachable from handler context (the
-                                // frozen running task). Demote it.
-                                tcb.state = TaskState::Suspend;
-                                st.running = None;
-                                let rec = st.thread_mut(ThreadRef::Task(tid));
-                                rec.resume_as = ResumeKind::Preempted;
-                                rec.marking = ExecContext::Preempted;
-                                // A suspended task must not keep a CPU
-                                // grant it has not consumed yet.
-                                rec.cpu_granted = false;
-                            }
-                            _ => {}
-                        }
-                        Ok(())
-                    }
-                }
+        self.service(ServiceClass::TaskSync, "tk_sus_tsk", |sys| {
+            let mut st = sys.shared.st.borrow_mut();
+            if sys.who == ThreadRef::Task(tid) {
+                return Err(ErCode::Obj);
             }
-        };
-        self.service_exit();
-        r
+            let tcb = st.tcb(tid)?;
+            if tcb.state == TaskState::Dormant {
+                return Err(ErCode::Obj);
+            }
+            if tcb.suscnt >= st.cfg.max_suspend_count {
+                return Err(ErCode::QOvr);
+            }
+            st.observe(crate::obs::ObsEvent::Suspend { tid });
+            let tcb = st.tcb_mut(tid).expect("checked above");
+            tcb.suscnt += 1;
+            match tcb.state {
+                TaskState::Ready => {
+                    tcb.state = TaskState::Suspend;
+                    st.scheduler.remove(tid);
+                }
+                TaskState::Wait => tcb.state = TaskState::WaitSuspend,
+                TaskState::Running => {
+                    // Only reachable from handler context (the frozen
+                    // running task). Demote it.
+                    tcb.state = TaskState::Suspend;
+                    st.running = None;
+                    let rec = st.thread_mut(ThreadRef::Task(tid));
+                    rec.resume_as = ResumeKind::Preempted;
+                    rec.marking = ExecContext::Preempted;
+                    // A suspended task must not keep a CPU grant it has
+                    // not consumed yet.
+                    rec.cpu_granted = false;
+                }
+                _ => {}
+            }
+            Ok(())
+        })
     }
 
     /// `tk_rsm_tsk` — resumes a suspended task (one nesting level).
@@ -472,35 +393,46 @@ impl<'a> Sys<'a> {
     }
 
     fn resume_task_inner(&mut self, tid: TaskId, force: bool) -> KResult<()> {
-        self.service_cost(ServiceClass::TaskSync, "tk_rsm_tsk");
-        let r = {
-            let mut st = self.shared.st.borrow_mut();
-            match st.tcb(tid) {
-                Err(e) => Err(e),
-                Ok(tcb) if !matches!(tcb.state, TaskState::Suspend | TaskState::WaitSuspend) => {
-                    Err(ErCode::Obj)
-                }
-                Ok(_) => {
-                    st.observe(crate::obs::ObsEvent::Resume { tid, force });
-                    let tcb = st.tcb_mut(tid).expect("checked above");
-                    tcb.suscnt = if force { 0 } else { tcb.suscnt - 1 };
-                    if tcb.suscnt == 0 {
-                        match tcb.state {
-                            TaskState::Suspend => {
-                                tcb.state = TaskState::Ready;
-                                let pri = tcb.cur_pri;
-                                st.scheduler.enqueue(tid, pri, false);
-                            }
-                            TaskState::WaitSuspend => tcb.state = TaskState::Wait,
-                            _ => unreachable!("state checked above"),
-                        }
+        self.service(ServiceClass::TaskSync, "tk_rsm_tsk", |sys| {
+            let mut st = sys.shared.st.borrow_mut();
+            if !matches!(
+                st.tcb(tid)?.state,
+                TaskState::Suspend | TaskState::WaitSuspend
+            ) {
+                return Err(ErCode::Obj);
+            }
+            st.observe(crate::obs::ObsEvent::Resume { tid, force });
+            let tcb = st.tcb_mut(tid).expect("checked above");
+            tcb.suscnt = if force { 0 } else { tcb.suscnt - 1 };
+            if tcb.suscnt == 0 {
+                match tcb.state {
+                    TaskState::Suspend => {
+                        tcb.state = TaskState::Ready;
+                        let pri = tcb.cur_pri;
+                        st.scheduler.enqueue(tid, pri, false);
                     }
-                    Ok(())
+                    TaskState::WaitSuspend => tcb.state = TaskState::Wait,
+                    _ => unreachable!("state checked above"),
                 }
             }
-        };
-        self.service_exit();
-        r
+            Ok(())
+        })
+    }
+}
+
+impl RefTsk {
+    /// The snapshot of `tcb` (`tk_ref_tsk`, `td_ref_tsk`).
+    pub(crate) fn of(tcb: &Tcb) -> Self {
+        RefTsk {
+            name: tcb.name.clone(),
+            state: tcb.state,
+            base_pri: tcb.base_pri,
+            cur_pri: tcb.cur_pri,
+            wupcnt: tcb.wupcnt,
+            suscnt: tcb.suscnt,
+            wait: tcb.wait,
+            activations: tcb.activations,
+        }
     }
 }
 
@@ -519,18 +451,7 @@ impl Shared {
             if pri < 1 || pri > st.cfg.max_priority {
                 return Err(ErCode::Par);
             }
-            let idx = st
-                .tasks
-                .iter()
-                .position(|t| t.is_none())
-                .unwrap_or_else(|| {
-                    st.tasks.push(None);
-                    st.tasks.len() - 1
-                });
-            let tid = TaskId(idx as u32 + 1);
-            st.observe(crate::obs::ObsEvent::TaskCreate { tid, pri });
-            st.tasks[idx] = Some(Tcb {
-                id: tid,
+            let tid = TaskId(st.tasks.insert(Tcb {
                 name: name.to_string(),
                 ini_pri: pri,
                 base_pri: pri,
@@ -546,7 +467,8 @@ impl Shared {
                 stacd: 0,
                 preempted: false,
                 activations: 0,
-            });
+            }));
+            st.observe(crate::obs::ObsEvent::TaskCreate { tid, pri });
             tid
         };
         self.register_thread(ThreadRef::Task(tid), name, TThreadKind::Task);
@@ -562,10 +484,8 @@ impl Shared {
         now: sysc::SimTime,
     ) -> KResult<()> {
         let mut st = self.st.borrow_mut();
-        match st.tcb(tid) {
-            Err(e) => return Err(e),
-            Ok(tcb) if tcb.state != TaskState::Dormant => return Err(ErCode::Obj),
-            Ok(_) => {}
+        if st.tcb(tid)?.state != TaskState::Dormant {
+            return Err(ErCode::Obj);
         }
         let tcb = st.tcb_mut(tid).expect("checked above");
         tcb.stacd = stacd;
@@ -605,13 +525,11 @@ impl Shared {
         self.park_until_granted(proc, who);
         let (body, stacd) = {
             let mut st = self.st.borrow_mut();
-            let now = proc.now();
             let rec = st.thread_mut(who);
             rec.stats.sigma.fire(TThreadEvent::Es);
             rec.marking = ExecContext::TaskBody;
             rec.prev_marking = ExecContext::TaskBody;
             let tcb = st.tcb(tid).expect("started task exists");
-            let _ = now;
             (Rc::clone(&tcb.body), tcb.stacd)
         };
         {
@@ -666,7 +584,7 @@ impl Shared {
             Shared::trace_point(&mut st, now, who, TraceKind::Exit);
             if delete {
                 st.observe(crate::obs::ObsEvent::TaskDelete { tid });
-                st.tasks[tid.0 as usize - 1] = None;
+                st.tasks.remove(tid.0).expect("exiting task exists");
                 st.threads.remove_task(tid);
             }
             let next_resume = if frozen_ev.is_none() {
@@ -700,10 +618,8 @@ impl Shared {
         let who = ThreadRef::Task(tid);
         let (proc, int_kick) = {
             let mut st = self.st.borrow_mut();
-            match st.tcb(tid) {
-                Err(e) => return Err(e),
-                Ok(tcb) if tcb.state == TaskState::Dormant => return Err(ErCode::Obj),
-                Ok(_) => {}
+            if st.tcb(tid)?.state == TaskState::Dormant {
+                return Err(ErCode::Obj);
             }
             // Stimulus first: the mutex ownership-transfer and
             // queue-re-serve wakeups below are its consequences.

@@ -23,8 +23,6 @@ pub struct Cyc {
     pub(crate) name: String,
     /// Period in ticks.
     pub(crate) cyctim_ticks: u64,
-    /// Initial phase in ticks.
-    pub(crate) cycphs_ticks: u64,
     pub(crate) active: bool,
     /// Bumped on start/stop; stale timer entries are ignored.
     pub(crate) gen: u64,
@@ -91,26 +89,22 @@ impl<'a> Sys<'a> {
     /// `tk_set_tim` — sets the system time (milliseconds since an
     /// arbitrary epoch).
     pub fn tk_set_tim(&mut self, ms: u64) -> KResult<()> {
-        self.service_cost(ServiceClass::Time, "tk_set_tim");
-        self.shared.st.borrow_mut().systim_ms = ms;
-        self.service_exit();
-        Ok(())
+        self.service(ServiceClass::Time, "tk_set_tim", |sys| {
+            sys.shared.st.borrow_mut().systim_ms = ms;
+            Ok(())
+        })
     }
 
     /// `tk_get_tim` — reads the system time in milliseconds.
     pub fn tk_get_tim(&mut self) -> KResult<u64> {
-        self.service_cost(ServiceClass::Time, "tk_get_tim");
-        let v = self.shared.st.borrow_mut().systim_ms;
-        self.service_exit();
-        Ok(v)
+        self.service(ServiceClass::Time, "tk_get_tim", |sys| {
+            Ok(sys.shared.st.borrow().systim_ms)
+        })
     }
 
     /// `tk_get_otm` — operating time since boot.
     pub fn tk_get_otm(&mut self) -> KResult<SimTime> {
-        self.service_cost(ServiceClass::Time, "tk_get_otm");
-        let v = self.now();
-        self.service_exit();
-        Ok(v)
+        self.service(ServiceClass::Time, "tk_get_otm", |sys| Ok(sys.now()))
     }
 
     /// `tk_cre_cyc` — creates a cyclic handler with period `cyctim` and
@@ -130,114 +124,82 @@ impl<'a> Sys<'a> {
     where
         F: FnMut(&mut Sys<'_>) + 'static,
     {
-        self.service_cost(ServiceClass::Time, "tk_cre_cyc");
-        let r = {
-            let mut st = self.shared.st.borrow_mut();
+        self.service(ServiceClass::Time, "tk_cre_cyc", |sys| {
             if cyctim.is_zero() {
-                Err(ErCode::Par)
-            } else {
+                return Err(ErCode::Par);
+            }
+            let id = {
+                let mut st = sys.shared.st.borrow_mut();
                 let tick = st.cfg.tick;
                 let to_ticks = |d: SimTime| d.as_ps().div_ceil(tick.as_ps());
-                let cyc = Cyc {
+                let period_ticks = to_ticks(cyctim).max(1);
+                let phase_ticks = to_ticks(cycphs);
+                let id = CycId(st.cycs.insert(Cyc {
                     name: name.to_string(),
-                    cyctim_ticks: to_ticks(cyctim).max(1),
-                    cycphs_ticks: to_ticks(cycphs),
+                    cyctim_ticks: period_ticks,
                     active: auto_start,
                     gen: 0,
                     count: 0,
                     body: Rc::new(RefCell::new(Box::new(body) as Box<HandlerBody>)),
+                }));
+                let first = if phase_ticks > 0 {
+                    phase_ticks
+                } else {
+                    period_ticks
                 };
-                let period_ticks = cyc.cyctim_ticks;
-                let raw = super::table_insert(&mut st.cycs, cyc);
-                let id = CycId(raw);
-                let mut first_tick = None;
-                if auto_start {
-                    let c = super::table_get(&st.cycs, raw).expect("just inserted");
-                    let first = if c.cycphs_ticks > 0 {
-                        c.cycphs_ticks
-                    } else {
-                        c.cyctim_ticks
-                    };
-                    let gen = c.gen;
-                    let at = st.ticks + first;
-                    first_tick = Some(at);
-                    st.push_timer(at, TimerAction::CyclicFire { id, gen });
+                let first_tick = auto_start.then_some(st.ticks + first);
+                if let Some(at) = first_tick {
+                    st.push_timer(at, TimerAction::CyclicFire { id, gen: 0 });
                 }
                 st.observe(crate::obs::ObsEvent::CycCreate {
                     id,
                     period_ticks,
                     first_tick,
                 });
-                drop(st);
-                self.shared.register_thread(
-                    ThreadRef::Cyclic(id),
-                    name,
-                    TThreadKind::CyclicHandler,
-                );
-                self.shared.spawn_handler_thread(ThreadRef::Cyclic(id));
-                Ok(id)
-            }
-        };
-        self.service_exit();
-        r
+                id
+            };
+            let who = ThreadRef::Cyclic(id);
+            sys.shared
+                .register_thread(who, name, TThreadKind::CyclicHandler);
+            sys.shared.spawn_handler_thread(who);
+            Ok(id)
+        })
     }
 
     /// `tk_sta_cyc` — (re)starts a cyclic handler; the next activation
     /// is one period from now.
     pub fn tk_sta_cyc(&mut self, id: CycId) -> KResult<()> {
-        self.service_cost(ServiceClass::Time, "tk_sta_cyc");
-        let r = {
-            let mut st = self.shared.st.borrow_mut();
+        self.service(ServiceClass::Time, "tk_sta_cyc", |sys| {
+            let mut st = sys.shared.st.borrow_mut();
             let ticks = st.ticks;
-            match super::table_get_mut(&mut st.cycs, id.0) {
-                Err(e) => Err(e),
-                Ok(c) => {
-                    c.active = true;
-                    c.gen += 1;
-                    let gen = c.gen;
-                    let at = ticks + c.cyctim_ticks;
-                    st.push_timer(at, TimerAction::CyclicFire { id, gen });
-                    st.observe(crate::obs::ObsEvent::CycStart { id, at_tick: at });
-                    Ok(())
-                }
-            }
-        };
-        self.service_exit();
-        r
+            let c = st.cycs.get_mut(id.0)?;
+            c.active = true;
+            c.gen += 1;
+            let gen = c.gen;
+            let at = ticks + c.cyctim_ticks;
+            st.push_timer(at, TimerAction::CyclicFire { id, gen });
+            st.observe(crate::obs::ObsEvent::CycStart { id, at_tick: at });
+            Ok(())
+        })
     }
 
     /// `tk_stp_cyc` — stops a cyclic handler.
     pub fn tk_stp_cyc(&mut self, id: CycId) -> KResult<()> {
-        self.service_cost(ServiceClass::Time, "tk_stp_cyc");
-        let r = {
-            let mut st = self.shared.st.borrow_mut();
-            let r = super::table_get_mut(&mut st.cycs, id.0).map(|c| {
-                c.active = false;
-                c.gen += 1;
-            });
-            if r.is_ok() {
-                st.observe(crate::obs::ObsEvent::CycStop { id });
-            }
-            r
-        };
-        self.service_exit();
-        r
+        self.service(ServiceClass::Time, "tk_stp_cyc", |sys| {
+            let mut st = sys.shared.st.borrow_mut();
+            let c = st.cycs.get_mut(id.0)?;
+            c.active = false;
+            c.gen += 1;
+            st.observe(crate::obs::ObsEvent::CycStop { id });
+            Ok(())
+        })
     }
 
     /// `tk_ref_cyc` — reference cyclic-handler state.
     pub fn tk_ref_cyc(&mut self, id: CycId) -> KResult<RefCyc> {
-        self.service_cost(ServiceClass::Time, "tk_ref_cyc");
-        let r = {
-            let st = self.shared.st.borrow();
-            super::table_get(&st.cycs, id.0).map(|c| RefCyc {
-                name: c.name.clone(),
-                active: c.active,
-                period_ticks: c.cyctim_ticks,
-                count: c.count,
-            })
-        };
-        self.service_exit();
-        r
+        self.service(ServiceClass::Time, "tk_ref_cyc", |sys| {
+            sys.shared.st.borrow().cycs.get(id.0).map(RefCyc::of)
+        })
     }
 
     /// `tk_cre_alm` — creates an (unarmed) alarm handler.
@@ -245,84 +207,80 @@ impl<'a> Sys<'a> {
     where
         F: FnMut(&mut Sys<'_>) + 'static,
     {
-        self.service_cost(ServiceClass::Time, "tk_cre_alm");
-        let r = {
-            let mut st = self.shared.st.borrow_mut();
-            let alm = Alm {
+        self.service(ServiceClass::Time, "tk_cre_alm", |sys| {
+            let id = AlmId(sys.shared.st.borrow_mut().alms.insert(Alm {
                 name: name.to_string(),
                 active: false,
                 gen: 0,
                 count: 0,
                 body: Rc::new(RefCell::new(Box::new(body) as Box<HandlerBody>)),
-            };
-            let raw = super::table_insert(&mut st.alms, alm);
-            drop(st);
-            let id = AlmId(raw);
-            self.shared
-                .register_thread(ThreadRef::Alarm(id), name, TThreadKind::AlarmHandler);
-            self.shared.spawn_handler_thread(ThreadRef::Alarm(id));
+            }));
+            let who = ThreadRef::Alarm(id);
+            sys.shared
+                .register_thread(who, name, TThreadKind::AlarmHandler);
+            sys.shared.spawn_handler_thread(who);
             Ok(id)
-        };
-        self.service_exit();
-        r
+        })
     }
 
     /// `tk_sta_alm` — arms the alarm to fire `almtim` from now.
     pub fn tk_sta_alm(&mut self, id: AlmId, almtim: SimTime) -> KResult<()> {
-        self.service_cost(ServiceClass::Time, "tk_sta_alm");
-        let r = {
-            let mut st = self.shared.st.borrow_mut();
+        self.service(ServiceClass::Time, "tk_sta_alm", |sys| {
+            let mut st = sys.shared.st.borrow_mut();
             let deadline = st.deadline_ticks(almtim);
-            match super::table_get_mut(&mut st.alms, id.0) {
-                Err(e) => Err(e),
-                Ok(a) => {
-                    a.active = true;
-                    a.gen += 1;
-                    let gen = a.gen;
-                    st.push_timer(deadline, TimerAction::AlarmFire { id, gen });
-                    st.observe(crate::obs::ObsEvent::AlmArm {
-                        id,
-                        at_tick: deadline,
-                    });
-                    Ok(())
-                }
-            }
-        };
-        self.service_exit();
-        r
+            let a = st.alms.get_mut(id.0)?;
+            a.active = true;
+            a.gen += 1;
+            let gen = a.gen;
+            st.push_timer(deadline, TimerAction::AlarmFire { id, gen });
+            st.observe(crate::obs::ObsEvent::AlmArm {
+                id,
+                at_tick: deadline,
+            });
+            Ok(())
+        })
     }
 
     /// `tk_stp_alm` — disarms the alarm.
     pub fn tk_stp_alm(&mut self, id: AlmId) -> KResult<()> {
-        self.service_cost(ServiceClass::Time, "tk_stp_alm");
-        let r = {
-            let mut st = self.shared.st.borrow_mut();
-            let r = super::table_get_mut(&mut st.alms, id.0).map(|a| {
-                a.active = false;
-                a.gen += 1;
-            });
-            if r.is_ok() {
-                st.observe(crate::obs::ObsEvent::AlmStop { id });
-            }
-            r
-        };
-        self.service_exit();
-        r
+        self.service(ServiceClass::Time, "tk_stp_alm", |sys| {
+            let mut st = sys.shared.st.borrow_mut();
+            let a = st.alms.get_mut(id.0)?;
+            a.active = false;
+            a.gen += 1;
+            st.observe(crate::obs::ObsEvent::AlmStop { id });
+            Ok(())
+        })
     }
 
     /// `tk_ref_alm` — reference alarm-handler state.
     pub fn tk_ref_alm(&mut self, id: AlmId) -> KResult<RefAlm> {
-        self.service_cost(ServiceClass::Time, "tk_ref_alm");
-        let r = {
-            let st = self.shared.st.borrow();
-            super::table_get(&st.alms, id.0).map(|a| RefAlm {
-                name: a.name.clone(),
-                active: a.active,
-                count: a.count,
-            })
-        };
-        self.service_exit();
-        r
+        self.service(ServiceClass::Time, "tk_ref_alm", |sys| {
+            sys.shared.st.borrow().alms.get(id.0).map(RefAlm::of)
+        })
+    }
+}
+
+impl RefCyc {
+    /// The snapshot of `c` (`tk_ref_cyc`, `td_ref_cyc`).
+    pub(crate) fn of(c: &Cyc) -> Self {
+        RefCyc {
+            name: c.name.clone(),
+            active: c.active,
+            period_ticks: c.cyctim_ticks,
+            count: c.count,
+        }
+    }
+}
+
+impl RefAlm {
+    /// The snapshot of `a` (`tk_ref_alm`, `td_ref_alm`).
+    pub(crate) fn of(a: &Alm) -> Self {
+        RefAlm {
+            name: a.name.clone(),
+            active: a.active,
+            count: a.count,
+        }
     }
 }
 
@@ -355,14 +313,8 @@ impl Shared {
         let (entry_cost, exit_cost, body, done_ev, is_isr) = {
             let st = self.st.borrow();
             let body = match who {
-                ThreadRef::Cyclic(id) => Rc::clone(
-                    &super::table_get(&st.cycs, id.0)
-                        .expect("cyclic exists")
-                        .body,
-                ),
-                ThreadRef::Alarm(id) => {
-                    Rc::clone(&super::table_get(&st.alms, id.0).expect("alarm exists").body)
-                }
+                ThreadRef::Cyclic(id) => Rc::clone(&st.cycs.get(id.0).expect("cyclic exists").body),
+                ThreadRef::Alarm(id) => Rc::clone(&st.alms.get(id.0).expect("alarm exists").body),
                 ThreadRef::Isr(no) => Rc::clone(&st.isrs.get(&no).expect("isr defined").body),
                 _ => unreachable!("only handlers run here"),
             };
@@ -448,84 +400,71 @@ impl Shared {
 /// Timer-handler side of a cyclic activation (runs on the Thread
 /// Dispatch thread inside the tick sequence).
 pub(crate) fn fire_cyclic(shared: &Rc<Shared>, proc: &mut ProcCtx, id: CycId, gen: u64) {
-    let who = ThreadRef::Cyclic(id);
-    let evs = {
+    let valid = {
         let mut st = shared.st.borrow_mut();
         let ticks = st.ticks;
-        let valid = match super::table_get_mut(&mut st.cycs, id.0) {
+        match st.cycs.get_mut(id.0) {
             Ok(c) if c.active && c.gen == gen => {
                 c.count += 1;
                 // Schedule the next period before running the body so a
                 // long handler does not drift the schedule.
                 let at = ticks + c.cyctim_ticks;
-                let gen = c.gen;
                 st.push_timer(at, TimerAction::CyclicFire { id, gen });
                 st.observe(crate::obs::ObsEvent::CycFire { id, tick: ticks });
                 true
             }
             _ => false,
-        };
-        if valid && st.threads.contains(who) {
-            let lvl = *st.int_levels.last().expect("inside the timer frame");
-            st.int_stack.push(who);
-            st.int_levels.push(lvl);
-            let rec = st.thread_mut(who);
-            rec.parked = false;
-            rec.marking = ExecContext::Handler;
-            rec.stats.sigma.fire(crate::tthread::TThreadEvent::Es);
-            Some((rec.activate_ev, rec.done_ev))
-        } else {
-            None
         }
     };
-    if let Some((activate, done)) = evs {
-        shared.h.notify(activate);
-        proc.wait_event(done);
-        let mut st = shared.st.borrow_mut();
-        let top = st.int_stack.pop();
-        st.int_levels.pop();
-        debug_assert_eq!(top, Some(who));
-        st.thread_mut(who).parked = true;
+    if valid {
+        run_timer_handler(shared, proc, ThreadRef::Cyclic(id));
     }
 }
 
 /// Timer-handler side of an alarm activation.
 pub(crate) fn fire_alarm(shared: &Rc<Shared>, proc: &mut ProcCtx, id: AlmId, gen: u64) {
-    let who = ThreadRef::Alarm(id);
-    let evs = {
+    let valid = {
         let mut st = shared.st.borrow_mut();
         let ticks = st.ticks;
-        let valid = match super::table_get_mut(&mut st.alms, id.0) {
+        match st.alms.get_mut(id.0) {
             Ok(a) if a.active && a.gen == gen => {
                 a.active = false; // one-shot
                 a.count += 1;
+                st.observe(crate::obs::ObsEvent::AlmFire { id, tick: ticks });
                 true
             }
             _ => false,
-        };
-        if valid {
-            st.observe(crate::obs::ObsEvent::AlmFire { id, tick: ticks });
-        }
-        if valid && st.threads.contains(who) {
-            let lvl = *st.int_levels.last().expect("inside the timer frame");
-            st.int_stack.push(who);
-            st.int_levels.push(lvl);
-            let rec = st.thread_mut(who);
-            rec.parked = false;
-            rec.marking = ExecContext::Handler;
-            rec.stats.sigma.fire(crate::tthread::TThreadEvent::Es);
-            Some((rec.activate_ev, rec.done_ev))
-        } else {
-            None
         }
     };
-    if let Some((activate, done)) = evs {
-        shared.h.notify(activate);
-        proc.wait_event(done);
-        let mut st = shared.st.borrow_mut();
-        let top = st.int_stack.pop();
-        st.int_levels.pop();
-        debug_assert_eq!(top, Some(who));
-        st.thread_mut(who).parked = true;
+    if valid {
+        run_timer_handler(shared, proc, ThreadRef::Alarm(id));
     }
+}
+
+/// Runs one cyclic or alarm activation from inside the timer frame:
+/// mounts the handler at the timer frame's level (running, `Es` fired),
+/// hands it the activation and waits until it is done, then pops its
+/// frame.
+fn run_timer_handler(shared: &Rc<Shared>, proc: &mut ProcCtx, who: ThreadRef) {
+    let (activate, done) = {
+        let mut st = shared.st.borrow_mut();
+        if !st.threads.contains(who) {
+            return;
+        }
+        let lvl = *st.int_levels.last().expect("inside the timer frame");
+        st.int_stack.push(who);
+        st.int_levels.push(lvl);
+        let rec = st.thread_mut(who);
+        rec.parked = false;
+        rec.marking = ExecContext::Handler;
+        rec.stats.sigma.fire(crate::tthread::TThreadEvent::Es);
+        (rec.activate_ev, rec.done_ev)
+    };
+    shared.h.notify(activate);
+    proc.wait_event(done);
+    let mut st = shared.st.borrow_mut();
+    let top = st.int_stack.pop();
+    st.int_levels.pop();
+    debug_assert_eq!(top, Some(who));
+    st.thread_mut(who).parked = true;
 }

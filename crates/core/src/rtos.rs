@@ -353,6 +353,25 @@ impl<'a> Sys<'a> {
         }
     }
 
+    /// The service-call bracket (SIM_API, paper §4): charges the
+    /// atomic cost of `class`, runs `body`, and ends at the preemption
+    /// point where a dispatch request raised during the call takes
+    /// effect. Every return passes the preemption point, errors
+    /// included.
+    pub(crate) fn service<T>(
+        &mut self,
+        class: ServiceClass,
+        name: &'static str,
+        body: impl FnOnce(&mut Self) -> KResult<T>,
+    ) -> KResult<T> {
+        self.service_cost(class, name);
+        let r = body(self);
+        if let ThreadRef::Task(tid) = self.who {
+            self.shared.preemption_point(self.proc, tid);
+        }
+        r
+    }
+
     /// Consumes the configured cost of a service call (service-call
     /// atomicity: the cost is uninterruptible).
     pub(crate) fn service_cost(&mut self, class: ServiceClass, name: &'static str) {
@@ -363,14 +382,6 @@ impl<'a> Sys<'a> {
         if !cost.is_zero() {
             let shared = &self.shared;
             shared.sim_wait_atomic(self.proc, self.who, ExecContext::ServiceCall, name, cost);
-        }
-    }
-
-    /// Service-call epilogue: the preemption point at which a dispatch
-    /// request raised during the (atomic) service takes effect.
-    pub(crate) fn service_exit(&mut self) {
-        if let ThreadRef::Task(tid) = self.who {
-            self.shared.preemption_point(self.proc, tid);
         }
     }
 

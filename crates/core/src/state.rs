@@ -2,10 +2,10 @@
 //! tables, the ready queue, the interrupt stack and the timer queue.
 //!
 //! The tables every kernel decision touches are dense: the task and
-//! object tables and the SIM_HashTB ([`ThreadTable`]) are slot vectors
-//! indexed by the 1-based raw ID, so a lookup is an index, not a
-//! search. Only interrupt handlers, whose numbers the caller chooses,
-//! are kept in ordered maps.
+//! object tables and the SIM_HashTB ([`ThreadTable`]) are `ObjTable`s,
+//! slot vectors indexed by the 1-based raw ID, so a lookup is an index,
+//! not a search. Only interrupt handlers, whose numbers the caller
+//! chooses, are kept in ordered maps.
 //!
 //! Everything lives in one `RefCell` inside [`Shared`]. The sysc engine
 //! runs one process at a time on one host thread, so the state needs no
@@ -24,7 +24,7 @@ use crate::config::{KernelConfig, Priority};
 use crate::cost::Energy;
 use crate::error::ErCode;
 use crate::ids::*;
-use crate::kernel::{table_get, table_get_mut};
+use crate::kernel::ObjTable;
 use crate::obs::ObsStream;
 use crate::sim_api::scheduler::Scheduler;
 use crate::trace::TraceRecord;
@@ -189,6 +189,14 @@ pub enum Delivered {
     MplBlock(usize),
 }
 
+impl Delivered {
+    /// `Some(())` for a delivery without payload: the unpack of the
+    /// waits that deliver nothing.
+    pub(crate) fn nothing(self) -> Option<()> {
+        matches!(self, Delivered::None).then_some(())
+    }
+}
+
 /// Why a parked T-THREAD is being resumed (what transition to record).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ResumeKind {
@@ -243,17 +251,16 @@ pub(crate) struct TThreadRec {
 /// SIM_HashTB: the control record of every registered T-THREAD, found
 /// in constant time.
 ///
-/// Tasks, cyclics and alarms each have a slot vector indexed by the
-/// 1-based raw ID, like the object tables (the kernel hands those IDs
-/// out densely). ISRs are keyed by their `IntNo`, which the caller
-/// chooses and which therefore never sizes a vector; the timer has one
-/// slot. Iteration follows `ThreadRef` order: tasks, cyclics, alarms,
+/// Tasks, cyclics and alarms each have an [`ObjTable`] indexed by the
+/// IDs their object tables issued. ISRs are keyed by their `IntNo`,
+/// which the caller chooses and which therefore never sizes a vector;
+/// the timer has one slot. Iteration follows `ThreadRef` order: tasks, cyclics, alarms,
 /// ISRs, timer.
 #[derive(Default)]
 pub(crate) struct ThreadTable {
-    tasks: Vec<Option<TThreadRec>>,
-    cycs: Vec<Option<TThreadRec>>,
-    alms: Vec<Option<TThreadRec>>,
+    tasks: ObjTable<TThreadRec>,
+    cycs: ObjTable<TThreadRec>,
+    alms: ObjTable<TThreadRec>,
     isrs: BTreeMap<IntNo, TThreadRec>,
     timer: Option<TThreadRec>,
     /// Number of registered records.
@@ -263,9 +270,9 @@ pub(crate) struct ThreadTable {
 impl ThreadTable {
     pub(crate) fn get(&self, who: ThreadRef) -> Option<&TThreadRec> {
         match who {
-            ThreadRef::Task(id) => table_get(&self.tasks, id.raw()).ok(),
-            ThreadRef::Cyclic(id) => table_get(&self.cycs, id.raw()).ok(),
-            ThreadRef::Alarm(id) => table_get(&self.alms, id.raw()).ok(),
+            ThreadRef::Task(id) => self.tasks.get(id.raw()).ok(),
+            ThreadRef::Cyclic(id) => self.cycs.get(id.raw()).ok(),
+            ThreadRef::Alarm(id) => self.alms.get(id.raw()).ok(),
             ThreadRef::Isr(no) => self.isrs.get(&no),
             ThreadRef::Timer => self.timer.as_ref(),
         }
@@ -273,9 +280,9 @@ impl ThreadTable {
 
     pub(crate) fn get_mut(&mut self, who: ThreadRef) -> Option<&mut TThreadRec> {
         match who {
-            ThreadRef::Task(id) => table_get_mut(&mut self.tasks, id.raw()).ok(),
-            ThreadRef::Cyclic(id) => table_get_mut(&mut self.cycs, id.raw()).ok(),
-            ThreadRef::Alarm(id) => table_get_mut(&mut self.alms, id.raw()).ok(),
+            ThreadRef::Task(id) => self.tasks.get_mut(id.raw()).ok(),
+            ThreadRef::Cyclic(id) => self.cycs.get_mut(id.raw()).ok(),
+            ThreadRef::Alarm(id) => self.alms.get_mut(id.raw()).ok(),
             ThreadRef::Isr(no) => self.isrs.get_mut(&no),
             ThreadRef::Timer => self.timer.as_mut(),
         }
@@ -283,18 +290,10 @@ impl ThreadTable {
 
     /// Registers `rec` under `rec.who`, which must be vacant.
     pub(crate) fn insert(&mut self, rec: TThreadRec) {
-        /// The slot of 1-based `raw`, growing the table to reach it.
-        fn slot(table: &mut Vec<Option<TThreadRec>>, raw: u32) -> &mut Option<TThreadRec> {
-            let idx = raw as usize - 1;
-            if table.len() <= idx {
-                table.resize_with(idx + 1, || None);
-            }
-            &mut table[idx]
-        }
         let old = match rec.who {
-            ThreadRef::Task(id) => slot(&mut self.tasks, id.raw()).replace(rec),
-            ThreadRef::Cyclic(id) => slot(&mut self.cycs, id.raw()).replace(rec),
-            ThreadRef::Alarm(id) => slot(&mut self.alms, id.raw()).replace(rec),
+            ThreadRef::Task(id) => self.tasks.insert_at(id.raw(), rec),
+            ThreadRef::Cyclic(id) => self.cycs.insert_at(id.raw(), rec),
+            ThreadRef::Alarm(id) => self.alms.insert_at(id.raw(), rec),
             ThreadRef::Isr(no) => self.isrs.insert(no, rec),
             ThreadRef::Timer => self.timer.replace(rec),
         };
@@ -305,9 +304,7 @@ impl ThreadTable {
     /// Drops a deleted task's record; a task created on the freed ID
     /// registers afresh.
     pub(crate) fn remove_task(&mut self, tid: TaskId) {
-        if let Some(slot) = self.tasks.get_mut(tid.raw() as usize - 1) {
-            self.len -= usize::from(slot.take().is_some());
-        }
+        self.len -= usize::from(self.tasks.remove(tid.raw()).is_ok());
     }
 
     pub(crate) fn contains(&self, who: ThreadRef) -> bool {
@@ -321,10 +318,9 @@ impl ThreadTable {
     /// Every record, in `ThreadRef` order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = &TThreadRec> {
         self.tasks
-            .iter()
-            .flatten()
-            .chain(self.cycs.iter().flatten())
-            .chain(self.alms.iter().flatten())
+            .values()
+            .chain(self.cycs.values())
+            .chain(self.alms.values())
             .chain(self.isrs.values())
             .chain(&self.timer)
     }
@@ -362,7 +358,6 @@ pub type HandlerBody = dyn FnMut(&mut crate::rtos::Sys<'_>);
 
 /// Task control block.
 pub(crate) struct Tcb {
-    pub id: TaskId,
     pub name: String,
     /// Creation priority (`TPRI_INI`): the reset target of
     /// `tk_chg_pri(tid, 0)`.
@@ -420,7 +415,7 @@ pub(crate) struct KernelState {
     pub ticks: u64,
     /// SIM_HashTB: every registered T-THREAD.
     pub threads: ThreadTable,
-    pub tasks: Vec<Option<Tcb>>,
+    pub tasks: ObjTable<Tcb>,
     pub scheduler: Box<dyn Scheduler>,
     pub running: Option<TaskId>,
     /// SIM_Stack: nested handler contexts; the top (last) entry owns the
@@ -444,15 +439,15 @@ pub(crate) struct KernelState {
     pub cpu_transfer: bool,
     /// Interrupt level of the system tick (8051 default: low level 0).
     pub tick_int_level: u8,
-    pub sems: Vec<Option<crate::kernel::sem::Sem>>,
-    pub flags: Vec<Option<crate::kernel::flag::Flag>>,
-    pub mbxs: Vec<Option<crate::kernel::mbx::Mbx>>,
-    pub mbfs: Vec<Option<crate::kernel::mbf::Mbf>>,
-    pub mtxs: Vec<Option<crate::kernel::mtx::Mtx>>,
-    pub mpfs: Vec<Option<crate::kernel::mpf::Mpf>>,
-    pub mpls: Vec<Option<crate::kernel::mpl::Mpl>>,
-    pub cycs: Vec<Option<crate::kernel::time::Cyc>>,
-    pub alms: Vec<Option<crate::kernel::time::Alm>>,
+    pub sems: ObjTable<crate::kernel::sem::Sem>,
+    pub flags: ObjTable<crate::kernel::flag::Flag>,
+    pub mbxs: ObjTable<crate::kernel::mbx::Mbx>,
+    pub mbfs: ObjTable<crate::kernel::mbf::Mbf>,
+    pub mtxs: ObjTable<crate::kernel::mtx::Mtx>,
+    pub mpfs: ObjTable<crate::kernel::mpf::Mpf>,
+    pub mpls: ObjTable<crate::kernel::mpl::Mpl>,
+    pub cycs: ObjTable<crate::kernel::time::Cyc>,
+    pub alms: ObjTable<crate::kernel::time::Alm>,
     pub isrs: BTreeMap<IntNo, crate::kernel::int::IsrRec>,
     /// Tick-granular timer queue, on the same `(at, seq)`-ordered
     /// [`TimedQueue`] the sysc event core uses (deadline unit: ticks
@@ -488,7 +483,7 @@ impl KernelState {
             systim_ms: 0,
             ticks: 0,
             threads: ThreadTable::default(),
-            tasks: Vec::new(),
+            tasks: ObjTable::default(),
             scheduler,
             running: None,
             int_stack: Vec::new(),
@@ -501,15 +496,15 @@ impl KernelState {
             tick_pending: false,
             cpu_transfer: false,
             tick_int_level: 0,
-            sems: Vec::new(),
-            flags: Vec::new(),
-            mbxs: Vec::new(),
-            mbfs: Vec::new(),
-            mtxs: Vec::new(),
-            mpfs: Vec::new(),
-            mpls: Vec::new(),
-            cycs: Vec::new(),
-            alms: Vec::new(),
+            sems: ObjTable::default(),
+            flags: ObjTable::default(),
+            mbxs: ObjTable::default(),
+            mbfs: ObjTable::default(),
+            mtxs: ObjTable::default(),
+            mpfs: ObjTable::default(),
+            mpls: ObjTable::default(),
+            cycs: ObjTable::default(),
+            alms: ObjTable::default(),
             isrs: BTreeMap::new(),
             timeq: TimedQueue::new(),
             due_timers: VecDeque::new(),
@@ -547,17 +542,11 @@ impl KernelState {
     }
 
     pub(crate) fn tcb(&self, tid: TaskId) -> Result<&Tcb, ErCode> {
-        self.tasks
-            .get(tid.0 as usize - 1)
-            .and_then(|t| t.as_ref())
-            .ok_or(ErCode::NoExs)
+        self.tasks.get(tid.0)
     }
 
     pub(crate) fn tcb_mut(&mut self, tid: TaskId) -> Result<&mut Tcb, ErCode> {
-        self.tasks
-            .get_mut(tid.0 as usize - 1)
-            .and_then(|t| t.as_mut())
-            .ok_or(ErCode::NoExs)
+        self.tasks.get_mut(tid.0)
     }
 
     pub(crate) fn thread(&self, who: ThreadRef) -> &TThreadRec {

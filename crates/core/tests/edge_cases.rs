@@ -2,12 +2,15 @@
 //! wake races, queue-order attributes under contention, calibration,
 //! and restart cycles.
 
+use std::cell::Cell;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use rtk_core::{
-    calibrate, AlmId, CycId, ErCode, ExecContext, IntNo, KernelConfig, MtxPolicy, QueueOrder,
-    ReferenceProfile, Rtos, ServiceClass, TaskId, TaskState, ThreadRef, Timeout,
+    calibrate, AlmId, Cost, CostModel, CycId, ErCode, ExecContext, FlgId, IntNo, KResult,
+    KernelConfig, MbfId, MbxId, MpfId, MplId, MsgPacket, MtxId, MtxPolicy, QueueOrder,
+    ReferenceProfile, Rtos, SemId, ServiceClass, Sys, TaskId, TaskState, ThreadRef, Timeout,
 };
 use sysc::SimTime;
 
@@ -395,4 +398,113 @@ fn deleted_tasks_leave_the_thread_table_and_reused_ids_start_fresh() {
     assert_eq!(fresh.stats.sigma.total(), 0);
     assert_eq!(fresh.stats.total_cet(), SimTime::ZERO);
     assert_eq!(fresh.stats.iter().count(), 0);
+}
+
+/// ID 0 is never issued. Every service that looks an object up answers
+/// it with `E_NOEXS`, as `from_raw` promises, in every build profile;
+/// the error return pays its class's atomic cost once, like any other.
+#[test]
+fn id_zero_is_noexs_in_every_object_class() {
+    type Call = fn(&mut Sys<'_>) -> KResult<()>;
+    let calls: [(&str, ServiceClass, Call); 10] = [
+        ("tk_sig_sem", ServiceClass::Semaphore, |s| {
+            s.tk_sig_sem(SemId::from_raw(0), 1)
+        }),
+        ("tk_set_flg", ServiceClass::EventFlag, |s| {
+            s.tk_set_flg(FlgId::from_raw(0), 1)
+        }),
+        ("tk_snd_mbx", ServiceClass::Mailbox, |s| {
+            s.tk_snd_mbx(MbxId::from_raw(0), MsgPacket::new([1]))
+        }),
+        ("tk_snd_mbf", ServiceClass::MessageBuffer, |s| {
+            s.tk_snd_mbf(MbfId::from_raw(0), &[1], Timeout::Forever)
+        }),
+        ("tk_loc_mtx", ServiceClass::Mutex, |s| {
+            s.tk_loc_mtx(MtxId::from_raw(0), Timeout::Forever)
+        }),
+        ("tk_get_mpf", ServiceClass::MemoryPool, |s| {
+            s.tk_get_mpf(MpfId::from_raw(0), Timeout::Forever).map(drop)
+        }),
+        ("tk_get_mpl", ServiceClass::MemoryPool, |s| {
+            s.tk_get_mpl(MplId::from_raw(0), 4, Timeout::Forever)
+                .map(drop)
+        }),
+        ("tk_sta_cyc", ServiceClass::Time, |s| {
+            s.tk_sta_cyc(CycId::from_raw(0))
+        }),
+        ("tk_sta_alm", ServiceClass::Time, |s| {
+            s.tk_sta_alm(AlmId::from_raw(0), ms(1))
+        }),
+        ("tk_sta_tsk", ServiceClass::Task, |s| {
+            s.tk_sta_tsk(TaskId::from_raw(0), 0)
+        }),
+    ];
+    // Only service calls cost anything, and each class costs a
+    // different amount.
+    let cost = calls
+        .iter()
+        .enumerate()
+        .fold(CostModel::zero(), |m, (i, &(_, class, _))| {
+            m.with_service(class, Cost::time(us(11 + i as u64)))
+        });
+    let done = Rc::new(Cell::new(false));
+    let d = Rc::clone(&done);
+    let model = cost.clone();
+    let mut rtos = Rtos::new(KernelConfig::zero_cost().with_cost(cost), move |sys, _| {
+        for (name, class, call) in calls {
+            let before = sys.now();
+            assert_eq!(call(sys), Err(ErCode::NoExs), "{name}");
+            assert_eq!(sys.now() - before, model.service(class).time, "{name}");
+        }
+        d.set(true);
+    });
+    rtos.run_for(ms(5));
+    assert!(done.get(), "the init task did not finish");
+    assert_eq!(
+        rtos.ds().td_ref_tsk(TaskId::from_raw(0)).unwrap_err(),
+        ErCode::NoExs
+    );
+}
+
+/// `tk_rot_rdq`'s `E_PAR` changes no state, so passing the preemption
+/// point on that return changes nothing either. An alarm fires during
+/// the call's atomic cost and wakes a higher-priority task: the freeze
+/// is honoured when the cost ends, the woken task runs first, and only
+/// then does the caller see the error, at the same instant.
+#[test]
+fn failing_call_sees_its_error_after_the_interrupt_it_deferred() {
+    let log = Log::default();
+    let l = log.clone();
+    let cost = CostModel::zero().with_service(ServiceClass::Task, Cost::time(us(80)));
+    let mut rtos = Rtos::new(KernelConfig::zero_cost().with_cost(cost), move |sys, _| {
+        let l_high = l.clone();
+        let high = sys
+            .tk_cre_tsk("high", 5, move |sys, _| {
+                sys.tk_slp_tsk(Timeout::Forever).unwrap();
+                l_high.push(format!("high woken at {}", sys.now()));
+            })
+            .unwrap();
+        sys.tk_sta_tsk(high, 0).unwrap();
+        let alm = sys
+            .tk_cre_alm("wake", move |sys| sys.tk_wup_tsk(high).unwrap())
+            .unwrap();
+        let l_low = l.clone();
+        let low = sys
+            .tk_cre_tsk("low", 10, move |sys, _| {
+                // Resume on a tick, arm the alarm for the next one and
+                // make the call so that its 80 us span that tick.
+                sys.tk_dly_tsk(ms(1)).unwrap();
+                sys.tk_sta_alm(alm, ms(1)).unwrap();
+                sys.exec(us(960));
+                let r = sys.tk_rot_rdq(200);
+                l_low.push(format!("low got {r:?} at {}", sys.now()));
+            })
+            .unwrap();
+        sys.tk_sta_tsk(low, 0).unwrap();
+    });
+    rtos.run_for(ms(10));
+    assert_eq!(
+        log.take(),
+        ["high woken at 2040 us", "low got Err(Par) at 2040 us"]
+    );
 }
