@@ -15,8 +15,9 @@ use std::rc::Rc;
 use rtk_analysis::static_verify::Conformance;
 use rtk_analysis::trace_codec::{TraceHeader, TraceTuning, TraceWriter};
 use rtk_core::{
-    CollectSink, FlagWaitMode, IntNo, KernelConfig, MsgPacket, MtxPolicy, ObsEvent, ObsStream,
-    QueueOrder, Rtos, RunStats, StampedEvent, StreamClose, StreamSink, Timeout,
+    AlmId, CollectSink, CycId, ErCode, FlagWaitMode, FlgId, IntNo, KernelConfig, MbfId, MbxId,
+    MpfId, MplId, MsgPacket, MtxId, MtxPolicy, ObsEvent, ObsStream, Priority, QueueOrder, Rtos,
+    RunStats, SemId, StampedEvent, StreamClose, StreamSink, Sys, TaskId, Timeout,
 };
 use sysc::{RunOutcome, SimTime, SpawnMode};
 
@@ -212,76 +213,90 @@ impl Collect {
     }
 }
 
-/// Runs one scenario to its horizon and returns the measurements.
-/// Panics inside the simulation are caught and reported in the
-/// outcome, not propagated — a farm campaign must survive any single
-/// bad scenario.
-pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
-    run_scenario_checked(spec, false)
+/// What a scenario run attaches to the kernel's observation stream.
+/// Every attachment only observes: none changes what the kernel does,
+/// so the outcome's [`digest`](ScenarioOutcome::digest) is the same
+/// under every plan, apart from the fields the oracle fills in
+/// (`oracle_events`, `divergence`). The default plan attaches nothing,
+/// and a run with nothing attached builds no stream at all.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RunPlan<'a> {
+    /// Replay every kernel decision through the sequential ITRON
+    /// reference model ([`crate::oracle`]); the first divergence is
+    /// reported in the outcome and makes it unhealthy.
+    pub oracle: bool,
+    /// Capture the stream into a binary `.rtkt` trace file (see
+    /// [`TraceConfig`] and `docs/TRACE_FORMAT.md`). A trace-file I/O
+    /// failure never fails the run: the outcome is computed as usual
+    /// and the failure surfaces in [`ScenarioOutcome::obs_dropped`]
+    /// plus a diagnostic on stderr.
+    pub trace: Option<&'a TraceConfig>,
+    /// Return a copy of the stream (every event with the tick it is
+    /// stamped with) beside the outcome. The determinism goldens pin
+    /// these streams.
+    pub collect_events: bool,
+    /// Feed the stream through the static-model conformance checker and
+    /// collect the warmup-filtered measurements the static/dynamic
+    /// cross-validation consumes ([`crate::verify`]): per-task worst
+    /// post-warmup latency, post-warmup deadline misses and lock-order
+    /// conformance violations, all in digest-excluded outcome fields.
+    pub analyze: bool,
 }
 
-/// Like [`run_scenario`], but with `oracle` set every kernel decision
-/// is recorded and replayed through the sequential ITRON reference
-/// model; the first divergence is reported in the outcome (and makes
-/// it unhealthy).
-pub fn run_scenario_checked(spec: &ScenarioSpec, oracle: bool) -> ScenarioOutcome {
-    run_scenario_recorded(spec, oracle, None, false, false).0
-}
-
-/// [`run_scenario_checked`] with a `runtime` argument that is ignored:
-/// coroutines are sysc's only process runtime. The parameter is kept
-/// because the `farmbench/` benchmark calls this signature.
+/// [`run_scenario`] with at most the oracle attached. `runtime` is
+/// ignored: coroutines are sysc's only process runtime. Kept only
+/// because the `farmbench/` benchmark calls this signature; the next
+/// change to the benchmark deletes it.
 pub fn run_scenario_checked_on(
     spec: &ScenarioSpec,
     oracle: bool,
     _runtime: sysc::Runtime,
 ) -> ScenarioOutcome {
-    run_scenario_checked(spec, oracle)
+    run_scenario(
+        spec,
+        &RunPlan {
+            oracle,
+            ..RunPlan::default()
+        },
+    )
+    .0
 }
 
-/// Like [`run_scenario_checked`], additionally feeding the
-/// observation stream through the static-model conformance checker and
-/// collecting the warmup-filtered measurements the static/dynamic
-/// cross-validation consumes ([`crate::verify`]): per-task worst
-/// post-warmup latency, post-warmup deadline misses, and lock-order
-/// conformance violations. All of it lands in digest-excluded
-/// [`ScenarioOutcome`] fields — analysis never changes a run's
-/// simulated-domain identity.
-pub fn run_scenario_analyzed(
-    spec: &ScenarioSpec,
-    oracle: bool,
-    trace: Option<&TraceConfig>,
-) -> ScenarioOutcome {
-    run_scenario_recorded(spec, oracle, trace, false, true).0
-}
-
-/// Like [`run_scenario_checked`], additionally capturing the
-/// observation stream into a binary `.rtkt` trace file (see
-/// [`TraceConfig`] and `docs/TRACE_FORMAT.md`). A trace-file I/O
-/// failure never fails the run: the scenario outcome is computed as
-/// usual and the failure surfaces in [`ScenarioOutcome::obs_dropped`]
-/// plus a diagnostic on stderr.
-///
-/// `runtime` is ignored, as in [`run_scenario_checked_on`].
+/// [`run_scenario`] with `.rtkt` capture and at most the oracle
+/// attached. `runtime` is ignored, and the function kept and due for
+/// deletion, as [`run_scenario_checked_on`].
 pub fn run_scenario_traced(
     spec: &ScenarioSpec,
     oracle: bool,
     _runtime: sysc::Runtime,
     trace: &TraceConfig,
 ) -> ScenarioOutcome {
-    run_scenario_recorded(spec, oracle, Some(trace), false, false).0
+    run_scenario(
+        spec,
+        &RunPlan {
+            oracle,
+            trace: Some(trace),
+            ..RunPlan::default()
+        },
+    )
+    .0
 }
 
-/// Like [`run_scenario_checked`] with the oracle enabled, but also
-/// returns the recorded kernel-decision stream (every event with the
-/// tick it is stamped with). The determinism goldens pin these streams.
-///
-/// `runtime` is ignored, as in [`run_scenario_checked_on`].
+/// [`run_scenario`] with the oracle attached and the stream collected.
+/// `runtime` is ignored, and the function kept and due for deletion,
+/// as [`run_scenario_checked_on`].
 pub fn run_scenario_observed(
     spec: &ScenarioSpec,
     _runtime: sysc::Runtime,
 ) -> (ScenarioOutcome, Vec<StampedEvent>) {
-    run_scenario_recorded(spec, true, None, true, false)
+    run_scenario(
+        spec,
+        &RunPlan {
+            oracle: true,
+            collect_events: true,
+            ..RunPlan::default()
+        },
+    )
 }
 
 /// An [`ObsStream`] backend feeding every event to a checker the run
@@ -302,18 +317,12 @@ impl<T, F: FnMut(&mut T, &ObsEvent)> StreamSink for CheckerSink<T, F> {
     }
 }
 
-/// The one scenario runner behind every `run_scenario*` entry point
-/// (and the campaign runner): `oracle` attaches the differential
-/// checker, `trace` the `.rtkt` writer, `collect_events` an in-memory
-/// copy of the stream, and `analyze` the conformance checker plus the
-/// post-warmup measurements.
-pub(crate) fn run_scenario_recorded(
-    spec: &ScenarioSpec,
-    oracle: bool,
-    trace: Option<&TraceConfig>,
-    collect_events: bool,
-    analyze: bool,
-) -> (ScenarioOutcome, Vec<StampedEvent>) {
+/// Runs one scenario to its horizon with the attachments `plan` names
+/// and returns the measurements, plus the collected stream (empty
+/// unless `plan.collect_events`). Panics inside the simulation are
+/// caught and reported in the outcome, not propagated — a farm
+/// campaign must survive any single bad scenario.
+pub fn run_scenario(spec: &ScenarioSpec, plan: &RunPlan) -> (ScenarioOutcome, Vec<StampedEvent>) {
     let mut out = ScenarioOutcome {
         seed: spec.seed,
         spec_digest: spec.digest(),
@@ -328,7 +337,7 @@ pub(crate) fn run_scenario_recorded(
     // no matter how many consumers are attached.
     let mut sinks: Vec<Box<dyn StreamSink>> = Vec::new();
     let mut checker = None;
-    if oracle {
+    if plan.oracle {
         let shared = Rc::new(RefCell::new(oracle::Checker::new()));
         sinks.push(Box::new(CheckerSink {
             checker: Rc::clone(&shared),
@@ -337,13 +346,13 @@ pub(crate) fn run_scenario_recorded(
         checker = Some(shared);
     }
     let mut collected = None;
-    if collect_events {
+    if plan.collect_events {
         let (sink, handle) = CollectSink::unbounded();
         sinks.push(Box::new(sink));
         collected = Some(handle);
     }
     let mut conformance = None;
-    if analyze {
+    if plan.analyze {
         let shared = Rc::new(RefCell::new(Conformance::from_model(&static_model(spec))));
         sinks.push(Box::new(CheckerSink {
             checker: Rc::clone(&shared),
@@ -352,7 +361,7 @@ pub(crate) fn run_scenario_recorded(
         conformance = Some(shared);
     }
     let mut writer_handle = None;
-    if let Some(tc) = trace {
+    if let Some(tc) = plan.trace {
         let header = TraceHeader {
             grammar_version: rtk_core::GRAMMAR_VERSION,
             seed: spec.seed,
@@ -437,7 +446,7 @@ pub(crate) fn run_scenario_recorded(
             let mut collect = collect.borrow_mut();
             out.latencies_us = std::mem::take(&mut collect.latencies_us);
             out.deadline_misses = collect.misses;
-            if analyze {
+            if plan.analyze {
                 out.max_latency_by_task = std::mem::take(&mut collect.max_latency_us);
                 out.post_warmup_misses = collect.post_warmup_misses;
             }
@@ -486,6 +495,244 @@ pub(crate) fn run_scenario_recorded(
     (out, events)
 }
 
+/// The kernel objects a job body works with beside its own release
+/// gate, one variant per topology. It is `Copy`, so each task body
+/// captures its own.
+#[derive(Clone, Copy)]
+enum Kit {
+    Independent,
+    SemChain(SemId),
+    MbxPipeline(MbxId),
+    FlagBarrier(FlgId),
+    MtxChain(MtxId),
+    MbfPipeline(MbfId),
+    MpfPool(MpfId),
+    LifecycleChurn(MtxId),
+    DispWindow {
+        lock_cpu: bool,
+    },
+    MplPressure(MplId),
+    /// The time-event storm before the task loop: the spare cyclic
+    /// handler task 0 starts and stops. [`Kit::for_task`] turns it into
+    /// each task's [`Kit::AlmCycTask`].
+    AlmCycStorm(CycId),
+    /// One storm task's kit: the spare cyclic handler, the task's own
+    /// alarm and the semaphore that alarm signals.
+    AlmCycTask {
+        flicker: CycId,
+        alarm: AlmId,
+        done: SemId,
+    },
+}
+
+impl Kit {
+    /// Creates the topology's shared objects, then its helper tasks.
+    fn build(sys: &mut Sys<'_>, spec: &ScenarioSpec, order: QueueOrder) -> Kit {
+        let ntasks = spec.tasks.len();
+        match spec.topology {
+            Topology::Independent => Kit::Independent,
+            Topology::SemChain => Kit::SemChain(sys.tk_cre_sem("chain", 1, 1, order).unwrap()),
+            Topology::MbxPipeline => {
+                Kit::MbxPipeline(sys.tk_cre_mbx("pipe", false, order).unwrap())
+            }
+            Topology::FlagBarrier => {
+                // A low-priority collector waits for the AND of every
+                // task's bit, with clear.
+                let flg = sys.tk_cre_flg("barrier", 0, false, order).unwrap();
+                let all_bits: u32 = (1u32 << ntasks) - 1;
+                let mode = FlagWaitMode::AND.with_clear();
+                spawn(sys, "collector", 130, move |sys, _| {
+                    while sys
+                        .tk_wai_flg(flg, all_bits, mode, Timeout::Forever)
+                        .is_ok()
+                    {}
+                });
+                Kit::FlagBarrier(flg)
+            }
+            Topology::MtxChain { ceiling } => {
+                // The ceiling is the task set's most urgent base priority.
+                let policy = if ceiling {
+                    let top_pri = spec.tasks.iter().map(|t| t.priority).min().unwrap_or(1);
+                    MtxPolicy::Ceiling(top_pri)
+                } else {
+                    MtxPolicy::Inherit
+                };
+                Kit::MtxChain(sys.tk_cre_mtx("chain", policy).unwrap())
+            }
+            Topology::MbfPipeline => {
+                // Room for two maximum-size records: small enough to fill
+                // up (blocking senders), big enough to pipeline. A
+                // low-priority drain receives in a loop, so senders
+                // alternate between buffered sends, blocked sends and
+                // direct rendezvous handoffs.
+                let mbf = sys.tk_cre_mbf("pipe", 16, 8, order).unwrap();
+                spawn(sys, "drain", 131, move |sys, _| {
+                    while sys.tk_rcv_mbf(mbf, Timeout::Forever).is_ok() {}
+                });
+                Kit::MbfPipeline(mbf)
+            }
+            // Undersized on purpose: roughly half the task count.
+            Topology::MpfPool => Kit::MpfPool(
+                sys.tk_cre_mpf("pool", (ntasks / 2).max(1), 32, order)
+                    .unwrap(),
+            ),
+            Topology::LifecycleChurn => {
+                let mtx = sys.tk_cre_mtx("churn", MtxPolicy::Inherit).unwrap();
+                start_churn(sys, mtx, order);
+                Kit::LifecycleChurn(mtx)
+            }
+            Topology::DispWindow { lock_cpu } => Kit::DispWindow { lock_cpu },
+            Topology::MplPressure => {
+                // Undersized: the hoarder plus a couple of jobs fill it.
+                let mpl = sys.tk_cre_mpl("arena", ntasks * 24 + 40, order).unwrap();
+                spawn(sys, "hoarder", 132, move |sys, _| hoard(sys, mpl));
+                Kit::MplPressure(mpl)
+            }
+            // A spare cyclic handler the workload starts and stops on the
+            // fly.
+            Topology::AlmCycStorm => {
+                let (period, phase) = (SimTime::from_ms(3), SimTime::from_ms(1));
+                let flicker = sys.tk_cre_cyc("flicker", period, phase, true, |sys| {
+                    sys.exec(SimTime::from_us(30))
+                });
+                Kit::AlmCycStorm(flicker.unwrap())
+            }
+        }
+    }
+
+    /// Task `i`'s kit, created right after its release gate: each task
+    /// of the time-event storm arms its own alarm, which signals a
+    /// completion semaphore of its own.
+    fn for_task(self, sys: &mut Sys<'_>, i: usize, order: QueueOrder) -> Kit {
+        let Kit::AlmCycStorm(flicker) = self else {
+            return self;
+        };
+        let done = sys
+            .tk_cre_sem(&format!("alm_done{i}"), 0, u32::MAX / 2, order)
+            .unwrap();
+        let alarm = sys.tk_cre_alm(&format!("alm{i}"), move |sys| {
+            let _ = sys.tk_sig_sem(done, 1);
+        });
+        Kit::AlmCycTask {
+            flicker,
+            alarm: alarm.unwrap(),
+            done,
+        }
+    }
+
+    /// The `jobs`-th job of task `i`, from its release to its
+    /// completion.
+    fn job(self, sys: &mut Sys<'_>, i: usize, jobs: u64, exec_us: u64, deadline_us: u64) {
+        let exec = SimTime::from_us(exec_us);
+        // The finite blocking timeout of the lock-taking bodies.
+        let timeout = Timeout::ms(mtx_chain_lock_timeout_ms(deadline_us));
+        match self {
+            Kit::Independent => sys.exec(exec),
+            Kit::SemChain(sem) => {
+                let crit = (exec_us / 5).max(10);
+                sys.exec(SimTime::from_us(exec_us - crit));
+                if sys.tk_wai_sem(sem, 1, Timeout::Forever).is_ok() {
+                    sys.exec(SimTime::from_us(crit));
+                    sys.tk_sig_sem(sem, 1).unwrap();
+                }
+            }
+            Kit::MbxPipeline(mbx) => {
+                sys.exec(exec);
+                if i == 0 {
+                    while sys.tk_rcv_mbx(mbx, Timeout::Poll).is_ok() {}
+                } else {
+                    sys.tk_snd_mbx(mbx, MsgPacket::new(vec![i as u8])).unwrap();
+                }
+            }
+            Kit::FlagBarrier(flg) => {
+                sys.exec(exec);
+                sys.tk_set_flg(flg, 1 << i).unwrap();
+            }
+            Kit::MtxChain(mtx) => {
+                let crit = mtx_chain_crit_us(exec_us);
+                sys.exec(SimTime::from_us(exec_us - crit));
+                // Finite timeout: under heavy inversion the lock attempt
+                // may expire, exercising the timer path; the job still
+                // completes.
+                if sys.tk_loc_mtx(mtx, timeout).is_ok() {
+                    sys.exec(SimTime::from_us(crit));
+                    sys.tk_unl_mtx(mtx).unwrap();
+                }
+            }
+            Kit::MbfPipeline(mbf) => {
+                sys.exec(exec);
+                // A full pipeline may time the send out; the record is
+                // then dropped, not the job.
+                let _ = sys.tk_snd_mbf(mbf, &vec![i as u8; 1 + (i % 8)], timeout);
+            }
+            // Pool exhausted past the timeout: run without the block.
+            Kit::MpfPool(mpf) => match sys.tk_get_mpf(mpf, timeout) {
+                Ok(blk) => {
+                    sys.exec(exec);
+                    sys.tk_rel_mpf(mpf, blk).unwrap();
+                }
+                Err(_) => sys.exec(exec),
+            },
+            Kit::LifecycleChurn(mtx) => {
+                // Share the churn mutex with the victim so terminations
+                // hit live inheritance chains.
+                let crit = (exec_us / 5).max(10);
+                sys.exec(SimTime::from_us(exec_us - crit));
+                if sys.tk_loc_mtx(mtx, Timeout::ms(2)).is_ok() {
+                    sys.exec(SimTime::from_us(crit));
+                    let _ = sys.tk_unl_mtx(mtx);
+                }
+            }
+            Kit::DispWindow { lock_cpu } => {
+                let crit = mtx_chain_crit_us(exec_us);
+                sys.exec(SimTime::from_us(exec_us - crit));
+                let _ = if lock_cpu {
+                    sys.tk_loc_cpu()
+                } else {
+                    sys.tk_dis_dsp()
+                };
+                sys.exec(SimTime::from_us(crit));
+                let _ = sys.tk_rot_rdq(0);
+                let _ = if lock_cpu {
+                    sys.tk_unl_cpu()
+                } else {
+                    sys.tk_ena_dsp()
+                };
+            }
+            // Arena exhausted past the timeout: run without the block.
+            Kit::MplPressure(mpl) => match sys.tk_get_mpl(mpl, 8 + (i * 12) % 36, timeout) {
+                Ok(off) => {
+                    sys.exec(exec);
+                    let _ = sys.tk_rel_mpl(mpl, off);
+                }
+                Err(_) => sys.exec(exec),
+            },
+            Kit::AlmCycTask {
+                flicker,
+                alarm,
+                done,
+            } => {
+                let _ = sys.tk_sta_alm(alarm, SimTime::from_us((exec_us / 2).max(100)));
+                if jobs.is_multiple_of(5) {
+                    // Disarm before it fires: the collect wait below must
+                    // then time out.
+                    let _ = sys.tk_stp_alm(alarm);
+                }
+                sys.exec(exec);
+                let _ = sys.tk_wai_sem(done, 1, Timeout::ms(1));
+                if i == 0 {
+                    if jobs.is_multiple_of(2) {
+                        let _ = sys.tk_stp_cyc(flicker);
+                    } else {
+                        let _ = sys.tk_sta_cyc(flicker);
+                    }
+                }
+            }
+            Kit::AlmCycStorm(_) => unreachable!("Kit::for_task arms every storm task"),
+        }
+    }
+}
+
 /// Builds and runs the kernel; returns the engine outcome label and
 /// the final stats snapshot.
 fn execute(
@@ -498,239 +745,17 @@ fn execute(
     } else {
         QueueOrder::Fifo
     };
-    let ntasks = spec.tasks.len();
-    let all_bits: u32 = (1u32 << ntasks) - 1;
-
-    // Smallest numeric (most urgent) base priority of the task set,
-    // used as the ceiling of the TA_CEILING chain mutex.
-    let top_pri = spec.tasks.iter().map(|t| t.priority).min().unwrap_or(1);
 
     let mut rtos = {
         let collect = Rc::clone(collect);
         let spec = spec.clone();
         Rtos::new(KernelConfig::paper(), move |sys, _| {
-            // Shared objects of the topology.
-            let chain_sem = match spec.topology {
-                Topology::SemChain => Some(sys.tk_cre_sem("chain", 1, 1, order).unwrap()),
-                _ => None,
-            };
-            let pipe_mbx = match spec.topology {
-                Topology::MbxPipeline => Some(sys.tk_cre_mbx("pipe", false, order).unwrap()),
-                _ => None,
-            };
-            let barrier_flg = match spec.topology {
-                Topology::FlagBarrier => Some(sys.tk_cre_flg("barrier", 0, false, order).unwrap()),
-                _ => None,
-            };
-            let chain_mtx = match spec.topology {
-                Topology::MtxChain { ceiling } => {
-                    let policy = if ceiling {
-                        MtxPolicy::Ceiling(top_pri)
-                    } else {
-                        MtxPolicy::Inherit
-                    };
-                    Some(sys.tk_cre_mtx("chain", policy).unwrap())
-                }
-                _ => None,
-            };
-            let pipe_mbf = match spec.topology {
-                // Room for two maximum-size records: small enough to
-                // fill up (blocking senders), big enough to pipeline.
-                Topology::MbfPipeline => Some(sys.tk_cre_mbf("pipe", 16, 8, order).unwrap()),
-                _ => None,
-            };
-            let pool_mpf = match spec.topology {
-                // Undersized on purpose: roughly half the task count.
-                Topology::MpfPool => {
-                    let blocks = (spec.tasks.len() / 2).max(1);
-                    Some(sys.tk_cre_mpf("pool", blocks, 32, order).unwrap())
-                }
-                _ => None,
-            };
-            let churn_mtx = match spec.topology {
-                Topology::LifecycleChurn => {
-                    Some(sys.tk_cre_mtx("churn", MtxPolicy::Inherit).unwrap())
-                }
-                _ => None,
-            };
-            let pool_mpl = match spec.topology {
-                // Undersized: the hoarder plus a couple of jobs fill it.
-                Topology::MplPressure => {
-                    let size = spec.tasks.len() * 24 + 40;
-                    Some(sys.tk_cre_mpl("arena", size, order).unwrap())
-                }
-                _ => None,
-            };
-            let flicker_cyc = match spec.topology {
-                // A spare cyclic handler the workload starts and stops
-                // on the fly.
-                Topology::AlmCycStorm => Some(
-                    sys.tk_cre_cyc(
-                        "flicker",
-                        SimTime::from_ms(3),
-                        SimTime::from_ms(1),
-                        true,
-                        |sys| sys.exec(SimTime::from_us(30)),
-                    )
-                    .unwrap(),
-                ),
-                _ => None,
-            };
-
-            if let Some(mbf) = pipe_mbf {
-                // Low-priority drain task: blocking receive in a loop,
-                // so senders alternate between buffered sends, blocked
-                // sends and direct rendezvous handoffs.
-                let drain = sys
-                    .tk_cre_tsk("drain", 131, move |sys, _| loop {
-                        if sys.tk_rcv_mbf(mbf, Timeout::Forever).is_err() {
-                            break;
-                        }
-                    })
-                    .unwrap();
-                sys.tk_sta_tsk(drain, 0).unwrap();
-            }
-
-            if let Some(flg) = barrier_flg {
-                let collector = sys
-                    .tk_cre_tsk("collector", 130, move |sys, _| loop {
-                        if sys
-                            .tk_wai_flg(
-                                flg,
-                                all_bits,
-                                FlagWaitMode::AND.with_clear(),
-                                Timeout::Forever,
-                            )
-                            .is_err()
-                        {
-                            break;
-                        }
-                    })
-                    .unwrap();
-                sys.tk_sta_tsk(collector, 0).unwrap();
-            }
-
-            if let Some(mtx) = churn_mtx {
-                // Victim: cycles a timed inheritance-mutex critical
-                // section and timed sleeps; every wait class it enters
-                // is releasable/terminable mid-flight. It tolerates
-                // forced releases — the saboteur supplies them.
-                let victim = sys
-                    .tk_cre_tsk("victim", 105, move |sys, _| loop {
-                        if sys.tk_loc_mtx(mtx, Timeout::ms(4)).is_ok() {
-                            sys.exec(SimTime::from_us(400));
-                            let _ = sys.tk_unl_mtx(mtx);
-                        }
-                        match sys.tk_slp_tsk(Timeout::ms(3)) {
-                            Ok(())
-                            | Err(rtk_core::ErCode::Tmout)
-                            | Err(rtk_core::ErCode::RlWai) => {}
-                            Err(_) => break,
-                        }
-                    })
-                    .unwrap();
-                sys.tk_sta_tsk(victim, 0).unwrap();
-                // Saboteur: released every 5 ms by its own cyclic
-                // gate, rotating through terminate/restart, forced
-                // wait release, nested suspend/resume and queued
-                // wakeups against the victim.
-                let sgate = sys.tk_cre_sem("sgate", 0, u32::MAX / 2, order).unwrap();
-                sys.tk_cre_cyc(
-                    "sab_rel",
-                    SimTime::from_ms(5),
-                    SimTime::from_ms(1),
-                    true,
-                    move |sys| {
-                        let _ = sys.tk_sig_sem(sgate, 1);
-                    },
-                )
-                .unwrap();
-                let saboteur = sys
-                    .tk_cre_tsk("saboteur", 12, move |sys, _| {
-                        let mut n: u64 = 0;
-                        loop {
-                            if sys.tk_wai_sem(sgate, 1, Timeout::Forever).is_err() {
-                                break;
-                            }
-                            n += 1;
-                            match n % 5 {
-                                0 => {
-                                    let _ = sys.tk_ter_tsk(victim);
-                                    let _ = sys.tk_sta_tsk(victim, 0);
-                                }
-                                1 => {
-                                    let _ = sys.tk_rel_wai(victim);
-                                }
-                                2 => {
-                                    let _ = sys.tk_sus_tsk(victim);
-                                    let _ = sys.tk_sus_tsk(victim);
-                                    let _ = sys.tk_frsm_tsk(victim);
-                                }
-                                3 => {
-                                    let _ = sys.tk_sus_tsk(victim);
-                                    let _ = sys.tk_rsm_tsk(victim);
-                                }
-                                _ => {
-                                    let _ = sys.tk_wup_tsk(victim);
-                                }
-                            }
-                        }
-                    })
-                    .unwrap();
-                sys.tk_sta_tsk(saboteur, 0).unwrap();
-            }
-
-            if let Some(mpl) = pool_mpl {
-                // Hoarder: holds several blocks across sleeps and
-                // releases them in round-varying permutations, keeping
-                // the arena fragmented and the coalescer honest.
-                let hoarder = sys
-                    .tk_cre_tsk("hoarder", 132, move |sys, _| {
-                        let mut round: usize = 0;
-                        loop {
-                            let mut held: Vec<usize> = Vec::new();
-                            for sz in [8usize, 20, 12] {
-                                if let Ok(off) = sys.tk_get_mpl(mpl, sz, Timeout::ms(1)) {
-                                    held.push(off);
-                                }
-                            }
-                            let _ = sys.tk_slp_tsk(Timeout::ms(2));
-                            round += 1;
-                            if round.is_multiple_of(2) {
-                                held.reverse();
-                            }
-                            if round.is_multiple_of(3) && held.len() >= 2 {
-                                held.swap(0, 1);
-                            }
-                            for off in held {
-                                let _ = sys.tk_rel_mpl(mpl, off);
-                            }
-                        }
-                    })
-                    .unwrap();
-                sys.tk_sta_tsk(hoarder, 0).unwrap();
-            }
-
+            let kit = Kit::build(sys, &spec, order);
             for (i, task) in spec.tasks.iter().enumerate() {
                 let gate = sys
                     .tk_cre_sem(&format!("gate{i}"), 0, u32::MAX / 2, order)
                     .unwrap();
-                // Per-task alarm + completion semaphore of the
-                // time-event storm.
-                let alm_pair = match spec.topology {
-                    Topology::AlmCycStorm => {
-                        let asem = sys
-                            .tk_cre_sem(&format!("alm_done{i}"), 0, u32::MAX / 2, order)
-                            .unwrap();
-                        let alm = sys
-                            .tk_cre_alm(&format!("alm{i}"), move |sys| {
-                                let _ = sys.tk_sig_sem(asem, 1);
-                            })
-                            .unwrap();
-                        Some((alm, asem))
-                    }
-                    _ => None,
-                };
+                let kit = kit.for_task(sys, i, order);
 
                 // Release side: a cyclic handler stamps the intended
                 // release time and opens the gate. The delayed-timer
@@ -769,154 +794,16 @@ fn execute(
 
                 // Consumer side: the periodic task.
                 let collect = Rc::clone(&collect);
-                let topology = spec.topology;
                 let exec_us = u64::from(task.exec_us);
                 let deadline_us = u64::from(task.period_ms) * 1000;
-                let body = move |sys: &mut rtk_core::Sys<'_>, _stacd: i32| {
+                let body = move |sys: &mut Sys<'_>, _stacd: i32| {
                     let mut jobs: u64 = 0;
-                    loop {
-                        if sys.tk_wai_sem(gate, 1, Timeout::Forever).is_err() {
-                            break;
-                        }
+                    while sys.tk_wai_sem(gate, 1, Timeout::Forever).is_ok() {
                         jobs += 1;
                         let release_us = collect.borrow_mut().pending[i]
                             .pop_front()
                             .expect("every gate signal has a release stamp");
-                        match topology {
-                            Topology::Independent => sys.exec(SimTime::from_us(exec_us)),
-                            Topology::SemChain => {
-                                let crit = (exec_us / 5).max(10);
-                                sys.exec(SimTime::from_us(exec_us - crit));
-                                if sys
-                                    .tk_wai_sem(chain_sem.unwrap(), 1, Timeout::Forever)
-                                    .is_ok()
-                                {
-                                    sys.exec(SimTime::from_us(crit));
-                                    sys.tk_sig_sem(chain_sem.unwrap(), 1).unwrap();
-                                }
-                            }
-                            Topology::MbxPipeline => {
-                                sys.exec(SimTime::from_us(exec_us));
-                                let mbx = pipe_mbx.unwrap();
-                                if i == 0 {
-                                    while sys.tk_rcv_mbx(mbx, Timeout::Poll).is_ok() {}
-                                } else {
-                                    sys.tk_snd_mbx(mbx, MsgPacket::new(vec![i as u8])).unwrap();
-                                }
-                            }
-                            Topology::FlagBarrier => {
-                                sys.exec(SimTime::from_us(exec_us));
-                                sys.tk_set_flg(barrier_flg.unwrap(), 1 << i).unwrap();
-                            }
-                            Topology::MtxChain { .. } => {
-                                let crit = mtx_chain_crit_us(exec_us);
-                                sys.exec(SimTime::from_us(exec_us - crit));
-                                // Finite timeout: under heavy inversion the
-                                // lock attempt may expire, exercising the
-                                // timer path; the job still completes.
-                                let mtx = chain_mtx.unwrap();
-                                if sys
-                                    .tk_loc_mtx(
-                                        mtx,
-                                        Timeout::ms(mtx_chain_lock_timeout_ms(deadline_us)),
-                                    )
-                                    .is_ok()
-                                {
-                                    sys.exec(SimTime::from_us(crit));
-                                    sys.tk_unl_mtx(mtx).unwrap();
-                                }
-                            }
-                            Topology::MbfPipeline => {
-                                sys.exec(SimTime::from_us(exec_us));
-                                let record = vec![i as u8; 1 + (i % 8)];
-                                // A full pipeline may time the send out; the
-                                // record is then dropped, not the job.
-                                let _ = sys.tk_snd_mbf(
-                                    pipe_mbf.unwrap(),
-                                    &record,
-                                    Timeout::ms(mtx_chain_lock_timeout_ms(deadline_us)),
-                                );
-                            }
-                            Topology::MpfPool => {
-                                let mpf = pool_mpf.unwrap();
-                                match sys.tk_get_mpf(
-                                    mpf,
-                                    Timeout::ms(mtx_chain_lock_timeout_ms(deadline_us)),
-                                ) {
-                                    Ok(blk) => {
-                                        sys.exec(SimTime::from_us(exec_us));
-                                        sys.tk_rel_mpf(mpf, blk).unwrap();
-                                    }
-                                    // Pool exhausted past the timeout: run
-                                    // without the block.
-                                    Err(_) => sys.exec(SimTime::from_us(exec_us)),
-                                }
-                            }
-                            Topology::LifecycleChurn => {
-                                // Share the churn mutex with the victim so
-                                // terminations hit live inheritance chains.
-                                let crit = (exec_us / 5).max(10);
-                                sys.exec(SimTime::from_us(exec_us - crit));
-                                let mtx = churn_mtx.unwrap();
-                                if sys.tk_loc_mtx(mtx, Timeout::ms(2)).is_ok() {
-                                    sys.exec(SimTime::from_us(crit));
-                                    let _ = sys.tk_unl_mtx(mtx);
-                                }
-                            }
-                            Topology::DispWindow { lock_cpu } => {
-                                let crit = mtx_chain_crit_us(exec_us);
-                                sys.exec(SimTime::from_us(exec_us - crit));
-                                if lock_cpu {
-                                    let _ = sys.tk_loc_cpu();
-                                } else {
-                                    let _ = sys.tk_dis_dsp();
-                                }
-                                sys.exec(SimTime::from_us(crit));
-                                let _ = sys.tk_rot_rdq(0);
-                                if lock_cpu {
-                                    let _ = sys.tk_unl_cpu();
-                                } else {
-                                    let _ = sys.tk_ena_dsp();
-                                }
-                            }
-                            Topology::MplPressure => {
-                                let mpl = pool_mpl.unwrap();
-                                let sz = 8 + (i * 12) % 36;
-                                match sys.tk_get_mpl(
-                                    mpl,
-                                    sz,
-                                    Timeout::ms(mtx_chain_lock_timeout_ms(deadline_us)),
-                                ) {
-                                    Ok(off) => {
-                                        sys.exec(SimTime::from_us(exec_us));
-                                        let _ = sys.tk_rel_mpl(mpl, off);
-                                    }
-                                    // Arena exhausted past the timeout: run
-                                    // without the block.
-                                    Err(_) => sys.exec(SimTime::from_us(exec_us)),
-                                }
-                            }
-                            Topology::AlmCycStorm => {
-                                let (alm, asem) = alm_pair.unwrap();
-                                let _ =
-                                    sys.tk_sta_alm(alm, SimTime::from_us((exec_us / 2).max(100)));
-                                if jobs.is_multiple_of(5) {
-                                    // Disarm before it fires: the collect
-                                    // wait below must then time out.
-                                    let _ = sys.tk_stp_alm(alm);
-                                }
-                                sys.exec(SimTime::from_us(exec_us));
-                                let _ = sys.tk_wai_sem(asem, 1, Timeout::ms(1));
-                                if i == 0 {
-                                    let flk = flicker_cyc.unwrap();
-                                    if jobs.is_multiple_of(2) {
-                                        let _ = sys.tk_stp_cyc(flk);
-                                    } else {
-                                        let _ = sys.tk_sta_cyc(flk);
-                                    }
-                                }
-                            }
-                        }
+                        kit.job(sys, i, jobs, exec_us, deadline_us);
                         let now_us = sys.now().as_us();
                         let latency = now_us - release_us;
                         let mut c = collect.borrow_mut();
@@ -937,10 +824,7 @@ fn execute(
                         }
                     }
                 };
-                let tid = sys
-                    .tk_cre_tsk(&format!("tsk{i}"), task.priority, body)
-                    .unwrap();
-                sys.tk_sta_tsk(tid, 0).unwrap();
+                spawn(sys, &format!("tsk{i}"), task.priority, body);
             }
 
             // Interrupt service routines for the storm lines.
@@ -998,6 +882,96 @@ fn execute(
     (label, rtos.run_stats())
 }
 
+/// Creates a task and starts it; returns its ID.
+fn spawn(
+    sys: &mut Sys<'_>,
+    name: &str,
+    priority: Priority,
+    body: impl FnMut(&mut Sys<'_>, i32) + 'static,
+) -> TaskId {
+    let tid = sys.tk_cre_tsk(name, priority, body).unwrap();
+    sys.tk_sta_tsk(tid, 0).unwrap();
+    tid
+}
+
+/// `LifecycleChurn`'s victim and saboteur.
+fn start_churn(sys: &mut Sys<'_>, mtx: MtxId, order: QueueOrder) {
+    // Victim: cycles a timed inheritance-mutex critical section and
+    // timed sleeps; every wait class it enters is releasable or
+    // terminable mid-flight. It tolerates forced releases — the
+    // saboteur supplies them.
+    let victim = spawn(sys, "victim", 105, move |sys, _| loop {
+        if sys.tk_loc_mtx(mtx, Timeout::ms(4)).is_ok() {
+            sys.exec(SimTime::from_us(400));
+            let _ = sys.tk_unl_mtx(mtx);
+        }
+        match sys.tk_slp_tsk(Timeout::ms(3)) {
+            Ok(()) | Err(ErCode::Tmout) | Err(ErCode::RlWai) => {}
+            Err(_) => break,
+        }
+    });
+    // Saboteur: released every 5 ms by its own cyclic gate, rotating
+    // through terminate/restart, forced wait release, nested
+    // suspend/resume and queued wakeups against the victim.
+    let sgate = sys.tk_cre_sem("sgate", 0, u32::MAX / 2, order).unwrap();
+    let (period, phase) = (SimTime::from_ms(5), SimTime::from_ms(1));
+    sys.tk_cre_cyc("sab_rel", period, phase, true, move |sys| {
+        let _ = sys.tk_sig_sem(sgate, 1);
+    })
+    .unwrap();
+    spawn(sys, "saboteur", 12, move |sys, _| {
+        let mut n: u64 = 0;
+        while sys.tk_wai_sem(sgate, 1, Timeout::Forever).is_ok() {
+            n += 1;
+            match n % 5 {
+                0 => {
+                    let _ = sys.tk_ter_tsk(victim);
+                    let _ = sys.tk_sta_tsk(victim, 0);
+                }
+                1 => {
+                    let _ = sys.tk_rel_wai(victim);
+                }
+                2 => {
+                    let _ = sys.tk_sus_tsk(victim);
+                    let _ = sys.tk_sus_tsk(victim);
+                    let _ = sys.tk_frsm_tsk(victim);
+                }
+                3 => {
+                    let _ = sys.tk_sus_tsk(victim);
+                    let _ = sys.tk_rsm_tsk(victim);
+                }
+                _ => {
+                    let _ = sys.tk_wup_tsk(victim);
+                }
+            }
+        }
+    });
+}
+
+/// `MplPressure`'s hoarder body: holds several blocks across sleeps and
+/// releases them in round-varying permutations, keeping the arena
+/// fragmented and the coalescer honest.
+fn hoard(sys: &mut Sys<'_>, mpl: MplId) {
+    for round in 1usize.. {
+        let mut held: Vec<usize> = Vec::new();
+        for sz in [8usize, 20, 12] {
+            if let Ok(off) = sys.tk_get_mpl(mpl, sz, Timeout::ms(1)) {
+                held.push(off);
+            }
+        }
+        let _ = sys.tk_slp_tsk(Timeout::ms(2));
+        if round.is_multiple_of(2) {
+            held.reverse();
+        }
+        if round.is_multiple_of(3) && held.len() >= 2 {
+            held.swap(0, 1);
+        }
+        for off in held {
+            let _ = sys.tk_rel_mpl(mpl, off);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1023,7 +997,7 @@ mod tests {
                 faults: true,
             },
         );
-        let out = run_scenario(&spec);
+        let (out, _) = run_scenario(&spec, &RunPlan::default());
         assert!(out.panicked.is_none(), "{:?}", out.panicked);
         assert!(out.releases > 0);
         assert!(out.completions > 0);
@@ -1040,8 +1014,8 @@ mod tests {
         };
         for seed in [0u64, 7, 19] {
             let spec = ScenarioSpec::generate(seed, &t);
-            let a = run_scenario(&spec);
-            let b = run_scenario(&spec);
+            let (a, _) = run_scenario(&spec, &RunPlan::default());
+            let (b, _) = run_scenario(&spec, &RunPlan::default());
             assert_eq!(a.digest(), b.digest(), "seed {seed}");
         }
     }
@@ -1060,7 +1034,7 @@ mod tests {
             if seen.contains(spec.topology.label()) {
                 continue;
             }
-            let out = run_scenario(&spec);
+            let (out, _) = run_scenario(&spec, &RunPlan::default());
             assert!(out.healthy(), "seed {seed}: {out:?}");
             seen.insert(spec.topology.label());
             if seen.len() == all {

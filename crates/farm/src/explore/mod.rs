@@ -34,13 +34,14 @@ mod program;
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 
+use rtk_analysis::static_verify::AnalysisOptions;
 use rtk_analysis::trace_codec::{encode_trace, TraceHeader, TraceTrailer};
 use rtk_core::{CycId, MtxId, ObsEvent, SemId, StampedEvent, TaskId, WaitObj};
 
-use crate::build::run_scenario_checked;
+use crate::build::{run_scenario, RunPlan};
 use crate::oracle::{Choice, SpecMutation, SpecState};
 use crate::scenario::Fnv;
-use crate::verify::explore_certificate_contradiction;
+use crate::verify::{analyze_spec, explore_certificate_contradiction};
 
 pub use program::Family;
 use program::{ExploreModel, Micro};
@@ -243,15 +244,15 @@ pub fn run_exploration(cfg: &ExploreConfig, _runtime: sysc::Runtime) -> ExploreO
     let mut report = walker.into_report(cfg, &model);
 
     if let Some(cross) = &model.cross {
-        report.certificate = crate::verify::analyze_spec(
-            cross,
-            &rtk_analysis::static_verify::AnalysisOptions::default(),
-        )
-        .deadlock
-        .to_string();
+        let analysis = analyze_spec(cross, &AnalysisOptions::default());
+        report.certificate = analysis.deadlock.to_string();
         report.certificate_contradiction =
-            explore_certificate_contradiction(cross, report.deadlocks);
-        let out = run_scenario_checked(cross, true);
+            explore_certificate_contradiction(cross, &analysis, report.deadlocks);
+        let plan = RunPlan {
+            oracle: true,
+            ..RunPlan::default()
+        };
+        let (out, _) = run_scenario(cross, &plan);
         report.cross_execution = match (&out.divergence, out.healthy()) {
             (Some((idx, detail)), _) => format!("diverged: event {idx}: {detail}"),
             (None, false) => "unhealthy".to_string(),

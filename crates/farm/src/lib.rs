@@ -14,10 +14,12 @@
 //! 2. **Execution** ([`run_scenario`]) — builds one [`rtk_core::Rtos`]
 //!    per job, runs it to the horizon, measures response latencies,
 //!    deadline misses, context switches and energy. Panics are caught
-//!    per scenario; stalls and livelocks are flagged. With the oracle
-//!    enabled ([`run_scenario_checked`]), every kernel decision is
-//!    additionally replayed through a sequential ITRON reference model
-//!    ([`oracle`]) and the first spec divergence flags the scenario.
+//!    per scenario; stalls and livelocks are flagged. A [`RunPlan`]
+//!    names what observes the run, none of which changes its outcome:
+//!    the oracle replays every kernel decision through a sequential
+//!    ITRON reference model ([`oracle`]) and the first spec divergence
+//!    flags the scenario; `.rtkt` capture, an in-memory copy of the
+//!    stream and the static-model conformance checker are the others.
 //! 3. **Parallel runner** ([`run_campaign`]) — a work-stealing thread
 //!    pool; kernels are independent, so the campaign is embarrassingly
 //!    parallel. Results land in seed-indexed slots.
@@ -62,8 +64,8 @@ mod scenario;
 pub mod verify;
 
 pub use build::{
-    run_scenario, run_scenario_analyzed, run_scenario_checked, run_scenario_checked_on,
-    run_scenario_observed, run_scenario_traced, ScenarioOutcome, TraceConfig,
+    run_scenario, run_scenario_checked_on, run_scenario_observed, run_scenario_traced, RunPlan,
+    ScenarioOutcome, TraceConfig,
 };
 pub use explore::{
     run_exploration, write_counterexamples, Counterexample, ExploreConfig, ExploreOutcome,
@@ -72,8 +74,8 @@ pub use explore::{
 pub use model::static_model;
 pub use oracle::{check, Checker, Choice, Divergence, OracleVerdict, SpecMutation, SpecState};
 pub use replay::{
-    replay_analysis, replay_path, replay_report_json, replay_report_json_analyzed, replay_trace,
-    ReplayedAnalysis, ReplayedTrace,
+    replay_analysis, replay_path, replay_report_json_analyzed, replay_trace, ReplayedAnalysis,
+    ReplayedTrace,
 };
 pub use report::{Aggregate, CampaignReport};
 pub use rng::FarmRng;

@@ -19,6 +19,7 @@ use rtk_core::{StampedEvent, StreamClose};
 
 use crate::model::static_model;
 use crate::oracle::{Checker, OracleVerdict};
+use crate::report::write_verdict_counts;
 use crate::scenario::{ScenarioSpec, Tuning};
 use crate::verify::analyze_spec;
 
@@ -184,13 +185,9 @@ pub fn replay_analysis(t: &ReplayedTrace) -> Result<ReplayedAnalysis, String> {
 /// Renders the replay report (`rtk-farm-replay-v1`). The oracle fields
 /// mirror the live campaign report's (`oracle_events`, the
 /// `oracle_divergences` array), so a replay can be diffed against the
-/// live run's verdicts field-for-field.
-pub fn replay_report_json(traces: &[ReplayedTrace]) -> String {
-    replay_report_json_analyzed(traces, None)
-}
-
-/// [`replay_report_json`] plus an `analysis` block (mirroring the live
-/// campaign report's) when `--analyze` recomputed static verdicts.
+/// live run's verdicts field-for-field. With `analyses` (`--analyze`
+/// recomputed the static verdicts) the report also carries an
+/// `analysis` block mirroring the live campaign report's.
 pub fn replay_report_json_analyzed(
     traces: &[ReplayedTrace],
     analyses: Option<&[ReplayedAnalysis]>,
@@ -237,23 +234,7 @@ pub fn replay_report_json_analyzed(
     );
     if let Some(analyses) = analyses {
         j.push_str("  \"analysis\": {\n");
-        let count = |f: fn(&ReplayedAnalysis) -> Verdict, v: Verdict| {
-            analyses.iter().filter(|a| f(a) == v).count()
-        };
-        let _ = writeln!(
-            j,
-            "    \"deadlock\": {{\"certified\": {}, \"refuted\": {}, \"unknown\": {}}},",
-            count(|a| a.deadlock, Verdict::Certified),
-            count(|a| a.deadlock, Verdict::Refuted),
-            count(|a| a.deadlock, Verdict::Unknown),
-        );
-        let _ = writeln!(
-            j,
-            "    \"schedulable\": {{\"certified\": {}, \"refuted\": {}, \"unknown\": {}}},",
-            count(|a| a.schedulable, Verdict::Certified),
-            count(|a| a.schedulable, Verdict::Refuted),
-            count(|a| a.schedulable, Verdict::Unknown),
-        );
+        write_verdict_counts(&mut j, analyses.iter().map(|a| (a.deadlock, a.schedulable)));
         let _ = writeln!(
             j,
             "    \"conformance_violations\": {},",
@@ -297,7 +278,7 @@ pub fn replay_report_json_analyzed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build::{run_scenario_checked, run_scenario_traced, TraceConfig};
+    use crate::build::{run_scenario, RunPlan, TraceConfig};
     use crate::scenario::{ScenarioSpec, Tuning};
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -318,16 +299,14 @@ mod tests {
             cap: 0,
             tuning: None,
         };
-        let mut live = Vec::new();
-        for seed in 300..308 {
-            let spec = ScenarioSpec::generate(seed, &tuning);
-            live.push(run_scenario_traced(
-                &spec,
-                true,
-                sysc::Runtime::default(),
-                &tc,
-            ));
-        }
+        let plan = RunPlan {
+            oracle: true,
+            trace: Some(&tc),
+            ..RunPlan::default()
+        };
+        let live: Vec<_> = (300..308)
+            .map(|seed| run_scenario(&ScenarioSpec::generate(seed, &tuning), &plan).0)
+            .collect();
         let replayed = replay_path(&dir).unwrap();
         assert_eq!(replayed.len(), live.len());
         for (r, l) in replayed.iter().zip(&live) {
@@ -352,17 +331,21 @@ mod tests {
             faults: true,
         };
         let spec = ScenarioSpec::generate(42, &tuning);
-        let plain = run_scenario_checked(&spec, true);
-        let traced = run_scenario_traced(
-            &spec,
-            true,
-            sysc::Runtime::default(),
-            &TraceConfig {
-                dir: dir.clone(),
-                cap: 0,
-                tuning: None,
-            },
-        );
+        let tc = TraceConfig {
+            dir: dir.clone(),
+            cap: 0,
+            tuning: None,
+        };
+        let plain = RunPlan {
+            oracle: true,
+            ..RunPlan::default()
+        };
+        let traced = RunPlan {
+            trace: Some(&tc),
+            ..plain
+        };
+        let (plain, _) = run_scenario(&spec, &plain);
+        let (traced, _) = run_scenario(&spec, &traced);
         assert_eq!(plain.digest(), traced.digest());
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -383,9 +366,12 @@ mod tests {
                 faults: true,
             }),
         };
+        let plan = RunPlan {
+            trace: Some(&tc),
+            ..RunPlan::default()
+        };
         for seed in 400..408 {
-            let spec = ScenarioSpec::generate(seed, &tuning);
-            run_scenario_traced(&spec, false, sysc::Runtime::default(), &tc);
+            run_scenario(&ScenarioSpec::generate(seed, &tuning), &plan);
         }
         let traces = replay_path(&dir).unwrap();
         assert_eq!(traces.len(), 8);
@@ -433,10 +419,14 @@ mod tests {
             cap: 0,
             tuning: None,
         };
-        let spec = ScenarioSpec::generate(5, &tuning);
-        run_scenario_traced(&spec, true, sysc::Runtime::default(), &tc);
+        let plan = RunPlan {
+            oracle: true,
+            trace: Some(&tc),
+            ..RunPlan::default()
+        };
+        run_scenario(&ScenarioSpec::generate(5, &tuning), &plan);
         let traces = replay_path(&dir).unwrap();
-        let j = replay_report_json(&traces);
+        let j = replay_report_json_analyzed(&traces, None);
         assert!(j.contains("\"schema\": \"rtk-farm-replay-v1\""));
         assert!(j.contains("\"traces\": 1"));
         assert!(j.contains("\"incomplete\": 0"));

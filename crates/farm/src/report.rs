@@ -31,6 +31,9 @@ pub struct CampaignReport {
     pub cfg: CampaignConfig,
     /// Per-scenario outcomes in seed order.
     pub outcomes: Vec<ScenarioOutcome>,
+    /// Static-analysis records, one per outcome in seed order; empty
+    /// unless the campaign ran with `--analyze`.
+    analysis: Vec<AnalysisRecord>,
 }
 
 /// The distribution summaries of a campaign.
@@ -76,9 +79,29 @@ pub struct Aggregate {
 }
 
 impl CampaignReport {
-    /// Builds the report from seed-ordered outcomes.
+    /// Builds the report from seed-ordered outcomes. An `--analyze`
+    /// campaign derives its static-analysis records here, once per
+    /// scenario: the analyzer is a pure function of the spec, so each
+    /// seed's spec is regenerated, analysed and cross-validated against
+    /// the stored outcome.
     pub fn new(cfg: CampaignConfig, outcomes: Vec<ScenarioOutcome>) -> Self {
-        CampaignReport { cfg, outcomes }
+        let analysis = if cfg.analyze {
+            outcomes
+                .iter()
+                .map(|o| {
+                    let spec = ScenarioSpec::generate(o.seed, &cfg.tuning);
+                    let analysis = analyze_spec(&spec, &AnalysisOptions::default());
+                    verify_outcome(&spec, &analysis, o)
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
+        CampaignReport {
+            cfg,
+            outcomes,
+            analysis,
+        }
     }
 
     /// Computes the distribution summaries (one pass, seed order).
@@ -155,27 +178,16 @@ impl CampaignReport {
     }
 
     /// Static-analysis records, one per scenario in seed order; empty
-    /// unless the campaign ran with `--analyze`. Recomputed from the
-    /// seeds (the analyzer is a pure function of the spec) and
-    /// cross-validated against the stored outcomes.
-    pub fn analysis_records(&self) -> Vec<AnalysisRecord> {
-        if !self.cfg.analyze {
-            return Vec::new();
-        }
-        self.outcomes
-            .iter()
-            .map(|o| {
-                let spec = ScenarioSpec::generate(o.seed, &self.cfg.tuning);
-                let analysis = analyze_spec(&spec, &AnalysisOptions::default());
-                verify_outcome(&spec, &analysis, o)
-            })
-            .collect()
+    /// unless the campaign ran with `--analyze` (derived once, by
+    /// [`CampaignReport::new`]).
+    pub fn analysis_records(&self) -> &[AnalysisRecord] {
+        &self.analysis
     }
 
     /// Static/dynamic contradictions over the campaign: `(seed,
     /// account)` pairs. Any entry fails an `--analyze` campaign.
     pub fn contradictions(&self) -> Vec<(u64, String)> {
-        self.analysis_records()
+        self.analysis
             .iter()
             .flat_map(|r| r.contradictions.iter().map(|c| (r.seed, c.clone())))
             .collect()
@@ -261,27 +273,9 @@ impl CampaignReport {
         // field — a campaign with analysis on reports the same digest
         // as one without.
         if self.cfg.analyze {
-            let records = self.analysis_records();
-            let count = |f: &dyn Fn(&AnalysisRecord) -> Verdict, v: Verdict| {
-                records.iter().filter(|r| f(r) == v).count()
-            };
-            let dl = &|r: &AnalysisRecord| r.deadlock;
-            let sc = &|r: &AnalysisRecord| r.schedulable;
+            let records = &self.analysis;
             j.push_str("  \"analysis\": {\n");
-            let _ = writeln!(
-                j,
-                "    \"deadlock\": {{\"certified\": {}, \"refuted\": {}, \"unknown\": {}}},",
-                count(dl, Verdict::Certified),
-                count(dl, Verdict::Refuted),
-                count(dl, Verdict::Unknown)
-            );
-            let _ = writeln!(
-                j,
-                "    \"schedulable\": {{\"certified\": {}, \"refuted\": {}, \"unknown\": {}}},",
-                count(sc, Verdict::Certified),
-                count(sc, Verdict::Refuted),
-                count(sc, Verdict::Unknown)
-            );
+            write_verdict_counts(&mut j, records.iter().map(|r| (r.deadlock, r.schedulable)));
             j.push_str("    \"contradictions\": [");
             for (i, (seed, why)) in self.contradictions().iter().enumerate() {
                 if i > 0 {
@@ -376,6 +370,33 @@ pub(crate) fn render_explore_json(r: &crate::explore::ExploreReport) -> String {
     }
     j.push_str("]\n}\n");
     j
+}
+
+/// Writes the `"deadlock"` and `"schedulable"` lines of an `analysis`
+/// block — how many scenarios each verdict certified, refuted or left
+/// unknown — from one `(deadlock, schedulable)` pair per scenario. The
+/// campaign and the replay report share it.
+pub(crate) fn write_verdict_counts(
+    j: &mut String,
+    verdicts: impl Iterator<Item = (Verdict, Verdict)>,
+) {
+    let slot = |v| match v {
+        Verdict::Certified => 0,
+        Verdict::Refuted => 1,
+        Verdict::Unknown => 2,
+    };
+    let mut counts = [[0usize; 3]; 2];
+    for (deadlock, schedulable) in verdicts {
+        counts[0][slot(deadlock)] += 1;
+        counts[1][slot(schedulable)] += 1;
+    }
+    for (name, [certified, refuted, unknown]) in ["deadlock", "schedulable"].into_iter().zip(counts)
+    {
+        let _ = writeln!(
+            j,
+            "    \"{name}\": {{\"certified\": {certified}, \"refuted\": {refuted}, \"unknown\": {unknown}}},"
+        );
+    }
 }
 
 /// Writes one `Summary` as a nested JSON object (integer fields only).

@@ -17,7 +17,7 @@
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
-use crate::build::{run_scenario_recorded, ScenarioOutcome, TraceConfig};
+use crate::build::{run_scenario, RunPlan, ScenarioOutcome, TraceConfig};
 use crate::scenario::{ScenarioSpec, Tuning};
 
 /// Campaign parameters (the CLI surface).
@@ -140,6 +140,12 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Vec<ScenarioOutcome> {
     if n == 0 {
         return Vec::new();
     }
+    let plan = RunPlan {
+        oracle: cfg.oracle,
+        trace: cfg.trace.as_ref(),
+        collect_events: false,
+        analyze: cfg.analyze,
+    };
     let workers = cfg.effective_threads().min(n);
 
     // Scenario kernels lease their T-THREAD coroutine stacks from a
@@ -171,13 +177,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Vec<ScenarioOutcome> {
                 while let Some(idx) = next_job(w, queues) {
                     let seed = cfg.base_seed + selected[idx];
                     let spec = ScenarioSpec::generate(seed, &cfg.tuning);
-                    let (outcome, _) = run_scenario_recorded(
-                        &spec,
-                        cfg.oracle,
-                        cfg.trace.as_ref(),
-                        false,
-                        cfg.analyze,
-                    );
+                    let (outcome, _) = run_scenario(&spec, &plan);
                     *slots[idx].lock().unwrap() = Some(outcome);
                 }
             });

@@ -62,18 +62,19 @@ pub fn analyze_spec(spec: &ScenarioSpec, opts: &AnalysisOptions) -> AnalysisResu
 }
 
 /// Cross-checks an exhaustive exploration against the `rtk-verify`
-/// deadlock certificate of the explored family's kernel-executable
-/// twin. A twin certified deadlock-free whose schedule tree still
-/// contains a reachable deadlock state is a contradiction: the
-/// certificate, the spec, or the explorer's model of the topology is
-/// wrong, and the explore run fails. The reverse (refuted/unknown but
-/// no deadlock found) is conservative analysis, not a contradiction.
-pub fn explore_certificate_contradiction(spec: &ScenarioSpec, deadlocks: u64) -> Option<String> {
-    if deadlocks == 0 {
-        return None;
-    }
-    let analysis = analyze_spec(spec, &AnalysisOptions::default());
-    (analysis.deadlock == Verdict::Certified).then(|| {
+/// deadlock certificate (`analysis`, see [`analyze_spec`]) of the
+/// explored family's kernel-executable twin `spec`. A twin certified
+/// deadlock-free whose schedule tree still contains a reachable
+/// deadlock state is a contradiction: the certificate, the spec, or the
+/// explorer's model of the topology is wrong, and the explore run
+/// fails. The reverse (refuted/unknown but no deadlock found) is
+/// conservative analysis, not a contradiction.
+pub fn explore_certificate_contradiction(
+    spec: &ScenarioSpec,
+    analysis: &AnalysisResult,
+    deadlocks: u64,
+) -> Option<String> {
+    (deadlocks > 0 && analysis.deadlock == Verdict::Certified).then(|| {
         format!(
             "rtk-verify certifies the twin (seed {}) deadlock-free, \
              but exploration reached {deadlocks} deadlock state(s)",
@@ -161,7 +162,7 @@ pub fn verify_outcome(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build::run_scenario_analyzed;
+    use crate::build::{run_scenario, RunPlan};
     use crate::scenario::Tuning;
 
     fn quick(faults: bool) -> Tuning {
@@ -178,7 +179,11 @@ mod tests {
         for seed in 0..24 {
             let spec = ScenarioSpec::generate(seed, &quick(true));
             let analysis = analyze_spec(&spec, &AnalysisOptions::default());
-            let out = run_scenario_analyzed(&spec, false, None);
+            let plan = RunPlan {
+                analyze: true,
+                ..RunPlan::default()
+            };
+            let (out, _) = run_scenario(&spec, &plan);
             let rec = verify_outcome(&spec, &analysis, &out);
             assert!(
                 rec.consistent(),

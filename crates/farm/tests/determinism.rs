@@ -2,11 +2,13 @@
 //! rests on `seed ⇒ scenario ⇒ outcome` being a pure function,
 //! independent of worker-thread count and scheduling.
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
 use rtk_analysis::trace_codec::{encode_trace, TraceHeader};
 use rtk_farm::{
-    run_campaign, run_exploration, run_scenario, run_scenario_observed, CampaignConfig,
-    CampaignReport, ExploreConfig, Family, ScenarioSpec, Tuning,
+    run_campaign, run_exploration, run_scenario, CampaignConfig, CampaignReport, ExploreConfig,
+    Family, RunPlan, ScenarioSpec, TraceConfig, Tuning,
 };
 use sysc::Runtime;
 
@@ -41,8 +43,8 @@ proptest! {
     /// counters, kernel stats), run-to-run.
     fn scenario_outcome_is_reproducible(seed in 0u64..10_000) {
         let spec = ScenarioSpec::generate(seed, &quick(true));
-        let a = run_scenario(&spec);
-        let b = run_scenario(&spec);
+        let (a, _) = run_scenario(&spec, &RunPlan::default());
+        let (b, _) = run_scenario(&spec, &RunPlan::default());
         prop_assert_eq!(a.digest(), b.digest());
         prop_assert_eq!(a.latencies_us, b.latencies_us);
         prop_assert_eq!(a.stats, b.stats);
@@ -113,7 +115,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// Per seed (quick tuning, faults on): the number of kernel decisions
-/// `run_scenario_observed` records and the FNV-1a digest of their
+/// an oracle run with `collect_events` records and the FNV-1a digest of their
 /// `.rtkt` encoding, which covers every event and its tick.
 const OBS_GOLDENS: [(u64, usize, u64); 5] = [
     (3, 434, 0x6ed0_9628_a05a_ac9a),
@@ -127,7 +129,12 @@ const OBS_GOLDENS: [(u64, usize, u64); 5] = [
 fn obs_streams_match_goldens() {
     for (seed, events, digest) in OBS_GOLDENS {
         let spec = ScenarioSpec::generate(seed, &quick(true));
-        let (out, obs) = run_scenario_observed(&spec, Runtime::default());
+        let plan = RunPlan {
+            oracle: true,
+            collect_events: true,
+            ..RunPlan::default()
+        };
+        let (out, obs) = run_scenario(&spec, &plan);
         assert!(out.healthy(), "seed {seed}: {out:?}");
         let header = TraceHeader::new(seed, spec.topology.label(), "golden");
         let got = (obs.len(), fnv1a(&encode_trace(&header, &obs, None)));
@@ -139,6 +146,47 @@ fn obs_streams_match_goldens() {
             got.1
         );
     }
+}
+
+/// Every attachment only observes. On each golden seed, all 16
+/// combinations of a [`RunPlan`] give the same outcome digest once the
+/// oracle's own event count is zeroed, the same oracle verdict wherever
+/// the oracle ran, and the golden stream length wherever the stream
+/// was collected.
+#[test]
+fn every_run_plan_gives_the_same_outcome() {
+    let dir = std::env::temp_dir().join(format!("rtk_run_plans_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let tc = TraceConfig {
+        dir: dir.clone(),
+        cap: 0,
+        tuning: None,
+    };
+    for (seed, events, _) in OBS_GOLDENS {
+        let spec = ScenarioSpec::generate(seed, &quick(true));
+        let mut digests = BTreeSet::new();
+        let mut verdicts = BTreeSet::new();
+        for bits in 0..16u8 {
+            let plan = RunPlan {
+                oracle: bits & 1 != 0,
+                trace: (bits & 2 != 0).then_some(&tc),
+                collect_events: bits & 4 != 0,
+                analyze: bits & 8 != 0,
+            };
+            let (mut out, stream) = run_scenario(&spec, &plan);
+            assert!(out.healthy(), "seed {seed}, {plan:?}: {out:?}");
+            let want = if plan.collect_events { events } else { 0 };
+            assert_eq!(stream.len(), want, "seed {seed}, {plan:?}");
+            if plan.oracle {
+                verdicts.insert((out.oracle_events, out.divergence.clone()));
+            }
+            out.oracle_events = 0;
+            digests.insert(out.digest());
+        }
+        assert_eq!(digests.len(), 1, "seed {seed}: {digests:x?}");
+        assert_eq!(verdicts.len(), 1, "seed {seed}: {verdicts:?}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The 12-seed oracle campaign at base seed 500.

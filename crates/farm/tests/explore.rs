@@ -17,8 +17,8 @@
 //! See `docs/EXPLORATION.md` for the semantics these tests pin.
 
 use rtk_farm::{
-    replay_trace, run_exploration, run_scenario_observed, write_counterexamples, Checker,
-    ExploreConfig, ExploreOutcome, Family, ScenarioSpec, SpecMutation, SpecState, Tuning,
+    replay_trace, run_exploration, run_scenario, write_counterexamples, Checker, ExploreConfig,
+    ExploreOutcome, Family, RunPlan, ScenarioSpec, SpecMutation, SpecState, Tuning,
 };
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -139,7 +139,12 @@ fn assert_random_hunt_misses(mutation: SpecMutation, seeds: u64) {
     };
     for seed in 0..seeds {
         let spec = ScenarioSpec::generate(seed, &tuning);
-        let (_, events) = run_scenario_observed(&spec, Runtime::default());
+        let plan = RunPlan {
+            oracle: true,
+            collect_events: true,
+            ..RunPlan::default()
+        };
+        let (_, events) = run_scenario(&spec, &plan);
         let mut mutated = Checker::with_mutation(mutation);
         let mut healthy = Checker::new();
         for se in &events {

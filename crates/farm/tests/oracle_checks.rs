@@ -10,7 +10,7 @@
 //! queues and one-tick-late timers were all detected this way).
 
 use rtk_core::{CycId, MplId, MtxId, MtxPolicy, ObsEvent, SemId, TaskId, WaitObj, WakeCode};
-use rtk_farm::{check, run_scenario_checked, ScenarioSpec, Topology, Tuning};
+use rtk_farm::{check, run_scenario, RunPlan, ScenarioSpec, Topology, Tuning};
 
 fn t(n: u32) -> TaskId {
     TaskId::from_raw(n)
@@ -572,13 +572,17 @@ fn real_scenarios_replay_clean_through_the_oracle() {
         quick: true,
         faults: true,
     };
+    let plan = RunPlan {
+        oracle: true,
+        ..RunPlan::default()
+    };
     let mut seen = std::collections::BTreeSet::new();
     for seed in 0..512 {
         let spec = ScenarioSpec::generate(seed, &tuning);
         if !seen.insert(spec.topology.label()) {
             continue;
         }
-        let out = run_scenario_checked(&spec, true);
+        let (out, _) = run_scenario(&spec, &plan);
         assert!(
             out.divergence.is_none(),
             "seed {seed} ({}): {:?}",
@@ -604,13 +608,17 @@ fn mutex_scenarios_exercise_contention() {
         quick: true,
         faults: false,
     };
+    let plan = RunPlan {
+        oracle: true,
+        ..RunPlan::default()
+    };
     let mut checked = 0u64;
     for seed in 0..512 {
         let spec = ScenarioSpec::generate(seed, &tuning);
         if !matches!(spec.topology, Topology::MtxChain { .. }) {
             continue;
         }
-        let out = run_scenario_checked(&spec, true);
+        let (out, _) = run_scenario(&spec, &plan);
         assert!(
             out.divergence.is_none(),
             "seed {seed}: {:?}",

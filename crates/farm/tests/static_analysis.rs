@@ -16,8 +16,8 @@
 
 use rtk_analysis::static_verify::{AnalysisOptions, Verdict};
 use rtk_farm::{
-    analyze_spec, run_campaign, run_scenario_analyzed, verify_outcome, CampaignConfig,
-    CampaignReport, ScenarioSpec, Tuning,
+    analyze_spec, run_campaign, run_scenario, verify_outcome, CampaignConfig, CampaignReport,
+    RunPlan, ScenarioSpec, Tuning,
 };
 
 fn quick() -> Tuning {
@@ -53,7 +53,7 @@ fn analysis_records_are_thread_count_invariant() {
     assert_eq!(reports[1].analysis_records(), baseline_records);
     assert_eq!(reports[1].to_json(), reports[0].to_json());
     // And the healthy analyzer survives its own cross-check.
-    for rec in &baseline_records {
+    for rec in baseline_records {
         assert!(
             rec.consistent(),
             "seed {}: {:?}",
@@ -86,7 +86,11 @@ fn assert_mutant_convicted(seed: u64, mutate: fn(&mut AnalysisOptions), expect: 
         mutated.summary()
     );
 
-    let out = run_scenario_analyzed(&spec, false, None);
+    let plan = RunPlan {
+        analyze: true,
+        ..RunPlan::default()
+    };
+    let (out, _) = run_scenario(&spec, &plan);
     let healthy_rec = verify_outcome(&spec, &healthy, &out);
     assert!(
         healthy_rec.consistent(),

@@ -23,7 +23,7 @@ use rtk_core::{
     SemId, StampedEvent, StreamClose, StreamSink, TaskId, WaitObj, WakeCode,
 };
 use rtk_farm::{
-    check, replay_trace, run_campaign, run_scenario_traced, CampaignConfig, CampaignReport,
+    check, replay_trace, run_campaign, run_scenario, CampaignConfig, CampaignReport, RunPlan,
     ScenarioSpec, TraceConfig, Tuning,
 };
 
@@ -594,12 +594,12 @@ fn threaded_header_traces_still_replay() {
         cap: 0,
         tuning: None,
     };
-    let live = run_scenario_traced(
-        &ScenarioSpec::generate(42, &tuning),
-        true,
-        sysc::Runtime::default(),
-        &tc,
-    );
+    let plan = RunPlan {
+        oracle: true,
+        trace: Some(&tc),
+        ..RunPlan::default()
+    };
+    let (live, _) = run_scenario(&ScenarioSpec::generate(42, &tuning), &plan);
     let mut trace = read_trace(&dir.join("seed-0000000042.rtkt")).unwrap();
     assert_eq!(trace.header.runtime, "coro");
     trace.header.runtime = "threaded".into();
