@@ -23,7 +23,8 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use rtk_analysis::trace_codec::TraceTuning;
+use rtk_analysis::trace_codec::{TraceTuning, DEFAULT_TICK_US};
+use rtk_core::StampedEvent;
 use rtk_farm::{
     replay_analysis, replay_path, replay_report_json_analyzed, run_campaign, run_exploration,
     write_counterexamples, CampaignConfig, CampaignReport, ExploreConfig, Family, ReplayedAnalysis,
@@ -285,13 +286,58 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
     {
         return Err("--export-vcd/--export-chrome require --replay or --explore".into());
     }
+    let cfg = &cli.cfg;
+    if cfg.seeds > 0 && cfg.base_seed.checked_add(cfg.seeds - 1).is_none() {
+        return Err(format!(
+            "--base-seed {} with --seeds {} runs past the last seed {}",
+            cfg.base_seed,
+            cfg.seeds,
+            u64::MAX
+        ));
+    }
     Ok(cli)
+}
+
+type ExportFn = fn(&[StampedEvent], u32) -> String;
+
+/// Writes the `--export-vcd` / `--export-chrome` renderings of each
+/// `(file stem, events, tick in µs)` stream as `<stem>.vcd` and
+/// `<stem>.trace.json`, after creating the requested directories. A
+/// failure is reported on stderr and becomes exit code 2.
+fn write_exports<'a>(
+    cli: &Cli,
+    streams: impl IntoIterator<Item = (String, &'a [StampedEvent], u32)>,
+) -> Result<(), ExitCode> {
+    let exports: [(&Option<PathBuf>, &str, ExportFn); 2] = [
+        (&cli.export_vcd, "vcd", rtk_analysis::obs_to_vcd),
+        (
+            &cli.export_chrome,
+            "trace.json",
+            rtk_analysis::obs_to_chrome_trace,
+        ),
+    ];
+    for dir in [&cli.export_vcd, &cli.export_chrome].into_iter().flatten() {
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            eprintln!("rtk-farm: cannot create {}: {e}", dir.display());
+            return Err(ExitCode::from(2));
+        }
+    }
+    for (stem, events, tick_us) in streams {
+        for (dir, ext, render) in exports {
+            if let Some(dir) = dir {
+                let file = dir.join(format!("{stem}.{ext}"));
+                if let Err(e) = std::fs::write(&file, render(events, tick_us)) {
+                    eprintln!("rtk-farm: cannot write {}: {e}", file.display());
+                    return Err(ExitCode::from(2));
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 /// The `--replay` mode: oracle verdicts (and optional exports) from
 /// trace files alone.
-type ExportFn = fn(&[rtk_core::StampedEvent], u32) -> String;
-
 fn run_replay(cli: &Cli, path: &std::path::Path) -> ExitCode {
     let traces = match replay_path(path) {
         Ok(traces) => traces,
@@ -300,30 +346,12 @@ fn run_replay(cli: &Cli, path: &std::path::Path) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    for dir in [&cli.export_vcd, &cli.export_chrome].into_iter().flatten() {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("rtk-farm: cannot create {}: {e}", dir.display());
-            return ExitCode::from(2);
-        }
-    }
-    for t in &traces {
-        let exports: [(&Option<PathBuf>, &str, ExportFn); 2] = [
-            (&cli.export_vcd, "vcd", rtk_analysis::obs_to_vcd),
-            (
-                &cli.export_chrome,
-                "trace.json",
-                rtk_analysis::obs_to_chrome_trace,
-            ),
-        ];
-        for (dir, ext, render) in exports {
-            if let Some(dir) = dir {
-                let file = dir.join(format!("seed-{:010}.{ext}", t.header.seed));
-                if let Err(e) = std::fs::write(&file, render(&t.events, t.header.tick_us)) {
-                    eprintln!("rtk-farm: cannot write {}: {e}", file.display());
-                    return ExitCode::from(2);
-                }
-            }
-        }
+    let streams = traces.iter().map(|t| {
+        let stem = format!("seed-{:010}", t.header.seed);
+        (stem, &t.events[..], t.header.tick_us)
+    });
+    if let Err(code) = write_exports(cli, streams) {
+        return code;
     }
     let analyses: Option<Vec<ReplayedAnalysis>> = if cli.cfg.analyze {
         let mut recs = Vec::with_capacity(traces.len());
@@ -414,34 +442,12 @@ fn run_explore(cli: &Cli, cfg: &ExploreConfig) -> ExitCode {
             }
         }
     }
-    if cli.export_vcd.is_some() || cli.export_chrome.is_some() {
-        for dir in [&cli.export_vcd, &cli.export_chrome].into_iter().flatten() {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("rtk-farm: cannot create {}: {e}", dir.display());
-                return ExitCode::from(2);
-            }
-        }
-        let tick_us = rtk_analysis::trace_codec::DEFAULT_TICK_US;
-        for ce in &outcome.counterexamples {
-            let stem = ce.name.trim_end_matches(".rtkt");
-            let exports: [(&Option<PathBuf>, &str, ExportFn); 2] = [
-                (&cli.export_vcd, "vcd", rtk_analysis::obs_to_vcd),
-                (
-                    &cli.export_chrome,
-                    "trace.json",
-                    rtk_analysis::obs_to_chrome_trace,
-                ),
-            ];
-            for (dir, ext, render) in exports {
-                if let Some(dir) = dir {
-                    let file = dir.join(format!("{stem}.{ext}"));
-                    if let Err(e) = std::fs::write(&file, render(&ce.events, tick_us)) {
-                        eprintln!("rtk-farm: cannot write {}: {e}", file.display());
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-        }
+    let streams = outcome.counterexamples.iter().map(|ce| {
+        let stem = ce.name.trim_end_matches(".rtkt").to_string();
+        (stem, &ce.events[..], DEFAULT_TICK_US)
+    });
+    if let Err(code) = write_exports(cli, streams) {
+        return code;
     }
     let out = cli
         .out
@@ -601,6 +607,7 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::{parse_args, Cli};
+    use proptest::prelude::*;
 
     fn parse(args: &[&str]) -> Result<Cli, String> {
         parse_args(args.iter().map(|s| s.to_string()))
@@ -810,6 +817,115 @@ mod tests {
         assert!(err.contains("at least 1"), "{err}");
         let err = parse(&["--explore", "mtx", "--depth", "junk"]).unwrap_err();
         assert!(err.contains("--depth"), "{err}");
+    }
+
+    #[test]
+    fn seed_ranges_past_the_last_u64_are_usage_errors() {
+        let max = "18446744073709551615";
+        for args in [
+            &["--seeds", "2", "--base-seed", max, "--quick"][..],
+            &["--base-seed", max][..], // 256 seeds by default
+            &["--base-seed", "2", "--seeds", max][..],
+        ] {
+            let err = parse(args).unwrap_err();
+            assert!(err.contains("past the last seed"), "{args:?}: {err}");
+        }
+        // The last representable seed is fine.
+        let cli = parse(&["--seeds", "1", "--base-seed", max]).unwrap();
+        assert_eq!(cli.cfg.base_seed, u64::MAX);
+        let cli = parse(&["--seeds", max, "--base-seed", "1"]).unwrap();
+        assert_eq!(cli.cfg.seeds, u64::MAX);
+        assert!(parse(&["--seeds", "0", "--base-seed", max]).is_ok());
+    }
+
+    /// Every option `parse_args` knows, and whether it takes a value.
+    const OPTIONS: [(&str, bool); 22] = [
+        ("--seeds", true),
+        ("--base-seed", true),
+        ("--threads", true),
+        ("--quick", false),
+        ("--no-faults", false),
+        ("--oracle", false),
+        ("--analyze", false),
+        ("--topology", true),
+        ("--trace-dir", true),
+        ("--trace-cap", true),
+        ("--out", true),
+        ("--replay", true),
+        ("--export-vcd", true),
+        ("--export-chrome", true),
+        ("--explore", true),
+        ("--depth", true),
+        ("--max-states", true),
+        ("--no-por", false),
+        ("--adversarial", false),
+        ("--explore-dir", true),
+        ("--help", false),
+        ("-h", false),
+    ];
+
+    /// Option values: edge numbers, known and unknown names, junk.
+    const VALUES: [&str; 14] = [
+        "",
+        "-1",
+        "0",
+        "1",
+        "2",
+        "256",
+        "18446744073709551615",
+        "18446744073709551616",
+        "mtx",
+        "sem_chain",
+        "nope",
+        "--frobnicate",
+        "x",
+        "d/e",
+    ];
+
+    /// Argument vectors: each draw appends an option with its value, the
+    /// option alone (a missing value, or one taken from the next token),
+    /// or a stray value.
+    fn arg_vectors() -> impl Strategy<Value = Vec<String>> {
+        let draw = (0..OPTIONS.len(), 0..VALUES.len(), 0u8..8);
+        collection::vec(draw, 0..8).prop_map(|draws| {
+            let mut args = Vec::new();
+            for (o, v, shape) in draws {
+                let (option, takes_value) = OPTIONS[o];
+                if shape > 0 {
+                    args.push(option.to_string());
+                }
+                if shape == 0 || (shape > 1 && takes_value) {
+                    args.push(VALUES[v].to_string());
+                }
+            }
+            args
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4000))]
+
+        #[test]
+        /// `parse_args` never panics, and every configuration it accepts
+        /// can run: a seed range that fits in `u64`, at least one worker,
+        /// and under `--explore` nonzero bounds. Only parses; nothing
+        /// here starts a campaign or a thread.
+        fn accepted_configs_are_runnable(args in arg_vectors()) {
+            let Ok(cli) = parse_args(args.iter().cloned()) else {
+                return Ok(());
+            };
+            let cfg = &cli.cfg;
+            prop_assert!(
+                cfg.seeds == 0 || cfg.base_seed.checked_add(cfg.seeds - 1).is_some(),
+                "{args:?}: seeds {} from {}",
+                cfg.seeds,
+                cfg.base_seed
+            );
+            prop_assert!(cfg.effective_threads() >= 1, "{args:?}");
+            if let Some(e) = &cli.explore {
+                prop_assert!(e.depth >= 1 && e.max_states >= 1, "{args:?}: {e:?}");
+            }
+        }
     }
 
     #[test]
