@@ -686,18 +686,18 @@ impl Kit {
             Kit::DispWindow { lock_cpu } => {
                 let crit = mtx_chain_crit_us(exec_us);
                 sys.exec(SimTime::from_us(exec_us - crit));
-                let _ = if lock_cpu {
-                    sys.tk_loc_cpu()
+                if lock_cpu {
+                    let _ = sys.tk_loc_cpu();
                 } else {
-                    sys.tk_dis_dsp()
-                };
+                    let _ = sys.tk_dis_dsp();
+                }
                 sys.exec(SimTime::from_us(crit));
                 let _ = sys.tk_rot_rdq(0);
-                let _ = if lock_cpu {
-                    sys.tk_unl_cpu()
+                if lock_cpu {
+                    let _ = sys.tk_unl_cpu();
                 } else {
-                    sys.tk_ena_dsp()
-                };
+                    let _ = sys.tk_ena_dsp();
+                }
             }
             // Arena exhausted past the timeout: run without the block.
             Kit::MplPressure(mpl) => match sys.tk_get_mpl(mpl, 8 + (i * 12) % 36, timeout) {
