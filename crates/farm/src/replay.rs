@@ -234,7 +234,7 @@ pub fn replay_report_json_analyzed(
     );
     if let Some(analyses) = analyses {
         j.push_str("  \"analysis\": {\n");
-        write_verdict_counts(&mut j, analyses.iter().map(|a| (a.deadlock, a.schedulable)));
+        write_verdict_counts(&mut j, analyses, |a| [a.deadlock, a.schedulable]);
         let _ = writeln!(
             j,
             "    \"conformance_violations\": {},",
@@ -336,16 +336,18 @@ mod tests {
             cap: 0,
             tuning: None,
         };
-        let plain = RunPlan {
+        let plan = RunPlan {
             oracle: true,
             ..RunPlan::default()
         };
-        let traced = RunPlan {
-            trace: Some(&tc),
-            ..plain
-        };
-        let (plain, _) = run_scenario(&spec, &plain);
-        let (traced, _) = run_scenario(&spec, &traced);
+        let (plain, _) = run_scenario(&spec, &plan);
+        let (traced, _) = run_scenario(
+            &spec,
+            &RunPlan {
+                trace: Some(&tc),
+                ..plan
+            },
+        );
         assert_eq!(plain.digest(), traced.digest());
         std::fs::remove_dir_all(&dir).ok();
     }

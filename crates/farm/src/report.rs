@@ -275,7 +275,7 @@ impl CampaignReport {
         if self.cfg.analyze {
             let records = &self.analysis;
             j.push_str("  \"analysis\": {\n");
-            write_verdict_counts(&mut j, records.iter().map(|r| (r.deadlock, r.schedulable)));
+            write_verdict_counts(&mut j, records, |r| [r.deadlock, r.schedulable]);
             j.push_str("    \"contradictions\": [");
             for (i, (seed, why)) in self.contradictions().iter().enumerate() {
                 if i > 0 {
@@ -373,28 +373,22 @@ pub(crate) fn render_explore_json(r: &crate::explore::ExploreReport) -> String {
 }
 
 /// Writes the `"deadlock"` and `"schedulable"` lines of an `analysis`
-/// block — how many scenarios each verdict certified, refuted or left
-/// unknown — from one `(deadlock, schedulable)` pair per scenario. The
+/// block: how many records each verdict certified, refuted or left
+/// unknown. `verdicts` reads a record's `[deadlock, schedulable]`. The
 /// campaign and the replay report share it.
-pub(crate) fn write_verdict_counts(
+pub(crate) fn write_verdict_counts<T>(
     j: &mut String,
-    verdicts: impl Iterator<Item = (Verdict, Verdict)>,
+    records: &[T],
+    verdicts: fn(&T) -> [Verdict; 2],
 ) {
-    let slot = |v| match v {
-        Verdict::Certified => 0,
-        Verdict::Refuted => 1,
-        Verdict::Unknown => 2,
-    };
-    let mut counts = [[0usize; 3]; 2];
-    for (deadlock, schedulable) in verdicts {
-        counts[0][slot(deadlock)] += 1;
-        counts[1][slot(schedulable)] += 1;
-    }
-    for (name, [certified, refuted, unknown]) in ["deadlock", "schedulable"].into_iter().zip(counts)
-    {
+    for (k, name) in ["deadlock", "schedulable"].into_iter().enumerate() {
+        let count = |v| records.iter().filter(|r| verdicts(r)[k] == v).count();
         let _ = writeln!(
             j,
-            "    \"{name}\": {{\"certified\": {certified}, \"refuted\": {refuted}, \"unknown\": {unknown}}},"
+            "    \"{name}\": {{\"certified\": {}, \"refuted\": {}, \"unknown\": {}}},",
+            count(Verdict::Certified),
+            count(Verdict::Refuted),
+            count(Verdict::Unknown)
         );
     }
 }
