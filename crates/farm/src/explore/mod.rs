@@ -46,6 +46,10 @@ use crate::verify::{analyze_spec, explore_certificate_contradiction};
 pub use program::Family;
 use program::{ExploreModel, Micro};
 
+/// Violations whose full event streams are retained as counterexamples;
+/// later ones are reported without a stream.
+const MAX_COUNTEREXAMPLES: usize = 8;
+
 /// Bounds and switches of one exploration run.
 #[derive(Debug, Clone)]
 pub struct ExploreConfig {
@@ -67,8 +71,6 @@ pub struct ExploreConfig {
     /// Explore a deliberately-mutated spec (the mutation-sensitivity
     /// proofs in `crates/farm/tests/explore.rs`). Not CLI-reachable.
     pub mutation: Option<SpecMutation>,
-    /// Cap on counterexamples whose full event streams are retained.
-    pub max_counterexamples: usize,
 }
 
 impl Default for ExploreConfig {
@@ -81,7 +83,6 @@ impl Default for ExploreConfig {
             adversarial: false,
             faults: true,
             mutation: None,
-            max_counterexamples: 8,
         }
     }
 }
@@ -195,8 +196,7 @@ impl ExploreReport {
 pub struct ExploreOutcome {
     /// The deterministic report.
     pub report: ExploreReport,
-    /// Retained counterexamples (capped by
-    /// [`ExploreConfig::max_counterexamples`]).
+    /// Retained counterexamples: those of the first eight violations.
     pub counterexamples: Vec<Counterexample>,
 }
 
@@ -605,7 +605,7 @@ impl<'a> Walker<'a> {
     ) {
         let idx = self.violations.len();
         let name = format!("explore-{}-{idx:02}.rtkt", self.model.family.label());
-        if idx < self.cfg.max_counterexamples {
+        if idx < MAX_COUNTEREXAMPLES {
             self.counterexamples.push(Counterexample {
                 name: name.clone(),
                 kind: kind.to_string(),

@@ -20,9 +20,10 @@
 //!    ITRON reference model ([`oracle`]) and the first spec divergence
 //!    flags the scenario; `.rtkt` capture, an in-memory copy of the
 //!    stream and the static-model conformance checker are the others.
-//! 3. **Parallel runner** ([`run_campaign`]) — a work-stealing thread
-//!    pool; kernels are independent, so the campaign is embarrassingly
-//!    parallel. Results land in seed-indexed slots.
+//! 3. **Parallel runner** ([`run_campaign`]) — kernels are
+//!    independent, so the campaign is embarrassingly parallel: worker
+//!    threads claim seed offsets from one shared atomic cursor, and each
+//!    outcome lands in its offset's slot.
 //! 4. **Aggregation** ([`CampaignReport`]) — nearest-rank percentile
 //!    summaries and the deterministic `BENCH_farm.json`: byte-identical
 //!    for a fixed seed set regardless of thread count.

@@ -34,9 +34,9 @@ use rtk_farm::{
 const USAGE: &str = "usage: rtk-farm [options]
 
 campaign options:
-  --seeds N       number of consecutive seeds to run   (default 256)
+  --seeds N       consecutive seeds, at most 1000000   (default 256)
   --base-seed S   first seed                           (default 1)
-  --threads T     worker threads, at least 1           (default: all cores)
+  --threads T     worker threads, 1 to 256             (default: all cores)
   --quick         short horizon (120 ms) for smoke campaigns
   --no-faults     disable fault-injection draws
   --oracle        replay every scenario through the differential
@@ -59,7 +59,8 @@ campaign options:
 
 replay options:
   --replay PATH   replay a .rtkt trace file, or every *.rtkt in a
-                  directory, through the oracle — no kernel execution;
+                  directory (which must hold at least one), through
+                  the oracle — no kernel execution;
                   verdicts (incl. divergence event indexes) match the
                   live run's. Report goes to --out
                   (default REPLAY_farm.json)
@@ -96,6 +97,12 @@ explore options (bounded model checking, see docs/EXPLORATION.md):
   --export-vcd/--export-chrome  with --explore: render each
                   counterexample like a replayed trace
   --help          this text";
+
+/// Largest `--seeds`: a campaign keeps every outcome in memory, about
+/// 1.8 KB per quick seed, so a million seeds need about 1.8 GB.
+const MAX_SEEDS: u64 = 1_000_000;
+/// Largest `--threads`: each worker is an OS thread.
+const MAX_THREADS: usize = 256;
 
 #[derive(Debug)]
 struct Cli {
@@ -136,7 +143,10 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
                 campaign_only.push("--seeds");
                 cli.cfg.seeds = value("--seeds")?
                     .parse()
-                    .map_err(|e| format!("--seeds: {e}"))?
+                    .map_err(|e| format!("--seeds: {e}"))?;
+                if cli.cfg.seeds > MAX_SEEDS {
+                    return Err(format!("--seeds must be at most {MAX_SEEDS}"));
+                }
             }
             "--base-seed" => {
                 campaign_only.push("--base-seed");
@@ -150,6 +160,9 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
                     .map_err(|e| format!("--threads: {e}"))?;
                 if cli.cfg.threads == 0 {
                     return Err("--threads must be at least 1".into());
+                }
+                if cli.cfg.threads > MAX_THREADS {
+                    return Err(format!("--threads must be at most {MAX_THREADS}"));
                 }
             }
             "--quick" => cli.cfg.tuning.quick = true,
@@ -337,9 +350,14 @@ fn write_exports<'a>(
 }
 
 /// The `--replay` mode: oracle verdicts (and optional exports) from
-/// trace files alone.
+/// trace files alone. A directory without a `*.rtkt` file is a usage
+/// error, so a mistyped trace directory cannot pass a replay gate.
 fn run_replay(cli: &Cli, path: &std::path::Path) -> ExitCode {
     let traces = match replay_path(path) {
+        Ok(traces) if traces.is_empty() => {
+            eprintln!("rtk-farm: no *.rtkt trace in {}", path.display());
+            return ExitCode::from(2);
+        }
         Ok(traces) => traces,
         Err(e) => {
             eprintln!("rtk-farm: replay of {} failed: {e}", path.display());
@@ -606,7 +624,7 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::{parse_args, Cli};
+    use super::{parse_args, Cli, MAX_SEEDS, MAX_THREADS, USAGE};
     use proptest::prelude::*;
 
     fn parse(args: &[&str]) -> Result<Cli, String> {
@@ -822,10 +840,12 @@ mod tests {
     #[test]
     fn seed_ranges_past_the_last_u64_are_usage_errors() {
         let max = "18446744073709551615";
+        // The last 1,000,000 seeds start here.
+        let last_million = "18446744073708551616";
         for args in [
             &["--seeds", "2", "--base-seed", max, "--quick"][..],
             &["--base-seed", max][..], // 256 seeds by default
-            &["--base-seed", "2", "--seeds", max][..],
+            &["--base-seed", "18446744073708551617", "--seeds", "1000000"][..],
         ] {
             let err = parse(args).unwrap_err();
             assert!(err.contains("past the last seed"), "{args:?}: {err}");
@@ -833,9 +853,34 @@ mod tests {
         // The last representable seed is fine.
         let cli = parse(&["--seeds", "1", "--base-seed", max]).unwrap();
         assert_eq!(cli.cfg.base_seed, u64::MAX);
-        let cli = parse(&["--seeds", max, "--base-seed", "1"]).unwrap();
-        assert_eq!(cli.cfg.seeds, u64::MAX);
+        let cli = parse(&["--seeds", "1000000", "--base-seed", last_million]).unwrap();
+        assert_eq!(cli.cfg.base_seed + (cli.cfg.seeds - 1), u64::MAX);
         assert!(parse(&["--seeds", "0", "--base-seed", max]).is_ok());
+    }
+
+    #[test]
+    fn seed_counts_above_a_million_are_usage_errors() {
+        // Only parses: a campaign of this size is never started here.
+        let err = parse(&["--seeds", "1000001", "--quick"]).unwrap_err();
+        assert!(err.contains("at most 1000000"), "{err}");
+        let err = parse(&["--seeds", "18446744073709551615", "--quick"]).unwrap_err();
+        assert!(err.contains("at most 1000000"), "{err}");
+        assert_eq!(parse(&["--seeds", "1000000"]).unwrap().cfg.seeds, MAX_SEEDS);
+        assert!(USAGE.contains("at most 1000000"));
+    }
+
+    #[test]
+    fn thread_counts_above_256_are_usage_errors() {
+        // Only parses: no worker thread is started here.
+        let err = parse(&["--threads", "257", "--seeds", "100000"]).unwrap_err();
+        assert!(err.contains("at most 256"), "{err}");
+        let err = parse(&["--threads", "100000"]).unwrap_err();
+        assert!(err.contains("at most 256"), "{err}");
+        assert_eq!(
+            parse(&["--threads", "256"]).unwrap().cfg.threads,
+            MAX_THREADS
+        );
+        assert!(USAGE.contains("1 to 256"));
     }
 
     /// Every option `parse_args` knows, and whether it takes a value.
@@ -865,13 +910,16 @@ mod tests {
     ];
 
     /// Option values: edge numbers, known and unknown names, junk.
-    const VALUES: [&str; 14] = [
+    const VALUES: [&str; 17] = [
         "",
         "-1",
         "0",
         "1",
         "2",
         "256",
+        "257",
+        "1000000",
+        "1000001",
         "18446744073709551615",
         "18446744073709551616",
         "mtx",
@@ -907,9 +955,10 @@ mod tests {
 
         #[test]
         /// `parse_args` never panics, and every configuration it accepts
-        /// can run: a seed range that fits in `u64`, at least one worker,
-        /// and under `--explore` nonzero bounds. Only parses; nothing
-        /// here starts a campaign or a thread.
+        /// can run: a seed range that fits in `u64`, at most a million
+        /// seeds, 1 to 256 workers, and under `--explore` nonzero
+        /// bounds. Only parses; nothing here starts a campaign or a
+        /// thread.
         fn accepted_configs_are_runnable(args in arg_vectors()) {
             let Ok(cli) = parse_args(args.iter().cloned()) else {
                 return Ok(());
@@ -921,6 +970,8 @@ mod tests {
                 cfg.seeds,
                 cfg.base_seed
             );
+            prop_assert!(cfg.seeds <= MAX_SEEDS, "{args:?}: {} seeds", cfg.seeds);
+            prop_assert!(cfg.threads <= MAX_THREADS, "{args:?}: {} threads", cfg.threads);
             prop_assert!(cfg.effective_threads() >= 1, "{args:?}");
             if let Some(e) = &cli.explore {
                 prop_assert!(e.depth >= 1 && e.max_states >= 1, "{args:?}: {e:?}");
