@@ -22,8 +22,9 @@
 //! The walk is an explicit-stack DFS with a canonical FNV-1a state
 //! hash for revisit dedup and a partial-order reduction: when every
 //! candidate at a frontier is pairwise independent (same tick,
-//! disjoint object/task footprints, distinct woken priorities), the
-//! commuting diamond collapses to one representative order. Violations
+//! disjoint object/task footprints) and every pair, executed in both
+//! orders, reaches the same state hash, the commuting diamond
+//! collapses to one representative order. Violations
 //! — deadlock states, broken spec invariants, contradiction of an
 //! `rtk-verify` certificate — are distilled into `.rtkt`-replayable
 //! event streams, and families with a kernel-executable twin are
@@ -339,8 +340,9 @@ struct Cand {
     cpu: bool,
     /// Footprint tokens for the POR independence check.
     tokens: std::collections::BTreeSet<(u8, u64)>,
-    /// Current priorities of tasks this candidate wakes.
-    wake_pris: std::collections::BTreeSet<u8>,
+    /// The most urgent current priority among the tasks this candidate
+    /// wakes (what `--adversarial` scores).
+    wake_pri: Option<u8>,
 }
 
 struct Frame {
@@ -497,7 +499,7 @@ impl<'a> Walker<'a> {
             let running_pri = st.spec.running().and_then(|r| st.spec.current_priority(r));
             let score = |c: &Cand| -> u32 {
                 match running_pri {
-                    Some(rp) => u32::from(c.wake_pris.iter().any(|&p| p < rp)),
+                    Some(rp) => u32::from(c.wake_pri.is_some_and(|p| p < rp)),
                     None => 0,
                 }
             };
@@ -537,7 +539,9 @@ impl<'a> Walker<'a> {
     ///    woken task run instantaneous ops (take a lock!) before the
     ///    sibling stimulus lands. So every unordered pair is executed
     ///    both ways — through all interposed forced moves — and must
-    ///    reach digest-identical joint states.
+    ///    reach digest-identical joint states. This layer also rejects
+    ///    two wakes of equal current priority: they enter the ready
+    ///    queue in the order they land, and that order is hashed.
     fn frontier_commutes(&self, cands: &[Cand]) -> bool {
         for (i, a) in cands.iter().enumerate() {
             if a.cpu {
@@ -623,11 +627,11 @@ impl<'a> Walker<'a> {
     }
 
     fn build_root(&self) -> Result<(ExpState, Vec<StampedEvent>), String> {
-        let spec = match self.cfg.mutation {
+        let mut spec = match self.cfg.mutation {
             Some(m) => SpecState::with_mutation(m),
             None => SpecState::new(),
         };
-        let (spec, evs) = spec.step(&Choice::Stimulus(self.model.init.clone()))?;
+        let evs = spec.step(&Choice::Stimulus(self.model.init.clone()))?;
         let events = evs
             .into_iter()
             .map(|ev| StampedEvent { tick: 0, ev })
@@ -774,7 +778,7 @@ impl<'a> Walker<'a> {
                 }
                 tick = next.now;
                 cpu = matches!(c, Choice::Dispatch { .. } | Choice::Preempt { .. });
-                step_spec(self.model, &mut next, c.clone(), &mut out)?;
+                step_spec(self.model, &mut next, c, &mut out)?;
                 drive(self.model, &mut next, &mut out)?;
             }
             EChoice::OpComplete { task, tick: t } => {
@@ -814,7 +818,7 @@ impl<'a> Walker<'a> {
                         cnt,
                     });
                 }
-                step_spec(self.model, &mut next, Choice::Stimulus(evs), &mut out)?;
+                step_spec(self.model, &mut next, &Choice::Stimulus(evs), &mut out)?;
             }
             EChoice::IrqFire { tick: t, dropped } => {
                 advance(self.model, &mut next, *t)?;
@@ -828,12 +832,12 @@ impl<'a> Walker<'a> {
                         id: SemId::from_raw(irq.sem),
                         cnt: 1,
                     }];
-                    step_spec(self.model, &mut next, Choice::Stimulus(evs), &mut out)?;
+                    step_spec(self.model, &mut next, &Choice::Stimulus(evs), &mut out)?;
                 }
             }
         }
         let mut tokens = std::collections::BTreeSet::new();
-        let mut wake_pris = std::collections::BTreeSet::new();
+        let mut wake_pri: Option<u8> = None;
         match ch {
             EChoice::Spec(Choice::Timeout { tid, .. }) => {
                 tokens.insert((0u8, u64::from(*tid)));
@@ -875,7 +879,7 @@ impl<'a> Walker<'a> {
                         _ => cpu = true,
                     }
                     if let Some(p) = next.spec.current_priority(raw) {
-                        wake_pris.insert(p);
+                        wake_pri = Some(wake_pri.map_or(p, |w| w.min(p)));
                     }
                 }
                 ObsEvent::SemSignal { id, .. } => {
@@ -895,7 +899,7 @@ impl<'a> Walker<'a> {
             tick,
             cpu,
             tokens,
-            wake_pris,
+            wake_pri,
         })
     }
 
@@ -953,12 +957,10 @@ fn advance(model: &ExploreModel, st: &mut ExpState, to: u64) -> Result<(), Strin
 fn step_spec(
     model: &ExploreModel,
     st: &mut ExpState,
-    choice: Choice,
+    choice: &Choice,
     out: &mut Vec<StampedEvent>,
 ) -> Result<(), String> {
-    let (spec, evs) = st.spec.step(&choice)?;
-    st.spec = spec;
-    for ev in evs {
+    for ev in st.spec.step(choice)? {
         if let ObsEvent::Wakeup { tid, code, .. } = ev {
             wake_advance(model, st, tid.raw(), code)?;
         }
@@ -1047,13 +1049,13 @@ fn drive(
                         obj,
                         deadline_tick: tmo.map(|t| st.now + t),
                     };
-                    step_spec(model, st, Choice::Stimulus(vec![ev]), out)?;
+                    step_spec(model, st, &Choice::Stimulus(vec![ev]), out)?;
                 } else {
                     let ev = ObsEvent::MtxLock {
                         id: MtxId::from_raw(mtx),
                         tid: TaskId::from_raw(r),
                     };
-                    step_spec(model, st, Choice::Stimulus(vec![ev]), out)?;
+                    step_spec(model, st, &Choice::Stimulus(vec![ev]), out)?;
                     set_pc(model, st, r, pc + 1);
                 }
             }
@@ -1062,7 +1064,7 @@ fn drive(
                     id: MtxId::from_raw(mtx),
                     tid: TaskId::from_raw(r),
                 };
-                step_spec(model, st, Choice::Stimulus(vec![ev]), out)?;
+                step_spec(model, st, &Choice::Stimulus(vec![ev]), out)?;
                 set_pc(model, st, r, pc + 1);
             }
             Micro::WaitSem { sem, cnt, tmo, .. } => {
@@ -1073,14 +1075,14 @@ fn drive(
                         obj,
                         deadline_tick: tmo.map(|t| st.now + t),
                     };
-                    step_spec(model, st, Choice::Stimulus(vec![ev]), out)?;
+                    step_spec(model, st, &Choice::Stimulus(vec![ev]), out)?;
                 } else {
                     let ev = ObsEvent::SemTake {
                         id: SemId::from_raw(sem),
                         tid: TaskId::from_raw(r),
                         cnt,
                     };
-                    step_spec(model, st, Choice::Stimulus(vec![ev]), out)?;
+                    step_spec(model, st, &Choice::Stimulus(vec![ev]), out)?;
                     set_pc(model, st, r, pc + 1);
                 }
             }
@@ -1093,14 +1095,14 @@ fn drive(
                         obj,
                         deadline_tick: None,
                     };
-                    step_spec(model, st, Choice::Stimulus(vec![ev]), out)?;
+                    step_spec(model, st, &Choice::Stimulus(vec![ev]), out)?;
                 } else {
                     let ev = ObsEvent::SemTake {
                         id: SemId::from_raw(gate),
                         tid: TaskId::from_raw(r),
                         cnt: 1,
                     };
-                    step_spec(model, st, Choice::Stimulus(vec![ev]), out)?;
+                    step_spec(model, st, &Choice::Stimulus(vec![ev]), out)?;
                     set_pc(model, st, r, pc + 1);
                 }
             }

@@ -446,7 +446,9 @@ fn run_explore(cli: &Cli, cfg: &ExploreConfig) -> ExitCode {
          adversarial {}, faults {})",
         cfg.family, cfg.depth, cfg.max_states, cfg.por, cfg.adversarial, cfg.faults,
     );
+    let t0 = Instant::now();
     let outcome = run_exploration(cfg, sysc::Runtime::default());
+    let wall = t0.elapsed();
     let mut written: Vec<PathBuf> = Vec::new();
     if let Some(dir) = &cli.explore_dir {
         match write_counterexamples(&outcome, dir) {
@@ -475,11 +477,20 @@ fn run_explore(cli: &Cli, cfg: &ExploreConfig) -> ExitCode {
         eprintln!("rtk-farm: cannot write {out}: {e}");
         return ExitCode::from(2);
     }
+    // Wall time goes to stderr only; the report stays a pure function
+    // of the config.
     let r = &outcome.report;
     eprintln!(
         "rtk-farm: explored {} state(s), {} transition(s), {} deduped, {} collapsed, \
-         max depth {}, hash {:016x} -> {out}",
-        r.states, r.transitions, r.deduped, r.collapsed, r.max_depth, r.state_hash,
+         max depth {}, hash {:016x} in {:.4}s ({:.0} states/s) -> {out}",
+        r.states,
+        r.transitions,
+        r.deduped,
+        r.collapsed,
+        r.max_depth,
+        r.state_hash,
+        wall.as_secs_f64(),
+        r.states as f64 / wall.as_secs_f64().max(1e-9),
     );
     if r.truncated {
         eprintln!("rtk-farm: WARNING: exploration truncated by --depth/--max-states bounds");

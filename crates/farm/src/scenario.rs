@@ -337,6 +337,20 @@ impl ScenarioSpec {
 /// `DefaultHasher`, which documents no cross-version stability).
 pub(crate) struct Fnv(u64);
 
+const FNV_PRIME: u64 = 0x100_0000_01b3;
+
+/// `FNV_PRIME^k` for `k = 0..=8`: the whole effect of `k` zero bytes,
+/// since FNV-1a xors a zero byte in as a no-op and then multiplies.
+const FNV_PRIME_POW: [u64; 9] = {
+    let mut pow = [1u64; 9];
+    let mut k = 1;
+    while k < 9 {
+        pow[k] = pow[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    pow
+};
+
 impl Fnv {
     pub(crate) fn new() -> Self {
         Fnv(0xcbf2_9ce4_8422_2325)
@@ -345,12 +359,22 @@ impl Fnv {
     pub(crate) fn bytes(&mut self, data: &[u8]) {
         for &b in data {
             self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+            self.0 = self.0.wrapping_mul(FNV_PRIME);
         }
     }
 
+    /// Hashes `v`'s eight little-endian bytes, exactly as
+    /// `bytes(&v.to_le_bytes())` would. The zero high bytes come last,
+    /// so they fold into one multiply by the matching prime power.
     pub(crate) fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
+        let significant = (64 - v.leading_zeros() as usize).div_ceil(8);
+        let mut rest = v;
+        for _ in 0..significant {
+            self.0 ^= rest & 0xff;
+            self.0 = self.0.wrapping_mul(FNV_PRIME);
+            rest >>= 8;
+        }
+        self.0 = self.0.wrapping_mul(FNV_PRIME_POW[8 - significant]);
     }
 
     pub(crate) fn finish(&self) -> u64 {
@@ -361,6 +385,53 @@ impl Fnv {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Byte-at-a-time FNV-1a over `v`'s little-endian bytes from
+    /// running state `state`: the reference `Fnv::u64` must equal.
+    fn fnv1a_reference(state: u64, v: u64) -> u64 {
+        v.to_le_bytes().iter().fold(state, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        })
+    }
+
+    fn folded(state: u64, v: u64) -> u64 {
+        let mut h = Fnv(state);
+        h.u64(v);
+        h.finish()
+    }
+
+    /// `0`, `u64::MAX` and both sides of every byte-width boundary.
+    fn edge_values() -> Vec<u64> {
+        let mut vs = vec![0, u64::MAX];
+        for k in 1..=7 {
+            vs.push((1u64 << (8 * k)) - 1);
+            vs.push(1u64 << (8 * k));
+        }
+        vs
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        #[test]
+        /// The folded `Fnv::u64` is exactly byte-at-a-time FNV-1a, from
+        /// the offset basis and from a random running state, on random
+        /// values and on every byte-width edge.
+        fn folded_u64_is_fnv1a(v in any::<u64>(), state in any::<u64>()) {
+            for s in [Fnv::new().finish(), state] {
+                for x in edge_values().into_iter().chain([v]) {
+                    prop_assert_eq!(
+                        folded(s, x),
+                        fnv1a_reference(s, x),
+                        "state {:#x}, value {:#x}",
+                        s,
+                        x
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn generation_is_pure() {
