@@ -40,12 +40,12 @@ use rtk_analysis::trace_codec::{encode_trace, TraceHeader, TraceTrailer};
 use rtk_core::{CycId, MtxId, ObsEvent, SemId, StampedEvent, TaskId, WaitObj};
 
 use crate::build::{run_scenario, RunPlan};
-use crate::oracle::{Choice, SpecMutation, SpecState};
+use crate::oracle::{SpecMutation, SpecState};
 use crate::scenario::Fnv;
 use crate::verify::{analyze_spec, explore_certificate_contradiction};
 
 pub use program::Family;
-use program::{ExploreModel, Micro};
+use program::{ExploreModel, Micro, GATE_BASE};
 
 /// Violations whose full event streams are retained as counterexamples;
 /// later ones are reported without a stream.
@@ -241,8 +241,13 @@ pub fn run_exploration(cfg: &ExploreConfig, _runtime: sysc::Runtime) -> ExploreO
     let model = cfg.family.model(cfg.faults);
     let mut walker = Walker::new(cfg, &model);
     walker.run();
-    let counterexamples = std::mem::take(&mut walker.counterexamples);
-    let mut report = walker.into_report(cfg, &model);
+    let Walker {
+        mut report,
+        frontier,
+        counterexamples,
+        ..
+    } = walker;
+    report.state_hash = frontier.finish();
 
     if let Some(cross) = &model.cross {
         let analysis = analyze_spec(cross, &AnalysisOptions::default());
@@ -311,15 +316,17 @@ impl ExpState {
 /// One resolvable branch at a frontier.
 #[derive(Debug, Clone, PartialEq)]
 enum EChoice {
-    /// A spec-owned choice: forced dispatch/preempt (instantaneous) or
-    /// an armed timeout at its tick.
-    Spec(Choice),
+    /// A spec-enabled event: the forced `Dispatch`/`Preempt`
+    /// (instantaneous) or an armed `TimerFire` at its tick.
+    Spec(ObsEvent),
     /// The running task's current `Exec` burst finishes.
     OpComplete { task: u32, tick: u64 },
-    /// A cyclic release source fires; `delayed` defers the gate signal
-    /// (fault, budgeted).
+    /// Periodic task `tid`'s cyclic handler fires; `idx` is its slot
+    /// among the release sources (its deferred-release debt), and
+    /// `delayed` defers the gate signal (fault, budgeted).
     CycFire {
         idx: usize,
+        tid: u32,
         tick: u64,
         delayed: bool,
     },
@@ -363,18 +370,10 @@ struct Walker<'a> {
     model: &'a ExploreModel,
     visited: HashSet<u64>,
     stack: Vec<Frame>,
-    states: u64,
-    transitions: u64,
-    deduped: u64,
-    collapsed: u64,
-    max_depth: u64,
-    truncated: bool,
-    preemptions: u64,
-    deadlocks: u64,
-    invariant_violations: u64,
-    spec_errors: u64,
+    /// Visited state hashes folded in visit order; its digest becomes
+    /// the report's `state_hash` once the walk ends.
     frontier: Fnv,
-    violations: Vec<Violation>,
+    report: ExploreReport,
     counterexamples: Vec<Counterexample>,
 }
 
@@ -385,18 +384,31 @@ impl<'a> Walker<'a> {
             model,
             visited: HashSet::new(),
             stack: Vec::new(),
-            states: 0,
-            transitions: 0,
-            deduped: 0,
-            collapsed: 0,
-            max_depth: 0,
-            truncated: false,
-            preemptions: 0,
-            deadlocks: 0,
-            invariant_violations: 0,
-            spec_errors: 0,
             frontier: Fnv::new(),
-            violations: Vec::new(),
+            report: ExploreReport {
+                family: model.family.label().to_string(),
+                por: cfg.por && !cfg.adversarial,
+                adversarial: cfg.adversarial,
+                faults: cfg.faults,
+                depth_limit: cfg.depth,
+                max_states: cfg.max_states,
+                horizon: model.horizon,
+                states: 0,
+                transitions: 0,
+                deduped: 0,
+                collapsed: 0,
+                max_depth: 0,
+                truncated: false,
+                preemptions: 0,
+                deadlocks: 0,
+                invariant_violations: 0,
+                spec_errors: 0,
+                state_hash: 0,
+                certificate: "none".to_string(),
+                certificate_contradiction: None,
+                cross_execution: "none".to_string(),
+                violations: Vec::new(),
+            },
             counterexamples: Vec::new(),
         }
     }
@@ -412,7 +424,7 @@ impl<'a> Walker<'a> {
         let h = root.digest();
         self.visited.insert(h);
         self.frontier.u64(h);
-        self.states = 1;
+        self.report.states = 1;
         if let Some(frame) = self.enter(root, h, root_events) {
             self.stack.push(frame);
         }
@@ -431,20 +443,21 @@ impl<'a> Walker<'a> {
                 self.stack.pop();
                 continue;
             };
-            self.transitions += 1;
+            let report = &mut self.report;
+            report.transitions += 1;
             if cand.preempt {
-                self.preemptions += 1;
+                report.preemptions += 1;
             }
             let h = cand.child.digest();
             if !self.visited.insert(h) {
-                self.deduped += 1;
+                report.deduped += 1;
                 continue;
             }
             self.frontier.u64(h);
-            self.states += 1;
+            report.states += 1;
             if let Some(frame) = self.enter(cand.child, h, cand.events) {
                 self.stack.push(frame);
-                self.max_depth = self.max_depth.max(self.stack.len() as u64);
+                self.report.max_depth = self.report.max_depth.max(self.stack.len() as u64);
             }
         }
     }
@@ -455,19 +468,19 @@ impl<'a> Walker<'a> {
     fn enter(&mut self, st: ExpState, hash: u64, incoming: Vec<StampedEvent>) -> Option<Frame> {
         let broken = st.spec.invariant_violations();
         if !broken.is_empty() {
-            self.invariant_violations += 1;
+            self.report.invariant_violations += 1;
             let detail = broken.join("; ");
             let path = self.path_events(&incoming);
             self.record_violation("invariant", st.now, hash, &detail, path);
         }
-        if self.stack.len() >= self.cfg.depth || self.states >= self.cfg.max_states as u64 {
-            self.truncated = true;
+        if self.stack.len() >= self.cfg.depth || self.report.states >= self.cfg.max_states as u64 {
+            self.report.truncated = true;
             return None;
         }
         let choices = match self.expand(&st) {
             Expansion::LeafHorizon | Expansion::LeafQuiescent => return None,
             Expansion::LeafDeadlock => {
-                self.deadlocks += 1;
+                self.report.deadlocks += 1;
                 let waiting = st.spec.waiting_tasks();
                 let detail = format!(
                     "deadlock: no enabled transition, task(s) {} blocked forever",
@@ -488,7 +501,7 @@ impl<'a> Walker<'a> {
             match self.apply_choice(&st, ch) {
                 Ok(c) => cands.push(c),
                 Err(e) => {
-                    self.spec_errors += 1;
+                    self.report.spec_errors += 1;
                     let detail = format!("spec transition failed on {ch:?}: {e}");
                     let path = self.path_events(&incoming);
                     self.record_violation("spec_error", st.now, hash, &detail, path);
@@ -506,14 +519,14 @@ impl<'a> Walker<'a> {
             let best = cands.iter().map(&score).max().unwrap_or(0);
             let before = cands.len();
             cands.retain(|c| score(c) == best);
-            self.collapsed += (before - cands.len()) as u64;
+            self.report.collapsed += (before - cands.len()) as u64;
         } else if self.cfg.por && cands.len() > 1 && self.frontier_commutes(&cands) {
             // The whole frontier commutes: every order reaches the
             // same joint state (verified, not assumed — see
             // `frontier_commutes`) and, footprints being disjoint, any
             // violation on a pruned intermediate state persists into
             // it. One representative order suffices.
-            self.collapsed += (cands.len() - 1) as u64;
+            self.report.collapsed += (cands.len() - 1) as u64;
             cands.truncate(1);
         }
         Some(Frame {
@@ -581,9 +594,8 @@ impl<'a> Walker<'a> {
     /// as non-commuting".
     fn closed(&self, mut st: ExpState) -> Option<ExpState> {
         for _ in 0..64 {
-            let forced = match st.spec.enabled().as_slice() {
-                [c @ (Choice::Dispatch { .. } | Choice::Preempt { .. })] => c.clone(),
-                _ => return Some(st),
+            let Some(forced) = st.spec.forced() else {
+                return Some(st);
             };
             st = self.apply_choice(&st, &EChoice::Spec(forced)).ok()?.child;
         }
@@ -607,7 +619,7 @@ impl<'a> Walker<'a> {
         detail: &str,
         path: Vec<StampedEvent>,
     ) {
-        let idx = self.violations.len();
+        let idx = self.report.violations.len();
         let name = format!("explore-{}-{idx:02}.rtkt", self.model.family.label());
         if idx < MAX_COUNTEREXAMPLES {
             self.counterexamples.push(Counterexample {
@@ -617,7 +629,7 @@ impl<'a> Walker<'a> {
                 events: path,
             });
         }
-        self.violations.push(Violation {
+        self.report.violations.push(Violation {
             kind: kind.to_string(),
             tick,
             state_hash,
@@ -631,7 +643,7 @@ impl<'a> Walker<'a> {
             Some(m) => SpecState::with_mutation(m),
             None => SpecState::new(),
         };
-        let evs = spec.step(&Choice::Stimulus(self.model.init.clone()))?;
+        let evs = spec.step(&self.model.init())?;
         let events = evs
             .into_iter()
             .map(|ev| StampedEvent { tick: 0, ev })
@@ -653,7 +665,7 @@ impl<'a> Walker<'a> {
                 spec,
                 now: 0,
                 tasks,
-                owed: vec![0; self.model.cycs.len()],
+                owed: vec![0; self.model.releases().count()],
                 irq_next: self.model.irq.map_or(0, |i| i.first),
                 delays_left: self.model.delay_budget,
                 drops_left: self.model.drop_budget,
@@ -665,17 +677,11 @@ impl<'a> Walker<'a> {
     /// Enumerates the candidates at a quiescent state, in a fixed
     /// deterministic order.
     fn expand(&self, st: &ExpState) -> Expansion {
-        let spec_enabled = st.spec.enabled();
-        if let [c @ (Choice::Dispatch { .. } | Choice::Preempt { .. })] = spec_enabled.as_slice() {
-            return Expansion::Choices(vec![EChoice::Spec(c.clone())]);
+        let enabled = st.spec.enabled();
+        if let [ev @ (ObsEvent::Dispatch { .. } | ObsEvent::Preempt { .. })] = enabled.as_slice() {
+            return Expansion::Choices(vec![EChoice::Spec(*ev)]);
         }
-        let mut timed: Vec<EChoice> = spec_enabled
-            .iter()
-            .filter_map(|c| match c {
-                Choice::Timeout { .. } => Some(EChoice::Spec(c.clone())),
-                _ => None,
-            })
-            .collect();
+        let mut timed: Vec<EChoice> = enabled.into_iter().map(EChoice::Spec).collect();
         if let Some(r) = st.spec.running() {
             let rt = st.tasks[r as usize - 1];
             if matches!(self.model.tasks[r as usize - 1].ops[rt.pc], Micro::Exec(_)) {
@@ -685,17 +691,18 @@ impl<'a> Walker<'a> {
                 });
             }
         }
-        for (idx, cyc) in self.model.cycs.iter().enumerate() {
-            if let Some(tick) = st.spec.cyc_next_fire(cyc.id) {
+        for (idx, (tid, _)) in self.model.releases().enumerate() {
+            if let Some(tick) = st.spec.cyc_next_fire(tid) {
                 timed.push(EChoice::CycFire {
                     idx,
+                    tid,
                     tick,
                     delayed: false,
                 });
             }
         }
         let tick_of = |c: &EChoice| match *c {
-            EChoice::Spec(Choice::Timeout { tick, .. }) => tick,
+            EChoice::Spec(ObsEvent::TimerFire { tick, .. }) => tick,
             EChoice::OpComplete { tick, .. } => tick,
             EChoice::CycFire { tick, .. } => tick,
             EChoice::IrqFire { tick, .. } => tick,
@@ -732,11 +739,12 @@ impl<'a> Walker<'a> {
             if tick_of(&c) != cut {
                 continue;
             }
-            if let EChoice::CycFire { idx, tick, .. } = c {
+            if let EChoice::CycFire { idx, tid, tick, .. } = c {
                 out.push(c);
                 if st.delays_left > 0 {
                     out.push(EChoice::CycFire {
                         idx,
+                        tid,
                         tick,
                         delayed: true,
                     });
@@ -772,13 +780,13 @@ impl<'a> Walker<'a> {
         let mut cpu = false;
         let tick;
         match ch {
-            EChoice::Spec(c) => {
-                if let Choice::Timeout { tick: t, .. } = c {
-                    advance(self.model, &mut next, *t)?;
+            EChoice::Spec(ev) => {
+                if let ObsEvent::TimerFire { tick: t, .. } = *ev {
+                    advance(self.model, &mut next, t)?;
                 }
                 tick = next.now;
-                cpu = matches!(c, Choice::Dispatch { .. } | Choice::Preempt { .. });
-                step_spec(self.model, &mut next, c, &mut out)?;
+                cpu = matches!(ev, ObsEvent::Dispatch { .. } | ObsEvent::Preempt { .. });
+                step_spec(self.model, &mut next, std::slice::from_ref(ev), &mut out)?;
                 drive(self.model, &mut next, &mut out)?;
             }
             EChoice::OpComplete { task, tick: t } => {
@@ -798,27 +806,27 @@ impl<'a> Walker<'a> {
             }
             EChoice::CycFire {
                 idx,
+                tid,
                 tick: t,
                 delayed,
             } => {
                 advance(self.model, &mut next, *t)?;
                 tick = *t;
-                let cyc = self.model.cycs[*idx];
-                let mut evs = vec![ObsEvent::CycFire {
-                    id: CycId::from_raw(cyc.id),
+                let fire = ObsEvent::CycFire {
+                    id: CycId::from_raw(*tid),
                     tick: *t,
-                }];
+                };
                 if *delayed {
                     next.owed[*idx] += 1;
                     next.delays_left -= 1;
+                    step_spec(self.model, &mut next, &[fire], &mut out)?;
                 } else {
-                    let cnt = 1 + std::mem::take(&mut next.owed[*idx]);
-                    evs.push(ObsEvent::SemSignal {
-                        id: SemId::from_raw(cyc.gate),
-                        cnt,
-                    });
+                    let signal = ObsEvent::SemSignal {
+                        id: SemId::from_raw(GATE_BASE + tid),
+                        cnt: 1 + std::mem::take(&mut next.owed[*idx]),
+                    };
+                    step_spec(self.model, &mut next, &[fire, signal], &mut out)?;
                 }
-                step_spec(self.model, &mut next, &Choice::Stimulus(evs), &mut out)?;
             }
             EChoice::IrqFire { tick: t, dropped } => {
                 advance(self.model, &mut next, *t)?;
@@ -828,24 +836,23 @@ impl<'a> Walker<'a> {
                 if *dropped {
                     next.drops_left -= 1;
                 } else {
-                    let evs = vec![ObsEvent::SemSignal {
+                    let signal = ObsEvent::SemSignal {
                         id: SemId::from_raw(irq.sem),
                         cnt: 1,
-                    }];
-                    step_spec(self.model, &mut next, &Choice::Stimulus(evs), &mut out)?;
+                    };
+                    step_spec(self.model, &mut next, &[signal], &mut out)?;
                 }
             }
         }
         let mut tokens = std::collections::BTreeSet::new();
         let mut wake_pri: Option<u8> = None;
         match ch {
-            EChoice::Spec(Choice::Timeout { tid, .. }) => {
-                tokens.insert((0u8, u64::from(*tid)));
+            EChoice::Spec(ObsEvent::TimerFire { tid, .. }) => {
+                tokens.insert((0u8, u64::from(tid.raw())));
             }
-            EChoice::CycFire { idx, delayed, .. } => {
-                let cyc = self.model.cycs[*idx];
-                tokens.insert((3, u64::from(cyc.id)));
-                tokens.insert((2, u64::from(cyc.gate)));
+            EChoice::CycFire { tid, delayed, .. } => {
+                tokens.insert((3, u64::from(*tid)));
+                tokens.insert((2, u64::from(GATE_BASE + tid)));
                 if *delayed {
                     tokens.insert((5, 0));
                 }
@@ -892,7 +899,7 @@ impl<'a> Walker<'a> {
             }
         }
         Ok(Cand {
-            preempt: matches!(ch, EChoice::Spec(Choice::Preempt { .. })),
+            preempt: matches!(ch, EChoice::Spec(ObsEvent::Preempt { .. })),
             choice: ch.clone(),
             child: next,
             events: out,
@@ -901,33 +908,6 @@ impl<'a> Walker<'a> {
             tokens,
             wake_pri,
         })
-    }
-
-    fn into_report(self, cfg: &ExploreConfig, model: &ExploreModel) -> ExploreReport {
-        ExploreReport {
-            family: model.family.label().to_string(),
-            por: cfg.por && !cfg.adversarial,
-            adversarial: cfg.adversarial,
-            faults: cfg.faults,
-            depth_limit: cfg.depth,
-            max_states: cfg.max_states,
-            horizon: model.horizon,
-            states: self.states,
-            transitions: self.transitions,
-            deduped: self.deduped,
-            collapsed: self.collapsed,
-            max_depth: self.max_depth,
-            truncated: self.truncated,
-            preemptions: self.preemptions,
-            deadlocks: self.deadlocks,
-            invariant_violations: self.invariant_violations,
-            spec_errors: self.spec_errors,
-            state_hash: self.frontier.finish(),
-            certificate: "none".to_string(),
-            certificate_contradiction: None,
-            cross_execution: "none".to_string(),
-            violations: self.violations,
-        }
     }
 }
 
@@ -952,15 +932,15 @@ fn advance(model: &ExploreModel, st: &mut ExpState, to: u64) -> Result<(), Strin
     Ok(())
 }
 
-/// Applies one spec choice, stamping the realized events and advancing
-/// the program counter of every woken task.
+/// Steps the spec through `evs`, stamping the realized events and
+/// advancing the program counter of every woken task.
 fn step_spec(
     model: &ExploreModel,
     st: &mut ExpState,
-    choice: &Choice,
+    evs: &[ObsEvent],
     out: &mut Vec<StampedEvent>,
 ) -> Result<(), String> {
-    for ev in st.spec.step(choice)? {
+    for ev in st.spec.step(evs)? {
         if let ObsEvent::Wakeup { tid, code, .. } = ev {
             wake_advance(model, st, tid.raw(), code)?;
         }
@@ -981,8 +961,7 @@ fn wake_advance(
     let i = tid as usize - 1;
     let pc = st.tasks[i].pc;
     let (on_ok, on_tmo) = match model.tasks[i].ops[pc] {
-        Micro::Lock { skip_to, .. } | Micro::WaitSem { skip_to, .. } => (pc + 1, Some(skip_to)),
-        Micro::WaitGate => (pc + 1, None),
+        Micro::Wait { tmo, .. } => (pc + 1, tmo.map(|(_, skip_to)| skip_to)),
         ref op => {
             return Err(format!(
                 "tsk{tid} woken while at non-wait op {op:?} (pc {pc})"
@@ -1027,35 +1006,31 @@ fn drive(
         let Some(r) = st.spec.running() else {
             return Ok(());
         };
-        if !st.spec.is_dispatch_disabled() {
-            if let (Some((_, hp)), Some(rp)) = (st.spec.ready_front(), st.spec.current_priority(r))
-            {
-                if hp < rp {
-                    // A more urgent task is ready: the preemption is
-                    // forced before the next program op.
-                    return Ok(());
-                }
-            }
+        if st.spec.forced().is_some() {
+            // A more urgent task is ready: the preemption is forced
+            // before the next program op.
+            return Ok(());
         }
         let i = r as usize - 1;
         let pc = st.tasks[i].pc;
         match model.tasks[i].ops[pc] {
             Micro::Exec(_) => return Ok(()),
-            Micro::Lock { mtx, tmo, .. } => {
-                let obj = WaitObj::Mtx(MtxId::from_raw(mtx));
+            Micro::Wait { obj, tmo } => {
+                let tid = TaskId::from_raw(r);
+                let take = match obj {
+                    WaitObj::Mtx(id) => ObsEvent::MtxLock { id, tid },
+                    WaitObj::Sem(id, cnt) => ObsEvent::SemTake { id, tid, cnt },
+                    _ => return Err(format!("tsk{r}: no program op waits on {}", obj.describe())),
+                };
                 if st.spec.would_block(r, &obj) {
-                    let ev = ObsEvent::Block {
-                        tid: TaskId::from_raw(r),
+                    let block = ObsEvent::Block {
+                        tid,
                         obj,
-                        deadline_tick: tmo.map(|t| st.now + t),
+                        deadline_tick: tmo.map(|(ticks, _)| st.now + ticks),
                     };
-                    step_spec(model, st, &Choice::Stimulus(vec![ev]), out)?;
+                    step_spec(model, st, &[block], out)?;
                 } else {
-                    let ev = ObsEvent::MtxLock {
-                        id: MtxId::from_raw(mtx),
-                        tid: TaskId::from_raw(r),
-                    };
-                    step_spec(model, st, &Choice::Stimulus(vec![ev]), out)?;
+                    step_spec(model, st, &[take], out)?;
                     set_pc(model, st, r, pc + 1);
                 }
             }
@@ -1064,47 +1039,8 @@ fn drive(
                     id: MtxId::from_raw(mtx),
                     tid: TaskId::from_raw(r),
                 };
-                step_spec(model, st, &Choice::Stimulus(vec![ev]), out)?;
+                step_spec(model, st, &[ev], out)?;
                 set_pc(model, st, r, pc + 1);
-            }
-            Micro::WaitSem { sem, cnt, tmo, .. } => {
-                let obj = WaitObj::Sem(SemId::from_raw(sem), cnt);
-                if st.spec.would_block(r, &obj) {
-                    let ev = ObsEvent::Block {
-                        tid: TaskId::from_raw(r),
-                        obj,
-                        deadline_tick: tmo.map(|t| st.now + t),
-                    };
-                    step_spec(model, st, &Choice::Stimulus(vec![ev]), out)?;
-                } else {
-                    let ev = ObsEvent::SemTake {
-                        id: SemId::from_raw(sem),
-                        tid: TaskId::from_raw(r),
-                        cnt,
-                    };
-                    step_spec(model, st, &Choice::Stimulus(vec![ev]), out)?;
-                    set_pc(model, st, r, pc + 1);
-                }
-            }
-            Micro::WaitGate => {
-                let gate = program::GATE_BASE + r;
-                let obj = WaitObj::Sem(SemId::from_raw(gate), 1);
-                if st.spec.would_block(r, &obj) {
-                    let ev = ObsEvent::Block {
-                        tid: TaskId::from_raw(r),
-                        obj,
-                        deadline_tick: None,
-                    };
-                    step_spec(model, st, &Choice::Stimulus(vec![ev]), out)?;
-                } else {
-                    let ev = ObsEvent::SemTake {
-                        id: SemId::from_raw(gate),
-                        tid: TaskId::from_raw(r),
-                        cnt: 1,
-                    };
-                    step_spec(model, st, &Choice::Stimulus(vec![ev]), out)?;
-                    set_pc(model, st, r, pc + 1);
-                }
             }
             Micro::EndJob => set_pc(model, st, r, pc),
         }

@@ -13,7 +13,7 @@
 //! like campaign traces, and the families with a kernel-executable
 //! twin carry a [`ScenarioSpec`] for cross-execution.
 
-use rtk_core::{MtxPolicy, ObsEvent};
+use rtk_core::{CycId, MtxId, MtxPolicy, ObsEvent, SemId, TaskId, WaitObj};
 
 use crate::scenario::{FaultPlan, ScenarioSpec, StormSpec, TaskSpec, Topology};
 
@@ -80,51 +80,34 @@ impl std::fmt::Display for Family {
 pub(crate) enum Micro {
     /// Run for this many ticks.
     Exec(u64),
-    /// `tk_loc_mtx`: `tmo` ticks (`None` = `TMO_FEVR`); on timeout the
-    /// program resumes at `skip_to`.
-    Lock {
-        mtx: u32,
-        tmo: Option<u64>,
-        skip_to: usize,
+    /// A blocking service call on one kernel object: `tk_loc_mtx` on a
+    /// mutex, `tk_wai_sem` for the counts of a semaphore. `tmo` is
+    /// `(ticks, skip_to)`: on timeout the program resumes at
+    /// `skip_to`; `None` waits forever (`TMO_FEVR`).
+    Wait {
+        obj: WaitObj,
+        tmo: Option<(u64, usize)>,
     },
     /// `tk_unl_mtx`.
     Unlock { mtx: u32 },
-    /// `tk_wai_sem` for `cnt` counts; on timeout resume at `skip_to`.
-    WaitSem {
-        sem: u32,
-        cnt: u32,
-        tmo: Option<u64>,
-        skip_to: usize,
-    },
-    /// Wait (forever) on the task's release gate — the campaign
-    /// builder's periodic-release idiom.
-    WaitGate,
     /// Job done: loop back to the first operation.
     EndJob,
 }
 
-/// One task of an exploration model.
+/// One task of an exploration model; its id is its position in
+/// [`ExploreModel::tasks`] plus one.
 #[derive(Debug, Clone)]
 pub(crate) struct TaskProg {
-    /// Raw task id (1-based, dense).
-    pub tid: u32,
     /// Base priority.
     pub pri: u8,
+    /// `(period, first)` in ticks for a periodic task, released by the
+    /// campaign builder's idiom: a cyclic handler with the task's id
+    /// signals the task's gate semaphore (`GATE_BASE + tid`), which
+    /// the program waits on. A delayed release (fault) defers the
+    /// signal to the next fire, which then signals `1 + owed`.
+    pub release: Option<(u64, u64)>,
     /// The program, executed as an infinite loop via [`Micro::EndJob`].
     pub ops: Vec<Micro>,
-}
-
-/// A cyclic release source: fires on the spec's own cyclic-handler
-/// schedule and signals the gated task's release semaphore. A delayed
-/// release (fault) defers the signal to the next fire, which then
-/// signals `1 + owed` — exactly the campaign builder's deferred-signal
-/// accounting.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct CycSrc {
-    /// Raw cyclic-handler id (the spec owns period/phase/arming).
-    pub id: u32,
-    /// Gate semaphore the handler signals.
-    pub gate: u32,
 }
 
 /// An interrupt source with a jitter window: each arrival may land on
@@ -142,17 +125,16 @@ pub(crate) struct IrqSrc {
     pub jitter: u64,
 }
 
-/// A closed exploration model: initial object/task population, task
-/// programs, environment sources, fault budgets and the horizon.
+/// A closed exploration model: task programs, the kernel objects they
+/// share, environment sources, fault budgets and the horizon.
 #[derive(Debug, Clone)]
 pub(crate) struct ExploreModel {
     pub family: Family,
-    /// Events creating and starting the whole system at tick 0.
-    pub init: Vec<ObsEvent>,
-    /// Task programs, indexed by `tid - 1`.
+    /// Task programs; task `k` is `tasks[k - 1]`.
     pub tasks: Vec<TaskProg>,
-    /// Cyclic release sources.
-    pub cycs: Vec<CycSrc>,
+    /// Creation events of the objects the programs share, played at
+    /// tick 0 after the tasks are created.
+    pub objects: Vec<ObsEvent>,
     /// Optional interrupt source.
     pub irq: Option<IrqSrc>,
     /// Last tick explored; paths are cut at the first event past it.
@@ -169,22 +151,77 @@ pub(crate) struct ExploreModel {
     pub sentinel_seed: u64,
 }
 
-fn task_create(tid: u32, pri: u8) -> ObsEvent {
-    ObsEvent::TaskCreate {
-        tid: rtk_core::TaskId::from_raw(tid),
-        pri,
+impl ExploreModel {
+    /// The release sources: each periodic task as `(tid, (period,
+    /// first))`, in id order.
+    pub(crate) fn releases(&self) -> impl Iterator<Item = (u32, (u64, u64))> + '_ {
+        self.tasks
+            .iter()
+            .zip(1..)
+            .filter_map(|(t, tid)| Some((tid, t.release?)))
+    }
+
+    /// The events creating and starting the whole system at tick 0:
+    /// the tasks, the shared objects, each periodic task's gate
+    /// semaphore and then its cyclic handler, and the task starts.
+    pub(crate) fn init(&self) -> Vec<ObsEvent> {
+        let tids = 1..=self.tasks.len() as u32;
+        let mut evs: Vec<ObsEvent> = self
+            .tasks
+            .iter()
+            .zip(tids.clone())
+            .map(|(t, tid)| ObsEvent::TaskCreate {
+                tid: TaskId::from_raw(tid),
+                pri: t.pri,
+            })
+            .collect();
+        evs.extend_from_slice(&self.objects);
+        evs.extend(
+            self.releases()
+                .map(|(tid, _)| sem_create(GATE_BASE + tid, 0, 8)),
+        );
+        evs.extend(
+            self.releases()
+                .map(|(tid, (period, first))| ObsEvent::CycCreate {
+                    id: CycId::from_raw(tid),
+                    period_ticks: period,
+                    first_tick: Some(first),
+                }),
+        );
+        evs.extend(tids.map(|tid| ObsEvent::TaskStart {
+            tid: TaskId::from_raw(tid),
+        }));
+        evs
     }
 }
 
-fn task_start(tid: u32) -> ObsEvent {
-    ObsEvent::TaskStart {
-        tid: rtk_core::TaskId::from_raw(tid),
+/// Task `tid`'s wait, forever, on its release gate.
+fn gate(tid: u32) -> Micro {
+    Micro::Wait {
+        obj: WaitObj::Sem(SemId::from_raw(GATE_BASE + tid), 1),
+        tmo: None,
+    }
+}
+
+/// `tk_loc_mtx` of mutex `mtx`; `tmo` as in [`Micro::Wait`].
+fn lock(mtx: u32, tmo: Option<(u64, usize)>) -> Micro {
+    Micro::Wait {
+        obj: WaitObj::Mtx(MtxId::from_raw(mtx)),
+        tmo,
+    }
+}
+
+/// `tk_wai_sem` for `cnt` counts of semaphore `sem`.
+fn wai_sem(sem: u32, cnt: u32, tmo: Option<(u64, usize)>) -> Micro {
+    Micro::Wait {
+        obj: WaitObj::Sem(SemId::from_raw(sem), cnt),
+        tmo,
     }
 }
 
 fn sem_create(id: u32, init: u32, max: u32) -> ObsEvent {
     ObsEvent::SemCreate {
-        id: rtk_core::SemId::from_raw(id),
+        id: SemId::from_raw(id),
         init,
         max,
         pri_order: true,
@@ -193,26 +230,9 @@ fn sem_create(id: u32, init: u32, max: u32) -> ObsEvent {
 
 fn mtx_create(id: u32) -> ObsEvent {
     ObsEvent::MtxCreate {
-        id: rtk_core::MtxId::from_raw(id),
+        id: MtxId::from_raw(id),
         policy: MtxPolicy::Inherit,
     }
-}
-
-fn cyc_create(id: u32, period: u64, first: u64) -> ObsEvent {
-    ObsEvent::CycCreate {
-        id: rtk_core::CycId::from_raw(id),
-        period_ticks: period,
-        first_tick: Some(first),
-    }
-}
-
-/// The tick-0 population sequence every family uses: create the tasks,
-/// create the kernel objects, start the tasks.
-fn init_events(tasks: &[TaskProg], objects: Vec<ObsEvent>) -> Vec<ObsEvent> {
-    let mut evs: Vec<ObsEvent> = tasks.iter().map(|t| task_create(t.tid, t.pri)).collect();
-    evs.extend(objects);
-    evs.extend(tasks.iter().map(|t| task_start(t.tid)));
-    evs
 }
 
 impl Family {
@@ -233,65 +253,36 @@ impl Family {
 /// mutex with finite timeouts; a delayed-release budget of 1 lets the
 /// explorer defer any one release.
 fn mtx_model(faults: bool) -> ExploreModel {
-    let ops1 = vec![
-        Micro::WaitGate,
-        Micro::Exec(1),
-        Micro::Lock {
-            mtx: 1,
-            tmo: Some(3),
-            skip_to: 5,
-        },
-        Micro::Exec(1),
-        Micro::Unlock { mtx: 1 },
-        Micro::EndJob,
-    ];
-    let ops2 = vec![
-        Micro::WaitGate,
-        Micro::Exec(1),
-        Micro::Lock {
-            mtx: 1,
-            tmo: Some(4),
-            skip_to: 5,
-        },
-        Micro::Exec(2),
-        Micro::Unlock { mtx: 1 },
-        Micro::EndJob,
-    ];
     let tasks = vec![
         TaskProg {
-            tid: 1,
             pri: 10,
-            ops: ops1,
+            release: Some((6, 0)),
+            ops: vec![
+                gate(1),
+                Micro::Exec(1),
+                lock(1, Some((3, 5))),
+                Micro::Exec(1),
+                Micro::Unlock { mtx: 1 },
+                Micro::EndJob,
+            ],
         },
         TaskProg {
-            tid: 2,
             pri: 20,
-            ops: ops2,
+            release: Some((9, 0)),
+            ops: vec![
+                gate(2),
+                Micro::Exec(1),
+                lock(1, Some((4, 5))),
+                Micro::Exec(2),
+                Micro::Unlock { mtx: 1 },
+                Micro::EndJob,
+            ],
         },
     ];
     ExploreModel {
         family: Family::Mtx,
-        init: init_events(
-            &tasks,
-            vec![
-                mtx_create(1),
-                sem_create(GATE_BASE + 1, 0, 8),
-                sem_create(GATE_BASE + 2, 0, 8),
-                cyc_create(1, 6, 0),
-                cyc_create(2, 9, 0),
-            ],
-        ),
         tasks,
-        cycs: vec![
-            CycSrc {
-                id: 1,
-                gate: GATE_BASE + 1,
-            },
-            CycSrc {
-                id: 2,
-                gate: GATE_BASE + 2,
-            },
-        ],
+        objects: vec![mtx_create(1)],
         irq: None,
         horizon: 36, // two hyperperiods of lcm(6, 9)
         delay_budget: u32::from(faults),
@@ -306,55 +297,28 @@ fn mtx_model(faults: bool) -> ExploreModel {
 /// phase 1) consumes single counts. The IRQ arrives every 5 ticks
 /// within a 2-tick jitter window, and one arrival may be dropped.
 fn irq_model(faults: bool) -> ExploreModel {
-    let ops1 = vec![
-        Micro::WaitSem {
-            sem: 1,
-            cnt: 2,
-            tmo: Some(4),
-            skip_to: 2,
-        },
-        Micro::Exec(1),
-        Micro::EndJob,
-    ];
-    let ops2 = vec![
-        Micro::WaitGate,
-        Micro::Exec(1),
-        Micro::WaitSem {
-            sem: 1,
-            cnt: 1,
-            tmo: Some(2),
-            skip_to: 4,
-        },
-        Micro::Exec(1),
-        Micro::EndJob,
-    ];
     let tasks = vec![
         TaskProg {
-            tid: 1,
             pri: 10,
-            ops: ops1,
+            release: None,
+            ops: vec![wai_sem(1, 2, Some((4, 2))), Micro::Exec(1), Micro::EndJob],
         },
         TaskProg {
-            tid: 2,
             pri: 20,
-            ops: ops2,
+            release: Some((6, 1)),
+            ops: vec![
+                gate(2),
+                Micro::Exec(1),
+                wai_sem(1, 1, Some((2, 4))),
+                Micro::Exec(1),
+                Micro::EndJob,
+            ],
         },
     ];
     ExploreModel {
         family: Family::Irq,
-        init: init_events(
-            &tasks,
-            vec![
-                sem_create(1, 0, 16),
-                sem_create(GATE_BASE + 2, 0, 8),
-                cyc_create(2, 6, 1),
-            ],
-        ),
         tasks,
-        cycs: vec![CycSrc {
-            id: 2,
-            gate: GATE_BASE + 2,
-        }],
+        objects: vec![sem_create(1, 0, 16)],
         irq: Some(IrqSrc {
             sem: 1,
             first: 2,
@@ -373,92 +337,47 @@ fn irq_model(faults: bool) -> ExploreModel {
 /// across a long section; T2 (pri 20) nests m1-then-m2; T1 (pri 10)
 /// takes m1 — so T3 must inherit T1's priority *through* T2.
 fn chain_model() -> ExploreModel {
-    let ops1 = vec![
-        Micro::WaitGate,
-        Micro::Lock {
-            mtx: 1,
-            tmo: Some(6),
-            skip_to: 4,
-        },
-        Micro::Exec(1),
-        Micro::Unlock { mtx: 1 },
-        Micro::EndJob,
-    ];
-    let ops2 = vec![
-        Micro::WaitGate,
-        Micro::Lock {
-            mtx: 1,
-            tmo: Some(8),
-            skip_to: 6,
-        },
-        Micro::Lock {
-            mtx: 2,
-            tmo: Some(6),
-            skip_to: 5,
-        },
-        Micro::Exec(1),
-        Micro::Unlock { mtx: 2 },
-        Micro::Unlock { mtx: 1 },
-        Micro::EndJob,
-    ];
-    let ops3 = vec![
-        Micro::WaitGate,
-        Micro::Lock {
-            mtx: 2,
-            tmo: Some(8),
-            skip_to: 4,
-        },
-        Micro::Exec(4),
-        Micro::Unlock { mtx: 2 },
-        Micro::EndJob,
-    ];
     let tasks = vec![
         TaskProg {
-            tid: 1,
             pri: 10,
-            ops: ops1,
+            release: Some((12, 2)),
+            ops: vec![
+                gate(1),
+                lock(1, Some((6, 4))),
+                Micro::Exec(1),
+                Micro::Unlock { mtx: 1 },
+                Micro::EndJob,
+            ],
         },
         TaskProg {
-            tid: 2,
             pri: 20,
-            ops: ops2,
+            release: Some((12, 1)),
+            ops: vec![
+                gate(2),
+                lock(1, Some((8, 6))),
+                lock(2, Some((6, 5))),
+                Micro::Exec(1),
+                Micro::Unlock { mtx: 2 },
+                Micro::Unlock { mtx: 1 },
+                Micro::EndJob,
+            ],
         },
         TaskProg {
-            tid: 3,
             pri: 30,
-            ops: ops3,
+            release: Some((12, 0)),
+            ops: vec![
+                gate(3),
+                lock(2, Some((8, 4))),
+                Micro::Exec(4),
+                Micro::Unlock { mtx: 2 },
+                Micro::EndJob,
+            ],
         },
     ];
     ExploreModel {
         family: Family::Chain,
-        init: init_events(
-            &tasks,
-            vec![
-                mtx_create(1),
-                mtx_create(2),
-                sem_create(GATE_BASE + 1, 0, 8),
-                sem_create(GATE_BASE + 2, 0, 8),
-                sem_create(GATE_BASE + 3, 0, 8),
-                cyc_create(1, 12, 2),
-                cyc_create(2, 12, 1),
-                cyc_create(3, 12, 0),
-            ],
-        ),
         tasks,
-        cycs: vec![
-            CycSrc {
-                id: 1,
-                gate: GATE_BASE + 1,
-            },
-            CycSrc {
-                id: 2,
-                gate: GATE_BASE + 2,
-            },
-            CycSrc {
-                id: 3,
-                gate: GATE_BASE + 3,
-            },
-        ],
+        objects: vec![mtx_create(1), mtx_create(2)],
         irq: None,
         horizon: 24,
         delay_budget: 0,
@@ -473,65 +392,38 @@ fn chain_model() -> ExploreModel {
 /// m2, runs, then locks m1 forever. The one-tick stagger makes the
 /// cross-acquisition unavoidable.
 fn deadlock_model() -> ExploreModel {
-    let ops1 = vec![
-        Micro::WaitSem {
-            sem: 1,
-            cnt: 1,
-            tmo: Some(1),
-            skip_to: 1,
-        },
-        Micro::Lock {
-            mtx: 1,
-            tmo: None,
-            skip_to: 1,
-        },
-        Micro::Lock {
-            mtx: 2,
-            tmo: None,
-            skip_to: 2,
-        },
-        Micro::Exec(1),
-        Micro::Unlock { mtx: 2 },
-        Micro::Unlock { mtx: 1 },
-        Micro::EndJob,
-    ];
-    let ops2 = vec![
-        Micro::Lock {
-            mtx: 2,
-            tmo: None,
-            skip_to: 0,
-        },
-        Micro::Exec(2),
-        Micro::Lock {
-            mtx: 1,
-            tmo: None,
-            skip_to: 2,
-        },
-        Micro::Exec(1),
-        Micro::Unlock { mtx: 1 },
-        Micro::Unlock { mtx: 2 },
-        Micro::EndJob,
-    ];
     let tasks = vec![
         TaskProg {
-            tid: 1,
             pri: 10,
-            ops: ops1,
+            release: None,
+            ops: vec![
+                wai_sem(1, 1, Some((1, 1))),
+                lock(1, None),
+                lock(2, None),
+                Micro::Exec(1),
+                Micro::Unlock { mtx: 2 },
+                Micro::Unlock { mtx: 1 },
+                Micro::EndJob,
+            ],
         },
         TaskProg {
-            tid: 2,
             pri: 20,
-            ops: ops2,
+            release: None,
+            ops: vec![
+                lock(2, None),
+                Micro::Exec(2),
+                lock(1, None),
+                Micro::Exec(1),
+                Micro::Unlock { mtx: 1 },
+                Micro::Unlock { mtx: 2 },
+                Micro::EndJob,
+            ],
         },
     ];
     ExploreModel {
         family: Family::Deadlock,
-        init: init_events(
-            &tasks,
-            vec![mtx_create(1), mtx_create(2), sem_create(1, 0, 1)],
-        ),
         tasks,
-        cycs: Vec::new(),
+        objects: vec![mtx_create(1), mtx_create(2), sem_create(1, 0, 1)],
         irq: None,
         horizon: 10,
         delay_budget: 0,

@@ -73,7 +73,7 @@ pub use explore::{
     ExploreReport, Family, Violation,
 };
 pub use model::static_model;
-pub use oracle::{check, Checker, Choice, Divergence, OracleVerdict, SpecMutation, SpecState};
+pub use oracle::{check, Checker, Divergence, OracleVerdict, SpecMutation, SpecState};
 pub use replay::{
     replay_analysis, replay_path, replay_report_json_analyzed, replay_trace, ReplayedAnalysis,
     ReplayedTrace,

@@ -56,7 +56,7 @@ use rtk_core::ObsEvent;
 
 mod spec;
 
-pub use spec::{Choice, SpecMutation, SpecState};
+pub use spec::{SpecMutation, SpecState};
 
 /// First observed deviation between the kernel and the reference model.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -7,16 +7,17 @@
 //! exposes the *closed-system* interface the `--explore` model checker
 //! drives:
 //!
-//! * [`SpecState::enabled`] — the spec-derivable choice points at this
-//!   state: the forced dispatch/preemption (always a singleton — the
-//!   µ-ITRON scheduler is deterministic) or the set of armed timeouts.
-//! * [`SpecState::step`] — successor construction in place: realize
-//!   one [`Choice`] into observation events, apply them, and drain
-//!   every mandated wakeup so the successor is quiescent. The realized
-//!   event list is returned, so an exploration path is *by
-//!   construction* a replayable observation stream. A step that fails
-//!   leaves the state partly applied, so a caller that must keep the
-//!   original steps a copy.
+//! * [`SpecState::enabled`] — the spec-derivable events at this state:
+//!   the forced `Dispatch`/`Preempt` (`SpecState::forced`, always a
+//!   singleton — the µ-ITRON scheduler is deterministic) or the armed
+//!   timeouts as `TimerFire` events.
+//! * [`SpecState::step`] — successor construction in place: apply a
+//!   slice of observation events and drain every mandated wakeup after
+//!   each, so the successor is quiescent. The realized event list is
+//!   returned, so an exploration path is *by construction* a
+//!   replayable observation stream. A step that fails leaves the state
+//!   partly applied, so a caller that must keep the original steps a
+//!   copy.
 //! * [`SpecState::canon_digest`] — canonical FNV-1a hash of the
 //!   semantic state, for revisit deduplication.
 //! * [`SpecState::invariant_violations`] — independent well-formedness
@@ -267,8 +268,10 @@ struct MpfM {
 /// Allocation alignment of the kernel's variable-size pools.
 const MPL_ALIGN: usize = 4;
 
-fn align_up(sz: usize) -> usize {
-    (sz + MPL_ALIGN - 1) & !(MPL_ALIGN - 1)
+/// `sz` rounded up to [`MPL_ALIGN`]; `None` when that overflows, and
+/// a request that large fits no pool.
+fn align_up(sz: usize) -> Option<usize> {
+    Some(sz.checked_add(MPL_ALIGN - 1)? & !(MPL_ALIGN - 1))
 }
 
 /// First-fit arena shadow of one variable-size pool: the same
@@ -287,7 +290,7 @@ struct MplM {
 impl MplM {
     /// First-fit allocation (mirrors `kernel::mpl::Mpl::try_alloc`).
     fn try_alloc(&mut self, sz: usize) -> Option<usize> {
-        let sz = align_up(sz);
+        let sz = align_up(sz)?;
         let (off, len) = self
             .free
             .iter()
@@ -303,8 +306,7 @@ impl MplM {
 
     /// `true` when a request of `sz` (pre-alignment) would fit now.
     fn can_alloc(&self, sz: usize) -> bool {
-        let sz = align_up(sz);
-        self.free.values().any(|&len| len >= sz)
+        align_up(sz).is_some_and(|sz| self.free.values().any(|&len| len >= sz))
     }
 
     /// Releases an allocation, coalescing with free neighbours.
@@ -543,10 +545,10 @@ impl SpecState {
                 return Ok(());
             };
             let slen = mbf.send_len.get(&front).copied().unwrap_or(0);
-            if mbf.used + slen > mbf.bufsz {
+            let Some(used) = mbf.used.checked_add(slen).filter(|&u| u <= mbf.bufsz) else {
                 return Ok(());
-            }
-            mbf.used += slen;
+            };
+            mbf.used = used;
             mbf.msgs.push_back(slen);
             mbf.send_q.pop();
             mbf.send_len.remove(&front);
@@ -696,6 +698,11 @@ impl SpecState {
 
         match *ev {
             ObsEvent::TaskCreate { tid, pri } => {
+                // A task id is free again only once the task is
+                // deleted: a live record may sit in a queue.
+                if self.tasks.get(&tid.raw()).is_some() {
+                    return Err(format!("{tid} created again before it was deleted"));
+                }
                 self.tasks.insert(
                     tid.raw(),
                     TaskM {
@@ -1168,12 +1175,13 @@ impl SpecState {
                         return self.wake(receiver, WakeCode::Ok);
                     }
                 }
-                if mbf.send_q.is_empty() && mbf.used + len <= mbf.bufsz {
-                    mbf.used += len;
-                    mbf.msgs.push_back(len);
-                    Ok(())
-                } else {
-                    Err("immediate send the spec says must block".into())
+                match mbf.used.checked_add(len) {
+                    Some(used) if mbf.send_q.is_empty() && used <= mbf.bufsz => {
+                        mbf.used = used;
+                        mbf.msgs.push_back(len);
+                        Ok(())
+                    }
+                    _ => Err("immediate send the spec says must block".into()),
                 }
             }
             ObsEvent::MbfRecv { id, tid } => {
@@ -1376,7 +1384,10 @@ impl SpecState {
                 match cyc.armed {
                     Some(at) if at == tick => {
                         // The next activation is one period on.
-                        cyc.armed = Some(tick + cyc.period);
+                        let next = tick.checked_add(cyc.period).ok_or_else(|| {
+                            format!("cyclic re-arm at tick {tick} + {} overflows", cyc.period)
+                        })?;
+                        cyc.armed = Some(next);
                         Ok(())
                     }
                     Some(at) => Err(format!(
@@ -1444,7 +1455,8 @@ impl SpecState {
             WaitObj::Mbx(id) => self.mbxs.get(&id.raw()).is_none_or(|m| m.msgs == 0),
             WaitObj::MbfSend(id, len) => self.mbfs.get(&id.raw()).is_none_or(|m| {
                 let direct = m.msgs.is_empty() && m.send_q.is_empty() && !m.recv_q.is_empty();
-                let fits = m.send_q.is_empty() && m.used + len <= m.bufsz;
+                let fits =
+                    m.send_q.is_empty() && m.used.checked_add(len).is_some_and(|u| u <= m.bufsz);
                 !(direct || fits)
             }),
             WaitObj::MbfRecv(id) => self
@@ -1474,42 +1486,6 @@ impl SpecState {
         }
     }
 }
-/// One resolvable nondeterministic choice at a quiescent spec state.
-///
-/// Scheduler decisions (`Dispatch`/`Preempt`) are *forced*: the
-/// priority-preemptive scheduler is deterministic, so when one is
-/// enabled it is the only choice. The genuine branch points are which
-/// armed `Timeout` fires first when several share the earliest tick,
-/// and which environment `Stimulus` (an IRQ signal, a cyclic
-/// activation, a program operation) happens next — the explore driver
-/// owns those.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Choice {
-    /// Dispatch the ready-queue head.
-    Dispatch {
-        /// Raw task id of the mandated ready-queue head.
-        tid: u32,
-        /// The spec-computed current priority it must run at.
-        pri: u8,
-    },
-    /// Preempt the running task (a more urgent task became ready).
-    Preempt {
-        /// Raw task id of the currently running task.
-        tid: u32,
-    },
-    /// Fire the armed timeout of one waiting task.
-    Timeout {
-        /// Raw task id whose wait deadline expires.
-        tid: u32,
-        /// Absolute tick the deadline is armed for.
-        tick: u64,
-    },
-    /// Environment/program stimulus: an externally chosen event
-    /// sequence (IRQ signal, cyclic fire, a task's next operation)
-    /// applied verbatim, with mandated wakeups drained after each.
-    Stimulus(Vec<ObsEvent>),
-}
-
 /// A deliberately broken spec rule, for the mutation-sensitivity
 /// proofs (`crates/farm/tests/explore.rs`): exploration must catch
 /// each of these while thousands of random-seed replays do not.
@@ -1640,27 +1616,10 @@ impl SpecState {
         self.running
     }
 
-    /// The ready-queue head as `(raw tid, current priority)`.
-    pub fn ready_front(&self) -> Option<(u32, u8)> {
-        self.ready.first().copied()
-    }
-
     /// The spec-computed current priority of a task (base relaxed
     /// through ceilings and transitive inheritance).
     pub fn current_priority(&self, tid: u32) -> Option<u8> {
         self.tasks.get(&tid).map(|t| t.cur)
-    }
-
-    /// `true` while a `tk_dis_dsp`/`tk_loc_cpu` window is open.
-    pub fn is_dispatch_disabled(&self) -> bool {
-        self.dispatch_disabled
-    }
-
-    /// `true` when the task is blocked (WAITING or WAITING-SUSPENDED).
-    pub fn is_waiting(&self, tid: u32) -> bool {
-        self.tasks
-            .get(&tid)
-            .is_some_and(|t| matches!(t.state, TState::Waiting | TState::WaitSuspend))
     }
 
     /// Raw ids of every blocked task, ascending.
@@ -1670,11 +1629,6 @@ impl SpecState {
             .filter(|(_, t)| matches!(t.state, TState::Waiting | TState::WaitSuspend))
             .map(|(&tid, _)| tid)
             .collect()
-    }
-
-    /// The armed absolute-tick deadline of a task's wait, if any.
-    pub fn deadline(&self, tid: u32) -> Option<u64> {
-        self.tasks.get(&tid).and_then(|t| t.deadline)
     }
 
     /// The next mandated activation tick of a cyclic handler.
@@ -1688,45 +1642,50 @@ impl SpecState {
         self.check_would_block(tid, obj).is_ok()
     }
 
-    /// The resolvable choices at this (quiescent) state. Exactly one
-    /// of three shapes:
+    /// The scheduler move µ-ITRON forces at this (quiescent) state:
+    /// `Dispatch` of the ready-queue head onto an idle CPU, or
+    /// `Preempt` of the running task when a strictly more urgent task
+    /// is ready. `None` inside a dispatch-disabled window, when
+    /// neither applies, or while a mandated wakeup is pending.
+    pub(crate) fn forced(&self) -> Option<ObsEvent> {
+        if !self.expected.is_empty() || self.dispatch_disabled {
+            return None;
+        }
+        let &(head, hp) = self.ready.first()?;
+        match self.running {
+            None => Some(ObsEvent::Dispatch {
+                tid: TaskId::from_raw(head),
+                pri: self.tasks[&head].cur,
+            }),
+            Some(r) if hp < self.tasks[&r].cur => Some(ObsEvent::Preempt {
+                tid: TaskId::from_raw(r),
+            }),
+            Some(_) => None,
+        }
+    }
+
+    /// The events the spec itself enables at this (quiescent) state.
+    /// Exactly one of two shapes:
     ///
-    /// * `[Dispatch]` — CPU idle, ready queue non-empty: the scheduler
-    ///   must dispatch the head. Forced singleton.
-    /// * `[Preempt]` — a strictly more urgent task is ready behind a
-    ///   running one: preemption is mandated. Forced singleton.
-    /// * the armed timeouts, sorted by `(tick, tid)` — every waiting
-    ///   task with a deadline, at the tick it would fire. The caller
-    ///   owns time: only timeouts at the chosen current tick are
-    ///   firable now, and ties at that tick are the real branch.
+    /// * `[Dispatch]` or `[Preempt]` — the move the scheduler is
+    ///   forced to make (`SpecState::forced`). Forced singleton.
+    /// * the armed timeouts as `TimerFire` events, sorted by
+    ///   `(tick, tid)` — every waiting task with a deadline, at the
+    ///   tick it would fire. The caller owns time: only timeouts at
+    ///   the chosen current tick are firable now, and ties at that
+    ///   tick are the real branch.
     ///
-    /// Environment stimuli ([`Choice::Stimulus`]) are by nature not
-    /// derivable from spec state; the explore driver merges its own
-    /// stimulus candidates with this set. A state with a pending
-    /// mandated wakeup (never produced by [`SpecState::step`]) has no
-    /// choices.
-    pub fn enabled(&self) -> Vec<Choice> {
+    /// Environment stimuli (an IRQ signal, a cyclic activation, a
+    /// program operation) are by nature not derivable from spec
+    /// state; the explorer merges its own candidates with this set.
+    /// A state with a pending mandated wakeup (never produced by
+    /// [`SpecState::step`]) enables nothing.
+    pub fn enabled(&self) -> Vec<ObsEvent> {
         if !self.expected.is_empty() {
             return Vec::new();
         }
-        if !self.dispatch_disabled {
-            match self.running {
-                None => {
-                    if let Some(&(tid, _)) = self.ready.first() {
-                        return vec![Choice::Dispatch {
-                            tid,
-                            pri: self.tasks[&tid].cur,
-                        }];
-                    }
-                }
-                Some(r) => {
-                    if let Some(&(_, hp)) = self.ready.first() {
-                        if hp < self.tasks[&r].cur {
-                            return vec![Choice::Preempt { tid: r }];
-                        }
-                    }
-                }
-            }
+        if let Some(ev) = self.forced() {
+            return vec![ev];
         }
         let mut outs: Vec<(u64, u32)> = self
             .tasks
@@ -1736,46 +1695,24 @@ impl SpecState {
             .collect();
         outs.sort_unstable();
         outs.into_iter()
-            .map(|(tick, tid)| Choice::Timeout { tid, tick })
+            .map(|(tick, tid)| ObsEvent::TimerFire {
+                tid: TaskId::from_raw(tid),
+                tick,
+            })
             .collect()
     }
 
-    /// Successor construction in place: realizes `choice` into
-    /// observation events, applies them to `self`, and drains every
-    /// mandated wakeup after each one (the contiguity the kernel itself
-    /// guarantees). Returns the full realized event list — an
-    /// exploration path is therefore a replayable observation stream by
-    /// construction.
+    /// Successor construction in place: applies each of `evs` to
+    /// `self` and drains every mandated wakeup after each one (the
+    /// contiguity the kernel itself guarantees). Returns the full
+    /// realized event list — an exploration path is therefore a
+    /// replayable observation stream by construction.
     ///
     /// On `Err` the state is left partly applied. A caller that needs
     /// the original state steps a copy, as the explorer does.
-    pub fn step(&mut self, choice: &Choice) -> Result<Vec<ObsEvent>, String> {
-        let forced;
-        let realized: &[ObsEvent] = match choice {
-            Choice::Dispatch { tid, pri } => {
-                forced = [ObsEvent::Dispatch {
-                    tid: TaskId::from_raw(*tid),
-                    pri: *pri,
-                }];
-                &forced
-            }
-            Choice::Preempt { tid } => {
-                forced = [ObsEvent::Preempt {
-                    tid: TaskId::from_raw(*tid),
-                }];
-                &forced
-            }
-            Choice::Timeout { tid, tick } => {
-                forced = [ObsEvent::TimerFire {
-                    tid: TaskId::from_raw(*tid),
-                    tick: *tick,
-                }];
-                &forced
-            }
-            Choice::Stimulus(evs) => evs,
-        };
-        let mut events = Vec::with_capacity(realized.len());
-        for ev in realized {
+    pub fn step(&mut self, evs: &[ObsEvent]) -> Result<Vec<ObsEvent>, String> {
+        let mut events = Vec::with_capacity(evs.len());
+        for ev in evs {
             self.apply(ev)?;
             events.push(*ev);
             while let Some((tid, obj, code)) = self.pending_wakeup() {

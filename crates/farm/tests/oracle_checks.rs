@@ -9,8 +9,13 @@
 //! during bring-up (disabled priority inheritance, tail-popping wait
 //! queues and one-tick-late timers were all detected this way).
 
-use rtk_core::{CycId, MplId, MtxId, MtxPolicy, ObsEvent, SemId, TaskId, WaitObj, WakeCode};
-use rtk_farm::{check, run_scenario, RunPlan, ScenarioSpec, Topology, Tuning};
+mod common;
+
+use rtk_core::{
+    AlmId, CycId, FlagWaitMode, FlgId, MbfId, MbxId, MpfId, MplId, MtxId, MtxPolicy, ObsEvent,
+    SemId, TaskId, WaitObj, WakeCode,
+};
+use rtk_farm::{check, run_scenario, FarmRng, RunPlan, ScenarioSpec, SpecState, Topology, Tuning};
 
 fn t(n: u32) -> TaskId {
     TaskId::from_raw(n)
@@ -26,6 +31,10 @@ fn mtx(n: u32) -> MtxId {
 
 fn mpl(n: u32) -> MplId {
     MplId::from_raw(n)
+}
+
+fn mbf(n: u32) -> MbfId {
+    MbfId::from_raw(n)
 }
 
 /// A minimal healthy prologue: two tasks (pri 10 and 20) started, the
@@ -558,6 +567,399 @@ fn rel_wai_mandates_release_and_reserve() {
     ]);
     let d = check(&evs2).divergence.expect("must diverge");
     assert!(d.detail.contains("mandates wakeup of tsk2"), "{d}");
+}
+
+// ---------------------------------------------------------------------
+// Crafted streams. A trace file can name any id, tick, size or count,
+// so every stream must end in a verdict: accepted, or a divergence at
+// the offending event. None may panic or wrap around.
+// ---------------------------------------------------------------------
+
+/// A task id is free again only once its task is deleted. Accepting
+/// the re-create of a queued waiter would overwrite its record and,
+/// after the delete, leave a queue entry for a task the table no longer
+/// holds.
+#[test]
+fn recreating_a_queued_task_diverges() {
+    let d = check(&common::recreated_waiter_stream())
+        .divergence
+        .expect("must diverge");
+    assert_eq!(d.index, 10, "{d}");
+    assert!(d.detail.contains("created again"), "{d}");
+}
+
+/// Accepting the re-create of the running task's id would let a delete
+/// follow and leave the spec running a task it no longer holds.
+#[test]
+fn recreating_the_running_task_diverges() {
+    let evs = [
+        ObsEvent::TaskCreate { tid: t(1), pri: 10 },
+        ObsEvent::TaskStart { tid: t(1) },
+        ObsEvent::Dispatch { tid: t(1), pri: 10 },
+        ObsEvent::TaskCreate { tid: t(1), pri: 10 },
+        ObsEvent::TaskDelete { tid: t(1) },
+    ];
+    let d = check(&evs).divergence.expect("must diverge");
+    assert_eq!(d.index, 3, "{d}");
+    assert!(d.detail.contains("created again"), "{d}");
+}
+
+/// A cyclic handler whose next activation lies past the last tick is a
+/// divergence.
+#[test]
+fn cyclic_rearm_past_the_last_tick_diverges() {
+    let cyc = CycId::from_raw(1);
+    let evs = [
+        ObsEvent::CycCreate {
+            id: cyc,
+            period_ticks: u64::MAX,
+            first_tick: Some(5),
+        },
+        ObsEvent::CycFire { id: cyc, tick: 5 },
+    ];
+    let d = check(&evs).divergence.expect("must diverge");
+    assert_eq!(d.index, 1, "{d}");
+    assert!(d.detail.contains("overflows"), "{d}");
+}
+
+/// A message whose length overflows the buffer's byte count cannot
+/// fit: sent immediately, it diverges.
+#[test]
+fn oversized_immediate_mbf_send_diverges() {
+    let evs = [
+        ObsEvent::MbfCreate {
+            id: mbf(1),
+            bufsz: 16,
+            maxmsz: 8,
+            pri_order: false,
+        },
+        ObsEvent::MbfSend { id: mbf(1), len: 1 },
+        ObsEvent::MbfSend {
+            id: mbf(1),
+            len: usize::MAX,
+        },
+    ];
+    let d = check(&evs).divergence.expect("must diverge");
+    assert_eq!(d.index, 2, "{d}");
+    assert!(d.detail.contains("must block"), "{d}");
+}
+
+/// The same oversized message blocks its sender, and stays blocked
+/// when a receive frees buffer space.
+#[test]
+fn oversized_mbf_send_blocks() {
+    let mut evs = prologue();
+    evs.extend([
+        ObsEvent::MbfCreate {
+            id: mbf(1),
+            bufsz: 16,
+            maxmsz: 8,
+            pri_order: false,
+        },
+        ObsEvent::MbfSend { id: mbf(1), len: 1 },
+        ObsEvent::MbfSend { id: mbf(1), len: 1 },
+        ObsEvent::Block {
+            tid: t(1),
+            obj: WaitObj::MbfSend(mbf(1), usize::MAX),
+            deadline_tick: None,
+        },
+        ObsEvent::Dispatch { tid: t(2), pri: 20 },
+        ObsEvent::MbfRecv {
+            id: mbf(1),
+            tid: t(2),
+        },
+    ]);
+    let v = check(&evs);
+    assert!(v.divergence.is_none(), "{:?}", v.divergence);
+}
+
+/// A pool request whose alignment overflows fits no pool: taken
+/// immediately it diverges, and waited for it blocks.
+#[test]
+fn oversized_mpl_request_cannot_fit() {
+    let mut evs = prologue();
+    evs.push(ObsEvent::MplCreate {
+        id: mpl(1),
+        size: 64,
+        pri_order: false,
+    });
+    let mut take = evs.clone();
+    take.push(ObsEvent::MplTake {
+        id: mpl(1),
+        tid: t(1),
+        size: usize::MAX,
+        off: 0,
+    });
+    let d = check(&take).divergence.expect("must diverge");
+    assert_eq!(d.index, take.len() - 1, "{d}");
+    assert!(d.detail.contains("cannot fit"), "{d}");
+    evs.push(ObsEvent::Block {
+        tid: t(1),
+        obj: WaitObj::Mpl(mpl(1), usize::MAX),
+        deadline_tick: None,
+    });
+    let v = check(&evs);
+    assert!(v.divergence.is_none(), "{:?}", v.divergence);
+}
+
+/// One of the bounds of `0..=max` half the time, a small value
+/// otherwise.
+fn edge(rng: &mut FarmRng, max: u64) -> u64 {
+    match rng.below(8) {
+        0 => 0,
+        1 => 1,
+        2 => max - 1,
+        3 => max,
+        _ => rng.below(24),
+    }
+}
+
+fn id(rng: &mut FarmRng) -> u32 {
+    rng.below(4) as u32
+}
+
+fn tick(rng: &mut FarmRng) -> u64 {
+    edge(rng, u64::MAX)
+}
+
+fn size(rng: &mut FarmRng) -> usize {
+    edge(rng, usize::MAX as u64) as usize
+}
+
+fn count(rng: &mut FarmRng) -> u32 {
+    edge(rng, u64::from(u32::MAX)) as u32
+}
+
+fn pri(rng: &mut FarmRng) -> u8 {
+    rng.range(1, 4) as u8
+}
+
+fn flag_mode(rng: &mut FarmRng) -> FlagWaitMode {
+    FlagWaitMode {
+        and: rng.chance(1, 2),
+        clear_all: rng.chance(1, 2),
+        clear_bits: rng.chance(1, 2),
+    }
+}
+
+fn wait_obj(rng: &mut FarmRng) -> WaitObj {
+    let n = id(rng);
+    match rng.below(10) {
+        0 => WaitObj::Sleep,
+        1 => WaitObj::Delay,
+        2 => WaitObj::Sem(sem(n), count(rng)),
+        3 => WaitObj::Flag(FlgId::from_raw(n), count(rng), flag_mode(rng)),
+        4 => WaitObj::Mbx(MbxId::from_raw(n)),
+        5 => WaitObj::MbfSend(mbf(n), size(rng)),
+        6 => WaitObj::MbfRecv(mbf(n)),
+        7 => WaitObj::Mtx(mtx(n)),
+        8 => WaitObj::Mpf(MpfId::from_raw(n)),
+        _ => WaitObj::Mpl(mpl(n), size(rng)),
+    }
+}
+
+/// One event of any kind, with ids 0 to 3 and boundary-heavy ticks,
+/// sizes and counts.
+fn random_event(rng: &mut FarmRng) -> ObsEvent {
+    let tid = t(id(rng));
+    let n = id(rng);
+    let pri_order = rng.chance(1, 2);
+    match rng.below(47) {
+        0 => ObsEvent::TaskCreate { tid, pri: pri(rng) },
+        1 => ObsEvent::TaskStart { tid },
+        2 => ObsEvent::TaskExit { tid },
+        3 => ObsEvent::TaskTerminate { tid },
+        4 => ObsEvent::TaskDelete { tid },
+        5 => ObsEvent::Suspend { tid },
+        6 => ObsEvent::Resume {
+            tid,
+            force: rng.chance(1, 2),
+        },
+        7 => ObsEvent::RelWai { tid },
+        8 => ObsEvent::RotRdq { pri: pri(rng) },
+        9 => ObsEvent::WupTsk { tid },
+        10 => ObsEvent::WupConsume { tid },
+        11 => ObsEvent::DispCtl {
+            disabled: rng.chance(1, 2),
+        },
+        12 => ObsEvent::PriChange {
+            tid,
+            base: pri(rng),
+        },
+        13 => ObsEvent::Dispatch { tid, pri: pri(rng) },
+        14 => ObsEvent::Preempt { tid },
+        15 => ObsEvent::Block {
+            tid,
+            obj: wait_obj(rng),
+            deadline_tick: rng.chance(1, 2).then(|| tick(rng)),
+        },
+        16 => ObsEvent::Wakeup {
+            tid,
+            obj: wait_obj(rng),
+            code: WakeCode::Ok,
+        },
+        17 => ObsEvent::TimerFire {
+            tid,
+            tick: tick(rng),
+        },
+        18 => ObsEvent::SemCreate {
+            id: sem(n),
+            init: count(rng),
+            max: count(rng),
+            pri_order,
+        },
+        19 => ObsEvent::SemSignal {
+            id: sem(n),
+            cnt: count(rng),
+        },
+        20 => ObsEvent::SemTake {
+            id: sem(n),
+            tid,
+            cnt: count(rng),
+        },
+        21 => ObsEvent::FlagCreate {
+            id: FlgId::from_raw(n),
+            init: count(rng),
+            pri_order,
+        },
+        22 => ObsEvent::FlagSet {
+            id: FlgId::from_raw(n),
+            ptn: count(rng),
+        },
+        23 => ObsEvent::FlagClear {
+            id: FlgId::from_raw(n),
+            mask: count(rng),
+        },
+        24 => ObsEvent::FlagTake {
+            id: FlgId::from_raw(n),
+            tid,
+            ptn: count(rng),
+            mode: flag_mode(rng),
+        },
+        25 => ObsEvent::MbxCreate {
+            id: MbxId::from_raw(n),
+            pri_order,
+        },
+        26 => ObsEvent::MbxSend {
+            id: MbxId::from_raw(n),
+        },
+        27 => ObsEvent::MbxTake {
+            id: MbxId::from_raw(n),
+            tid,
+        },
+        28 => ObsEvent::MbfCreate {
+            id: mbf(n),
+            bufsz: size(rng),
+            maxmsz: size(rng),
+            pri_order,
+        },
+        29 => ObsEvent::MbfSend {
+            id: mbf(n),
+            len: size(rng),
+        },
+        30 => ObsEvent::MbfRecv { id: mbf(n), tid },
+        31 => ObsEvent::MtxCreate {
+            id: mtx(n),
+            policy: match rng.below(4) {
+                0 => MtxPolicy::Fifo,
+                1 => MtxPolicy::Pri,
+                2 => MtxPolicy::Inherit,
+                _ => MtxPolicy::Ceiling(pri(rng)),
+            },
+        },
+        32 => ObsEvent::MtxLock { id: mtx(n), tid },
+        33 => ObsEvent::MtxUnlock { id: mtx(n), tid },
+        34 => ObsEvent::MpfCreate {
+            id: MpfId::from_raw(n),
+            blocks: size(rng),
+            pri_order,
+        },
+        35 => ObsEvent::MpfTake {
+            id: MpfId::from_raw(n),
+            tid,
+        },
+        36 => ObsEvent::MpfRel {
+            id: MpfId::from_raw(n),
+        },
+        37 => ObsEvent::MplCreate {
+            id: mpl(n),
+            size: size(rng),
+            pri_order,
+        },
+        38 => ObsEvent::MplTake {
+            id: mpl(n),
+            tid,
+            size: size(rng),
+            off: size(rng),
+        },
+        39 => ObsEvent::MplRel {
+            id: mpl(n),
+            off: size(rng),
+        },
+        40 => ObsEvent::CycCreate {
+            id: CycId::from_raw(n),
+            period_ticks: tick(rng),
+            first_tick: rng.chance(1, 2).then(|| tick(rng)),
+        },
+        41 => ObsEvent::CycStart {
+            id: CycId::from_raw(n),
+            at_tick: tick(rng),
+        },
+        42 => ObsEvent::CycStop {
+            id: CycId::from_raw(n),
+        },
+        43 => ObsEvent::CycFire {
+            id: CycId::from_raw(n),
+            tick: tick(rng),
+        },
+        44 => ObsEvent::AlmArm {
+            id: AlmId::from_raw(n),
+            at_tick: tick(rng),
+        },
+        45 => ObsEvent::AlmStop {
+            id: AlmId::from_raw(n),
+        },
+        _ => ObsEvent::AlmFire {
+            id: AlmId::from_raw(n),
+            tick: tick(rng),
+        },
+    }
+}
+
+/// Random walks through the spec from the empty state: every step
+/// feeds the mandated wakeup if one is pending, else a random event,
+/// and keeps the event when `apply` accepts it. No event the spec
+/// accepts or rejects may panic it, nor may the closed-system queries
+/// on any state it accepted.
+#[test]
+#[cfg_attr(miri, ignore)] // thousands of walks; the crafted streams above run under Miri
+fn random_walks_never_panic_the_spec() {
+    for seed in 0..2_000 {
+        let mut rng = FarmRng::new(seed);
+        let mut spec = SpecState::new();
+        let mut accepted = 0;
+        for _ in 0..1_000 {
+            let ev = match spec.pending_wakeup() {
+                Some((tid, obj, code)) => ObsEvent::Wakeup {
+                    tid: t(tid),
+                    obj,
+                    code,
+                },
+                None => random_event(&mut rng),
+            };
+            let mut next = spec.clone();
+            if next.apply(&ev).is_err() {
+                continue;
+            }
+            spec = next;
+            spec.enabled();
+            spec.invariant_violations();
+            accepted += 1;
+            if accepted == 80 {
+                break;
+            }
+        }
+    }
 }
 
 /// Soundness over the real kernel: one representative seed per
