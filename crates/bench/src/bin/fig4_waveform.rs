@@ -7,31 +7,28 @@ use std::rc::Rc;
 
 use rtk_analysis::WaveProbe;
 use rtk_bfm::Bfm;
-use rtk_core::{KernelConfig, Rtos};
+use rtk_core::KernelConfig;
 use sysc::SimTime;
 
 fn main() {
-    let (tx, rx) = std::sync::mpsc::channel::<Bfm>();
-    let mut rtos = Rtos::new(KernelConfig::paper(), move |sys, _| {
-        let bfm = rx.recv().unwrap();
+    let (mut rtos, _bfm) = Bfm::boot(KernelConfig::paper(), |sys, bfm| {
+        let ports = bfm.ports.clone();
         let driver = sys
             .tk_cre_tsk("driver", 10, move |sys, _| {
                 // The Fig. 4 handshake: a burst of port and external-bus
                 // accesses with waits between them.
-                bfm.ports.write(sys, 1, 0x0F);
+                ports.write(sys, 1, 0x0F);
                 sys.exec(SimTime::from_us(50));
-                bfm.ports.ext_bus_write(sys, 0x20, 0xAB);
+                ports.ext_bus_write(sys, 0x20, 0xAB);
                 sys.exec(SimTime::from_us(30));
-                let _ = bfm.ports.ext_bus_read(sys, 0x21, 0x5C);
+                let _ = ports.ext_bus_read(sys, 0x21, 0x5C);
                 sys.exec(SimTime::from_us(20));
-                bfm.ports.write(sys, 1, 0xF0);
-                bfm.ports.write(sys, 3, 0x42);
+                ports.write(sys, 1, 0xF0);
+                ports.write(sys, 3, 0x42);
             })
             .unwrap();
         sys.tk_sta_tsk(driver, 0).unwrap();
     });
-    let bfm = Bfm::new(&rtos);
-    tx.send(bfm).unwrap();
 
     let probe = Rc::new(WaveProbe::new());
     rtos.set_sim_tracer(probe.clone());

@@ -11,7 +11,7 @@ fn main() {
     cosim.rtos.run_until(SimTime::from_ms(500));
     println!("{}", cosim.rtos.ds().dump_listing());
     let game = cosim.game();
-    let s = game.state.lock().clone();
+    let s = game.state.borrow().clone();
     println!(
         "game: frames={} score={} lives={} speed={}",
         s.frames, s.score, s.lives, s.speed

@@ -19,15 +19,14 @@
 //!
 //! ```
 //! use rtk_bfm::Bfm;
-//! use rtk_core::{KernelConfig, Rtos};
+//! use rtk_core::KernelConfig;
 //! use sysc::SimTime;
 //!
-//! let mut rtos = Rtos::new(KernelConfig::zero_cost(), |_sys, _| {});
-//! let bfm = Bfm::new(&rtos);
-//! let lcd = bfm.lcd.clone();
-//! // ... create tasks that call lcd.write_line(sys, 0, "hello") ...
+//! let (mut rtos, bfm) = Bfm::boot(KernelConfig::zero_cost(), |sys, bfm| {
+//!     bfm.lcd.write_line(sys, 0, "hello");
+//! });
 //! rtos.run_for(SimTime::from_ms(1));
-//! assert_eq!(bfm.lcd.snapshot()[0].trim(), "");
+//! assert_eq!(bfm.lcd.snapshot()[0].trim(), "hello");
 //! ```
 
 #![warn(missing_docs)]

@@ -7,7 +7,10 @@
 //! The real-time clock itself lives in the kernel's central module (the
 //! `KernelConfig::tick`); everything else is wired here.
 
-use rtk_core::Rtos;
+use std::cell::Cell;
+use std::rc::Rc;
+
+use rtk_core::{KernelConfig, Rtos, Sys};
 
 use crate::intc::IntController;
 use crate::memory::Memory;
@@ -18,6 +21,15 @@ use crate::timers::HwTimer;
 use crate::timing::BusTiming;
 
 /// The complete i8051-class bus functional model.
+///
+/// Its devices share state through `Rc`/`RefCell` with the kernel that
+/// drives them, so a `Bfm` stays on the thread that built it, as its
+/// [`Rtos`] does.
+///
+/// ```compile_fail
+/// fn assert_send<T: Send>() {}
+/// assert_send::<rtk_bfm::Bfm>();
+/// ```
 #[derive(Debug, Clone)]
 pub struct Bfm {
     /// Memory controller (IRAM / XRAM / SFR).
@@ -43,6 +55,28 @@ pub struct Bfm {
 }
 
 impl Bfm {
+    /// Builds a kernel and its BFM together. `main` is the kernel's user
+    /// main entry (the initialization task) and receives the BFM, which
+    /// exists before the kernel first runs. The init task keeps neither
+    /// `main` nor the BFM once `main` returns; what a task must keep, it
+    /// clones.
+    pub fn boot<F>(cfg: KernelConfig, main: F) -> (Rtos, Bfm)
+    where
+        F: FnOnce(&mut Sys<'_>, &Bfm) + 'static,
+    {
+        let slot = Rc::new(Cell::new(None));
+        let wired = Rc::clone(&slot);
+        let mut main = Some(main);
+        let rtos = Rtos::new(cfg, move |sys, _| {
+            if let (Some(main), Some(bfm)) = (main.take(), wired.take()) {
+                main(sys, &bfm);
+            }
+        });
+        let bfm = Bfm::new(&rtos);
+        slot.set(Some(bfm.clone()));
+        (rtos, bfm)
+    }
+
     /// Builds the BFM and connects its interrupt controller to the
     /// kernel's Interrupt Dispatch module.
     pub fn new(rtos: &Rtos) -> Self {
@@ -73,7 +107,6 @@ impl Bfm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtk_core::KernelConfig;
 
     #[test]
     fn bfm_builds_against_a_kernel() {
@@ -82,5 +115,19 @@ mod tests {
         assert_eq!(bfm.timing.machine_cycle, sysc::SimTime::from_us(1));
         assert!(!bfm.timer0.is_running());
         assert_eq!(bfm.ssd.value(), 0);
+    }
+
+    #[test]
+    fn boot_hands_the_bfm_to_main_and_then_drops_main() {
+        let token = Rc::new(());
+        let held = Rc::clone(&token);
+        let (mut rtos, bfm) = Bfm::boot(KernelConfig::zero_cost(), move |sys, bfm| {
+            let _held = &held;
+            bfm.ssd.show_number(sys, 7);
+        });
+        assert_eq!(Rc::strong_count(&token), 2);
+        rtos.run_for(sysc::SimTime::from_ms(1));
+        assert_eq!(bfm.ssd.value(), 7);
+        assert_eq!(Rc::strong_count(&token), 1, "main outlived its run");
     }
 }

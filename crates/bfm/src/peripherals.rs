@@ -2,9 +2,9 @@
 //! a character LCD, a 4×4 matrix keypad, and a 4-digit seven-segment
 //! display — the devices of the paper's video-game case study (§5).
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
-use parking_lot::Mutex;
 use rtk_core::Sys;
 
 use crate::intc::{IntController, IntSource};
@@ -29,7 +29,7 @@ struct LcdInner {
 /// The character LCD; cloneable handle.
 #[derive(Clone)]
 pub struct Lcd {
-    inner: Arc<Mutex<LcdInner>>,
+    inner: Rc<RefCell<LcdInner>>,
     timing: BusTiming,
 }
 
@@ -43,7 +43,7 @@ impl Lcd {
     /// Creates a cleared LCD.
     pub fn new(timing: BusTiming) -> Self {
         Lcd {
-            inner: Arc::new(Mutex::new(LcdInner {
+            inner: Rc::new(RefCell::new(LcdInner {
                 fb: [[b' '; LCD_COLS]; LCD_ROWS],
                 cursor: (0, 0),
                 display_on: true,
@@ -56,7 +56,7 @@ impl Lcd {
     /// Clear-display command (long device busy time: ~1.5 ms).
     pub fn clear(&self, sys: &mut Sys<'_>) {
         sys.bfm_access("lcd.clear", self.timing.access(cycles::LCD_CLEAR));
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         inner.fb = [[b' '; LCD_COLS]; LCD_ROWS];
         inner.cursor = (0, 0);
         inner.writes += 1;
@@ -65,7 +65,7 @@ impl Lcd {
     /// Set-cursor command.
     pub fn set_cursor(&self, sys: &mut Sys<'_>, row: usize, col: usize) {
         sys.bfm_access("lcd.cmd", self.timing.access(cycles::LCD_CMD));
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         inner.cursor = (row.min(LCD_ROWS - 1), col.min(LCD_COLS - 1));
         inner.writes += 1;
     }
@@ -73,7 +73,7 @@ impl Lcd {
     /// Display on/off command.
     pub fn set_display(&self, sys: &mut Sys<'_>, on: bool) {
         sys.bfm_access("lcd.cmd", self.timing.access(cycles::LCD_CMD));
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         inner.display_on = on;
         inner.writes += 1;
     }
@@ -81,7 +81,7 @@ impl Lcd {
     /// Writes one character at the cursor and advances it.
     pub fn write_char(&self, sys: &mut Sys<'_>, ch: u8) {
         sys.bfm_access("lcd.data", self.timing.access(cycles::LCD_DATA));
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         let (r, c) = inner.cursor;
         inner.fb[r][c] = ch;
         inner.cursor = if c + 1 < LCD_COLS { (r, c + 1) } else { (r, c) };
@@ -109,7 +109,7 @@ impl Lcd {
     /// byte, as on a real character LCD: printable ASCII is shown as-is,
     /// anything else as `?` (the controller's undefined-glyph box).
     pub fn snapshot(&self) -> Vec<String> {
-        let inner = self.inner.lock();
+        let inner = self.inner.borrow();
         inner
             .fb
             .iter()
@@ -129,12 +129,12 @@ impl Lcd {
 
     /// Host-side: whether the display is on.
     pub fn is_on(&self) -> bool {
-        self.inner.lock().display_on
+        self.inner.borrow().display_on
     }
 
     /// Host-side: number of controller writes so far.
     pub fn write_count(&self) -> u64 {
-        self.inner.lock().writes
+        self.inner.borrow().writes
     }
 }
 
@@ -151,7 +151,7 @@ struct KeypadInner {
 /// A 4×4 matrix keypad raising `INT1` on key press; cloneable handle.
 #[derive(Clone)]
 pub struct Keypad {
-    inner: Arc<Mutex<KeypadInner>>,
+    inner: Rc<RefCell<KeypadInner>>,
     intc: IntController,
     timing: BusTiming,
 }
@@ -166,7 +166,7 @@ impl Keypad {
     /// Creates an idle keypad wired to the interrupt controller.
     pub fn new(intc: IntController, timing: BusTiming) -> Self {
         Keypad {
-            inner: Arc::new(Mutex::new(KeypadInner {
+            inner: Rc::new(RefCell::new(KeypadInner {
                 latch: None,
                 presses: 0,
             })),
@@ -184,7 +184,7 @@ impl Keypad {
     pub fn press(&self, key: u8) {
         assert!(key < 16, "4x4 keypad scan codes are 0..16");
         {
-            let mut inner = self.inner.lock();
+            let mut inner = self.inner.borrow_mut();
             inner.latch = Some(key);
             inner.presses += 1;
         }
@@ -195,12 +195,12 @@ impl Keypad {
     /// cycles) returning and clearing the latched key.
     pub fn scan(&self, sys: &mut Sys<'_>) -> Option<u8> {
         sys.bfm_access("keypad.scan", self.timing.access(cycles::KEYPAD_SCAN));
-        self.inner.lock().latch.take()
+        self.inner.borrow_mut().latch.take()
     }
 
     /// Host-side: total key presses injected.
     pub fn press_count(&self) -> u64 {
-        self.inner.lock().presses
+        self.inner.borrow().presses
     }
 }
 
@@ -219,7 +219,7 @@ struct SsdInner {
 /// A 4-digit seven-segment display; cloneable handle.
 #[derive(Clone)]
 pub struct Ssd {
-    inner: Arc<Mutex<SsdInner>>,
+    inner: Rc<RefCell<SsdInner>>,
     timing: BusTiming,
 }
 
@@ -233,7 +233,7 @@ impl Ssd {
     /// Creates a blank (all zeros) display.
     pub fn new(timing: BusTiming) -> Self {
         Ssd {
-            inner: Arc::new(Mutex::new(SsdInner {
+            inner: Rc::new(RefCell::new(SsdInner {
                 digits: [0; SSD_DIGITS],
                 writes: 0,
             })),
@@ -249,7 +249,7 @@ impl Ssd {
     pub fn write_digit(&self, sys: &mut Sys<'_>, pos: usize, value: u8) {
         assert!(pos < SSD_DIGITS && value < 16);
         sys.bfm_access("ssd.wr", self.timing.access(cycles::SSD_WRITE));
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         inner.digits[pos] = value;
         inner.writes += 1;
     }
@@ -265,7 +265,7 @@ impl Ssd {
 
     /// Host-side: digit values.
     pub fn digits(&self) -> [u8; SSD_DIGITS] {
-        self.inner.lock().digits
+        self.inner.borrow().digits
     }
 
     /// Host-side: the displayed value as a decimal number.
@@ -276,7 +276,7 @@ impl Ssd {
 
     /// Host-side: number of latch writes.
     pub fn write_count(&self) -> u64 {
-        self.inner.lock().writes
+        self.inner.borrow().writes
     }
 }
 

@@ -2,10 +2,10 @@
 //! timing derived from the baud rate, TI/RI completion flags, and the
 //! serial interrupt.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::rc::Rc;
 
-use parking_lot::Mutex;
 use rtk_core::Sys;
 use sysc::{SimHandle, SimTime};
 
@@ -29,7 +29,7 @@ struct SerialInner {
 /// The serial port; cloneable handle.
 #[derive(Clone)]
 pub struct Serial {
-    inner: Arc<Mutex<SerialInner>>,
+    inner: Rc<RefCell<SerialInner>>,
     timing: BusTiming,
     byte_time: SimTime,
     intc: IntController,
@@ -56,7 +56,7 @@ impl Serial {
     ) -> Self {
         let tx_done_ev = handle.create_event("serial.tx_done");
         let serial = Serial {
-            inner: Arc::new(Mutex::new(SerialInner {
+            inner: Rc::new(RefCell::new(SerialInner {
                 tx_log: Vec::new(),
                 tx_queue: VecDeque::new(),
                 tx_busy: false,
@@ -90,7 +90,7 @@ impl Serial {
     pub fn send(&self, sys: &mut Sys<'_>, byte: u8) {
         sys.bfm_access("sbuf.wr", self.timing.access(cycles::SBUF));
         let start = {
-            let mut inner = self.inner.lock();
+            let mut inner = self.inner.borrow_mut();
             if inner.tx_busy {
                 inner.tx_queue.push_back(byte);
                 false
@@ -115,7 +115,7 @@ impl Serial {
 
     fn on_tx_done(&self) {
         let more = {
-            let mut inner = self.inner.lock();
+            let mut inner = self.inner.borrow_mut();
             let done = inner.tx_queue.pop_front();
             if let Some(b) = done {
                 inner.tx_log.push(b);
@@ -138,7 +138,7 @@ impl Serial {
     /// `None` if the RX FIFO is empty.
     pub fn recv(&self, sys: &mut Sys<'_>) -> Option<u8> {
         sys.bfm_access("sbuf.rd", self.timing.access(cycles::SBUF));
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         let b = inner.rx_fifo.pop_front();
         inner.ri = !inner.rx_fifo.is_empty();
         b
@@ -147,21 +147,21 @@ impl Serial {
     /// Task-side: reads and clears the TI flag (SCON access).
     pub fn take_ti(&self, sys: &mut Sys<'_>) -> bool {
         sys.bfm_access("scon.rd", self.timing.access(cycles::SFR));
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         std::mem::take(&mut inner.ti)
     }
 
     /// Task-side: reads the RI flag (SCON access).
     pub fn ri(&self, sys: &mut Sys<'_>) -> bool {
         sys.bfm_access("scon.rd", self.timing.access(cycles::SFR));
-        self.inner.lock().ri
+        self.inner.borrow().ri
     }
 
     /// Host-side: injects received bytes (as if arriving on the wire
     /// now); sets RI and raises the serial interrupt once.
     pub fn inject_rx(&self, bytes: &[u8]) {
         {
-            let mut inner = self.inner.lock();
+            let mut inner = self.inner.borrow_mut();
             inner.rx_fifo.extend(bytes.iter().copied());
             inner.ri = true;
         }
@@ -170,12 +170,12 @@ impl Serial {
 
     /// Host-side: everything transmitted so far.
     pub fn tx_log(&self) -> Vec<u8> {
-        self.inner.lock().tx_log.clone()
+        self.inner.borrow().tx_log.clone()
     }
 
     /// Host-side: transmitted bytes as a lossy string.
     pub fn tx_string(&self) -> String {
-        String::from_utf8_lossy(&self.inner.lock().tx_log).into_owned()
+        String::from_utf8_lossy(&self.inner.borrow().tx_log).into_owned()
     }
 }
 

@@ -3,9 +3,9 @@
 //! simulating every increment — the discrete-event equivalent of the
 //! RTL counter.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
-use parking_lot::Mutex;
 use sysc::{SimHandle, SimTime};
 
 use crate::intc::{IntController, IntSource};
@@ -19,7 +19,7 @@ struct TimerInner {
 /// One hardware timer; cloneable handle.
 #[derive(Clone)]
 pub struct HwTimer {
-    inner: Arc<Mutex<TimerInner>>,
+    inner: Rc<RefCell<TimerInner>>,
     source: IntSource,
     handle: SimHandle,
     overflow_ev: sysc::EventId,
@@ -27,7 +27,7 @@ pub struct HwTimer {
 
 impl std::fmt::Debug for HwTimer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.lock();
+        let inner = self.inner.borrow();
         f.debug_struct("HwTimer")
             .field("source", &self.source)
             .field("running", &inner.running)
@@ -41,7 +41,7 @@ impl HwTimer {
     pub fn new(handle: &SimHandle, intc: IntController, source: IntSource) -> Self {
         let overflow_ev = handle.create_event(&format!("{source:?}.ovf"));
         let timer = HwTimer {
-            inner: Arc::new(Mutex::new(TimerInner {
+            inner: Rc::new(RefCell::new(TimerInner {
                 running: false,
                 period: SimTime::from_ms(1),
                 overflows: 0,
@@ -56,7 +56,7 @@ impl HwTimer {
             &[overflow_ev],
             false,
             move |_ctx| {
-                t2.inner.lock().overflows += 1;
+                t2.inner.borrow_mut().overflows += 1;
                 intc.raise(t2.source);
             },
         );
@@ -71,7 +71,7 @@ impl HwTimer {
     pub fn start(&self, period: SimTime) {
         assert!(!period.is_zero(), "timer period must be non-zero");
         {
-            let mut inner = self.inner.lock();
+            let mut inner = self.inner.borrow_mut();
             inner.running = true;
             inner.period = period;
         }
@@ -80,18 +80,18 @@ impl HwTimer {
 
     /// Stops the timer.
     pub fn stop(&self) {
-        self.inner.lock().running = false;
+        self.inner.borrow_mut().running = false;
         self.handle.stop_periodic(self.overflow_ev);
         self.handle.cancel(self.overflow_ev);
     }
 
     /// Number of overflows so far.
     pub fn overflows(&self) -> u64 {
-        self.inner.lock().overflows
+        self.inner.borrow().overflows
     }
 
     /// Whether the timer is running.
     pub fn is_running(&self) -> bool {
-        self.inner.lock().running
+        self.inner.borrow().running
     }
 }

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use rtk_bfm::{Bfm, BusTiming, IntController, IntSource};
-use rtk_core::{KernelConfig, Rtos};
+use rtk_core::KernelConfig;
 use sysc::SimTime;
 
 proptest! {
@@ -24,9 +24,7 @@ proptest! {
         let violations = Arc::new(AtomicU64::new(0));
         let (e2, v2) = (Arc::clone(&elapsed), Arc::clone(&violations));
         let n_ops = ops.len() as u64;
-        let (tx, rx) = std::sync::mpsc::channel::<Bfm>();
-        let mut rtos = Rtos::new(KernelConfig::zero_cost(), move |sys, _| {
-            let bfm = rx.recv().unwrap();
+        let (mut rtos, _bfm) = Bfm::boot(KernelConfig::zero_cost(), move |sys, bfm| {
             let mut model: HashMap<u16, u8> = HashMap::new();
             let t0 = sys.now();
             for (addr, val, is_write) in &ops {
@@ -43,8 +41,6 @@ proptest! {
             }
             e2.store((sys.now() - t0).as_us(), Ordering::SeqCst);
         });
-        let bfm = Bfm::new(&rtos);
-        tx.send(bfm).unwrap();
         rtos.run_for(SimTime::from_ms(50));
         prop_assert_eq!(violations.load(Ordering::SeqCst), 0);
         // MOVX = 2 machine cycles = 2 us each.
@@ -84,16 +80,12 @@ proptest! {
     fn lcd_line_writes_are_fixed_width(text in ".{0,40}") {
         let elapsed = Arc::new(AtomicU64::new(0));
         let e2 = Arc::clone(&elapsed);
-        let (tx, rx) = std::sync::mpsc::channel::<Bfm>();
         let text2 = text.clone();
-        let mut rtos = Rtos::new(KernelConfig::zero_cost(), move |sys, _| {
-            let bfm = rx.recv().unwrap();
+        let (mut rtos, bfm) = Bfm::boot(KernelConfig::zero_cost(), move |sys, bfm| {
             let t0 = sys.now();
             bfm.lcd.write_line(sys, 0, &text2);
             e2.store((sys.now() - t0).as_us(), Ordering::SeqCst);
         });
-        let bfm = Bfm::new(&rtos);
-        tx.send(bfm.clone()).unwrap();
         rtos.run_for(SimTime::from_ms(100));
         let row = &bfm.lcd.snapshot()[0];
         prop_assert_eq!(row.chars().count(), rtk_bfm::LCD_COLS);

@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use rtk_bfm::{Bfm, IntSource};
-use rtk_core::{KernelConfig, Rtos, Timeout};
+use rtk_core::{KernelConfig, Timeout};
 use sysc::SimTime;
 
 fn ms(v: u64) -> SimTime {
@@ -16,31 +16,11 @@ fn us(v: u64) -> SimTime {
     SimTime::from_us(v)
 }
 
-/// Builds a kernel + BFM pair; the main closure receives the BFM clone.
-fn cosim<F>(f: F) -> (Rtos, Bfm)
-where
-    F: FnOnce(&mut rtk_core::Sys<'_>, &Bfm) + Send + 'static,
-{
-    // Two-phase: build the Rtos with a placeholder main that waits for
-    // the BFM via a channel set before running.
-    let (tx, rx) = std::sync::mpsc::channel::<Bfm>();
-    let mut f = Some(f);
-    let rtos = Rtos::new(KernelConfig::zero_cost(), move |sys, _| {
-        let bfm = rx.recv().expect("bfm installed before run");
-        if let Some(f) = f.take() {
-            f(sys, &bfm);
-        }
-    });
-    let bfm = Bfm::new(&rtos);
-    tx.send(bfm.clone()).unwrap();
-    (rtos, bfm)
-}
-
 #[test]
 fn lcd_write_takes_bus_time_and_updates_framebuffer() {
     let elapsed = Arc::new(AtomicU64::new(0));
     let e = Arc::clone(&elapsed);
-    let (mut rtos, bfm) = cosim(move |sys, bfm| {
+    let (mut rtos, bfm) = Bfm::boot(KernelConfig::zero_cost(), move |sys, bfm| {
         let t0 = sys.now();
         bfm.lcd.write_line(sys, 0, "SCORE 0042");
         e.store((sys.now() - t0).as_us(), Ordering::SeqCst);
@@ -55,7 +35,7 @@ fn lcd_write_takes_bus_time_and_updates_framebuffer() {
 fn keypad_interrupt_reaches_isr_and_task() {
     let got = Arc::new(AtomicU64::new(999));
     let g = Arc::clone(&got);
-    let (mut rtos, bfm) = cosim(move |sys, bfm| {
+    let (mut rtos, bfm) = Bfm::boot(KernelConfig::zero_cost(), move |sys, bfm| {
         bfm.intc.set_global_enable(true);
         bfm.intc.set_enabled(IntSource::Ext1, true);
         bfm.intc.set_high_priority(IntSource::Ext1, true);
@@ -91,7 +71,7 @@ fn keypad_interrupt_reaches_isr_and_task() {
 fn serial_tx_completes_with_wire_timing_and_interrupt() {
     let ti_count = Arc::new(AtomicU64::new(0));
     let t = Arc::clone(&ti_count);
-    let (mut rtos, bfm) = cosim(move |sys, bfm| {
+    let (mut rtos, bfm) = Bfm::boot(KernelConfig::zero_cost(), move |sys, bfm| {
         bfm.intc.set_global_enable(true);
         bfm.intc.set_enabled(IntSource::Serial, true);
         let t2 = Arc::clone(&t);
@@ -117,7 +97,7 @@ fn serial_tx_completes_with_wire_timing_and_interrupt() {
 fn hw_timer_overflows_raise_interrupts() {
     let fired = Arc::new(AtomicU64::new(0));
     let f = Arc::clone(&fired);
-    let (mut rtos, bfm) = cosim(move |sys, bfm| {
+    let (mut rtos, bfm) = Bfm::boot(KernelConfig::zero_cost(), move |sys, bfm| {
         bfm.intc.set_global_enable(true);
         bfm.intc.set_enabled(IntSource::Timer0, true);
         let f2 = Arc::clone(&f);
@@ -139,7 +119,7 @@ fn hw_timer_overflows_raise_interrupts() {
 fn ssd_shows_number_with_latch_cost() {
     let elapsed = Arc::new(AtomicU64::new(0));
     let e = Arc::clone(&elapsed);
-    let (mut rtos, bfm) = cosim(move |sys, bfm| {
+    let (mut rtos, bfm) = Bfm::boot(KernelConfig::zero_cost(), move |sys, bfm| {
         let t0 = sys.now();
         bfm.ssd.show_number(sys, 1234);
         e.store((sys.now() - t0).as_us(), Ordering::SeqCst);
@@ -154,7 +134,7 @@ fn ssd_shows_number_with_latch_cost() {
 fn disabled_interrupt_latches_until_enabled() {
     let fired = Arc::new(AtomicU64::new(0));
     let f = Arc::clone(&fired);
-    let (mut rtos, bfm) = cosim(move |sys, bfm| {
+    let (mut rtos, bfm) = Bfm::boot(KernelConfig::zero_cost(), move |sys, bfm| {
         let f2 = Arc::clone(&f);
         sys.tk_def_int(IntSource::Ext1.vector(), 1, "isr", move |_| {
             f2.fetch_add(1, Ordering::SeqCst);
@@ -186,7 +166,7 @@ fn disabled_interrupt_latches_until_enabled() {
 
 #[test]
 fn port_writes_are_probeable_signals() {
-    let (mut rtos, bfm) = cosim(move |sys, bfm| {
+    let (mut rtos, bfm) = Bfm::boot(KernelConfig::zero_cost(), move |sys, bfm| {
         bfm.ports.write(sys, 1, 0x5A);
         sys.exec(us(10));
         bfm.ports.ext_bus_write(sys, 0x20, 0x77);

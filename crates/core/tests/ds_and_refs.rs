@@ -1,8 +1,11 @@
 //! Coverage for the reference services (`tk_ref_*`) and the T-Kernel/DS
 //! snapshots (`td_ref_*`), plus multi-waiter event-flag release.
 
-use std::sync::{Arc, Mutex};
+mod common;
 
+use std::sync::Arc;
+
+use common::Log;
 use rtk_core::{
     ErCode, FlagWaitMode, IntNo, KernelConfig, MsgPacket, MtxPolicy, QueueOrder, Rtos, Timeout,
 };
@@ -13,17 +16,6 @@ fn ms(v: u64) -> SimTime {
 }
 fn us(v: u64) -> SimTime {
     SimTime::from_us(v)
-}
-
-#[derive(Clone, Default)]
-struct Log(Arc<Mutex<Vec<String>>>);
-impl Log {
-    fn push(&self, s: impl Into<String>) {
-        self.0.lock().unwrap().push(s.into());
-    }
-    fn take(&self) -> Vec<String> {
-        std::mem::take(&mut self.0.lock().unwrap())
-    }
 }
 
 #[test]

@@ -2,11 +2,14 @@
 //! wake races, queue-order attributes under contention, calibration,
 //! and restart cycles.
 
+mod common;
+
 use std::cell::Cell;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
+use common::Log;
 use rtk_core::{
     calibrate, AlmId, Cost, CostModel, CycId, ErCode, ExecContext, FlgId, IntNo, KResult,
     KernelConfig, MbfId, MbxId, MpfId, MplId, MsgPacket, MtxId, MtxPolicy, QueueOrder,
@@ -19,17 +22,6 @@ fn ms(v: u64) -> SimTime {
 }
 fn us(v: u64) -> SimTime {
     SimTime::from_us(v)
-}
-
-#[derive(Clone, Default)]
-struct Log(Arc<Mutex<Vec<String>>>);
-impl Log {
-    fn push(&self, s: impl Into<String>) {
-        self.0.lock().unwrap().push(s.into());
-    }
-    fn take(&self) -> Vec<String> {
-        std::mem::take(&mut self.0.lock().unwrap())
-    }
 }
 
 #[test]

@@ -2,9 +2,12 @@
 //! task, two-level nesting, pending-interrupt queueing, delayed
 //! dispatching, interrupt latency through atomic sections, and CPU lock.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+mod common;
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use common::Log;
 use rtk_core::{Cost, IntNo, KernelConfig, Rtos, Timeout};
 use sysc::SimTime;
 
@@ -13,18 +16,6 @@ fn ms(v: u64) -> SimTime {
 }
 fn us(v: u64) -> SimTime {
     SimTime::from_us(v)
-}
-
-#[derive(Clone, Default)]
-struct Log(Arc<Mutex<Vec<String>>>);
-
-impl Log {
-    fn push(&self, s: impl Into<String>) {
-        self.0.lock().unwrap().push(s.into());
-    }
-    fn take(&self) -> Vec<String> {
-        std::mem::take(&mut self.0.lock().unwrap())
-    }
 }
 
 /// Schedules an interrupt to fire at an absolute simulated time using a

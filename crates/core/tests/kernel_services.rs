@@ -2,9 +2,14 @@
 //! machine, scheduling/preemption, every synchronisation object, timeouts
 //! and error codes.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+mod common;
 
+use std::cell::RefCell;
+use std::rc::Rc;
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::Arc;
+
+use common::Log;
 use rtk_core::{
     ErCode, FlagWaitMode, KernelConfig, MsgPacket, MtxPolicy, QueueOrder, Rtos, TaskState, Timeout,
 };
@@ -17,32 +22,19 @@ fn us(v: u64) -> SimTime {
     SimTime::from_us(v)
 }
 
-/// Shared ordered log.
-#[derive(Clone, Default)]
-struct Log(Arc<Mutex<Vec<String>>>);
-
-impl Log {
-    fn push(&self, s: impl Into<String>) {
-        self.0.lock().unwrap().push(s.into());
-    }
-    fn take(&self) -> Vec<String> {
-        std::mem::take(&mut self.0.lock().unwrap())
-    }
-}
-
 /// Builds an Rtos whose orchestration runs in an "actor" task at
 /// priority 50 (unlike the init task at priority 1, the actor *can* be
 /// preempted by the higher-priority tasks it starts).
 fn scenario<F>(f: F) -> Rtos
 where
-    F: FnMut(&mut rtk_core::Sys<'_>) + Send + 'static,
+    F: FnMut(&mut rtk_core::Sys<'_>) + 'static,
 {
-    let f = Arc::new(Mutex::new(f));
+    let f = Rc::new(RefCell::new(f));
     Rtos::new(KernelConfig::zero_cost(), move |sys, _| {
-        let f = Arc::clone(&f);
+        let f = Rc::clone(&f);
         let actor = sys
             .tk_cre_tsk("actor", 50, move |sys, _| {
-                (f.lock().unwrap())(sys);
+                (f.borrow_mut())(sys);
             })
             .unwrap();
         sys.tk_sta_tsk(actor, 0).unwrap();

@@ -4,9 +4,14 @@
 //! dispatch-control windows, suspend-count nesting, `tk_chg_pri(0)`
 //! reset semantics, and the variable-pool first-fit edge cases.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::{Arc, Mutex};
+mod common;
 
+use std::cell::Cell;
+use std::rc::Rc;
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::Arc;
+
+use common::Log;
 use rtk_core::{
     ErCode, FlagWaitMode, KernelConfig, MtxPolicy, QueueOrder, Rtos, Sys, TaskState, Timeout,
 };
@@ -16,37 +21,25 @@ fn ms(v: u64) -> SimTime {
     SimTime::from_ms(v)
 }
 
-#[derive(Clone, Default)]
-struct Log(Arc<Mutex<Vec<String>>>);
-impl Log {
-    fn push(&self, s: impl Into<String>) {
-        self.0.lock().unwrap().push(s.into());
-    }
-    fn take(&self) -> Vec<String> {
-        std::mem::take(&mut self.0.lock().unwrap())
-    }
-}
-
 /// Harness for the per-class `tk_rel_wai` audit: `setup` creates the
 /// object(s) and the victim task (which must record its wait result in
 /// the shared slot), returns the victim's id; the init task lets it
 /// block, forcibly releases it, and the recorded error is returned.
 fn rel_wai_result<Setup>(setup: Setup) -> ErCode
 where
-    Setup: FnOnce(&mut Sys<'_>, Arc<Mutex<Option<ErCode>>>) -> rtk_core::TaskId + Send + 'static,
+    Setup: FnOnce(&mut Sys<'_>, Rc<Cell<Option<ErCode>>>) -> rtk_core::TaskId + 'static,
 {
-    let result: Arc<Mutex<Option<ErCode>>> = Arc::default();
-    let r2 = Arc::clone(&result);
+    let result: Rc<Cell<Option<ErCode>>> = Rc::default();
+    let r2 = Rc::clone(&result);
     let mut setup = Some(setup);
     let mut rtos = Rtos::new(KernelConfig::zero_cost(), move |sys, _| {
-        let victim = (setup.take().expect("runs once"))(sys, Arc::clone(&r2));
+        let victim = (setup.take().expect("runs once"))(sys, Rc::clone(&r2));
         sys.tk_dly_tsk(ms(2)).unwrap();
         sys.tk_rel_wai(victim).unwrap();
         sys.tk_dly_tsk(ms(2)).unwrap();
     });
     rtos.run_for(ms(20));
-    let e = result.lock().unwrap().take();
-    e.expect("victim recorded a wait result")
+    result.take().expect("victim recorded a wait result")
 }
 
 #[test]
@@ -55,7 +48,7 @@ fn rel_wai_releases_every_wait_class() {
     let e = rel_wai_result(|sys, slot| {
         let v = sys
             .tk_cre_tsk("v", 10, move |sys, _| {
-                *slot.lock().unwrap() = sys.tk_slp_tsk(Timeout::Forever).err();
+                slot.set(sys.tk_slp_tsk(Timeout::Forever).err());
             })
             .unwrap();
         sys.tk_sta_tsk(v, 0).unwrap();
@@ -67,7 +60,7 @@ fn rel_wai_releases_every_wait_class() {
     let e = rel_wai_result(|sys, slot| {
         let v = sys
             .tk_cre_tsk("v", 10, move |sys, _| {
-                *slot.lock().unwrap() = sys.tk_dly_tsk(ms(500)).err();
+                slot.set(sys.tk_dly_tsk(ms(500)).err());
             })
             .unwrap();
         sys.tk_sta_tsk(v, 0).unwrap();
@@ -80,7 +73,7 @@ fn rel_wai_releases_every_wait_class() {
         let s = sys.tk_cre_sem("s", 0, 8, QueueOrder::Fifo).unwrap();
         let v = sys
             .tk_cre_tsk("v", 10, move |sys, _| {
-                *slot.lock().unwrap() = sys.tk_wai_sem(s, 1, Timeout::Forever).err();
+                slot.set(sys.tk_wai_sem(s, 1, Timeout::Forever).err());
             })
             .unwrap();
         sys.tk_sta_tsk(v, 0).unwrap();
@@ -93,9 +86,10 @@ fn rel_wai_releases_every_wait_class() {
         let f = sys.tk_cre_flg("f", 0, false, QueueOrder::Fifo).unwrap();
         let v = sys
             .tk_cre_tsk("v", 10, move |sys, _| {
-                *slot.lock().unwrap() = sys
-                    .tk_wai_flg(f, 0x1, FlagWaitMode::AND, Timeout::Forever)
-                    .err();
+                slot.set(
+                    sys.tk_wai_flg(f, 0x1, FlagWaitMode::AND, Timeout::Forever)
+                        .err(),
+                );
             })
             .unwrap();
         sys.tk_sta_tsk(v, 0).unwrap();
@@ -108,7 +102,7 @@ fn rel_wai_releases_every_wait_class() {
         let m = sys.tk_cre_mbx("m", false, QueueOrder::Fifo).unwrap();
         let v = sys
             .tk_cre_tsk("v", 10, move |sys, _| {
-                *slot.lock().unwrap() = sys.tk_rcv_mbx(m, Timeout::Forever).err();
+                slot.set(sys.tk_rcv_mbx(m, Timeout::Forever).err());
             })
             .unwrap();
         sys.tk_sta_tsk(v, 0).unwrap();
@@ -121,7 +115,7 @@ fn rel_wai_releases_every_wait_class() {
         let m = sys.tk_cre_mbf("m", 16, 8, QueueOrder::Fifo).unwrap();
         let v = sys
             .tk_cre_tsk("v", 10, move |sys, _| {
-                *slot.lock().unwrap() = sys.tk_rcv_mbf(m, Timeout::Forever).err();
+                slot.set(sys.tk_rcv_mbf(m, Timeout::Forever).err());
             })
             .unwrap();
         sys.tk_sta_tsk(v, 0).unwrap();
@@ -135,7 +129,7 @@ fn rel_wai_releases_every_wait_class() {
         sys.tk_snd_mbf(m, &[1, 2, 3, 4], Timeout::Poll).unwrap();
         let v = sys
             .tk_cre_tsk("v", 10, move |sys, _| {
-                *slot.lock().unwrap() = sys.tk_snd_mbf(m, &[9; 4], Timeout::Forever).err();
+                slot.set(sys.tk_snd_mbf(m, &[9; 4], Timeout::Forever).err());
             })
             .unwrap();
         sys.tk_sta_tsk(v, 0).unwrap();
@@ -149,7 +143,7 @@ fn rel_wai_releases_every_wait_class() {
         sys.tk_loc_mtx(m, Timeout::Poll).unwrap();
         let v = sys
             .tk_cre_tsk("v", 10, move |sys, _| {
-                *slot.lock().unwrap() = sys.tk_loc_mtx(m, Timeout::Forever).err();
+                slot.set(sys.tk_loc_mtx(m, Timeout::Forever).err());
             })
             .unwrap();
         sys.tk_sta_tsk(v, 0).unwrap();
@@ -164,7 +158,7 @@ fn rel_wai_releases_every_wait_class() {
         let blk = sys.tk_get_mpf(p, Timeout::Poll).unwrap();
         let v = sys
             .tk_cre_tsk("v", 10, move |sys, _| {
-                *slot.lock().unwrap() = sys.tk_get_mpf(p, Timeout::Forever).err();
+                slot.set(sys.tk_get_mpf(p, Timeout::Forever).err());
             })
             .unwrap();
         sys.tk_sta_tsk(v, 0).unwrap();
@@ -179,7 +173,7 @@ fn rel_wai_releases_every_wait_class() {
         sys.tk_get_mpl(p, 16, Timeout::Poll).unwrap();
         let v = sys
             .tk_cre_tsk("v", 10, move |sys, _| {
-                *slot.lock().unwrap() = sys.tk_get_mpl(p, 8, Timeout::Forever).err();
+                slot.set(sys.tk_get_mpl(p, 8, Timeout::Forever).err());
             })
             .unwrap();
         sys.tk_sta_tsk(v, 0).unwrap();

@@ -1,200 +1,9 @@
-//! Vendored stand-in for the `parking_lot` crate.
+//! Placeholder for the vendored `parking_lot` stand-in. No crate in the
+//! workspace uses it any more: the simulation is single-threaded
+//! (`Rc`/`RefCell`), and the one lock left, sysc's global coroutine
+//! stack pool, is a `std::sync::Mutex`.
 //!
-//! The build environment has no network access to a crates registry, so
-//! this workspace ships a minimal API-compatible shim over `std::sync`.
-//! Only the surface the workspace uses is provided:
-//!
-//! * [`Mutex`] / [`MutexGuard`] — non-poisoning `lock()` (a poisoned
-//!   std mutex is recovered, matching parking_lot's no-poison policy),
-//! * [`Condvar`] — `wait(&mut guard)` / `notify_one` / `notify_all`,
-//! * [`RwLock`] — `read()` / `write()`.
-
-use std::fmt;
-use std::ops::{Deref, DerefMut};
-use std::sync::PoisonError;
-
-/// A mutual-exclusion primitive (non-poisoning `lock`).
-#[derive(Default)]
-pub struct Mutex<T: ?Sized>(std::sync::Mutex<T>);
-
-impl<T> Mutex<T> {
-    /// Creates a new mutex.
-    pub const fn new(value: T) -> Self {
-        Mutex(std::sync::Mutex::new(value))
-    }
-
-    /// Consumes the mutex, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl<T: ?Sized> Mutex<T> {
-    /// Acquires the mutex, blocking until it is available. Never
-    /// poisons: a panic in another holder is recovered.
-    pub fn lock(&self) -> MutexGuard<'_, T> {
-        MutexGuard(Some(self.0.lock().unwrap_or_else(PoisonError::into_inner)))
-    }
-
-    /// Attempts to acquire the mutex without blocking.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.0.try_lock() {
-            Ok(g) => Some(MutexGuard(Some(g))),
-            Err(std::sync::TryLockError::Poisoned(p)) => Some(MutexGuard(Some(p.into_inner()))),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
-    /// Mutable access without locking (requires `&mut self`).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.try_lock() {
-            Some(g) => f.debug_struct("Mutex").field("data", &&*g).finish(),
-            None => f.debug_struct("Mutex").field("data", &"<locked>").finish(),
-        }
-    }
-}
-
-/// RAII guard of a [`Mutex`].
-///
-/// The inner `Option` is only ever `None` transiently inside
-/// [`Condvar::wait`], where the std guard must be moved out and back.
-pub struct MutexGuard<'a, T: ?Sized>(Option<std::sync::MutexGuard<'a, T>>);
-
-impl<T: ?Sized> Deref for MutexGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.0
-            .as_ref()
-            .expect("guard present outside Condvar::wait")
-    }
-}
-
-impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        self.0
-            .as_mut()
-            .expect("guard present outside Condvar::wait")
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for MutexGuard<'_, T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&**self, f)
-    }
-}
-
-/// A condition variable usable with [`MutexGuard`].
-#[derive(Default)]
-pub struct Condvar(std::sync::Condvar);
-
-impl Condvar {
-    /// Creates a new condition variable.
-    pub const fn new() -> Self {
-        Condvar(std::sync::Condvar::new())
-    }
-
-    /// Blocks until notified, releasing the guard while waiting
-    /// (parking_lot signature: the guard is re-acquired in place).
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let inner = guard.0.take().expect("guard present before wait");
-        let inner = self.0.wait(inner).unwrap_or_else(PoisonError::into_inner);
-        guard.0 = Some(inner);
-    }
-
-    /// Wakes one waiter.
-    pub fn notify_one(&self) -> bool {
-        self.0.notify_one();
-        true
-    }
-
-    /// Wakes all waiters.
-    pub fn notify_all(&self) -> usize {
-        self.0.notify_all();
-        0
-    }
-}
-
-impl fmt::Debug for Condvar {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Condvar").finish_non_exhaustive()
-    }
-}
-
-/// A reader-writer lock (non-poisoning).
-#[derive(Default)]
-pub struct RwLock<T: ?Sized>(std::sync::RwLock<T>);
-
-impl<T> RwLock<T> {
-    /// Creates a new reader-writer lock.
-    pub const fn new(value: T) -> Self {
-        RwLock(std::sync::RwLock::new(value))
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquires shared read access.
-    pub fn read(&self) -> std::sync::RwLockReadGuard<'_, T> {
-        self.0.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Acquires exclusive write access.
-    pub fn write(&self) -> std::sync::RwLockWriteGuard<'_, T> {
-        self.0.write().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLock<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RwLock").finish_non_exhaustive()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::Arc;
-    use std::thread;
-
-    #[test]
-    fn mutex_lock_roundtrip() {
-        let m = Mutex::new(5);
-        *m.lock() += 1;
-        assert_eq!(*m.lock(), 6);
-    }
-
-    #[test]
-    fn condvar_wait_notify() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let p2 = Arc::clone(&pair);
-        let t = thread::spawn(move || {
-            let (m, cv) = &*p2;
-            *m.lock() = true;
-            cv.notify_all();
-        });
-        let (m, cv) = &*pair;
-        let mut g = m.lock();
-        while !*g {
-            cv.wait(&mut g);
-        }
-        drop(g);
-        t.join().unwrap();
-    }
-
-    #[test]
-    fn no_poisoning_after_panic() {
-        let m = Arc::new(Mutex::new(1));
-        let m2 = Arc::clone(&m);
-        let _ = thread::spawn(move || {
-            let _g = m2.lock();
-            panic!("poison attempt");
-        })
-        .join();
-        assert_eq!(*m.lock(), 1); // still lockable
-    }
-}
+//! The crate remains only because `farmbench/Cargo.lock` records it,
+//! through the dependency lines that sysc, rtk-core and rtk-analysis
+//! keep for that reason. It is deleted, with those lines and its lock
+//! entries, by the next change to `farmbench/`.

@@ -51,9 +51,7 @@
 
 use std::alloc::{alloc, dealloc, Layout};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
-
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Stack size of one coroutine (bytes). Thread-process bodies in this
 /// workspace are shallow (RTOS service calls over the sysc wait
@@ -280,11 +278,17 @@ impl StackPool {
         }
     }
 
+    /// The idle list. A panic while it was held left it consistent (no
+    /// method leaves it half-updated), so a poisoned lock is recovered.
+    fn idle(&self) -> MutexGuard<'_, Vec<CoroStack>> {
+        self.idle.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Leases a stack: recycled when one is parked, freshly allocated
     /// otherwise.
     pub(crate) fn lease(&self) -> CoroStack {
         self.leases.fetch_add(1, Ordering::Relaxed);
-        if let Some(s) = self.idle.lock().pop() {
+        if let Some(s) = self.idle().pop() {
             self.recycled.fetch_add(1, Ordering::Relaxed);
             return s;
         }
@@ -300,7 +304,7 @@ impl StackPool {
             stack.canary_intact(),
             "coroutine stack overflow detected (canary smashed on recycle)"
         );
-        let mut idle = self.idle.lock();
+        let mut idle = self.idle();
         if idle.len() < self.max_idle {
             idle.push(stack);
         }
@@ -311,7 +315,7 @@ impl StackPool {
     /// coroutines doesn't pay allocation + first-touch latency.
     /// Idempotent: existing idle stacks count toward `n`.
     pub(crate) fn prewarm(&self, n: usize) {
-        let mut idle = self.idle.lock();
+        let mut idle = self.idle();
         while idle.len() < n.min(self.max_idle) {
             self.allocated.fetch_add(1, Ordering::Relaxed);
             idle.push(CoroStack::new(STACK_SIZE));
@@ -323,7 +327,7 @@ impl StackPool {
             stacks_allocated: self.allocated.load(Ordering::Relaxed),
             leases: self.leases.load(Ordering::Relaxed),
             recycled: self.recycled.load(Ordering::Relaxed),
-            idle_now: self.idle.lock().len(),
+            idle_now: self.idle().len(),
         }
     }
 }
@@ -396,6 +400,21 @@ mod tests {
         pool.prewarm(100);
         assert_eq!(pool.stats().idle_now, 4);
         assert_eq!(pool.stats().stacks_allocated, 4);
+    }
+
+    #[test]
+    fn a_poisoned_idle_list_is_recovered() {
+        let pool = StackPool::new(4);
+        pool.prewarm(1);
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _idle = pool.idle();
+            panic!("a holder of the idle list panics");
+        }));
+        assert!(pool.idle.is_poisoned());
+        let s = pool.lease();
+        pool.give_back(s);
+        assert_eq!(pool.stats().idle_now, 1);
+        assert_eq!(pool.stats().recycled, 1);
     }
 
     #[test]

@@ -44,7 +44,9 @@ pub enum Runtime {
 }
 
 impl Runtime {
-    /// The runtime a simulation actually runs on: always `self`.
+    /// The runtime a simulation actually runs on: always `self`. The
+    /// benchmark (`farmbench/`) still calls it, so it goes together with
+    /// this type when the benchmark stops naming a runtime.
     pub fn resolve(self) -> Runtime {
         self
     }

@@ -2,10 +2,9 @@
 //! RTK-Spec TRON + the 8051 BFM + the video game + the simulated player
 //! + (optionally) the GUI widget manager.
 
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::cell::OnceCell;
+use std::rc::Rc;
 
-use parking_lot::Mutex;
 use rtk_bfm::{Bfm, GuiCost, KeypadWidget, LcdWidget, SerialWidget, SsdWidget, WidgetManager};
 use rtk_core::{KernelConfig, Rtos};
 use sysc::SimTime;
@@ -28,14 +27,20 @@ pub enum Gui {
     },
 }
 
-/// The assembled co-simulation.
+/// The assembled co-simulation. Like the [`Rtos`] and [`Bfm`] it holds,
+/// it stays on the thread that built it.
+///
+/// ```compile_fail
+/// fn assert_send<T: Send>() {}
+/// assert_send::<rtk_videogame::Cosim>();
+/// ```
 pub struct Cosim {
     /// The kernel simulation (drive with `run_until`/`run_for`/`step`).
     pub rtos: Rtos,
     /// The hardware model.
     pub bfm: Bfm,
-    /// Game handles (populated during boot; `None` until the first run).
-    game: Arc<Mutex<Option<VideoGame>>>,
+    /// Game handles (set during boot; empty until the first run).
+    game: Rc<OnceCell<VideoGame>>,
     /// The widget manager, if GUI is enabled.
     pub widgets: Option<WidgetManager>,
 }
@@ -55,8 +60,8 @@ impl Cosim {
     /// Panics if the simulation has not executed the boot sequence yet.
     pub fn game(&self) -> VideoGame {
         self.game
-            .lock()
-            .clone()
+            .get()
+            .cloned()
             .expect("run the simulation past boot before querying the game")
     }
 }
@@ -68,31 +73,22 @@ pub fn build_cosim(
     skill: PlayerSkill,
     gui: Gui,
 ) -> Cosim {
-    let (bfm_tx, bfm_rx) = mpsc::channel::<Bfm>();
-    let game_cell: Arc<Mutex<Option<VideoGame>>> = Arc::new(Mutex::new(None));
-    let game_cell2 = Arc::clone(&game_cell);
-
-    let rtos = Rtos::new(kernel_cfg, move |sys, _| {
-        let bfm = bfm_rx.recv().expect("BFM installed before run");
-        let game = crate::game::install(sys, &bfm, game_cfg);
-        *game_cell2.lock() = Some(game);
+    let game_cell = Rc::new(OnceCell::new());
+    let game_for_main = Rc::clone(&game_cell);
+    let (rtos, bfm) = Bfm::boot(kernel_cfg, move |sys, bfm| {
+        let _ = game_for_main.set(crate::game::install(sys, bfm, game_cfg));
     });
-
-    let bfm = Bfm::new(&rtos);
-    bfm_tx
-        .send(bfm.clone())
-        .expect("main entry receives the BFM");
 
     // The simulated player needs the game state; it polls the cell until
     // boot has populated it.
     let handle = rtos.sim_handle();
     let keypad = bfm.keypad.clone();
-    let cell_for_player = Arc::clone(&game_cell);
+    let cell_for_player = Rc::clone(&game_cell);
     handle.spawn_thread("player-boot", sysc::SpawnMode::Immediate, move |ctx| {
         // Wait until the game exists (one tick is plenty after boot).
         loop {
-            if let Some(game) = cell_for_player.lock().as_ref() {
-                let state = Arc::clone(&game.state);
+            if let Some(game) = cell_for_player.get() {
+                let state = Rc::clone(&game.state);
                 install_player(ctx.handle(), keypad, state, SimTime::from_ms(10), skill);
                 return;
             }

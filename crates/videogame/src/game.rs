@@ -19,9 +19,9 @@
 //! | cyclic handler H1 | physics frame tick |
 //! | alarm handler H2  | speed-up game event |
 
-use std::sync::Arc;
+use std::cell::{OnceCell, RefCell};
+use std::rc::Rc;
 
-use parking_lot::Mutex;
 use rtk_bfm::{Bfm, IntSource, LCD_COLS};
 use rtk_core::{
     AlmId, CycId, FlagWaitMode, FlgId, MbfId, MbxId, MpfId, MsgPacket, MtxId, MtxPolicy,
@@ -178,7 +178,7 @@ impl Default for GameConfig {
 #[derive(Debug, Clone)]
 pub struct VideoGame {
     /// Shared game state.
-    pub state: Arc<Mutex<GameState>>,
+    pub state: Rc<RefCell<GameState>>,
     /// T1: LCD render task.
     pub t_lcd: TaskId,
     /// T2: keypad input task.
@@ -215,7 +215,7 @@ const FRAME_BIT: u32 = 0b1;
 ///
 /// Panics if object creation fails (only possible on misconfiguration).
 pub fn install(sys: &mut Sys<'_>, bfm: &Bfm, cfg: GameConfig) -> VideoGame {
-    let state = Arc::new(Mutex::new(GameState::default()));
+    let state = Rc::new(RefCell::new(GameState::default()));
 
     // Kernel objects.
     let frame_flg = sys.tk_cre_flg("frame", 0, false, QueueOrder::Fifo).unwrap();
@@ -254,7 +254,7 @@ pub fn install(sys: &mut Sys<'_>, bfm: &Bfm, cfg: GameConfig) -> VideoGame {
     // and queues periodic log lines into the message buffer.
     let lcd = bfm.lcd.clone();
     let mem = bfm.mem.clone();
-    let st1 = Arc::clone(&state);
+    let st1 = Rc::clone(&state);
     let t_lcd = sys
         .tk_cre_tsk("lcd", 10, move |sys, _| loop {
             if sys
@@ -270,7 +270,7 @@ pub fn install(sys: &mut Sys<'_>, bfm: &Bfm, cfg: GameConfig) -> VideoGame {
             }
             sys.tk_loc_mtx(state_mtx, Timeout::Forever).unwrap();
             let (top, bottom, frames, score, over) = {
-                let s = st1.lock();
+                let s = st1.borrow();
                 let (t, b) = s.render();
                 (t, b, s.frames, s.score, s.game_over)
             };
@@ -296,7 +296,7 @@ pub fn install(sys: &mut Sys<'_>, bfm: &Bfm, cfg: GameConfig) -> VideoGame {
         .unwrap();
 
     // T2 — keypad task: consumes key events and moves the paddle.
-    let st2 = Arc::clone(&state);
+    let st2 = Rc::clone(&state);
     let t_keypad = sys
         .tk_cre_tsk("keypad", 8, move |sys, _| loop {
             let Ok(msg) = sys.tk_rcv_mbx(key_mbx, Timeout::Forever) else {
@@ -305,7 +305,7 @@ pub fn install(sys: &mut Sys<'_>, bfm: &Bfm, cfg: GameConfig) -> VideoGame {
             let key = msg.data.first().copied().unwrap_or(0);
             sys.tk_loc_mtx(state_mtx, Timeout::Forever).unwrap();
             {
-                let mut s = st2.lock();
+                let mut s = st2.borrow_mut();
                 match key {
                     keys::LEFT => s.move_paddle(-1),
                     keys::RIGHT => s.move_paddle(1),
@@ -320,14 +320,14 @@ pub fn install(sys: &mut Sys<'_>, bfm: &Bfm, cfg: GameConfig) -> VideoGame {
 
     // T3 — SSD task: one semaphore ticket per score change.
     let ssd = bfm.ssd.clone();
-    let st3 = Arc::clone(&state);
+    let st3 = Rc::clone(&state);
     let t_ssd = sys
         .tk_cre_tsk("ssd", 12, move |sys, _| loop {
             if sys.tk_wai_sem(score_sem, 1, Timeout::Forever).is_err() {
                 return;
             }
             sys.tk_loc_mtx(state_mtx, Timeout::Forever).unwrap();
-            let score = st3.lock().score;
+            let score = st3.borrow().score;
             sys.tk_unl_mtx(state_mtx).unwrap();
             ssd.show_number(sys, score);
         })
@@ -353,7 +353,7 @@ pub fn install(sys: &mut Sys<'_>, bfm: &Bfm, cfg: GameConfig) -> VideoGame {
         .unwrap();
 
     // H1 — cyclic physics handler.
-    let st_h1 = Arc::clone(&state);
+    let st_h1 = Rc::clone(&state);
     let h_cyclic = sys
         .tk_cre_cyc(
             "physics",
@@ -362,7 +362,7 @@ pub fn install(sys: &mut Sys<'_>, bfm: &Bfm, cfg: GameConfig) -> VideoGame {
             true,
             move |sys| {
                 let score_changed = {
-                    let mut s = st_h1.lock();
+                    let mut s = st_h1.borrow_mut();
                     s.step()
                 };
                 let _ = sys.tk_set_flg(frame_flg, FRAME_BIT);
@@ -376,23 +376,23 @@ pub fn install(sys: &mut Sys<'_>, bfm: &Bfm, cfg: GameConfig) -> VideoGame {
     // H2 — speed-up alarm: raises the speed and re-arms itself. The
     // handler closure is created before the alarm ID exists, so the ID
     // travels through a shared cell.
-    let st_h2 = Arc::clone(&state);
-    let alarm_cell: Arc<Mutex<Option<AlmId>>> = Arc::new(Mutex::new(None));
-    let alarm_cell2 = Arc::clone(&alarm_cell);
+    let st_h2 = Rc::clone(&state);
+    let alarm_cell: Rc<OnceCell<AlmId>> = Rc::new(OnceCell::new());
+    let alarm_cell2 = Rc::clone(&alarm_cell);
     let h_alarm = sys
         .tk_cre_alm("speedup", move |sys| {
             {
-                let mut s = st_h2.lock();
+                let mut s = st_h2.borrow_mut();
                 if s.speed < 3 {
                     s.speed += 1;
                 }
             }
-            if let Some(me) = *alarm_cell2.lock() {
+            if let Some(&me) = alarm_cell2.get() {
                 let _ = sys.tk_sta_alm(me, SimTime::from_ms(400));
             }
         })
         .unwrap();
-    *alarm_cell.lock() = Some(h_alarm);
+    let _ = alarm_cell.set(h_alarm);
     sys.tk_sta_alm(h_alarm, cfg.speedup_after).unwrap();
 
     sys.tk_sta_tsk(t_lcd, 0).unwrap();

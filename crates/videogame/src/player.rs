@@ -1,9 +1,9 @@
 //! A simulated player: a hardware-side process that presses keypad keys
 //! so the co-simulation can "capture user events" deterministically.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
-use parking_lot::Mutex;
 use rtk_bfm::Keypad;
 use sysc::{SimHandle, SimTime, SpawnMode};
 
@@ -25,7 +25,7 @@ pub enum PlayerSkill {
 pub fn install_player(
     handle: &SimHandle,
     keypad: Keypad,
-    state: Arc<Mutex<GameState>>,
+    state: Rc<RefCell<GameState>>,
     period: SimTime,
     skill: PlayerSkill,
 ) {
@@ -40,7 +40,7 @@ pub fn install_player(
                 PlayerSkill::Absent => {}
                 PlayerSkill::Perfect => {
                     let (ball, paddle, over) = {
-                        let s = state.lock();
+                        let s = state.borrow();
                         (s.ball_col, s.paddle_col, s.game_over)
                     };
                     if over {

@@ -24,7 +24,7 @@ fn run_one_second(skill: PlayerSkill) -> rtk_videogame::Cosim {
 fn one_second_of_gameplay_with_perfect_player() {
     let cosim = run_one_second(PlayerSkill::Perfect);
     let game = cosim.game();
-    let state = game.state.lock().clone();
+    let state = game.state.borrow().clone();
 
     // 50 ms frames for 1 s => ~20 frames (minus boot offset).
     assert!(state.frames >= 15, "frames = {}", state.frames);
@@ -63,12 +63,12 @@ fn absent_player_loses_the_game() {
     let mut over = false;
     for step in 1..=20 {
         cosim.rtos.run_until(SimTime::from_ms(step * 500));
-        if cosim.game().state.lock().game_over {
+        if cosim.game().state.borrow().game_over {
             over = true;
             break;
         }
     }
-    let state = cosim.game().state.lock().clone();
+    let state = cosim.game().state.borrow().clone();
     assert!(over, "state = {state:?}");
     assert_eq!(state.lives, 0);
     // The LCD shows the game-over screen.
@@ -83,7 +83,7 @@ fn speedup_alarm_fires_and_rearms() {
     // First at 400 ms, re-armed every 400 ms: 2 firings in 1 s.
     let alarm = cosim.rtos.ds().td_ref_alm(game.h_alarm).unwrap();
     assert_eq!(alarm.count, 2, "alarm fired {} times", alarm.count);
-    assert!(game.state.lock().speed >= 2);
+    assert!(game.state.borrow().speed >= 2);
 }
 
 #[test]
@@ -163,12 +163,12 @@ fn gui_widgets_render_during_cosim() {
 fn determinism_same_build_same_outcome() {
     let a = {
         let cosim = run_one_second(PlayerSkill::Random(42));
-        let s = cosim.game().state.lock().clone();
+        let s = cosim.game().state.borrow().clone();
         (s.frames, s.score, s.lives, s.paddle_col, s.ball_col)
     };
     let b = {
         let cosim = run_one_second(PlayerSkill::Random(42));
-        let s = cosim.game().state.lock().clone();
+        let s = cosim.game().state.borrow().clone();
         (s.frames, s.score, s.lives, s.paddle_col, s.ball_col)
     };
     assert_eq!(a, b);

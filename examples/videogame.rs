@@ -32,7 +32,7 @@ fn main() {
     println!("{}", cosim.widgets.as_ref().unwrap().screen());
 
     let game = cosim.game();
-    let state = game.state.lock().clone();
+    let state = game.state.borrow().clone();
     println!(
         "game after 1 s: frames={} score={} lives={} speed={}\n",
         state.frames, state.score, state.lives, state.speed

@@ -160,16 +160,12 @@ fn bfm_and_kernel_share_one_timeline() {
     use std::sync::atomic::{AtomicU64, Ordering};
     let diff = Arc::new(AtomicU64::new(u64::MAX));
     let d = Arc::clone(&diff);
-    let (tx, rx) = std::sync::mpsc::channel::<Bfm>();
-    let mut rtos = Rtos::new(KernelConfig::paper(), move |sys, _| {
-        let bfm = rx.recv().unwrap();
+    let (mut rtos, _bfm) = Bfm::boot(KernelConfig::paper(), move |sys, bfm| {
         bfm.lcd.write_line(sys, 0, "hello");
         sys.exec(SimTime::from_us(777));
         let otm = sys.tk_get_otm().unwrap();
         d.store((sys.now() - otm).as_ps(), Ordering::SeqCst);
     });
-    let bfm = Bfm::new(&rtos);
-    tx.send(bfm).unwrap();
     rtos.run_for(ms(50));
     assert_eq!(diff.load(std::sync::atomic::Ordering::SeqCst), 0);
 }

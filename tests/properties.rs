@@ -2,8 +2,9 @@
 //! models under random operation sequences, and the simulation is
 //! checked for determinism and conservation invariants.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 use proptest::prelude::*;
 use rtk_spec_tron::core::sim_api::scheduler::{PriorityScheduler, Scheduler};
@@ -14,21 +15,20 @@ use rtk_spec_tron::sysc::SimTime;
 /// violation messages.
 fn run_in_kernel<F>(f: F) -> Vec<String>
 where
-    F: FnOnce(&mut rtk_spec_tron::core::Sys<'_>, &mut Vec<String>) + Send + 'static,
+    F: FnOnce(&mut rtk_spec_tron::core::Sys<'_>, &mut Vec<String>) + 'static,
 {
-    let violations: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
-    let v2 = Arc::clone(&violations);
+    let violations: Rc<RefCell<Vec<String>>> = Rc::default();
+    let v2 = Rc::clone(&violations);
     let mut f = Some(f);
     let mut rtos = Rtos::new(KernelConfig::zero_cost(), move |sys, _| {
         if let Some(f) = f.take() {
             let mut local = Vec::new();
             f(sys, &mut local);
-            v2.lock().unwrap().extend(local);
+            v2.borrow_mut().extend(local);
         }
     });
     rtos.run_for(SimTime::from_ms(100));
-    let out = violations.lock().unwrap().clone();
-    out
+    violations.take()
 }
 
 #[derive(Debug, Clone)]
