@@ -40,10 +40,10 @@ impl WaveProbe {
     /// Writes an IEEE-1364 VCD dump of every captured signal.
     pub fn to_vcd(&self) -> String {
         let changes = self.changes.borrow();
-        // Assign short identifiers in name order.
-        let mut ids: BTreeMap<&str, char> = BTreeMap::new();
+        // Assign short identifiers in order of first change.
+        let mut ids: BTreeMap<&str, String> = BTreeMap::new();
         for (_, name, _) in changes.iter() {
-            let next = (b'!' + ids.len() as u8) as char;
+            let next = vcd_id(ids.len());
             ids.entry(name.as_str()).or_insert(next);
         }
         let mut out = String::new();
@@ -62,7 +62,7 @@ impl WaveProbe {
                 let _ = writeln!(out, "#{}", t.as_ps());
                 last_time = Some(*t);
             }
-            let id = ids[name.as_str()];
+            let id = &ids[name.as_str()];
             if value == "0" || value == "1" {
                 let _ = writeln!(out, "{value}{id}");
             } else {
@@ -112,6 +112,22 @@ impl WaveProbe {
     }
 }
 
+/// The VCD identifier of the `n`-th signal: bijective base 94 over the
+/// printable characters `!`..=`~`, least significant digit first. The
+/// first 94 signals get one character (`!`, `"`, ...), the next 94²
+/// two, and so on, so every signal gets its own identifier.
+fn vcd_id(mut n: usize) -> String {
+    let mut id = String::new();
+    loop {
+        id.push(char::from(b'!' + (n % 94) as u8));
+        n /= 94;
+        if n == 0 {
+            return id;
+        }
+        n -= 1;
+    }
+}
+
 impl Tracer for WaveProbe {
     fn signal_changed(&self, now: SimTime, name: &str, value: &str) {
         self.changes
@@ -138,6 +154,31 @@ mod tests {
         assert!(vcd.contains("1!"));
         assert!(vcd.contains("b1010 \""));
         assert_eq!(p.len(), 3);
+    }
+
+    #[test]
+    fn identifiers_stay_distinct_and_printable_past_94_signals() {
+        let p = WaveProbe::new();
+        for i in 0..300 {
+            p.signal_changed(SimTime::from_ns(i), &format!("s{i:03}"), "1");
+        }
+        let vcd = p.to_vcd();
+        let ids: Vec<&str> = vcd
+            .lines()
+            .filter_map(|l| l.strip_prefix("$var wire 32 "))
+            .map(|l| l.split(' ').next().unwrap())
+            .collect();
+        assert_eq!(ids.len(), 300);
+        // The first 94 keep their one-character identifiers.
+        assert_eq!((ids[0], ids[93], ids[94]), ("!", "~", "!!"));
+        let distinct: std::collections::BTreeSet<&str> = ids.iter().copied().collect();
+        assert_eq!(distinct.len(), 300);
+        for id in &ids {
+            assert!(id.bytes().all(|b| (b'!'..=b'~').contains(&b)), "{id:?}");
+        }
+        // Names sort in order of first change here, so the last value
+        // change is the last declared identifier's.
+        assert!(vcd.ends_with(&format!("#299000\n1{}\n", ids[299])));
     }
 
     #[test]

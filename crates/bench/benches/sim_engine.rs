@@ -21,16 +21,16 @@ use sysc::{SimTime, Simulation, SpawnMode, TimedQueue};
 fn thread_pingpong(events: u64) {
     let mut sim = Simulation::new();
     let h = sim.handle();
-    let ping = h.create_event("ping");
-    let pong = h.create_event("pong");
-    h.spawn_thread("a", SpawnMode::Immediate, move |ctx| {
+    let ping = h.create_event();
+    let pong = h.create_event();
+    h.spawn_thread(SpawnMode::Immediate, move |ctx| {
         for _ in 0..events {
             ctx.handle().notify_after(ping, SimTime::from_ns(10));
             ctx.wait_event(pong);
         }
     });
     let h2 = sim.handle();
-    h2.spawn_thread("b", SpawnMode::WaitEvent(ping), move |ctx| loop {
+    h2.spawn_thread(SpawnMode::WaitEvent(ping), move |ctx| loop {
         ctx.handle().notify(pong);
         ctx.wait_event(ping);
     });
@@ -40,12 +40,12 @@ fn thread_pingpong(events: u64) {
 fn method_cascade(events: u64) {
     let mut sim = Simulation::new();
     let h = sim.handle();
-    let tick = h.create_event("tick");
+    let tick = h.create_event();
     h.make_periodic(tick, SimTime::from_ns(100), SimTime::from_ns(100));
     let counter = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
     let c = counter.clone();
     let h2 = h.clone();
-    h.spawn_method("m", &[tick], false, move |_ctx| {
+    h.spawn_method(&[tick], move || {
         if c.fetch_add(1, std::sync::atomic::Ordering::Relaxed) >= events {
             h2.stop_periodic(tick);
             h2.cancel(tick);
@@ -61,7 +61,7 @@ fn method_cascade(events: u64) {
 fn solo_timeslices(n: u64) {
     let mut sim = Simulation::new();
     let h = sim.handle();
-    h.spawn_thread("solo", SpawnMode::Immediate, move |ctx| {
+    h.spawn_thread(SpawnMode::Immediate, move |ctx| {
         for _ in 0..n {
             ctx.wait_time(SimTime::from_us(1));
         }
@@ -77,7 +77,7 @@ fn timed_spread(n: u64) {
     let h = sim.handle();
     let events: Vec<_> = (0..n)
         .map(|i| {
-            let e = h.create_event(&format!("e{i}"));
+            let e = h.create_event();
             // Delays from 1 us to ~0.5 s, deterministically scattered.
             let d = 1 + (i * 2_654_435_761) % 500_000;
             h.notify_after(e, SimTime::from_us(d));
@@ -93,7 +93,7 @@ fn timed_spread(n: u64) {
 fn periodic_clock(ticks: u64) {
     let mut sim = Simulation::new();
     let h = sim.handle();
-    let clk = h.create_event("clk");
+    let clk = h.create_event();
     h.make_periodic(clk, SimTime::from_us(1), SimTime::from_us(1));
     sim.run_until(SimTime::from_us(ticks));
     assert_eq!(h.event_fire_count(clk), ticks);
@@ -166,7 +166,7 @@ fn steady_pending(advances: u64) -> u64 {
 fn notify_singles(rounds: u64) {
     let sim = Simulation::new();
     let h = sim.handle();
-    let events: Vec<_> = (0..16).map(|i| h.create_event(&format!("e{i}"))).collect();
+    let events: Vec<_> = (0..16).map(|_| h.create_event()).collect();
     for _ in 0..rounds {
         for e in &events {
             h.notify(*e);

@@ -54,7 +54,7 @@ impl Serial {
         timing: BusTiming,
         byte_time: SimTime,
     ) -> Self {
-        let tx_done_ev = handle.create_event("serial.tx_done");
+        let tx_done_ev = handle.create_event();
         let serial = Serial {
             inner: Rc::new(RefCell::new(SerialInner {
                 tx_log: Vec::new(),
@@ -72,9 +72,7 @@ impl Serial {
         };
         // TX-shifter completion logic as a method process.
         let s2 = serial.clone();
-        handle.spawn_method("serial.tx_shift", &[tx_done_ev], false, move |_ctx| {
-            s2.on_tx_done();
-        });
+        handle.spawn_method(&[tx_done_ev], move || s2.on_tx_done());
         serial
     }
 

@@ -39,7 +39,7 @@ impl std::fmt::Debug for HwTimer {
 impl HwTimer {
     /// Creates a stopped timer bound to `source` (Timer0 or Timer1).
     pub fn new(handle: &SimHandle, intc: IntController, source: IntSource) -> Self {
-        let overflow_ev = handle.create_event(&format!("{source:?}.ovf"));
+        let overflow_ev = handle.create_event();
         let timer = HwTimer {
             inner: Rc::new(RefCell::new(TimerInner {
                 running: false,
@@ -51,15 +51,10 @@ impl HwTimer {
             overflow_ev,
         };
         let t2 = timer.clone();
-        handle.spawn_method(
-            &format!("{source:?}.overflow"),
-            &[overflow_ev],
-            false,
-            move |_ctx| {
-                t2.inner.borrow_mut().overflows += 1;
-                intc.raise(t2.source);
-            },
-        );
+        handle.spawn_method(&[overflow_ev], move || {
+            t2.inner.borrow_mut().overflows += 1;
+            intc.raise(t2.source);
+        });
         timer
     }
 

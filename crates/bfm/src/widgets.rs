@@ -224,12 +224,10 @@ impl WidgetManager {
     /// (animate mode). Every `period` of *simulated* time, all widgets
     /// render once on the host.
     pub fn start(&self, handle: &SimHandle, period: SimTime) {
-        let ev = handle.create_event("gui.refresh");
+        let ev = handle.create_event();
         handle.make_periodic(ev, period, period);
         let mgr = self.clone();
-        handle.spawn_method("gui.render", &[ev], false, move |_ctx| {
-            mgr.refresh();
-        });
+        handle.spawn_method(&[ev], move || mgr.refresh());
     }
 
     /// Renders all widgets once (step mode does this explicitly).

@@ -58,7 +58,7 @@ fn keypad_interrupt_reaches_isr_and_task() {
     // Press a key from "hardware" at 3 ms.
     let kp = bfm.keypad.clone();
     rtos.sim_handle()
-        .spawn_thread("finger", sysc::SpawnMode::Immediate, move |ctx| {
+        .spawn_thread(sysc::SpawnMode::Immediate, move |ctx| {
             ctx.wait_time(ms(3));
             kp.press(7);
         });
@@ -153,7 +153,7 @@ fn disabled_interrupt_latches_until_enabled() {
     });
     let kp = bfm.keypad.clone();
     rtos.sim_handle()
-        .spawn_thread("finger", sysc::SpawnMode::Immediate, move |ctx| {
+        .spawn_thread(sysc::SpawnMode::Immediate, move |ctx| {
             ctx.wait_time(ms(1));
             kp.press(3); // latched: interrupts disabled
         });

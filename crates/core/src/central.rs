@@ -32,8 +32,8 @@ pub(crate) fn install(shared: &Rc<Shared>, main: Box<TaskBody>) {
     let h = shared.h.clone();
     shared.register_thread(ThreadRef::Timer, "timer", TThreadKind::TimerHandler);
 
-    let tick_ev = h.create_event("systick");
-    let int_req_ev = h.create_event("int_req");
+    let tick_ev = h.create_event();
+    let int_req_ev = h.create_event();
     {
         let mut st = shared.st.borrow_mut();
         st.tick_ev = Some(tick_ev);
@@ -42,17 +42,15 @@ pub(crate) fn install(shared: &Rc<Shared>, main: Box<TaskBody>) {
 
     // Thread Dispatch: sensitive to the system tick.
     let sh = Rc::clone(shared);
-    h.spawn_loop("thread_dispatch", tick_ev, move |proc| sh.on_tick(proc));
+    h.spawn_loop(tick_ev, move |proc| sh.on_tick(proc));
 
     // Interrupt Dispatch: sensitive to external interrupt requests.
     let sh = Rc::clone(shared);
-    h.spawn_loop("interrupt_dispatch", int_req_ev, move |proc| {
-        sh.drain_interrupts(proc)
-    });
+    h.spawn_loop(int_req_ev, move |proc| sh.drain_interrupts(proc));
 
     // Boot: sensitive to reset (modeled as immediate activation at t=0).
     let sh = Rc::clone(shared);
-    h.spawn_thread("boot", SpawnMode::Immediate, move |proc| {
+    h.spawn_thread(SpawnMode::Immediate, move |proc| {
         sh.boot(proc, main);
     });
 }

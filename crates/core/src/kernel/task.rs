@@ -494,7 +494,6 @@ impl Shared {
         tcb.preempted = false;
         tcb.activations += 1;
         let pri = tcb.cur_pri;
-        let name = tcb.name.clone();
         st.observe(crate::obs::ObsEvent::TaskStart { tid });
         st.scheduler.enqueue(tid, pri, false);
         let who = ThreadRef::Task(tid);
@@ -509,7 +508,7 @@ impl Shared {
         let shared = Rc::clone(self);
         let pid = self
             .h
-            .spawn_thread(&name, SpawnMode::WaitEvent(resume_ev), move |proc| {
+            .spawn_thread(SpawnMode::WaitEvent(resume_ev), move |proc| {
                 shared.run_task_activation(proc, tid);
             });
         st.thread_mut(who).proc = Some(pid);

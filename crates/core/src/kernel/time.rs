@@ -289,13 +289,9 @@ impl Shared {
     /// T-THREAD: an activation loop ([`sysc::SimHandle::spawn_loop`])
     /// that runs the body once per activation and signals completion.
     pub(crate) fn spawn_handler_thread(self: &Rc<Self>, who: ThreadRef) {
-        let (activate_ev, name) = {
-            let st = self.st.borrow();
-            let rec = st.thread(who);
-            (rec.activate_ev, rec.name.clone())
-        };
+        let activate_ev = self.st.borrow().thread(who).activate_ev;
         let shared = Rc::clone(self);
-        let pid = self.h.spawn_loop(&name, activate_ev, move |proc| {
+        let pid = self.h.spawn_loop(activate_ev, move |proc| {
             // `run_handler_activation` returns `true` when it chained
             // straight into another activation of this same handler
             // (back-to-back ISR requests) — in that case the frame is

@@ -232,6 +232,27 @@ impl Rtos {
     }
 }
 
+impl Drop for Rtos {
+    fn drop(&mut self) {
+        // A task or handler body may own a device whose interrupt port
+        // holds this kernel's state (`Shared` → body → `IntPort` →
+        // `Shared`), a cycle that would keep the kernel alive forever.
+        // Move the body tables out and drop them outside the borrow:
+        // the `Drop` of a captured value may use the kernel. The
+        // `Simulation` then ends the processes as usual.
+        let tables = {
+            let mut st = self.shared.st.borrow_mut();
+            (
+                std::mem::take(&mut st.tasks),
+                std::mem::take(&mut st.cycs),
+                std::mem::take(&mut st.alms),
+                std::mem::take(&mut st.isrs),
+            )
+        };
+        drop(tables);
+    }
+}
+
 /// Aggregate statistics of one kernel run, snapshot by
 /// [`Rtos::run_stats`]. All quantities live in the simulated domain
 /// (simulated time, modeled energy), so they are bit-reproducible

@@ -335,11 +335,11 @@ impl TThreadRec {
             marking: ExecContext::Dormant,
             prev_marking: ExecContext::Dormant,
             stats: TThreadStats::default(),
-            resume_ev: h.create_event(&format!("{name}.resume")),
-            ctrl_ev: h.create_event(&format!("{name}.ctrl")),
-            frozen_ev: h.create_event(&format!("{name}.frozen")),
-            activate_ev: h.create_event(&format!("{name}.activate")),
-            done_ev: h.create_event(&format!("{name}.done")),
+            resume_ev: h.create_event(),
+            ctrl_ev: h.create_event(),
+            frozen_ev: h.create_event(),
+            activate_ev: h.create_event(),
+            done_ev: h.create_event(),
             ctrl_pending: None,
             resume_as: ResumeKind::Start,
             parked: true,

@@ -22,14 +22,11 @@ fn us(v: u64) -> SimTime {
 /// plain sysc thread (models an external hardware source).
 fn hardware_int_at(rtos: &Rtos, at: SimTime, intno: IntNo, level: u8) {
     let port = rtos.int_port();
-    rtos.sim_handle().spawn_thread(
-        &format!("hw-int{}", intno.0),
-        sysc::SpawnMode::Immediate,
-        move |ctx| {
+    rtos.sim_handle()
+        .spawn_thread(sysc::SpawnMode::Immediate, move |ctx| {
             ctx.wait_time(at);
             port.raise(intno, level);
-        },
-    );
+        });
 }
 
 #[test]

@@ -858,7 +858,7 @@ fn execute(
         let horizon = SimTime::from_ms(u64::from(spec.horizon_ms));
         let drop_nth = spec.faults.drop_every_nth_irq;
         rtos.sim_handle()
-            .spawn_thread("storm_hw", SpawnMode::Immediate, move |ctx| {
+            .spawn_thread(SpawnMode::Immediate, move |ctx| {
                 ctx.wait_time(SimTime::from_us(u64::from(storm.first_us)));
                 let mut n: u64 = 0;
                 while ctx.now() < horizon {

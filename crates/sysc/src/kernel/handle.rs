@@ -12,7 +12,7 @@ use crate::trace::KernelStats;
 
 use super::procs::{MethodCallback, ProcBody, ProcEntry, ProcState, WaitKind};
 use super::sched::{EventEntry, Pending};
-use super::{Kernel, MethodCtx, ProcCtx, SpawnMode};
+use super::{Kernel, ProcCtx, SpawnMode};
 
 /// Cloneable handle to a simulation: event/process creation and
 /// notification. Usable from the embedding code and from inside process
@@ -45,11 +45,11 @@ impl SimHandle {
         self.k.st.borrow().stats
     }
 
-    /// Creates a named event.
-    pub fn create_event(&self, name: &str) -> EventId {
+    /// Creates an event.
+    pub fn create_event(&self) -> EventId {
         let mut st = self.k.st.borrow_mut();
         let id = EventId(st.events.len() as u32);
-        st.events.push(EventEntry::new(name));
+        st.events.push(EventEntry::default());
         id
     }
 
@@ -102,16 +102,6 @@ impl SimHandle {
         self.k.st.borrow().events[e.index()].fire_count
     }
 
-    /// The event's name.
-    pub fn event_name(&self, e: EventId) -> String {
-        self.k.st.borrow().events[e.index()].name.clone()
-    }
-
-    /// The process's name.
-    pub fn proc_name(&self, p: ProcId) -> String {
-        self.k.st.borrow().procs.get(p).name.clone()
-    }
-
     /// Whether the process has finished (returned or been killed).
     pub fn is_finished(&self, p: ProcId) -> bool {
         self.k.st.borrow().procs.get(p).state == ProcState::Finished
@@ -122,16 +112,15 @@ impl SimHandle {
     /// and may suspend anywhere via [`ProcCtx`]. The stack is recycled
     /// when the body finishes, so campaigns of many short simulations
     /// stop paying a stack allocation per process.
-    pub fn spawn_thread<F>(&self, name: &str, mode: SpawnMode, body: F) -> ProcId
+    pub fn spawn_thread<F>(&self, mode: SpawnMode, body: F) -> ProcId
     where
         F: FnOnce(&mut ProcCtx) + 'static,
     {
         let shared = CoroShared::new(Rc::clone(&self.k.rt));
-        let id = {
-            let mut st = self.k.st.borrow_mut();
-            st.procs
-                .push(ProcEntry::new_thread(name, Rc::clone(&shared)))
-        };
+        let entry = ProcEntry::new(ProcBody::Thread {
+            shared: Rc::clone(&shared),
+        });
+        let id = self.k.st.borrow_mut().procs.push(entry);
         launch(&shared, self.clone(), id, body);
         let mut st = self.k.st.borrow_mut();
         match mode {
@@ -159,11 +148,11 @@ impl SimHandle {
     /// there. One that arrives while `body` runs (inside one of its own
     /// waits) unwinds it like any thread process, running `Drop` impls
     /// on the way out.
-    pub fn spawn_loop<F>(&self, name: &str, activation: EventId, mut body: F) -> ProcId
+    pub fn spawn_loop<F>(&self, activation: EventId, mut body: F) -> ProcId
     where
         F: FnMut(&mut ProcCtx) + 'static,
     {
-        self.spawn_thread(name, SpawnMode::WaitEvent(activation), move |ctx| loop {
+        self.spawn_thread(SpawnMode::WaitEvent(activation), move |ctx| loop {
             body(ctx);
             if ctx.wait(WaitSpec::Event(activation)).is_none() {
                 return;
@@ -171,30 +160,22 @@ impl SimHandle {
         })
     }
 
-    /// Spawns a method process statically sensitive to `sensitivity`.
-    /// The callback runs on the kernel thread (no stack switch); it must
-    /// not block. If `run_at_start`, it is also queued once immediately.
-    pub fn spawn_method<F>(
-        &self,
-        name: &str,
-        sensitivity: &[EventId],
-        run_at_start: bool,
-        callback: F,
-    ) -> ProcId
+    /// Spawns a method process statically sensitive to `sensitivity`:
+    /// the callback runs once per delta cycle in which any of the
+    /// events fired. It runs on the kernel thread (no stack switch) and
+    /// must not block; a callback that needs the simulation captures a
+    /// [`SimHandle`].
+    pub fn spawn_method<F>(&self, sensitivity: &[EventId], callback: F) -> ProcId
     where
-        F: FnMut(&mut MethodCtx) + 'static,
+        F: FnMut() + 'static,
     {
         let mut st = self.k.st.borrow_mut();
-        let id = st.procs.push(ProcEntry::new_method(
-            name,
-            Box::new(callback),
-            run_at_start,
-        ));
+        let id = st.procs.push(ProcEntry::new(ProcBody::Method {
+            cb: Some(Box::new(callback)),
+            queued: false,
+        }));
         for e in sensitivity {
             st.events[e.index()].method_subs.push(id);
-        }
-        if run_at_start {
-            st.dq.runnable.push_back(id);
         }
         id
     }
@@ -265,19 +246,17 @@ where
 {
     let shared2 = Rc::clone(shared);
     shared.set_entry(Box::new(move || -> Terminal {
-        let reason = match shared2.await_cmd() {
+        if let Cmd::Terminate = shared2.await_cmd() {
             // Unreachable in practice (a terminate before first
             // activation short-circuits in `resume` without starting
             // the coroutine); answered all the same.
-            Cmd::Terminate => return Terminal::Link(Reply::Finished),
-            Cmd::Run(reason) => reason,
-        };
+            return Terminal::Link(Reply::Finished);
+        }
         let k = Rc::clone(&handle.k);
         let mut ctx = ProcCtx {
             handle,
             shared: Rc::clone(&shared2),
             id,
-            last_reason: reason,
         };
         let result = panic::catch_unwind(panic::AssertUnwindSafe(|| body(&mut ctx)));
         drop(ctx);

@@ -8,8 +8,8 @@
 //!   notifications, signal updates);
 //! * [`procs`] — the process table (thread and method processes).
 //!
-//! This module keeps the public surface: [`Simulation`], [`SimHandle`],
-//! [`ProcCtx`] and [`MethodCtx`].
+//! This module keeps the public surface: [`Simulation`], [`SimHandle`]
+//! and [`ProcCtx`].
 //!
 //! # Ending a thread process
 //!
@@ -115,8 +115,8 @@ impl Kernel {
 ///
 /// let mut sim = Simulation::new();
 /// let h = sim.handle();
-/// let done = h.create_event("done");
-/// h.spawn_thread("worker", sysc::SpawnMode::Immediate, move |ctx| {
+/// let done = h.create_event();
+/// h.spawn_thread(sysc::SpawnMode::Immediate, move |ctx| {
 ///     ctx.wait_time(SimTime::from_us(5));
 ///     ctx.handle().notify(done);
 /// });
@@ -168,14 +168,10 @@ impl Simulation {
         self.k.st.borrow().stats
     }
 
-    /// Attaches a tracer (replacing any previous one).
+    /// Attaches a tracer (replacing any previous one). From then on
+    /// every wait is served through the engine (see [`Tracer`]).
     pub fn set_tracer(&self, tracer: Rc<dyn Tracer>) {
         self.k.st.borrow_mut().tracer = Some(tracer);
-    }
-
-    /// Removes the tracer.
-    pub fn clear_tracer(&self) {
-        self.k.st.borrow_mut().tracer = None;
     }
 
     /// Sets the delta-cycle limit per timestep (oscillation guard).
@@ -207,12 +203,6 @@ impl Simulation {
     pub fn run_to_completion(&mut self) -> RunOutcome {
         self.run_until(SimTime::MAX)
     }
-
-    /// Earliest pending timed activity, if any (may include cancelled
-    /// entries; intended for step-mode heuristics only).
-    pub fn next_activity_at(&self) -> Option<SimTime> {
-        self.k.st.borrow().timed.next_at().map(SimTime::from_ps)
-    }
 }
 
 impl Drop for Simulation {
@@ -221,16 +211,22 @@ impl Drop for Simulation {
         // is synchronous (the reply arrives only after the body has
         // returned or unwound, see the module docs), and the stacks
         // return to the stack pool on their own — there is nothing to
-        // join.
+        // join. Method callbacks come out of the table too: one that
+        // holds a `SimHandle` (directly or through a device model)
+        // would otherwise keep this kernel alive forever.
         let mut shareds = Vec::new();
+        let mut callbacks = Vec::new();
         {
             let mut st = self.k.st.borrow_mut();
             for p in st.procs.iter_mut() {
-                if let ProcBody::Thread { shared } = &mut p.body {
-                    if p.state != ProcState::Finished {
-                        p.state = ProcState::Finished;
-                        shareds.push(Rc::clone(shared));
+                match &mut p.body {
+                    ProcBody::Thread { shared } => {
+                        if p.state != ProcState::Finished {
+                            p.state = ProcState::Finished;
+                            shareds.push(Rc::clone(shared));
+                        }
                     }
+                    ProcBody::Method { cb, .. } => callbacks.extend(cb.take()),
                 }
             }
         }
@@ -240,6 +236,9 @@ impl Drop for Simulation {
             // either way we are tearing down and must not panic here.
             let _ = s.resume(Cmd::Terminate);
         }
+        // Dropped outside the state borrow, like a killed method's: the
+        // `Drop` of a captured value may use the simulation.
+        drop(callbacks);
     }
 }
 
@@ -249,14 +248,12 @@ pub struct ProcCtx {
     handle: SimHandle,
     shared: Rc<CoroShared>,
     id: ProcId,
-    last_reason: WakeReason,
 }
 
 impl std::fmt::Debug for ProcCtx {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ProcCtx")
             .field("id", &self.id)
-            .field("last_reason", &self.last_reason)
             .finish_non_exhaustive()
     }
 }
@@ -277,26 +274,19 @@ impl ProcCtx {
         &self.handle
     }
 
-    /// The reason the most recent wait completed.
-    pub fn last_wake_reason(&self) -> WakeReason {
-        self.last_reason
-    }
-
     /// Waits for `spec`; `None` means a kill or teardown ended the wait.
     fn wait(&mut self, spec: WaitSpec) -> Option<WakeReason> {
         // Register the wait and chain-dispatch the next runnable under
         // one kernel-state borrow — or get the wait served in place from
         // the fast-forward run budget. Control comes back here when
         // this process is next dispatched, with its command stored.
-        let reason = match sched::yield_from_process(&self.handle.k, self.id, spec) {
-            Some(reason) => reason,
+        match sched::yield_from_process(&self.handle.k, self.id, spec) {
+            Some(reason) => Some(reason),
             None => match self.shared.await_cmd() {
-                Cmd::Run(reason) => reason,
-                Cmd::Terminate => return None,
+                Cmd::Run(reason) => Some(reason),
+                Cmd::Terminate => None,
             },
-        };
-        self.last_reason = reason;
-        Some(reason)
+        }
     }
 
     /// Waits for `spec`, unwinding the body if a kill or teardown ends
@@ -330,73 +320,15 @@ impl ProcCtx {
     /// served from the fast-forward run budget without suspending.
     pub fn wait_event_timeout(&mut self, e: EventId, timeout: SimTime) -> WaitOutcome {
         match self.suspend(WaitSpec::EventTimeout(e, timeout)) {
-            WakeReason::Fired(_) => WaitOutcome::Fired,
+            WakeReason::Fired => WaitOutcome::Fired,
             WakeReason::TimedOut => WaitOutcome::TimedOut,
             other => unreachable!("unexpected wake reason {other:?} for event-timeout wait"),
         }
-    }
-
-    /// Suspends until any of `events` fires; returns the one that did.
-    pub fn wait_any(&mut self, events: &[EventId]) -> EventId {
-        match self.suspend(WaitSpec::AnyEvent(events.to_vec())) {
-            WakeReason::Fired(e) => e,
-            other => unreachable!("unexpected wake reason {other:?} for any-event wait"),
-        }
-    }
-
-    /// Suspends until every one of `events` has fired at least once.
-    /// An empty list degenerates to one delta cycle.
-    pub fn wait_all(&mut self, events: &[EventId]) {
-        self.suspend(WaitSpec::AllEvents(events.to_vec()));
-    }
-
-    /// Gives up the processor until the next delta cycle.
-    pub fn yield_delta(&mut self) {
-        self.suspend(WaitSpec::YieldDelta);
     }
 
     /// Ends this process immediately, unwinding its stack (running
     /// `Drop` impls on the way out).
     pub fn exit(&mut self) -> ! {
         raise_terminate()
-    }
-}
-
-/// Context passed to method-process callbacks.
-pub struct MethodCtx {
-    pub(crate) handle: SimHandle,
-    pub(crate) id: ProcId,
-    pub(crate) triggered_by: Option<EventId>,
-}
-
-impl std::fmt::Debug for MethodCtx {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MethodCtx")
-            .field("id", &self.id)
-            .field("triggered_by", &self.triggered_by)
-            .finish_non_exhaustive()
-    }
-}
-
-impl MethodCtx {
-    /// This method process's id.
-    pub fn id(&self) -> ProcId {
-        self.id
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.handle.now()
-    }
-
-    /// The simulation handle (notify, spawn, ...).
-    pub fn handle(&self) -> &SimHandle {
-        &self.handle
-    }
-
-    /// The event that triggered this activation (`None` for the initial
-    /// run-at-start activation).
-    pub fn triggered_by(&self) -> Option<EventId> {
-        self.triggered_by
     }
 }

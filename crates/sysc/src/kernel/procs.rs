@@ -7,11 +7,9 @@
 
 use std::rc::Rc;
 
-use crate::ids::{EventId, ProcId};
+use crate::ids::ProcId;
 use crate::runtime::coro::CoroShared;
 use crate::runtime::WakeReason;
-
-use super::MethodCtx;
 
 /// What a process is currently waiting for (bookkeeping for wake-ups).
 #[derive(Debug)]
@@ -20,13 +18,11 @@ pub(crate) enum WaitKind {
     Time,
     Event,
     EventTimeout,
-    Any,
-    All { remaining: Vec<EventId> },
     Yield,
 }
 
 /// A boxed method-process callback.
-pub(crate) type MethodCallback = Box<dyn FnMut(&mut MethodCtx)>;
+pub(crate) type MethodCallback = Box<dyn FnMut()>;
 
 pub(crate) enum ProcBody {
     Thread {
@@ -36,10 +32,9 @@ pub(crate) enum ProcBody {
         shared: Rc<CoroShared>,
     },
     Method {
-        /// `None` while the callback runs and after a kill.
+        /// `None` while the callback runs and after a kill or teardown.
         cb: Option<MethodCallback>,
         queued: bool,
-        trigger: Option<EventId>,
     },
 }
 
@@ -52,7 +47,6 @@ pub(crate) enum ProcState {
 }
 
 pub(crate) struct ProcEntry {
-    pub(crate) name: String,
     pub(crate) body: ProcBody,
     pub(crate) state: ProcState,
     pub(crate) wait_kind: WaitKind,
@@ -63,25 +57,9 @@ pub(crate) struct ProcEntry {
 }
 
 impl ProcEntry {
-    pub(crate) fn new_thread(name: &str, shared: Rc<CoroShared>) -> Self {
+    pub(crate) fn new(body: ProcBody) -> Self {
         ProcEntry {
-            name: name.to_string(),
-            body: ProcBody::Thread { shared },
-            state: ProcState::Ready,
-            wait_kind: WaitKind::None,
-            wait_gen: 0,
-            pending_reason: WakeReason::Start,
-        }
-    }
-
-    pub(crate) fn new_method(name: &str, cb: MethodCallback, queued: bool) -> Self {
-        ProcEntry {
-            name: name.to_string(),
-            body: ProcBody::Method {
-                cb: Some(cb),
-                queued,
-                trigger: None,
-            },
+            body,
             state: ProcState::Ready,
             wait_kind: WaitKind::None,
             wait_gen: 0,

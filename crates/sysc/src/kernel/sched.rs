@@ -59,11 +59,12 @@ use crate::trace::{KernelStats, Tracer};
 
 use super::procs::{MethodCallback, ProcBody, ProcState, ProcTable, WaitKind};
 use super::timed_queue::{TimedEntry, TimedQueue};
-use super::{DeltaQueues, Kernel, MethodCtx, RunOutcome, SimHandle, CURRENT_NONE};
+use super::{DeltaQueues, Kernel, RunOutcome, CURRENT_NONE};
 
 /// What a pending notification of an event currently is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) enum Pending {
+    #[default]
     None,
     Delta,
     At(SimTime),
@@ -90,8 +91,8 @@ impl TimedAction {
     }
 }
 
+#[derive(Default)]
 pub(crate) struct EventEntry {
-    pub(crate) name: String,
     /// Thread processes dynamically waiting on this event: `(proc, gen)`.
     pub(crate) waiters: Vec<(ProcId, u64)>,
     /// Method processes statically sensitive to this event.
@@ -104,20 +105,6 @@ pub(crate) struct EventEntry {
     /// (periodic clock support; re-armed through the timed queue).
     pub(crate) auto_renotify: Option<SimTime>,
     pub(crate) fire_count: u64,
-}
-
-impl EventEntry {
-    pub(crate) fn new(name: &str) -> Self {
-        EventEntry {
-            name: name.to_string(),
-            waiters: Vec::new(),
-            method_subs: Vec::new(),
-            pending: Pending::None,
-            gen: 0,
-            auto_renotify: None,
-            fire_count: 0,
-        }
-    }
 }
 
 /// The whole mutable kernel state (behind [`Kernel::st`]).
@@ -191,10 +178,6 @@ impl KState {
             ev.fire_count += 1;
             ev.auto_renotify
         };
-        if let Some(t) = &self.tracer {
-            let name = self.events[id.index()].name.clone();
-            t.event_fired(now, id, &name);
-        }
         if let Some(period) = renotify {
             // Saturate at end-of-time: a period pushing past the `u64`
             // picosecond range must clamp, not wrap into the past.
@@ -209,22 +192,9 @@ impl KState {
         // the list cannot change under the walk.
         for i in 0..self.events[id.index()].waiters.len() {
             let (p, gen) = self.events[id.index()].waiters[i];
-            let entry = self.procs.get_mut(p);
-            if entry.wait_gen != gen || entry.state != ProcState::Waiting {
-                continue;
-            }
-            let wake_all = match &mut entry.wait_kind {
-                WaitKind::All { remaining } => {
-                    remaining.retain(|x| *x != id);
-                    remaining.is_empty()
-                }
-                _ => {
-                    self.wake(p, WakeReason::Fired(id));
-                    continue;
-                }
-            };
-            if wake_all {
-                self.wake(p, WakeReason::AllFired);
+            let entry = self.procs.get(p);
+            if entry.wait_gen == gen && entry.state == ProcState::Waiting {
+                self.wake(p, WakeReason::Fired);
             }
         }
         self.events[id.index()].waiters.clear();
@@ -236,13 +206,9 @@ impl KState {
             if entry.state == ProcState::Finished {
                 continue;
             }
-            if let ProcBody::Method {
-                queued, trigger, ..
-            } = &mut entry.body
-            {
+            if let ProcBody::Method { queued, .. } = &mut entry.body {
                 if !*queued {
                     *queued = true;
-                    *trigger = Some(id);
                     self.dq.runnable.push_back(m);
                 }
             }
@@ -281,29 +247,6 @@ impl KState {
                     now.saturating_add(d).as_ps(),
                     TimedAction::WakeProc { proc: p, gen },
                 );
-            }
-            WaitSpec::AnyEvent(list) => {
-                self.procs.get_mut(p).wait_kind = WaitKind::Any;
-                for e in list {
-                    self.events[e.index()].waiters.push((p, gen));
-                }
-            }
-            WaitSpec::AllEvents(mut list) => {
-                list.sort_unstable();
-                list.dedup();
-                if list.is_empty() {
-                    self.procs.get_mut(p).wait_kind = WaitKind::Yield;
-                    self.dq.next_delta_runnable.push_back(p);
-                    return;
-                }
-                for e in &list {
-                    self.events[e.index()].waiters.push((p, gen));
-                }
-                self.procs.get_mut(p).wait_kind = WaitKind::All { remaining: list };
-            }
-            WaitSpec::YieldDelta => {
-                self.procs.get_mut(p).wait_kind = WaitKind::Yield;
-                self.dq.next_delta_runnable.push_back(p);
             }
         }
     }
@@ -356,24 +299,21 @@ impl KState {
             .insert(at.as_ps(), TimedAction::FireEvent { event: e, gen });
     }
 
-    /// Advances `now` to `to`, with stats/tracer bookkeeping; idempotent
-    /// when `now` is already there.
+    /// Advances `now` to `to`, counting the advance; idempotent when
+    /// `now` is already there.
     fn advance_now_to(&mut self, to: SimTime) {
-        let old = self.now;
-        if old == to {
-            return;
-        }
-        self.now = to;
-        self.stats.time_advances += 1;
-        if let Some(t) = &self.tracer {
-            t.time_advanced(old, to);
+        if self.now != to {
+            self.now = to;
+            self.stats.time_advances += 1;
         }
     }
 
     /// The fast-forward run budget: if the calling (running) process is
     /// provably the only activity before `now + d`, advance simulated
     /// time in place and return `true` — the process keeps control and
-    /// no engine round trip happens. See the module docs.
+    /// no engine round trip happens. See the module docs. A traced run
+    /// never takes it, so it is the engine-path reference the budget is
+    /// tested against.
     pub(crate) fn try_fast_forward(&mut self, d: SimTime) -> bool {
         if !self.in_run || self.tracer.is_some() {
             return false;
@@ -390,9 +330,7 @@ impl KState {
             return false;
         }
         // Cancelled entries at the front would veto the budget although
-        // delivery ignores them; drop them first. (After the tracer
-        // check: on the engine path each one costs a time advance, and
-        // traced runs keep reporting those.)
+        // delivery ignores them; drop them first.
         let (events, procs) = (&self.events, &self.procs);
         self.timed.pop_while(|e| !e.action.is_live(events, procs));
         // Any live timed action at or before the deadline — including
@@ -413,10 +351,10 @@ impl KState {
 /// What the phase loop decided must happen next.
 pub(crate) enum NextStep {
     /// Hand control to this thread process.
-    Thread(ProcId, Rc<CoroShared>, WakeReason),
+    Thread(Rc<CoroShared>, WakeReason),
     /// Run this method callback, moved out of the process table until
     /// it returns (kernel root only).
-    Method(ProcId, MethodCallback, Option<EventId>),
+    Method(ProcId, MethodCallback),
     /// The update phase has work (kernel root only).
     Updates,
     /// Chained dispatch cannot continue; the kernel root must decide.
@@ -425,15 +363,11 @@ pub(crate) enum NextStep {
     Outcome(RunOutcome),
 }
 
-/// Dispatch bookkeeping shared by both drivers: the `current` marker,
-/// activation counter and tracer hook.
+/// Dispatch bookkeeping shared by the kernel root and a yielding
+/// process: the `current` marker and the activation counter.
 fn dispatch_bookkeeping(st: &mut KState, pid: ProcId) {
     st.current = pid.index() as u32;
     st.stats.process_runs += 1;
-    if let Some(t) = &st.tracer {
-        let name = st.procs.get(pid).name.clone();
-        t.process_dispatched(st.now, pid, &name);
-    }
 }
 
 /// One turn of the phase engine: runs evaluate/update/delta-notify/
@@ -459,7 +393,7 @@ pub(crate) fn next_step(st: &mut KState, from_process: bool) -> NextStep {
         while let Some(pid) = st.dq.runnable.pop_front() {
             enum Picked {
                 Thread(Rc<CoroShared>, WakeReason),
-                Method(MethodCallback, Option<EventId>),
+                Method(MethodCallback),
                 Defer,
                 Skip,
             }
@@ -474,18 +408,10 @@ pub(crate) fn next_step(st: &mut KState, from_process: bool) -> NextStep {
                     }
                     // Methods run on the kernel root only.
                     (ProcBody::Method { .. }, _) if from_process => Picked::Defer,
-                    (
-                        ProcBody::Method {
-                            cb,
-                            queued,
-                            trigger,
-                        },
-                        _,
-                    ) => {
+                    (ProcBody::Method { cb, queued }, _) => {
                         *queued = false;
-                        let trig = trigger.take();
                         match cb.take() {
-                            Some(cb) => Picked::Method(cb, trig),
+                            Some(cb) => Picked::Method(cb),
                             None => Picked::Skip,
                         }
                     }
@@ -500,11 +426,11 @@ pub(crate) fn next_step(st: &mut KState, from_process: bool) -> NextStep {
                 }
                 Picked::Thread(shared, reason) => {
                     dispatch_bookkeeping(st, pid);
-                    return NextStep::Thread(pid, shared, reason);
+                    return NextStep::Thread(shared, reason);
                 }
-                Picked::Method(cb, trig) => {
+                Picked::Method(cb) => {
                     dispatch_bookkeeping(st, pid);
-                    return NextStep::Method(pid, cb, trig);
+                    return NextStep::Method(pid, cb);
                 }
             }
         }
@@ -533,9 +459,6 @@ pub(crate) fn next_step(st: &mut KState, from_process: bool) -> NextStep {
         if !st.dq.runnable.is_empty() {
             st.stats.delta_cycles += 1;
             st.deltas_this_step += 1;
-            if let Some(t) = &st.tracer {
-                t.delta_cycle(st.now, st.deltas_this_step);
-            }
             continue;
         }
 
@@ -614,16 +537,13 @@ pub(crate) fn yield_from_process(
             return fast;
         }
         st.current = CURRENT_NONE;
-        if let Some(t) = &st.tracer {
-            t.process_suspended(st.now, pid);
-        }
         // Only re-register if still marked Running (the body may have
         // been torn down).
         if st.procs.get(pid).state == ProcState::Running {
             st.register_wait(pid, spec);
         }
         match next_step(&mut st, true) {
-            NextStep::Thread(_, nshared, reason) => Some((nshared, reason)),
+            NextStep::Thread(nshared, reason) => Some((nshared, reason)),
             _ => None,
         }
     };
@@ -648,9 +568,6 @@ pub(crate) fn finish_step(
 ) -> Option<(Rc<CoroShared>, WakeReason)> {
     let mut st = k.st.borrow_mut();
     st.current = CURRENT_NONE;
-    if let Some(t) = &st.tracer {
-        t.process_suspended(st.now, pid);
-    }
     st.procs.get_mut(pid).finish();
     match reply {
         Reply::Panicked(payload) => {
@@ -658,7 +575,7 @@ pub(crate) fn finish_step(
             None
         }
         Reply::Finished => match next_step(&mut st, true) {
-            NextStep::Thread(_, nshared, reason) => Some((nshared, reason)),
+            NextStep::Thread(nshared, reason) => Some((nshared, reason)),
             _ => None,
         },
     }
@@ -691,27 +608,19 @@ fn run_kernel_inner(k: &Rc<Kernel>) -> Result<RunOutcome, Box<dyn std::any::Any 
             next_step(&mut st, false)
         };
         match step {
-            NextStep::Thread(_pid, shared, reason) => {
+            NextStep::Thread(shared, reason) => {
                 // `post` switches into the chain and returns when
                 // control comes back here, with the gate token already
                 // set; `wait` consumes it.
                 shared.post(Cmd::Run(reason));
                 k.rt.wait();
             }
-            NextStep::Method(pid, mut cb, trig) => {
+            NextStep::Method(pid, mut cb) => {
                 // The state is NOT borrowed around the callback; the box
                 // goes back into the table afterwards.
-                let mut ctx = MethodCtx {
-                    handle: SimHandle { k: Rc::clone(k) },
-                    id: pid,
-                    triggered_by: trig,
-                };
-                let result = panic::catch_unwind(AssertUnwindSafe(|| cb(&mut ctx)));
+                let result = panic::catch_unwind(AssertUnwindSafe(&mut cb));
                 let mut st = k.st.borrow_mut();
                 st.current = CURRENT_NONE;
-                if let Some(t) = &st.tracer {
-                    t.process_suspended(st.now, pid);
-                }
                 let entry = st.procs.get_mut(pid);
                 if let Err(payload) = result {
                     entry.finish();

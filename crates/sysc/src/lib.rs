@@ -5,9 +5,11 @@
 //! on SystemC 2.0; since no SystemC exists for Rust, `sysc` reimplements
 //! the subset the paper depends on:
 //!
-//! * **Thread processes** (`SC_THREAD`): bodies that can suspend
-//!   anywhere via [`ProcCtx::wait_time`], [`ProcCtx::wait_event`] and
-//!   friends. Each one is a stackful coroutine on a pooled heap stack
+//! * **Thread processes** (`SC_THREAD`): bodies that suspend anywhere
+//!   in one of three waits: [`ProcCtx::wait_time`] (`wait(t)`; a zero
+//!   duration waits one delta cycle), [`ProcCtx::wait_event`]
+//!   (`wait(e)`) and [`ProcCtx::wait_event_timeout`] (`wait(t, e)`).
+//!   Each one is a stackful coroutine on a pooled heap stack
 //!   ([`runtime`]), and the whole simulation runs on the thread that
 //!   drives it: exactly one process executes at any instant, so the
 //!   simulation is deterministic like SystemC's evaluator.
@@ -20,8 +22,8 @@
 //! * **Delta cycles** with the evaluate → update → delta-notify →
 //!   advance-time loop, and [`Signal`]s with request-update/update
 //!   semantics.
-//! * **Dynamic sensitivity**: `wait(t)`, `wait(event)`,
-//!   `wait(event, timeout)`, `wait_any`, `wait_all`, delta yield.
+//! * **One probe point**: a [`Tracer`] sees every signal change in the
+//!   update phase (the paper's Fig. 4 waveform probe).
 //!
 //! # Quickstart
 //!
@@ -30,10 +32,10 @@
 //!
 //! let mut sim = Simulation::new();
 //! let h = sim.handle();
-//! let ping = h.create_event("ping");
-//! let pong = h.create_event("pong");
+//! let ping = h.create_event();
+//! let pong = h.create_event();
 //!
-//! h.spawn_thread("ping", SpawnMode::Immediate, move |ctx| {
+//! h.spawn_thread(SpawnMode::Immediate, move |ctx| {
 //!     for _ in 0..3 {
 //!         ctx.wait_time(SimTime::from_us(10));
 //!         ctx.handle().notify(ping);
@@ -41,7 +43,7 @@
 //!     }
 //! });
 //! let h2 = sim.handle();
-//! h2.spawn_thread("pong", SpawnMode::WaitEvent(ping), move |ctx| {
+//! h2.spawn_thread(SpawnMode::WaitEvent(ping), move |ctx| {
 //!     loop {
 //!         ctx.handle().notify_after(pong, SimTime::from_us(5));
 //!         ctx.wait_event(ping);
@@ -74,8 +76,8 @@ mod trace;
 
 pub use ids::{EventId, ProcId};
 pub use kernel::timed_queue::{TimedEntry, TimedQueue};
-pub use kernel::{MethodCtx, ProcCtx, RunOutcome, SimHandle, Simulation, SpawnMode, WaitOutcome};
-pub use runtime::{Runtime, WakeReason};
-pub use signal::{Clock, Signal, SignalValue};
+pub use kernel::{ProcCtx, RunOutcome, SimHandle, Simulation, SpawnMode, WaitOutcome};
+pub use runtime::Runtime;
+pub use signal::{Signal, SignalValue};
 pub use time::SimTime;
 pub use trace::{KernelStats, Tracer};

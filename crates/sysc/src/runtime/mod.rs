@@ -17,7 +17,7 @@
 //! | `signal`    | set the gate token, switch to the kernel's root   |
 //! | `wait`      | root side: assert and consume the gate token      |
 //!
-//! The protocol vocabulary (`Cmd`, `Reply`, [`WakeReason`], `WaitSpec`,
+//! The protocol vocabulary (`Cmd`, `Reply`, `WakeReason`, `WaitSpec`,
 //! the terminate unwind) lives here; `coro` implements the transfers
 //! and `ctx` the raw switch plus the stack pool.
 
@@ -63,38 +63,31 @@ impl Runtime {
 // Protocol vocabulary (shared by the coroutines and the kernel).
 // ---------------------------------------------------------------------
 
-/// Why a suspended process was resumed; returned by the wait primitives.
+/// Why a suspended process was resumed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WakeReason {
+pub(crate) enum WakeReason {
     /// First activation of the process.
     Start,
     /// A `wait_time` completed.
     TimeElapsed,
-    /// The awaited event (or one of a `wait_any` set) fired.
-    Fired(EventId),
+    /// The awaited event fired.
+    Fired,
     /// A `wait_event_timeout` expired before the event fired.
     TimedOut,
-    /// Every event of a `wait_all` set has fired.
-    AllFired,
-    /// A `yield_delta` completed (next delta cycle reached).
+    /// A zero-time wait completed (next delta cycle reached).
     Yielded,
 }
 
-/// What a process asks the kernel to do when it suspends.
-#[derive(Debug, Clone)]
+/// What a process asks the kernel to do when it suspends: SystemC's
+/// `wait(t)`, `wait(e)` and `wait(t, e)`.
+#[derive(Debug, Clone, Copy)]
 pub(crate) enum WaitSpec {
-    /// Sleep for a duration of simulated time.
+    /// Sleep for a duration of simulated time; zero waits one delta.
     Time(SimTime),
     /// Sleep until an event fires.
     Event(EventId),
     /// Sleep until an event fires or a timeout elapses, whichever is first.
     EventTimeout(EventId, SimTime),
-    /// Sleep until any of the listed events fires.
-    AnyEvent(Vec<EventId>),
-    /// Sleep until all of the listed events have fired at least once.
-    AllEvents(Vec<EventId>),
-    /// Give up the processor until the next delta cycle.
-    YieldDelta,
 }
 
 /// Kernel-to-process command.

@@ -1,4 +1,4 @@
-//! Signals and clocks with SystemC update-phase semantics.
+//! Signals with SystemC update-phase semantics.
 //!
 //! A [`Signal`] holds a current value readable by any process. Writes go
 //! to a *next* slot and are applied in the kernel's update phase; if the
@@ -13,7 +13,6 @@ use std::rc::Rc;
 
 use crate::ids::EventId;
 use crate::kernel::SimHandle;
-use crate::time::SimTime;
 
 /// Values that can live in a [`Signal`].
 ///
@@ -93,15 +92,15 @@ impl<T: SignalValue> UpdateTarget for SignalInner<T> {
 /// let mut sim = Simulation::new();
 /// let h = sim.handle();
 /// let sig: Signal<u32> = Signal::new(&h, "bus", 0);
-/// let watcher_saw = h.create_event("saw");
+/// let watcher_saw = h.create_event();
 /// let s = sig.clone();
-/// h.spawn_thread("watch", SpawnMode::Immediate, move |ctx| {
+/// h.spawn_thread(SpawnMode::Immediate, move |ctx| {
 ///     ctx.wait_event(s.value_changed_event());
 ///     assert_eq!(s.read(), 42);
 ///     ctx.handle().notify(watcher_saw);
 /// });
 /// let s2 = sig.clone();
-/// h.spawn_thread("drive", SpawnMode::Immediate, move |ctx| {
+/// h.spawn_thread(SpawnMode::Immediate, move |ctx| {
 ///     ctx.wait_time(SimTime::from_ns(10));
 ///     s2.write(42);
 /// });
@@ -132,9 +131,10 @@ impl<T: SignalValue> Debug for Signal<T> {
 }
 
 impl<T: SignalValue> Signal<T> {
-    /// Creates a signal with an initial value.
+    /// Creates a signal with an initial value. `name` labels its
+    /// changes for a [`crate::Tracer`].
     pub fn new(handle: &SimHandle, name: &str, init: T) -> Self {
-        let changed_event = handle.create_event(&format!("{name}.changed"));
+        let changed_event = handle.create_event();
         Signal {
             inner: Rc::new(SignalInner {
                 name: name.to_string(),
@@ -172,60 +172,11 @@ impl<T: SignalValue> Signal<T> {
     }
 }
 
-/// A periodic clock built on an auto-renotifying event.
-///
-/// `tick_event` fires every `period`, starting `first_after` from the
-/// moment of creation. The paper's BFM uses one of these as the real-time
-/// clock driving the kernel's central module (1 ms default resolution).
-#[derive(Debug, Clone)]
-pub struct Clock {
-    tick: EventId,
-    period: SimTime,
-    name: String,
-}
-
-impl Clock {
-    /// Creates and starts a periodic clock.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is zero.
-    pub fn new(handle: &SimHandle, name: &str, period: SimTime, first_after: SimTime) -> Self {
-        let tick = handle.create_event(&format!("{name}.tick"));
-        handle.make_periodic(tick, period, first_after);
-        Clock {
-            tick,
-            period,
-            name: name.to_string(),
-        }
-    }
-
-    /// The event that fires once per period.
-    pub fn tick_event(&self) -> EventId {
-        self.tick
-    }
-
-    /// The clock period.
-    pub fn period(&self) -> SimTime {
-        self.period
-    }
-
-    /// The clock's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Stops the clock (no further ticks after any pending one).
-    pub fn stop(&self, handle: &SimHandle) {
-        handle.stop_periodic(self.tick);
-        handle.cancel(self.tick);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::kernel::{Simulation, SpawnMode};
+    use crate::time::SimTime;
 
     #[test]
     fn signal_updates_in_update_phase_not_immediately() {
@@ -233,12 +184,12 @@ mod tests {
         let h = sim.handle();
         let sig: Signal<u32> = Signal::new(&h, "s", 7);
         let s = sig.clone();
-        let checked = h.create_event("checked");
-        h.spawn_thread("p", SpawnMode::Immediate, move |ctx| {
+        let checked = h.create_event();
+        h.spawn_thread(SpawnMode::Immediate, move |ctx| {
             s.write(9);
             // Write not visible until the update phase.
             assert_eq!(s.read(), 7);
-            ctx.yield_delta();
+            ctx.wait_time(SimTime::ZERO);
             assert_eq!(s.read(), 9);
             ctx.handle().notify(checked);
         });
@@ -252,11 +203,11 @@ mod tests {
         let h = sim.handle();
         let sig: Signal<u32> = Signal::new(&h, "s", 0);
         let s = sig.clone();
-        h.spawn_thread("p", SpawnMode::Immediate, move |ctx| {
+        h.spawn_thread(SpawnMode::Immediate, move |ctx| {
             s.write(1);
             s.write(2);
             s.write(3);
-            ctx.yield_delta();
+            ctx.wait_time(SimTime::ZERO);
             assert_eq!(s.read(), 3);
         });
         sim.run_to_completion();
@@ -268,33 +219,12 @@ mod tests {
         let h = sim.handle();
         let sig: Signal<bool> = Signal::new(&h, "s", true);
         let s = sig.clone();
-        h.spawn_thread("p", SpawnMode::Immediate, move |ctx| {
+        h.spawn_thread(SpawnMode::Immediate, move |ctx| {
             s.write(true); // same value: no value-changed notification
             ctx.wait_time(SimTime::from_ns(5));
         });
         sim.run_to_completion();
         assert_eq!(sim.handle().event_fire_count(sig.value_changed_event()), 0);
-    }
-
-    #[test]
-    fn clock_ticks_periodically() {
-        let mut sim = Simulation::new();
-        let h = sim.handle();
-        let clk = Clock::new(&h, "clk", SimTime::from_ms(1), SimTime::from_ms(1));
-        sim.run_until(SimTime::from_ms(10));
-        assert_eq!(sim.handle().event_fire_count(clk.tick_event()), 10);
-        assert_eq!(clk.period(), SimTime::from_ms(1));
-    }
-
-    #[test]
-    fn clock_stop_halts_ticks() {
-        let mut sim = Simulation::new();
-        let h = sim.handle();
-        let clk = Clock::new(&h, "clk", SimTime::from_ms(1), SimTime::from_ms(1));
-        sim.run_until(SimTime::from_ms(3));
-        clk.stop(&sim.handle());
-        sim.run_until(SimTime::from_ms(10));
-        assert_eq!(sim.handle().event_fire_count(clk.tick_event()), 3);
     }
 
     #[test]

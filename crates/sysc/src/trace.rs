@@ -1,42 +1,30 @@
-//! Kernel observation hooks.
+//! The kernel's one probe point and its counters.
 //!
-//! A [`Tracer`] can be attached to a simulation to observe scheduler
-//! activity: process dispatches, event firings, signal updates and time
-//! advances. The `rtk-analysis` crate's `WaveProbe` builds VCD waveform
-//! dumps on this hook; the speed reports read [`KernelStats`].
+//! A [`Tracer`] attached to a simulation sees every signal change in
+//! the update phase; the `rtk-analysis` crate's `WaveProbe` builds VCD
+//! waveform dumps on it (paper Fig. 4). The speed reports read
+//! [`KernelStats`].
 //!
-//! Tracer methods are invoked while the kernel state is borrowed;
-//! tracer implementations must record and return — they must **not**
-//! call back into the simulation (that would panic with a
-//! `BorrowMutError`). With chained dispatch the hooks may fire on any
-//! process's coroutine stack (the scheduler runs in whichever process
-//! is yielding), always on the simulation's one host thread.
+//! The hook is invoked while the kernel state is borrowed; an
+//! implementation must record and return — it must **not** call back
+//! into the simulation (that would panic with a `BorrowMutError`).
+//!
+//! A simulation with a tracer attached serves every wait through the
+//! engine, never from the fast-forward run budget (see the
+//! `crate::kernel` scheduler docs). The budget leaves the schedule
+//! unchanged, so a traced run is the reference an untraced one is
+//! tested against.
 
-use crate::ids::{EventId, ProcId};
 use crate::time::SimTime;
 
-/// Observer of kernel activity. All methods have empty default bodies so
-/// implementers only override what they need.
+/// Observer of signal changes. The hook's body is empty by default, so
+/// a unit struct with an empty `impl` is a tracer that only moves its
+/// simulation onto the engine path.
 #[allow(unused_variables)]
 pub trait Tracer {
-    /// A process was handed the processor in the evaluate phase.
-    fn process_dispatched(&self, now: SimTime, proc: ProcId, name: &str) {}
-
-    /// A process suspended (waited) or finished.
-    fn process_suspended(&self, now: SimTime, proc: ProcId) {}
-
-    /// An event notification fired (waiters have been woken).
-    fn event_fired(&self, now: SimTime, event: EventId, name: &str) {}
-
-    /// Simulated time advanced from `from` to `to`.
-    fn time_advanced(&self, from: SimTime, to: SimTime) {}
-
     /// A signal changed value in the update phase. `value` is the
     /// signal's VCD-style rendering.
     fn signal_changed(&self, now: SimTime, name: &str, value: &str) {}
-
-    /// A delta cycle completed at the current time.
-    fn delta_cycle(&self, now: SimTime, delta: u64) {}
 }
 
 /// Counters maintained by the kernel; cheap always-on statistics used by
@@ -67,13 +55,7 @@ mod tests {
 
     #[test]
     fn default_methods_are_callable() {
-        let t = NullTracer;
-        t.process_dispatched(SimTime::ZERO, ProcId(0), "p");
-        t.process_suspended(SimTime::ZERO, ProcId(0));
-        t.event_fired(SimTime::ZERO, EventId(0), "e");
-        t.time_advanced(SimTime::ZERO, SimTime::from_ns(1));
-        t.signal_changed(SimTime::ZERO, "s", "1");
-        t.delta_cycle(SimTime::ZERO, 0);
+        NullTracer.signal_changed(SimTime::ZERO, "s", "1");
     }
 
     #[test]

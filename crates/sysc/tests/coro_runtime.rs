@@ -26,15 +26,15 @@ fn lock_pool() -> MutexGuard<'static, ()> {
 fn pingpong(rounds: u64) -> Simulation {
     let mut sim = Simulation::new();
     let h = sim.handle();
-    let ping = h.create_event("ping");
-    let pong = h.create_event("pong");
-    h.spawn_thread("a", SpawnMode::Immediate, move |ctx| {
+    let ping = h.create_event();
+    let pong = h.create_event();
+    h.spawn_thread(SpawnMode::Immediate, move |ctx| {
         for _ in 0..rounds {
             ctx.handle().notify_after(ping, SimTime::from_ns(10));
             ctx.wait_event(pong);
         }
     });
-    h.spawn_thread("b", SpawnMode::WaitEvent(ping), move |ctx| loop {
+    h.spawn_thread(SpawnMode::WaitEvent(ping), move |ctx| loop {
         ctx.handle().notify(pong);
         ctx.wait_event(ping);
     });
@@ -61,10 +61,10 @@ fn panicked_process_stack_is_recycled() {
         let result = std::panic::catch_unwind(|| {
             let mut sim = Simulation::new();
             let h = sim.handle();
-            h.spawn_thread("bystander", SpawnMode::Immediate, |ctx| {
+            h.spawn_thread(SpawnMode::Immediate, |ctx| {
                 ctx.wait_time(SimTime::from_ms(10));
             });
-            h.spawn_thread("bomb", SpawnMode::Immediate, |ctx| {
+            h.spawn_thread(SpawnMode::Immediate, |ctx| {
                 ctx.wait_time(SimTime::from_us(1));
                 panic!("boom in coroutine");
             });
@@ -99,9 +99,9 @@ fn never_started_process_is_terminated_without_a_stack() {
     {
         let mut sim = Simulation::new();
         let h = sim.handle();
-        let never = h.create_event("never");
+        let never = h.create_event();
         let d = CountDrop(Arc::clone(&drops));
-        h.spawn_thread("dormant", SpawnMode::WaitEvent(never), move |_ctx| {
+        h.spawn_thread(SpawnMode::WaitEvent(never), move |_ctx| {
             let _guard = d;
             unreachable!("the event never fires");
         });
@@ -130,14 +130,14 @@ fn kill_from_inside_another_process() {
     let mut sim = Simulation::new();
     let h = sim.handle();
     let log2 = Arc::clone(&log);
-    let victim = h.spawn_thread("victim", SpawnMode::Immediate, move |ctx| {
+    let victim = h.spawn_thread(SpawnMode::Immediate, move |ctx| {
         log2.lock().unwrap().push("victim-start");
         loop {
             ctx.wait_time(SimTime::from_us(1));
         }
     });
     let log3 = Arc::clone(&log);
-    h.spawn_thread("killer", SpawnMode::Immediate, move |ctx| {
+    h.spawn_thread(SpawnMode::Immediate, move |ctx| {
         ctx.wait_time(SimTime::from_us(5));
         log3.lock().unwrap().push("kill");
         ctx.handle().kill(victim);
@@ -163,12 +163,12 @@ fn nested_simulation_inside_a_coroutine() {
     let h = outer.handle();
     let result = Arc::new(AtomicU64::new(0));
     let result2 = Arc::clone(&result);
-    h.spawn_thread("outer", SpawnMode::Immediate, move |ctx| {
+    h.spawn_thread(SpawnMode::Immediate, move |ctx| {
         ctx.wait_time(SimTime::from_us(1));
         let mut inner = Simulation::new();
         let ih = inner.handle();
         let r = Arc::clone(&result2);
-        ih.spawn_thread("inner", SpawnMode::Immediate, move |ictx| {
+        ih.spawn_thread(SpawnMode::Immediate, move |ictx| {
             for _ in 0..10 {
                 ictx.wait_time(SimTime::from_ns(100));
             }
@@ -194,7 +194,7 @@ fn sequential_process_churn_reuses_stacks() {
     let total = Arc::new(AtomicU64::new(0));
     for i in 0..200 {
         let t = Arc::clone(&total);
-        h.spawn_thread("worker", SpawnMode::Immediate, move |ctx| {
+        h.spawn_thread(SpawnMode::Immediate, move |ctx| {
             ctx.wait_time(SimTime::from_ns(10 + i));
             t.fetch_add(1, Ordering::Relaxed);
         });

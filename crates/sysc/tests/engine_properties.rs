@@ -18,9 +18,9 @@ proptest! {
         let h = sim.handle();
         let fired: Arc<Mutex<Vec<(u64, usize)>>> = Arc::new(Mutex::new(Vec::new()));
         for (i, d) in delays.iter().enumerate() {
-            let e = h.create_event(&format!("e{i}"));
+            let e = h.create_event();
             let f = Arc::clone(&fired);
-            h.spawn_thread(&format!("w{i}"), SpawnMode::WaitEvent(e), move |ctx| {
+            h.spawn_thread(SpawnMode::WaitEvent(e), move |ctx| {
                 f.lock().unwrap().push((ctx.now().as_us(), i));
             });
             h.notify_after(e, SimTime::from_us(*d));
@@ -48,11 +48,11 @@ proptest! {
             let mut sim = Simulation::new();
             let h = sim.handle();
             let log: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
-            let sync = h.create_event("sync");
+            let sync = h.create_event();
             for (i, (delay, rounds)) in procs.iter().enumerate() {
                 let (delay, rounds) = (*delay, *rounds);
                 let l = Arc::clone(&log);
-                h.spawn_thread(&format!("p{i}"), SpawnMode::Immediate, move |ctx| {
+                h.spawn_thread(SpawnMode::Immediate, move |ctx| {
                     for r in 0..rounds {
                         ctx.wait_time(SimTime::from_us(delay));
                         l.lock().unwrap().push(format!("p{i}r{r}@{}", ctx.now()));
@@ -76,11 +76,12 @@ proptest! {
     fn earliest_pending_notification_wins(delays in proptest::collection::vec(1u64..1000, 2..12)) {
         let mut sim = Simulation::new();
         let h = sim.handle();
-        let e = h.create_event("e");
+        let e = h.create_event();
         let fired_at: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
         let f = Arc::clone(&fired_at);
-        h.spawn_method("m", &[e], false, move |ctx| {
-            f.lock().unwrap().push(ctx.now().as_us());
+        let h2 = h.clone();
+        h.spawn_method(&[e], move || {
+            f.lock().unwrap().push(h2.now().as_us());
         });
         for d in &delays {
             h.notify_after(e, SimTime::from_us(*d));
@@ -96,7 +97,7 @@ proptest! {
     fn periodic_events_tick_exactly(period_us in 10u64..500, horizon_ms in 1u64..20) {
         let mut sim = Simulation::new();
         let h = sim.handle();
-        let e = h.create_event("clk");
+        let e = h.create_event();
         h.make_periodic(e, SimTime::from_us(period_us), SimTime::from_us(period_us));
         sim.run_until(SimTime::from_ms(horizon_ms));
         let expected = SimTime::from_ms(horizon_ms) / SimTime::from_us(period_us);
@@ -167,11 +168,12 @@ proptest! {
         const HORIZON_US: u64 = 10_000;
         let mut sim = Simulation::new();
         let h = sim.handle();
-        let e = h.create_event("e");
+        let e = h.create_event();
         let fired: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
         let f = Arc::clone(&fired);
-        h.spawn_method("rec", &[e], false, move |ctx| {
-            f.lock().unwrap().push(ctx.now().as_us());
+        let h2 = h.clone();
+        h.spawn_method(&[e], move || {
+            f.lock().unwrap().push(h2.now().as_us());
         });
 
         // Reference model of the single-pending-notification rule.
@@ -275,10 +277,10 @@ proptest! {
     fn huge_timeouts_never_fire_early(fire_at_us in 1u64..5_000) {
         let mut sim = Simulation::new();
         let h = sim.handle();
-        let e = h.create_event("e");
+        let e = h.create_event();
         let woke: Arc<Mutex<Vec<(u64, bool)>>> = Arc::new(Mutex::new(Vec::new()));
         let w = Arc::clone(&woke);
-        h.spawn_thread("waiter", SpawnMode::Immediate, move |ctx| {
+        h.spawn_thread(SpawnMode::Immediate, move |ctx| {
             // Effectively-forever timeout: would overflow `u64` ps.
             let outcome = ctx.wait_event_timeout(e, SimTime::MAX);
             w.lock()
@@ -299,9 +301,9 @@ proptest! {
         let h = sim.handle();
         let done = Arc::new(std::sync::atomic::AtomicU32::new(0));
         let mut ids = Vec::new();
-        for i in 0..8 {
+        for _ in 0..8 {
             let d = Arc::clone(&done);
-            let pid = h.spawn_thread(&format!("p{i}"), SpawnMode::Immediate, move |ctx| {
+            let pid = h.spawn_thread(SpawnMode::Immediate, move |ctx| {
                 ctx.wait_time(SimTime::from_ms(5));
                 d.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
             });

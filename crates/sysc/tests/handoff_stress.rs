@@ -16,16 +16,16 @@ use sysc::{RunOutcome, SimTime, Simulation, SpawnMode};
 fn pingpong(rounds: u64) -> Simulation {
     let mut sim = Simulation::new();
     let h = sim.handle();
-    let ping = h.create_event("ping");
-    let pong = h.create_event("pong");
-    h.spawn_thread("a", SpawnMode::Immediate, move |ctx| {
+    let ping = h.create_event();
+    let pong = h.create_event();
+    h.spawn_thread(SpawnMode::Immediate, move |ctx| {
         for _ in 0..rounds {
             ctx.handle().notify_after(ping, SimTime::from_ns(10));
             ctx.wait_event(pong);
         }
     });
     let h2 = sim.handle();
-    h2.spawn_thread("b", SpawnMode::WaitEvent(ping), move |ctx| loop {
+    h2.spawn_thread(SpawnMode::WaitEvent(ping), move |ctx| loop {
         ctx.handle().notify(pong);
         ctx.wait_event(ping);
     });
@@ -47,7 +47,7 @@ fn panic_in_process_propagates_and_runtime_recovers() {
         let result = std::panic::catch_unwind(|| {
             let mut sim = Simulation::new();
             let h = sim.handle();
-            h.spawn_thread("bomb", SpawnMode::Immediate, move |ctx| {
+            h.spawn_thread(SpawnMode::Immediate, move |ctx| {
                 ctx.wait_time(SimTime::from_us(3));
                 panic!("deliberate process panic");
             });
@@ -76,9 +76,9 @@ fn terminate_then_reuse_of_recycled_contexts() {
     for _ in 0..50 {
         let mut sim = Simulation::new();
         let h = sim.handle();
-        let tick = h.create_event("tick");
+        let tick = h.create_event();
         h.make_periodic(tick, SimTime::from_us(1), SimTime::from_us(1));
-        let victim = h.spawn_thread("victim", SpawnMode::Immediate, move |ctx| loop {
+        let victim = h.spawn_thread(SpawnMode::Immediate, move |ctx| loop {
             ctx.wait_event(tick);
         });
         sim.run_until(SimTime::from_us(5));
@@ -109,7 +109,7 @@ fn drop_midwait_releases_contexts() {
         let mut sim = Simulation::new();
         let h = sim.handle();
         let d = CountDrop(Arc::clone(&drops));
-        h.spawn_thread("parked", SpawnMode::Immediate, move |ctx| {
+        h.spawn_thread(SpawnMode::Immediate, move |ctx| {
             let _guard = d;
             loop {
                 ctx.wait_time(SimTime::from_ms(1));
@@ -156,11 +156,11 @@ fn fast_forward_matches_engine_path() {
             sim.set_tracer(std::rc::Rc::new(Null));
         }
         let h = sim.handle();
-        let tick = h.create_event("tick");
+        let tick = h.create_event();
         h.make_periodic(tick, SimTime::from_us(7), SimTime::from_us(7));
         let hits = Arc::new(AtomicU64::new(0));
         let hits2 = Arc::clone(&hits);
-        h.spawn_thread("slicer", SpawnMode::Immediate, move |ctx| {
+        h.spawn_thread(SpawnMode::Immediate, move |ctx| {
             for _ in 0..1000 {
                 ctx.wait_time(SimTime::from_us(1));
                 hits2.fetch_add(1, Ordering::Relaxed);
@@ -181,10 +181,10 @@ fn fast_forward_matches_engine_path() {
 fn event_timeout_fast_path_respects_pending_notifications() {
     let mut sim = Simulation::new();
     let h = sim.handle();
-    let e = h.create_event("e");
+    let e = h.create_event();
     let log = Arc::new(std::sync::Mutex::new(Vec::new()));
     let log2 = Arc::clone(&log);
-    h.spawn_thread("w", SpawnMode::Immediate, move |ctx| {
+    h.spawn_thread(SpawnMode::Immediate, move |ctx| {
         // Nothing can fire `e`: fast-forwarded timeout.
         let r1 = ctx.wait_event_timeout(e, SimTime::from_us(5));
         log2.lock().unwrap().push((format!("{r1:?}"), ctx.now()));

@@ -1,12 +1,12 @@
 //! Semantic tests for the sysc discrete-event kernel: scheduling order,
 //! notification rules, delta cycles, waits, kills and panics.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use sysc::{ProcId, RunOutcome, SimTime, Simulation, SpawnMode, Tracer, WaitOutcome, WakeReason};
+use sysc::{ProcId, RunOutcome, Signal, SimTime, Simulation, SpawnMode, Tracer, WaitOutcome};
 
 fn ms(v: u64) -> SimTime {
     SimTime::from_ms(v)
@@ -40,14 +40,13 @@ fn wait_time_advances_clock() {
     let mut sim = Simulation::new();
     let log = Log::default();
     let l = log.clone();
-    sim.handle()
-        .spawn_thread("p", SpawnMode::Immediate, move |ctx| {
-            l.push(format!("start@{}", ctx.now()));
-            ctx.wait_time(us(100));
-            l.push(format!("mid@{}", ctx.now()));
-            ctx.wait_time(us(250));
-            l.push(format!("end@{}", ctx.now()));
-        });
+    sim.handle().spawn_thread(SpawnMode::Immediate, move |ctx| {
+        l.push(format!("start@{}", ctx.now()));
+        ctx.wait_time(us(100));
+        l.push(format!("mid@{}", ctx.now()));
+        ctx.wait_time(us(250));
+        l.push(format!("end@{}", ctx.now()));
+    });
     assert_eq!(sim.run_to_completion(), RunOutcome::Starved);
     assert_eq!(log.take(), vec!["start@0 s", "mid@100 us", "end@350 us"]);
     assert_eq!(sim.now(), us(350));
@@ -59,7 +58,7 @@ fn run_until_pauses_and_resumes() {
     let counter = Arc::new(AtomicU64::new(0));
     let c = Arc::clone(&counter);
     sim.handle()
-        .spawn_thread("p", SpawnMode::Immediate, move |ctx| loop {
+        .spawn_thread(SpawnMode::Immediate, move |ctx| loop {
             ctx.wait_time(ms(1));
             c.fetch_add(1, Ordering::SeqCst);
         });
@@ -77,7 +76,7 @@ fn processes_run_in_spawn_order_within_a_phase() {
     for i in 0..5 {
         let l = log.clone();
         sim.handle()
-            .spawn_thread(&format!("p{i}"), SpawnMode::Immediate, move |_ctx| {
+            .spawn_thread(SpawnMode::Immediate, move |_ctx| {
                 l.push(format!("p{i}"));
             });
     }
@@ -89,16 +88,16 @@ fn processes_run_in_spawn_order_within_a_phase() {
 fn immediate_notification_wakes_in_same_eval_phase() {
     let mut sim = Simulation::new();
     let h = sim.handle();
-    let e = h.create_event("e");
+    let e = h.create_event();
     let log = Log::default();
 
     let l = log.clone();
-    h.spawn_thread("waiter", SpawnMode::Immediate, move |ctx| {
+    h.spawn_thread(SpawnMode::Immediate, move |ctx| {
         ctx.wait_event(e);
         l.push(format!("woken@{}", ctx.now()));
     });
     let l = log.clone();
-    h.spawn_thread("notifier", SpawnMode::Immediate, move |ctx| {
+    h.spawn_thread(SpawnMode::Immediate, move |ctx| {
         ctx.handle().notify(e);
         l.push("notified".to_string());
     });
@@ -112,19 +111,19 @@ fn immediate_notification_wakes_in_same_eval_phase() {
 fn delta_notification_wakes_one_delta_later() {
     let mut sim = Simulation::new();
     let h = sim.handle();
-    let e = h.create_event("e");
+    let e = h.create_event();
     let log = Log::default();
 
     let l = log.clone();
-    h.spawn_thread("waiter", SpawnMode::Immediate, move |ctx| {
+    h.spawn_thread(SpawnMode::Immediate, move |ctx| {
         ctx.wait_event(e);
         l.push("woken".to_string());
     });
     let l = log.clone();
-    h.spawn_thread("notifier", SpawnMode::Immediate, move |ctx| {
+    h.spawn_thread(SpawnMode::Immediate, move |ctx| {
         ctx.handle().notify_delta(e);
         l.push("posted".to_string());
-        ctx.yield_delta();
+        ctx.wait_time(SimTime::ZERO);
         l.push("after-delta".to_string());
     });
     sim.run_to_completion();
@@ -139,10 +138,10 @@ fn delta_notification_wakes_one_delta_later() {
 fn timed_notification_fires_at_the_right_time() {
     let mut sim = Simulation::new();
     let h = sim.handle();
-    let e = h.create_event("e");
+    let e = h.create_event();
     let log = Log::default();
     let l = log.clone();
-    h.spawn_thread("waiter", SpawnMode::Immediate, move |ctx| {
+    h.spawn_thread(SpawnMode::Immediate, move |ctx| {
         ctx.wait_event(e);
         l.push(format!("woken@{}", ctx.now()));
     });
@@ -155,13 +154,13 @@ fn timed_notification_fires_at_the_right_time() {
 fn earlier_timed_notification_overrides_later() {
     let mut sim = Simulation::new();
     let h = sim.handle();
-    let e = h.create_event("e");
+    let e = h.create_event();
     h.notify_after(e, us(500));
     h.notify_after(e, us(100)); // earlier wins
     h.notify_after(e, us(900)); // ignored: later than pending
     let log = Log::default();
     let l = log.clone();
-    h.spawn_thread("waiter", SpawnMode::Immediate, move |ctx| {
+    h.spawn_thread(SpawnMode::Immediate, move |ctx| {
         ctx.wait_event(e);
         l.push(format!("woken@{}", ctx.now()));
     });
@@ -174,7 +173,7 @@ fn earlier_timed_notification_overrides_later() {
 fn cancel_removes_pending_notification() {
     let mut sim = Simulation::new();
     let h = sim.handle();
-    let e = h.create_event("e");
+    let e = h.create_event();
     h.notify_after(e, us(100));
     h.cancel(e);
     assert_eq!(sim.run_to_completion(), RunOutcome::Starved);
@@ -185,11 +184,11 @@ fn cancel_removes_pending_notification() {
 fn wait_event_timeout_fires_and_times_out() {
     let mut sim = Simulation::new();
     let h = sim.handle();
-    let e = h.create_event("e");
+    let e = h.create_event();
     let log = Log::default();
 
     let l = log.clone();
-    h.spawn_thread("p", SpawnMode::Immediate, move |ctx| {
+    h.spawn_thread(SpawnMode::Immediate, move |ctx| {
         // First: event arrives before timeout.
         ctx.handle().notify_after(e, us(10));
         let r = ctx.wait_event_timeout(e, us(100));
@@ -209,10 +208,10 @@ fn timeout_cancellation_does_not_wake_later() {
     // fast-forward budget: delivery would ignore the stale entry.
     let mut sim = Simulation::new();
     let h = sim.handle();
-    let e = h.create_event("e");
+    let e = h.create_event();
     let log = Log::default();
     let l = log.clone();
-    h.spawn_thread("p", SpawnMode::Immediate, move |ctx| {
+    h.spawn_thread(SpawnMode::Immediate, move |ctx| {
         ctx.handle().notify_after(e, us(10));
         let r = ctx.wait_event_timeout(e, us(1000));
         assert_eq!(r, WaitOutcome::Fired);
@@ -228,50 +227,13 @@ fn timeout_cancellation_does_not_wake_later() {
 }
 
 #[test]
-fn wait_any_returns_the_fired_event() {
-    let mut sim = Simulation::new();
-    let h = sim.handle();
-    let e1 = h.create_event("e1");
-    let e2 = h.create_event("e2");
-    let e3 = h.create_event("e3");
-    let log = Log::default();
-    let l = log.clone();
-    h.spawn_thread("p", SpawnMode::Immediate, move |ctx| {
-        let fired = ctx.wait_any(&[e1, e2, e3]);
-        l.push(format!("fired={}", ctx.handle().event_name(fired)));
-    });
-    h.notify_after(e2, us(5));
-    sim.run_to_completion();
-    assert_eq!(log.take(), vec!["fired=e2"]);
-}
-
-#[test]
-fn wait_all_requires_every_event() {
-    let mut sim = Simulation::new();
-    let h = sim.handle();
-    let e1 = h.create_event("e1");
-    let e2 = h.create_event("e2");
-    let log = Log::default();
-    let l = log.clone();
-    h.spawn_thread("p", SpawnMode::Immediate, move |ctx| {
-        ctx.wait_all(&[e1, e2]);
-        l.push(format!("all@{}", ctx.now()));
-        assert_eq!(ctx.last_wake_reason(), WakeReason::AllFired);
-    });
-    h.notify_after(e1, us(10));
-    h.notify_after(e2, us(30));
-    sim.run_to_completion();
-    assert_eq!(log.take(), vec!["all@30 us"]);
-}
-
-#[test]
 fn spawn_waiting_on_event_starts_parked() {
     let mut sim = Simulation::new();
     let h = sim.handle();
-    let start = h.create_event("start");
+    let start = h.create_event();
     let log = Log::default();
     let l = log.clone();
-    h.spawn_thread("task", SpawnMode::WaitEvent(start), move |ctx| {
+    h.spawn_thread(SpawnMode::WaitEvent(start), move |ctx| {
         l.push(format!("started@{}", ctx.now()));
     });
     // Nothing happens until the start event; with no timed activity the
@@ -290,18 +252,17 @@ fn dynamic_spawn_from_running_process() {
     let mut sim = Simulation::new();
     let log = Log::default();
     let l = log.clone();
-    sim.handle()
-        .spawn_thread("parent", SpawnMode::Immediate, move |ctx| {
-            ctx.wait_time(us(10));
-            let l2 = l.clone();
-            ctx.handle()
-                .spawn_thread("child", SpawnMode::Immediate, move |cctx| {
-                    l2.push(format!("child@{}", cctx.now()));
-                    cctx.wait_time(us(5));
-                    l2.push(format!("child-done@{}", cctx.now()));
-                });
-            l.push(format!("parent@{}", ctx.now()));
-        });
+    sim.handle().spawn_thread(SpawnMode::Immediate, move |ctx| {
+        ctx.wait_time(us(10));
+        let l2 = l.clone();
+        ctx.handle()
+            .spawn_thread(SpawnMode::Immediate, move |cctx| {
+                l2.push(format!("child@{}", cctx.now()));
+                cctx.wait_time(us(5));
+                l2.push(format!("child-done@{}", cctx.now()));
+            });
+        l.push(format!("parent@{}", ctx.now()));
+    });
     sim.run_to_completion();
     // Child becomes runnable in the same eval phase, after parent yields.
     assert_eq!(
@@ -322,13 +283,13 @@ fn kill_unwinds_target_and_runs_drops() {
     let h = sim.handle();
     let log = Log::default();
     let l = log.clone();
-    let victim = h.spawn_thread("victim", SpawnMode::Immediate, move |ctx| {
+    let victim = h.spawn_thread(SpawnMode::Immediate, move |ctx| {
         let _g = Guard(l.clone());
         ctx.wait_time(SimTime::from_secs(100));
         l.push("should never run");
     });
     let l = log.clone();
-    h.spawn_thread("killer", SpawnMode::Immediate, move |ctx| {
+    h.spawn_thread(SpawnMode::Immediate, move |ctx| {
         ctx.wait_time(us(10));
         ctx.handle().kill(victim);
         l.push("killed");
@@ -363,12 +324,12 @@ struct ProbedLoop {
 fn probed_loop(inner: SimTime, until: SimTime) -> ProbedLoop {
     let mut sim = Simulation::new();
     let h = sim.handle();
-    let act = h.create_event("act");
+    let act = h.create_event();
     let dropped = Rc::new(Cell::new(None));
     let probe = UnwindProbe(Rc::clone(&dropped));
     let runs = Rc::new(Cell::new(0));
     let r = Rc::clone(&runs);
-    let pid = h.spawn_loop("loop", act, move |ctx| {
+    let pid = h.spawn_loop(act, move |ctx| {
         let _owned = &probe;
         r.set(r.get() + 1);
         if !inner.is_zero() {
@@ -420,7 +381,7 @@ fn spawn_loop_torn_down_inside_body_unwinds() {
 fn kill_is_idempotent() {
     let mut sim = Simulation::new();
     let h = sim.handle();
-    let victim = h.spawn_thread("victim", SpawnMode::Immediate, |ctx| {
+    let victim = h.spawn_thread(SpawnMode::Immediate, |ctx| {
         ctx.wait_time(SimTime::from_secs(100));
     });
     sim.run_until(us(1));
@@ -440,12 +401,11 @@ fn exit_terminates_early_with_drops() {
     let mut sim = Simulation::new();
     let log = Log::default();
     let l = log.clone();
-    sim.handle()
-        .spawn_thread("p", SpawnMode::Immediate, move |ctx| {
-            let _g = Guard(l.clone());
-            l.push("before-exit");
-            ctx.exit();
-        });
+    sim.handle().spawn_thread(SpawnMode::Immediate, move |ctx| {
+        let _g = Guard(l.clone());
+        l.push("before-exit");
+        ctx.exit();
+    });
     sim.run_to_completion();
     assert_eq!(log.take(), vec!["before-exit", "dropped"]);
 }
@@ -454,22 +414,20 @@ fn exit_terminates_early_with_drops() {
 #[should_panic(expected = "process boom")]
 fn process_panic_propagates_to_run() {
     let mut sim = Simulation::new();
-    sim.handle()
-        .spawn_thread("p", SpawnMode::Immediate, |_ctx| {
-            panic!("process boom");
-        });
+    sim.handle().spawn_thread(SpawnMode::Immediate, |_ctx| {
+        panic!("process boom");
+    });
     sim.run_to_completion();
 }
 
 #[test]
-fn method_process_triggered_by_events() {
+fn method_process_runs_once_per_firing() {
     let mut sim = Simulation::new();
     let h = sim.handle();
-    let e = h.create_event("e");
+    let e = h.create_event();
     let count = Arc::new(AtomicU64::new(0));
     let c = Arc::clone(&count);
-    h.spawn_method("m", &[e], false, move |ctx| {
-        assert_eq!(ctx.triggered_by(), Some(e));
+    h.spawn_method(&[e], move || {
         c.fetch_add(1, Ordering::SeqCst);
     });
     h.make_periodic(e, ms(1), ms(1));
@@ -478,29 +436,14 @@ fn method_process_triggered_by_events() {
 }
 
 #[test]
-fn method_run_at_start_runs_once_without_trigger() {
-    let mut sim = Simulation::new();
-    let h = sim.handle();
-    let e = h.create_event("e");
-    let count = Arc::new(AtomicU64::new(0));
-    let c = Arc::clone(&count);
-    h.spawn_method("m", &[e], true, move |ctx| {
-        assert_eq!(ctx.triggered_by(), None);
-        c.fetch_add(1, Ordering::SeqCst);
-    });
-    sim.run_to_completion();
-    assert_eq!(count.load(Ordering::SeqCst), 1);
-}
-
-#[test]
 fn method_triggered_once_per_delta_even_with_multiple_events() {
     let mut sim = Simulation::new();
     let h = sim.handle();
-    let e1 = h.create_event("e1");
-    let e2 = h.create_event("e2");
+    let e1 = h.create_event();
+    let e2 = h.create_event();
     let count = Arc::new(AtomicU64::new(0));
     let c = Arc::clone(&count);
-    h.spawn_method("m", &[e1, e2], false, move |_ctx| {
+    h.spawn_method(&[e1, e2], move || {
         c.fetch_add(1, Ordering::SeqCst);
     });
     // Both events in the same delta.
@@ -516,13 +459,13 @@ fn zero_time_wait_is_one_delta() {
     let h = sim.handle();
     let log = Log::default();
     let l = log.clone();
-    h.spawn_thread("a", SpawnMode::Immediate, move |ctx| {
+    h.spawn_thread(SpawnMode::Immediate, move |ctx| {
         l.push("a1");
         ctx.wait_time(SimTime::ZERO);
         l.push("a2");
     });
     let l = log.clone();
-    h.spawn_thread("b", SpawnMode::Immediate, move |_ctx| {
+    h.spawn_thread(SpawnMode::Immediate, move |_ctx| {
         l.push("b");
     });
     sim.run_to_completion();
@@ -535,8 +478,8 @@ fn delta_limit_guard_catches_oscillation() {
     let mut sim = Simulation::new();
     sim.set_max_deltas_per_timestep(100);
     let h = sim.handle();
-    let e = h.create_event("e");
-    h.spawn_thread("osc", SpawnMode::Immediate, move |ctx| loop {
+    let e = h.create_event();
+    h.spawn_thread(SpawnMode::Immediate, move |ctx| loop {
         ctx.handle().notify_delta(e);
         ctx.wait_event(e);
     });
@@ -547,9 +490,9 @@ fn delta_limit_guard_catches_oscillation() {
 fn stats_are_counted() {
     let mut sim = Simulation::new();
     let h = sim.handle();
-    let e = h.create_event("e");
+    let e = h.create_event();
     h.make_periodic(e, ms(1), ms(1));
-    let _p = h.spawn_thread("p", SpawnMode::Immediate, move |ctx| {
+    let _p = h.spawn_thread(SpawnMode::Immediate, move |ctx| {
         for _ in 0..5 {
             ctx.wait_event(e);
         }
@@ -562,38 +505,42 @@ fn stats_are_counted() {
 }
 
 #[test]
-fn tracer_sees_dispatches_and_time() {
+fn stop_periodic_halts_a_periodic_event() {
+    let mut sim = Simulation::new();
+    let h = sim.handle();
+    let e = h.create_event();
+    h.make_periodic(e, ms(1), ms(1));
+    sim.run_until(ms(3));
+    // The firing already pending at 4 ms still happens unless cancelled.
+    h.stop_periodic(e);
+    h.cancel(e);
+    sim.run_until(ms(10));
+    assert_eq!(h.event_fire_count(e), 3);
+}
+
+#[test]
+fn tracer_sees_signal_changes() {
     #[derive(Default)]
-    struct T {
-        dispatches: AtomicU64,
-        advances: AtomicU64,
-        fires: AtomicU64,
-    }
+    struct T(RefCell<Vec<String>>);
     impl Tracer for T {
-        fn process_dispatched(&self, _now: SimTime, _p: ProcId, _name: &str) {
-            self.dispatches.fetch_add(1, Ordering::SeqCst);
-        }
-        fn time_advanced(&self, _from: SimTime, _to: SimTime) {
-            self.advances.fetch_add(1, Ordering::SeqCst);
-        }
-        fn event_fired(&self, _now: SimTime, _e: sysc::EventId, _name: &str) {
-            self.fires.fetch_add(1, Ordering::SeqCst);
+        fn signal_changed(&self, now: SimTime, name: &str, value: &str) {
+            self.0.borrow_mut().push(format!("{name}={value}@{now}"));
         }
     }
     let mut sim = Simulation::new();
     let tracer = Rc::new(T::default());
     sim.set_tracer(Rc::clone(&tracer) as Rc<dyn Tracer>);
     let h = sim.handle();
-    let e = h.create_event("e");
-    h.spawn_thread("p", SpawnMode::Immediate, move |ctx| {
+    let sig: Signal<u8> = Signal::new(&h, "port", 0);
+    h.spawn_thread(SpawnMode::Immediate, move |ctx| {
+        sig.write(5);
         ctx.wait_time(us(10));
-        ctx.handle().notify(e);
+        sig.write(5); // same value: no change to report
         ctx.wait_time(us(10));
+        sig.write(6);
     });
     sim.run_to_completion();
-    assert!(tracer.dispatches.load(Ordering::SeqCst) >= 3);
-    assert_eq!(tracer.fires.load(Ordering::SeqCst), 1);
-    assert_eq!(tracer.advances.load(Ordering::SeqCst), 2);
+    assert_eq!(*tracer.0.borrow(), vec!["port=b101@0 s", "port=b110@20 us"]);
 }
 
 #[test]
@@ -608,17 +555,41 @@ fn drop_terminates_live_processes_cleanly() {
     {
         let mut sim = Simulation::new();
         let l = log.clone();
-        sim.handle()
-            .spawn_thread("p", SpawnMode::Immediate, move |ctx| {
-                let _g = Guard(l.clone());
-                loop {
-                    ctx.wait_time(ms(1));
-                }
-            });
+        sim.handle().spawn_thread(SpawnMode::Immediate, move |ctx| {
+            let _g = Guard(l.clone());
+            loop {
+                ctx.wait_time(ms(1));
+            }
+        });
         sim.run_until(ms(3));
         // sim dropped here with p still waiting.
     }
     assert_eq!(log.take(), vec!["cleaned"]);
+}
+
+#[test]
+fn drop_frees_method_callbacks_holding_a_handle() {
+    // A callback that holds a `SimHandle` keeps the kernel alive, which
+    // owns the callback: only teardown can break that cycle.
+    let probe = Rc::new(());
+    let alive = Rc::downgrade(&probe);
+    {
+        let mut sim = Simulation::new();
+        let h = sim.handle();
+        let e = h.create_event();
+        let h2 = h.clone();
+        h.spawn_method(&[e], move || {
+            let _owned = &probe;
+            h2.notify_after(e, us(10));
+        });
+        h.notify(e);
+        sim.run_until(us(35));
+        assert_eq!(h.event_fire_count(e), 4);
+    }
+    assert!(
+        alive.upgrade().is_none(),
+        "the callback outlived its simulation"
+    );
 }
 
 #[test]
@@ -627,10 +598,10 @@ fn two_identical_runs_produce_identical_logs() {
         let mut sim = Simulation::new();
         let h = sim.handle();
         let log = Log::default();
-        let e = h.create_event("sync");
+        let e = h.create_event();
         for i in 0..4 {
             let l = log.clone();
-            h.spawn_thread(&format!("w{i}"), SpawnMode::Immediate, move |ctx| {
+            h.spawn_thread(SpawnMode::Immediate, move |ctx| {
                 for round in 0..10 {
                     ctx.wait_time(us(10 * (i + 1)));
                     l.push(format!("w{i}r{round}@{}", ctx.now()));
@@ -653,7 +624,7 @@ fn many_processes_scale() {
     let counter = Arc::new(AtomicU64::new(0));
     for i in 0..100 {
         let c = Arc::clone(&counter);
-        h.spawn_thread(&format!("p{i}"), SpawnMode::Immediate, move |ctx| {
+        h.spawn_thread(SpawnMode::Immediate, move |ctx| {
             for _ in 0..10 {
                 ctx.wait_time(us(i + 1));
             }
@@ -668,10 +639,10 @@ fn many_processes_scale() {
 fn notify_between_runs_is_delivered_on_next_run() {
     let mut sim = Simulation::new();
     let h = sim.handle();
-    let e = h.create_event("e");
+    let e = h.create_event();
     let log = Log::default();
     let l = log.clone();
-    h.spawn_thread("p", SpawnMode::Immediate, move |ctx| {
+    h.spawn_thread(SpawnMode::Immediate, move |ctx| {
         ctx.wait_event(e);
         l.push(format!("woken@{}", ctx.now()));
     });

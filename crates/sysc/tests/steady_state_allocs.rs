@@ -74,8 +74,7 @@ fn us(v: u64) -> SimTime {
 }
 
 /// A 100 µs periodic clock paces a ping-pong between two thread
-/// processes, through every wait and notification kind except the
-/// list-taking `wait_any`/`wait_all` (which copy their list by design):
+/// processes, through every wait and notification kind:
 ///
 /// * `a` waits for the clock (`wait_event`), pings `b` 10 µs later
 ///   (`notify_after`) and waits up to 30 µs for the pong
@@ -90,15 +89,15 @@ fn us(v: u64) -> SimTime {
 fn periodic_clock_and_ping_pong_allocate_nothing_in_steady_state() {
     let mut sim = Simulation::new();
     let h = sim.handle();
-    let clk = h.create_event("clk");
-    let ping = h.create_event("ping");
-    let pong = h.create_event("pong");
+    let clk = h.create_event();
+    let ping = h.create_event();
+    let pong = h.create_event();
     h.make_periodic(clk, us(100), us(100));
 
     let fired = Rc::new(Cell::new(0u64));
     let timed_out = Rc::new(Cell::new(0u64));
     let (f, t) = (Rc::clone(&fired), Rc::clone(&timed_out));
-    h.spawn_thread("a", SpawnMode::Immediate, move |ctx| loop {
+    h.spawn_thread(SpawnMode::Immediate, move |ctx| loop {
         ctx.wait_event(clk);
         ctx.handle().notify_after(ping, us(10));
         match ctx.wait_event_timeout(pong, us(30)) {
@@ -107,7 +106,7 @@ fn periodic_clock_and_ping_pong_allocate_nothing_in_steady_state() {
         }
         ctx.wait_time(us(5));
     });
-    h.spawn_thread("b", SpawnMode::WaitEvent(ping), move |ctx| {
+    h.spawn_thread(SpawnMode::WaitEvent(ping), move |ctx| {
         let mut late = false;
         loop {
             if late {

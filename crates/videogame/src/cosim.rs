@@ -84,7 +84,7 @@ pub fn build_cosim(
     let handle = rtos.sim_handle();
     let keypad = bfm.keypad.clone();
     let cell_for_player = Rc::clone(&game_cell);
-    handle.spawn_thread("player-boot", sysc::SpawnMode::Immediate, move |ctx| {
+    handle.spawn_thread(sysc::SpawnMode::Immediate, move |ctx| {
         // Wait until the game exists (one tick is plenty after boot).
         loop {
             if let Some(game) = cell_for_player.get() {

@@ -29,7 +29,7 @@ pub fn install_player(
     period: SimTime,
     skill: PlayerSkill,
 ) {
-    handle.spawn_thread("player", SpawnMode::Immediate, move |ctx| {
+    handle.spawn_thread(SpawnMode::Immediate, move |ctx| {
         let mut rng = match skill {
             PlayerSkill::Random(seed) => seed | 1,
             _ => 0x9e3779b97f4a7c15,

@@ -1,6 +1,8 @@
 //! End-to-end co-simulation of the paper's case study: kernel + BFM +
 //! video game + simulated player, run for one simulated second.
 
+use std::rc::Rc;
+
 use rtk_core::{KernelConfig, TaskState};
 use rtk_videogame::{build_cosim, GameConfig, Gui, PlayerSkill};
 use sysc::SimTime;
@@ -202,6 +204,44 @@ fn single_cpu_invariant_holds_over_full_run() {
         assert!(
             start_b >= end_a || name_a == name_b,
             "overlapping execution: {name_a} ends {end_a}, {name_b} starts {start_b}"
+        );
+    }
+}
+
+#[test]
+fn dropping_a_cosim_frees_its_game_state() {
+    // The game's tasks hold device clones whose interrupt ports lead
+    // back to the kernel that owns the tasks; the GUI's refresh method
+    // holds the widgets. Teardown must break both cycles.
+    for gui in [
+        Gui::Off,
+        Gui::On {
+            period: SimTime::from_ms(10),
+            cost: rtk_bfm::GuiCost::LIGHT,
+        },
+    ] {
+        let mut cosim = build_cosim(
+            KernelConfig::paper(),
+            GameConfig::default(),
+            PlayerSkill::Perfect,
+            gui,
+        );
+        // Attached to the engine, it lives exactly as long as the kernel.
+        struct KernelProbe;
+        impl sysc::Tracer for KernelProbe {}
+        let tracer = Rc::new(KernelProbe);
+        let kernel = Rc::downgrade(&tracer);
+        cosim.rtos.set_sim_tracer(tracer);
+        cosim.rtos.run_until(SimTime::from_ms(200));
+        let state = Rc::downgrade(&cosim.game().state);
+        drop(cosim);
+        assert!(
+            state.upgrade().is_none(),
+            "{gui:?}: game state outlived its cosim"
+        );
+        assert!(
+            kernel.upgrade().is_none(),
+            "{gui:?}: kernel outlived its cosim"
         );
     }
 }

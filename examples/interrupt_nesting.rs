@@ -45,7 +45,7 @@ fn main() {
     // External hardware raises the two interrupts mid-execution.
     let port = rtos.int_port();
     rtos.sim_handle()
-        .spawn_thread("hardware", SpawnMode::Immediate, move |ctx| {
+        .spawn_thread(SpawnMode::Immediate, move |ctx| {
             ctx.wait_time(SimTime::from_us(1200));
             port.raise(IntNo(0), 0); // low level
             ctx.wait_time(SimTime::from_us(150));

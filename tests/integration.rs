@@ -198,7 +198,7 @@ fn back_to_back_isr_requests_chain_without_losing_the_kernel() {
     });
     let port = rtos.int_port();
     rtos.sim_handle()
-        .spawn_thread("hw", SpawnMode::Immediate, move |ctx| {
+        .spawn_thread(SpawnMode::Immediate, move |ctx| {
             ctx.wait_time(SimTime::from_us(2100));
             port.raise(IntNo(0), 0);
             ctx.wait_time(SimTime::from_us(100)); // first ISR still running
