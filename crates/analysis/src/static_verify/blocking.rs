@@ -24,7 +24,8 @@
 //! For the ceiling/inheritance disciplines the per-resource term is
 //! summed (sound; under pure PCP the single max would do), and every
 //! blocking term is padded with [`PREEMPT_OVERHEAD_US`] for the
-//! context switches a handoff costs.
+//! context switches a handoff costs on hardware (the simulated kernel
+//! charges none, so the pad only makes the bound more pessimistic).
 
 use rtk_core::{LockPolicy, SysModel, TaskModel};
 
@@ -35,7 +36,9 @@ use super::AnalysisOptions;
 pub const UNBOUNDED_US: u64 = u64::MAX / 4;
 
 /// Context-switch padding charged per blocking handoff and per
-/// preempting job: two dispatches at the cost model's 60 µs.
+/// preempting job: two dispatches of about 60 machine cycles on an
+/// 8051-class MCU. The simulated kernel charges no time for a switch, so
+/// the pad is slack the analyzer adds, not a cost it mirrors.
 pub const PREEMPT_OVERHEAD_US: u64 = 120;
 
 /// Longest declared section of `task` on resource `r` (0 if unused).

@@ -12,7 +12,8 @@
 //!
 //! where `hp(i)` are the periodic tasks at least as urgent as `i`,
 //! `B_i` is the blocking bound from [`super::blocking`], and `PREEMPT`
-//! pads each preempting job with two context switches. Release offsets
+//! pads each preempting job with two context switches (which the
+//! simulated kernel does not charge: the pad is slack). Release offsets
 //! are ignored (the critical-instant assumption — offsets can only
 //! reduce interference, so the bound stays sound). The task set is
 //! schedulable iff every measured task's fixpoint converges within its

@@ -74,8 +74,8 @@ impl ReferenceProfile {
 /// * every *unobserved* class is scaled by the geometric-mean-free
 ///   average correction factor of the observed classes (so a uniformly
 ///   2×-slower target slows everything 2×);
-/// * dispatch / tick / interrupt entry+exit costs are scaled by the
-///   same average factor.
+/// * tick / interrupt entry+exit costs are scaled by the same average
+///   factor.
 ///
 /// With an empty profile, returns `base` unchanged.
 pub fn calibrate(base: &CostModel, profile: &ReferenceProfile) -> CostModel {
@@ -120,7 +120,6 @@ pub fn calibrate(base: &CostModel, profile: &ReferenceProfile) -> CostModel {
             out = out.with_service(class, Cost::new(scale(old.time), old.energy));
         }
     }
-    out.dispatch = Cost::new(scale(base.dispatch.time), base.dispatch.energy);
     out.timer_tick = Cost::new(scale(base.timer_tick.time), base.timer_tick.energy);
     out.int_entry = Cost::new(scale(base.int_entry.time), base.int_entry.energy);
     out.int_exit = Cost::new(scale(base.int_exit.time), base.int_exit.energy);
@@ -139,7 +138,7 @@ mod tests {
             out.service(ServiceClass::Semaphore).time,
             base.service(ServiceClass::Semaphore).time
         );
-        assert_eq!(out.dispatch.time, base.dispatch.time);
+        assert_eq!(out.timer_tick.time, base.timer_tick.time);
     }
 
     #[test]
@@ -168,8 +167,8 @@ mod tests {
             out.service(ServiceClass::Mailbox).time,
             base.service(ServiceClass::Mailbox).time * 2
         );
-        assert_eq!(out.dispatch.time, base.dispatch.time * 2);
         assert_eq!(out.timer_tick.time, base.timer_tick.time * 2);
+        assert_eq!(out.int_entry.time, base.int_entry.time * 2);
     }
 
     #[test]

@@ -93,14 +93,10 @@ impl Shared {
             if !st.booted {
                 return;
             }
-            // If the CPU is held at or above the tick's interrupt level,
-            // or another dispatcher is mid-handshake, pend the tick; it
-            // is replayed when the interrupt stack unwinds.
-            let blocked = st.cpu_transfer
-                || st
-                    .current_int_level()
-                    .is_some_and(|l| l >= st.tick_int_level);
-            if blocked {
+            // If a handler frame holds the CPU, or another dispatcher is
+            // mid-handshake, pend the tick; it is replayed when the
+            // interrupt stack unwinds.
+            if st.cpu_transfer || st.current_int_level().is_some() {
                 st.tick_pending = true;
                 return;
             }
@@ -109,17 +105,14 @@ impl Shared {
         self.freeze_occupant(proc);
         let tick_cost = {
             let mut st = self.st.borrow_mut();
-            st.int_stack.push(ThreadRef::Timer);
-            // The timer frame sits above both 8051 interrupt levels
-            // (`tick_int_level` only governs whether the tick may
-            // *enter* over the current CPU holder). External requests
-            // arriving during the tick sequence — including cyclic and
-            // alarm handler activations, whose frames inherit this
-            // level — stay pending until the frame pops; delivering
-            // into the middle of the sequence could catch a handler
-            // between "activation done" and "frame popped", where
-            // nobody answers a freeze handshake.
-            st.int_levels.push(u8::MAX);
+            // The timer frame sits above both 8051 interrupt levels.
+            // External requests arriving during the tick sequence —
+            // including cyclic and alarm handler activations, whose
+            // frames inherit this level — stay pending until the frame
+            // pops; delivering into the middle of the sequence could
+            // catch a handler between "activation done" and "frame
+            // popped", where nobody answers a freeze handshake.
+            st.int_stack.push((ThreadRef::Timer, u8::MAX));
             st.cpu_transfer = false;
             st.ticks += 1;
             st.systim_ms += st.cfg.tick.as_ms().max(1);
@@ -151,24 +144,7 @@ impl Shared {
             // slice clock simply pauses until the window closes.
             if !st.dispatch_masked() && st.scheduler.on_tick(running) && st.running.is_some() {
                 // Requeue at the *tail*: the slice is spent.
-                let now = proc.now();
-                let r = st.running.take().expect("checked above");
-                let tcb = st.tcb_mut(r).expect("running task exists");
-                tcb.state = crate::state::TaskState::Ready;
-                let pri = tcb.cur_pri;
-                st.scheduler.enqueue(r, pri, false);
-                st.observe(crate::obs::ObsEvent::Preempt { tid: r });
-                let rec = st.thread_mut(ThreadRef::Task(r));
-                rec.resume_as = crate::state::ResumeKind::Preempted;
-                rec.marking = ExecContext::Preempted;
-                rec.cpu_granted = false;
-                rec.stats.preemptions += 1;
-                Shared::trace_point(
-                    &mut st,
-                    now,
-                    ThreadRef::Task(r),
-                    crate::trace::TraceKind::Preempt,
-                );
+                Shared::demote_running(&mut st, proc.now(), false);
             }
         }
         // Expire timer-queue entries due at this tick (drained from the
@@ -178,8 +154,7 @@ impl Shared {
             let action = self.st.borrow_mut().pop_due_timer();
             let Some(action) = action else { break };
             match action {
-                TimerAction::TaskTimeout { tid, wait_gen }
-                | TimerAction::DelayEnd { tid, wait_gen } => {
+                TimerAction::TaskTimeout { tid, wait_gen } => {
                     let mut st = self.st.borrow_mut();
                     let valid = st
                         .tcb(tid)
@@ -217,8 +192,7 @@ impl Shared {
         {
             let mut st = self.st.borrow_mut();
             let top = st.int_stack.pop();
-            st.int_levels.pop();
-            debug_assert_eq!(top, Some(ThreadRef::Timer));
+            debug_assert_eq!(top, Some((ThreadRef::Timer, u8::MAX)));
             let rec = st.thread_mut(ThreadRef::Timer);
             rec.marking = ExecContext::Dormant;
             rec.parked = true;
@@ -289,8 +263,7 @@ impl Shared {
         if !st.threads.contains(who) {
             return None;
         }
-        st.int_stack.push(who);
-        st.int_levels.push(req.level);
+        st.int_stack.push((who, req.level));
         let rec = st.thread_mut(who);
         rec.parked = false;
         rec.marking = ExecContext::Handler;
@@ -320,7 +293,7 @@ impl Shared {
                     Some(ev) => Next::Activate(ev),
                     None => Next::Dispatch,
                 }
-            } else if let Some(&lower) = st.int_stack.last() {
+            } else if let Some(&(lower, _)) = st.int_stack.last() {
                 let rec = st.thread_mut(lower);
                 rec.cpu_granted = true;
                 Next::ResumeLower(rec.resume_ev)

@@ -47,7 +47,7 @@ impl KernelConfig {
     }
 
     /// Zero-cost configuration for semantics-focused tests: 1 ms tick but
-    /// free service calls, dispatches and boot.
+    /// free service calls, ticks, interrupt entry/exit and boot.
     pub fn zero_cost() -> Self {
         KernelConfig {
             cost: CostModel::zero(),
@@ -86,14 +86,14 @@ mod tests {
         let c = KernelConfig::paper();
         assert_eq!(c.tick, SimTime::from_ms(1));
         assert_eq!(c.max_priority, 140);
-        assert!(!c.cost.dispatch.is_zero());
+        assert!(!c.cost.timer_tick.is_zero());
     }
 
     #[test]
     fn zero_cost_is_free_but_keeps_tick() {
         let c = KernelConfig::zero_cost();
         assert_eq!(c.tick, SimTime::from_ms(1));
-        assert!(c.cost.dispatch.is_zero());
+        assert!(c.cost.timer_tick.is_zero());
         assert!(c.boot_cost.is_zero());
     }
 

@@ -299,21 +299,20 @@ impl ServiceClass {
     ];
 }
 
-/// The execution-time / energy model: per-service-class costs, context
-/// switch cost, timer-tick cost, and the core's active/idle power.
+/// The execution-time / energy model: per-service-class costs, the
+/// timer-tick and interrupt entry/exit costs, and the core's
+/// active/idle power. A context switch costs nothing: the kernel charges
+/// no time for a dispatch.
 ///
 /// Defaults are calibrated to a 1-MIPS 8051-class MCU (12 MHz oscillator,
 /// 1 µs machine cycle) running a compact RTOS: a service call costs a few
-/// dozen machine cycles, a context switch ~60 cycles, the tick handler
-/// ~40 cycles. These are estimates, exactly as the paper's annotations
-/// were; calibration against an ISS would refine them (the paper's
-/// stated future work).
+/// dozen machine cycles, the tick handler ~40 cycles. These are
+/// estimates, exactly as the paper's annotations were; calibration
+/// against an ISS would refine them (the paper's stated future work).
 #[derive(Debug, Clone)]
 pub struct CostModel {
     /// Cost of one service call, indexed by `ServiceClass as usize`.
     service_costs: [Cost; ServiceClass::ALL.len()],
-    /// Cost of a task dispatch (context switch).
-    pub dispatch: Cost,
     /// Cost of the per-tick timer handler work.
     pub timer_tick: Cost,
     /// Cost of interrupt entry (vectoring + prologue).
@@ -346,7 +345,6 @@ impl CostModel {
         };
         CostModel {
             service_costs: ServiceClass::ALL.map(|class| Cost::time(us(cycles(class)))),
-            dispatch: Cost::time(us(60)),
             timer_tick: Cost::time(us(40)),
             int_entry: Cost::time(us(12)),
             int_exit: Cost::time(us(8)),
@@ -360,7 +358,6 @@ impl CostModel {
     pub fn zero() -> Self {
         CostModel {
             service_costs: [Cost::ZERO; ServiceClass::ALL.len()],
-            dispatch: Cost::ZERO,
             timer_tick: Cost::ZERO,
             int_entry: Cost::ZERO,
             int_exit: Cost::ZERO,
@@ -450,7 +447,7 @@ mod tests {
     fn default_model_has_costs() {
         let m = CostModel::default();
         assert!(!m.service(ServiceClass::Semaphore).is_zero());
-        assert!(!m.dispatch.is_zero());
+        assert!(!m.timer_tick.is_zero());
         assert_eq!(m.active_power, Power::from_mw(30));
     }
 
@@ -458,7 +455,7 @@ mod tests {
     fn zero_model_is_free() {
         let m = CostModel::zero();
         assert!(m.service(ServiceClass::Task).is_zero());
-        assert!(m.dispatch.is_zero());
+        assert!(m.timer_tick.is_zero());
         assert_eq!(m.active_power, Power::ZERO);
     }
 

@@ -465,7 +465,6 @@ impl Shared {
                 held_mutexes: Vec::new(),
                 body: Rc::new(RefCell::new(body)),
                 stacd: 0,
-                preempted: false,
                 activations: 0,
             }));
             st.observe(crate::obs::ObsEvent::TaskCreate { tid, pri });
@@ -491,7 +490,6 @@ impl Shared {
         tcb.stacd = stacd;
         tcb.state = TaskState::Ready;
         tcb.cur_pri = tcb.base_pri;
-        tcb.preempted = false;
         tcb.activations += 1;
         let pri = tcb.cur_pri;
         st.observe(crate::obs::ObsEvent::TaskStart { tid });
@@ -570,7 +568,6 @@ impl Shared {
             tcb.wupcnt = 0;
             tcb.suscnt = 0;
             tcb.wait = None;
-            tcb.preempted = false;
             debug_assert_eq!(st.running, Some(tid), "only the running task can exit");
             st.running = None;
             let rec = st.thread_mut(who);
@@ -579,7 +576,7 @@ impl Shared {
             rec.proc = None;
             rec.parked = true;
             rec.cpu_granted = false;
-            let frozen_ev = rec.ctrl_pending.take().map(|_| rec.frozen_ev);
+            let frozen_ev = std::mem::take(&mut rec.ctrl_pending).then_some(rec.frozen_ev);
             Shared::trace_point(&mut st, now, who, TraceKind::Exit);
             if delete {
                 st.observe(crate::obs::ObsEvent::TaskDelete { tid });
@@ -649,11 +646,10 @@ impl Shared {
             tcb.wupcnt = 0;
             tcb.suscnt = 0;
             tcb.wait = None;
-            tcb.preempted = false;
             let rec = st.thread_mut(who);
             rec.marking = ExecContext::Dormant;
             rec.stats.cycles += 1;
-            rec.ctrl_pending = None;
+            rec.ctrl_pending = false;
             rec.parked = true;
             rec.cpu_granted = false;
             let proc = rec.proc.take();

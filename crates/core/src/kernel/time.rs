@@ -349,8 +349,7 @@ impl Shared {
             // (implicit tk_ret_int).
             let rerun = {
                 let mut st = self.st.borrow_mut();
-                let top = st.int_stack.pop();
-                st.int_levels.pop();
+                let top = st.int_stack.pop().map(|(top, _)| top);
                 debug_assert_eq!(top, Some(who), "ISR must be top of the SIM_Stack");
                 let rec = st.thread_mut(who);
                 rec.parked = true;
@@ -447,9 +446,8 @@ fn run_timer_handler(shared: &Rc<Shared>, proc: &mut ProcCtx, who: ThreadRef) {
         if !st.threads.contains(who) {
             return;
         }
-        let lvl = *st.int_levels.last().expect("inside the timer frame");
-        st.int_stack.push(who);
-        st.int_levels.push(lvl);
+        let lvl = st.current_int_level().expect("inside the timer frame");
+        st.int_stack.push((who, lvl));
         let rec = st.thread_mut(who);
         rec.parked = false;
         rec.marking = ExecContext::Handler;
@@ -459,8 +457,7 @@ fn run_timer_handler(shared: &Rc<Shared>, proc: &mut ProcCtx, who: ThreadRef) {
     shared.h.notify(activate);
     proc.wait_event(done);
     let mut st = shared.st.borrow_mut();
-    let top = st.int_stack.pop();
-    st.int_levels.pop();
+    let top = st.int_stack.pop().map(|(top, _)| top);
     debug_assert_eq!(top, Some(who));
     st.thread_mut(who).parked = true;
 }

@@ -3,7 +3,8 @@
 //!
 //! The paper's SIM_API keeps a thread hash table (`SIM_HashTB`, here
 //! `KernelState::threads`), a stack for nested interrupts (`SIM_Stack`,
-//! here `KernelState::int_stack`), and provides the programming
+//! here `KernelState::int_stack`, one `(thread, level)` frame per
+//! active handler), and provides the programming
 //! constructs used by kernel simulation models. The paper's table is a
 //! hash so that `SIM_Wait`, `SIM_Dispatch` and the freeze handshake
 //! find their thread in constant time; here it is dense instead: one
@@ -27,7 +28,7 @@
 //! instant. Two mechanisms guarantee this:
 //!
 //! * **Freeze handshake.** To take the CPU from the executing occupant, a
-//!   dispatcher sets the occupant's `ctrl_pending` flag, notifies its
+//!   dispatcher sets the occupant's `ctrl_pending` bit, notifies its
 //!   `ctrl_ev` and waits on `frozen_ev`. The occupant — woken mid-slice
 //!   from the interruptible wait inside `Shared::sim_wait`, or on
 //!   reaching its next preemption point — accounts the time actually
@@ -55,8 +56,8 @@ use crate::cost::{Cost, Energy};
 use crate::error::ErCode;
 use crate::ids::{TaskId, ThreadRef};
 use crate::state::{
-    CtrlRequest, Delivered, KernelState, ResumeKind, Shared, TThreadRec, TaskState, Timeout,
-    TimerAction, WaitObj,
+    Delivered, KernelState, ResumeKind, Shared, TThreadRec, TaskState, Timeout, TimerAction,
+    WaitObj,
 };
 use crate::trace::{TraceKind, TraceRecord};
 use crate::tthread::{ExecContext, TThreadEvent, TThreadKind};
@@ -177,7 +178,7 @@ impl Shared {
                 let now = proc.now();
                 let active = st.cfg.cost.active_power;
                 let rec = st.thread_mut(who);
-                if rec.ctrl_pending.take().is_some() {
+                if std::mem::take(&mut rec.ctrl_pending) {
                     Prep::Frozen(Self::freeze_ack(&mut st, now, who))
                 } else if remaining.is_zero() {
                     Prep::Done
@@ -290,7 +291,7 @@ impl Shared {
                 let mut st = self.st.borrow_mut();
                 let now = proc.now();
                 let rec = st.thread_mut(who);
-                if rec.ctrl_pending.take().is_some() {
+                if std::mem::take(&mut rec.ctrl_pending) {
                     Some(Self::freeze_ack(&mut st, now, who))
                 } else {
                     None
@@ -345,11 +346,8 @@ impl Shared {
                 rec.cpu_granted = false;
                 (occ, None)
             } else {
-                debug_assert!(
-                    rec.ctrl_pending.is_none(),
-                    "freeze already pending against {occ}"
-                );
-                rec.ctrl_pending = Some(CtrlRequest);
+                debug_assert!(!rec.ctrl_pending, "freeze already pending against {occ}");
+                rec.ctrl_pending = true;
                 (occ, Some((rec.ctrl_ev, rec.frozen_ev)))
             }
         };
@@ -390,7 +388,7 @@ impl Shared {
             Some(r) => {
                 let r_pri = st.tcb(r).expect("running task exists").cur_pri;
                 if !st.dispatch_masked() && st.scheduler.should_preempt(r_pri) {
-                    Self::demote_running(st, now);
+                    Self::demote_running(st, now, true);
                     Some(Self::start_next(st, now))
                 } else {
                     // The (frozen) running task keeps the CPU: re-grant.
@@ -414,15 +412,15 @@ impl Shared {
         }
     }
 
-    /// Demotes the (parked) running task to ready-at-head, recording the
-    /// preemption.
-    pub(crate) fn demote_running(st: &mut KernelState, now: SimTime) {
+    /// Demotes the (parked) running task to ready, recording the
+    /// preemption. A preempted task re-enters at the head of its level
+    /// (`at_head`); one whose time slice is spent, at the tail.
+    pub(crate) fn demote_running(st: &mut KernelState, now: SimTime, at_head: bool) {
         let r = st.running.take().expect("a running task to demote");
         let tcb = st.tcb_mut(r).expect("running task exists");
         tcb.state = TaskState::Ready;
-        tcb.preempted = true;
         let pri = tcb.cur_pri;
-        st.scheduler.enqueue(r, pri, true);
+        st.scheduler.enqueue(r, pri, at_head);
         st.observe(crate::obs::ObsEvent::Preempt { tid: r });
         let rec = st.thread_mut(ThreadRef::Task(r));
         rec.resume_as = ResumeKind::Preempted;
@@ -438,7 +436,6 @@ impl Shared {
         let next = st.scheduler.pop().expect("caller checked non-empty");
         let tcb = st.tcb_mut(next).expect("ready task exists");
         tcb.state = TaskState::Running;
-        tcb.preempted = false;
         let pri = tcb.cur_pri;
         st.running = Some(next);
         st.observe(crate::obs::ObsEvent::Dispatch { tid: next, pri });
@@ -479,7 +476,7 @@ impl Shared {
             } else {
                 let my_pri = st.tcb(tid).expect("current task exists").cur_pri;
                 if st.scheduler.should_preempt(my_pri) {
-                    Self::demote_running(&mut st, now);
+                    Self::demote_running(&mut st, now, true);
                     let rec = st.thread_mut(who);
                     rec.parked = true;
                     Some(Self::start_next(&mut st, now))
@@ -527,11 +524,7 @@ impl Shared {
             if let Timeout::Finite(d) = timeout {
                 let deadline = st.deadline_ticks(d);
                 deadline_tick = Some(deadline);
-                let action = match waitobj {
-                    WaitObj::Delay => TimerAction::DelayEnd { tid, wait_gen },
-                    _ => TimerAction::TaskTimeout { tid, wait_gen },
-                };
-                st.push_timer(deadline, action);
+                st.push_timer(deadline, TimerAction::TaskTimeout { tid, wait_gen });
             }
             st.observe(crate::obs::ObsEvent::Block {
                 tid,
@@ -551,9 +544,10 @@ impl Shared {
             // decision — we only acknowledge (notify `frozen_ev`) and
             // park. Otherwise hand the CPU to the next ready task.
             let rec = st.thread_mut(who);
-            let wake = match rec.ctrl_pending.take() {
-                Some(CtrlRequest) => Some(rec.frozen_ev),
-                None => Self::pick_and_switch(&mut st, now),
+            let wake = if std::mem::take(&mut rec.ctrl_pending) {
+                Some(rec.frozen_ev)
+            } else {
+                Self::pick_and_switch(&mut st, now)
             };
             Self::update_idle(&mut st, now);
             wake

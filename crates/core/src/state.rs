@@ -210,10 +210,6 @@ pub(crate) enum ResumeKind {
     Interrupted,
 }
 
-/// A pending freeze request against the running T-THREAD.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct CtrlRequest;
-
 /// Control record of one T-THREAD in the SIM_HashTB.
 pub(crate) struct TThreadRec {
     pub who: ThreadRef,
@@ -233,8 +229,8 @@ pub(crate) struct TThreadRec {
     pub activate_ev: EventId,
     /// Handlers: notified when one activation completes.
     pub done_ev: EventId,
-    /// Outstanding freeze request.
-    pub ctrl_pending: Option<CtrlRequest>,
+    /// A freeze request is outstanding against this thread.
+    pub ctrl_pending: bool,
     /// What to record when `resume_ev` next fires.
     pub resume_as: ResumeKind,
     /// `true` while the thread is parked (not consuming CPU). A parked
@@ -340,7 +336,7 @@ impl TThreadRec {
             frozen_ev: h.create_event(),
             activate_ev: h.create_event(),
             done_ev: h.create_event(),
-            ctrl_pending: None,
+            ctrl_pending: false,
             resume_as: ResumeKind::Start,
             parked: true,
             cpu_granted: false,
@@ -376,9 +372,6 @@ pub(crate) struct Tcb {
     pub body: Rc<RefCell<Box<TaskBody>>>,
     /// Start code of the current activation.
     pub stacd: i32,
-    /// `true` if the task is in the ready queue because it was preempted
-    /// (it re-enters at the head of its priority level).
-    pub preempted: bool,
     /// Total number of activations.
     pub activations: u64,
 }
@@ -386,10 +379,9 @@ pub(crate) struct Tcb {
 /// An entry in the kernel's tick-driven timer queue.
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) enum TimerAction {
-    /// Wait timeout of a task (with wait generation).
+    /// Wait timeout of a task, or the end of a `tk_dly_tsk` delay
+    /// (guarded by the wait generation).
     TaskTimeout { tid: TaskId, wait_gen: u64 },
-    /// Wake a `tk_dly_tsk` delay (also guarded by generation).
-    DelayEnd { tid: TaskId, wait_gen: u64 },
     /// Fire a cyclic handler (with activation generation).
     CyclicFire { id: CycId, gen: u64 },
     /// Fire an alarm handler (with activation generation).
@@ -418,12 +410,10 @@ pub(crate) struct KernelState {
     pub tasks: ObjTable<Tcb>,
     pub scheduler: Box<dyn Scheduler>,
     pub running: Option<TaskId>,
-    /// SIM_Stack: nested handler contexts; the top (last) entry owns the
-    /// CPU when non-empty.
-    pub int_stack: Vec<ThreadRef>,
-    /// Priority level of each active handler frame (parallel to
-    /// `int_stack`; the timer frame is level `u8::MAX`).
-    pub int_levels: Vec<u8>,
+    /// SIM_Stack: nested handler frames, each a handler and its
+    /// priority level (the timer frame is level `u8::MAX`); the top
+    /// (last) frame owns the CPU when non-empty.
+    pub int_stack: Vec<(ThreadRef, u8)>,
     pub pending_ints: VecDeque<IntRequest>,
     pub cpu_locked: bool,
     pub dispatch_disabled: bool,
@@ -431,14 +421,13 @@ pub(crate) struct KernelState {
     pub tick_ev: Option<EventId>,
     /// The interrupt-request event that wakes Interrupt Dispatch.
     pub int_req_ev: Option<EventId>,
-    /// A tick fired while the CPU was not preemptible by the tick level;
-    /// it is replayed when the interrupt stack unwinds.
+    /// A tick fired while a handler frame was active (or another
+    /// dispatcher was mid-handshake); it is replayed when the interrupt
+    /// stack unwinds.
     pub tick_pending: bool,
     /// A dispatcher is mid-handshake taking the CPU; other dispatchers
     /// must defer until the new frame is mounted.
     pub cpu_transfer: bool,
-    /// Interrupt level of the system tick (8051 default: low level 0).
-    pub tick_int_level: u8,
     pub sems: ObjTable<crate::kernel::sem::Sem>,
     pub flags: ObjTable<crate::kernel::flag::Flag>,
     pub mbxs: ObjTable<crate::kernel::mbx::Mbx>,
@@ -487,7 +476,6 @@ impl KernelState {
             scheduler,
             running: None,
             int_stack: Vec::new(),
-            int_levels: Vec::new(),
             pending_ints: VecDeque::new(),
             cpu_locked: false,
             dispatch_disabled: false,
@@ -495,7 +483,6 @@ impl KernelState {
             int_req_ev: None,
             tick_pending: false,
             cpu_transfer: false,
-            tick_int_level: 0,
             sems: ObjTable::default(),
             flags: ObjTable::default(),
             mbxs: ObjTable::default(),
@@ -524,14 +511,14 @@ impl KernelState {
     pub(crate) fn occupant(&self) -> Option<ThreadRef> {
         self.int_stack
             .last()
-            .copied()
+            .map(|&(who, _)| who)
             .or(self.running.map(ThreadRef::Task))
     }
 
     /// Priority level of the CPU's current interrupt frame (None when no
     /// handler is active).
     pub(crate) fn current_int_level(&self) -> Option<u8> {
-        self.int_levels.last().copied()
+        self.int_stack.last().map(|&(_, level)| level)
     }
 
     /// `true` while task dispatching is masked: the `tk_dis_dsp` and
@@ -660,7 +647,7 @@ mod tests {
             KernelConfig::zero_cost(),
             Box::new(crate::sim_api::scheduler::PriorityScheduler::new(16)),
         );
-        let act = |n: u32| TimerAction::DelayEnd {
+        let act = |n: u32| TimerAction::TaskTimeout {
             tid: TaskId(n),
             wait_gen: 0,
         };

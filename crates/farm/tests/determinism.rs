@@ -206,26 +206,30 @@ fn oracle_campaign_digest_matches_golden() {
 }
 
 /// States, transitions and state hash of every explore family with
-/// partial-order reduction on (the default config).
+/// partial-order reduction on (the default config), and of the two
+/// families whose counts change with it off.
 #[test]
 fn explore_reports_match_goldens() {
     let goldens = [
-        (Family::Mtx, 339, 368, 0x8ce0_4cab_dd0c_1150),
-        (Family::Irq, 1032, 1450, 0xbaa8_38d9_bcbe_a5cf),
-        (Family::Chain, 44, 43, 0xb2e0_83bd_88ca_d553),
-        (Family::Deadlock, 8, 7, 0xd906_bf62_a104_bc2c),
+        (Family::Mtx, true, 339, 368, 0x8ce0_4cab_dd0c_1150),
+        (Family::Irq, true, 1032, 1450, 0xbaa8_38d9_bcbe_a5cf),
+        (Family::Chain, true, 44, 43, 0xb2e0_83bd_88ca_d553),
+        (Family::Deadlock, true, 8, 7, 0xd906_bf62_a104_bc2c),
+        (Family::Mtx, false, 363, 403, 0xa78e_be56_6974_272a),
+        (Family::Irq, false, 1049, 1486, 0xcc41_c0b6_18b3_e22b),
     ];
-    for (family, states, transitions, hash) in goldens {
+    for (family, por, states, transitions, hash) in goldens {
         let cfg = ExploreConfig {
             family,
+            por,
             ..ExploreConfig::default()
         };
         let r = run_exploration(&cfg, Runtime::default()).report;
-        assert!(r.por && !r.truncated, "{family}");
+        assert!(r.por == por && !r.truncated, "{family} por={por}");
         assert_eq!(
             (r.states, r.transitions, r.state_hash),
             (states, transitions, hash),
-            "{family}"
+            "{family} por={por}"
         );
     }
 }

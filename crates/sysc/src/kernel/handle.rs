@@ -5,12 +5,12 @@ use std::rc::Rc;
 
 use crate::ids::{EventId, ProcId};
 use crate::runtime::coro::{CoroShared, Terminal};
-use crate::runtime::{reply_from_panic, Cmd, Reply, WaitSpec};
+use crate::runtime::{panic_of, WaitSpec};
 use crate::signal::UpdateTarget;
 use crate::time::SimTime;
 use crate::trace::KernelStats;
 
-use super::procs::{MethodCallback, ProcBody, ProcEntry, ProcState, WaitKind};
+use super::procs::{MethodCallback, ProcBody, ProcEntry, ProcState};
 use super::sched::{EventEntry, Pending};
 use super::{Kernel, ProcCtx, SpawnMode};
 
@@ -129,7 +129,6 @@ impl SimHandle {
                 let gen = {
                     let pe = st.procs.get_mut(id);
                     pe.state = ProcState::Waiting;
-                    pe.wait_kind = WaitKind::Event;
                     pe.wait_gen += 1;
                     pe.wait_gen
                 };
@@ -154,7 +153,7 @@ impl SimHandle {
     {
         self.spawn_thread(SpawnMode::WaitEvent(activation), move |ctx| loop {
             body(ctx);
-            if ctx.wait(WaitSpec::Event(activation)).is_none() {
+            if !ctx.wait(WaitSpec::Event(activation)) {
                 return;
             }
         })
@@ -212,9 +211,9 @@ impl SimHandle {
         };
         match victim {
             Victim::Thread(s) => {
-                // Return or cooperative unwind; reply is Finished (or
-                // Panicked from a misbehaving Drop, which we surface).
-                if let Reply::Panicked(payload) = s.resume(Cmd::Terminate) {
+                // Return or cooperative unwind; a panic from a
+                // misbehaving Drop comes back, and we surface it.
+                if let Some(payload) = s.terminate() {
                     panic::resume_unwind(payload)
                 }
             }
@@ -233,8 +232,8 @@ impl SimHandle {
 
 /// Parks a spawned process body in its coroutine until first dispatch.
 ///
-/// The wrapper's lifetime: first command → body under `catch_unwind` →
-/// finish path (reply through the terminate handshake when a
+/// The wrapper's lifetime: first dispatch → body under `catch_unwind`
+/// → finish path (back through the terminate handshake when a
 /// kill/teardown is waiting, chained finish bookkeeping otherwise). It
 /// **returns** the final transfer as a [`Terminal`] instead of
 /// performing it, so the last context switch executes after the wrapper
@@ -246,12 +245,8 @@ where
 {
     let shared2 = Rc::clone(shared);
     shared.set_entry(Box::new(move || -> Terminal {
-        if let Cmd::Terminate = shared2.await_cmd() {
-            // Unreachable in practice (a terminate before first
-            // activation short-circuits in `resume` without starting
-            // the coroutine); answered all the same.
-            return Terminal::Link(Reply::Finished);
-        }
+        // A terminate before first dispatch drops this job unrun
+        // (`CoroShared::terminate`), so the body always starts.
         let k = Rc::clone(&handle.k);
         let mut ctx = ProcCtx {
             handle,
@@ -260,16 +255,13 @@ where
         };
         let result = panic::catch_unwind(panic::AssertUnwindSafe(|| body(&mut ctx)));
         drop(ctx);
-        let reply = match result {
-            Ok(()) => Reply::Finished,
-            Err(p) => reply_from_panic(p),
-        };
+        let panic = panic_of(result);
         if shared2.is_terminating() {
             // kill()/teardown regain control through the link.
-            Terminal::Link(reply)
+            Terminal::Link(panic)
         } else {
-            match super::sched::finish_step(&k, id, reply) {
-                Some((next, reason)) => Terminal::Post(next, reason),
+            match super::sched::finish_step(&k, id, panic) {
+                Some(next) => Terminal::Post(next),
                 None => Terminal::Gate,
             }
         }

@@ -14,8 +14,8 @@
 //! # Ending a thread process
 //!
 //! A kill ([`SimHandle::kill`]) or teardown (dropping the
-//! [`Simulation`]) sends the process a terminate command, which its
-//! pending wait receives. An activation loop
+//! [`Simulation`]) marks the process terminating and switches into it,
+//! so its pending wait returns and sees the mark. An activation loop
 //! ([`SimHandle::spawn_loop`]) parked on its activation holds nothing
 //! of its body, so it ends by return. Every other wait unwinds the
 //! body, so that the `Drop` of whatever it owns across the wait runs: a
@@ -34,7 +34,7 @@ use std::rc::Rc;
 
 use crate::ids::{EventId, ProcId};
 use crate::runtime::coro::{CoroRt, CoroShared};
-use crate::runtime::{raise_terminate, Cmd, WaitSpec, WakeReason};
+use crate::runtime::{raise_terminate, WaitSpec};
 use crate::time::SimTime;
 use crate::trace::{KernelStats, Tracer};
 
@@ -208,8 +208,8 @@ impl Simulation {
 impl Drop for Simulation {
     fn drop(&mut self) {
         // Terminate every live thread process. The terminate handshake
-        // is synchronous (the reply arrives only after the body has
-        // returned or unwound, see the module docs), and the stacks
+        // is synchronous (it returns only after the body has returned
+        // or unwound, see the module docs), and the stacks
         // return to the stack pool on their own — there is nothing to
         // join. Method callbacks come out of the table too: one that
         // holds a `SimHandle` (directly or through a device model)
@@ -231,10 +231,9 @@ impl Drop for Simulation {
             }
         }
         for s in shareds {
-            // The reply is Finished (return or cooperative unwind) or
-            // Panicked if a Drop impl inside the process misbehaved;
-            // either way we are tearing down and must not panic here.
-            let _ = s.resume(Cmd::Terminate);
+            // A panic comes back if a Drop impl inside the process
+            // misbehaved; we are tearing down and must not panic here.
+            let _ = s.terminate();
         }
         // Dropped outside the state borrow, like a killed method's: the
         // `Drop` of a captured value may use the simulation.
@@ -274,25 +273,24 @@ impl ProcCtx {
         &self.handle
     }
 
-    /// Waits for `spec`; `None` means a kill or teardown ended the wait.
-    fn wait(&mut self, spec: WaitSpec) -> Option<WakeReason> {
+    /// Waits for `spec`; `false` means a kill or teardown ended the
+    /// wait.
+    fn wait(&mut self, spec: WaitSpec) -> bool {
         // Register the wait and chain-dispatch the next runnable under
         // one kernel-state borrow — or get the wait served in place from
         // the fast-forward run budget. Control comes back here when
-        // this process is next dispatched, with its command stored.
-        match sched::yield_from_process(&self.handle.k, self.id, spec) {
-            Some(reason) => Some(reason),
-            None => match self.shared.await_cmd() {
-                Cmd::Run(reason) => Some(reason),
-                Cmd::Terminate => None,
-            },
-        }
+        // this process is next dispatched, or when a terminate
+        // handshake switches in.
+        sched::yield_from_process(&self.handle.k, self.id, spec);
+        !self.shared.is_terminating()
     }
 
     /// Waits for `spec`, unwinding the body if a kill or teardown ends
     /// the wait.
-    fn suspend(&mut self, spec: WaitSpec) -> WakeReason {
-        self.wait(spec).unwrap_or_else(|| raise_terminate())
+    fn suspend(&mut self, spec: WaitSpec) {
+        if !self.wait(spec) {
+            raise_terminate()
+        }
     }
 
     /// Suspends for a duration of simulated time. A zero duration waits
@@ -319,10 +317,11 @@ impl ProcCtx {
     /// cannot fire without some other activity running first — is
     /// served from the fast-forward run budget without suspending.
     pub fn wait_event_timeout(&mut self, e: EventId, timeout: SimTime) -> WaitOutcome {
-        match self.suspend(WaitSpec::EventTimeout(e, timeout)) {
-            WakeReason::Fired => WaitOutcome::Fired,
-            WakeReason::TimedOut => WaitOutcome::TimedOut,
-            other => unreachable!("unexpected wake reason {other:?} for event-timeout wait"),
+        self.suspend(WaitSpec::EventTimeout(e, timeout));
+        if self.handle.k.st.borrow().procs.get(self.id).timed_out {
+            WaitOutcome::TimedOut
+        } else {
+            WaitOutcome::Fired
         }
     }
 

@@ -9,17 +9,6 @@ use std::rc::Rc;
 
 use crate::ids::ProcId;
 use crate::runtime::coro::CoroShared;
-use crate::runtime::WakeReason;
-
-/// What a process is currently waiting for (bookkeeping for wake-ups).
-#[derive(Debug)]
-pub(crate) enum WaitKind {
-    None,
-    Time,
-    Event,
-    EventTimeout,
-    Yield,
-}
 
 /// A boxed method-process callback.
 pub(crate) type MethodCallback = Box<dyn FnMut()>;
@@ -49,11 +38,13 @@ pub(crate) enum ProcState {
 pub(crate) struct ProcEntry {
     pub(crate) body: ProcBody,
     pub(crate) state: ProcState,
-    pub(crate) wait_kind: WaitKind,
     /// Bumped on every registration and wake; stale registrations carry
     /// an older generation and are ignored.
     pub(crate) wait_gen: u64,
-    pub(crate) pending_reason: WakeReason,
+    /// How the last wait ended: `true` when its deadline passed (a
+    /// timed-queue wake or the fast-forward budget), `false` when an
+    /// event or the next delta woke it. Read by `wait_event_timeout`.
+    pub(crate) timed_out: bool,
 }
 
 impl ProcEntry {
@@ -61,9 +52,8 @@ impl ProcEntry {
         ProcEntry {
             body,
             state: ProcState::Ready,
-            wait_kind: WaitKind::None,
             wait_gen: 0,
-            pending_reason: WakeReason::Start,
+            timed_out: false,
         }
     }
 
@@ -71,7 +61,6 @@ impl ProcEntry {
     pub(crate) fn finish(&mut self) {
         self.state = ProcState::Finished;
         self.wait_gen += 1;
-        self.wait_kind = WaitKind::None;
     }
 }
 

@@ -53,11 +53,11 @@ use std::rc::Rc;
 
 use crate::ids::{EventId, ProcId};
 use crate::runtime::coro::CoroShared;
-use crate::runtime::{Cmd, Reply, WaitSpec, WakeReason};
+use crate::runtime::{Panic, WaitSpec};
 use crate::time::SimTime;
 use crate::trace::{KernelStats, Tracer};
 
-use super::procs::{MethodCallback, ProcBody, ProcState, ProcTable, WaitKind};
+use super::procs::{MethodCallback, ProcBody, ProcState, ProcTable};
 use super::timed_queue::{TimedEntry, TimedQueue};
 use super::{DeltaQueues, Kernel, RunOutcome, CURRENT_NONE};
 
@@ -129,7 +129,7 @@ pub(crate) struct KState {
     pub(crate) deltas_this_step: u64,
     /// A process-body panic caught inside a coroutine, to be re-raised
     /// by the kernel root when the gate hands control back.
-    pub(crate) pending_panic: Option<Box<dyn std::any::Any + Send>>,
+    pub(crate) pending_panic: Option<Panic>,
     /// Reused buffer of due timed-queue entries (advance-time phase).
     due: Vec<TimedEntry<TimedAction>>,
 }
@@ -154,14 +154,13 @@ impl KState {
         }
     }
 
-    /// Makes a waiting process runnable with the given wake reason and
-    /// invalidates its other registrations.
-    pub(crate) fn wake(&mut self, p: ProcId, reason: WakeReason) {
+    /// Makes a waiting process runnable, recording whether its deadline
+    /// ended the wait, and invalidates its other registrations.
+    pub(crate) fn wake(&mut self, p: ProcId, timed_out: bool) {
         let e = self.procs.get_mut(p);
         debug_assert_eq!(e.state, ProcState::Waiting);
         e.wait_gen += 1;
-        e.wait_kind = WaitKind::None;
-        e.pending_reason = reason;
+        e.timed_out = timed_out;
         e.state = ProcState::Ready;
         self.dq.runnable.push_back(p);
     }
@@ -194,7 +193,7 @@ impl KState {
             let (p, gen) = self.events[id.index()].waiters[i];
             let entry = self.procs.get(p);
             if entry.wait_gen == gen && entry.state == ProcState::Waiting {
-                self.wake(p, WakeReason::Fired);
+                self.wake(p, false);
             }
         }
         self.events[id.index()].waiters.clear();
@@ -225,23 +224,15 @@ impl KState {
             e.wait_gen
         };
         match spec {
-            WaitSpec::Time(d) if d.is_zero() => {
-                self.procs.get_mut(p).wait_kind = WaitKind::Yield;
-                self.dq.next_delta_runnable.push_back(p);
-            }
+            WaitSpec::Time(d) if d.is_zero() => self.dq.next_delta_runnable.push_back(p),
             WaitSpec::Time(d) => {
-                self.procs.get_mut(p).wait_kind = WaitKind::Time;
                 self.timed.insert(
                     now.saturating_add(d).as_ps(),
                     TimedAction::WakeProc { proc: p, gen },
                 );
             }
-            WaitSpec::Event(e) => {
-                self.procs.get_mut(p).wait_kind = WaitKind::Event;
-                self.events[e.index()].waiters.push((p, gen));
-            }
+            WaitSpec::Event(e) => self.events[e.index()].waiters.push((p, gen)),
             WaitSpec::EventTimeout(e, d) => {
-                self.procs.get_mut(p).wait_kind = WaitKind::EventTimeout;
                 self.events[e.index()].waiters.push((p, gen));
                 self.timed.insert(
                     now.saturating_add(d).as_ps(),
@@ -351,7 +342,7 @@ impl KState {
 /// What the phase loop decided must happen next.
 pub(crate) enum NextStep {
     /// Hand control to this thread process.
-    Thread(Rc<CoroShared>, WakeReason),
+    Thread(Rc<CoroShared>),
     /// Run this method callback, moved out of the process table until
     /// it returns (kernel root only).
     Method(ProcId, MethodCallback),
@@ -392,7 +383,7 @@ pub(crate) fn next_step(st: &mut KState, from_process: bool) -> NextStep {
         // ---- Evaluate phase: pop the next runnable process ------------
         while let Some(pid) = st.dq.runnable.pop_front() {
             enum Picked {
-                Thread(Rc<CoroShared>, WakeReason),
+                Thread(Rc<CoroShared>),
                 Method(MethodCallback),
                 Defer,
                 Skip,
@@ -403,8 +394,7 @@ pub(crate) fn next_step(st: &mut KState, from_process: bool) -> NextStep {
                     (_, ProcState::Finished) => Picked::Skip,
                     (ProcBody::Thread { shared }, ProcState::Ready) => {
                         entry.state = ProcState::Running;
-                        let reason = entry.pending_reason;
-                        Picked::Thread(Rc::clone(shared), reason)
+                        Picked::Thread(Rc::clone(shared))
                     }
                     // Methods run on the kernel root only.
                     (ProcBody::Method { .. }, _) if from_process => Picked::Defer,
@@ -424,9 +414,9 @@ pub(crate) fn next_step(st: &mut KState, from_process: bool) -> NextStep {
                     st.dq.runnable.push_front(pid);
                     return NextStep::WakeKernel;
                 }
-                Picked::Thread(shared, reason) => {
+                Picked::Thread(shared) => {
                     dispatch_bookkeeping(st, pid);
-                    return NextStep::Thread(shared, reason);
+                    return NextStep::Thread(shared);
                 }
                 Picked::Method(cb) => {
                     dispatch_bookkeeping(st, pid);
@@ -453,7 +443,7 @@ pub(crate) fn next_step(st: &mut KState, from_process: bool) -> NextStep {
         }
         while let Some(p) = st.dq.next_delta_runnable.pop_front() {
             if st.procs.get(p).state == ProcState::Waiting {
-                st.wake(p, WakeReason::Yielded);
+                st.wake(p, false);
             }
         }
         if !st.dq.runnable.is_empty() {
@@ -494,13 +484,7 @@ pub(crate) fn next_step(st: &mut KState, from_process: bool) -> NextStep {
             }
             match entry.action {
                 TimedAction::FireEvent { event, .. } => st.fire_event(event),
-                TimedAction::WakeProc { proc, .. } => {
-                    let reason = match st.procs.get(proc).wait_kind {
-                        WaitKind::EventTimeout => WakeReason::TimedOut,
-                        _ => WakeReason::TimeElapsed,
-                    };
-                    st.wake(proc, reason);
-                }
+                TimedAction::WakeProc { proc, .. } => st.wake(proc, true),
             }
         }
         st.due = due;
@@ -512,29 +496,23 @@ pub(crate) fn next_step(st: &mut KState, from_process: bool) -> NextStep {
 /// runnable thread process, or signal the kernel gate.
 ///
 /// Time-bounded waits first try the fast-forward run budget in the
-/// same (single) state borrow: on success the process never suspends
-/// and the served [`WakeReason`] is returned instead.
-pub(crate) fn yield_from_process(
-    k: &Rc<Kernel>,
-    pid: ProcId,
-    spec: WaitSpec,
-) -> Option<WakeReason> {
+/// same (single) state borrow: on success the process never suspends,
+/// and its wait ends timed out.
+pub(crate) fn yield_from_process(k: &Rc<Kernel>, pid: ProcId, spec: WaitSpec) {
     let next = {
         let mut st = k.st.borrow_mut();
-        let fast = match &spec {
-            WaitSpec::Time(d) if !d.is_zero() => {
-                st.try_fast_forward(*d).then_some(WakeReason::TimeElapsed)
-            }
-            // Nothing can fire the awaited event before the deadline
-            // either: no runnable process exists to notify it, and any
-            // pending timed/delta notification fails the budget checks.
-            WaitSpec::EventTimeout(_, d) if !d.is_zero() => {
-                st.try_fast_forward(*d).then_some(WakeReason::TimedOut)
-            }
-            _ => None,
+        let served = match spec {
+            // For a `wait(t, e)` the budget also proves that nothing
+            // fires the event before the deadline: no runnable process
+            // exists to notify it, and any pending timed/delta
+            // notification fails the budget checks. A zero duration
+            // (one delta) fails the deadline check.
+            WaitSpec::Time(d) | WaitSpec::EventTimeout(_, d) => st.try_fast_forward(d),
+            WaitSpec::Event(_) => false,
         };
-        if fast.is_some() {
-            return fast;
+        if served {
+            st.procs.get_mut(pid).timed_out = true;
+            return;
         }
         st.current = CURRENT_NONE;
         // Only re-register if still marked Running (the body may have
@@ -543,17 +521,16 @@ pub(crate) fn yield_from_process(
             st.register_wait(pid, spec);
         }
         match next_step(&mut st, true) {
-            NextStep::Thread(nshared, reason) => Some((nshared, reason)),
+            NextStep::Thread(nshared) => Some(nshared),
             _ => None,
         }
     };
     match next {
         // Direct process-to-process handoff (possibly to ourselves, in
-        // which case the pending command is picked up without a switch).
-        Some((nshared, reason)) => nshared.post(Cmd::Run(reason)),
+        // which case the switch returns at once).
+        Some(nshared) => nshared.post(),
         None => k.rt.signal(),
     }
-    None
 }
 
 /// The finish bookkeeping of a process body: marks the process
@@ -564,20 +541,18 @@ pub(crate) fn yield_from_process(
 pub(crate) fn finish_step(
     k: &Rc<Kernel>,
     pid: ProcId,
-    reply: Reply,
-) -> Option<(Rc<CoroShared>, WakeReason)> {
+    panic: Option<Panic>,
+) -> Option<Rc<CoroShared>> {
     let mut st = k.st.borrow_mut();
     st.current = CURRENT_NONE;
     st.procs.get_mut(pid).finish();
-    match reply {
-        Reply::Panicked(payload) => {
-            st.pending_panic = Some(payload);
-            None
-        }
-        Reply::Finished => match next_step(&mut st, true) {
-            NextStep::Thread(nshared, reason) => Some((nshared, reason)),
-            _ => None,
-        },
+    if panic.is_some() {
+        st.pending_panic = panic;
+        return None;
+    }
+    match next_step(&mut st, true) {
+        NextStep::Thread(nshared) => Some(nshared),
+        _ => None,
     }
 }
 
@@ -598,7 +573,7 @@ pub(crate) fn run_kernel(k: &Rc<Kernel>, limit: SimTime) -> RunOutcome {
     }
 }
 
-fn run_kernel_inner(k: &Rc<Kernel>) -> Result<RunOutcome, Box<dyn std::any::Any + Send>> {
+fn run_kernel_inner(k: &Rc<Kernel>) -> Result<RunOutcome, Panic> {
     loop {
         let step = {
             let mut st = k.st.borrow_mut();
@@ -608,11 +583,11 @@ fn run_kernel_inner(k: &Rc<Kernel>) -> Result<RunOutcome, Box<dyn std::any::Any 
             next_step(&mut st, false)
         };
         match step {
-            NextStep::Thread(shared, reason) => {
+            NextStep::Thread(shared) => {
                 // `post` switches into the chain and returns when
                 // control comes back here, with the gate token already
                 // set; `wait` consumes it.
-                shared.post(Cmd::Run(reason));
+                shared.post();
                 k.rt.wait();
             }
             NextStep::Method(pid, mut cb) => {

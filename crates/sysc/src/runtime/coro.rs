@@ -4,18 +4,20 @@
 //! driving `run_until`, or performing a terminate handshake) and tracks
 //! which context currently executes. Each thread process owns a
 //! [`CoroShared`]: a leased heap stack plus the saved stack pointer of
-//! its suspended context, and the command/reply slots of the call
-//! protocol (see the [`super`] docs). Both are `Rc`-shared and never
-//! leave the simulation's thread; every slot is only touched by the
-//! context that currently has control.
+//! its suspended context, its `terminating` flag, and the slot that
+//! carries a panic back from a terminate handshake (see the [`super`]
+//! docs). Both are `Rc`-shared and never leave the simulation's thread;
+//! every slot is only touched by the context that currently has
+//! control.
 //!
 //! # Leak-free teardown
 //!
-//! A terminate handshake ([`CoroShared::resume`]) ends a suspended
-//! process through its pending wait: an activation loop parked on its
-//! activation returns from its body, any other wait unwinds it (see the
-//! `crate::kernel` docs). Both finish through the same wrapper and the
-//! same [`Terminal::Link`] transfer below.
+//! A terminate handshake ([`CoroShared::terminate`]) ends a suspended
+//! process through its pending wait, which sees the `terminating` flag:
+//! an activation loop parked on its activation returns from its body,
+//! any other wait unwinds it (see the `crate::kernel` docs). Both
+//! finish through the same wrapper and the same [`Terminal::Link`]
+//! transfer below.
 //!
 //! A finished coroutine can never unwind its own final frames (control
 //! leaves them forever), so nothing owning heap memory may be live
@@ -39,8 +41,7 @@ use std::cell::{Cell, UnsafeCell};
 use std::ptr;
 use std::rc::Rc;
 
-use super::ctx;
-use super::{Cmd, Reply, WakeReason};
+use super::{ctx, Panic};
 
 /// A boxed coroutine job: the whole lifetime of one process body,
 /// ending with the terminal transfer it wants performed.
@@ -50,14 +51,15 @@ pub(crate) type CoroJob = Box<dyn FnOnce() -> Terminal>;
 /// [`coro_entry`] *after* the job frame (and all its owned state) is
 /// gone.
 pub(crate) enum Terminal {
-    /// Chained dispatch: hand control to this process with a wake
-    /// reason (normal finish with a runnable successor).
-    Post(Rc<CoroShared>, WakeReason),
+    /// Chained dispatch: hand control to this process (normal finish
+    /// with a runnable successor).
+    Post(Rc<CoroShared>),
     /// Hand control to the kernel's root context (normal finish, no
     /// successor the chain may run — or a pending panic to re-raise).
     Gate,
-    /// Terminate handshake: deliver the reply to the resumer.
-    Link(Reply),
+    /// Terminate handshake: return to the terminator, with the panic
+    /// (if any) it must re-raise.
+    Link(Option<Panic>),
 }
 
 thread_local! {
@@ -156,16 +158,18 @@ enum CoroState {
     Finished,
 }
 
-/// One process's coroutine context plus its protocol slots.
+/// One process's coroutine context plus its terminate-handshake state.
 pub(crate) struct CoroShared {
     rt: Rc<CoroRt>,
     /// Saved stack pointer while this context is suspended.
     slot: UnsafeCell<*mut u8>,
-    cmd: UnsafeCell<Option<Cmd>>,
-    reply: UnsafeCell<Option<Reply>>,
-    /// The resumer's save slot during a terminate handshake; the
+    /// The panic a terminated body left, handed to the terminator.
+    panic: UnsafeCell<Option<Panic>>,
+    /// The terminator's save slot during a terminate handshake; the
     /// victim's final switch targets it.
     link: Cell<*mut *mut u8>,
+    /// Set by [`CoroShared::terminate`]: the wait the victim resumes
+    /// in ends the body instead of returning to it.
     terminating: Cell<bool>,
     state: Cell<CoroState>,
     /// The wrapper job, parked here until first activation. Holds an
@@ -181,8 +185,7 @@ impl CoroShared {
         Rc::new(CoroShared {
             rt,
             slot: UnsafeCell::new(ptr::null_mut()),
-            cmd: UnsafeCell::new(None),
-            reply: UnsafeCell::new(None),
+            panic: UnsafeCell::new(None),
             link: Cell::new(ptr::null_mut()),
             terminating: Cell::new(false),
             state: Cell::new(CoroState::NotStarted),
@@ -214,18 +217,10 @@ impl CoroShared {
         STARTING.with(|s| s.set(self as *const CoroShared));
     }
 
-    /// Hands control to this process with `cmd` (chained dispatch).
-    /// Switches into the coroutine; returns when control next comes
-    /// back to the calling context (which may be immediately, for a
-    /// self-post).
-    pub(crate) fn post(&self, cmd: Cmd) {
-        // SAFETY: the caller holds control; the process side consumes
-        // the slot only after this transfer gives it control.
-        unsafe {
-            let c = &mut *self.cmd.get();
-            debug_assert!(c.is_none(), "resume while a command is pending");
-            *c = Some(cmd);
-        }
+    /// Hands control to this process (dispatch): switches into the
+    /// coroutine and returns when control next comes back to the
+    /// calling context (which may be immediately, for a self-post).
+    pub(crate) fn post(&self) {
         if self.state.get() == CoroState::NotStarted {
             self.start();
         }
@@ -238,14 +233,10 @@ impl CoroShared {
     }
 
     /// The synchronous terminate handshake (kill / teardown): switches
-    /// into the victim so it returns or unwinds, and returns its reply.
-    /// The victim's stack is recycled here — control has provably left
-    /// it.
-    pub(crate) fn resume(&self, cmd: Cmd) -> Reply {
-        debug_assert!(
-            matches!(cmd, Cmd::Terminate),
-            "coro resume is the terminate handshake only"
-        );
+    /// into the victim so it returns or unwinds, and returns the panic
+    /// its body (or a `Drop` on the way out) raised, if any. The
+    /// victim's stack is recycled here — control has provably left it.
+    pub(crate) fn terminate(&self) -> Option<Panic> {
         self.terminating.set(true);
         match self.state.get() {
             // Never started: drop the parked job (running it would only
@@ -254,16 +245,10 @@ impl CoroShared {
                 // SAFETY: we hold control; no context exists to race.
                 unsafe { (*self.entry.get()).take() };
                 self.state.set(CoroState::Finished);
-                Reply::Finished
+                None
             }
-            CoroState::Finished => Reply::Finished,
+            CoroState::Finished => None,
             CoroState::Started => {
-                // SAFETY: we hold control (the victim is suspended).
-                unsafe {
-                    let c = &mut *self.cmd.get();
-                    debug_assert!(c.is_none(), "terminate raced a pending command");
-                    *c = Some(cmd);
-                }
                 // The victim's final switch must come back to *us*.
                 self.link.set(self.rt.current.get());
                 self.rt.transfer(self.slot.get());
@@ -272,18 +257,10 @@ impl CoroShared {
                 // transfer above).
                 debug_assert_eq!(self.state.get(), CoroState::Finished);
                 // SAFETY: we hold control and the victim is finished —
-                // nothing can touch its reply cell anymore.
-                unsafe { (*self.reply.get()).take() }.expect("terminated coroutine left no reply")
+                // nothing can touch its panic cell anymore.
+                unsafe { (*self.panic.get()).take() }
             }
         }
-    }
-
-    /// Process side: takes the command that scheduled this activation.
-    /// Non-blocking: *having control* is the rendezvous.
-    pub(crate) fn await_cmd(&self) -> Cmd {
-        // SAFETY: this context holds control; the poster stored the
-        // command before switching to us.
-        unsafe { (*self.cmd.get()).take() }.expect("coroutine dispatched without a command")
     }
 
     /// `true` once a terminate handshake is in flight.
@@ -297,14 +274,7 @@ impl CoroShared {
     fn finish_with(&self, terminal: Terminal) -> ! {
         self.state.set(CoroState::Finished);
         let target: *mut *mut u8 = match terminal {
-            Terminal::Post(next, reason) => {
-                // SAFETY: we hold control; `next` is suspended (or not
-                // yet started).
-                unsafe {
-                    let c = &mut *next.cmd.get();
-                    debug_assert!(c.is_none(), "chained finish raced a pending command");
-                    *c = Some(Cmd::Run(reason));
-                }
+            Terminal::Post(next) => {
                 if next.state.get() == CoroState::NotStarted {
                     next.start();
                 }
@@ -320,11 +290,11 @@ impl CoroShared {
                 self.rt.token.set(true);
                 self.rt.root_slot.get()
             }
-            Terminal::Link(reply) => {
-                // SAFETY: the resumer consumes the slot only after this
-                // switch returns control to it.
+            Terminal::Link(panic) => {
+                // SAFETY: the terminator consumes the slot only after
+                // this switch returns control to it.
                 unsafe {
-                    *self.reply.get() = Some(reply);
+                    *self.panic.get() = panic;
                 }
                 self.link.get()
             }

@@ -7,19 +7,20 @@
 //! system call, no parking.
 //!
 //! The kernel (`crate::kernel`) and the coroutines talk through a small
-//! call protocol:
+//! call protocol. A switch carries no message: a dispatched process
+//! finds its wait's outcome in the process table, and a process resumed
+//! by a terminate handshake finds its coroutine marked terminating.
 //!
 //! | op          | what it does                                      |
 //! |-------------|---------------------------------------------------|
-//! | `post`      | store a command in the target, switch into it     |
-//! | `await_cmd` | take the command (having control *is* the turn)   |
-//! | `resume`    | terminate handshake: switch in, reply via a link  |
+//! | `post`      | switch into the target (dispatch)                 |
+//! | `terminate` | terminate handshake: switch in, back via a link    |
 //! | `signal`    | set the gate token, switch to the kernel's root   |
 //! | `wait`      | root side: assert and consume the gate token      |
 //!
-//! The protocol vocabulary (`Cmd`, `Reply`, `WakeReason`, `WaitSpec`,
-//! the terminate unwind) lives here; `coro` implements the transfers
-//! and `ctx` the raw switch plus the stack pool.
+//! The protocol vocabulary (`WaitSpec`, the terminate unwind) lives
+//! here; `coro` implements the transfers and `ctx` the raw switch plus
+//! the stack pool.
 
 use std::any::Any;
 use std::panic;
@@ -63,21 +64,6 @@ impl Runtime {
 // Protocol vocabulary (shared by the coroutines and the kernel).
 // ---------------------------------------------------------------------
 
-/// Why a suspended process was resumed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum WakeReason {
-    /// First activation of the process.
-    Start,
-    /// A `wait_time` completed.
-    TimeElapsed,
-    /// The awaited event fired.
-    Fired,
-    /// A `wait_event_timeout` expired before the event fired.
-    TimedOut,
-    /// A zero-time wait completed (next delta cycle reached).
-    Yielded,
-}
-
 /// What a process asks the kernel to do when it suspends: SystemC's
 /// `wait(t)`, `wait(e)` and `wait(t, e)`.
 #[derive(Debug, Clone, Copy)]
@@ -90,39 +76,22 @@ pub(crate) enum WaitSpec {
     EventTimeout(EventId, SimTime),
 }
 
-/// Kernel-to-process command.
-pub(crate) enum Cmd {
-    /// Continue execution; carries the reason the wait completed.
-    Run(WakeReason),
-    /// End the process (kill / simulation teardown): an activation loop
-    /// parked on its activation returns, any other wait unwinds the
-    /// body (see the `crate::kernel` docs).
-    Terminate,
-}
-
-/// Process-to-kernel reply on the terminate handshake (normal yields
-/// do their own scheduler bookkeeping and never construct a reply).
-pub(crate) enum Reply {
-    /// The process body returned (or unwound on termination).
-    Finished,
-    /// The process body panicked; payload to be re-thrown by the kernel.
-    Panicked(Box<dyn Any + Send>),
-}
+/// A panic payload caught on a process stack, carried to the context
+/// that re-raises it.
+pub(crate) type Panic = Box<dyn Any + Send>;
 
 /// Panic payload used to unwind a process stack on termination.
 ///
-/// The wrapper installed by the kernel catches this payload and converts
-/// it into a clean [`Reply::Finished`], so user `Drop` impls still run.
+/// The wrapper installed by the kernel catches this payload and treats
+/// it as a clean finish ([`panic_of`]), so user `Drop` impls still run.
 pub(crate) struct TerminateSignal;
 
-/// Converts a caught panic payload into a reply, recognising cooperative
-/// termination.
-pub(crate) fn reply_from_panic(payload: Box<dyn Any + Send>) -> Reply {
-    if payload.is::<TerminateSignal>() {
-        Reply::Finished
-    } else {
-        Reply::Panicked(payload)
-    }
+/// The panic a finished process body leaves to re-raise: `None` for a
+/// return or a cooperative termination.
+pub(crate) fn panic_of(result: std::thread::Result<()>) -> Option<Panic> {
+    result
+        .err()
+        .filter(|payload| !payload.is::<TerminateSignal>())
 }
 
 /// Unwinds the current process stack as a cooperative termination.
@@ -136,9 +105,8 @@ mod tests {
 
     #[test]
     fn terminate_payload_is_recognised() {
-        let r = reply_from_panic(Box::new(TerminateSignal));
-        assert!(matches!(r, Reply::Finished));
-        let r = reply_from_panic(Box::new("boom"));
-        assert!(matches!(r, Reply::Panicked(_)));
+        assert!(panic_of(Ok(())).is_none());
+        assert!(panic_of(Err(Box::new(TerminateSignal))).is_none());
+        assert!(panic_of(Err(Box::new("boom"))).is_some());
     }
 }

@@ -74,8 +74,8 @@ fn panicked_process_stack_is_recycled() {
     }
     let after = sysc::runtime::stack_stats();
     assert_eq!(after.leases - before.leases, 20, "two stacks per run");
-    // When both stacks come back (the bomb's through the panic reply
-    // path, the bystander's through terminate-on-drop), the first run's
+    // When both stacks come back (the bomb's through the panic path,
+    // the bystander's through terminate-on-drop), the first run's
     // stacks serve all the later ones. A leaked stack forces a fresh
     // allocation in every run after it.
     let fresh = after.stacks_allocated - before.stacks_allocated;

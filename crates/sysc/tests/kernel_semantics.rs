@@ -201,6 +201,47 @@ fn wait_event_timeout_fires_and_times_out() {
     assert_eq!(log.take(), vec!["Fired@10 us", "TimedOut@60 us"]);
 }
 
+/// A `wait_event_timeout` deadline and a notification of its event
+/// land on the same instant: the timed queue delivers in arming order,
+/// so whichever was armed first decides the outcome. Checked untraced
+/// and with a tracer attached, which keeps every wait on the engine
+/// path.
+#[test]
+fn event_timeout_tie_goes_to_the_first_armed() {
+    struct Null;
+    impl Tracer for Null {}
+    for traced in [false, true] {
+        let mut sim = Simulation::new();
+        if traced {
+            sim.set_tracer(Rc::new(Null));
+        }
+        let h = sim.handle();
+        let (e, f, kick) = (h.create_event(), h.create_event(), h.create_event());
+        let log = Log::default();
+        let l = log.clone();
+        h.spawn_thread(SpawnMode::Immediate, move |ctx| {
+            // The notification is armed before the deadline: it fires.
+            ctx.handle().notify_after(e, us(10));
+            let r = ctx.wait_event_timeout(e, us(10));
+            l.push(format!("{r:?}@{}", ctx.now()));
+            // The deadline is armed a delta before the notification:
+            // it expires.
+            ctx.handle().notify_delta(kick);
+            let r = ctx.wait_event_timeout(f, us(10));
+            l.push(format!("{r:?}@{}", ctx.now()));
+        });
+        h.spawn_thread(SpawnMode::WaitEvent(kick), move |ctx| {
+            ctx.handle().notify_after(f, us(10));
+        });
+        sim.run_to_completion();
+        assert_eq!(
+            log.take(),
+            vec!["Fired@10 us", "TimedOut@20 us"],
+            "traced: {traced}"
+        );
+    }
+}
+
 #[test]
 fn timeout_cancellation_does_not_wake_later() {
     // After the event fires first, the stale timeout must not wake the
@@ -375,6 +416,53 @@ fn spawn_loop_torn_down_inside_body_unwinds() {
     assert_eq!(l.runs.get(), 1);
     drop(l.sim);
     assert_eq!(l.dropped.get(), Some(true));
+}
+
+/// Counts its drop, then panics.
+struct PanicOnDrop(Rc<Cell<u32>>);
+
+impl Drop for PanicOnDrop {
+    fn drop(&mut self) {
+        self.0.set(self.0.get() + 1);
+        panic!("drop boom");
+    }
+}
+
+/// Spawns an activation loop whose body owns a [`PanicOnDrop`] and runs
+/// it once, so that it is parked on its activation: a never-started
+/// process is dropped without a terminate handshake.
+fn parked_bomb_loop(sim: &mut Simulation, drops: &Rc<Cell<u32>>) -> ProcId {
+    let h = sim.handle();
+    let act = h.create_event();
+    let bomb = PanicOnDrop(Rc::clone(drops));
+    let pid = h.spawn_loop(act, move |_ctx| {
+        let _owned = &bomb;
+    });
+    h.notify(act);
+    sim.run_until(sim.now() + us(1));
+    pid
+}
+
+#[test]
+fn terminate_handshake_carries_a_drop_panic() {
+    let drops = Rc::new(Cell::new(0));
+    let mut sim = Simulation::new();
+    let first = parked_bomb_loop(&mut sim, &drops);
+    let second = parked_bomb_loop(&mut sim, &drops);
+    let h = sim.handle();
+    // The killed loop returns and drops its body; the panic comes back
+    // through the handshake and out of `kill`.
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| h.kill(first)))
+        .expect_err("kill must re-raise the panic of the victim's drop");
+    assert_eq!(payload.downcast_ref::<&str>(), Some(&"drop boom"));
+    assert!(h.is_finished(first));
+    assert!(!h.is_finished(second));
+    assert_eq!(drops.get(), 1);
+    // Teardown swallows the same panic from the loop still parked.
+    drop(h);
+    let teardown = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || drop(sim)));
+    assert!(teardown.is_ok(), "dropping the simulation panicked");
+    assert_eq!(drops.get(), 2);
 }
 
 #[test]
