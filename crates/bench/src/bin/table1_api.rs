@@ -17,7 +17,7 @@ fn main() {
     let rows = [
         (
             "SIM_RegisterThread",
-            "Shared::register_thread",
+            "TThreadRec::new in the control block",
             "record a T-THREAD in SIM_HashTB at creation",
         ),
         (

@@ -24,14 +24,12 @@ use sysc::{EventId, ProcCtx, SpawnMode};
 use crate::error::ErCode;
 use crate::ids::ThreadRef;
 use crate::state::{Delivered, IntRequest, KernelState, Shared, TaskBody, TimerAction};
-use crate::tthread::{ExecContext, TThreadEvent, TThreadKind};
+use crate::tthread::{ExecContext, TThreadEvent};
 
 /// Installs the central module processes into the simulation and
 /// schedules the boot sequence.
 pub(crate) fn install(shared: &Rc<Shared>, main: Box<TaskBody>) {
     let h = shared.h.clone();
-    shared.register_thread(ThreadRef::Timer, "timer", TThreadKind::TimerHandler);
-
     let tick_ev = h.create_event();
     let int_req_ev = h.create_event();
     {
@@ -105,18 +103,16 @@ impl Shared {
         self.freeze_occupant(proc);
         let tick_cost = {
             let mut st = self.st.borrow_mut();
-            // The timer frame sits above both 8051 interrupt levels.
-            // External requests arriving during the tick sequence —
-            // including cyclic and alarm handler activations, whose
-            // frames inherit this level — stay pending until the frame
-            // pops; delivering into the middle of the sequence could
-            // catch a handler between "activation done" and "frame
-            // popped", where nobody answers a freeze handshake.
+            // The timer frame sits above both 8051 interrupt levels, so
+            // nothing nests above it: external requests arriving during
+            // the tick sequence, cyclic and alarm handlers included
+            // (they run on this process, in frames of this level), stay
+            // pending until the frame pops.
             st.int_stack.push((ThreadRef::Timer, u8::MAX));
             st.cpu_transfer = false;
             st.ticks += 1;
             st.systim_ms += st.cfg.tick.as_ms().max(1);
-            let rec = st.thread_mut(ThreadRef::Timer);
+            let rec = &mut st.timer;
             rec.parked = false;
             rec.marking = ExecContext::Handler;
             rec.stats.sigma.fire(TThreadEvent::Es);
@@ -147,9 +143,9 @@ impl Shared {
                 Shared::demote_running(&mut st, proc.now(), false);
             }
         }
-        // Expire timer-queue entries due at this tick (drained from the
-        // timing wheel one action at a time: handler activations below
-        // can block on their completion events in between).
+        // Expire timer-queue entries due at this tick, one action at a
+        // time: the cyclic and alarm handlers run below, between two
+        // actions, and may arm new ones.
         loop {
             let action = self.st.borrow_mut().pop_due_timer();
             let Some(action) = action else { break };
@@ -193,7 +189,7 @@ impl Shared {
             let mut st = self.st.borrow_mut();
             let top = st.int_stack.pop();
             debug_assert_eq!(top, Some((ThreadRef::Timer, u8::MAX)));
-            let rec = st.thread_mut(ThreadRef::Timer);
+            let rec = &mut st.timer;
             rec.marking = ExecContext::Dormant;
             rec.parked = true;
             rec.stats.cycles += 1;
@@ -228,49 +224,47 @@ impl Shared {
                 st.cpu_transfer = false;
                 Self::mount_isr_frame(&mut st, req, proc.now())
             };
-            if let Some(ev) = activate {
-                self.h.notify(ev);
-            }
+            self.h.notify(activate);
         }
     }
 
     /// Picks the first pending interrupt that may be delivered now:
-    /// the CPU must be unlocked, the kernel booted, and the request's
+    /// the CPU must be unlocked, the kernel booted, the line's ISR
+    /// defined and not on the SIM_Stack already, and the request's
     /// level strictly above the current interrupt level (8051 two-level
     /// nesting rule; anything is deliverable when no handler is active).
+    /// A request for a line whose ISR is mid-body (running or frozen)
+    /// waits for that activation's own return, which chains it.
     pub(crate) fn next_deliverable(st: &mut KernelState) -> Option<IntRequest> {
         if !st.booted || st.cpu_locked {
             return None;
         }
         let current = st.current_int_level();
         let pos = st.pending_ints.iter().position(|req| {
+            let who = ThreadRef::Isr(req.intno);
             st.isrs.contains_key(&req.intno)
-                && match current {
-                    None => true,
-                    Some(l) => req.level > l,
-                }
+                && current.is_none_or(|l| req.level > l)
+                && !st.int_stack.iter().any(|&(frame, _)| frame == who)
         })?;
         st.pending_ints.remove(pos)
     }
 
-    /// Pushes an ISR frame and returns its activation event.
+    /// Pushes the frame of a defined ISR and returns its activation
+    /// event (the ISR's `resume_ev`, where its activation loop parks).
     pub(crate) fn mount_isr_frame(
         st: &mut KernelState,
         req: IntRequest,
         now: sysc::SimTime,
-    ) -> Option<EventId> {
+    ) -> EventId {
         let who = ThreadRef::Isr(req.intno);
-        if !st.threads.contains(who) {
-            return None;
-        }
         st.int_stack.push((who, req.level));
         let rec = st.thread_mut(who);
         rec.parked = false;
         rec.marking = ExecContext::Handler;
         rec.stats.sigma.fire(TThreadEvent::Es);
-        let activate_ev = rec.activate_ev;
+        let activation = rec.resume_ev;
         Shared::update_idle(st, now);
-        Some(activate_ev)
+        activation
     }
 
     /// Common continuation after any interrupt-stack frame is popped:
@@ -289,10 +283,7 @@ impl Shared {
             let mut st = self.st.borrow_mut();
             if let Some(req) = Self::next_deliverable(&mut st) {
                 // Everything below is parked; mount without a handshake.
-                match Self::mount_isr_frame(&mut st, req, now) {
-                    Some(ev) => Next::Activate(ev),
-                    None => Next::Dispatch,
-                }
+                Next::Activate(Self::mount_isr_frame(&mut st, req, now))
             } else if let Some(&(lower, _)) = st.int_stack.last() {
                 let rec = st.thread_mut(lower);
                 rec.cpu_granted = true;

@@ -88,16 +88,6 @@ impl<T> ObjTable<T> {
         i as u32 + 1
     }
 
-    /// Stores `value` under an `id` another table issued, growing this
-    /// one to reach it; returns the record it replaced.
-    pub(crate) fn insert_at(&mut self, id: u32, value: T) -> Option<T> {
-        let i = Self::index(id).expect("ID 0 is never issued");
-        if self.slots.len() <= i {
-            self.slots.resize_with(i + 1, || None);
-        }
-        self.slots[i].replace(value)
-    }
-
     /// Takes the record of `id` out of the table, freeing the ID.
     pub(crate) fn remove(&mut self, id: u32) -> KResult<T> {
         Self::index(id)
@@ -115,11 +105,6 @@ impl<T> ObjTable<T> {
         (1..)
             .zip(&self.slots)
             .filter_map(|(id, slot)| Some((id, slot.as_ref()?)))
-    }
-
-    /// Every record, in ID order.
-    pub(crate) fn values(&self) -> impl Iterator<Item = &T> {
-        self.slots.iter().flatten()
     }
 }
 
@@ -275,13 +260,17 @@ mod tests {
     }
 
     #[test]
-    fn table_insert_at_grows_and_iterates_by_id() {
+    fn table_iterates_by_id_and_reuses_freed_ids() {
         let mut t = ObjTable::default();
-        assert_eq!(t.insert_at(3, 'c'), None);
-        assert_eq!(t.insert_at(1, 'a'), None);
-        assert_eq!(t.insert_at(1, 'A'), Some('a'));
-        assert_eq!(t.iter().collect::<Vec<_>>(), [(1, &'A'), (3, &'c')]);
-        assert_eq!(t.values().collect::<String>(), "Ac");
-        assert_eq!(t.insert('b'), 2);
+        for c in ['a', 'b', 'c'] {
+            t.insert(c);
+        }
+        assert_eq!(t.remove(2), Ok('b'));
+        assert_eq!(t.iter().collect::<Vec<_>>(), [(1, &'a'), (3, &'c')]);
+        assert_eq!(t.insert('B'), 2);
+        assert_eq!(
+            t.iter().collect::<Vec<_>>(),
+            [(1, &'a'), (2, &'B'), (3, &'c')]
+        );
     }
 }

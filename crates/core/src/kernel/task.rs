@@ -12,9 +12,9 @@ use crate::cost::ServiceClass;
 use crate::error::{ErCode, KResult};
 use crate::ids::{TaskId, ThreadRef};
 use crate::rtos::Sys;
-use crate::state::{Delivered, ResumeKind, Shared, TaskBody, TaskState, Tcb, Timeout, WaitObj};
+use crate::state::{Delivered, Shared, TThreadRec, TaskBody, TaskState, Tcb, Timeout, WaitObj};
 use crate::trace::TraceKind;
-use crate::tthread::{ExecContext, TThreadEvent, TThreadKind};
+use crate::tthread::{ExecContext, TThreadEvent};
 
 use super::WaitDecision;
 
@@ -68,7 +68,6 @@ impl<'a> Sys<'a> {
             }
             st.observe(crate::obs::ObsEvent::TaskDelete { tid });
             st.tasks.remove(tid.0)?;
-            st.threads.remove_task(tid);
             Ok(())
         })
     }
@@ -368,13 +367,11 @@ impl<'a> Sys<'a> {
                     // Only reachable from handler context (the frozen
                     // running task). Demote it.
                     tcb.state = TaskState::Suspend;
-                    st.running = None;
-                    let rec = st.thread_mut(ThreadRef::Task(tid));
-                    rec.resume_as = ResumeKind::Preempted;
-                    rec.marking = ExecContext::Preempted;
+                    tcb.thread.marking = ExecContext::Preempted;
                     // A suspended task must not keep a CPU grant it has
                     // not consumed yet.
-                    rec.cpu_granted = false;
+                    tcb.thread.cpu_granted = false;
+                    st.running = None;
                 }
                 _ => {}
             }
@@ -437,8 +434,8 @@ impl RefTsk {
 }
 
 impl Shared {
-    /// Creates a task control block in the DORMANT state and registers
-    /// its T-THREAD. Shared by `tk_cre_tsk` and the Boot module (which
+    /// Creates a task control block, with its T-THREAD record, in the
+    /// DORMANT state. Shared by `tk_cre_tsk` and the Boot module (which
     /// creates the initialization task).
     pub(crate) fn create_task_raw(
         &self,
@@ -446,31 +443,29 @@ impl Shared {
         pri: Priority,
         body: Box<TaskBody>,
     ) -> KResult<TaskId> {
-        let tid = {
-            let mut st = self.st.borrow_mut();
-            if pri < 1 || pri > st.cfg.max_priority {
-                return Err(ErCode::Par);
-            }
-            let tid = TaskId(st.tasks.insert(Tcb {
-                name: name.to_string(),
-                ini_pri: pri,
-                base_pri: pri,
-                cur_pri: pri,
-                state: TaskState::Dormant,
-                wupcnt: 0,
-                suscnt: 0,
-                wait: None,
-                wait_gen: 0,
-                wait_result: None,
-                held_mutexes: Vec::new(),
-                body: Rc::new(RefCell::new(body)),
-                stacd: 0,
-                activations: 0,
-            }));
-            st.observe(crate::obs::ObsEvent::TaskCreate { tid, pri });
-            tid
-        };
-        self.register_thread(ThreadRef::Task(tid), name, TThreadKind::Task);
+        let mut st = self.st.borrow_mut();
+        if pri < 1 || pri > st.cfg.max_priority {
+            return Err(ErCode::Par);
+        }
+        let tid = TaskId(st.tasks.insert(Tcb {
+            name: name.to_string(),
+            ini_pri: pri,
+            base_pri: pri,
+            cur_pri: pri,
+            state: TaskState::Dormant,
+            wupcnt: 0,
+            suscnt: 0,
+            wait: None,
+            wait_gen: 0,
+            wait_result: None,
+            held_mutexes: Vec::new(),
+            body: Rc::new(RefCell::new(body)),
+            stacd: 0,
+            activations: 0,
+            thread: TThreadRec::new(&self.h),
+            proc: None,
+        }));
+        st.observe(crate::obs::ObsEvent::TaskCreate { tid, pri });
         Ok(tid)
     }
 
@@ -491,17 +486,12 @@ impl Shared {
         tcb.state = TaskState::Ready;
         tcb.cur_pri = tcb.base_pri;
         tcb.activations += 1;
+        tcb.thread.marking = ExecContext::Startup;
         let pri = tcb.cur_pri;
+        let resume_ev = tcb.thread.resume_ev;
         st.observe(crate::obs::ObsEvent::TaskStart { tid });
         st.scheduler.enqueue(tid, pri, false);
-        let who = ThreadRef::Task(tid);
-        let (resume_ev, _) = {
-            let rec = st.thread_mut(who);
-            rec.resume_as = ResumeKind::Start;
-            rec.marking = ExecContext::Startup;
-            (rec.resume_ev, ())
-        };
-        Shared::trace_point(&mut st, now, who, TraceKind::Startup);
+        Shared::trace_point(&mut st, now, ThreadRef::Task(tid), TraceKind::Startup);
         // Spawn the per-activation process, parked until dispatched.
         let shared = Rc::clone(self);
         let pid = self
@@ -509,7 +499,7 @@ impl Shared {
             .spawn_thread(SpawnMode::WaitEvent(resume_ev), move |proc| {
                 shared.run_task_activation(proc, tid);
             });
-        st.thread_mut(who).proc = Some(pid);
+        st.tcb_mut(tid).expect("checked above").proc = Some(pid);
         Ok(())
     }
 
@@ -568,20 +558,19 @@ impl Shared {
             tcb.wupcnt = 0;
             tcb.suscnt = 0;
             tcb.wait = None;
-            debug_assert_eq!(st.running, Some(tid), "only the running task can exit");
-            st.running = None;
-            let rec = st.thread_mut(who);
+            tcb.proc = None;
+            let rec = &mut tcb.thread;
             rec.marking = ExecContext::Dormant;
             rec.stats.cycles += 1;
-            rec.proc = None;
             rec.parked = true;
             rec.cpu_granted = false;
             let frozen_ev = std::mem::take(&mut rec.ctrl_pending).then_some(rec.frozen_ev);
+            debug_assert_eq!(st.running, Some(tid), "only the running task can exit");
+            st.running = None;
             Shared::trace_point(&mut st, now, who, TraceKind::Exit);
             if delete {
                 st.observe(crate::obs::ObsEvent::TaskDelete { tid });
                 st.tasks.remove(tid.0).expect("exiting task exists");
-                st.threads.remove_task(tid);
             }
             let next_resume = if frozen_ev.is_none() {
                 Shared::pick_and_switch(&mut st, now)
@@ -646,13 +635,13 @@ impl Shared {
             tcb.wupcnt = 0;
             tcb.suscnt = 0;
             tcb.wait = None;
-            let rec = st.thread_mut(who);
+            let proc = tcb.proc.take();
+            let rec = &mut tcb.thread;
             rec.marking = ExecContext::Dormant;
             rec.stats.cycles += 1;
             rec.ctrl_pending = false;
             rec.parked = true;
             rec.cpu_granted = false;
-            let proc = rec.proc.take();
             // The abandoned wait's queue may hold now-satisfiable
             // waiters (the terminated head was holding them back).
             if let Some(obj) = detached {

@@ -4,7 +4,10 @@
 //! Cyclic and alarm handlers are T-THREADs activated by the timer
 //! handler inside the Thread Dispatch tick sequence (paper Fig. 3:
 //! "the timer handler updates the system clock, checks for cyclic,
-//! alarm events, or task resuming events in the timer queue").
+//! alarm events, or task resuming events in the timer queue"). They run
+//! on Thread Dispatch's own process, each in a frame above the timer
+//! frame; nothing nests above that level, so they need no process of
+//! their own.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -15,8 +18,8 @@ use crate::cost::ServiceClass;
 use crate::error::{ErCode, KResult};
 use crate::ids::{AlmId, CycId, ThreadRef};
 use crate::rtos::Sys;
-use crate::state::{HandlerBody, Shared, TimerAction};
-use crate::tthread::{ExecContext, TThreadKind};
+use crate::state::{HandlerBody, Shared, TThreadRec, TimerAction};
+use crate::tthread::{ExecContext, TThreadEvent};
 
 /// Cyclic handler control block.
 pub struct Cyc {
@@ -29,6 +32,7 @@ pub struct Cyc {
     /// Completed activations.
     pub(crate) count: u64,
     pub(crate) body: Rc<RefCell<Box<HandlerBody>>>,
+    pub(crate) thread: TThreadRec,
 }
 
 impl std::fmt::Debug for Cyc {
@@ -49,6 +53,7 @@ pub struct Alm {
     pub(crate) gen: u64,
     pub(crate) count: u64,
     pub(crate) body: Rc<RefCell<Box<HandlerBody>>>,
+    pub(crate) thread: TThreadRec,
 }
 
 impl std::fmt::Debug for Alm {
@@ -128,40 +133,34 @@ impl<'a> Sys<'a> {
             if cyctim.is_zero() {
                 return Err(ErCode::Par);
             }
-            let id = {
-                let mut st = sys.shared.st.borrow_mut();
-                let tick = st.cfg.tick;
-                let to_ticks = |d: SimTime| d.as_ps().div_ceil(tick.as_ps());
-                let period_ticks = to_ticks(cyctim).max(1);
-                let phase_ticks = to_ticks(cycphs);
-                let id = CycId(st.cycs.insert(Cyc {
-                    name: name.to_string(),
-                    cyctim_ticks: period_ticks,
-                    active: auto_start,
-                    gen: 0,
-                    count: 0,
-                    body: Rc::new(RefCell::new(Box::new(body) as Box<HandlerBody>)),
-                }));
-                let first = if phase_ticks > 0 {
-                    phase_ticks
-                } else {
-                    period_ticks
-                };
-                let first_tick = auto_start.then_some(st.ticks + first);
-                if let Some(at) = first_tick {
-                    st.push_timer(at, TimerAction::CyclicFire { id, gen: 0 });
-                }
-                st.observe(crate::obs::ObsEvent::CycCreate {
-                    id,
-                    period_ticks,
-                    first_tick,
-                });
-                id
+            let mut st = sys.shared.st.borrow_mut();
+            let tick = st.cfg.tick;
+            let to_ticks = |d: SimTime| d.as_ps().div_ceil(tick.as_ps());
+            let period_ticks = to_ticks(cyctim).max(1);
+            let phase_ticks = to_ticks(cycphs);
+            let id = CycId(st.cycs.insert(Cyc {
+                name: name.to_string(),
+                cyctim_ticks: period_ticks,
+                active: auto_start,
+                gen: 0,
+                count: 0,
+                body: Rc::new(RefCell::new(Box::new(body) as Box<HandlerBody>)),
+                thread: TThreadRec::new(&sys.shared.h),
+            }));
+            let first = if phase_ticks > 0 {
+                phase_ticks
+            } else {
+                period_ticks
             };
-            let who = ThreadRef::Cyclic(id);
-            sys.shared
-                .register_thread(who, name, TThreadKind::CyclicHandler);
-            sys.shared.spawn_handler_thread(who);
+            let first_tick = auto_start.then_some(st.ticks + first);
+            if let Some(at) = first_tick {
+                st.push_timer(at, TimerAction::CyclicFire { id, gen: 0 });
+            }
+            st.observe(crate::obs::ObsEvent::CycCreate {
+                id,
+                period_ticks,
+                first_tick,
+            });
             Ok(id)
         })
     }
@@ -208,18 +207,14 @@ impl<'a> Sys<'a> {
         F: FnMut(&mut Sys<'_>) + 'static,
     {
         self.service(ServiceClass::Time, "tk_cre_alm", |sys| {
-            let id = AlmId(sys.shared.st.borrow_mut().alms.insert(Alm {
+            Ok(AlmId(sys.shared.st.borrow_mut().alms.insert(Alm {
                 name: name.to_string(),
                 active: false,
                 gen: 0,
                 count: 0,
                 body: Rc::new(RefCell::new(Box::new(body) as Box<HandlerBody>)),
-            }));
-            let who = ThreadRef::Alarm(id);
-            sys.shared
-                .register_thread(who, name, TThreadKind::AlarmHandler);
-            sys.shared.spawn_handler_thread(who);
-            Ok(id)
+                thread: TThreadRec::new(&sys.shared.h),
+            })))
         })
     }
 
@@ -285,43 +280,20 @@ impl RefAlm {
 }
 
 impl Shared {
-    /// Spawns the persistent handler thread for a cyclic/alarm/ISR
-    /// T-THREAD: an activation loop ([`sysc::SimHandle::spawn_loop`])
-    /// that runs the body once per activation and signals completion.
-    pub(crate) fn spawn_handler_thread(self: &Rc<Self>, who: ThreadRef) {
-        let activate_ev = self.st.borrow().thread(who).activate_ev;
-        let shared = Rc::clone(self);
-        let pid = self.h.spawn_loop(activate_ev, move |proc| {
-            // `run_handler_activation` returns `true` when it chained
-            // straight into another activation of this same handler
-            // (back-to-back ISR requests) — in that case the frame is
-            // already mounted and waiting for the event would lose the
-            // turn.
-            while shared.run_handler_activation(proc, who) {}
-        });
-        self.st.borrow_mut().thread_mut(who).proc = Some(pid);
-    }
-
-    /// One handler activation: entry cost, body, exit cost, completion.
-    /// Returns `true` when the next activation of the same handler was
-    /// chained directly (its frame is mounted; run again immediately).
-    fn run_handler_activation(self: &Rc<Shared>, proc: &mut ProcCtx, who: ThreadRef) -> bool {
-        let (entry_cost, exit_cost, body, done_ev, is_isr) = {
+    /// One handler activation on the calling process: entry cost, body,
+    /// exit cost. The caller has mounted the handler's frame and pops
+    /// it: the timer handler for cyclic and alarm handlers
+    /// ([`run_timer_handler`]), an ISR's own activation loop for itself.
+    pub(crate) fn run_handler(self: &Rc<Shared>, proc: &mut ProcCtx, who: ThreadRef) {
+        let (entry_cost, exit_cost, body) = {
             let st = self.st.borrow();
             let body = match who {
-                ThreadRef::Cyclic(id) => Rc::clone(&st.cycs.get(id.0).expect("cyclic exists").body),
-                ThreadRef::Alarm(id) => Rc::clone(&st.alms.get(id.0).expect("alarm exists").body),
-                ThreadRef::Isr(no) => Rc::clone(&st.isrs.get(&no).expect("isr defined").body),
+                ThreadRef::Cyclic(id) => &st.cycs.get(id.0).expect("cyclic exists").body,
+                ThreadRef::Alarm(id) => &st.alms.get(id.0).expect("alarm exists").body,
+                ThreadRef::Isr(no) => &st.isrs.get(&no).expect("isr defined").body,
                 _ => unreachable!("only handlers run here"),
             };
-            let rec = st.thread(who);
-            (
-                st.cfg.cost.int_entry,
-                st.cfg.cost.int_exit,
-                body,
-                rec.done_ev,
-                matches!(who, ThreadRef::Isr(_)),
-            )
+            (st.cfg.cost.int_entry, st.cfg.cost.int_exit, Rc::clone(body))
         };
         if !entry_cost.is_zero() {
             self.sim_wait_atomic(proc, who, ExecContext::Handler, "int_entry", entry_cost);
@@ -338,57 +310,10 @@ impl Shared {
         if !exit_cost.is_zero() {
             self.sim_wait_atomic(proc, who, ExecContext::Handler, "int_exit", exit_cost);
         }
-        {
-            let mut st = self.st.borrow_mut();
-            let rec = st.thread_mut(who);
-            rec.marking = ExecContext::Dormant;
-            rec.stats.cycles += 1;
-        }
-        if is_isr {
-            // ISRs pop their own frame and continue the delivery chain
-            // (implicit tk_ret_int).
-            let rerun = {
-                let mut st = self.st.borrow_mut();
-                let top = st.int_stack.pop().map(|(top, _)| top);
-                debug_assert_eq!(top, Some(who), "ISR must be top of the SIM_Stack");
-                let rec = st.thread_mut(who);
-                rec.parked = true;
-                let ThreadRef::Isr(my_no) = who else {
-                    unreachable!("is_isr implies an ISR thread ref")
-                };
-                if let Some(isr) = st.isrs.get_mut(&my_no) {
-                    isr.count += 1;
-                }
-                // A further pending request for this same line must be
-                // chained here, on this thread: the activate_ev
-                // handshake only works from *other* processes (this one
-                // is not back at its wait yet, so an immediate
-                // notification from `after_frame_pop` would be lost and
-                // the mounted frame would jam the interrupt stack
-                // forever).
-                match Self::next_deliverable(&mut st) {
-                    Some(req) if req.intno == my_no => {
-                        Self::mount_isr_frame(&mut st, req, proc.now());
-                        true
-                    }
-                    Some(req) => {
-                        // Not ours: put it back for `after_frame_pop`.
-                        st.pending_ints.push_front(req);
-                        false
-                    }
-                    None => false,
-                }
-            };
-            if rerun {
-                return true;
-            }
-            self.after_frame_pop(proc);
-        } else {
-            // Cyclic/alarm handlers: the timer handler coordinates the
-            // frame; just signal completion.
-            self.h.notify(done_ev);
-        }
-        false
+        let mut st = self.st.borrow_mut();
+        let rec = st.thread_mut(who);
+        rec.marking = ExecContext::Dormant;
+        rec.stats.cycles += 1;
     }
 }
 
@@ -436,26 +361,21 @@ pub(crate) fn fire_alarm(shared: &Rc<Shared>, proc: &mut ProcCtx, id: AlmId, gen
     }
 }
 
-/// Runs one cyclic or alarm activation from inside the timer frame:
-/// mounts the handler at the timer frame's level (running, `Es` fired),
-/// hands it the activation and waits until it is done, then pops its
+/// Runs one cyclic or alarm activation from inside the timer frame, on
+/// the timer handler's own process: mounts the handler's frame at the
+/// timer frame's level (running, `Es` fired), runs it and pops the
 /// frame.
 fn run_timer_handler(shared: &Rc<Shared>, proc: &mut ProcCtx, who: ThreadRef) {
-    let (activate, done) = {
+    {
         let mut st = shared.st.borrow_mut();
-        if !st.threads.contains(who) {
-            return;
-        }
         let lvl = st.current_int_level().expect("inside the timer frame");
         st.int_stack.push((who, lvl));
         let rec = st.thread_mut(who);
         rec.parked = false;
         rec.marking = ExecContext::Handler;
-        rec.stats.sigma.fire(crate::tthread::TThreadEvent::Es);
-        (rec.activate_ev, rec.done_ev)
-    };
-    shared.h.notify(activate);
-    proc.wait_event(done);
+        rec.stats.sigma.fire(TThreadEvent::Es);
+    }
+    shared.run_handler(proc, who);
     let mut st = shared.st.borrow_mut();
     let top = st.int_stack.pop().map(|(top, _)| top);
     debug_assert_eq!(top, Some(who));

@@ -12,10 +12,10 @@
 //!   Ew}`, execution-time/energy models and per-place `CET`/`CEE`
 //!   accumulation.
 //! * **SIM_API** ([`sim_api`]) — the simulation library controlling
-//!   T-THREADs: the SIM_HashTB thread table, the SIM_Stack of nested
-//!   interrupts, `SIM_Wait` with preemption points, dispatching and
-//!   delayed dispatching, service-call atomicity, and pluggable
-//!   schedulers.
+//!   T-THREADs: the SIM_HashTB thread records (kept in each control
+//!   block), the SIM_Stack of nested interrupts, `SIM_Wait` with
+//!   preemption points, dispatching and delayed dispatching,
+//!   service-call atomicity, and pluggable schedulers.
 //! * **RTK-Spec TRON** ([`Rtos`]) — the T-Kernel/OS simulation model:
 //!   priority-based preemptive scheduling; semaphores, event flags,
 //!   mailboxes, message buffers, mutexes (inheritance/ceiling); fixed

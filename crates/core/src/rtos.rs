@@ -25,7 +25,7 @@ use crate::obs::ObsStream;
 use crate::sim_api::scheduler::{PriorityScheduler, Scheduler};
 use crate::state::{IntRequest, KernelState, Shared};
 use crate::trace::TraceRecord;
-use crate::tthread::{ExecContext, TThreadInfo};
+use crate::tthread::{ExecContext, TThreadInfo, TThreadKind};
 
 /// A fully assembled RTK-Spec TRON kernel simulation.
 ///
@@ -89,9 +89,10 @@ impl Rtos {
         F: FnMut(&mut Sys<'_>, i32) + 'static,
     {
         let sim = Simulation::new();
+        let h = sim.handle();
         let shared = Rc::new(Shared {
-            st: RefCell::new(KernelState::new(cfg, scheduler)),
-            h: sim.handle(),
+            st: RefCell::new(KernelState::new(cfg, scheduler, &h)),
+            h,
         });
         crate::central::install(&shared, Box::new(main));
         Rtos { sim, shared }
@@ -162,15 +163,21 @@ impl Rtos {
         }
     }
 
-    /// Snapshot of every registered T-THREAD (SIM_HashTB contents).
+    /// Snapshot of every T-THREAD (SIM_HashTB contents), in
+    /// `ThreadRef` order: tasks, cyclics, alarms, ISRs, the timer.
     pub fn threads(&self) -> Vec<TThreadInfo> {
         let st = self.shared.st.borrow();
-        st.threads
-            .iter()
-            .map(|rec| TThreadInfo {
-                who: rec.who,
-                name: rec.name.clone(),
-                kind: rec.kind,
+        st.threads()
+            .map(|(who, name, rec)| TThreadInfo {
+                who,
+                name: name.to_string(),
+                kind: match who {
+                    ThreadRef::Task(_) => TThreadKind::Task,
+                    ThreadRef::Cyclic(_) => TThreadKind::CyclicHandler,
+                    ThreadRef::Alarm(_) => TThreadKind::AlarmHandler,
+                    ThreadRef::Isr(_) => TThreadKind::InterruptHandler,
+                    ThreadRef::Timer => TThreadKind::TimerHandler,
+                },
                 marking: rec.marking,
                 stats: rec.stats.clone(),
             })
@@ -218,10 +225,10 @@ impl Rtos {
             dispatches: st.dispatches,
             idle_time: st.idle_time,
             idle_energy: st.idle_energy,
-            threads: st.threads.len() as u32,
             ..RunStats::default()
         };
-        for rec in st.threads.iter() {
+        for (_, _, rec) in st.threads() {
+            out.threads += 1;
             out.preemptions += rec.stats.preemptions;
             out.interruptions += rec.stats.interruptions;
             out.activations += rec.stats.cycles;

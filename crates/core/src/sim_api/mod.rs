@@ -1,20 +1,21 @@
 //! SIM_API — the simulation library that extends the sysc engine with
 //! RTOS execution semantics (paper §4, Table 1).
 //!
-//! The paper's SIM_API keeps a thread hash table (`SIM_HashTB`, here
-//! `KernelState::threads`), a stack for nested interrupts (`SIM_Stack`,
-//! here `KernelState::int_stack`, one `(thread, level)` frame per
-//! active handler), and provides the programming
-//! constructs used by kernel simulation models. The paper's table is a
-//! hash so that `SIM_Wait`, `SIM_Dispatch` and the freeze handshake
-//! find their thread in constant time; here it is dense instead: one
-//! slot vector per T-THREAD class indexed by the raw ID (ISRs keyed by
-//! interrupt number), so a lookup is an index and iteration follows
-//! `ThreadRef` order. The constructs:
+//! The paper's SIM_API keeps a thread hash table (`SIM_HashTB`), a
+//! stack for nested interrupts (`SIM_Stack`, here
+//! `KernelState::int_stack`, one `(thread, level)` frame per active
+//! handler), and provides the programming constructs used by kernel
+//! simulation models. The paper's table is a hash so that `SIM_Wait`,
+//! `SIM_Dispatch` and the freeze handshake find their thread in
+//! constant time; here each T-THREAD record sits in the control block
+//! it models (task, cyclic, alarm, ISR; the timer's in the kernel
+//! state), and `KernelState::thread_mut` finds it through the dense
+//! object tables (ISRs keyed by interrupt number), so a lookup is an
+//! index and iteration follows `ThreadRef` order. The constructs:
 //!
 //! | Paper construct            | Here |
 //! |----------------------------|------|
-//! | `SIM_RegisterThread`       | `Shared::register_thread` |
+//! | `SIM_RegisterThread`       | `TThreadRec::new`, stored with the control block at creation |
 //! | `SIM_Wait`                 | `Shared::sim_wait` (preemptible) / `Shared::sim_wait_atomic` |
 //! | `SIM_Sleep` / `SIM_Wakeup` | `Shared::block_current` / `Shared::make_ready` |
 //! | `SIM_Preempt`              | `Shared::freeze_occupant` + scheduler demotion |
@@ -55,25 +56,14 @@ use sysc::{EventId, ProcCtx, SimTime, WaitOutcome};
 use crate::cost::{Cost, Energy};
 use crate::error::ErCode;
 use crate::ids::{TaskId, ThreadRef};
-use crate::state::{
-    Delivered, KernelState, ResumeKind, Shared, TThreadRec, TaskState, Timeout, TimerAction,
-    WaitObj,
-};
+use crate::state::{Delivered, KernelState, Shared, TaskState, Timeout, TimerAction, WaitObj};
 use crate::trace::{TraceKind, TraceRecord};
-use crate::tthread::{ExecContext, TThreadEvent, TThreadKind};
+use crate::tthread::{ExecContext, TThreadEvent};
 
 impl Shared {
     // ------------------------------------------------------------------
-    // Registration and tracing
+    // Tracing
     // ------------------------------------------------------------------
-
-    /// Registers a T-THREAD in the SIM_HashTB (paper: every T-THREAD is
-    /// recorded at creation and its entry is updated on state changes).
-    pub(crate) fn register_thread(&self, who: ThreadRef, name: &str, kind: TThreadKind) {
-        let mut st = self.st.borrow_mut();
-        let rec = TThreadRec::new(&self.h, who, name, kind);
-        st.threads.insert(rec);
-    }
 
     /// Appends one execution-trace record for `who` while the trace is
     /// being recorded. `kind` is built only then, so an unrecorded run
@@ -86,23 +76,20 @@ impl Shared {
         kind: impl FnOnce() -> TraceKind,
         energy: Energy,
     ) {
-        let Some(trace) = &mut st.trace else {
+        if st.trace.is_none() {
             return;
-        };
-        let name = st
-            .threads
-            .get(who)
-            .expect("unregistered T-THREAD")
-            .name
-            .clone();
-        trace.push(TraceRecord {
+        }
+        let record = TraceRecord {
             start,
             end,
             who,
-            name,
+            name: st.thread_name(who).to_string(),
             kind: kind(),
             energy,
-        });
+        };
+        if let Some(trace) = &mut st.trace {
+            trace.push(record);
+        }
     }
 
     /// Records a zero-width trace point for `who`.
@@ -273,7 +260,6 @@ impl Shared {
         let rec = st.thread_mut(who);
         rec.prev_marking = rec.marking;
         rec.marking = ExecContext::Interrupted;
-        rec.resume_as = ResumeKind::Interrupted;
         rec.parked = true;
         rec.cpu_granted = false;
         rec.stats.interruptions += 1;
@@ -306,22 +292,24 @@ impl Shared {
     }
 
     /// Records the Petri-net transition for a thread that was just handed
-    /// the CPU back, based on why it had lost it.
+    /// the CPU back, read from the place it was parked in (`Ei` out of
+    /// `Interrupted`, `Ex` out of `Preempted`; a wakeup or a first start
+    /// fires nothing here), and restores the place it ran in.
     pub(crate) fn record_resume(&self, now: SimTime, who: ThreadRef) {
         let mut st = self.st.borrow_mut();
         let rec = st.thread_mut(who);
-        rec.marking = rec.prev_marking;
-        let kind = match rec.resume_as {
-            ResumeKind::Interrupted => {
+        let kind = match rec.marking {
+            ExecContext::Interrupted => {
                 rec.stats.sigma.fire(TThreadEvent::Ei);
                 Some(TraceKind::ResumeFromInterrupt)
             }
-            ResumeKind::Preempted => {
+            ExecContext::Preempted => {
                 rec.stats.sigma.fire(TThreadEvent::Ex);
                 Some(TraceKind::ResumeFromPreempt)
             }
-            ResumeKind::Wakeup | ResumeKind::Start => None,
+            _ => None,
         };
+        rec.marking = rec.prev_marking;
         if let Some(kind) = kind {
             Shared::trace_point(&mut st, now, who, kind);
         }
@@ -423,7 +411,6 @@ impl Shared {
         st.scheduler.enqueue(r, pri, at_head);
         st.observe(crate::obs::ObsEvent::Preempt { tid: r });
         let rec = st.thread_mut(ThreadRef::Task(r));
-        rec.resume_as = ResumeKind::Preempted;
         rec.marking = ExecContext::Preempted;
         rec.cpu_granted = false;
         rec.stats.preemptions += 1;
@@ -534,7 +521,6 @@ impl Shared {
             let rec = st.thread_mut(who);
             rec.prev_marking = ExecContext::ServiceCall;
             rec.marking = ExecContext::Sleeping;
-            rec.resume_as = ResumeKind::Wakeup;
             rec.parked = true;
             rec.cpu_granted = false;
             Shared::trace_point(&mut st, now, who, TraceKind::Sleep);
@@ -606,9 +592,7 @@ impl Shared {
             st.scheduler.enqueue(tid, pri, false);
         }
         let who = ThreadRef::Task(tid);
-        let rec = st.thread_mut(who);
-        rec.stats.sigma.fire(TThreadEvent::Ew);
-        rec.resume_as = ResumeKind::Wakeup;
+        st.thread_mut(who).stats.sigma.fire(TThreadEvent::Ew);
         Shared::trace_point(st, now, who, TraceKind::Wakeup);
     }
 }

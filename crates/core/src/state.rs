@@ -1,11 +1,13 @@
-//! Shared kernel state: the SIM_HashTB thread table, the task/object
-//! tables, the ready queue, the interrupt stack and the timer queue.
+//! Shared kernel state: the task/object tables, the ready queue, the
+//! interrupt stack and the timer queue.
 //!
 //! The tables every kernel decision touches are dense: the task and
-//! object tables and the SIM_HashTB ([`ThreadTable`]) are `ObjTable`s,
-//! slot vectors indexed by the 1-based raw ID, so a lookup is an index,
-//! not a search. Only interrupt handlers, whose numbers the caller
-//! chooses, are kept in ordered maps.
+//! object tables are `ObjTable`s, slot vectors indexed by the 1-based
+//! raw ID, so a lookup is an index, not a search. Only interrupt
+//! handlers, whose numbers the caller chooses, are kept in an ordered
+//! map. The SIM_HashTB is no table of its own: each T-THREAD record
+//! ([`TThreadRec`]) sits in the control block it models, and
+//! [`KernelState::thread_mut`] finds it through those tables.
 //!
 //! Everything lives in one `RefCell` inside [`Shared`]. The sysc engine
 //! runs one process at a time on one host thread, so the state needs no
@@ -28,7 +30,7 @@ use crate::kernel::ObjTable;
 use crate::obs::ObsStream;
 use crate::sim_api::scheduler::Scheduler;
 use crate::trace::TraceRecord;
-use crate::tthread::{ExecContext, TThreadKind, TThreadStats};
+use crate::tthread::{ExecContext, TThreadStats};
 
 /// Timeout of a blocking service call (µ-ITRON `TMO`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -197,42 +199,23 @@ impl Delivered {
     }
 }
 
-/// Why a parked T-THREAD is being resumed (what transition to record).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ResumeKind {
-    /// First dispatch after activation (record `Es` already done).
-    Start,
-    /// Wait completed and the task was dispatched (wait path).
-    Wakeup,
-    /// Was preempted; resuming records `Ex`.
-    Preempted,
-    /// Was frozen by an interrupt; resuming records `Ei`.
-    Interrupted,
-}
-
-/// Control record of one T-THREAD in the SIM_HashTB.
+/// Control record of one T-THREAD in the SIM_HashTB. It lives in the
+/// control block of what it models (`Tcb`, `Cyc`, `Alm`, `IsrRec`; the
+/// timer's in [`KernelState`]), which also holds its name.
 pub(crate) struct TThreadRec {
-    pub who: ThreadRef,
-    pub name: String,
-    pub kind: TThreadKind,
     pub marking: ExecContext,
     pub prev_marking: ExecContext,
     pub stats: TThreadStats,
     /// Notified to hand the thread the CPU (dispatch / nested resume).
+    /// An ISR's activation loop parks on it between activations.
     pub resume_ev: EventId,
     /// Notified to ask the thread to yield the CPU at its next
     /// preemption point.
     pub ctrl_ev: EventId,
     /// Notified by the thread once it has parked after a ctrl request.
     pub frozen_ev: EventId,
-    /// Handlers: notified to start one activation.
-    pub activate_ev: EventId,
-    /// Handlers: notified when one activation completes.
-    pub done_ev: EventId,
     /// A freeze request is outstanding against this thread.
     pub ctrl_pending: bool,
-    /// What to record when `resume_ev` next fires.
-    pub resume_as: ResumeKind,
     /// `true` while the thread is parked (not consuming CPU). A parked
     /// occupant can be "frozen" without a handshake.
     pub parked: bool,
@@ -240,107 +223,20 @@ pub(crate) struct TThreadRec {
     /// `resume_ev`; the thread only leaves its park loop when set. A
     /// freezer revokes the token of a parked-but-granted thread.
     pub cpu_granted: bool,
-    /// Live sysc process backing this thread, if any.
-    pub proc: Option<ProcId>,
-}
-
-/// SIM_HashTB: the control record of every registered T-THREAD, found
-/// in constant time.
-///
-/// Tasks, cyclics and alarms each have an [`ObjTable`] indexed by the
-/// IDs their object tables issued. ISRs are keyed by their `IntNo`,
-/// which the caller chooses and which therefore never sizes a vector;
-/// the timer has one slot. Iteration follows `ThreadRef` order: tasks, cyclics, alarms,
-/// ISRs, timer.
-#[derive(Default)]
-pub(crate) struct ThreadTable {
-    tasks: ObjTable<TThreadRec>,
-    cycs: ObjTable<TThreadRec>,
-    alms: ObjTable<TThreadRec>,
-    isrs: BTreeMap<IntNo, TThreadRec>,
-    timer: Option<TThreadRec>,
-    /// Number of registered records.
-    len: usize,
-}
-
-impl ThreadTable {
-    pub(crate) fn get(&self, who: ThreadRef) -> Option<&TThreadRec> {
-        match who {
-            ThreadRef::Task(id) => self.tasks.get(id.raw()).ok(),
-            ThreadRef::Cyclic(id) => self.cycs.get(id.raw()).ok(),
-            ThreadRef::Alarm(id) => self.alms.get(id.raw()).ok(),
-            ThreadRef::Isr(no) => self.isrs.get(&no),
-            ThreadRef::Timer => self.timer.as_ref(),
-        }
-    }
-
-    pub(crate) fn get_mut(&mut self, who: ThreadRef) -> Option<&mut TThreadRec> {
-        match who {
-            ThreadRef::Task(id) => self.tasks.get_mut(id.raw()).ok(),
-            ThreadRef::Cyclic(id) => self.cycs.get_mut(id.raw()).ok(),
-            ThreadRef::Alarm(id) => self.alms.get_mut(id.raw()).ok(),
-            ThreadRef::Isr(no) => self.isrs.get_mut(&no),
-            ThreadRef::Timer => self.timer.as_mut(),
-        }
-    }
-
-    /// Registers `rec` under `rec.who`, which must be vacant.
-    pub(crate) fn insert(&mut self, rec: TThreadRec) {
-        let old = match rec.who {
-            ThreadRef::Task(id) => self.tasks.insert_at(id.raw(), rec),
-            ThreadRef::Cyclic(id) => self.cycs.insert_at(id.raw(), rec),
-            ThreadRef::Alarm(id) => self.alms.insert_at(id.raw(), rec),
-            ThreadRef::Isr(no) => self.isrs.insert(no, rec),
-            ThreadRef::Timer => self.timer.replace(rec),
-        };
-        debug_assert!(old.is_none(), "T-THREAD registered twice");
-        self.len += 1;
-    }
-
-    /// Drops a deleted task's record; a task created on the freed ID
-    /// registers afresh.
-    pub(crate) fn remove_task(&mut self, tid: TaskId) {
-        self.len -= usize::from(self.tasks.remove(tid.raw()).is_ok());
-    }
-
-    pub(crate) fn contains(&self, who: ThreadRef) -> bool {
-        self.get(who).is_some()
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Every record, in `ThreadRef` order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &TThreadRec> {
-        self.tasks
-            .values()
-            .chain(self.cycs.values())
-            .chain(self.alms.values())
-            .chain(self.isrs.values())
-            .chain(&self.timer)
-    }
 }
 
 impl TThreadRec {
-    pub(crate) fn new(h: &SimHandle, who: ThreadRef, name: &str, kind: TThreadKind) -> Self {
+    pub(crate) fn new(h: &SimHandle) -> Self {
         TThreadRec {
-            who,
-            name: name.to_string(),
-            kind,
             marking: ExecContext::Dormant,
             prev_marking: ExecContext::Dormant,
             stats: TThreadStats::default(),
             resume_ev: h.create_event(),
             ctrl_ev: h.create_event(),
             frozen_ev: h.create_event(),
-            activate_ev: h.create_event(),
-            done_ev: h.create_event(),
             ctrl_pending: false,
-            resume_as: ResumeKind::Start,
             parked: true,
             cpu_granted: false,
-            proc: None,
         }
     }
 }
@@ -374,6 +270,10 @@ pub(crate) struct Tcb {
     pub stacd: i32,
     /// Total number of activations.
     pub activations: u64,
+    /// The task's T-THREAD record.
+    pub thread: TThreadRec,
+    /// Live sysc process of the current activation, if any.
+    pub proc: Option<ProcId>,
 }
 
 /// An entry in the kernel's tick-driven timer queue.
@@ -398,6 +298,9 @@ pub struct IntRequest {
     pub level: u8,
 }
 
+/// The name of the timer handler's T-THREAD.
+const TIMER_NAME: &str = "timer";
+
 /// The whole mutable kernel state.
 pub(crate) struct KernelState {
     pub cfg: KernelConfig,
@@ -405,8 +308,6 @@ pub(crate) struct KernelState {
     pub systim_ms: u64,
     /// Ticks since boot.
     pub ticks: u64,
-    /// SIM_HashTB: every registered T-THREAD.
-    pub threads: ThreadTable,
     pub tasks: ObjTable<Tcb>,
     pub scheduler: Box<dyn Scheduler>,
     pub running: Option<TaskId>,
@@ -438,6 +339,8 @@ pub(crate) struct KernelState {
     pub cycs: ObjTable<crate::kernel::time::Cyc>,
     pub alms: ObjTable<crate::kernel::time::Alm>,
     pub isrs: BTreeMap<IntNo, crate::kernel::int::IsrRec>,
+    /// The timer handler's T-THREAD record.
+    pub timer: TThreadRec,
     /// Tick-granular timer queue, on the same `(at, seq)`-ordered
     /// [`TimedQueue`] the sysc event core uses (deadline unit: ticks
     /// since boot): due actions come out in deadline-then-arming order.
@@ -466,12 +369,11 @@ pub(crate) struct KernelState {
 }
 
 impl KernelState {
-    pub(crate) fn new(cfg: KernelConfig, scheduler: Box<dyn Scheduler>) -> Self {
+    pub(crate) fn new(cfg: KernelConfig, scheduler: Box<dyn Scheduler>, h: &SimHandle) -> Self {
         KernelState {
             cfg,
             systim_ms: 0,
             ticks: 0,
-            threads: ThreadTable::default(),
             tasks: ObjTable::default(),
             scheduler,
             running: None,
@@ -493,6 +395,7 @@ impl KernelState {
             cycs: ObjTable::default(),
             alms: ObjTable::default(),
             isrs: BTreeMap::new(),
+            timer: TThreadRec::new(h),
             timeq: TimedQueue::new(),
             due_timers: VecDeque::new(),
             due_scratch: Vec::new(),
@@ -536,12 +439,55 @@ impl KernelState {
         self.tasks.get_mut(tid.0)
     }
 
-    pub(crate) fn thread(&self, who: ThreadRef) -> &TThreadRec {
-        self.threads.get(who).expect("unregistered T-THREAD")
+    /// The T-THREAD record of `who`, in the control block it models.
+    pub(crate) fn thread_mut(&mut self, who: ThreadRef) -> &mut TThreadRec {
+        match who {
+            ThreadRef::Task(id) => self.tasks.get_mut(id.0).map(|t| &mut t.thread).ok(),
+            ThreadRef::Cyclic(id) => self.cycs.get_mut(id.0).map(|c| &mut c.thread).ok(),
+            ThreadRef::Alarm(id) => self.alms.get_mut(id.0).map(|a| &mut a.thread).ok(),
+            ThreadRef::Isr(no) => self.isrs.get_mut(&no).map(|i| &mut i.thread),
+            ThreadRef::Timer => Some(&mut self.timer),
+        }
+        .expect("unregistered T-THREAD")
     }
 
-    pub(crate) fn thread_mut(&mut self, who: ThreadRef) -> &mut TThreadRec {
-        self.threads.get_mut(who).expect("unregistered T-THREAD")
+    /// The name of `who`, from the control block it models.
+    pub(crate) fn thread_name(&self, who: ThreadRef) -> &str {
+        match who {
+            ThreadRef::Task(id) => self.tasks.get(id.0).map(|t| t.name.as_str()).ok(),
+            ThreadRef::Cyclic(id) => self.cycs.get(id.0).map(|c| c.name.as_str()).ok(),
+            ThreadRef::Alarm(id) => self.alms.get(id.0).map(|a| a.name.as_str()).ok(),
+            ThreadRef::Isr(no) => self.isrs.get(&no).map(|i| i.name.as_str()),
+            ThreadRef::Timer => Some(TIMER_NAME),
+        }
+        .expect("unregistered T-THREAD")
+    }
+
+    /// Every T-THREAD with its name and record, in `ThreadRef` order:
+    /// tasks, cyclics, alarms, ISRs by number, the timer.
+    pub(crate) fn threads(&self) -> impl Iterator<Item = (ThreadRef, &str, &TThreadRec)> {
+        let tasks = self
+            .tasks
+            .iter()
+            .map(|(id, t)| (ThreadRef::Task(TaskId(id)), t.name.as_str(), &t.thread));
+        let cycs = self
+            .cycs
+            .iter()
+            .map(|(id, c)| (ThreadRef::Cyclic(CycId(id)), c.name.as_str(), &c.thread));
+        let alms = self
+            .alms
+            .iter()
+            .map(|(id, a)| (ThreadRef::Alarm(AlmId(id)), a.name.as_str(), &a.thread));
+        let isrs = self
+            .isrs
+            .iter()
+            .map(|(&no, i)| (ThreadRef::Isr(no), i.name.as_str(), &i.thread));
+        let timer = (ThreadRef::Timer, TIMER_NAME, &self.timer);
+        tasks
+            .chain(cycs)
+            .chain(alms)
+            .chain(isrs)
+            .chain(std::iter::once(timer))
     }
 
     /// Reports one observation event to the attached stream, if any.
@@ -643,9 +589,11 @@ mod tests {
 
     #[test]
     fn timer_wheel_pops_in_tick_then_arming_order() {
+        let sim = sysc::Simulation::new();
         let mut st = KernelState::new(
             KernelConfig::zero_cost(),
             Box::new(crate::sim_api::scheduler::PriorityScheduler::new(16)),
+            &sim.handle(),
         );
         let act = |n: u32| TimerAction::TaskTimeout {
             tid: TaskId(n),

@@ -4,11 +4,13 @@
 
 mod common;
 
+use std::cell::OnceCell;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use common::Log;
-use rtk_core::{Cost, IntNo, KernelConfig, Rtos, Timeout};
+use rtk_core::{Cost, ExecContext, IntNo, IntPort, KernelConfig, Rtos, Timeout};
 use sysc::SimTime;
 
 fn ms(v: u64) -> SimTime {
@@ -308,4 +310,84 @@ fn interrupt_storm_preserves_task_budget() {
     }
     rtos.run_for(ms(10));
     assert_eq!(log.take(), vec!["end@1200"]);
+}
+
+/// The same line raised again at a higher level while its ISR runs (the
+/// 8051 controller can move a source to the high level between two
+/// raises) waits for that activation's return, which chains it. Mounting
+/// it as a nested frame would notify an ISR parked mid-body, and nothing
+/// would run again: no tick, no task.
+#[test]
+fn same_line_raised_at_a_higher_level_waits_for_its_own_return() {
+    let log = Log::default();
+    let l = log.clone();
+    let mut rtos = Rtos::new(KernelConfig::zero_cost(), move |sys, _| {
+        let l_isr = l.clone();
+        sys.tk_def_int(IntNo(0), 0, "isr0", move |sys| {
+            l_isr.push(format!("isr-begin@{}", sys.now().as_us()));
+            sys.exec(us(300));
+            l_isr.push(format!("isr-end@{}", sys.now().as_us()));
+        })
+        .unwrap();
+        let l_t = l.clone();
+        let t = sys
+            .tk_cre_tsk("worker", 10, move |sys, _| {
+                sys.exec(ms(2));
+                l_t.push(format!("task-end@{}", sys.now().as_us()));
+            })
+            .unwrap();
+        sys.tk_sta_tsk(t, 0).unwrap();
+    });
+    hardware_int_at(&rtos, us(200), IntNo(0), 0);
+    hardware_int_at(&rtos, us(300), IntNo(0), 1);
+    rtos.run_for(ms(20));
+    assert_eq!(
+        log.take(),
+        [
+            "isr-begin@200",
+            "isr-end@500",
+            "isr-begin@500",
+            "isr-end@800",
+            "task-end@2600"
+        ]
+    );
+    assert_eq!(rtos.ds().td_ref_int(IntNo(0)).unwrap().count, 2);
+    assert_eq!(rtos.run_stats().ticks, 20);
+}
+
+/// An interrupt raised inside a cyclic handler stays pending until the
+/// timer frame pops: nothing nests above it. The ISR body starts
+/// `int_exit + int_entry` after the cyclic body ends (paper costs:
+/// 8 + 12 µs), and the cyclic handler's `Handler` CET holds its entry,
+/// body and exit costs only.
+#[test]
+fn interrupt_raised_in_a_cyclic_handler_waits_for_the_timer_frame() {
+    let log = Log::default();
+    let port: Rc<OnceCell<IntPort>> = Rc::default();
+    let (l, p) = (log.clone(), Rc::clone(&port));
+    let mut rtos = Rtos::new(KernelConfig::paper(), move |sys, _| {
+        let l_isr = l.clone();
+        sys.tk_def_int(IntNo(1), 1, "isr1", move |sys| {
+            l_isr.push(format!("isr@{}", sys.now().as_us()));
+        })
+        .unwrap();
+        let (l_cyc, p) = (l.clone(), Rc::clone(&p));
+        let mut raised = false;
+        sys.tk_cre_cyc("cyc", ms(2), SimTime::ZERO, true, move |sys| {
+            sys.exec(us(100));
+            if !std::mem::replace(&mut raised, true) {
+                p.get().expect("port installed").raise(IntNo(1), 1);
+            }
+            sys.exec(us(100));
+            l_cyc.push(format!("cyc-end@{}", sys.now().as_us()));
+        })
+        .unwrap();
+    });
+    port.set(rtos.int_port()).expect("set once");
+    rtos.run_for(ms(5));
+    assert_eq!(log.take(), ["cyc-end@2752", "isr@2772", "cyc-end@4752"]);
+    let threads = rtos.threads();
+    let cyc = threads.iter().find(|t| t.name == "cyc").unwrap();
+    assert_eq!(cyc.stats.cycles, 2);
+    assert_eq!(cyc.stats.cet(ExecContext::Handler), us(440));
 }

@@ -11,7 +11,8 @@ use std::sync::Arc;
 
 use common::Log;
 use rtk_core::{
-    ErCode, FlagWaitMode, KernelConfig, MsgPacket, MtxPolicy, QueueOrder, Rtos, TaskState, Timeout,
+    ErCode, FlagWaitMode, KernelConfig, MsgPacket, MtxPolicy, QueueOrder, Rtos, TaskState,
+    ThreadRef, Timeout,
 };
 use sysc::SimTime;
 
@@ -956,6 +957,43 @@ fn handler_wakes_task_with_delayed_dispatch() {
     // hi woken at ticks 10 and 20 (timer tick is instantaneous with the
     // zero-cost model).
     assert_eq!(entries, vec!["hi@10000", "hi@20000"]);
+}
+
+/// Cyclic and alarm handlers run on Thread Dispatch's own process inside
+/// the timer frame, so their activations cost the engine no process run
+/// and no event: a kernel whose 1 ms cyclic handler executes 30 µs each
+/// tick and whose alarm fires once runs as many processes and fires as
+/// many events as one without them.
+#[test]
+fn timer_handlers_cost_the_engine_no_process_runs_or_events() {
+    let run = |handlers: bool| {
+        let mut rtos = Rtos::new(KernelConfig::zero_cost(), move |sys, _| {
+            if handlers {
+                sys.tk_cre_cyc("cyc", ms(1), SimTime::ZERO, true, |sys| {
+                    sys.exec(us(30));
+                })
+                .unwrap();
+                let alm = sys.tk_cre_alm("alm", |sys| sys.exec(us(30))).unwrap();
+                sys.tk_sta_alm(alm, ms(5)).unwrap();
+            }
+        });
+        rtos.run_for(ms(10));
+        let handler_runs: u64 = rtos
+            .threads()
+            .iter()
+            .filter(|t| matches!(t.who, ThreadRef::Cyclic(_) | ThreadRef::Alarm(_)))
+            .map(|t| t.stats.cycles)
+            .sum();
+        let s = rtos.engine_stats();
+        (handler_runs, s.process_runs, s.events_fired)
+    };
+    let (none, bare_runs, bare_events) = run(false);
+    assert_eq!(none, 0);
+    let (handler_runs, runs, events) = run(true);
+    // Nine cyclic activations (ticks 1..=9; the run stops at the 10 ms
+    // tick) and one alarm.
+    assert_eq!(handler_runs, 10);
+    assert_eq!((runs, events), (bare_runs, bare_events));
 }
 
 // ---------------------------------------------------------------------
