@@ -310,10 +310,27 @@ impl Shared {
         if !exit_cost.is_zero() {
             self.sim_wait_atomic(proc, who, ExecContext::Handler, "int_exit", exit_cost);
         }
-        let mut st = self.st.borrow_mut();
-        let rec = st.thread_mut(who);
-        rec.marking = ExecContext::Dormant;
-        rec.stats.cycles += 1;
+        // A freeze requested while a body and exit cost took no time is
+        // still pending here: acknowledge it before the caller pops the
+        // frame, or the freezer waits on `frozen_ev` forever.
+        loop {
+            let frozen_ev = {
+                let mut st = self.st.borrow_mut();
+                let rec = st.thread_mut(who);
+                if std::mem::take(&mut rec.ctrl_pending) {
+                    Some(Self::freeze_ack(&mut st, proc.now(), who))
+                } else {
+                    rec.marking = ExecContext::Dormant;
+                    rec.stats.cycles += 1;
+                    None
+                }
+            };
+            let Some(frozen_ev) = frozen_ev else {
+                return;
+            };
+            self.h.notify(frozen_ev);
+            self.park_until_granted(proc, who);
+        }
     }
 }
 

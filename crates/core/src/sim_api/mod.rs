@@ -254,9 +254,10 @@ impl Shared {
     /// borrow and has already consumed `ctrl_pending`): marks `who`
     /// interrupted and off-CPU, revokes its grant, records the trace
     /// point. Returns the `frozen_ev` the caller must notify before
-    /// parking. Shared between [`Shared::check_ctrl_and_park`] and the
-    /// single-borrow slice path of [`Shared::sim_wait`].
-    fn freeze_ack(st: &mut KernelState, now: SimTime, who: ThreadRef) -> EventId {
+    /// parking. Shared between [`Shared::check_ctrl_and_park`], the
+    /// single-borrow slice path of [`Shared::sim_wait`] and the borrow
+    /// that closes a handler activation (`Shared::run_handler`).
+    pub(crate) fn freeze_ack(st: &mut KernelState, now: SimTime, who: ThreadRef) -> EventId {
         let rec = st.thread_mut(who);
         rec.prev_marking = rec.marking;
         rec.marking = ExecContext::Interrupted;

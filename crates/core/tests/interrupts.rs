@@ -391,3 +391,42 @@ fn interrupt_raised_in_a_cyclic_handler_waits_for_the_timer_frame() {
     assert_eq!(cyc.stats.cycles, 2);
     assert_eq!(cyc.stats.cet(ExecContext::Handler), us(440));
 }
+
+/// Under zero costs an ISR whose body takes no time ends while a
+/// higher-level request raised in the same burst waits for it to
+/// acknowledge its freeze. The ISR acknowledges before its frame pops,
+/// so the higher-level ISR runs and the tick keeps firing.
+#[test]
+fn zero_time_isr_acknowledges_a_freeze_before_its_return() {
+    let log = Log::default();
+    let l = log.clone();
+    let mut rtos = Rtos::new(KernelConfig::zero_cost(), move |sys, _| {
+        let l0 = l.clone();
+        sys.tk_def_int(IntNo(0), 0, "a", move |sys| {
+            l0.push(format!("a@{}", sys.now().as_us()));
+        })
+        .unwrap();
+        let l1 = l.clone();
+        sys.tk_def_int(IntNo(1), 1, "b", move |sys| {
+            l1.push(format!("b@{}", sys.now().as_us()));
+        })
+        .unwrap();
+        let l_t = l.clone();
+        let t = sys
+            .tk_cre_tsk("worker", 10, move |sys, _| {
+                sys.exec(ms(2));
+                l_t.push(format!("task-end@{}", sys.now().as_us()));
+            })
+            .unwrap();
+        sys.tk_sta_tsk(t, 0).unwrap();
+    });
+    let port = rtos.int_port();
+    rtos.sim_handle()
+        .spawn_thread(sysc::SpawnMode::Immediate, move |ctx| {
+            ctx.wait_time(us(200));
+            port.raise_many(&[(IntNo(0), 0), (IntNo(1), 1)]);
+        });
+    rtos.run_for(ms(20));
+    assert_eq!(log.take(), ["a@200", "b@200", "task-end@2000"]);
+    assert_eq!(rtos.run_stats().ticks, 20);
+}

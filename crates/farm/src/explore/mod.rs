@@ -33,6 +33,8 @@
 mod program;
 
 use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use rtk_analysis::static_verify::AnalysisOptions;
@@ -314,7 +316,7 @@ impl ExpState {
 }
 
 /// One resolvable branch at a frontier.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum EChoice {
     /// A spec-enabled event: the forced `Dispatch`/`Preempt`
     /// (instantaneous) or an armed `TimerFire` at its tick.
@@ -335,41 +337,75 @@ enum EChoice {
     IrqFire { tick: u64, dropped: bool },
 }
 
-/// A computed successor: the candidate's child state and the realized,
-/// tick-stamped event tail.
+/// A computed successor: the candidate's child state and where its
+/// realized event tail lies in [`Walker::events`]. Every event of a
+/// tail happens at the candidate's `tick`.
 struct Cand {
     choice: EChoice,
     child: ExpState,
-    events: Vec<StampedEvent>,
-    preempt: bool,
+    events: Range<usize>,
     tick: u64,
-    /// Dependent-with-everything (CPU-coupled) for the POR check.
-    cpu: bool,
-    /// Footprint tokens for the POR independence check.
-    tokens: std::collections::BTreeSet<(u8, u64)>,
-    /// The most urgent current priority among the tasks this candidate
-    /// wakes (what `--adversarial` scores).
-    wake_pri: Option<u8>,
 }
 
+/// One state on the DFS path.
 struct Frame {
-    cands: Vec<Option<Cand>>,
-    next: usize,
-    incoming: Vec<StampedEvent>,
+    /// [`Walker::cands`] from this index on holds the state's untried
+    /// candidates.
+    cands_from: usize,
+    /// [`Walker::events`] from this index on holds the event tails of
+    /// the state's candidates.
+    events_from: usize,
+    /// The events that led into the state, all at `tick`, in the
+    /// parent frame's part of [`Walker::events`].
+    incoming: Range<usize>,
+    tick: u64,
 }
 
 enum Expansion {
     LeafHorizon,
     LeafQuiescent,
     LeafDeadlock,
-    Choices(Vec<EChoice>),
+    /// The candidates are in the buffer given to [`expand`].
+    Choices,
+}
+
+/// Hashes a key that is already a digest. FNV-1a mixes its input into
+/// the high bits of its state, so the high half is folded down into the
+/// low bits, which pick the hash-table bucket.
+#[derive(Default)]
+struct Prehashed(u64);
+
+impl Hasher for Prehashed {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("only u64 digests are hashed");
+    }
+
+    fn write_u64(&mut self, digest: u64) {
+        self.0 = digest ^ (digest >> 32);
+    }
 }
 
 struct Walker<'a> {
     cfg: &'a ExploreConfig,
     model: &'a ExploreModel,
-    visited: HashSet<u64>,
+    visited: HashSet<u64, BuildHasherDefault<Prehashed>>,
     stack: Vec<Frame>,
+    /// The untried candidates of every frame on the stack, frame by
+    /// frame; each frame's are stored last first, so the next one pops
+    /// off the end.
+    cands: Vec<Cand>,
+    /// The root's creation events, then the event tails of the
+    /// candidates of every frame on the stack, frame by frame.
+    events: Vec<ObsEvent>,
+    /// Scratch for one frontier: the spec-enabled events, the choices
+    /// and the candidates built from them.
+    enabled: Vec<ObsEvent>,
+    choices: Vec<EChoice>,
+    built: Vec<Cand>,
     /// Visited state hashes folded in visit order; its digest becomes
     /// the report's `state_hash` once the walk ends.
     frontier: Fnv,
@@ -382,8 +418,13 @@ impl<'a> Walker<'a> {
         Walker {
             cfg,
             model,
-            visited: HashSet::new(),
+            visited: HashSet::default(),
             stack: Vec::new(),
+            cands: Vec::new(),
+            events: Vec::new(),
+            enabled: Vec::new(),
+            choices: Vec::new(),
+            built: Vec::new(),
             frontier: Fnv::new(),
             report: ExploreReport {
                 family: model.family.label().to_string(),
@@ -414,7 +455,7 @@ impl<'a> Walker<'a> {
     }
 
     fn run(&mut self) {
-        let (root, root_events) = match self.build_root() {
+        let root = match self.build_root() {
             Ok(v) => v,
             Err(e) => {
                 self.record_violation("spec_error", 0, 0, &e, Vec::new());
@@ -425,27 +466,20 @@ impl<'a> Walker<'a> {
         self.visited.insert(h);
         self.frontier.u64(h);
         self.report.states = 1;
-        if let Some(frame) = self.enter(root, h, root_events) {
+        let root_events = 0..self.events.len();
+        if let Some(frame) = self.enter(root, h, root_events, 0) {
             self.stack.push(frame);
         }
-        while !self.stack.is_empty() {
-            let cand = {
-                let top = self.stack.last_mut().expect("non-empty stack");
-                if top.next >= top.cands.len() {
-                    None
-                } else {
-                    let c = top.cands[top.next].take();
-                    top.next += 1;
-                    c
-                }
-            };
-            let Some(cand) = cand else {
-                self.stack.pop();
+        while let Some(top) = self.stack.last() {
+            if self.cands.len() == top.cands_from {
+                let done = self.stack.pop().expect("non-empty stack");
+                self.events.truncate(done.events_from);
                 continue;
-            };
+            }
+            let cand = self.cands.pop().expect("the top frame has a candidate");
             let report = &mut self.report;
             report.transitions += 1;
-            if cand.preempt {
+            if matches!(cand.choice, EChoice::Spec(ObsEvent::Preempt { .. })) {
                 report.preemptions += 1;
             }
             let h = cand.child.digest();
@@ -455,7 +489,7 @@ impl<'a> Walker<'a> {
             }
             self.frontier.u64(h);
             report.states += 1;
-            if let Some(frame) = self.enter(cand.child, h, cand.events) {
+            if let Some(frame) = self.enter(cand.child, h, cand.events, cand.tick) {
                 self.stack.push(frame);
                 self.report.max_depth = self.report.max_depth.max(self.stack.len() as u64);
             }
@@ -463,21 +497,27 @@ impl<'a> Walker<'a> {
     }
 
     /// Visits a freshly-discovered state: checks invariants, applies
-    /// the bounds, expands the frontier. Returns the frame to descend
-    /// into, or `None` for a leaf.
-    fn enter(&mut self, st: ExpState, hash: u64, incoming: Vec<StampedEvent>) -> Option<Frame> {
+    /// the bounds, expands the frontier and pushes its candidates.
+    /// Returns the frame to descend into, or `None` for a leaf.
+    fn enter(
+        &mut self,
+        st: ExpState,
+        hash: u64,
+        incoming: Range<usize>,
+        tick: u64,
+    ) -> Option<Frame> {
         let broken = st.spec.invariant_violations();
         if !broken.is_empty() {
             self.report.invariant_violations += 1;
             let detail = broken.join("; ");
-            let path = self.path_events(&incoming);
+            let path = self.path_events(&incoming, tick);
             self.record_violation("invariant", st.now, hash, &detail, path);
         }
         if self.stack.len() >= self.cfg.depth || self.report.states >= self.cfg.max_states as u64 {
             self.report.truncated = true;
             return None;
         }
-        let choices = match self.expand(&st) {
+        match expand(self.model, &st, &mut self.enabled, &mut self.choices) {
             Expansion::LeafHorizon | Expansion::LeafQuiescent => return None,
             Expansion::LeafDeadlock => {
                 self.report.deadlocks += 1;
@@ -490,49 +530,68 @@ impl<'a> Walker<'a> {
                         .collect::<Vec<_>>()
                         .join(", ")
                 );
-                let path = self.path_events(&incoming);
+                let path = self.path_events(&incoming, tick);
                 self.record_violation("deadlock", st.now, hash, &detail, path);
                 return None;
             }
-            Expansion::Choices(cs) => cs,
-        };
-        let mut cands: Vec<Cand> = Vec::with_capacity(choices.len());
-        for ch in &choices {
-            match self.apply_choice(&st, ch) {
-                Ok(c) => cands.push(c),
+            Expansion::Choices => {}
+        }
+        let now = st.now;
+        let running_pri = st.spec.running().and_then(|r| st.spec.current_priority(r));
+        let events_from = self.events.len();
+        let mut built = std::mem::take(&mut self.built);
+        // Every candidate but the last steps a copy of the state; the
+        // last one steps the state itself.
+        let n = self.choices.len();
+        let mut parent = Some(st);
+        for i in 0..n {
+            let ch = self.choices[i];
+            let from = if i + 1 < n {
+                parent.clone()
+            } else {
+                parent.take()
+            };
+            let from = from.expect("the state is held until the last choice");
+            match apply_choice(self.model, from, &ch, &mut self.events) {
+                Ok(c) => built.push(c),
                 Err(e) => {
                     self.report.spec_errors += 1;
                     let detail = format!("spec transition failed on {ch:?}: {e}");
-                    let path = self.path_events(&incoming);
-                    self.record_violation("spec_error", st.now, hash, &detail, path);
+                    let path = self.path_events(&incoming, tick);
+                    self.record_violation("spec_error", now, hash, &detail, path);
                 }
             }
         }
-        if self.cfg.adversarial && cands.len() > 1 {
-            let running_pri = st.spec.running().and_then(|r| st.spec.current_priority(r));
+        if self.cfg.adversarial && built.len() > 1 {
             let score = |c: &Cand| -> u32 {
                 match running_pri {
-                    Some(rp) => u32::from(c.wake_pri.is_some_and(|p| p < rp)),
+                    Some(rp) => u32::from(
+                        wake_pri(&c.child, &self.events[c.events.clone()]).is_some_and(|p| p < rp),
+                    ),
                     None => 0,
                 }
             };
-            let best = cands.iter().map(&score).max().unwrap_or(0);
-            let before = cands.len();
-            cands.retain(|c| score(c) == best);
-            self.report.collapsed += (before - cands.len()) as u64;
-        } else if self.cfg.por && cands.len() > 1 && self.frontier_commutes(&cands) {
+            let best = built.iter().map(&score).max().unwrap_or(0);
+            let before = built.len();
+            built.retain(|c| score(c) == best);
+            self.report.collapsed += (before - built.len()) as u64;
+        } else if self.cfg.por && built.len() > 1 && self.frontier_commutes(&built) {
             // The whole frontier commutes: every order reaches the
             // same joint state (verified, not assumed — see
             // `frontier_commutes`) and, footprints being disjoint, any
             // violation on a pruned intermediate state persists into
             // it. One representative order suffices.
-            self.report.collapsed += (cands.len() - 1) as u64;
-            cands.truncate(1);
+            self.report.collapsed += (built.len() - 1) as u64;
+            built.truncate(1);
         }
+        let cands_from = self.cands.len();
+        self.cands.extend(built.drain(..).rev());
+        self.built = built;
         Some(Frame {
-            cands: cands.into_iter().map(Some).collect(),
-            next: 0,
+            cands_from,
+            events_from,
             incoming,
+            tick,
         })
     }
 
@@ -555,21 +614,26 @@ impl<'a> Walker<'a> {
     ///    reach digest-identical joint states. This layer also rejects
     ///    two wakes of equal current priority: they enter the ready
     ///    queue in the order they land, and that order is hashed.
-    fn frontier_commutes(&self, cands: &[Cand]) -> bool {
+    fn frontier_commutes(&mut self, cands: &[Cand]) -> bool {
+        let tail = |c: &Cand| &self.events[c.events.clone()];
         for (i, a) in cands.iter().enumerate() {
-            if a.cpu {
+            if cpu_coupled(&a.choice, tail(a)) {
                 return false;
             }
             for b in &cands[i + 1..] {
-                if a.tick != b.tick || !a.tokens.is_disjoint(&b.tokens) {
+                let disjoint = footprint(self.model, &a.choice, tail(a))
+                    .all(|x| footprint(self.model, &b.choice, tail(b)).all(|y| x != y));
+                if a.tick != b.tick || !disjoint {
                     return false;
                 }
             }
         }
+        let scratch = self.events.len();
         for (i, a) in cands.iter().enumerate() {
             for b in &cands[i + 1..] {
-                let ab = self.joint_digest(&a.child, &b.choice);
-                let ba = self.joint_digest(&b.child, &a.choice);
+                let ab = joint_digest(self.model, a.child.clone(), &b.choice, &mut self.events);
+                let ba = joint_digest(self.model, b.child.clone(), &a.choice, &mut self.events);
+                self.events.truncate(scratch);
                 if !matches!((ab, ba), (Some(x), Some(y)) if x == y) {
                     return false;
                 }
@@ -578,37 +642,19 @@ impl<'a> Walker<'a> {
         true
     }
 
-    /// Digest of the state reached from `mid` by playing all forced
-    /// moves, applying `then`, and playing forced moves again. `None`
-    /// if the sibling choice is no longer applicable (treated as
-    /// non-commuting).
-    fn joint_digest(&self, mid: &ExpState, then: &EChoice) -> Option<u64> {
-        let closed = self.closed(mid.clone())?;
-        let c = self.apply_choice(&closed, then).ok()?;
-        let fin = self.closed(c.child)?;
-        Some(fin.digest())
-    }
-
-    /// Plays out the deterministic forced moves (dispatch, preemption)
-    /// of a state. Bounded defensively; `None` means "give up, treat
-    /// as non-commuting".
-    fn closed(&self, mut st: ExpState) -> Option<ExpState> {
-        for _ in 0..64 {
-            let Some(forced) = st.spec.forced() else {
-                return Some(st);
-            };
-            st = self.apply_choice(&st, &EChoice::Spec(forced)).ok()?.child;
-        }
-        None
-    }
-
-    fn path_events(&self, tail: &[StampedEvent]) -> Vec<StampedEvent> {
-        let mut evs: Vec<StampedEvent> = Vec::new();
-        for f in &self.stack {
-            evs.extend_from_slice(&f.incoming);
-        }
-        evs.extend_from_slice(tail);
-        evs
+    /// The stamped event stream from system creation to the state
+    /// `incoming` (at `tick`) leads into.
+    fn path_events(&self, incoming: &Range<usize>, tick: u64) -> Vec<StampedEvent> {
+        let stamp = |range: &Range<usize>, tick: u64| {
+            self.events[range.clone()]
+                .iter()
+                .map(move |&ev| StampedEvent { tick, ev })
+        };
+        self.stack
+            .iter()
+            .flat_map(|f| stamp(&f.incoming, f.tick))
+            .chain(stamp(incoming, tick))
+            .collect()
     }
 
     fn record_violation(
@@ -638,16 +684,14 @@ impl<'a> Walker<'a> {
         });
     }
 
-    fn build_root(&self) -> Result<(ExpState, Vec<StampedEvent>), String> {
+    /// The initial state; its creation events go to the front of
+    /// [`Walker::events`].
+    fn build_root(&mut self) -> Result<ExpState, String> {
         let mut spec = match self.cfg.mutation {
             Some(m) => SpecState::with_mutation(m),
             None => SpecState::new(),
         };
-        let evs = spec.step(&self.model.init())?;
-        let events = evs
-            .into_iter()
-            .map(|ev| StampedEvent { tick: 0, ev })
-            .collect();
+        spec.step(&self.model.init(), &mut self.events)?;
         let tasks = self
             .model
             .tasks
@@ -660,255 +704,297 @@ impl<'a> Walker<'a> {
                 TaskRt { pc: 0, rem }
             })
             .collect();
-        Ok((
-            ExpState {
-                spec,
-                now: 0,
-                tasks,
-                owed: vec![0; self.model.releases().count()],
-                irq_next: self.model.irq.map_or(0, |i| i.first),
-                delays_left: self.model.delay_budget,
-                drops_left: self.model.drop_budget,
-            },
-            events,
-        ))
+        Ok(ExpState {
+            spec,
+            now: 0,
+            tasks,
+            owed: vec![0; self.model.releases().count()],
+            irq_next: self.model.irq.map_or(0, |i| i.first),
+            delays_left: self.model.delay_budget,
+            drops_left: self.model.drop_budget,
+        })
     }
+}
 
-    /// Enumerates the candidates at a quiescent state, in a fixed
-    /// deterministic order.
-    fn expand(&self, st: &ExpState) -> Expansion {
-        let enabled = st.spec.enabled();
-        if let [ev @ (ObsEvent::Dispatch { .. } | ObsEvent::Preempt { .. })] = enabled.as_slice() {
-            return Expansion::Choices(vec![EChoice::Spec(*ev)]);
-        }
-        let mut timed: Vec<EChoice> = enabled.into_iter().map(EChoice::Spec).collect();
-        if let Some(r) = st.spec.running() {
-            let rt = st.tasks[r as usize - 1];
-            if matches!(self.model.tasks[r as usize - 1].ops[rt.pc], Micro::Exec(_)) {
-                timed.push(EChoice::OpComplete {
-                    task: r,
-                    tick: st.now + rt.rem,
-                });
-            }
-        }
-        for (idx, (tid, _)) in self.model.releases().enumerate() {
-            if let Some(tick) = st.spec.cyc_next_fire(tid) {
-                timed.push(EChoice::CycFire {
+/// Enumerates the candidates at a quiescent state into `out`, in a
+/// fixed deterministic order. `enabled` is scratch.
+fn expand(
+    model: &ExploreModel,
+    st: &ExpState,
+    enabled: &mut Vec<ObsEvent>,
+    out: &mut Vec<EChoice>,
+) -> Expansion {
+    enabled.clear();
+    out.clear();
+    st.spec.enabled(enabled);
+    if let [ev @ (ObsEvent::Dispatch { .. } | ObsEvent::Preempt { .. })] = enabled.as_slice() {
+        out.push(EChoice::Spec(*ev));
+        return Expansion::Choices;
+    }
+    let op_complete = st.spec.running().and_then(|r| {
+        let rt = st.tasks[r as usize - 1];
+        matches!(model.tasks[r as usize - 1].ops[rt.pc], Micro::Exec(_)).then_some(
+            EChoice::OpComplete {
+                task: r,
+                tick: st.now + rt.rem,
+            },
+        )
+    });
+    // The timed candidates: armed timeouts, the running task's burst
+    // completion, then the cyclic releases.
+    let timed = || {
+        enabled
+            .iter()
+            .map(|&ev| EChoice::Spec(ev))
+            .chain(op_complete)
+            .chain(model.releases().enumerate().filter_map(|(idx, (tid, _))| {
+                st.spec.cyc_next_fire(tid).map(|tick| EChoice::CycFire {
                     idx,
                     tid,
                     tick,
                     delayed: false,
+                })
+            }))
+    };
+    let tick_of = |c: &EChoice| match *c {
+        EChoice::Spec(ObsEvent::TimerFire { tick, .. }) => tick,
+        EChoice::OpComplete { tick, .. } => tick,
+        EChoice::CycFire { tick, .. } => tick,
+        EChoice::IrqFire { tick, .. } => tick,
+        EChoice::Spec(_) => st.now,
+    };
+    let tmin = timed().map(|c| tick_of(&c)).min();
+    let tmin_h = tmin.filter(|&t| t <= model.horizon);
+    let irq_window = model.irq.and_then(|irq| {
+        let lo = st.irq_next.max(st.now);
+        if lo > model.horizon {
+            return None;
+        }
+        Some((lo, (st.irq_next + irq.jitter).max(lo).min(model.horizon)))
+    });
+    let cut = match (tmin_h, irq_window) {
+        (None, None) => {
+            return if tmin.is_some() {
+                Expansion::LeafHorizon
+            } else if st.spec.waiting_tasks().is_empty() {
+                Expansion::LeafQuiescent
+            } else {
+                Expansion::LeafDeadlock
+            };
+        }
+        (Some(t), None) => t,
+        (None, Some((_, hi))) => hi,
+        (Some(t), Some((_, hi))) => t.min(hi),
+    };
+    for c in timed() {
+        if tick_of(&c) != cut {
+            continue;
+        }
+        out.push(c);
+        if let EChoice::CycFire { idx, tid, tick, .. } = c {
+            if st.delays_left > 0 {
+                out.push(EChoice::CycFire {
+                    idx,
+                    tid,
+                    tick,
+                    delayed: true,
                 });
             }
         }
-        let tick_of = |c: &EChoice| match *c {
-            EChoice::Spec(ObsEvent::TimerFire { tick, .. }) => tick,
-            EChoice::OpComplete { tick, .. } => tick,
-            EChoice::CycFire { tick, .. } => tick,
-            EChoice::IrqFire { tick, .. } => tick,
-            EChoice::Spec(_) => st.now,
-        };
-        let tmin = timed.iter().map(&tick_of).min();
-        let tmin_h = tmin.filter(|&t| t <= self.model.horizon);
-        let irq_window = self.model.irq.and_then(|irq| {
-            let lo = st.irq_next.max(st.now);
-            if lo > self.model.horizon {
-                return None;
-            }
-            Some((
-                lo,
-                (st.irq_next + irq.jitter).max(lo).min(self.model.horizon),
-            ))
-        });
-        let cut = match (tmin_h, irq_window) {
-            (None, None) => {
-                return if tmin.is_some() {
-                    Expansion::LeafHorizon
-                } else if st.spec.waiting_tasks().is_empty() {
-                    Expansion::LeafQuiescent
-                } else {
-                    Expansion::LeafDeadlock
-                };
-            }
-            (Some(t), None) => t,
-            (None, Some((_, hi))) => hi,
-            (Some(t), Some((_, hi))) => t.min(hi),
-        };
-        let mut out: Vec<EChoice> = Vec::new();
-        for c in timed {
-            if tick_of(&c) != cut {
-                continue;
-            }
-            if let EChoice::CycFire { idx, tid, tick, .. } = c {
-                out.push(c);
-                if st.delays_left > 0 {
-                    out.push(EChoice::CycFire {
-                        idx,
-                        tid,
-                        tick,
-                        delayed: true,
-                    });
-                }
-            } else {
-                out.push(c);
-            }
-        }
-        if let Some((lo, hi)) = irq_window {
-            if lo <= cut {
-                for w in lo..=hi.min(cut) {
-                    out.push(EChoice::IrqFire {
-                        tick: w,
-                        dropped: false,
-                    });
-                }
-                if st.drops_left > 0 {
-                    out.push(EChoice::IrqFire {
-                        tick: lo,
-                        dropped: true,
-                    });
-                }
-            }
-        }
-        Expansion::Choices(out)
     }
+    if let Some((lo, hi)) = irq_window {
+        if lo <= cut {
+            for w in lo..=hi.min(cut) {
+                out.push(EChoice::IrqFire {
+                    tick: w,
+                    dropped: false,
+                });
+            }
+            if st.drops_left > 0 {
+                out.push(EChoice::IrqFire {
+                    tick: lo,
+                    dropped: true,
+                });
+            }
+        }
+    }
+    Expansion::Choices
+}
 
-    /// Applies one candidate, producing the successor state and the
-    /// realized tick-stamped event tail.
-    fn apply_choice(&self, st: &ExpState, ch: &EChoice) -> Result<Cand, String> {
-        let mut next = st.clone();
-        let mut out: Vec<StampedEvent> = Vec::new();
-        let mut cpu = false;
-        let tick;
-        match ch {
-            EChoice::Spec(ev) => {
-                if let ObsEvent::TimerFire { tick: t, .. } = *ev {
-                    advance(self.model, &mut next, t)?;
-                }
-                tick = next.now;
-                cpu = matches!(ev, ObsEvent::Dispatch { .. } | ObsEvent::Preempt { .. });
-                step_spec(self.model, &mut next, std::slice::from_ref(ev), &mut out)?;
-                drive(self.model, &mut next, &mut out)?;
+/// Applies one candidate to `st`, producing the successor state. The
+/// realized event tail is appended to `events`.
+fn apply_choice(
+    model: &ExploreModel,
+    mut st: ExpState,
+    ch: &EChoice,
+    events: &mut Vec<ObsEvent>,
+) -> Result<Cand, String> {
+    let start = events.len();
+    match *ch {
+        EChoice::Spec(ev) => {
+            if let ObsEvent::TimerFire { tick, .. } = ev {
+                advance(model, &mut st, tick)?;
             }
-            EChoice::OpComplete { task, tick: t } => {
-                advance(self.model, &mut next, *t)?;
-                tick = *t;
-                cpu = true;
-                let i = *task as usize - 1;
-                if next.tasks[i].rem != 0 {
-                    return Err(format!(
-                        "tsk{task}: exec completion with {} tick(s) left",
-                        next.tasks[i].rem
-                    ));
-                }
-                let pc = next.tasks[i].pc;
-                set_pc(self.model, &mut next, *task, pc + 1);
-                drive(self.model, &mut next, &mut out)?;
-            }
-            EChoice::CycFire {
-                idx,
-                tid,
-                tick: t,
-                delayed,
-            } => {
-                advance(self.model, &mut next, *t)?;
-                tick = *t;
-                let fire = ObsEvent::CycFire {
-                    id: CycId::from_raw(*tid),
-                    tick: *t,
-                };
-                if *delayed {
-                    next.owed[*idx] += 1;
-                    next.delays_left -= 1;
-                    step_spec(self.model, &mut next, &[fire], &mut out)?;
-                } else {
-                    let signal = ObsEvent::SemSignal {
-                        id: SemId::from_raw(GATE_BASE + tid),
-                        cnt: 1 + std::mem::take(&mut next.owed[*idx]),
-                    };
-                    step_spec(self.model, &mut next, &[fire, signal], &mut out)?;
-                }
-            }
-            EChoice::IrqFire { tick: t, dropped } => {
-                advance(self.model, &mut next, *t)?;
-                tick = *t;
-                let irq = self.model.irq.expect("irq candidate without a source");
-                next.irq_next += irq.gap;
-                if *dropped {
-                    next.drops_left -= 1;
-                } else {
-                    let signal = ObsEvent::SemSignal {
-                        id: SemId::from_raw(irq.sem),
-                        cnt: 1,
-                    };
-                    step_spec(self.model, &mut next, &[signal], &mut out)?;
-                }
-            }
+            step_spec(model, &mut st, &[ev], events)?;
+            drive(model, &mut st, events)?;
         }
-        let mut tokens = std::collections::BTreeSet::new();
-        let mut wake_pri: Option<u8> = None;
-        match ch {
-            EChoice::Spec(ObsEvent::TimerFire { tid, .. }) => {
-                tokens.insert((0u8, u64::from(tid.raw())));
+        EChoice::OpComplete { task, tick } => {
+            advance(model, &mut st, tick)?;
+            let i = task as usize - 1;
+            if st.tasks[i].rem != 0 {
+                return Err(format!(
+                    "tsk{task}: exec completion with {} tick(s) left",
+                    st.tasks[i].rem
+                ));
             }
-            EChoice::CycFire { tid, delayed, .. } => {
-                tokens.insert((3, u64::from(*tid)));
-                tokens.insert((2, u64::from(GATE_BASE + tid)));
-                if *delayed {
-                    tokens.insert((5, 0));
-                }
-            }
-            EChoice::IrqFire { dropped, .. } => {
-                tokens.insert((4, 0));
-                if let Some(irq) = self.model.irq {
-                    tokens.insert((2, u64::from(irq.sem)));
-                }
-                if *dropped {
-                    tokens.insert((5, 1));
-                }
-            }
-            _ => {}
+            let pc = st.tasks[i].pc;
+            set_pc(model, &mut st, task, pc + 1);
+            drive(model, &mut st, events)?;
         }
-        for se in &out {
-            match se.ev {
-                ObsEvent::TimerFire { tid, .. } => {
-                    tokens.insert((0, u64::from(tid.raw())));
-                }
-                ObsEvent::Wakeup { tid, obj, .. } => {
-                    let raw = tid.raw();
-                    tokens.insert((0, u64::from(raw)));
-                    match obj {
-                        WaitObj::Sem(id, _) => {
-                            tokens.insert((2, u64::from(id.raw())));
-                        }
-                        WaitObj::Mtx(id) => {
-                            tokens.insert((1, u64::from(id.raw())));
-                        }
-                        _ => cpu = true,
-                    }
-                    if let Some(p) = next.spec.current_priority(raw) {
-                        wake_pri = Some(wake_pri.map_or(p, |w| w.min(p)));
-                    }
-                }
-                ObsEvent::SemSignal { id, .. } => {
-                    tokens.insert((2, u64::from(id.raw())));
-                }
-                ObsEvent::CycFire { id, .. } => {
-                    tokens.insert((3, u64::from(id.raw())));
-                }
-                _ => cpu = true,
-            }
-        }
-        Ok(Cand {
-            preempt: matches!(ch, EChoice::Spec(ObsEvent::Preempt { .. })),
-            choice: ch.clone(),
-            child: next,
-            events: out,
+        EChoice::CycFire {
+            idx,
+            tid,
             tick,
-            cpu,
-            tokens,
-            wake_pri,
-        })
+            delayed,
+        } => {
+            advance(model, &mut st, tick)?;
+            let fire = ObsEvent::CycFire {
+                id: CycId::from_raw(tid),
+                tick,
+            };
+            if delayed {
+                st.owed[idx] += 1;
+                st.delays_left -= 1;
+                step_spec(model, &mut st, &[fire], events)?;
+            } else {
+                let signal = ObsEvent::SemSignal {
+                    id: SemId::from_raw(GATE_BASE + tid),
+                    cnt: 1 + std::mem::take(&mut st.owed[idx]),
+                };
+                step_spec(model, &mut st, &[fire, signal], events)?;
+            }
+        }
+        EChoice::IrqFire { tick, dropped } => {
+            advance(model, &mut st, tick)?;
+            let irq = model.irq.expect("irq candidate without a source");
+            st.irq_next += irq.gap;
+            if dropped {
+                st.drops_left -= 1;
+            } else {
+                let signal = ObsEvent::SemSignal {
+                    id: SemId::from_raw(irq.sem),
+                    cnt: 1,
+                };
+                step_spec(model, &mut st, &[signal], events)?;
+            }
+        }
     }
+    Ok(Cand {
+        choice: *ch,
+        tick: st.now,
+        child: st,
+        events: start..events.len(),
+    })
+}
+
+/// Digest of the state reached from `mid` by playing all forced moves,
+/// applying `then`, and playing forced moves again. `None` if the
+/// sibling choice is no longer applicable (treated as non-commuting).
+/// The events played are appended to `scratch`.
+fn joint_digest(
+    model: &ExploreModel,
+    mid: ExpState,
+    then: &EChoice,
+    scratch: &mut Vec<ObsEvent>,
+) -> Option<u64> {
+    let st = closed(model, mid, scratch)?;
+    let c = apply_choice(model, st, then, scratch).ok()?;
+    Some(closed(model, c.child, scratch)?.digest())
+}
+
+/// Plays out the deterministic forced moves (dispatch, preemption) of
+/// a state. Bounded defensively; `None` means "give up, treat as
+/// non-commuting".
+fn closed(model: &ExploreModel, mut st: ExpState, scratch: &mut Vec<ObsEvent>) -> Option<ExpState> {
+    for _ in 0..64 {
+        let Some(forced) = st.spec.forced() else {
+            return Some(st);
+        };
+        st = apply_choice(model, st, &EChoice::Spec(forced), scratch)
+            .ok()?
+            .child;
+    }
+    None
+}
+
+/// `true` when a candidate touches the CPU (a dispatch, preemption or
+/// burst completion, or an effect beyond waking a semaphore or mutex
+/// waiter), which makes it dependent on every sibling.
+fn cpu_coupled(choice: &EChoice, events: &[ObsEvent]) -> bool {
+    matches!(
+        choice,
+        EChoice::Spec(ObsEvent::Dispatch { .. } | ObsEvent::Preempt { .. })
+            | EChoice::OpComplete { .. }
+    ) || events.iter().any(|ev| match ev {
+        ObsEvent::Wakeup { obj, .. } => !matches!(obj, WaitObj::Sem(..) | WaitObj::Mtx(..)),
+        ObsEvent::TimerFire { .. } | ObsEvent::SemSignal { .. } | ObsEvent::CycFire { .. } => false,
+        _ => true,
+    })
+}
+
+/// Footprint tokens of a candidate for the POR independence check:
+/// `(kind, id)` for the tasks (0), mutexes (1), semaphores (2), cyclic
+/// sources (3), the IRQ source (4) and the fault budgets (5) its
+/// choice and event tail touch. A token may repeat.
+fn footprint<'e>(
+    model: &ExploreModel,
+    choice: &EChoice,
+    events: &'e [ObsEvent],
+) -> impl Iterator<Item = (u8, u64)> + 'e {
+    let of_choice: [Option<(u8, u64)>; 3] = match *choice {
+        EChoice::Spec(ObsEvent::TimerFire { tid, .. }) => {
+            [Some((0, u64::from(tid.raw()))), None, None]
+        }
+        EChoice::CycFire { tid, delayed, .. } => [
+            Some((3, u64::from(tid))),
+            Some((2, u64::from(GATE_BASE + tid))),
+            delayed.then_some((5, 0)),
+        ],
+        EChoice::IrqFire { dropped, .. } => [
+            Some((4, 0)),
+            model.irq.map(|irq| (2, u64::from(irq.sem))),
+            dropped.then_some((5, 1)),
+        ],
+        _ => [None; 3],
+    };
+    let of_events = events.iter().flat_map(|ev| match *ev {
+        ObsEvent::TimerFire { tid, .. } => [Some((0, u64::from(tid.raw()))), None],
+        ObsEvent::Wakeup { tid, obj, .. } => [
+            Some((0, u64::from(tid.raw()))),
+            match obj {
+                WaitObj::Sem(id, _) => Some((2, u64::from(id.raw()))),
+                WaitObj::Mtx(id) => Some((1, u64::from(id.raw()))),
+                _ => None,
+            },
+        ],
+        ObsEvent::SemSignal { id, .. } => [Some((2, u64::from(id.raw()))), None],
+        ObsEvent::CycFire { id, .. } => [Some((3, u64::from(id.raw()))), None],
+        _ => [None; 2],
+    });
+    of_choice.into_iter().chain(of_events).flatten()
+}
+
+/// The most urgent current priority, in the successor `child`, among
+/// the tasks a candidate's event tail wakes (what `--adversarial`
+/// scores).
+fn wake_pri(child: &ExpState, events: &[ObsEvent]) -> Option<u8> {
+    events
+        .iter()
+        .filter_map(|ev| match *ev {
+            ObsEvent::Wakeup { tid, .. } => child.spec.current_priority(tid.raw()),
+            _ => None,
+        })
+        .min()
 }
 
 /// Advances the clock to `to`, charging the elapsed ticks to the
@@ -932,19 +1018,20 @@ fn advance(model: &ExploreModel, st: &mut ExpState, to: u64) -> Result<(), Strin
     Ok(())
 }
 
-/// Steps the spec through `evs`, stamping the realized events and
-/// advancing the program counter of every woken task.
+/// Steps the spec through `evs`, appending the realized events to
+/// `out` and advancing the program counter of every woken task.
 fn step_spec(
     model: &ExploreModel,
     st: &mut ExpState,
     evs: &[ObsEvent],
-    out: &mut Vec<StampedEvent>,
+    out: &mut Vec<ObsEvent>,
 ) -> Result<(), String> {
-    for ev in st.spec.step(evs)? {
-        if let ObsEvent::Wakeup { tid, code, .. } = ev {
+    let start = out.len();
+    st.spec.step(evs, out)?;
+    for ev in &out[start..] {
+        if let ObsEvent::Wakeup { tid, code, .. } = *ev {
             wake_advance(model, st, tid.raw(), code)?;
         }
-        out.push(StampedEvent { tick: st.now, ev });
     }
     Ok(())
 }
@@ -997,11 +1084,7 @@ fn set_pc(model: &ExploreModel, st: &mut ExpState, tid: u32, pc: usize) {
 /// Plays the running task's program forward through its instantaneous
 /// operations until it blocks, reaches an `Exec` burst, loses the CPU,
 /// or a mandated preemption interposes.
-fn drive(
-    model: &ExploreModel,
-    st: &mut ExpState,
-    out: &mut Vec<StampedEvent>,
-) -> Result<(), String> {
+fn drive(model: &ExploreModel, st: &mut ExpState, out: &mut Vec<ObsEvent>) -> Result<(), String> {
     loop {
         let Some(r) = st.spec.running() else {
             return Ok(());

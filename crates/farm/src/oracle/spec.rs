@@ -13,11 +13,11 @@
 //!   timeouts as `TimerFire` events.
 //! * [`SpecState::step`] — successor construction in place: apply a
 //!   slice of observation events and drain every mandated wakeup after
-//!   each, so the successor is quiescent. The realized event list is
-//!   returned, so an exploration path is *by construction* a
-//!   replayable observation stream. A step that fails leaves the state
-//!   partly applied, so a caller that must keep the original steps a
-//!   copy.
+//!   each, so the successor is quiescent. The realized events are
+//!   appended to a caller-owned buffer, so an exploration path is *by
+//!   construction* a replayable observation stream. A step that fails
+//!   leaves the state partly applied, so a caller that must keep the
+//!   original steps a copy.
 //! * [`SpecState::canon_digest`] — canonical FNV-1a hash of the
 //!   semantic state, for revisit deduplication.
 //! * [`SpecState::invariant_violations`] — independent well-formedness
@@ -25,6 +25,7 @@
 //!   computed with always-healthy logic, so a mutated spec
 //!   ([`SpecMutation`]) is caught the moment its state goes wrong.
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::Index;
 
@@ -151,6 +152,10 @@ struct TaskM {
     suscnt: u32,
     /// Queued `tk_wup_tsk` requests.
     wupcnt: u32,
+    /// Where [`SpecState::priority_fixpoint`] relaxes this task's
+    /// priority; scratch, not state (never hashed, read only right
+    /// after a fixpoint run).
+    fix: Cell<u8>,
 }
 
 /// A `TA_TFIFO`/`TA_TPRI` wait queue mirroring the kernel's semantics:
@@ -451,16 +456,15 @@ impl SpecState {
     /// Rotates the ready entries of one priority level: the level's
     /// head moves behind its last peer (`tk_rot_rdq`).
     fn rotate_ready(&mut self, pri: u8) {
-        let idxs: Vec<usize> = self
-            .ready
-            .iter()
-            .enumerate()
-            .filter(|&(_, &(_, p))| p == pri)
-            .map(|(i, _)| i)
-            .collect();
-        if idxs.len() >= 2 {
-            let head = self.ready.remove(idxs[0]);
-            self.ready.insert(*idxs.last().expect("len >= 2"), head);
+        let level = |&(_, p): &(Tid, u8)| p == pri;
+        if let (Some(first), Some(last)) = (
+            self.ready.iter().position(level),
+            self.ready.iter().rposition(level),
+        ) {
+            if first < last {
+                let head = self.ready.remove(first);
+                self.ready.insert(last, head);
+            }
         }
     }
 
@@ -586,9 +590,10 @@ impl SpecState {
     /// mirroring the kernel's reprioritisation rule.
     fn recompute_priorities(&mut self) {
         let transitive = self.mutation != Some(SpecMutation::DirectInheritanceOnly);
-        let fixpoint = self.priority_fixpoint(transitive);
-        for (slot, &new) in fixpoint.iter().enumerate() {
+        self.priority_fixpoint(transitive);
+        for slot in 0..self.tasks.len() {
             let (tid, t) = self.tasks.at_mut(slot);
+            let new = t.fix.get();
             if t.cur == new {
                 continue;
             }
@@ -610,19 +615,20 @@ impl SpecState {
         }
     }
 
-    /// The ceiling + inheritance priority fixpoint, one entry per task
-    /// in table order: start at each base priority and relax downward
+    /// The ceiling + inheritance priority fixpoint, left in each
+    /// task's `fix`: start at each base priority and relax downward
     /// (more urgent) through held ceiling mutexes and the priorities of
     /// tasks waiting on held inheritance mutexes, until stable.
     /// `transitive` inherits the waiters' current priorities; without
     /// it only their base priorities count (the `DirectInheritanceOnly`
-    /// mutation). Indexed by table slot, not raw id: a trace names any
-    /// `u32` as a task id.
-    fn priority_fixpoint(&self, transitive: bool) -> Vec<u8> {
-        let mut cur: Vec<u8> = self.tasks.values().map(|t| t.base).collect();
+    /// mutation).
+    fn priority_fixpoint(&self, transitive: bool) {
+        for t in self.tasks.values() {
+            t.fix.set(t.base);
+        }
         loop {
             let mut changed = false;
-            for (slot, t) in self.tasks.values().enumerate() {
+            for t in self.tasks.values() {
                 let mut p = t.base;
                 for mid in &t.held {
                     let Some(m) = self.mtxs.get(mid) else {
@@ -632,24 +638,21 @@ impl SpecState {
                         MtxPolicy::Ceiling(c) => p = p.min(c),
                         MtxPolicy::Inherit => {
                             for w in m.q.iter_tids() {
-                                let wp = if transitive {
-                                    cur[self.tasks.slot(w).expect("a queued waiter is a task")]
-                                } else {
-                                    self.tasks[&w].base
-                                };
+                                let w = &self.tasks[&w];
+                                let wp = if transitive { w.fix.get() } else { w.base };
                                 p = p.min(wp);
                             }
                         }
                         _ => {}
                     }
                 }
-                if cur[slot] != p {
-                    cur[slot] = p;
+                if t.fix.get() != p {
+                    t.fix.set(p);
                     changed = true;
                 }
             }
             if !changed {
-                return cur;
+                return;
             }
         }
     }
@@ -714,6 +717,7 @@ impl SpecState {
                         held: Vec::new(),
                         suscnt: 0,
                         wupcnt: 0,
+                        fix: Cell::new(pri),
                     },
                 );
                 Ok(())
@@ -1442,7 +1446,20 @@ impl SpecState {
     /// Verifies that, per the spec, the operation behind `obj` cannot
     /// complete immediately for `tid` (the kernel decided to block).
     fn check_would_block(&self, tid: Tid, obj: &WaitObj) -> Er {
-        let blocks = match *obj {
+        if self.would_block(tid, obj) {
+            Ok(())
+        } else {
+            Err(format!(
+                "kernel blocked on {} but the spec says the request completes immediately",
+                obj.describe()
+            ))
+        }
+    }
+
+    /// `true` when the spec says a wait on `obj` by `tid` blocks (the
+    /// request cannot complete immediately).
+    pub fn would_block(&self, tid: u32, obj: &WaitObj) -> bool {
+        match *obj {
             WaitObj::Sleep | WaitObj::Delay => true,
             WaitObj::Sem(id, cnt) => self
                 .sems
@@ -1475,14 +1492,6 @@ impl SpecState {
                 .mpls
                 .get(&id.raw())
                 .is_none_or(|p| !(p.q.is_empty() && p.can_alloc(sz))),
-        };
-        if blocks {
-            Ok(())
-        } else {
-            Err(format!(
-                "kernel blocked on {} but the spec says the request completes immediately",
-                obj.describe()
-            ))
         }
     }
 }
@@ -1636,12 +1645,6 @@ impl SpecState {
         self.cycs.get(&id).and_then(|c| c.armed)
     }
 
-    /// `true` when the spec says a wait on `obj` by `tid` blocks (the
-    /// request cannot complete immediately).
-    pub fn would_block(&self, tid: u32, obj: &WaitObj) -> bool {
-        self.check_would_block(tid, obj).is_ok()
-    }
-
     /// The scheduler move µ-ITRON forces at this (quiescent) state:
     /// `Dispatch` of the ready-queue head onto an idle CPU, or
     /// `Preempt` of the running task when a strictly more urgent task
@@ -1680,41 +1683,49 @@ impl SpecState {
     /// state; the explorer merges its own candidates with this set.
     /// A state with a pending mandated wakeup (never produced by
     /// [`SpecState::step`]) enables nothing.
-    pub fn enabled(&self) -> Vec<ObsEvent> {
+    ///
+    /// The events are appended to `out`.
+    pub fn enabled(&self, out: &mut Vec<ObsEvent>) {
         if !self.expected.is_empty() {
-            return Vec::new();
+            return;
         }
         if let Some(ev) = self.forced() {
-            return vec![ev];
+            out.push(ev);
+            return;
         }
-        let mut outs: Vec<(u64, u32)> = self
-            .tasks
-            .iter()
-            .filter(|(_, t)| matches!(t.state, TState::Waiting | TState::WaitSuspend))
-            .filter_map(|(&tid, t)| t.deadline.map(|tick| (tick, tid)))
-            .collect();
-        outs.sort_unstable();
-        outs.into_iter()
-            .map(|(tick, tid)| ObsEvent::TimerFire {
-                tid: TaskId::from_raw(tid),
-                tick,
-            })
-            .collect()
+        let start = out.len();
+        out.extend(
+            self.tasks
+                .iter()
+                .filter(|(_, t)| matches!(t.state, TState::Waiting | TState::WaitSuspend))
+                .filter_map(|(&tid, t)| {
+                    t.deadline.map(|tick| ObsEvent::TimerFire {
+                        tid: TaskId::from_raw(tid),
+                        tick,
+                    })
+                }),
+        );
+        // The table iterates in ascending id order, so a stable sort by
+        // tick orders ties by id.
+        out[start..].sort_by_key(|ev| match *ev {
+            ObsEvent::TimerFire { tick, .. } => tick,
+            _ => unreachable!("only timeouts were appended"),
+        });
     }
 
     /// Successor construction in place: applies each of `evs` to
     /// `self` and drains every mandated wakeup after each one (the
-    /// contiguity the kernel itself guarantees). Returns the full
-    /// realized event list — an exploration path is therefore a
-    /// replayable observation stream by construction.
+    /// contiguity the kernel itself guarantees). Appends the full
+    /// realized event list to `out` — an exploration path is therefore
+    /// a replayable observation stream by construction.
     ///
-    /// On `Err` the state is left partly applied. A caller that needs
-    /// the original state steps a copy, as the explorer does.
-    pub fn step(&mut self, evs: &[ObsEvent]) -> Result<Vec<ObsEvent>, String> {
-        let mut events = Vec::with_capacity(evs.len());
+    /// On `Err` the state is left partly applied and `out` holds the
+    /// events applied before the failure. A caller that needs the
+    /// original state steps a copy.
+    pub fn step(&mut self, evs: &[ObsEvent], out: &mut Vec<ObsEvent>) -> Er {
         for ev in evs {
             self.apply(ev)?;
-            events.push(*ev);
+            out.push(*ev);
             while let Some((tid, obj, code)) = self.pending_wakeup() {
                 let wake = ObsEvent::Wakeup {
                     tid: TaskId::from_raw(tid),
@@ -1722,10 +1733,10 @@ impl SpecState {
                     code,
                 };
                 self.apply(&wake)?;
-                events.push(wake);
+                out.push(wake);
             }
         }
-        Ok(events)
+        Ok(())
     }
 
     /// Canonical FNV-1a digest of the semantic state: tasks, queues,
@@ -1866,8 +1877,9 @@ impl SpecState {
         let mut out = Vec::new();
         // 1. Stored current priorities must equal the healthy
         //    ceiling + transitive-inheritance fixpoint.
-        let healthy = self.priority_fixpoint(true);
-        for ((&tid, t), &fix) in self.tasks.iter().zip(&healthy) {
+        self.priority_fixpoint(true);
+        for (&tid, t) in &self.tasks {
+            let fix = t.fix.get();
             if t.cur != fix {
                 out.push(format!(
                     "tsk{tid}: stored current priority {} but the ceiling/inheritance fixpoint is {fix}",

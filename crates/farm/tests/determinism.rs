@@ -205,31 +205,55 @@ fn oracle_campaign_digest_matches_golden() {
     assert_eq!(format!("{:016x}", report.digest()), "4844bf1d25a82a45");
 }
 
+/// How one pinned exploration differs from the default config.
+#[derive(Debug, Clone, Copy)]
+enum Walk {
+    Default,
+    NoPor,
+    Adversarial,
+    NoFaults,
+}
+
 /// States, transitions and state hash of every explore family with
-/// partial-order reduction on (the default config), and of the two
-/// families whose counts change with it off.
+/// partial-order reduction on (the default config), under
+/// `--adversarial` and under `--no-faults`, and of the two families
+/// whose counts change with POR off. `chain` and `deadlock` have no
+/// fault branch and `--adversarial` prunes none of their frontiers, so
+/// both flags leave them unchanged.
 #[test]
 fn explore_reports_match_goldens() {
+    use Walk::*;
     let goldens = [
-        (Family::Mtx, true, 339, 368, 0x8ce0_4cab_dd0c_1150),
-        (Family::Irq, true, 1032, 1450, 0xbaa8_38d9_bcbe_a5cf),
-        (Family::Chain, true, 44, 43, 0xb2e0_83bd_88ca_d553),
-        (Family::Deadlock, true, 8, 7, 0xd906_bf62_a104_bc2c),
-        (Family::Mtx, false, 363, 403, 0xa78e_be56_6974_272a),
-        (Family::Irq, false, 1049, 1486, 0xcc41_c0b6_18b3_e22b),
+        (Family::Mtx, Default, 339, 368, 0x8ce0_4cab_dd0c_1150),
+        (Family::Irq, Default, 1032, 1450, 0xbaa8_38d9_bcbe_a5cf),
+        (Family::Chain, Default, 44, 43, 0xb2e0_83bd_88ca_d553),
+        (Family::Deadlock, Default, 8, 7, 0xd906_bf62_a104_bc2c),
+        (Family::Mtx, NoPor, 363, 403, 0xa78e_be56_6974_272a),
+        (Family::Irq, NoPor, 1049, 1486, 0xcc41_c0b6_18b3_e22b),
+        (Family::Mtx, Adversarial, 277, 299, 0xbb0c_53cb_0d6a_830f),
+        (Family::Irq, Adversarial, 923, 1254, 0x1c1f_b99c_539d_4d72),
+        (Family::Chain, Adversarial, 44, 43, 0xb2e0_83bd_88ca_d553),
+        (Family::Deadlock, Adversarial, 8, 7, 0xd906_bf62_a104_bc2c),
+        (Family::Mtx, NoFaults, 64, 65, 0xfa1c_f591_a433_1fe9),
+        (Family::Irq, NoFaults, 512, 678, 0x6a3b_8d6d_dacd_bdeb),
+        (Family::Chain, NoFaults, 44, 43, 0xb2e0_83bd_88ca_d553),
+        (Family::Deadlock, NoFaults, 8, 7, 0xd906_bf62_a104_bc2c),
     ];
-    for (family, por, states, transitions, hash) in goldens {
+    for (family, walk, states, transitions, hash) in goldens {
         let cfg = ExploreConfig {
             family,
-            por,
+            por: !matches!(walk, NoPor),
+            adversarial: matches!(walk, Adversarial),
+            faults: !matches!(walk, NoFaults),
             ..ExploreConfig::default()
         };
         let r = run_exploration(&cfg, Runtime::default()).report;
-        assert!(r.por == por && !r.truncated, "{family} por={por}");
+        let por = matches!(walk, Default | NoFaults);
+        assert!(r.por == por && !r.truncated, "{family} {walk:?}");
         assert_eq!(
             (r.states, r.transitions, r.state_hash),
             (states, transitions, hash),
-            "{family} por={por}"
+            "{family} {walk:?}"
         );
     }
 }

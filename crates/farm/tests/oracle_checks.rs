@@ -952,7 +952,7 @@ fn random_walks_never_panic_the_spec() {
                 continue;
             }
             spec = next;
-            spec.enabled();
+            spec.enabled(&mut Vec::new());
             spec.invariant_violations();
             accepted += 1;
             if accepted == 80 {

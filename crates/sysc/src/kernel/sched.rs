@@ -435,12 +435,16 @@ pub(crate) fn next_step(st: &mut KState, from_process: bool) -> NextStep {
         }
 
         // ---- Delta-notify phase ---------------------------------------
-        let evs = std::mem::take(&mut st.dq.delta_notified);
-        for e in evs {
+        // Walk by index and clear the list afterwards, so the next
+        // notification reuses its capacity. Firing queues no delta
+        // notification, so the list cannot change under the walk.
+        for i in 0..st.dq.delta_notified.len() {
+            let e = st.dq.delta_notified[i];
             if st.events[e.index()].pending == Pending::Delta {
                 st.fire_event(e);
             }
         }
+        st.dq.delta_notified.clear();
         while let Some(p) = st.dq.next_delta_runnable.pop_front() {
             if st.procs.get(p).state == ProcState::Waiting {
                 st.wake(p, false);
@@ -606,8 +610,8 @@ fn run_kernel_inner(k: &Rc<Kernel>) -> Result<RunOutcome, Panic> {
                 }
             }
             NextStep::Updates => {
-                let updates = std::mem::take(&mut k.st.borrow_mut().dq.updates);
-                for u in &updates {
+                let mut updates = std::mem::take(&mut k.st.borrow_mut().dq.updates);
+                for u in updates.drain(..) {
                     if let Some(changed) = u.apply_update() {
                         let mut st = k.st.borrow_mut();
                         st.stats.signal_updates += 1;
@@ -621,6 +625,11 @@ fn run_kernel_inner(k: &Rc<Kernel>) -> Result<RunOutcome, Panic> {
                         st.notify_delta(changed);
                     }
                 }
+                // The emptied buffer goes back and keeps its capacity,
+                // behind any request made while it was out.
+                let mut st = k.st.borrow_mut();
+                updates.append(&mut st.dq.updates);
+                st.dq.updates = updates;
             }
             NextStep::WakeKernel => unreachable!("kernel-mode next_step never defers"),
             NextStep::Outcome(outcome) => return Ok(outcome),

@@ -1,7 +1,8 @@
 //! The engine's steady state makes no heap allocation: once a periodic
-//! clock and a two-process ping-pong have run for a while, the event
-//! waiter lists, the timed queue and the scratch buffers they use have
-//! the capacity they need, so running on costs no allocator call.
+//! clock and a two-process ping-pong, or a signal writer, have run for
+//! a while, the event waiter lists, the timed queue, the delta-phase
+//! queues and the scratch buffers they use have the capacity they
+//! need, so running on costs no allocator call.
 //!
 //! A test binary of its own, because it installs a counting global
 //! allocator. The count is per thread: the whole simulation, coroutine
@@ -12,7 +13,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::rc::Rc;
 
-use sysc::{SimTime, Simulation, SpawnMode, WaitOutcome};
+use sysc::{Signal, SimTime, Simulation, SpawnMode, WaitOutcome};
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -128,4 +129,36 @@ fn periodic_clock_and_ping_pong_allocate_nothing_in_steady_state() {
     // the last tick (at the limit) starts is still waiting for its pong.
     assert_eq!(h.event_fire_count(clk), 10_500);
     assert_eq!((fired.get(), timed_out.get()), (5_250, 5_249));
+}
+
+/// A process toggles a `Signal<bool>` and delta-notifies an event every
+/// 10 µs, and a second one waits on that event, so every step runs the
+/// update and delta-notify phases. After a 1 ms warm-up, 10 simulated
+/// milliseconds must make no allocation at all.
+#[test]
+fn signal_writes_and_delta_notifications_allocate_nothing_in_steady_state() {
+    let mut sim = Simulation::new();
+    let h = sim.handle();
+    let sig = Signal::new(&h, "flag", false);
+    let ev = h.create_event();
+    let s = sig.clone();
+    h.spawn_thread(SpawnMode::Immediate, move |ctx| loop {
+        s.write(!s.read());
+        ctx.handle().notify_delta(ev);
+        ctx.wait_time(us(10));
+    });
+    h.spawn_thread(SpawnMode::Immediate, move |ctx| loop {
+        ctx.wait_event(ev);
+    });
+
+    sim.run_until(SimTime::from_ms(1));
+    let before = allocs();
+    sim.run_until(SimTime::from_ms(11));
+    let made = allocs() - before;
+
+    assert_eq!(made, 0, "allocation calls in 10 steady-state ms");
+    // The window really ran the traffic it claims to measure: one write
+    // and one notification at 0, 10, ..., 11,000 µs.
+    assert_eq!(h.event_fire_count(ev), 1_101);
+    assert_eq!(h.event_fire_count(sig.value_changed_event()), 1_101);
 }
