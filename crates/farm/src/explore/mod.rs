@@ -285,7 +285,7 @@ struct TaskRt {
 /// One explored system state: the spec state plus the environment the
 /// spec does not own (clock, program counters, deferred-release debts,
 /// IRQ schedule, fault budgets).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct ExpState {
     spec: SpecState,
     now: u64,
@@ -295,6 +295,16 @@ struct ExpState {
     delays_left: u32,
     drops_left: u32,
 }
+
+clone_fields!(ExpState {
+    spec,
+    now,
+    tasks,
+    owed,
+    irq_next,
+    delays_left,
+    drops_left,
+});
 
 impl ExpState {
     fn digest(&self) -> u64 {
@@ -339,12 +349,37 @@ enum EChoice {
 
 /// A computed successor: the candidate's child state and where its
 /// realized event tail lies in [`Walker::events`]. Every event of a
-/// tail happens at the candidate's `tick`.
+/// tail happens at the child's clock.
 struct Cand {
     choice: EChoice,
-    child: ExpState,
+    child: Box<ExpState>,
     events: Range<usize>,
-    tick: u64,
+}
+
+/// Spent state boxes. A copy is cloned into one with `clone_from`,
+/// which keeps the buffers it holds, so copying a state allocates only
+/// while the walk's peak number of live states grows. The states stay
+/// boxed because a box moves into a candidate and back for the cost of
+/// a pointer.
+#[derive(Default)]
+#[allow(clippy::vec_box)]
+struct Spare(Vec<Box<ExpState>>);
+
+impl Spare {
+    /// A boxed copy of `st`.
+    fn copy_of(&mut self, st: &ExpState) -> Box<ExpState> {
+        match self.0.pop() {
+            Some(mut spent) => {
+                (*spent).clone_from(st);
+                spent
+            }
+            None => Box::new(st.clone()),
+        }
+    }
+
+    fn put(&mut self, st: Box<ExpState>) {
+        self.0.push(st);
+    }
 }
 
 /// One state on the DFS path.
@@ -406,6 +441,9 @@ struct Walker<'a> {
     enabled: Vec<ObsEvent>,
     choices: Vec<EChoice>,
     built: Vec<Cand>,
+    /// Every state the walk is done with: deduped children, leaves,
+    /// pruned candidates and the POR check's scratch states.
+    spare: Spare,
     /// Visited state hashes folded in visit order; its digest becomes
     /// the report's `state_hash` once the walk ends.
     frontier: Fnv,
@@ -425,6 +463,7 @@ impl<'a> Walker<'a> {
             enabled: Vec::new(),
             choices: Vec::new(),
             built: Vec::new(),
+            spare: Spare::default(),
             frontier: Fnv::new(),
             report: ExploreReport {
                 family: model.family.label().to_string(),
@@ -456,7 +495,7 @@ impl<'a> Walker<'a> {
 
     fn run(&mut self) {
         let root = match self.build_root() {
-            Ok(v) => v,
+            Ok(v) => Box::new(v),
             Err(e) => {
                 self.record_violation("spec_error", 0, 0, &e, Vec::new());
                 return;
@@ -467,7 +506,7 @@ impl<'a> Walker<'a> {
         self.frontier.u64(h);
         self.report.states = 1;
         let root_events = 0..self.events.len();
-        if let Some(frame) = self.enter(root, h, root_events, 0) {
+        if let Some(frame) = self.enter(root, h, root_events) {
             self.stack.push(frame);
         }
         while let Some(top) = self.stack.last() {
@@ -485,11 +524,12 @@ impl<'a> Walker<'a> {
             let h = cand.child.digest();
             if !self.visited.insert(h) {
                 report.deduped += 1;
+                self.spare.put(cand.child);
                 continue;
             }
             self.frontier.u64(h);
             report.states += 1;
-            if let Some(frame) = self.enter(cand.child, h, cand.events, cand.tick) {
+            if let Some(frame) = self.enter(cand.child, h, cand.events) {
                 self.stack.push(frame);
                 self.report.max_depth = self.report.max_depth.max(self.stack.len() as u64);
             }
@@ -499,26 +539,25 @@ impl<'a> Walker<'a> {
     /// Visits a freshly-discovered state: checks invariants, applies
     /// the bounds, expands the frontier and pushes its candidates.
     /// Returns the frame to descend into, or `None` for a leaf.
-    fn enter(
-        &mut self,
-        st: ExpState,
-        hash: u64,
-        incoming: Range<usize>,
-        tick: u64,
-    ) -> Option<Frame> {
+    fn enter(&mut self, st: Box<ExpState>, hash: u64, incoming: Range<usize>) -> Option<Frame> {
+        let tick = st.now;
         let broken = st.spec.invariant_violations();
         if !broken.is_empty() {
             self.report.invariant_violations += 1;
             let detail = broken.join("; ");
             let path = self.path_events(&incoming, tick);
-            self.record_violation("invariant", st.now, hash, &detail, path);
+            self.record_violation("invariant", tick, hash, &detail, path);
         }
         if self.stack.len() >= self.cfg.depth || self.report.states >= self.cfg.max_states as u64 {
             self.report.truncated = true;
+            self.spare.put(st);
             return None;
         }
         match expand(self.model, &st, &mut self.enabled, &mut self.choices) {
-            Expansion::LeafHorizon | Expansion::LeafQuiescent => return None,
+            Expansion::LeafHorizon | Expansion::LeafQuiescent => {
+                self.spare.put(st);
+                return None;
+            }
             Expansion::LeafDeadlock => {
                 self.report.deadlocks += 1;
                 let waiting = st.spec.waiting_tasks();
@@ -531,12 +570,12 @@ impl<'a> Walker<'a> {
                         .join(", ")
                 );
                 let path = self.path_events(&incoming, tick);
-                self.record_violation("deadlock", st.now, hash, &detail, path);
+                self.record_violation("deadlock", tick, hash, &detail, path);
+                self.spare.put(st);
                 return None;
             }
             Expansion::Choices => {}
         }
-        let now = st.now;
         let running_pri = st.spec.running().and_then(|r| st.spec.current_priority(r));
         let events_from = self.events.len();
         let mut built = std::mem::take(&mut self.built);
@@ -547,18 +586,24 @@ impl<'a> Walker<'a> {
         for i in 0..n {
             let ch = self.choices[i];
             let from = if i + 1 < n {
-                parent.clone()
+                parent.as_deref().map(|p| self.spare.copy_of(p))
             } else {
                 parent.take()
             };
-            let from = from.expect("the state is held until the last choice");
-            match apply_choice(self.model, from, &ch, &mut self.events) {
-                Ok(c) => built.push(c),
+            let mut child = from.expect("the state is held until the last choice");
+            let start = self.events.len();
+            match apply_choice(self.model, &mut child, &ch, &mut self.events) {
+                Ok(()) => built.push(Cand {
+                    choice: ch,
+                    child,
+                    events: start..self.events.len(),
+                }),
                 Err(e) => {
+                    self.spare.put(child);
                     self.report.spec_errors += 1;
                     let detail = format!("spec transition failed on {ch:?}: {e}");
                     let path = self.path_events(&incoming, tick);
-                    self.record_violation("spec_error", now, hash, &detail, path);
+                    self.record_violation("spec_error", tick, hash, &detail, path);
                 }
             }
         }
@@ -572,9 +617,10 @@ impl<'a> Walker<'a> {
                 }
             };
             let best = built.iter().map(&score).max().unwrap_or(0);
-            let before = built.len();
-            built.retain(|c| score(c) == best);
-            self.report.collapsed += (before - built.len()) as u64;
+            for pruned in built.extract_if(.., |c| score(c) != best) {
+                self.report.collapsed += 1;
+                self.spare.put(pruned.child);
+            }
         } else if self.cfg.por && built.len() > 1 && self.frontier_commutes(&built) {
             // The whole frontier commutes: every order reaches the
             // same joint state (verified, not assumed — see
@@ -582,7 +628,9 @@ impl<'a> Walker<'a> {
             // violation on a pruned intermediate state persists into
             // it. One representative order suffices.
             self.report.collapsed += (built.len() - 1) as u64;
-            built.truncate(1);
+            for pruned in built.drain(1..) {
+                self.spare.put(pruned.child);
+            }
         }
         let cands_from = self.cands.len();
         self.cands.extend(built.drain(..).rev());
@@ -623,7 +671,7 @@ impl<'a> Walker<'a> {
             for b in &cands[i + 1..] {
                 let disjoint = footprint(self.model, &a.choice, tail(a))
                     .all(|x| footprint(self.model, &b.choice, tail(b)).all(|y| x != y));
-                if a.tick != b.tick || !disjoint {
+                if a.child.now != b.child.now || !disjoint {
                     return false;
                 }
             }
@@ -631,8 +679,11 @@ impl<'a> Walker<'a> {
         let scratch = self.events.len();
         for (i, a) in cands.iter().enumerate() {
             for b in &cands[i + 1..] {
-                let ab = joint_digest(self.model, a.child.clone(), &b.choice, &mut self.events);
-                let ba = joint_digest(self.model, b.child.clone(), &a.choice, &mut self.events);
+                let mut joint = self.spare.copy_of(&a.child);
+                let ab = joint_digest(self.model, &mut joint, &b.choice, &mut self.events);
+                joint.clone_from(&b.child);
+                let ba = joint_digest(self.model, &mut joint, &a.choice, &mut self.events);
+                self.spare.put(joint);
                 self.events.truncate(scratch);
                 if !matches!((ab, ba), (Some(x), Some(y)) if x == y) {
                     return false;
@@ -821,25 +872,25 @@ fn expand(
     Expansion::Choices
 }
 
-/// Applies one candidate to `st`, producing the successor state. The
-/// realized event tail is appended to `events`.
+/// Applies one candidate to `st` in place, making it the successor
+/// state. The realized event tail is appended to `events`. On `Err`
+/// the state is left partly applied.
 fn apply_choice(
     model: &ExploreModel,
-    mut st: ExpState,
+    st: &mut ExpState,
     ch: &EChoice,
     events: &mut Vec<ObsEvent>,
-) -> Result<Cand, String> {
-    let start = events.len();
+) -> Result<(), String> {
     match *ch {
         EChoice::Spec(ev) => {
             if let ObsEvent::TimerFire { tick, .. } = ev {
-                advance(model, &mut st, tick)?;
+                advance(model, st, tick)?;
             }
-            step_spec(model, &mut st, &[ev], events)?;
-            drive(model, &mut st, events)?;
+            step_spec(model, st, &[ev], events)?;
+            drive(model, st, events)?;
         }
         EChoice::OpComplete { task, tick } => {
-            advance(model, &mut st, tick)?;
+            advance(model, st, tick)?;
             let i = task as usize - 1;
             if st.tasks[i].rem != 0 {
                 return Err(format!(
@@ -848,8 +899,8 @@ fn apply_choice(
                 ));
             }
             let pc = st.tasks[i].pc;
-            set_pc(model, &mut st, task, pc + 1);
-            drive(model, &mut st, events)?;
+            set_pc(model, st, task, pc + 1);
+            drive(model, st, events)?;
         }
         EChoice::CycFire {
             idx,
@@ -857,7 +908,7 @@ fn apply_choice(
             tick,
             delayed,
         } => {
-            advance(model, &mut st, tick)?;
+            advance(model, st, tick)?;
             let fire = ObsEvent::CycFire {
                 id: CycId::from_raw(tid),
                 tick,
@@ -865,17 +916,17 @@ fn apply_choice(
             if delayed {
                 st.owed[idx] += 1;
                 st.delays_left -= 1;
-                step_spec(model, &mut st, &[fire], events)?;
+                step_spec(model, st, &[fire], events)?;
             } else {
                 let signal = ObsEvent::SemSignal {
                     id: SemId::from_raw(GATE_BASE + tid),
                     cnt: 1 + std::mem::take(&mut st.owed[idx]),
                 };
-                step_spec(model, &mut st, &[fire, signal], events)?;
+                step_spec(model, st, &[fire, signal], events)?;
             }
         }
         EChoice::IrqFire { tick, dropped } => {
-            advance(model, &mut st, tick)?;
+            advance(model, st, tick)?;
             let irq = model.irq.expect("irq candidate without a source");
             st.irq_next += irq.gap;
             if dropped {
@@ -885,46 +936,43 @@ fn apply_choice(
                     id: SemId::from_raw(irq.sem),
                     cnt: 1,
                 };
-                step_spec(model, &mut st, &[signal], events)?;
+                step_spec(model, st, &[signal], events)?;
             }
         }
     }
-    Ok(Cand {
-        choice: *ch,
-        tick: st.now,
-        child: st,
-        events: start..events.len(),
-    })
+    Ok(())
 }
 
-/// Digest of the state reached from `mid` by playing all forced moves,
-/// applying `then`, and playing forced moves again. `None` if the
-/// sibling choice is no longer applicable (treated as non-commuting).
-/// The events played are appended to `scratch`.
+/// Digest of the state reached from `st` by playing all forced moves,
+/// applying `then`, and playing forced moves again, all in place.
+/// `None` if the sibling choice is no longer applicable (treated as
+/// non-commuting). The events played are appended to `scratch`.
 fn joint_digest(
     model: &ExploreModel,
-    mid: ExpState,
+    st: &mut ExpState,
     then: &EChoice,
     scratch: &mut Vec<ObsEvent>,
 ) -> Option<u64> {
-    let st = closed(model, mid, scratch)?;
-    let c = apply_choice(model, st, then, scratch).ok()?;
-    Some(closed(model, c.child, scratch)?.digest())
+    if !closed(model, st, scratch) {
+        return None;
+    }
+    apply_choice(model, st, then, scratch).ok()?;
+    closed(model, st, scratch).then(|| st.digest())
 }
 
 /// Plays out the deterministic forced moves (dispatch, preemption) of
-/// a state. Bounded defensively; `None` means "give up, treat as
-/// non-commuting".
-fn closed(model: &ExploreModel, mut st: ExpState, scratch: &mut Vec<ObsEvent>) -> Option<ExpState> {
+/// a state in place. Bounded defensively; `false` means "give up,
+/// treat as non-commuting".
+fn closed(model: &ExploreModel, st: &mut ExpState, scratch: &mut Vec<ObsEvent>) -> bool {
     for _ in 0..64 {
         let Some(forced) = st.spec.forced() else {
-            return Some(st);
+            return true;
         };
-        st = apply_choice(model, st, &EChoice::Spec(forced), scratch)
-            .ok()?
-            .child;
+        if apply_choice(model, st, &EChoice::Spec(forced), scratch).is_err() {
+            return false;
+        }
     }
-    None
+    false
 }
 
 /// `true` when a candidate touches the CPU (a dispatch, preemption or
@@ -1126,6 +1174,58 @@ fn drive(model: &ExploreModel, st: &mut ExpState, out: &mut Vec<ObsEvent>) -> Re
                 set_pc(model, st, r, pc + 1);
             }
             Micro::EndJob => set_pc(model, st, r, pc),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The state `steps` moves into `family`'s schedule tree, taking
+    /// the first candidate at every frontier.
+    fn walked(family: Family, steps: usize) -> ExpState {
+        let cfg = ExploreConfig {
+            family,
+            ..ExploreConfig::default()
+        };
+        let model = family.model(cfg.faults);
+        let mut walker = Walker::new(&cfg, &model);
+        let mut st = walker.build_root().expect("the root builds");
+        for _ in 0..steps {
+            let (enabled, choices) = (&mut walker.enabled, &mut walker.choices);
+            if !matches!(expand(&model, &st, enabled, choices), Expansion::Choices) {
+                break;
+            }
+            apply_choice(&model, &mut st, &choices[0], &mut walker.events).expect("a spec step");
+        }
+        st
+    }
+
+    /// Cloning an explored state into one of another shape (other
+    /// tasks, objects, debts and queue entries) gives what `clone`
+    /// gives, in `Debug` rendering and in both digests.
+    #[test]
+    fn clone_from_a_differently_shaped_state_equals_clone() {
+        let states = [
+            walked(Family::Chain, 10),
+            walked(Family::Irq, 20),
+            walked(Family::Mtx, 0),
+        ];
+        for (i, src) in states.iter().enumerate() {
+            for (j, spent) in states.iter().enumerate() {
+                let render = |st: &ExpState| format!("{st:?}");
+                assert_eq!(i == j, render(src) == render(spent), "states {i} and {j}");
+                let mut copy = spent.clone();
+                copy.clone_from(src);
+                assert_eq!(render(&copy), render(&src.clone()), "{j} into {i}");
+                assert_eq!(
+                    copy.spec.canon_digest(),
+                    src.spec.canon_digest(),
+                    "{j} into {i}"
+                );
+                assert_eq!(copy.digest(), src.digest(), "{j} into {i}");
+            }
         }
     }
 }

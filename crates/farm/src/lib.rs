@@ -53,6 +53,25 @@
 
 #![warn(missing_docs)]
 
+/// Implements `Clone` for a struct field by field, with a `clone_from`
+/// that forwards to each field's own, so cloning into a spent value
+/// reuses the buffers it holds (a derived `clone_from` is
+/// `*self = source.clone()`). `clone` builds the struct from the list,
+/// so a field missing from it does not compile.
+macro_rules! clone_fields {
+    ($ty:ident { $($field:ident),+ $(,)? }) => {
+        impl Clone for $ty {
+            fn clone(&self) -> Self {
+                $ty { $($field: self.$field.clone()),+ }
+            }
+
+            fn clone_from(&mut self, source: &Self) {
+                $(self.$field.clone_from(&source.$field);)+
+            }
+        }
+    };
+}
+
 mod build;
 pub mod explore;
 pub mod model;

@@ -41,8 +41,27 @@ type Er = Result<(), String>;
 /// [`SpecState::canon_digest`] hashes in, and copying it is one flat
 /// allocation however many objects it holds. Lookups take the id by
 /// reference, as `BTreeMap`'s do.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct IdMap<V>(Vec<(u32, V)>);
+
+impl<V: Clone> Clone for IdMap<V> {
+    fn clone(&self) -> Self {
+        IdMap(self.0.clone())
+    }
+
+    /// Clones entry by entry into the entries already there, so each
+    /// value reuses its own buffers (a tuple's `clone_from`, which
+    /// `Vec::clone_from` would call, allocates afresh).
+    fn clone_from(&mut self, source: &Self) {
+        self.0.truncate(source.0.len());
+        let kept = self.0.len();
+        for ((id, v), (src_id, src_v)) in self.0.iter_mut().zip(&source.0) {
+            *id = *src_id;
+            v.clone_from(src_v);
+        }
+        self.0.extend_from_slice(&source.0[kept..]);
+    }
+}
 
 impl<V> Default for IdMap<V> {
     fn default() -> Self {
@@ -139,7 +158,7 @@ enum TState {
     WaitSuspend,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct TaskM {
     base: u8,
     cur: u8,
@@ -158,15 +177,29 @@ struct TaskM {
     fix: Cell<u8>,
 }
 
+clone_fields!(TaskM {
+    base,
+    cur,
+    state,
+    wait,
+    deadline,
+    held,
+    suscnt,
+    wupcnt,
+    fix,
+});
+
 /// A `TA_TFIFO`/`TA_TPRI` wait queue mirroring the kernel's semantics:
 /// entries carry the priority they were (re-)enqueued at; priority
 /// insertion goes behind equal priorities; a reprioritised entry is
 /// removed and re-enqueued (so it lands behind its new peers).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Queue {
     pri_order: bool,
     entries: Vec<(Tid, u8)>,
 }
+
+clone_fields!(Queue { pri_order, entries });
 
 impl Queue {
     fn new(pri_order: bool) -> Self {
@@ -226,26 +259,32 @@ impl Queue {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct SemM {
     count: u32,
     max: u32,
     q: Queue,
 }
 
-#[derive(Debug, Clone)]
+clone_fields!(SemM { count, max, q });
+
+#[derive(Debug)]
 struct FlagM {
     pattern: u32,
     q: Queue,
 }
 
-#[derive(Debug, Clone)]
+clone_fields!(FlagM { pattern, q });
+
+#[derive(Debug)]
 struct MbxM {
     msgs: usize,
     q: Queue,
 }
 
-#[derive(Debug, Clone)]
+clone_fields!(MbxM { msgs, q });
+
+#[derive(Debug)]
 struct MbfM {
     bufsz: usize,
     used: usize,
@@ -256,19 +295,32 @@ struct MbfM {
     recv_q: Queue,
 }
 
-#[derive(Debug, Clone)]
+clone_fields!(MbfM {
+    bufsz,
+    used,
+    msgs,
+    send_q,
+    send_len,
+    recv_q,
+});
+
+#[derive(Debug)]
 struct MtxM {
     policy: MtxPolicy,
     owner: Option<Tid>,
     q: Queue,
 }
 
-#[derive(Debug, Clone)]
+clone_fields!(MtxM { policy, owner, q });
+
+#[derive(Debug)]
 struct MpfM {
     total: usize,
     free: usize,
     q: Queue,
 }
+
+clone_fields!(MpfM { total, free, q });
 
 /// Allocation alignment of the kernel's variable-size pools.
 const MPL_ALIGN: usize = 4;
@@ -283,7 +335,7 @@ fn align_up(sz: usize) -> Option<usize> {
 /// offset-keyed free/alloc maps the kernel keeps, so the spec computes
 /// the exact offsets first-fit mandates and the exact coalescing a
 /// release must perform.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct MplM {
     /// Free regions: offset -> length, coalesced.
     free: BTreeMap<usize, usize>,
@@ -291,6 +343,8 @@ struct MplM {
     allocs: BTreeMap<usize, usize>,
     q: Queue,
 }
+
+clone_fields!(MplM { free, allocs, q });
 
 impl MplM {
     /// First-fit allocation (mirrors `kernel::mpl::Mpl::try_alloc`).
@@ -355,7 +409,7 @@ struct AlmM {
 /// either by replaying kernel observations ([`SpecState::apply`],
 /// what [`super::Checker`] does) or by resolving nondeterministic
 /// choices ([`SpecState::step`], what `rtk-farm --explore` does).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct SpecState {
     tasks: IdMap<TaskM>,
     /// Ready queue in dispatch order (priority levels, FIFO within,
@@ -383,6 +437,24 @@ pub struct SpecState {
     /// replay is byte-identical to the pre-split oracle.
     mutation: Option<SpecMutation>,
 }
+
+clone_fields!(SpecState {
+    tasks,
+    ready,
+    running,
+    dispatch_disabled,
+    sems,
+    flags,
+    mbxs,
+    mbfs,
+    mtxs,
+    mpfs,
+    mpls,
+    cycs,
+    alms,
+    expected,
+    mutation,
+});
 
 fn flag_satisfied(pattern: u32, waiptn: u32, mode: FlagWaitMode) -> bool {
     if mode.and {

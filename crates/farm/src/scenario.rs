@@ -365,16 +365,19 @@ impl Fnv {
 
     /// Hashes `v`'s eight little-endian bytes, exactly as
     /// `bytes(&v.to_le_bytes())` would. The zero high bytes come last,
-    /// so they fold into one multiply by the matching prime power.
+    /// so they fold, with the multiply of the last significant byte,
+    /// into one multiply by the matching prime power: a value below
+    /// 256 costs one multiply. Zero counts as one significant byte,
+    /// since xoring it in changes nothing.
     pub(crate) fn u64(&mut self, v: u64) {
-        let significant = (64 - v.leading_zeros() as usize).div_ceil(8);
+        let significant = (64 - v.leading_zeros() as usize).div_ceil(8).max(1);
         let mut rest = v;
-        for _ in 0..significant {
+        for _ in 1..significant {
             self.0 ^= rest & 0xff;
             self.0 = self.0.wrapping_mul(FNV_PRIME);
             rest >>= 8;
         }
-        self.0 = self.0.wrapping_mul(FNV_PRIME_POW[8 - significant]);
+        self.0 = (self.0 ^ rest).wrapping_mul(FNV_PRIME_POW[9 - significant]);
     }
 
     pub(crate) fn finish(&self) -> u64 {
@@ -401,7 +404,10 @@ mod tests {
         h.finish()
     }
 
-    /// `0`, `u64::MAX` and both sides of every byte-width boundary.
+    /// `0`, `u64::MAX` and both sides of every byte-width boundary:
+    /// among them the cases on either side of the folds, zero, one
+    /// significant byte at its top (255), two bytes (256) and the top
+    /// byte alone (`1 << 56`).
     fn edge_values() -> Vec<u64> {
         let mut vs = vec![0, u64::MAX];
         for k in 1..=7 {

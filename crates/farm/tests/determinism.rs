@@ -3,12 +3,14 @@
 //! independent of worker-thread count and scheduling.
 
 use std::collections::BTreeSet;
+use std::path::Path;
 
 use proptest::prelude::*;
 use rtk_analysis::trace_codec::{encode_trace, TraceHeader};
 use rtk_farm::{
-    run_campaign, run_exploration, run_scenario, CampaignConfig, CampaignReport, ExploreConfig,
-    Family, RunPlan, ScenarioSpec, TraceConfig, Tuning,
+    run_campaign, run_exploration, run_scenario, write_counterexamples, CampaignConfig,
+    CampaignReport, ExploreConfig, ExploreOutcome, Family, RunPlan, ScenarioSpec, SpecMutation,
+    TraceConfig, Tuning,
 };
 use sysc::Runtime;
 
@@ -212,48 +214,89 @@ enum Walk {
     NoPor,
     Adversarial,
     NoFaults,
+    /// The default walk over the spec with this [`SpecMutation`].
+    SkipTimeoutReserve,
+    /// The default walk over the spec with this [`SpecMutation`].
+    DirectInheritanceOnly,
 }
 
-/// States, transitions and state hash of every explore family with
-/// partial-order reduction on (the default config), under
-/// `--adversarial` and under `--no-faults`, and of the two families
-/// whose counts change with POR off. `chain` and `deadlock` have no
-/// fault branch and `--adversarial` prunes none of their frontiers, so
-/// both flags leave them unchanged.
+/// FNV-1a over an exploration's whole output: the report's JSON, then
+/// the `.rtkt` bytes of every retained counterexample, in the order
+/// `write_counterexamples` writes them into `dir`.
+fn explore_output_digest(out: &ExploreOutcome, dir: &Path) -> u64 {
+    let mut bytes = out.report.to_json().into_bytes();
+    for path in write_counterexamples(out, dir).expect("counterexamples written") {
+        bytes.extend(std::fs::read(&path).expect("counterexample read back"));
+        std::fs::remove_file(&path).expect("counterexample removed");
+    }
+    fnv1a(&bytes)
+}
+
+/// States, transitions, state hash and whole-output digest of every
+/// explore family with partial-order reduction on (the default config),
+/// under `--adversarial` and under `--no-faults`, of the two families
+/// whose counts change with POR off, and of the two `SpecMutation`
+/// convictions. `chain` and `deadlock` have no fault branch and
+/// `--adversarial` prunes none of their frontiers, so both flags leave
+/// them unchanged. The output digest covers the report byte for byte
+/// and the counterexamples of `deadlock` and of both convictions.
 #[test]
 fn explore_reports_match_goldens() {
+    use Family::*;
     use Walk::*;
+    // Family, walk, states, transitions, state hash, output digest.
+    #[rustfmt::skip]
     let goldens = [
-        (Family::Mtx, Default, 339, 368, 0x8ce0_4cab_dd0c_1150),
-        (Family::Irq, Default, 1032, 1450, 0xbaa8_38d9_bcbe_a5cf),
-        (Family::Chain, Default, 44, 43, 0xb2e0_83bd_88ca_d553),
-        (Family::Deadlock, Default, 8, 7, 0xd906_bf62_a104_bc2c),
-        (Family::Mtx, NoPor, 363, 403, 0xa78e_be56_6974_272a),
-        (Family::Irq, NoPor, 1049, 1486, 0xcc41_c0b6_18b3_e22b),
-        (Family::Mtx, Adversarial, 277, 299, 0xbb0c_53cb_0d6a_830f),
-        (Family::Irq, Adversarial, 923, 1254, 0x1c1f_b99c_539d_4d72),
-        (Family::Chain, Adversarial, 44, 43, 0xb2e0_83bd_88ca_d553),
-        (Family::Deadlock, Adversarial, 8, 7, 0xd906_bf62_a104_bc2c),
-        (Family::Mtx, NoFaults, 64, 65, 0xfa1c_f591_a433_1fe9),
-        (Family::Irq, NoFaults, 512, 678, 0x6a3b_8d6d_dacd_bdeb),
-        (Family::Chain, NoFaults, 44, 43, 0xb2e0_83bd_88ca_d553),
-        (Family::Deadlock, NoFaults, 8, 7, 0xd906_bf62_a104_bc2c),
+        (Mtx,      Default,                339,  368, 0x8ce0_4cab_dd0c_1150, 0x5e25_aeaa_3efa_d571),
+        (Irq,      Default,               1032, 1450, 0xbaa8_38d9_bcbe_a5cf, 0xa6cd_8b58_e0ae_f7fc),
+        (Chain,    Default,                 44,   43, 0xb2e0_83bd_88ca_d553, 0xc97d_272d_fb07_f38f),
+        (Deadlock, Default,                  8,    7, 0xd906_bf62_a104_bc2c, 0x59c1_ef1d_391f_ca8b),
+        (Mtx,      NoPor,                  363,  403, 0xa78e_be56_6974_272a, 0x2a26_00ed_73c4_c5e5),
+        (Irq,      NoPor,                 1049, 1486, 0xcc41_c0b6_18b3_e22b, 0x396b_d462_99d1_60e4),
+        (Mtx,      Adversarial,            277,  299, 0xbb0c_53cb_0d6a_830f, 0x6580_e537_b4bd_ea8c),
+        (Irq,      Adversarial,            923, 1254, 0x1c1f_b99c_539d_4d72, 0x2987_e987_7555_7cbf),
+        (Chain,    Adversarial,             44,   43, 0xb2e0_83bd_88ca_d553, 0x39ab_4e5f_600d_8e3d),
+        (Deadlock, Adversarial,              8,    7, 0xd906_bf62_a104_bc2c, 0xc158_94dc_c71a_2881),
+        (Mtx,      NoFaults,                64,   65, 0xfa1c_f591_a433_1fe9, 0x7b44_3535_a0f3_a229),
+        (Irq,      NoFaults,               512,  678, 0x6a3b_8d6d_dacd_bdeb, 0xf493_f7b8_3ba1_66b8),
+        (Chain,    NoFaults,                44,   43, 0xb2e0_83bd_88ca_d553, 0xa737_b9a5_8b32_3344),
+        (Deadlock, NoFaults,                 8,    7, 0xd906_bf62_a104_bc2c, 0xd8f0_fb09_8913_9d10),
+        (Irq,      SkipTimeoutReserve,     516,  725, 0x9bce_5746_8236_fbb1, 0xa112_739f_b471_5215),
+        (Chain,    DirectInheritanceOnly,   44,   43, 0x07f4_b46e_9e83_2490, 0xa9dc_0646_1704_d6f1),
     ];
-    for (family, walk, states, transitions, hash) in goldens {
+    let dir = std::env::temp_dir().join(format!("rtk_explore_pins_{}", std::process::id()));
+    for (family, walk, states, transitions, hash, output) in goldens {
         let cfg = ExploreConfig {
             family,
             por: !matches!(walk, NoPor),
             adversarial: matches!(walk, Adversarial),
             faults: !matches!(walk, NoFaults),
+            mutation: match walk {
+                SkipTimeoutReserve => Some(SpecMutation::SkipTimeoutReserve),
+                DirectInheritanceOnly => Some(SpecMutation::DirectInheritanceOnly),
+                _ => None,
+            },
             ..ExploreConfig::default()
         };
-        let r = run_exploration(&cfg, Runtime::default()).report;
-        let por = matches!(walk, Default | NoFaults);
+        let out = run_exploration(&cfg, Runtime::default());
+        let r = &out.report;
+        let por = !matches!(walk, NoPor | Adversarial);
         assert!(r.por == por && !r.truncated, "{family} {walk:?}");
+        let got = (
+            r.states,
+            r.transitions,
+            r.state_hash,
+            explore_output_digest(&out, &dir),
+        );
         assert_eq!(
-            (r.states, r.transitions, r.state_hash),
-            (states, transitions, hash),
-            "{family} {walk:?}"
+            got,
+            (states, transitions, hash, output),
+            "{family} {walk:?}: got ({}, {}, {:#018x}, {:#018x})",
+            got.0,
+            got.1,
+            got.2,
+            got.3
         );
     }
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -926,38 +926,71 @@ fn random_event(rng: &mut FarmRng) -> ObsEvent {
     }
 }
 
-/// Random walks through the spec from the empty state: every step
+/// A random walk through the spec from the empty state: every step
 /// feeds the mandated wakeup if one is pending, else a random event,
-/// and keeps the event when `apply` accepts it. No event the spec
-/// accepts or rejects may panic it, nor may the closed-system queries
-/// on any state it accepted.
+/// and keeps the event when `apply` accepts it. `visit` sees every
+/// state the walk accepts; the walk ends after 80 accepted events or
+/// 1,000 tries, and returns its last state.
+fn random_walk(seed: u64, mut visit: impl FnMut(&SpecState)) -> SpecState {
+    let mut rng = FarmRng::new(seed);
+    let mut spec = SpecState::new();
+    let mut accepted = 0;
+    for _ in 0..1_000 {
+        let ev = match spec.pending_wakeup() {
+            Some((tid, obj, code)) => ObsEvent::Wakeup {
+                tid: t(tid),
+                obj,
+                code,
+            },
+            None => random_event(&mut rng),
+        };
+        let mut next = spec.clone();
+        if next.apply(&ev).is_err() {
+            continue;
+        }
+        spec = next;
+        visit(&spec);
+        accepted += 1;
+        if accepted == 80 {
+            break;
+        }
+    }
+    spec
+}
+
+/// No event the spec accepts or rejects on a random walk may panic
+/// it, nor may the closed-system queries on any state it accepted.
 #[test]
 #[cfg_attr(miri, ignore)] // thousands of walks; the crafted streams above run under Miri
 fn random_walks_never_panic_the_spec() {
     for seed in 0..2_000 {
-        let mut rng = FarmRng::new(seed);
-        let mut spec = SpecState::new();
-        let mut accepted = 0;
-        for _ in 0..1_000 {
-            let ev = match spec.pending_wakeup() {
-                Some((tid, obj, code)) => ObsEvent::Wakeup {
-                    tid: t(tid),
-                    obj,
-                    code,
-                },
-                None => random_event(&mut rng),
-            };
-            let mut next = spec.clone();
-            if next.apply(&ev).is_err() {
-                continue;
-            }
-            spec = next;
+        random_walk(seed, |spec| {
             spec.enabled(&mut Vec::new());
             spec.invariant_violations();
-            accepted += 1;
-            if accepted == 80 {
-                break;
-            }
+        });
+    }
+}
+
+/// Cloning a spec state into one that holds other tasks, objects and
+/// queue entries gives what `clone` gives: the same `Debug` rendering,
+/// which shows every field, and the same canonical digest. The
+/// explorer copies states into spent ones this way, so a field that
+/// `clone_from` missed would corrupt exploration.
+#[test]
+#[cfg_attr(miri, ignore)] // hundreds of walks
+fn clone_from_a_different_walk_equals_clone() {
+    for seed in 0..200 {
+        let a = random_walk(seed, |_| {});
+        let b = random_walk(seed + 2_000, |_| {});
+        for (src, spent) in [(&a, &b), (&b, &a)] {
+            let mut copy = spent.clone();
+            copy.clone_from(src);
+            assert_eq!(
+                format!("{copy:?}"),
+                format!("{:?}", src.clone()),
+                "seed {seed}"
+            );
+            assert_eq!(copy.canon_digest(), src.canon_digest(), "seed {seed}");
         }
     }
 }
