@@ -45,13 +45,13 @@ pub mod vcd;
 pub use energy::{average_power, Battery, DistributionRow, EnergyReport};
 pub use export::{energy_to_csv, json_escape, speed_to_csv, trace_to_csv};
 pub use gantt::{context_pattern, GanttChart, GanttConfig};
-pub use obs_export::{decision_slices, obs_to_chrome_trace, obs_to_vcd};
+pub use obs_export::{decision_slices, obs_to_chrome_trace, obs_to_vcd, TimeOverflow};
 pub use oracle_report::{divergences_json, DivergenceRecord};
 pub use percentile::Summary;
 pub use speed::{measure, SpeedRow, SpeedTable};
 pub use static_verify::{analyze, AnalysisOptions, AnalysisResult, Conformance, Verdict};
 pub use trace_codec::{
     decode_trace, encode_trace, read_trace, CodecError, DecodedTrace, TraceHeader, TraceTrailer,
-    TraceTuning, TraceWriter, TraceWriterHandle,
+    TraceTuning, TraceWriter,
 };
 pub use vcd::WaveProbe;

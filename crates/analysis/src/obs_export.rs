@@ -12,15 +12,41 @@
 //! in picoseconds (clamped to stay inside the tick), which preserves
 //! the stream order visually while keeping tick boundaries exact. The
 //! sub-tick offsets are ordinal placement, not measured time.
+//!
+//! That axis is a [`SimTime`], a `u64` of picoseconds (about 213 days).
+//! A stream stamped past its end, which only a crafted or corrupt trace
+//! holds, is refused with [`TimeOverflow`] rather than wrapped.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 use rtk_core::{Energy, ObsEvent, StampedEvent, TaskId, ThreadRef, TraceKind, TraceRecord};
 use sysc::{SimTime, Tracer};
 
 use crate::vcd::WaveProbe;
 
-fn stamp_times(events: &[StampedEvent], tick_us: u32) -> Vec<SimTime> {
+/// An event whose tick stamp, at the stream's tick length, lies past
+/// the last picosecond a [`SimTime`] can hold.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TimeOverflow {
+    /// The first tick stamp that does not fit.
+    pub tick: u64,
+    /// The tick length, in µs.
+    pub tick_us: u32,
+}
+
+impl fmt::Display for TimeOverflow {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "tick {} at {} us per tick lies past the exporters' picosecond time axis",
+            self.tick, self.tick_us
+        )
+    }
+}
+
+impl std::error::Error for TimeOverflow {}
+
+fn stamp_times(events: &[StampedEvent], tick_us: u32) -> Result<Vec<SimTime>, TimeOverflow> {
     let tick_ps = u64::from(tick_us.max(1)) * 1_000_000;
     let mut times = Vec::with_capacity(events.len());
     let mut last_tick = u64::MAX;
@@ -32,11 +58,17 @@ fn stamp_times(events: &[StampedEvent], tick_us: u32) -> Vec<SimTime> {
         } else {
             ordinal += 1;
         }
-        times.push(SimTime::from_ps(
-            se.tick * tick_ps + ordinal.min(tick_ps - 1),
-        ));
+        let ps = se
+            .tick
+            .checked_mul(tick_ps)
+            .and_then(|at| at.checked_add(ordinal.min(tick_ps - 1)))
+            .ok_or(TimeOverflow {
+                tick: se.tick,
+                tick_us,
+            })?;
+        times.push(SimTime::from_ps(ps));
     }
-    times
+    Ok(times)
 }
 
 /// Converts the scheduler decisions in an observation stream into
@@ -47,8 +79,15 @@ fn stamp_times(events: &[StampedEvent], tick_us: u32) -> Vec<SimTime> {
 ///
 /// A task still running when the stream ends gets a slice closed at
 /// the last event's time.
-pub fn decision_slices(events: &[StampedEvent], tick_us: u32) -> Vec<TraceRecord> {
-    let times = stamp_times(events, tick_us);
+pub fn decision_slices(
+    events: &[StampedEvent],
+    tick_us: u32,
+) -> Result<Vec<TraceRecord>, TimeOverflow> {
+    Ok(slices_at(events, &stamp_times(events, tick_us)?))
+}
+
+/// [`decision_slices`] over the stamped `times` of `events`.
+fn slices_at(events: &[StampedEvent], times: &[SimTime]) -> Vec<TraceRecord> {
     let mut out = Vec::new();
     let mut running: Option<(TaskId, SimTime)> = None;
     let mut close = |running: &mut Option<(TaskId, SimTime)>, end: SimTime| {
@@ -66,7 +105,7 @@ pub fn decision_slices(events: &[StampedEvent], tick_us: u32) -> Vec<TraceRecord
             });
         }
     };
-    for (se, &t) in events.iter().zip(&times) {
+    for (se, &t) in events.iter().zip(times) {
         match se.ev {
             ObsEvent::Dispatch { tid, .. } => {
                 close(&mut running, t);
@@ -89,8 +128,8 @@ pub fn decision_slices(events: &[StampedEvent], tick_us: u32) -> Vec<TraceRecord
 /// running, `b11` waiting), by feeding the state transitions through
 /// [`WaveProbe`] — the same instrument the paper uses for hardware
 /// signals (Fig. 4).
-pub fn obs_to_vcd(events: &[StampedEvent], tick_us: u32) -> String {
-    let times = stamp_times(events, tick_us);
+pub fn obs_to_vcd(events: &[StampedEvent], tick_us: u32) -> Result<String, TimeOverflow> {
+    let times = stamp_times(events, tick_us)?;
     let probe = WaveProbe::new();
     let set = |t: SimTime, tid: TaskId, state: &str| {
         probe.signal_changed(t, &tid.to_string(), state);
@@ -108,7 +147,7 @@ pub fn obs_to_vcd(events: &[StampedEvent], tick_us: u32) -> String {
             _ => {}
         }
     }
-    probe.to_vcd()
+    Ok(probe.to_vcd())
 }
 
 /// Renders an observation stream as a Chrome `about:tracing` /
@@ -116,8 +155,8 @@ pub fn obs_to_vcd(events: &[StampedEvent], tick_us: u32) -> String {
 /// (from [`decision_slices`]) and an `"i"` instant per timer, cyclic
 /// and alarm firing. Load the output via chrome://tracing or
 /// ui.perfetto.dev.
-pub fn obs_to_chrome_trace(events: &[StampedEvent], tick_us: u32) -> String {
-    let times = stamp_times(events, tick_us);
+pub fn obs_to_chrome_trace(events: &[StampedEvent], tick_us: u32) -> Result<String, TimeOverflow> {
+    let times = stamp_times(events, tick_us)?;
     let mut out = String::from("[");
     let mut first = true;
     let push = |s: String, first: &mut bool, out: &mut String| {
@@ -128,7 +167,7 @@ pub fn obs_to_chrome_trace(events: &[StampedEvent], tick_us: u32) -> String {
         out.push('\n');
         out.push_str(&s);
     };
-    for rec in decision_slices(events, tick_us) {
+    for rec in slices_at(events, &times) {
         let tid = match rec.who {
             ThreadRef::Task(tid) => tid.raw(),
             _ => continue,
@@ -164,7 +203,7 @@ pub fn obs_to_chrome_trace(events: &[StampedEvent], tick_us: u32) -> String {
         );
     }
     out.push_str("\n]\n");
-    out
+    Ok(out)
 }
 
 fn ps_to_us(ps: u64) -> String {
@@ -225,7 +264,7 @@ mod tests {
 
     #[test]
     fn slices_cover_cpu_occupancy() {
-        let slices = decision_slices(&run_block_stream(), 1000);
+        let slices = decision_slices(&run_block_stream(), 1000).unwrap();
         // tsk1 [0..2], tsk2 [2..7], tsk1 [7..9].
         assert_eq!(slices.len(), 3);
         assert_eq!(slices[0].name, "tsk1");
@@ -240,7 +279,7 @@ mod tests {
 
     #[test]
     fn vcd_has_a_state_wire_per_task() {
-        let vcd = obs_to_vcd(&run_block_stream(), 1000);
+        let vcd = obs_to_vcd(&run_block_stream(), 1000).unwrap();
         assert!(vcd.contains("tsk1"));
         assert!(vcd.contains("tsk2"));
         assert!(vcd.contains("b10 ")); // someone ran
@@ -249,7 +288,7 @@ mod tests {
 
     #[test]
     fn chrome_trace_is_json_shaped() {
-        let json = obs_to_chrome_trace(&run_block_stream(), 1000);
+        let json = obs_to_chrome_trace(&run_block_stream(), 1000).unwrap();
         assert!(json.starts_with('['));
         assert!(json.trim_end().ends_with(']'));
         assert!(json.contains("\"ph\":\"X\""));
@@ -261,8 +300,28 @@ mod tests {
 
     #[test]
     fn empty_stream_renders_empty_documents() {
-        assert!(decision_slices(&[], 1000).is_empty());
-        let json = obs_to_chrome_trace(&[], 1000);
+        assert!(decision_slices(&[], 1000).unwrap().is_empty());
+        let json = obs_to_chrome_trace(&[], 1000).unwrap();
         assert!(json.contains("[\n]"));
+    }
+
+    /// A tick stamp whose picosecond time does not fit a `u64` is
+    /// refused by every exporter instead of wrapping the time axis.
+    #[test]
+    fn ticks_past_the_time_axis_are_refused() {
+        let tid = TaskId::from_raw(1);
+        let late = [ev(1 << 40, ObsEvent::Dispatch { tid, pri: 5 })];
+        let want = Some(TimeOverflow {
+            tick: 1 << 40,
+            tick_us: 1000,
+        });
+        assert_eq!(decision_slices(&late, 1000).err(), want);
+        assert_eq!(obs_to_vcd(&late, 1000).err(), want);
+        assert_eq!(obs_to_chrome_trace(&late, 1000).err(), want);
+        // The last tick that fits at 1 ms per tick, and the next one.
+        let last = u64::MAX / 1_000_000_000;
+        let at = |tick| [ev(tick, ObsEvent::TaskStart { tid })];
+        assert!(obs_to_vcd(&at(last), 1000).is_ok());
+        assert!(obs_to_vcd(&at(last + 1), 1000).is_err());
     }
 }

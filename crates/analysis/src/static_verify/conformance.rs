@@ -20,7 +20,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use rtk_core::{ObsEvent, SysModel, TaskId, WaitObj, WakeCode};
+use rtk_core::{ObsEvent, StampedEvent, StreamSink, SysModel, TaskId, WaitObj, WakeCode};
 
 use super::lock_graph;
 
@@ -90,8 +90,12 @@ impl Conformance {
             .unwrap_or_else(|| format!("#{r}"))
     }
 
-    fn acquire(&mut self, tid: TaskId, r: usize) {
-        let held = self.held.entry(tid).or_default().clone();
+    /// Checks `tid` taking `r` against what it holds and records `r` as
+    /// held. A task holds a resource at most once: taking a held one
+    /// again is one violation, and `false` is returned.
+    fn acquire(&mut self, tid: TaskId, r: usize) -> bool {
+        // Taken out of the map (no copy) so the checks may borrow `self`.
+        let mut held = std::mem::take(self.held.entry(tid).or_default());
         for &outer in &held {
             if outer == r {
                 let n = self.name(r);
@@ -101,7 +105,20 @@ impl Conformance {
                 self.violate(format!("{tid} took undeclared lock order {a} -> {b}"));
             }
         }
-        self.held.entry(tid).or_default().push(r);
+        let fresh = !held.contains(&r);
+        if fresh {
+            held.push(r);
+        }
+        self.held.insert(tid, held);
+        fresh
+    }
+
+    /// `tid` took the semaphore resource `r`: it queues as a holder
+    /// unless it held `r` already.
+    fn take_sem(&mut self, tid: TaskId, r: usize) {
+        if self.acquire(tid, r) {
+            self.sem_holders.entry(r).or_default().push_back(tid);
+        }
     }
 
     fn release(&mut self, tid: TaskId, r: usize) {
@@ -112,10 +129,16 @@ impl Conformance {
         }
     }
 
+    /// Forgets everything `tid` holds. A task queues as a semaphore
+    /// holder only for a resource in its held list, so only those
+    /// queues are searched.
     fn drop_task(&mut self, tid: TaskId) {
-        self.held.remove(&tid);
-        for q in self.sem_holders.values_mut() {
-            q.retain(|&t| t != tid);
+        for r in self.held.remove(&tid).unwrap_or_default() {
+            if let Some(q) = self.sem_holders.get_mut(&r) {
+                if let Some(pos) = q.iter().position(|&t| t == tid) {
+                    q.remove(pos);
+                }
+            }
         }
     }
 
@@ -154,8 +177,7 @@ impl Conformance {
             }
             ObsEvent::SemTake { id, tid, .. } => {
                 if let Some(&r) = self.sem_map.get(&id.raw()) {
-                    self.acquire(tid, r);
-                    self.sem_holders.entry(r).or_default().push_back(tid);
+                    self.take_sem(tid, r);
                 }
             }
             ObsEvent::SemSignal { id, .. } => {
@@ -177,8 +199,7 @@ impl Conformance {
                     }
                     WaitObj::Sem(id, _) => {
                         if let Some(&r) = self.sem_map.get(&id.raw()) {
-                            self.acquire(tid, r);
-                            self.sem_holders.entry(r).or_default().push_back(tid);
+                            self.take_sem(tid, r);
                         }
                     }
                     _ => {}
@@ -188,6 +209,15 @@ impl Conformance {
             | ObsEvent::TaskTerminate { tid }
             | ObsEvent::TaskDelete { tid } => self.drop_task(tid),
             _ => {}
+        }
+    }
+}
+
+/// The checker as a live sink on the kernel's `ObsStream`.
+impl StreamSink for Conformance {
+    fn batch(&mut self, events: &[StampedEvent]) {
+        for se in events {
+            self.push(&se.ev);
         }
     }
 }
@@ -304,6 +334,23 @@ mod tests {
         c.push(&lock(7, 1));
         c.push(&lock(8, 1));
         assert_eq!(c.violation_count(), 1);
+    }
+
+    /// A task that locks a held mutex again is reported once per lock,
+    /// and holds it once: the held list never grows, so a long crafted
+    /// stream costs linear time.
+    #[test]
+    fn each_relock_is_one_violation() {
+        let m = two_mutex_model();
+        let mut c = Conformance::from_model(&m);
+        c.push(&create(7));
+        for _ in 0..1_000 {
+            c.push(&lock(7, 1));
+        }
+        assert_eq!(c.violation_count(), 999);
+        assert_eq!(c.held[&TaskId::from_raw(1)], [0]);
+        c.push(&unlock(7, 1));
+        assert!(c.held[&TaskId::from_raw(1)].is_empty());
     }
 
     #[test]

@@ -42,12 +42,10 @@
 //! assert_eq!(decoded.trailer.unwrap().close, StreamClose::Clean);
 //! ```
 
-use std::cell::RefCell;
 use std::fmt;
 use std::fs::File;
 use std::io::{self, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
-use std::rc::Rc;
 
 use rtk_core::{
     AlmId, CycId, FlagWaitMode, FlgId, MbfId, MbxId, MpfId, MplId, MtxId, MtxPolicy, ObsEvent,
@@ -669,11 +667,11 @@ pub fn read_trace(path: &Path) -> Result<DecodedTrace, CodecError> {
 }
 
 // ---------------------------------------------------------------------------
-// the streaming writer (an ObsStream backend)
+// the streaming writer (an ObsStream sink)
 // ---------------------------------------------------------------------------
 
-/// Result of a finished [`TraceWriter`], read through
-/// [`TraceWriterHandle`] after the stream closes.
+/// What a [`TraceWriter`] did, read with [`TraceWriter::summary`]
+/// (final once the stream has closed the writer).
 #[derive(Debug, Clone)]
 pub struct WriteSummary {
     /// Path of the trace file.
@@ -686,13 +684,14 @@ pub struct WriteSummary {
     pub error: Option<String>,
 }
 
-/// A [`StreamSink`] backend that serialises the stream into a binary
-/// trace file as it happens (bounded memory: one encode buffer plus
-/// the `BufWriter`).
+/// A [`StreamSink`] that serialises the stream into a binary trace
+/// file as it happens (bounded memory: one encode buffer plus the
+/// `BufWriter`).
 ///
 /// With a non-zero `cap`, at most `cap` events are written; the rest
-/// are declined and appear in the trailer's (and the owning
-/// `ObsStream`'s) drop count — deterministic bounded capture.
+/// are declined and counted in [`WriteSummary::dropped`] and the
+/// trailer's drop count — deterministic bounded capture. The writer is
+/// the only sink that ever declines an event.
 pub struct TraceWriter {
     out: BufWriter<File>,
     buf: Vec<u8>,
@@ -700,51 +699,37 @@ pub struct TraceWriter {
     written: u64,
     dropped: u64,
     cap: u64,
-    shared: Rc<RefCell<Option<WriteSummary>>>,
     path: PathBuf,
     error: Option<String>,
 }
 
-/// Reader side of a [`TraceWriter`]: yields the [`WriteSummary`] once
-/// the owning stream has closed.
-#[derive(Debug, Clone)]
-pub struct TraceWriterHandle {
-    shared: Rc<RefCell<Option<WriteSummary>>>,
-}
-
-impl TraceWriterHandle {
-    /// The summary, once [`StreamSink::close`] has run.
-    pub fn summary(&self) -> Option<WriteSummary> {
-        self.shared.borrow().clone()
-    }
-}
-
 impl TraceWriter {
-    /// Creates the file, writes the header, and returns the sink plus
-    /// its result handle. `cap == 0` means unlimited.
-    pub fn create(
-        path: &Path,
-        header: &TraceHeader,
-        cap: u64,
-    ) -> io::Result<(TraceWriter, TraceWriterHandle)> {
+    /// Creates the file and writes the header. `cap == 0` means
+    /// unlimited.
+    pub fn create(path: &Path, header: &TraceHeader, cap: u64) -> io::Result<TraceWriter> {
         let file = File::create(path)?;
         let mut out = BufWriter::new(file);
         out.write_all(&encode_header(header))?;
-        let shared = Rc::new(RefCell::new(None));
-        Ok((
-            TraceWriter {
-                out,
-                buf: Vec::with_capacity(64),
-                last_tick: 0,
-                written: 0,
-                dropped: 0,
-                cap: if cap == 0 { u64::MAX } else { cap },
-                shared: Rc::clone(&shared),
-                path: path.to_path_buf(),
-                error: None,
-            },
-            TraceWriterHandle { shared },
-        ))
+        Ok(TraceWriter {
+            out,
+            buf: Vec::with_capacity(64),
+            last_tick: 0,
+            written: 0,
+            dropped: 0,
+            cap: if cap == 0 { u64::MAX } else { cap },
+            path: path.to_path_buf(),
+            error: None,
+        })
+    }
+
+    /// What the writer has done so far.
+    pub fn summary(&self) -> WriteSummary {
+        WriteSummary {
+            path: self.path.clone(),
+            written: self.written,
+            dropped: self.dropped,
+            error: self.error.clone(),
+        }
     }
 
     fn write_event(&mut self, se: &StampedEvent) -> io::Result<()> {
@@ -755,23 +740,23 @@ impl TraceWriter {
 }
 
 impl StreamSink for TraceWriter {
-    fn batch(&mut self, events: &[StampedEvent]) -> usize {
-        if self.error.is_some() {
-            self.dropped += events.len() as u64;
-            return 0;
-        }
-        let room = self.cap.saturating_sub(self.written);
-        let n = (room.min(events.len() as u64)) as usize;
-        for (i, se) in events[..n].iter().enumerate() {
+    /// Writes the prefix of `events` the cap leaves room for and counts
+    /// the rest as dropped; after an I/O error, drops everything.
+    fn batch(&mut self, events: &[StampedEvent]) {
+        let room = match self.error {
+            Some(_) => 0,
+            None => self.cap - self.written,
+        };
+        let mut accepted = 0;
+        for se in events.iter().take(room.min(events.len() as u64) as usize) {
             if let Err(e) = self.write_event(se) {
                 self.error = Some(e.to_string());
-                self.dropped += (events.len() - i) as u64;
-                return i;
+                break;
             }
-            self.written += 1;
+            accepted += 1;
         }
-        self.dropped += (events.len() - n) as u64;
-        n
+        self.written += accepted as u64;
+        self.dropped += (events.len() - accepted) as u64;
     }
 
     fn close(&mut self, how: StreamClose) {
@@ -791,12 +776,6 @@ impl StreamSink for TraceWriter {
                 self.error = Some(e.to_string());
             }
         }
-        *self.shared.borrow_mut() = Some(WriteSummary {
-            path: self.path.clone(),
-            written: self.written,
-            dropped: self.dropped,
-            error: self.error.clone(),
-        });
     }
 }
 
@@ -1226,12 +1205,11 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("capped.rtkt");
         let header = TraceHeader::new(5, "independent", "coro");
-        let (mut w, handle) = TraceWriter::create(&path, &header, 3).unwrap();
+        let mut w = TraceWriter::create(&path, &header, 3).unwrap();
         let events = sample_events();
-        let accepted = w.batch(&events);
-        assert_eq!(accepted, 3);
+        w.batch(&events);
         w.close(StreamClose::Clean);
-        let summary = handle.summary().unwrap();
+        let summary = w.summary();
         assert_eq!((summary.written, summary.dropped), (3, 2));
         assert!(summary.error.is_none());
         let decoded = read_trace(&path).unwrap();
@@ -1255,7 +1233,7 @@ mod tests {
     #[cfg_attr(miri, ignore)]
     fn write_error_mid_run_is_reported() {
         let header = TraceHeader::new(6, "independent", "coro");
-        let (mut w, handle) = TraceWriter::create(Path::new("/dev/full"), &header, 0).unwrap();
+        let mut w = TraceWriter::create(Path::new("/dev/full"), &header, 0).unwrap();
         let events = sample_events();
         // Far more than one 8 KiB `BufWriter` worth of records.
         let mut offered = 0u64;
@@ -1264,7 +1242,7 @@ mod tests {
             offered += events.len() as u64;
         }
         w.close(StreamClose::Clean);
-        let summary = handle.summary().unwrap();
+        let summary = w.summary();
         assert!(summary.error.is_some(), "{summary:?}");
         assert!(summary.dropped > 0, "{summary:?}");
         assert_eq!(summary.written + summary.dropped, offered);

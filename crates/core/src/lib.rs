@@ -88,8 +88,7 @@ pub use kernel::task::RefTsk;
 pub use kernel::time::{RefAlm, RefCyc};
 pub use model::{InterferenceModel, LockPolicy, ResourceModel, SectionModel, SysModel, TaskModel};
 pub use obs::{
-    CollectHandle, CollectSink, ObsEvent, ObsStream, StampedEvent, StreamClose, StreamSink,
-    StreamStats, WakeCode, GRAMMAR_VERSION,
+    ObsEvent, ObsStream, StampedEvent, StreamClose, StreamSink, WakeCode, GRAMMAR_VERSION,
 };
 pub use rtos::{IntPort, Rtos, RunStats, Sys};
 pub use state::{Delivered, FlagWaitMode, IntRequest, QueueOrder, TaskState, Timeout, WaitObj};

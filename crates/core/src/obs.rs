@@ -27,13 +27,16 @@
 //! # Consuming the stream
 //!
 //! The kernel-facing hook is one concrete [`ObsStream`], attached with
-//! [`crate::Rtos::set_obs_sink`]: a bounded ring that batches events and fans
-//! them out to pluggable [`StreamSink`] backends (the online oracle
-//! checker, the binary trace-file writer, a [`CollectSink`] for tests
-//! and for handing a short history to `rtk_farm::check`, ...). Memory
-//! stays `O(ring)` no matter how long the run is, and a backend that
-//! stops accepting events (bounded capture) produces *deterministic*
-//! drop accounting instead of unbounded growth.
+//! [`crate::Rtos::set_obs_sink`]: a bounded ring that batches events
+//! and hands each batch to every [`StreamSink`] it was built with (the
+//! online oracle checker, the binary trace-file writer, the
+//! static-model conformance checker, or a `Vec<StampedEvent>` that
+//! keeps the whole stream). Each sink lives in an `Rc<RefCell<_>>`:
+//! the stream holds one handle, and the code that built the stream
+//! keeps another and reads the sink after [`ObsStream::close`]. The
+//! stream itself stays `O(ring)` no matter how long the run is. Only a
+//! sink may keep less than the whole stream (the trace writer's cap),
+//! and it counts its own drops, deterministically.
 //!
 //! # Checker scope
 //!
@@ -321,57 +324,54 @@ pub enum StreamClose {
 /// cheap and must not call back into the kernel (that would panic with
 /// `BorrowMutError`).
 ///
-/// Backpressure is modelled by the return value of
-/// [`StreamSink::batch`]: a sink accepts a *prefix* of the offered
-/// batch and the stream counts the rest as dropped for that sink.
-/// Acceptance must be a pure function of the stream content consumed
-/// so far (never of wall-clock or thread timing), which is what keeps
-/// drop accounting deterministic and byte-identical across hosts and
-/// worker-thread counts.
+/// Every sink is offered every event. A sink that keeps less (the
+/// `.rtkt` writer under a cap, or after an I/O error) counts what it
+/// declined itself. That count must be a pure function of the events
+/// consumed so far, never of wall-clock or thread timing, so it is
+/// the same on every host and at every worker count.
 pub trait StreamSink {
-    /// Consumes a batch, returning how many of the offered events were
-    /// accepted (`<= events.len()`). Unaccepted events are dropped —
-    /// they are *not* offered again.
-    fn batch(&mut self, events: &[StampedEvent]) -> usize;
+    /// Consumes the next events of the stream, in order.
+    fn batch(&mut self, events: &[StampedEvent]);
 
-    /// Called exactly once, after the final flush.
+    /// Called once, after the final batch.
     fn close(&mut self, _how: StreamClose) {}
 }
 
-/// Totals reported by [`ObsStream::close`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StreamStats {
-    /// Events that entered the stream.
-    pub events: u64,
-    /// Events some backend declined, summed over backends (an event
-    /// dropped by two backends counts twice).
-    pub dropped: u64,
+/// Keeps the whole stream (the determinism goldens, and a short
+/// history handed to `rtk_farm::check`).
+impl StreamSink for Vec<StampedEvent> {
+    fn batch(&mut self, events: &[StampedEvent]) {
+        self.extend_from_slice(events);
+    }
 }
 
-/// Bounded-ring fan-out from the kernel's observation hook to
-/// pluggable [`StreamSink`] backends.
+/// Bounded-ring fan-out from the kernel's observation hook to the
+/// [`StreamSink`]s it was built with.
 ///
 /// The producer side ([`ObsStream::event_at`], called inside the kernel
-/// state borrow) appends into a fixed-capacity ring; when the ring is
-/// full it is flushed as one batch to every backend, and a final flush
-/// happens at [`ObsStream::close`]. Memory is bounded by the ring
-/// capacity regardless of run length.
+/// state borrow) appends into a ring of [`ObsStream::RING`] events; a
+/// full ring goes as one batch to every sink, and [`ObsStream::close`]
+/// hands over the rest. Memory is bounded by the ring regardless of
+/// run length. The stream holds one `Rc` of each sink; whoever built
+/// it keeps another and reads the sink after `close`.
 ///
 /// # Example
 ///
 /// ```
-/// use rtk_core::{CollectSink, ObsEvent, ObsStream, StreamClose, TaskId};
+/// use std::cell::RefCell;
+/// use std::rc::Rc;
 ///
-/// let (collect, taken) = CollectSink::with_capacity(2);
-/// let stream = ObsStream::with_ring_capacity(4).attach(Box::new(collect));
+/// use rtk_core::{ObsEvent, ObsStream, StampedEvent, StreamClose, TaskId};
+///
+/// let kept = Rc::new(RefCell::new(Vec::<StampedEvent>::new()));
+/// let stream = ObsStream::new(vec![kept.clone()]);
 /// // The kernel (here: by hand) stamps each event with its tick.
 /// for tick in 0..3 {
 ///     stream.event_at(tick, ObsEvent::TaskStart { tid: TaskId::from_raw(1) });
 /// }
-/// let stats = stream.close(StreamClose::Clean);
-/// assert_eq!(stats.events, 3);
-/// assert_eq!(stats.dropped, 1); // the collector only kept 2
-/// assert_eq!(taken.take().len(), 2);
+/// assert!(kept.borrow().is_empty()); // still in the ring
+/// stream.close(StreamClose::Clean);
+/// assert_eq!(kept.borrow().len(), 3);
 /// ```
 pub struct ObsStream {
     inner: RefCell<StreamInner>,
@@ -379,169 +379,56 @@ pub struct ObsStream {
 
 struct StreamInner {
     ring: Vec<StampedEvent>,
-    capacity: usize,
-    sinks: Vec<Box<dyn StreamSink>>,
-    stats: StreamStats,
-    closed: bool,
+    sinks: Vec<Rc<RefCell<dyn StreamSink>>>,
 }
 
 impl ObsStream {
-    /// Default ring capacity: large enough to amortise the per-batch
+    /// Ring capacity in events. Large enough to amortise the per-batch
     /// fan-out, small enough to keep a campaign worker's footprint in
-    /// the hundreds of kilobytes.
-    pub const DEFAULT_RING: usize = 4096;
+    /// the hundreds of kilobytes. Handing each event to the sinks
+    /// directly instead about doubles the sink path's cost per event
+    /// (DESIGN.md, "The streaming trace platform").
+    pub const RING: usize = 4096;
 
-    /// A stream with the default ring capacity and no backends.
-    pub fn new() -> Self {
-        Self::with_ring_capacity(Self::DEFAULT_RING)
-    }
-
-    /// A stream whose ring holds `capacity` events (min 1) between
-    /// flushes.
-    pub fn with_ring_capacity(capacity: usize) -> Self {
+    /// A stream feeding every event to each of `sinks`, in order.
+    pub fn new(sinks: Vec<Rc<RefCell<dyn StreamSink>>>) -> Self {
         ObsStream {
             inner: RefCell::new(StreamInner {
-                ring: Vec::with_capacity(capacity.max(1)),
-                capacity: capacity.max(1),
-                sinks: Vec::new(),
-                stats: StreamStats::default(),
-                closed: false,
+                ring: Vec::with_capacity(Self::RING),
+                sinks,
             }),
         }
     }
 
-    /// Adds a backend (builder style, before the stream is attached to
-    /// the kernel).
-    #[must_use]
-    pub fn attach(mut self, sink: Box<dyn StreamSink>) -> Self {
-        self.inner.get_mut().sinks.push(sink);
-        self
-    }
-
-    /// Flushes the ring and closes every backend. Idempotent: later
-    /// calls return the same totals without re-closing the backends.
-    /// Events arriving after close are counted as dropped per backend.
-    pub fn close(&self, how: StreamClose) -> StreamStats {
-        let mut inner = self.inner.borrow_mut();
-        if !inner.closed {
-            inner.flush();
-            inner.closed = true;
-            for sink in &mut inner.sinks {
-                sink.close(how);
-            }
-        }
-        inner.stats
-    }
-
     /// Receives one event stamped with the kernel tick at emission (the
-    /// kernel calls this inside its state borrow). Flushes the ring to
-    /// every backend when it is full.
+    /// kernel calls this inside its state borrow). Hands the ring to
+    /// every sink when it is full.
     pub fn event_at(&self, tick: u64, ev: ObsEvent) {
         let mut inner = self.inner.borrow_mut();
-        inner.stats.events += 1;
-        if inner.closed {
-            let n = inner.sinks.len().max(1) as u64;
-            inner.stats.dropped += n;
-            return;
-        }
         inner.ring.push(StampedEvent { tick, ev });
-        if inner.ring.len() >= inner.capacity {
+        if inner.ring.len() == Self::RING {
             inner.flush();
         }
     }
 
-    /// Totals so far (without flushing).
-    pub fn stats(&self) -> StreamStats {
-        self.inner.borrow().stats
-    }
-}
-
-impl Default for ObsStream {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl std::fmt::Debug for ObsStream {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.borrow();
-        f.debug_struct("ObsStream")
-            .field("capacity", &inner.capacity)
-            .field("sinks", &inner.sinks.len())
-            .field("stats", &inner.stats)
-            .finish()
+    /// Hands the rest of the ring to every sink, closes each one and
+    /// lets go of it. A second call, and any event that arrives after
+    /// the first, reaches no sink.
+    pub fn close(&self, how: StreamClose) {
+        let mut inner = self.inner.borrow_mut();
+        inner.flush();
+        for sink in std::mem::take(&mut inner.sinks) {
+            sink.borrow_mut().close(how);
+        }
     }
 }
 
 impl StreamInner {
     fn flush(&mut self) {
-        if self.ring.is_empty() {
-            return;
-        }
-        let nsinks = self.sinks.len() as u64;
-        if nsinks == 0 {
-            // No backend: the whole batch is dropped (bounded memory
-            // beats silent unbounded buffering), one drop per event.
-            self.stats.dropped += self.ring.len() as u64;
-        }
-        for sink in &mut self.sinks {
-            let accepted = sink.batch(&self.ring).min(self.ring.len());
-            self.stats.dropped += (self.ring.len() - accepted) as u64;
+        for sink in &self.sinks {
+            sink.borrow_mut().batch(&self.ring);
         }
         self.ring.clear();
-    }
-}
-
-/// A bounded [`StreamSink`] that retains the first `capacity` events
-/// and declines the rest (deterministic drop accounting in the owning
-/// [`ObsStream`]). The retained prefix is read through the paired
-/// [`CollectHandle`] after the stream closes.
-#[derive(Debug)]
-pub struct CollectSink {
-    shared: Rc<RefCell<Vec<StampedEvent>>>,
-    capacity: usize,
-}
-
-/// Reader side of a [`CollectSink`].
-#[derive(Debug, Clone)]
-pub struct CollectHandle {
-    shared: Rc<RefCell<Vec<StampedEvent>>>,
-}
-
-impl CollectSink {
-    /// A collector keeping at most `capacity` events, plus the handle
-    /// that reads them back.
-    pub fn with_capacity(capacity: usize) -> (CollectSink, CollectHandle) {
-        let shared = Rc::new(RefCell::new(Vec::new()));
-        (
-            CollectSink {
-                shared: Rc::clone(&shared),
-                capacity,
-            },
-            CollectHandle { shared },
-        )
-    }
-
-    /// An unbounded collector (test convenience).
-    pub fn unbounded() -> (CollectSink, CollectHandle) {
-        Self::with_capacity(usize::MAX)
-    }
-}
-
-impl CollectHandle {
-    /// Takes the retained events (the buffer is left empty).
-    pub fn take(&self) -> Vec<StampedEvent> {
-        self.shared.take()
-    }
-}
-
-impl StreamSink for CollectSink {
-    fn batch(&mut self, events: &[StampedEvent]) -> usize {
-        let mut buf = self.shared.borrow_mut();
-        let room = self.capacity.saturating_sub(buf.len());
-        let n = room.min(events.len());
-        buf.extend_from_slice(&events[..n]);
-        n
     }
 }
 
@@ -561,95 +448,56 @@ mod tests {
         ObsEvent::TaskStart { tid: TaskId(n) }
     }
 
-    /// A sink that records batch sizes and accepts everything.
-    struct BatchSpy(Rc<RefCell<Vec<usize>>>);
+    /// A sink that records batch sizes and closes.
+    #[derive(Default)]
+    struct Spy {
+        batches: Vec<usize>,
+        closes: Vec<StreamClose>,
+    }
 
-    impl StreamSink for BatchSpy {
-        fn batch(&mut self, events: &[StampedEvent]) -> usize {
-            self.0.borrow_mut().push(events.len());
-            events.len()
+    impl StreamSink for Spy {
+        fn batch(&mut self, events: &[StampedEvent]) {
+            self.batches.push(events.len());
+        }
+
+        fn close(&mut self, how: StreamClose) {
+            self.closes.push(how);
         }
     }
 
     #[test]
     fn ring_flushes_in_capacity_batches() {
-        let sizes = Rc::new(RefCell::new(Vec::new()));
-        let stream = ObsStream::with_ring_capacity(3).attach(Box::new(BatchSpy(Rc::clone(&sizes))));
-        for i in 0..7 {
-            stream.event_at(i, ev(1));
+        let spy = Rc::new(RefCell::new(Spy::default()));
+        let kept = Rc::new(RefCell::new(Vec::new()));
+        let stream = ObsStream::new(vec![spy.clone(), kept.clone()]);
+        let n = 2 * ObsStream::RING + 1;
+        for i in 0..n {
+            stream.event_at(i as u64, ev(i as u32));
         }
-        let stats = stream.close(StreamClose::Clean);
-        assert_eq!(
-            stats,
-            StreamStats {
-                events: 7,
-                dropped: 0
-            }
-        );
-        assert_eq!(*sizes.borrow(), vec![3, 3, 1]);
-    }
-
-    #[test]
-    fn bounded_collector_drop_accounting_is_deterministic() {
-        let run = || {
-            let (collect, handle) = CollectSink::with_capacity(5);
-            let stream = ObsStream::with_ring_capacity(2).attach(Box::new(collect));
-            for i in 0..9 {
-                stream.event_at(i, ev(i as u32));
-            }
-            let stats = stream.close(StreamClose::Clean);
-            (stats, handle.take())
+        assert_eq!(spy.borrow().batches, [ObsStream::RING; 2]);
+        stream.close(StreamClose::Aborted);
+        assert_eq!(spy.borrow().batches, [ObsStream::RING, ObsStream::RING, 1]);
+        assert_eq!(spy.borrow().closes, [StreamClose::Aborted]);
+        // Every sink sees the whole stream, stamped and in order.
+        let stamp = |i: usize| StampedEvent {
+            tick: i as u64,
+            ev: ev(i as u32),
         };
-        let (stats_a, kept_a) = run();
-        let (stats_b, kept_b) = run();
-        assert_eq!(
-            stats_a,
-            StreamStats {
-                events: 9,
-                dropped: 4
-            }
-        );
-        assert_eq!(stats_a, stats_b);
-        assert_eq!(kept_a, kept_b);
-        assert_eq!(kept_a.len(), 5);
-        // The retained prefix is the *first* five events, stamped.
-        assert_eq!(kept_a[0], StampedEvent { tick: 0, ev: ev(0) });
-        assert_eq!(kept_a[4], StampedEvent { tick: 4, ev: ev(4) });
+        assert_eq!(*kept.borrow(), (0..n).map(stamp).collect::<Vec<_>>());
     }
 
     #[test]
-    fn close_is_idempotent_and_late_events_count_dropped() {
-        let (collect, handle) = CollectSink::unbounded();
-        let stream = ObsStream::new().attach(Box::new(collect));
+    fn close_is_idempotent_and_late_events_reach_no_sink() {
+        let spy = Rc::new(RefCell::new(Spy::default()));
+        let kept = Rc::new(RefCell::new(Vec::new()));
+        let stream = ObsStream::new(vec![spy.clone(), kept.clone()]);
         stream.event_at(1, ev(1));
-        let first = stream.close(StreamClose::Clean);
-        assert_eq!(
-            first,
-            StreamStats {
-                events: 1,
-                dropped: 0
-            }
-        );
+        stream.close(StreamClose::Clean);
         stream.event_at(2, ev(2));
-        let second = stream.close(StreamClose::Clean);
-        assert_eq!(
-            second,
-            StreamStats {
-                events: 2,
-                dropped: 1
-            }
-        );
-        assert_eq!(handle.take().len(), 1);
-    }
-
-    #[test]
-    fn sinkless_stream_stays_bounded_and_counts_drops() {
-        let stream = ObsStream::with_ring_capacity(4);
-        for i in 0..10 {
-            stream.event_at(i, ev(1));
-        }
-        let stats = stream.close(StreamClose::Aborted);
-        assert_eq!(stats.events, 10);
-        assert_eq!(stats.dropped, 10);
+        stream.close(StreamClose::Clean);
+        assert_eq!(*kept.borrow(), [StampedEvent { tick: 1, ev: ev(1) }]);
+        assert_eq!(spy.borrow().closes, [StreamClose::Clean]);
+        // The stream let go of both sinks at the first close.
+        assert_eq!((Rc::strong_count(&spy), Rc::strong_count(&kept)), (1, 1));
     }
 }

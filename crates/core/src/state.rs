@@ -345,11 +345,6 @@ pub(crate) struct KernelState {
     /// [`TimedQueue`] the sysc event core uses (deadline unit: ticks
     /// since boot): due actions come out in deadline-then-arming order.
     pub timeq: TimedQueue<TimerAction>,
-    /// Timer actions already due at the current tick, drained one at a
-    /// time by the Thread Dispatch tick sequence.
-    due_timers: VecDeque<TimerAction>,
-    /// Reused scratch buffer for timer-queue drains (per-tick hot path).
-    due_scratch: Vec<sysc::TimedEntry<TimerAction>>,
     /// The Gantt execution trace, kept once recording has started
     /// (`Rtos::record_trace`); `None` builds no record at all.
     pub trace: Option<Vec<TraceRecord>>,
@@ -397,8 +392,6 @@ impl KernelState {
             isrs: BTreeMap::new(),
             timer: TThreadRec::new(h),
             timeq: TimedQueue::new(),
-            due_timers: VecDeque::new(),
-            due_scratch: Vec::new(),
             trace: None,
             obs: None,
             dispatches: 0,
@@ -507,15 +500,11 @@ impl KernelState {
     }
 
     /// Takes the next timer action due at or before the current tick,
-    /// in deadline-then-arming order. Refills the due buffer from the
-    /// timer queue when it runs dry.
+    /// in deadline-then-arming order, straight off the timer queue. A
+    /// handler that runs between two actions arms its entries at
+    /// `ticks + 1` or later, so they never cut into the current tick's.
     pub(crate) fn pop_due_timer(&mut self) -> Option<TimerAction> {
-        if self.due_timers.is_empty() && self.timeq.next_at().is_some_and(|at| at <= self.ticks) {
-            self.timeq.advance_to(self.ticks, &mut self.due_scratch);
-            self.due_timers
-                .extend(self.due_scratch.drain(..).map(|e| e.action));
-        }
-        self.due_timers.pop_front()
+        self.timeq.pop_due(self.ticks).map(|e| e.action)
     }
 
     /// Converts a timeout duration to an absolute deadline tick

@@ -15,9 +15,9 @@ use std::rc::Rc;
 use rtk_analysis::static_verify::Conformance;
 use rtk_analysis::trace_codec::{TraceHeader, TraceTuning, TraceWriter};
 use rtk_core::{
-    AlmId, CollectSink, CycId, ErCode, FlagWaitMode, FlgId, IntNo, KernelConfig, MbfId, MbxId,
-    MpfId, MplId, MsgPacket, MtxId, MtxPolicy, ObsEvent, ObsStream, Priority, QueueOrder, Rtos,
-    RunStats, SemId, StampedEvent, StreamClose, StreamSink, Sys, TaskId, Timeout,
+    AlmId, CycId, ErCode, FlagWaitMode, FlgId, IntNo, KernelConfig, MbfId, MbxId, MpfId, MplId,
+    MsgPacket, MtxId, MtxPolicy, ObsStream, Priority, QueueOrder, Rtos, RunStats, SemId,
+    StampedEvent, StreamClose, StreamSink, Sys, TaskId, Timeout,
 };
 use sysc::{RunOutcome, SimTime, SpawnMode};
 
@@ -25,23 +25,36 @@ use crate::model::{static_model, WARMUP_US};
 use crate::oracle;
 use crate::scenario::{Fnv, ScenarioSpec, Topology};
 
-/// Critical-section share of a lock-taking job body: the tail quarter
-/// of the execution budget, floored at 10 µs. This split is a schedule
-/// *choice point* — it decides when the lock attempt lands relative to
-/// competing releases — so it is a named function rather than an
-/// inline expression: `--explore` family programs must branch at the
-/// same instant the kernel workload does.
-pub(crate) fn mtx_chain_crit_us(exec_us: u64) -> u64 {
-    (exec_us / 4).max(10)
+impl Topology {
+    /// Critical section of a lock-taking job body, in µs: the tail of
+    /// its execution budget, floored at 10 µs. `MtxChain` and
+    /// `DispWindow` jobs spend a quarter of it there, `SemChain` and
+    /// `LifecycleChurn` jobs a fifth; other topologies take no lock.
+    /// The split is a schedule *choice point*: it decides when the lock
+    /// attempt lands relative to competing releases. The workload below
+    /// and the static model ([`static_model`]) both read it here.
+    pub(crate) fn crit_us(self, exec_us: u64) -> u64 {
+        let share = match self {
+            Topology::MtxChain { .. } | Topology::DispWindow { .. } => 4,
+            _ => 5,
+        };
+        (exec_us / share).max(10)
+    }
 }
 
 /// Finite blocking timeout of a job body, in ms: 1/500th of the
-/// deadline. The second surfaced choice point — it decides which
-/// schedules take the timeout branch instead of acquiring — shared by
-/// the `MtxChain`, `MbfPipeline`, `MpfPool` and `MplPressure` bodies.
+/// deadline. The second choice point: it decides which schedules take
+/// the timeout branch instead of acquiring. Shared by the `MtxChain`,
+/// `MbfPipeline`, `MpfPool` and `MplPressure` bodies.
 pub(crate) fn mtx_chain_lock_timeout_ms(deadline_us: u64) -> u64 {
     deadline_us / 500
 }
+
+/// Priority of `LifecycleChurn`'s victim task.
+pub(crate) const CHURN_VICTIM_PRI: Priority = 105;
+
+/// Length of the victim's mutex critical section, in µs.
+pub(crate) const CHURN_VICTIM_CRIT_US: u64 = 400;
 
 /// Binary trace capture settings for a run (CLI `--trace-dir` /
 /// `--trace-cap`): one `.rtkt` file per scenario is written into
@@ -99,8 +112,10 @@ pub struct ScenarioOutcome {
     /// First spec-vs-kernel divergence the oracle found, if any:
     /// `(event index, rendered account)`.
     pub divergence: Option<(u64, String)>,
-    /// Observation-stream events dropped by attached sinks (bounded
-    /// trace capture, I/O failure). Deliberately **excluded from
+    /// Observation events the `.rtkt` writer declined (bounded trace
+    /// capture, I/O failure): its
+    /// [`WriteSummary`](rtk_analysis::trace_codec::WriteSummary) count, the same
+    /// number its trailer records. Deliberately **excluded from
     /// [`digest`](Self::digest)**: whether and where a trace was
     /// captured is host-side instrumentation and must not change the
     /// simulated-domain identity of the run.
@@ -299,22 +314,14 @@ pub fn run_scenario_observed(
     )
 }
 
-/// An [`ObsStream`] backend feeding every event to a checker the run
-/// reads afterwards: the incremental differential oracle ("the oracle
-/// is just another sink") or the static-model conformance checker.
-struct CheckerSink<T, F> {
-    checker: Rc<RefCell<T>>,
-    push: F,
-}
-
-impl<T, F: FnMut(&mut T, &ObsEvent)> StreamSink for CheckerSink<T, F> {
-    fn batch(&mut self, events: &[StampedEvent]) -> usize {
-        let mut checker = self.checker.borrow_mut();
-        for se in events {
-            (self.push)(&mut checker, &se.ev);
-        }
-        events.len()
-    }
+/// Shares `sink` between the stream's sink list and the caller.
+fn attach<S: StreamSink + 'static>(
+    sinks: &mut Vec<Rc<RefCell<dyn StreamSink>>>,
+    sink: S,
+) -> Rc<RefCell<S>> {
+    let sink = Rc::new(RefCell::new(sink));
+    sinks.push(sink.clone());
+    sink
 }
 
 /// Runs one scenario to its horizon with the attachments `plan` names
@@ -334,34 +341,17 @@ pub fn run_scenario(spec: &ScenarioSpec, plan: &RunPlan) -> (ScenarioOutcome, Ve
 
     // Assemble the observation pipeline: every consumer is a sink on
     // one shared stream, so the kernel pays for instrumentation once
-    // no matter how many consumers are attached.
-    let mut sinks: Vec<Box<dyn StreamSink>> = Vec::new();
-    let mut checker = None;
-    if plan.oracle {
-        let shared = Rc::new(RefCell::new(oracle::Checker::new()));
-        sinks.push(Box::new(CheckerSink {
-            checker: Rc::clone(&shared),
-            push: oracle::Checker::push,
-        }));
-        checker = Some(shared);
-    }
-    let mut collected = None;
-    if plan.collect_events {
-        let (sink, handle) = CollectSink::unbounded();
-        sinks.push(Box::new(sink));
-        collected = Some(handle);
-    }
-    let mut conformance = None;
-    if plan.analyze {
-        let shared = Rc::new(RefCell::new(Conformance::from_model(&static_model(spec))));
-        sinks.push(Box::new(CheckerSink {
-            checker: Rc::clone(&shared),
-            push: Conformance::push,
-        }));
-        conformance = Some(shared);
-    }
-    let mut writer_handle = None;
-    if let Some(tc) = plan.trace {
+    // no matter how many consumers are attached. The run keeps its own
+    // `Rc` of each sink and reads it after the stream closes.
+    let mut sinks: Vec<Rc<RefCell<dyn StreamSink>>> = Vec::new();
+    let checker = plan
+        .oracle
+        .then(|| attach(&mut sinks, oracle::Checker::new()));
+    let collected = plan.collect_events.then(|| attach(&mut sinks, Vec::new()));
+    let conformance = plan
+        .analyze
+        .then(|| attach(&mut sinks, Conformance::from_model(&static_model(spec))));
+    let writer = plan.trace.and_then(|tc| {
         let header = TraceHeader {
             grammar_version: rtk_core::GRAMMAR_VERSION,
             seed: spec.seed,
@@ -372,17 +362,16 @@ pub fn run_scenario(spec: &ScenarioSpec, plan: &RunPlan) -> (ScenarioOutcome, Ve
         };
         let path = tc.dir.join(format!("seed-{:010}.rtkt", spec.seed));
         match TraceWriter::create(&path, &header, tc.cap) {
-            Ok((writer, handle)) => {
-                sinks.push(Box::new(writer));
-                writer_handle = Some(handle);
+            Ok(writer) => Some(attach(&mut sinks, writer)),
+            Err(e) => {
+                eprintln!("rtk-farm: cannot create trace {}: {e}", path.display());
+                None
             }
-            Err(e) => eprintln!("rtk-farm: cannot create trace {}: {e}", path.display()),
         }
-    }
+    });
     // No sink, no stream: its ring is the largest allocation a run
     // would make, and nothing would read it.
-    let obs = (!sinks.is_empty())
-        .then(|| Rc::new(sinks.into_iter().fold(ObsStream::new(), ObsStream::attach)));
+    let obs = (!sinks.is_empty()).then(|| Rc::new(ObsStream::new(sinks)));
 
     let result = {
         let collect = Rc::clone(&collect);
@@ -394,16 +383,18 @@ pub fn run_scenario(spec: &ScenarioSpec, plan: &RunPlan) -> (ScenarioOutcome, Ve
     // as `Aborted` stamps the trace trailer accordingly so a replay
     // knows to skip end-of-stream invariants.
     if let Some(stream) = &obs {
-        let stats = stream.close(if result.is_ok() {
+        stream.close(if result.is_ok() {
             StreamClose::Clean
         } else {
             StreamClose::Aborted
         });
-        out.obs_dropped = stats.dropped;
     }
-    // A write that failed after the file was created (e.g. ENOSPC) is
-    // reported like a failed create; the run itself is unaffected.
-    if let Some(summary) = writer_handle.and_then(|h| h.summary()) {
+    // The writer is the only sink that declines events. A write that
+    // failed after the file was created (e.g. ENOSPC) is reported like
+    // a failed create; the run itself is unaffected.
+    if let Some(writer) = &writer {
+        let summary = writer.borrow().summary();
+        out.obs_dropped = summary.dropped;
         if let Some(e) = summary.error {
             eprintln!(
                 "rtk-farm: cannot write trace {}: {e}",
@@ -414,7 +405,6 @@ pub fn run_scenario(spec: &ScenarioSpec, plan: &RunPlan) -> (ScenarioOutcome, Ve
     // On a panicked run the panic itself is the finding — a truncated
     // stream would report a bogus "mandated wakeup never observed", so
     // the oracle verdict is taken from clean runs only.
-    let mut events = Vec::new();
     if result.is_ok() {
         if let Some(checker) = &checker {
             let verdict = checker.borrow().verdict(true);
@@ -422,9 +412,7 @@ pub fn run_scenario(spec: &ScenarioSpec, plan: &RunPlan) -> (ScenarioOutcome, Ve
             out.divergence = verdict.divergence.map(|d| (d.index as u64, d.to_string()));
         }
     }
-    if let Some(handle) = &collected {
-        events = handle.take();
-    }
+    let events = collected.map(|c| c.take()).unwrap_or_default();
     if let Some(conformance) = &conformance {
         let c = conformance.borrow();
         out.conformance_violations = c.violation_count();
@@ -621,15 +609,23 @@ impl Kit {
     }
 
     /// The `jobs`-th job of task `i`, from its release to its
-    /// completion.
-    fn job(self, sys: &mut Sys<'_>, i: usize, jobs: u64, exec_us: u64, deadline_us: u64) {
+    /// completion. A lock-taking body holds its lock for the last
+    /// `crit` of its `exec_us` µs (see [`Topology::crit_us`]).
+    fn job(
+        self,
+        sys: &mut Sys<'_>,
+        i: usize,
+        jobs: u64,
+        exec_us: u64,
+        crit: u64,
+        deadline_us: u64,
+    ) {
         let exec = SimTime::from_us(exec_us);
         // The finite blocking timeout of the lock-taking bodies.
         let timeout = Timeout::ms(mtx_chain_lock_timeout_ms(deadline_us));
         match self {
             Kit::Independent => sys.exec(exec),
             Kit::SemChain(sem) => {
-                let crit = (exec_us / 5).max(10);
                 sys.exec(SimTime::from_us(exec_us - crit));
                 if sys.tk_wai_sem(sem, 1, Timeout::Forever).is_ok() {
                     sys.exec(SimTime::from_us(crit));
@@ -649,7 +645,6 @@ impl Kit {
                 sys.tk_set_flg(flg, 1 << i).unwrap();
             }
             Kit::MtxChain(mtx) => {
-                let crit = mtx_chain_crit_us(exec_us);
                 sys.exec(SimTime::from_us(exec_us - crit));
                 // Finite timeout: under heavy inversion the lock attempt
                 // may expire, exercising the timer path; the job still
@@ -676,7 +671,6 @@ impl Kit {
             Kit::LifecycleChurn(mtx) => {
                 // Share the churn mutex with the victim so terminations
                 // hit live inheritance chains.
-                let crit = (exec_us / 5).max(10);
                 sys.exec(SimTime::from_us(exec_us - crit));
                 if sys.tk_loc_mtx(mtx, Timeout::ms(2)).is_ok() {
                     sys.exec(SimTime::from_us(crit));
@@ -684,7 +678,6 @@ impl Kit {
                 }
             }
             Kit::DispWindow { lock_cpu } => {
-                let crit = mtx_chain_crit_us(exec_us);
                 sys.exec(SimTime::from_us(exec_us - crit));
                 if lock_cpu {
                     let _ = sys.tk_loc_cpu();
@@ -795,6 +788,7 @@ fn execute(
                 // Consumer side: the periodic task.
                 let collect = Rc::clone(&collect);
                 let exec_us = u64::from(task.exec_us);
+                let crit_us = spec.topology.crit_us(exec_us);
                 let deadline_us = u64::from(task.period_ms) * 1000;
                 let body = move |sys: &mut Sys<'_>, _stacd: i32| {
                     let mut jobs: u64 = 0;
@@ -803,7 +797,7 @@ fn execute(
                         let release_us = collect.borrow_mut().pending[i]
                             .pop_front()
                             .expect("every gate signal has a release stamp");
-                        kit.job(sys, i, jobs, exec_us, deadline_us);
+                        kit.job(sys, i, jobs, exec_us, crit_us, deadline_us);
                         let now_us = sys.now().as_us();
                         let latency = now_us - release_us;
                         let mut c = collect.borrow_mut();
@@ -900,9 +894,9 @@ fn start_churn(sys: &mut Sys<'_>, mtx: MtxId, order: QueueOrder) {
     // timed sleeps; every wait class it enters is releasable or
     // terminable mid-flight. It tolerates forced releases — the
     // saboteur supplies them.
-    let victim = spawn(sys, "victim", 105, move |sys, _| loop {
+    let victim = spawn(sys, "victim", CHURN_VICTIM_PRI, move |sys, _| loop {
         if sys.tk_loc_mtx(mtx, Timeout::ms(4)).is_ok() {
-            sys.exec(SimTime::from_us(400));
+            sys.exec(SimTime::from_us(CHURN_VICTIM_CRIT_US));
             let _ = sys.tk_unl_mtx(mtx);
         }
         match sys.tk_slp_tsk(Timeout::ms(3)) {
@@ -979,11 +973,16 @@ mod tests {
 
     #[test]
     fn choice_point_formulas_are_pinned() {
-        // These two functions are schedule choice points shared with
-        // the `--explore` documentation; changing them silently would
-        // shift every branch instant in the workload.
-        assert_eq!(mtx_chain_crit_us(2000), 500);
-        assert_eq!(mtx_chain_crit_us(0), 10); // floor
+        // Schedule choice points of the kernel workload, read by the
+        // static model too: changing one silently shifts every branch
+        // instant of its topology. The `--explore` programs do not call
+        // them; their tick counts are set by hand.
+        assert_eq!(Topology::MtxChain { ceiling: true }.crit_us(2000), 500);
+        assert_eq!(Topology::DispWindow { lock_cpu: false }.crit_us(2000), 500);
+        assert_eq!(Topology::SemChain.crit_us(2000), 400);
+        assert_eq!(Topology::LifecycleChurn.crit_us(2000), 400);
+        assert_eq!(Topology::MtxChain { ceiling: false }.crit_us(0), 10); // floor
+        assert_eq!(Topology::SemChain.crit_us(49), 10); // floor
         assert_eq!(mtx_chain_lock_timeout_ms(10_000), 20);
         assert_eq!(mtx_chain_lock_timeout_ms(400), 0); // Finite(0): expires next tick
     }

@@ -311,15 +311,17 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
     Ok(cli)
 }
 
-type ExportFn = fn(&[StampedEvent], u32) -> String;
+type ExportFn = fn(&[StampedEvent], u32) -> Result<String, rtk_analysis::TimeOverflow>;
 
 /// Writes the `--export-vcd` / `--export-chrome` renderings of each
-/// `(file stem, events, tick in µs)` stream as `<stem>.vcd` and
+/// `(source, file stem, events, tick in µs)` stream as `<stem>.vcd` and
 /// `<stem>.trace.json`, after creating the requested directories. A
-/// failure is reported on stderr and becomes exit code 2.
+/// failure, including a stream whose ticks do not fit the exporters'
+/// time axis, is reported on stderr with its source and becomes exit
+/// code 2.
 fn write_exports<'a>(
     cli: &Cli,
-    streams: impl IntoIterator<Item = (String, &'a [StampedEvent], u32)>,
+    streams: impl IntoIterator<Item = (String, String, &'a [StampedEvent], u32)>,
 ) -> Result<(), ExitCode> {
     let exports: [(&Option<PathBuf>, &str, ExportFn); 2] = [
         (&cli.export_vcd, "vcd", rtk_analysis::obs_to_vcd),
@@ -335,11 +337,18 @@ fn write_exports<'a>(
             return Err(ExitCode::from(2));
         }
     }
-    for (stem, events, tick_us) in streams {
+    for (source, stem, events, tick_us) in streams {
         for (dir, ext, render) in exports {
             if let Some(dir) = dir {
+                let text = match render(events, tick_us) {
+                    Ok(text) => text,
+                    Err(e) => {
+                        eprintln!("rtk-farm: cannot export {source}: {e}");
+                        return Err(ExitCode::from(2));
+                    }
+                };
                 let file = dir.join(format!("{stem}.{ext}"));
-                if let Err(e) = std::fs::write(&file, render(events, tick_us)) {
+                if let Err(e) = std::fs::write(&file, text) {
                     eprintln!("rtk-farm: cannot write {}: {e}", file.display());
                     return Err(ExitCode::from(2));
                 }
@@ -366,7 +375,12 @@ fn run_replay(cli: &Cli, path: &std::path::Path) -> ExitCode {
     };
     let streams = traces.iter().map(|t| {
         let stem = format!("seed-{:010}", t.header.seed);
-        (stem, &t.events[..], t.header.tick_us)
+        (
+            t.path.display().to_string(),
+            stem,
+            &t.events[..],
+            t.header.tick_us,
+        )
     });
     if let Err(code) = write_exports(cli, streams) {
         return code;
@@ -464,7 +478,7 @@ fn run_explore(cli: &Cli, cfg: &ExploreConfig) -> ExitCode {
     }
     let streams = outcome.counterexamples.iter().map(|ce| {
         let stem = ce.name.trim_end_matches(".rtkt").to_string();
-        (stem, &ce.events[..], DEFAULT_TICK_US)
+        (ce.name.clone(), stem, &ce.events[..], DEFAULT_TICK_US)
     });
     if let Err(code) = write_exports(cli, streams) {
         return code;

@@ -2,8 +2,10 @@
 //! [`ScenarioSpec`] into the [`SysModel`] the static analyzer consumes.
 //!
 //! This module must describe **exactly** the workload `build.rs`
-//! assembles — same critical-section lengths, same lock policies, same
-//! release machinery — or the analyzer certifies a fiction. The farm
+//! assembles — same critical-section lengths (both read
+//! `Topology::crit_us` and the churn victim's constants), same lock
+//! policies, same release machinery — or the analyzer certifies a
+//! fiction. The farm
 //! keeps the two honest in both directions: the conformance sink
 //! checks the observed stream against this model, and every positive
 //! verdict is cross-validated against the dynamic run
@@ -37,6 +39,7 @@ use rtk_core::{
     SysModel, TaskModel,
 };
 
+use crate::build::{CHURN_VICTIM_CRIT_US, CHURN_VICTIM_PRI};
 use crate::scenario::{ScenarioSpec, Topology};
 
 /// Measurement warm-up window, µs: releases stamped before this are
@@ -129,7 +132,7 @@ pub fn static_model(spec: &ScenarioSpec) -> SysModel {
         match spec.topology {
             Topology::Independent => {}
             Topology::SemChain => {
-                let crit = (exec / 5).max(10);
+                let crit = spec.topology.crit_us(exec);
                 cost += 2 * sem;
                 sections.push(SectionModel::leaf(0, crit + sem));
             }
@@ -153,14 +156,14 @@ pub fn static_model(spec: &ScenarioSpec) -> SysModel {
             }
             Topology::FlagBarrier => cost += flg,
             Topology::MtxChain { .. } => {
-                let crit = (exec / 4).max(10);
+                let crit = spec.topology.crit_us(exec);
                 cost += 2 * mtx;
                 sections.push(SectionModel::leaf(0, crit + mtx));
             }
             Topology::MbfPipeline => cost += mbf,
             Topology::MpfPool => cost += 2 * us(ServiceClass::MemoryPool),
             Topology::LifecycleChurn => {
-                let crit = (exec / 5).max(10);
+                let crit = spec.topology.crit_us(exec);
                 cost += 2 * mtx;
                 sections.push(SectionModel::leaf(0, crit + mtx));
             }
@@ -181,16 +184,16 @@ pub fn static_model(spec: &ScenarioSpec) -> SysModel {
     }
 
     // Aperiodic helper with a declared critical section: the churn
-    // victim (its 400 µs section blocks measured tasks).
+    // victim (its section blocks measured tasks).
     if matches!(spec.topology, Topology::LifecycleChurn) {
         m.tasks.push(TaskModel {
             name: "victim".into(),
-            priority: 105,
+            priority: CHURN_VICTIM_PRI,
             period_us: 0,
             offset_us: 0,
             deadline_us: 0,
-            cost_us: 400 + mtx,
-            sections: vec![SectionModel::leaf(0, 400 + mtx)],
+            cost_us: CHURN_VICTIM_CRIT_US + mtx,
+            sections: vec![SectionModel::leaf(0, CHURN_VICTIM_CRIT_US + mtx)],
             measured: false,
         });
     }

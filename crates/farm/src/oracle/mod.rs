@@ -52,7 +52,7 @@
 
 use std::fmt;
 
-use rtk_core::ObsEvent;
+use rtk_core::{ObsEvent, StampedEvent, StreamSink};
 
 mod spec;
 
@@ -98,9 +98,10 @@ pub fn check(events: &[ObsEvent]) -> OracleVerdict {
     checker.verdict(true)
 }
 
-/// Incremental form of [`check`]: feed events one at a time (e.g. from
-/// an `ObsStream` sink while the simulation runs, or from a trace file
-/// during `--replay`) and ask for the verdict at the end.
+/// Incremental form of [`check`]: feed events one at a time, or batch
+/// by batch as a sink on the kernel's `ObsStream` while the simulation
+/// runs (or over a decoded trace during `--replay`), and ask for the
+/// verdict at the end.
 ///
 /// Equivalent to [`check`] over the same stream: the first failing
 /// event freezes the checker — `events_checked` stays at the
@@ -177,6 +178,15 @@ impl Checker {
         OracleVerdict {
             events_checked: self.checked,
             divergence,
+        }
+    }
+}
+
+/// The oracle as a live sink: "the oracle is just another sink".
+impl StreamSink for Checker {
+    fn batch(&mut self, events: &[StampedEvent]) {
+        for se in events {
+            self.push(&se.ev);
         }
     }
 }

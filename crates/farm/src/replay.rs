@@ -15,7 +15,7 @@ use rtk_analysis::json_escape;
 use rtk_analysis::oracle_report::{divergences_json, DivergenceRecord};
 use rtk_analysis::static_verify::{AnalysisOptions, Conformance, Verdict};
 use rtk_analysis::trace_codec::{read_trace, CodecError, DecodedTrace, TraceHeader};
-use rtk_core::{StampedEvent, StreamClose};
+use rtk_core::{StampedEvent, StreamClose, StreamSink};
 
 use crate::model::static_model;
 use crate::oracle::{Checker, OracleVerdict};
@@ -59,9 +59,7 @@ pub fn replay_decoded(path: PathBuf, decoded: DecodedTrace) -> ReplayedTrace {
         None => (false, 0),
     };
     let mut checker = Checker::new();
-    for se in &decoded.events {
-        checker.push(&se.ev);
-    }
+    checker.batch(&decoded.events);
     let check_end = complete && clean && dropped == 0 && decoded.skipped == 0;
     ReplayedTrace {
         path,
@@ -168,9 +166,7 @@ pub fn replay_analysis(t: &ReplayedTrace) -> Result<ReplayedAnalysis, String> {
     }
     let analysis = analyze_spec(&spec, &AnalysisOptions::default());
     let mut conformance = Conformance::from_model(&static_model(&spec));
-    for se in &t.events {
-        conformance.push(&se.ev);
-    }
+    conformance.batch(&t.events);
     Ok(ReplayedAnalysis {
         seed: t.header.seed,
         deadlock: analysis.deadlock,

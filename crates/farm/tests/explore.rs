@@ -281,9 +281,10 @@ fn deadlock_family_is_found_replayable_and_exportable() {
     );
 
     // The statically-found deadlock renders like any replayed trace.
-    let vcd = rtk_analysis::obs_to_vcd(&replayed.events, replayed.header.tick_us);
+    let vcd = rtk_analysis::obs_to_vcd(&replayed.events, replayed.header.tick_us).unwrap();
     assert!(vcd.contains("$enddefinitions"));
-    let chrome = rtk_analysis::obs_to_chrome_trace(&replayed.events, replayed.header.tick_us);
+    let chrome =
+        rtk_analysis::obs_to_chrome_trace(&replayed.events, replayed.header.tick_us).unwrap();
     assert!(chrome.starts_with('[') && chrome.contains("\"ph\""));
 }
 

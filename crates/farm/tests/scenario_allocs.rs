@@ -73,11 +73,12 @@ unsafe impl GlobalAlloc for Counting {
 static COUNTING: Counting = Counting;
 
 /// Quick seeds 1..=200 under the default plan (nothing attached) cost
-/// fewer than 200 allocation calls per scenario. A run makes about 183.
+/// fewer than 200 allocation calls per scenario. A run makes about 181.
 /// A name string on every engine event and process, five `format!`-made
 /// event names per T-THREAD among them, cost about 200 more; a process
 /// and two events per cyclic and alarm handler, and two unused events
-/// per task and timer record, cost about 35 more.
+/// per task and timer record, cost about 35 more; two buffers that
+/// staged each tick's due timer actions cost about 2 more.
 #[test]
 fn quick_scenario_allocates_a_bounded_amount() {
     const SEEDS: u64 = 200;

@@ -452,7 +452,7 @@ proptest! {
 
         let dir = tmp_dir("random_stream");
         let path = dir.join("stream.rtkt");
-        let (mut writer, _) = TraceWriter::create(&path, &header, 0).unwrap();
+        let mut writer = TraceWriter::create(&path, &header, 0).unwrap();
         let (first, rest) = stream.split_at(stream.len() / 2);
         writer.batch(first);
         writer.batch(rest);

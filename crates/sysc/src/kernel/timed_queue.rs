@@ -145,6 +145,14 @@ impl<T> TimedQueue<T> {
         }
     }
 
+    /// Pops the earliest entry if it is due at or before `t`. Popping
+    /// until `None` yields what [`TimedQueue::advance_to`] would, in
+    /// the same order, and lets the caller insert entries in between.
+    pub fn pop_due(&mut self, t: u64) -> Option<TimedEntry<T>> {
+        let top = self.heap.peek_mut()?;
+        (top.0.at <= t).then(|| PeekMut::pop(top).0)
+    }
+
     /// Advances the queue to `t`, appending every entry due at or
     /// before `t` to `due` in `(at, seq)` order.
     pub fn advance_to(&mut self, t: u64, due: &mut Vec<TimedEntry<T>>) {
@@ -242,6 +250,23 @@ mod tests {
         assert_eq!(w.len(), 1);
         assert_eq!(w.next_at(), Some(120));
         assert_eq!(drain_until(&mut w, 200), vec![(120, "late")]);
+    }
+
+    #[test]
+    fn pop_due_takes_only_due_entries_in_order() {
+        let mut w = TimedQueue::new();
+        w.insert(6, "c");
+        w.insert(5, "a");
+        w.insert(5, "b");
+        assert_eq!(w.pop_due(4), None);
+        assert_eq!(w.pop_due(5).map(|e| e.action), Some("a"));
+        // An entry inserted at the due instant queues behind the others.
+        w.insert(5, "d");
+        let rest: Vec<_> = std::iter::from_fn(|| w.pop_due(5))
+            .map(|e| e.action)
+            .collect();
+        assert_eq!(rest, ["b", "d"]);
+        assert_eq!(w.next_at(), Some(6));
     }
 
     #[test]
