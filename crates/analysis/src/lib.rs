@@ -16,10 +16,10 @@
 //! On top of the per-simulation instruments sit the farm-facing
 //! observation-stream consumers:
 //!
-//! * [`trace_codec`] — the binary `.rtkt` trace-file writer/reader
-//!   (`docs/TRACE_FORMAT.md`); [`TraceWriter`] plugs into
-//!   `rtk_core::ObsStream` so campaigns can capture every kernel
-//!   decision for offline replay.
+//! * [`trace_codec`] — the binary `.rtkt` trace-file encoder/decoder
+//!   (`docs/TRACE_FORMAT.md`); campaigns encode each collected stream
+//!   with [`encode_trace`] to capture every kernel decision for
+//!   offline replay.
 //! * [`obs_export`] — renders a decoded observation stream
 //!   (`docs/OBS_GRAMMAR.md`) through the existing instruments: Gantt /
 //!   CSV via [`decision_slices`], VCD via [`obs_to_vcd`], and Chrome
@@ -45,13 +45,15 @@ pub mod vcd;
 pub use energy::{average_power, Battery, DistributionRow, EnergyReport};
 pub use export::{energy_to_csv, json_escape, speed_to_csv, trace_to_csv};
 pub use gantt::{context_pattern, GanttChart, GanttConfig};
-pub use obs_export::{decision_slices, obs_to_chrome_trace, obs_to_vcd, TimeOverflow};
+pub use obs_export::{
+    check_time_axis, decision_slices, obs_to_chrome_trace, obs_to_vcd, TimeOverflow,
+};
 pub use oracle_report::{divergences_json, DivergenceRecord};
 pub use percentile::Summary;
 pub use speed::{measure, SpeedRow, SpeedTable};
 pub use static_verify::{analyze, AnalysisOptions, AnalysisResult, Conformance, Verdict};
 pub use trace_codec::{
     decode_trace, encode_trace, read_trace, CodecError, DecodedTrace, TraceHeader, TraceTrailer,
-    TraceTuning, TraceWriter,
+    TraceTuning,
 };
 pub use vcd::WaveProbe;

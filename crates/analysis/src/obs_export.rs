@@ -46,6 +46,13 @@ impl fmt::Display for TimeOverflow {
 
 impl std::error::Error for TimeOverflow {}
 
+/// Checks that every event of `events` lies on the exporters' time
+/// axis at `tick_us` per tick: `Ok` exactly when [`obs_to_vcd`] and
+/// [`obs_to_chrome_trace`] can render the stream.
+pub fn check_time_axis(events: &[StampedEvent], tick_us: u32) -> Result<(), TimeOverflow> {
+    stamp_times(events, tick_us).map(drop)
+}
+
 fn stamp_times(events: &[StampedEvent], tick_us: u32) -> Result<Vec<SimTime>, TimeOverflow> {
     let tick_ps = u64::from(tick_us.max(1)) * 1_000_000;
     let mut times = Vec::with_capacity(events.len());
@@ -318,10 +325,13 @@ mod tests {
         assert_eq!(decision_slices(&late, 1000).err(), want);
         assert_eq!(obs_to_vcd(&late, 1000).err(), want);
         assert_eq!(obs_to_chrome_trace(&late, 1000).err(), want);
+        assert_eq!(check_time_axis(&late, 1000).err(), want);
         // The last tick that fits at 1 ms per tick, and the next one.
         let last = u64::MAX / 1_000_000_000;
         let at = |tick| [ev(tick, ObsEvent::TaskStart { tid })];
         assert!(obs_to_vcd(&at(last), 1000).is_ok());
+        assert!(check_time_axis(&at(last), 1000).is_ok());
         assert!(obs_to_vcd(&at(last + 1), 1000).is_err());
+        assert!(check_time_axis(&at(last + 1), 1000).is_err());
     }
 }

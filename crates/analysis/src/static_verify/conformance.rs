@@ -42,7 +42,14 @@ pub struct Conformance {
     mtx_map: BTreeMap<u32, usize>,
     sem_map: BTreeMap<u32, usize>,
     held: BTreeMap<TaskId, Vec<usize>>,
-    sem_holders: BTreeMap<usize, VecDeque<TaskId>>,
+    /// Holders of each semaphore resource in take order, each with the
+    /// count of its task's exits when it queued. An entry whose task
+    /// has exited since is stale and skipped when a signal releases the
+    /// oldest holder, so an exit never searches a queue.
+    sem_holders: BTreeMap<usize, VecDeque<(TaskId, u64)>>,
+    /// Exits (`TaskExit`, `TaskTerminate`, `TaskDelete`) seen per task
+    /// id; a re-created task id queues under the new count.
+    exits: BTreeMap<TaskId, u64>,
     violation_count: u64,
     violations: Vec<String>,
 }
@@ -61,6 +68,7 @@ impl Conformance {
             sem_map: BTreeMap::new(),
             held: BTreeMap::new(),
             sem_holders: BTreeMap::new(),
+            exits: BTreeMap::new(),
             violation_count: 0,
             violations: Vec::new(),
         }
@@ -117,7 +125,24 @@ impl Conformance {
     /// unless it held `r` already.
     fn take_sem(&mut self, tid: TaskId, r: usize) {
         if self.acquire(tid, r) {
-            self.sem_holders.entry(r).or_default().push_back(tid);
+            let exits = self.exits.get(&tid).copied().unwrap_or(0);
+            self.sem_holders
+                .entry(r)
+                .or_default()
+                .push_back((tid, exits));
+        }
+    }
+
+    /// A signal on the semaphore resource `r` releases its oldest
+    /// holder whose task has not exited since it queued.
+    fn signal_sem(&mut self, r: usize) {
+        let exits = &self.exits;
+        let holder = self.sem_holders.get_mut(&r).and_then(|q| {
+            std::iter::from_fn(|| q.pop_front())
+                .find(|(tid, at)| exits.get(tid).copied().unwrap_or(0) == *at)
+        });
+        if let Some((tid, _)) = holder {
+            self.release(tid, r);
         }
     }
 
@@ -129,17 +154,11 @@ impl Conformance {
         }
     }
 
-    /// Forgets everything `tid` holds. A task queues as a semaphore
-    /// holder only for a resource in its held list, so only those
-    /// queues are searched.
+    /// Forgets everything `tid` holds. Its semaphore-holder entries go
+    /// stale with the exit count and are skipped by later signals.
     fn drop_task(&mut self, tid: TaskId) {
-        for r in self.held.remove(&tid).unwrap_or_default() {
-            if let Some(q) = self.sem_holders.get_mut(&r) {
-                if let Some(pos) = q.iter().position(|&t| t == tid) {
-                    q.remove(pos);
-                }
-            }
-        }
+        self.held.remove(&tid);
+        *self.exits.entry(tid).or_default() += 1;
     }
 
     /// Feeds one observed event.
@@ -182,9 +201,7 @@ impl Conformance {
             }
             ObsEvent::SemSignal { id, .. } => {
                 if let Some(&r) = self.sem_map.get(&id.raw()) {
-                    if let Some(holder) = self.sem_holders.get_mut(&r).and_then(|q| q.pop_front()) {
-                        self.release(holder, r);
-                    }
+                    self.signal_sem(r);
                 }
             }
             ObsEvent::Wakeup { tid, obj, code } => {
@@ -414,5 +431,91 @@ mod tests {
             cnt: 1,
         });
         assert_eq!(c.violation_count(), 1);
+    }
+
+    fn sem_model() -> SysModel {
+        let mut m = two_mutex_model();
+        m.mutex_resources = vec![EXEMPT, EXEMPT];
+        m.sem_resources = vec![0];
+        m
+    }
+
+    fn take(tid: u32) -> ObsEvent {
+        ObsEvent::SemTake {
+            id: SemId::from_raw(1),
+            tid: TaskId::from_raw(tid),
+            cnt: 0,
+        }
+    }
+
+    fn signal() -> ObsEvent {
+        ObsEvent::SemSignal {
+            id: SemId::from_raw(1),
+            cnt: 1,
+        }
+    }
+
+    fn exit(tid: u32) -> ObsEvent {
+        ObsEvent::TaskExit {
+            tid: TaskId::from_raw(tid),
+        }
+    }
+
+    fn holds(c: &Conformance, tid: u32) -> bool {
+        c.held
+            .get(&TaskId::from_raw(tid))
+            .is_some_and(|h| h.contains(&0))
+    }
+
+    /// A signal releases the oldest holder still alive. A task id that
+    /// exits and is created again queues behind the holders that took
+    /// the semaphore before it came back, not in its old place.
+    #[test]
+    fn signals_release_holders_fifo_across_a_recreated_id() {
+        let mut c = Conformance::from_model(&sem_model());
+        c.push(&ObsEvent::SemCreate {
+            id: SemId::from_raw(1),
+            init: 3,
+            max: 3,
+            pri_order: false,
+        });
+        for ev in [take(1), take(2), exit(1), take(3), take(1)] {
+            c.push(&ev);
+        }
+        assert!(holds(&c, 1) && holds(&c, 2) && holds(&c, 3));
+        c.push(&signal());
+        assert!(holds(&c, 1) && !holds(&c, 2) && holds(&c, 3));
+        c.push(&signal());
+        assert!(holds(&c, 1) && !holds(&c, 3));
+        c.push(&signal());
+        assert!(!holds(&c, 1));
+        // Every entry is spent: a further signal releases nobody.
+        c.push(&signal());
+        assert!(c.sem_holders[&0].is_empty());
+        assert_eq!(c.violation_count(), 0);
+    }
+
+    /// Holders that exit in the reverse of their queue order leave only
+    /// stale entries behind, which the next signal drains.
+    #[test]
+    fn reverse_order_exits_leave_stale_entries_only() {
+        let mut c = Conformance::from_model(&sem_model());
+        c.push(&ObsEvent::SemCreate {
+            id: SemId::from_raw(1),
+            init: 0,
+            max: 1_000,
+            pri_order: false,
+        });
+        for tid in 1..=1_000 {
+            c.push(&take(tid));
+        }
+        for tid in (1..=1_000).rev() {
+            c.push(&exit(tid));
+        }
+        assert!(c.held.is_empty());
+        assert_eq!(c.sem_holders[&0].len(), 1_000);
+        c.push(&signal());
+        assert!(c.sem_holders[&0].is_empty());
+        assert_eq!(c.violation_count(), 0);
     }
 }

@@ -43,13 +43,12 @@
 //! ```
 
 use std::fmt;
-use std::fs::File;
-use std::io::{self, BufWriter, Read, Write};
-use std::path::{Path, PathBuf};
+use std::io;
+use std::path::Path;
 
 use rtk_core::{
     AlmId, CycId, FlagWaitMode, FlgId, MbfId, MbxId, MpfId, MplId, MtxId, MtxPolicy, ObsEvent,
-    SemId, StampedEvent, StreamClose, StreamSink, TaskId, WaitObj, WakeCode, GRAMMAR_VERSION,
+    SemId, StampedEvent, StreamClose, TaskId, WaitObj, WakeCode, GRAMMAR_VERSION,
 };
 
 /// On-disk container format revision (bumped only when the header or
@@ -557,31 +556,11 @@ event_table! {
 // whole-trace encode / decode
 // ---------------------------------------------------------------------------
 
-/// Appends `se` as one record, its tick delta-encoded against
-/// `*last_tick`. [`encode_trace`] and [`TraceWriter`] both frame here.
-fn put_record(out: &mut Vec<u8>, last_tick: &mut u64, se: &StampedEvent) {
-    let at = out.len();
-    out.push(0); // the payload length, set below
-    encode_payload(out, se.tick.saturating_sub(*last_tick), &se.ev);
-    *last_tick = se.tick;
-    // Every payload fits a one-byte length varint: the widest, a
-    // `Block` on an `Mpl` wait with a deadline, is 43 bytes.
-    let len = out.len() - at - 1;
-    out[at] = u8::try_from(len)
-        .ok()
-        .filter(|&len| len < 0x80)
-        .expect("a payload is at most 43 bytes");
-}
-
-/// Appends the trailer: a zero record length, then the trailer fields.
-fn put_trailer(out: &mut Vec<u8>, trailer: &TraceTrailer) {
-    out.push(0);
-    trailer.put(out);
-}
-
-/// Encodes a complete trace into one byte vector (used by tests and to
-/// pin adversarial streams as golden fixtures; the streaming path is
-/// [`TraceWriter`]).
+/// Encodes a complete trace into one byte vector: the header, one
+/// record per event with its tick delta-encoded against the previous
+/// one, and the trailer (a zero record length, then the trailer
+/// fields) when there is one. `rtk-farm --trace-dir` writes these
+/// bytes, and tests pin adversarial streams as golden fixtures with it.
 pub fn encode_trace(
     header: &TraceHeader,
     events: &[StampedEvent],
@@ -590,10 +569,21 @@ pub fn encode_trace(
     let mut out = encode_header(header);
     let mut last_tick = 0u64;
     for se in events {
-        put_record(&mut out, &mut last_tick, se);
+        let at = out.len();
+        out.push(0); // the payload length, set below
+        encode_payload(&mut out, se.tick.saturating_sub(last_tick), &se.ev);
+        last_tick = se.tick;
+        // Every payload fits a one-byte length varint: the widest, a
+        // `Block` on an `Mpl` wait with a deadline, is 43 bytes.
+        let len = out.len() - at - 1;
+        out[at] = u8::try_from(len)
+            .ok()
+            .filter(|&len| len < 0x80)
+            .expect("a payload is at most 43 bytes");
     }
     if let Some(t) = trailer {
-        put_trailer(&mut out, &t);
+        out.push(0);
+        t.put(&mut out);
     }
     out
 }
@@ -661,132 +651,7 @@ pub fn decode_trace(bytes: &[u8]) -> Result<DecodedTrace, CodecError> {
 
 /// Reads and decodes a trace file.
 pub fn read_trace(path: &Path) -> Result<DecodedTrace, CodecError> {
-    let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
-    decode_trace(&bytes)
-}
-
-// ---------------------------------------------------------------------------
-// the streaming writer (an ObsStream sink)
-// ---------------------------------------------------------------------------
-
-/// What a [`TraceWriter`] did, read with [`TraceWriter::summary`]
-/// (final once the stream has closed the writer).
-#[derive(Debug, Clone)]
-pub struct WriteSummary {
-    /// Path of the trace file.
-    pub path: PathBuf,
-    /// Events written to the file.
-    pub written: u64,
-    /// Events declined (capacity cap reached, or after an I/O error).
-    pub dropped: u64,
-    /// First I/O error, if any (the writer stops accepting after one).
-    pub error: Option<String>,
-}
-
-/// A [`StreamSink`] that serialises the stream into a binary trace
-/// file as it happens (bounded memory: one encode buffer plus the
-/// `BufWriter`).
-///
-/// With a non-zero `cap`, at most `cap` events are written; the rest
-/// are declined and counted in [`WriteSummary::dropped`] and the
-/// trailer's drop count — deterministic bounded capture. The writer is
-/// the only sink that ever declines an event.
-pub struct TraceWriter {
-    out: BufWriter<File>,
-    buf: Vec<u8>,
-    last_tick: u64,
-    written: u64,
-    dropped: u64,
-    cap: u64,
-    path: PathBuf,
-    error: Option<String>,
-}
-
-impl TraceWriter {
-    /// Creates the file and writes the header. `cap == 0` means
-    /// unlimited.
-    pub fn create(path: &Path, header: &TraceHeader, cap: u64) -> io::Result<TraceWriter> {
-        let file = File::create(path)?;
-        let mut out = BufWriter::new(file);
-        out.write_all(&encode_header(header))?;
-        Ok(TraceWriter {
-            out,
-            buf: Vec::with_capacity(64),
-            last_tick: 0,
-            written: 0,
-            dropped: 0,
-            cap: if cap == 0 { u64::MAX } else { cap },
-            path: path.to_path_buf(),
-            error: None,
-        })
-    }
-
-    /// What the writer has done so far.
-    pub fn summary(&self) -> WriteSummary {
-        WriteSummary {
-            path: self.path.clone(),
-            written: self.written,
-            dropped: self.dropped,
-            error: self.error.clone(),
-        }
-    }
-
-    fn write_event(&mut self, se: &StampedEvent) -> io::Result<()> {
-        self.buf.clear();
-        put_record(&mut self.buf, &mut self.last_tick, se);
-        self.out.write_all(&self.buf)
-    }
-}
-
-impl StreamSink for TraceWriter {
-    /// Writes the prefix of `events` the cap leaves room for and counts
-    /// the rest as dropped; after an I/O error, drops everything.
-    fn batch(&mut self, events: &[StampedEvent]) {
-        let room = match self.error {
-            Some(_) => 0,
-            None => self.cap - self.written,
-        };
-        let mut accepted = 0;
-        for se in events.iter().take(room.min(events.len() as u64) as usize) {
-            if let Err(e) = self.write_event(se) {
-                self.error = Some(e.to_string());
-                break;
-            }
-            accepted += 1;
-        }
-        self.written += accepted as u64;
-        self.dropped += (events.len() - accepted) as u64;
-    }
-
-    fn close(&mut self, how: StreamClose) {
-        if self.error.is_none() {
-            self.buf.clear();
-            let trailer = TraceTrailer {
-                close: how,
-                events: self.written + self.dropped,
-                dropped: self.dropped,
-            };
-            put_trailer(&mut self.buf, &trailer);
-            if let Err(e) = self
-                .out
-                .write_all(&self.buf)
-                .and_then(|()| self.out.flush())
-            {
-                self.error = Some(e.to_string());
-            }
-        }
-    }
-}
-
-impl fmt::Debug for TraceWriter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TraceWriter")
-            .field("path", &self.path)
-            .field("written", &self.written)
-            .field("dropped", &self.dropped)
-            .finish()
-    }
+    decode_trace(&std::fs::read(path)?)
 }
 
 #[cfg(test)]
@@ -1197,54 +1062,5 @@ mod tests {
             decode_trace(b"NOPE"),
             Err(CodecError::BadMagic) | Err(CodecError::Truncated(_))
         ));
-    }
-
-    #[test]
-    fn writer_caps_and_accounts_drops() {
-        let dir = std::env::temp_dir().join(format!("rtk_codec_test_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("capped.rtkt");
-        let header = TraceHeader::new(5, "independent", "coro");
-        let mut w = TraceWriter::create(&path, &header, 3).unwrap();
-        let events = sample_events();
-        w.batch(&events);
-        w.close(StreamClose::Clean);
-        let summary = w.summary();
-        assert_eq!((summary.written, summary.dropped), (3, 2));
-        assert!(summary.error.is_none());
-        let decoded = read_trace(&path).unwrap();
-        assert_eq!(decoded.events, events[..3]);
-        assert_eq!(
-            decoded.trailer,
-            Some(TraceTrailer {
-                close: StreamClose::Clean,
-                events: 5,
-                dropped: 2,
-            })
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// A write that fails after the file was created (here ENOSPC from
-    /// `/dev/full`, once the `BufWriter` spills) lands in the summary,
-    /// and every offered event is accounted as written or dropped.
-    #[test]
-    #[cfg(target_os = "linux")]
-    #[cfg_attr(miri, ignore)]
-    fn write_error_mid_run_is_reported() {
-        let header = TraceHeader::new(6, "independent", "coro");
-        let mut w = TraceWriter::create(Path::new("/dev/full"), &header, 0).unwrap();
-        let events = sample_events();
-        // Far more than one 8 KiB `BufWriter` worth of records.
-        let mut offered = 0u64;
-        for _ in 0..2_000 {
-            w.batch(&events);
-            offered += events.len() as u64;
-        }
-        w.close(StreamClose::Clean);
-        let summary = w.summary();
-        assert!(summary.error.is_some(), "{summary:?}");
-        assert!(summary.dropped > 0, "{summary:?}");
-        assert_eq!(summary.written + summary.dropped, offered);
     }
 }

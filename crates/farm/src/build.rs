@@ -9,11 +9,11 @@
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
 use rtk_analysis::static_verify::Conformance;
-use rtk_analysis::trace_codec::{TraceHeader, TraceTuning, TraceWriter};
+use rtk_analysis::trace_codec::{encode_trace, TraceHeader, TraceTrailer, TraceTuning};
 use rtk_core::{
     AlmId, CycId, ErCode, FlagWaitMode, FlgId, IntNo, KernelConfig, MbfId, MbxId, MpfId, MplId,
     MsgPacket, MtxId, MtxPolicy, ObsStream, Priority, QueueOrder, Rtos, RunStats, SemId,
@@ -72,6 +72,64 @@ pub struct TraceConfig {
     pub tuning: Option<TraceTuning>,
 }
 
+impl TraceConfig {
+    /// The trace file of `seed`: `seed-<seed>.rtkt` in `dir`, the seed
+    /// zero-padded to ten digits.
+    pub fn path(&self, seed: u64) -> PathBuf {
+        self.dir.join(format!("seed-{seed:010}.rtkt"))
+    }
+}
+
+/// Encodes the collected stream of `spec`'s run as its `.rtkt` file:
+/// the first `tc.cap` events (every event when the cap is 0), and a
+/// trailer that counts them all and the rest as dropped. The drops go
+/// into `out.obs_dropped`. A panicked run's trailer says `Aborted`, so
+/// a replay skips the end-of-stream invariants a truncated stream
+/// would fail.
+pub(crate) fn encode_capture(
+    spec: &ScenarioSpec,
+    tc: &TraceConfig,
+    events: &[StampedEvent],
+    out: &mut ScenarioOutcome,
+) -> Vec<u8> {
+    let header = TraceHeader {
+        grammar_version: rtk_core::GRAMMAR_VERSION,
+        seed: spec.seed,
+        tick_us: KernelConfig::paper().tick.as_us() as u32,
+        topology: spec.topology.label().to_string(),
+        runtime: sysc::Runtime::default().as_str().to_string(),
+        tuning: tc.tuning,
+    };
+    let kept = match usize::try_from(tc.cap) {
+        Ok(0) | Err(_) => events.len(),
+        Ok(cap) => events.len().min(cap),
+    };
+    let trailer = TraceTrailer {
+        close: match out.panicked {
+            None => StreamClose::Clean,
+            Some(_) => StreamClose::Aborted,
+        },
+        events: events.len() as u64,
+        dropped: (events.len() - kept) as u64,
+    };
+    out.obs_dropped = trailer.dropped;
+    encode_trace(&header, &events[..kept], Some(trailer))
+}
+
+/// Writes an encoded trace to `path` with one `fs::write`. A file that
+/// cannot be created or written keeps none of its stream: the caller
+/// counts every event as dropped, after this prints one line naming
+/// the file. Returns whether the file was written.
+pub(crate) fn write_capture(path: &Path, bytes: &[u8]) -> bool {
+    match std::fs::write(path, bytes) {
+        Ok(()) => true,
+        Err(e) => {
+            eprintln!("rtk-farm: cannot write trace {}: {e}", path.display());
+            false
+        }
+    }
+}
+
 /// Measured result of one scenario run.
 #[derive(Debug, Clone, Default)]
 pub struct ScenarioOutcome {
@@ -112,10 +170,10 @@ pub struct ScenarioOutcome {
     /// First spec-vs-kernel divergence the oracle found, if any:
     /// `(event index, rendered account)`.
     pub divergence: Option<(u64, String)>,
-    /// Observation events the `.rtkt` writer declined (bounded trace
-    /// capture, I/O failure): its
-    /// [`WriteSummary`](rtk_analysis::trace_codec::WriteSummary) count, the same
-    /// number its trailer records. Deliberately **excluded from
+    /// Observation events the `.rtkt` capture did not keep: the events
+    /// past `--trace-cap`, which its trailer counts as dropped, or every
+    /// event of a trace whose file could not be created or written.
+    /// Deliberately **excluded from
     /// [`digest`](Self::digest)**: whether and where a trace was
     /// captured is host-side instrumentation and must not change the
     /// simulated-domain identity of the run.
@@ -235,20 +293,14 @@ impl Collect {
 /// (`oracle_events`, `divergence`). The default plan attaches nothing,
 /// and a run with nothing attached builds no stream at all.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct RunPlan<'a> {
+pub struct RunPlan {
     /// Replay every kernel decision through the sequential ITRON
     /// reference model ([`crate::oracle`]); the first divergence is
     /// reported in the outcome and makes it unhealthy.
     pub oracle: bool,
-    /// Capture the stream into a binary `.rtkt` trace file (see
-    /// [`TraceConfig`] and `docs/TRACE_FORMAT.md`). A trace-file I/O
-    /// failure never fails the run: the outcome is computed as usual
-    /// and the failure surfaces in [`ScenarioOutcome::obs_dropped`]
-    /// plus a diagnostic on stderr.
-    pub trace: Option<&'a TraceConfig>,
     /// Return a copy of the stream (every event with the tick it is
-    /// stamped with) beside the outcome. The determinism goldens pin
-    /// these streams.
+    /// stamped with) beside the outcome. `.rtkt` capture encodes this
+    /// copy once the run is over, and the determinism goldens pin it.
     pub collect_events: bool,
     /// Feed the stream through the static-model conformance checker and
     /// collect the warmup-filtered measurements the static/dynamic
@@ -277,24 +329,29 @@ pub fn run_scenario_checked_on(
     .0
 }
 
-/// [`run_scenario`] with `.rtkt` capture and at most the oracle
-/// attached. `runtime` is ignored, and the function kept and due for
-/// deletion, as [`run_scenario_checked_on`].
+/// [`run_scenario`] with at most the oracle attached, its stream
+/// captured into `trace.dir` on the calling thread: collected, encoded
+/// and written once the run is over. `runtime` is ignored, and the
+/// function kept and due for deletion, as [`run_scenario_checked_on`].
 pub fn run_scenario_traced(
     spec: &ScenarioSpec,
     oracle: bool,
     _runtime: sysc::Runtime,
     trace: &TraceConfig,
 ) -> ScenarioOutcome {
-    run_scenario(
+    let (mut out, events) = run_scenario(
         spec,
         &RunPlan {
             oracle,
-            trace: Some(trace),
+            collect_events: true,
             ..RunPlan::default()
         },
-    )
-    .0
+    );
+    let bytes = encode_capture(spec, trace, &events, &mut out);
+    if !write_capture(&trace.path(spec.seed), &bytes) {
+        out.obs_dropped = events.len() as u64;
+    }
+    out
 }
 
 /// [`run_scenario`] with the oracle attached and the stream collected.
@@ -351,24 +408,6 @@ pub fn run_scenario(spec: &ScenarioSpec, plan: &RunPlan) -> (ScenarioOutcome, Ve
     let conformance = plan
         .analyze
         .then(|| attach(&mut sinks, Conformance::from_model(&static_model(spec))));
-    let writer = plan.trace.and_then(|tc| {
-        let header = TraceHeader {
-            grammar_version: rtk_core::GRAMMAR_VERSION,
-            seed: spec.seed,
-            tick_us: KernelConfig::paper().tick.as_us() as u32,
-            topology: spec.topology.label().to_string(),
-            runtime: sysc::Runtime::default().as_str().to_string(),
-            tuning: tc.tuning,
-        };
-        let path = tc.dir.join(format!("seed-{:010}.rtkt", spec.seed));
-        match TraceWriter::create(&path, &header, tc.cap) {
-            Ok(writer) => Some(attach(&mut sinks, writer)),
-            Err(e) => {
-                eprintln!("rtk-farm: cannot create trace {}: {e}", path.display());
-                None
-            }
-        }
-    });
     // No sink, no stream: its ring is the largest allocation a run
     // would make, and nothing would read it.
     let obs = (!sinks.is_empty()).then(|| Rc::new(ObsStream::new(sinks)));
@@ -379,28 +418,14 @@ pub fn run_scenario(spec: &ScenarioSpec, plan: &RunPlan) -> (ScenarioOutcome, Ve
         let spec = spec.clone();
         catch_unwind(AssertUnwindSafe(move || execute(&spec, &collect, obs)))
     };
-    // A panic truncates the observation stream mid-operation; closing
-    // as `Aborted` stamps the trace trailer accordingly so a replay
-    // knows to skip end-of-stream invariants.
+    // Flush the ring into the sinks. A panic truncates the stream
+    // mid-operation, and the close says so.
     if let Some(stream) = &obs {
         stream.close(if result.is_ok() {
             StreamClose::Clean
         } else {
             StreamClose::Aborted
         });
-    }
-    // The writer is the only sink that declines events. A write that
-    // failed after the file was created (e.g. ENOSPC) is reported like
-    // a failed create; the run itself is unaffected.
-    if let Some(writer) = &writer {
-        let summary = writer.borrow().summary();
-        out.obs_dropped = summary.dropped;
-        if let Some(e) = summary.error {
-            eprintln!(
-                "rtk-farm: cannot write trace {}: {e}",
-                summary.path.display()
-            );
-        }
     }
     // On a panicked run the panic itself is the finding — a truncated
     // stream would report a bogus "mandated wakeup never observed", so
@@ -985,6 +1010,63 @@ mod tests {
         assert_eq!(Topology::SemChain.crit_us(49), 10); // floor
         assert_eq!(mtx_chain_lock_timeout_ms(10_000), 20);
         assert_eq!(mtx_chain_lock_timeout_ms(400), 0); // Finite(0): expires next tick
+    }
+
+    /// A cap of 3 on a 5-event stream keeps the first 3 events, and the
+    /// trailer counts all 5, 2 of them dropped, as does the outcome.
+    /// Uncapped, a panicked run keeps every event under an `Aborted`
+    /// trailer.
+    #[test]
+    fn capture_caps_and_accounts_drops() {
+        use rtk_analysis::trace_codec::decode_trace;
+        let spec = ScenarioSpec::generate(
+            5,
+            &Tuning {
+                quick: true,
+                faults: true,
+            },
+        );
+        let events: Vec<StampedEvent> = (1..=5)
+            .map(|i| StampedEvent {
+                tick: u64::from(i),
+                ev: rtk_core::ObsEvent::TaskStart {
+                    tid: TaskId::from_raw(i),
+                },
+            })
+            .collect();
+        let capped = TraceConfig {
+            dir: PathBuf::new(),
+            cap: 3,
+            tuning: None,
+        };
+        let mut out = ScenarioOutcome::default();
+        let decoded = decode_trace(&encode_capture(&spec, &capped, &events, &mut out)).unwrap();
+        assert_eq!(decoded.header.seed, 5);
+        assert_eq!(decoded.header.topology, spec.topology.label());
+        assert_eq!(decoded.events, events[..3]);
+        assert_eq!(
+            decoded.trailer,
+            Some(TraceTrailer {
+                close: StreamClose::Clean,
+                events: 5,
+                dropped: 2,
+            })
+        );
+        assert_eq!(out.obs_dropped, 2);
+
+        let uncapped = TraceConfig { cap: 0, ..capped };
+        out.panicked = Some("boom".into());
+        let decoded = decode_trace(&encode_capture(&spec, &uncapped, &events, &mut out)).unwrap();
+        assert_eq!(decoded.events, events);
+        assert_eq!(
+            decoded.trailer,
+            Some(TraceTrailer {
+                close: StreamClose::Aborted,
+                events: 5,
+                dropped: 0,
+            })
+        );
+        assert_eq!(out.obs_dropped, 0);
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //!    names what observes the run, none of which changes its outcome:
 //!    the oracle replays every kernel decision through a sequential
 //!    ITRON reference model ([`oracle`]) and the first spec divergence
-//!    flags the scenario; `.rtkt` capture, an in-memory copy of the
-//!    stream and the static-model conformance checker are the others.
+//!    flags the scenario; an in-memory copy of the stream and the
+//!    static-model conformance checker are the others.
 //! 3. **Parallel runner** ([`run_campaign`]) — kernels are
 //!    independent, so the campaign is embarrassingly parallel: worker
 //!    threads claim seed offsets from one shared atomic cursor, and each
@@ -30,8 +30,9 @@
 //!
 //! On top of the pipeline sits the streaming trace platform: with a
 //! [`TraceConfig`] every scenario's observation stream (grammar:
-//! `docs/OBS_GRAMMAR.md`) is captured into a binary `.rtkt` file
-//! (format: `docs/TRACE_FORMAT.md`), and [`replay`] re-runs the
+//! `docs/OBS_GRAMMAR.md`) is collected, encoded on its worker and
+//! written by one writer thread into a binary `.rtkt` file (format:
+//! `docs/TRACE_FORMAT.md`), and [`replay`] re-runs the
 //! differential oracle from those files alone — same verdicts, same
 //! first-divergence indexes, no kernel execution.
 //!

@@ -315,10 +315,10 @@ type ExportFn = fn(&[StampedEvent], u32) -> Result<String, rtk_analysis::TimeOve
 
 /// Writes the `--export-vcd` / `--export-chrome` renderings of each
 /// `(source, file stem, events, tick in µs)` stream as `<stem>.vcd` and
-/// `<stem>.trace.json`, after creating the requested directories. A
-/// failure, including a stream whose ticks do not fit the exporters'
-/// time axis, is reported on stderr with its source and becomes exit
-/// code 2.
+/// `<stem>.trace.json`. A failure is reported on stderr and becomes
+/// exit code 2. Every stream's time axis is checked before anything is
+/// created, so a stream whose ticks do not fit it, named by its source,
+/// leaves no directory and no export behind.
 fn write_exports<'a>(
     cli: &Cli,
     streams: impl IntoIterator<Item = (String, String, &'a [StampedEvent], u32)>,
@@ -331,6 +331,16 @@ fn write_exports<'a>(
             rtk_analysis::obs_to_chrome_trace,
         ),
     ];
+    if cli.export_vcd.is_none() && cli.export_chrome.is_none() {
+        return Ok(());
+    }
+    let streams: Vec<_> = streams.into_iter().collect();
+    for (source, _, events, tick_us) in &streams {
+        if let Err(e) = rtk_analysis::check_time_axis(events, *tick_us) {
+            eprintln!("rtk-farm: cannot export {source}: {e}");
+            return Err(ExitCode::from(2));
+        }
+    }
     for dir in [&cli.export_vcd, &cli.export_chrome].into_iter().flatten() {
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("rtk-farm: cannot create {}: {e}", dir.display());
@@ -611,10 +621,14 @@ fn main() -> ExitCode {
         agg.latency_us.p90,
         agg.latency_us.p99,
     );
+    // Without a cap, only a trace file that could not be written drops
+    // events, and its own line above says so.
     if agg.obs_dropped > 0 {
+        let capped = report.cfg.trace.as_ref().is_some_and(|tc| tc.cap > 0);
         eprintln!(
-            "rtk-farm: {} observation event(s) dropped by trace capture (see --trace-cap)",
-            agg.obs_dropped
+            "rtk-farm: {} observation event(s) dropped by trace capture{}",
+            agg.obs_dropped,
+            if capped { " (see --trace-cap)" } else { "" },
         );
     }
 

@@ -274,8 +274,10 @@ pub fn replay_report_json_analyzed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build::{run_scenario, RunPlan, TraceConfig};
+    use crate::build::{run_scenario, run_scenario_traced, RunPlan, ScenarioOutcome, TraceConfig};
+    use crate::runner::{run_campaign, CampaignConfig};
     use crate::scenario::{ScenarioSpec, Tuning};
+    use rtk_analysis::trace_codec::TraceTuning;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("rtk_replay_{tag}_{}", std::process::id()));
@@ -283,26 +285,37 @@ mod tests {
         dir
     }
 
+    /// Captures `seeds` quick seeds from `base_seed` into `dir` on two
+    /// workers.
+    fn capture(
+        dir: &Path,
+        base_seed: u64,
+        seeds: u64,
+        oracle: bool,
+        tuning: Option<TraceTuning>,
+    ) -> Vec<ScenarioOutcome> {
+        run_campaign(&CampaignConfig {
+            base_seed,
+            seeds,
+            threads: 2,
+            tuning: Tuning {
+                quick: true,
+                faults: true,
+            },
+            oracle,
+            trace: Some(TraceConfig {
+                dir: dir.to_path_buf(),
+                cap: 0,
+                tuning,
+            }),
+            ..CampaignConfig::default()
+        })
+    }
+
     #[test]
     fn replay_matches_live_verdict_for_clean_seeds() {
         let dir = tmp_dir("clean");
-        let tuning = Tuning {
-            quick: true,
-            faults: true,
-        };
-        let tc = TraceConfig {
-            dir: dir.clone(),
-            cap: 0,
-            tuning: None,
-        };
-        let plan = RunPlan {
-            oracle: true,
-            trace: Some(&tc),
-            ..RunPlan::default()
-        };
-        let live: Vec<_> = (300..308)
-            .map(|seed| run_scenario(&ScenarioSpec::generate(seed, &tuning), &plan).0)
-            .collect();
+        let live = capture(&dir, 300, 8, true, None);
         let replayed = replay_path(&dir).unwrap();
         assert_eq!(replayed.len(), live.len());
         for (r, l) in replayed.iter().zip(&live) {
@@ -337,40 +350,24 @@ mod tests {
             ..RunPlan::default()
         };
         let (plain, _) = run_scenario(&spec, &plan);
-        let (traced, _) = run_scenario(
-            &spec,
-            &RunPlan {
-                trace: Some(&tc),
-                ..plan
-            },
-        );
+        let traced = run_scenario_traced(&spec, true, sysc::Runtime::default(), &tc);
         assert_eq!(plain.digest(), traced.digest());
+        assert!(replay_trace(&tc.path(42)).unwrap().complete);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn replay_analysis_matches_live_verdicts() {
-        use rtk_analysis::trace_codec::TraceTuning;
         let dir = tmp_dir("analyze");
         let tuning = Tuning {
             quick: true,
             faults: true,
         };
-        let tc = TraceConfig {
-            dir: dir.clone(),
-            cap: 0,
-            tuning: Some(TraceTuning {
-                quick: true,
-                faults: true,
-            }),
+        let recorded = TraceTuning {
+            quick: true,
+            faults: true,
         };
-        let plan = RunPlan {
-            trace: Some(&tc),
-            ..RunPlan::default()
-        };
-        for seed in 400..408 {
-            run_scenario(&ScenarioSpec::generate(seed, &tuning), &plan);
-        }
+        capture(&dir, 400, 8, false, Some(recorded));
         let traces = replay_path(&dir).unwrap();
         assert_eq!(traces.len(), 8);
         let mut recs = Vec::new();
@@ -417,12 +414,8 @@ mod tests {
             cap: 0,
             tuning: None,
         };
-        let plan = RunPlan {
-            oracle: true,
-            trace: Some(&tc),
-            ..RunPlan::default()
-        };
-        run_scenario(&ScenarioSpec::generate(5, &tuning), &plan);
+        let spec = ScenarioSpec::generate(5, &tuning);
+        run_scenario_traced(&spec, true, sysc::Runtime::default(), &tc);
         let traces = replay_path(&dir).unwrap();
         let j = replay_report_json_analyzed(&traces, None);
         assert!(j.contains("\"schema\": \"rtk-farm-replay-v1\""));

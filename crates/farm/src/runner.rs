@@ -13,11 +13,19 @@
 //! Determinism: each outcome is stored in the slot of its seed offset,
 //! so aggregation order — and therefore the campaign report — is
 //! independent of which worker ran which job and in what order.
+//!
+//! `.rtkt` capture keeps the file system off the workers: a worker
+//! collects a scenario's stream, encodes it once the run is over and
+//! hands the bytes to one writer thread, which makes every file-system
+//! call. Creating a file costs more than writing it, and now and then
+//! a create stalls for milliseconds; the writer absorbs both.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{mpsc, OnceLock};
 
-use crate::build::{run_scenario, RunPlan, ScenarioOutcome, TraceConfig};
+use crate::build::{
+    encode_capture, run_scenario, write_capture, RunPlan, ScenarioOutcome, TraceConfig,
+};
 use crate::scenario::{ScenarioSpec, Tuning};
 
 /// Campaign parameters (the CLI surface).
@@ -40,9 +48,10 @@ pub struct CampaignConfig {
     pub topology: Option<String>,
     /// When set, every scenario's observation stream is captured into
     /// a binary `.rtkt` trace file in the given directory
-    /// (`--trace-dir`) — replayable offline with `rtk-farm --replay`.
-    /// Host-side instrumentation only: never changes outcomes or the
-    /// campaign digest.
+    /// (`--trace-dir`, which must exist) — replayable offline with
+    /// `rtk-farm --replay`. Every file is complete when
+    /// [`run_campaign`] returns. Host-side instrumentation only: never
+    /// changes outcomes or the campaign digest.
     pub trace: Option<TraceConfig>,
     /// Run the static scenario analyzer as a pre-pass on every seed
     /// and cross-validate its verdicts against the dynamic run
@@ -88,8 +97,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Vec<ScenarioOutcome> {
     }
     let plan = RunPlan {
         oracle: cfg.oracle,
-        trace: cfg.trace.as_ref(),
-        collect_events: false,
+        collect_events: cfg.trace.is_some(),
         analyze: cfg.analyze,
     };
     let workers = cfg.effective_threads();
@@ -107,9 +115,26 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Vec<ScenarioOutcome> {
     // scope's join publish the outcomes), so `Relaxed` suffices.
     let cursor = AtomicUsize::new(0);
     let slots: Vec<OnceLock<ScenarioOutcome>> = (0..cfg.seeds).map(|_| OnceLock::new()).collect();
-    std::thread::scope(|scope| {
+    // Encoded traces travel as `(offset, bytes, events)`, one channel
+    // slot per worker; the writer returns the offsets whose file it
+    // could not write, with their event counts. The scope joins it, so
+    // every file is complete before the outcomes are returned.
+    let (traces, inbox) = mpsc::sync_channel::<(usize, Vec<u8>, u64)>(workers);
+    let lost = std::thread::scope(|scope| {
+        let writer = cfg.trace.as_ref().map(|tc| {
+            scope.spawn(move || {
+                inbox
+                    .into_iter()
+                    .filter(|(offset, bytes, _)| {
+                        !write_capture(&tc.path(cfg.base_seed + *offset as u64), bytes)
+                    })
+                    .map(|(offset, _, events)| (offset, events))
+                    .collect::<Vec<_>>()
+            })
+        });
         for _ in 0..workers {
-            scope.spawn(|| loop {
+            let (traces, cursor, slots, plan) = (traces.clone(), &cursor, &slots, &plan);
+            scope.spawn(move || loop {
                 let offset = cursor.fetch_add(1, Ordering::Relaxed);
                 let Some(slot) = slots.get(offset) else {
                     break;
@@ -118,12 +143,28 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Vec<ScenarioOutcome> {
                 if matches!(&cfg.topology, Some(label) if spec.topology.label() != label) {
                     continue;
                 }
-                let (outcome, _) = run_scenario(&spec, &plan);
+                let (mut outcome, events) = run_scenario(&spec, plan);
+                if let Some(tc) = &cfg.trace {
+                    let bytes = encode_capture(&spec, tc, &events, &mut outcome);
+                    traces
+                        .send((offset, bytes, events.len() as u64))
+                        .expect("the trace writer outlives the workers");
+                }
                 assert!(slot.set(outcome).is_ok(), "offset {offset} run twice");
             });
         }
+        // The writer stops once every worker has dropped its sender.
+        drop(traces);
+        writer.map_or_else(Vec::new, |w| w.join().expect("trace writer panicked"))
     });
-    slots.into_iter().filter_map(OnceLock::into_inner).collect()
+    let mut outcomes: Vec<Option<ScenarioOutcome>> =
+        slots.into_iter().map(OnceLock::into_inner).collect();
+    for (offset, events) in lost {
+        if let Some(outcome) = &mut outcomes[offset] {
+            outcome.obs_dropped = events;
+        }
+    }
+    outcomes.into_iter().flatten().collect()
 }
 
 #[cfg(test)]

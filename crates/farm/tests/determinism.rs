@@ -6,11 +6,11 @@ use std::collections::BTreeSet;
 use std::path::Path;
 
 use proptest::prelude::*;
-use rtk_analysis::trace_codec::{encode_trace, TraceHeader};
+use rtk_analysis::trace_codec::{encode_trace, read_trace, TraceHeader};
 use rtk_farm::{
-    run_campaign, run_exploration, run_scenario, write_counterexamples, CampaignConfig,
-    CampaignReport, ExploreConfig, ExploreOutcome, Family, RunPlan, ScenarioSpec, SpecMutation,
-    TraceConfig, Tuning,
+    run_campaign, run_exploration, run_scenario, run_scenario_traced, write_counterexamples,
+    CampaignConfig, CampaignReport, ExploreConfig, ExploreOutcome, Family, RunPlan, ScenarioSpec,
+    SpecMutation, TraceConfig, Tuning,
 };
 use sysc::Runtime;
 
@@ -150,11 +150,12 @@ fn obs_streams_match_goldens() {
     }
 }
 
-/// Every attachment only observes. On each golden seed, all 16
-/// combinations of a [`RunPlan`] give the same outcome digest once the
-/// oracle's own event count is zeroed, the same oracle verdict wherever
-/// the oracle ran, and the golden stream length wherever the stream
-/// was collected.
+/// Every attachment only observes. On each golden seed, all 8
+/// combinations of a [`RunPlan`], and `.rtkt` capture with and without
+/// the oracle, give the same outcome digest once the oracle's own event
+/// count is zeroed, the same oracle verdict wherever the oracle ran,
+/// and the golden stream length wherever the stream was collected or
+/// captured.
 #[test]
 fn every_run_plan_gives_the_same_outcome() {
     let dir = std::env::temp_dir().join(format!("rtk_run_plans_{}", std::process::id()));
@@ -168,18 +169,28 @@ fn every_run_plan_gives_the_same_outcome() {
         let spec = ScenarioSpec::generate(seed, &quick(true));
         let mut digests = BTreeSet::new();
         let mut verdicts = BTreeSet::new();
-        for bits in 0..16u8 {
+        for bits in 0..8u8 {
             let plan = RunPlan {
                 oracle: bits & 1 != 0,
-                trace: (bits & 2 != 0).then_some(&tc),
-                collect_events: bits & 4 != 0,
-                analyze: bits & 8 != 0,
+                collect_events: bits & 2 != 0,
+                analyze: bits & 4 != 0,
             };
             let (mut out, stream) = run_scenario(&spec, &plan);
             assert!(out.healthy(), "seed {seed}, {plan:?}: {out:?}");
             let want = if plan.collect_events { events } else { 0 };
             assert_eq!(stream.len(), want, "seed {seed}, {plan:?}");
             if plan.oracle {
+                verdicts.insert((out.oracle_events, out.divergence.clone()));
+            }
+            out.oracle_events = 0;
+            digests.insert(out.digest());
+        }
+        for oracle in [false, true] {
+            let mut out = run_scenario_traced(&spec, oracle, Runtime::default(), &tc);
+            assert!(out.healthy(), "seed {seed}, traced: {out:?}");
+            let trace = read_trace(&tc.path(seed)).unwrap();
+            assert_eq!(trace.events.len(), events, "seed {seed}, traced");
+            if oracle {
                 verdicts.insert((out.oracle_events, out.divergence.clone()));
             }
             out.oracle_events = 0;

@@ -1,9 +1,9 @@
 //! Trace platform end-to-end properties: golden-fixture stability of
 //! the binary format, replay verdict fidelity for a pinned divergent
 //! stream, decoder robustness on damaged and out-of-range input,
-//! random-stream round trips through both encoders, bounded-capture
-//! drop accounting, and thread-count invariance of captured trace
-//! bytes.
+//! random-stream round trips, bounded-capture drop accounting, and
+//! captured traces that are complete when their campaign returns and
+//! byte-identical at every worker count.
 //!
 //! The golden fixture (`tests/fixtures/golden_divergent.rtkt`) pins the
 //! wire format: if an encoder change alters the bytes, the fixture test
@@ -16,15 +16,14 @@ use std::path::{Path, PathBuf};
 use proptest::prelude::*;
 use rtk_analysis::trace_codec::{
     decode_trace, encode_header, encode_trace, read_trace, CodecError, TraceHeader, TraceTrailer,
-    TraceWriter,
 };
 use rtk_core::{
     AlmId, CycId, FlagWaitMode, FlgId, MbfId, MbxId, MpfId, MplId, MtxId, MtxPolicy, ObsEvent,
-    SemId, StampedEvent, StreamClose, StreamSink, TaskId, WaitObj, WakeCode,
+    SemId, StampedEvent, TaskId, WaitObj, WakeCode,
 };
 use rtk_farm::{
-    check, replay_trace, run_campaign, run_scenario, CampaignConfig, CampaignReport, RunPlan,
-    ScenarioSpec, TraceConfig, Tuning,
+    check, replay_path, replay_trace, run_campaign, CampaignConfig, CampaignReport, TraceConfig,
+    Tuning,
 };
 
 fn t(n: u32) -> TaskId {
@@ -422,10 +421,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Random streams over all 47 tags with monotone ticks: decoding
-    /// the encoding gives the stream back, a `TraceWriter` fed the
-    /// same stream writes exactly the `encode_trace` bytes, and
-    /// truncating or overwriting bytes of the encoding decodes to `Ok`
-    /// or a `CodecError`, never a panic.
+    /// the encoding gives the stream back, and truncating or
+    /// overwriting bytes of the encoding decodes to `Ok` or a
+    /// `CodecError`, never a panic.
     #[test]
     fn random_streams_round_trip(
         draws in collection::vec(((0u8..47, wide()), (wide(), wide(), wide())), 0..40),
@@ -449,17 +447,6 @@ proptest! {
         let decoded = decode_trace(&bytes).unwrap();
         prop_assert_eq!(&decoded.events, &stream);
         prop_assert_eq!(decoded.trailer, Some(trailer));
-
-        let dir = tmp_dir("random_stream");
-        let path = dir.join("stream.rtkt");
-        let mut writer = TraceWriter::create(&path, &header, 0).unwrap();
-        let (first, rest) = stream.split_at(stream.len() / 2);
-        writer.batch(first);
-        writer.batch(rest);
-        writer.close(StreamClose::Clean);
-        drop(writer);
-        prop_assert_eq!(&std::fs::read(&path).unwrap(), &bytes);
-        std::fs::remove_dir_all(&dir).ok();
 
         let _ = decode_trace(&bytes[..cut % (bytes.len() + 1)]);
         let mut damaged = bytes;
@@ -532,9 +519,47 @@ fn bounded_capture_drop_accounting_is_deterministic() {
     std::fs::remove_dir_all(&dn).ok();
 }
 
+/// Every trace a campaign captures is complete, trailer included, the
+/// moment `run_campaign` returns, at one worker and at three: the
+/// writer thread is joined before the outcomes come back. Each replays
+/// to its live verdict.
+#[test]
+fn every_trace_is_complete_when_the_campaign_returns() {
+    for threads in [1, 3] {
+        let dir = tmp_dir(&format!("complete{threads}"));
+        let outcomes = run_campaign(&CampaignConfig {
+            base_seed: 40,
+            seeds: 12,
+            threads,
+            tuning: Tuning {
+                quick: true,
+                faults: true,
+            },
+            oracle: true,
+            trace: Some(TraceConfig {
+                dir: dir.clone(),
+                cap: 0,
+                tuning: None,
+            }),
+            ..CampaignConfig::default()
+        });
+        let traces = replay_path(&dir).unwrap();
+        assert_eq!(traces.len(), outcomes.len(), "{threads} worker(s)");
+        for (t, o) in traces.iter().zip(&outcomes) {
+            let name = t.path.file_name().unwrap().to_str().unwrap();
+            assert_eq!(name, format!("seed-{:010}.rtkt", o.seed));
+            assert!(t.complete && t.clean, "{name}, {threads} worker(s)");
+            assert_eq!(t.dropped, 0, "{name}");
+            assert_eq!(t.verdict.events_checked, o.oracle_events, "{name}");
+            assert!(t.verdict.divergence.is_none(), "{name}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
 /// Captured trace files are byte-identical per seed no matter how many
 /// worker threads ran the campaign: the observation stream is part of
-/// the simulated domain, and the writer serializes it without any
+/// the simulated domain, and capture encodes it without any
 /// host-schedule leakage.
 #[test]
 fn trace_bytes_are_thread_count_invariant() {
@@ -585,21 +610,22 @@ fn trace_bytes_are_thread_count_invariant() {
 #[test]
 fn threaded_header_traces_still_replay() {
     let dir = tmp_dir("threaded_header");
-    let tuning = Tuning {
-        quick: true,
-        faults: true,
-    };
-    let tc = TraceConfig {
-        dir: dir.clone(),
-        cap: 0,
-        tuning: None,
-    };
-    let plan = RunPlan {
+    let live = run_campaign(&CampaignConfig {
+        base_seed: 42,
+        seeds: 1,
+        tuning: Tuning {
+            quick: true,
+            faults: true,
+        },
         oracle: true,
-        trace: Some(&tc),
-        ..RunPlan::default()
-    };
-    let (live, _) = run_scenario(&ScenarioSpec::generate(42, &tuning), &plan);
+        trace: Some(TraceConfig {
+            dir: dir.clone(),
+            cap: 0,
+            tuning: None,
+        }),
+        ..CampaignConfig::default()
+    })
+    .remove(0);
     let mut trace = read_trace(&dir.join("seed-0000000042.rtkt")).unwrap();
     assert_eq!(trace.header.runtime, "coro");
     trace.header.runtime = "threaded".into();
